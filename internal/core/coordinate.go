@@ -65,30 +65,59 @@ func CoordinateStep(a *engine.Agent, opts Options, k func(*Coordination) (engine
 	if opts.CommonSense {
 		return coordinateCommonSenseStep(f, k)
 	}
-
-	start := f.RoundsUsed()
-	nmStep := NontrivialMoveOddStep
+	onNM := AgreeAndElect(f, k)
 	if a.NParity() != engine.ParityOdd {
-		nmStep = func(f *Frame, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return NontrivialMoveEvenStep(f, opts.Seed, k)
-		}
+		return NontrivialMoveEvenStep(f, opts.Seed, onNM)
 	}
-	return nmStep(f, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
-		afterNM := f.RoundsUsed()
-		return DirectionAgreementStep(f, nmDir, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
-			afterDA := f.RoundsUsed()
-			return LeaderElectWithNMStep(f, nmDir, func(isLeader bool) (engine.Yield, engine.Cont) {
-				return k(&Coordination{
-					Frame:            f,
-					IsLeader:         isLeader,
-					NontrivialDir:    nmDir,
-					RoundsNontrivial: afterNM - start,
-					RoundsAgreement:  afterDA - afterNM,
-					RoundsLeader:     f.RoundsUsed() - afterDA,
-				})
-			})
-		})
-	})
+	return NontrivialMoveOddStep(f, onNM)
+}
+
+// AgreeAndElect returns the continuation that completes Theorem 7's pipeline
+// once a nontrivial move is known: given this agent's direction in it, the
+// continuation runs direction agreement (Algorithm 1) and leader election
+// (Algorithm 2) and hands k the Coordination, with the nontrivial-move stage
+// counted from the rounds f had used when AgreeAndElect was called.  Pass it
+// as the continuation of the nontrivial-move step.
+func AgreeAndElect(f *Frame, k func(*Coordination) (engine.Yield, engine.Cont)) func(ring.Direction) (engine.Yield, engine.Cont) {
+	s := &agreeElect{k: k, c: Coordination{Frame: f}, start: f.RoundsUsed()}
+	s.onDirFn = s.onDir
+	return s.onDirFn
+}
+
+// agreeElect is the state of the pipeline after the nontrivial move: one
+// allocation carries the stage boundaries, the leader election's state and
+// the result through both stages.
+type agreeElect struct {
+	le                      leaderElect
+	c                       Coordination
+	k                       func(*Coordination) (engine.Yield, engine.Cont)
+	start, afterNM, afterDA int  // RoundsUsed at the stage boundaries
+	agreed                  bool // direction agreement has run: onDir's second call
+	onDirFn                 func(ring.Direction) (engine.Yield, engine.Cont)
+}
+
+// onDir receives the nontrivial move's direction, first from the
+// nontrivial-move step and then, re-expressed in the agreed frame, from
+// direction agreement.
+func (s *agreeElect) onDir(nmDir ring.Direction) (engine.Yield, engine.Cont) {
+	f := s.c.Frame
+	if !s.agreed {
+		s.agreed = true
+		s.afterNM = f.RoundsUsed()
+		return DirectionAgreementStep(f, nmDir, s.onDirFn)
+	}
+	s.c.NontrivialDir = nmDir
+	s.afterDA = f.RoundsUsed()
+	return s.le.start(f, nmDir, s.onLeader)
+}
+
+func (s *agreeElect) onLeader(isLeader bool) (engine.Yield, engine.Cont) {
+	f := s.c.Frame
+	s.c.IsLeader = isLeader
+	s.c.RoundsNontrivial = s.afterNM - s.start
+	s.c.RoundsAgreement = s.afterDA - s.afterNM
+	s.c.RoundsLeader = f.RoundsUsed() - s.afterDA
+	return s.k(&s.c)
 }
 
 // coordinateCommonSenseStep is the Table II pipeline: the frames already

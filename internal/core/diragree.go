@@ -21,13 +21,21 @@ func DirectionAgreement(f *Frame, nmDir ring.Direction) (ring.Direction, error) 
 
 // DirectionAgreementStep is the machine form of DirectionAgreement.
 func DirectionAgreementStep(f *Frame, nmDir ring.Direction, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	return f.RoundNStep(nmDir, 2, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
-		if trace[0].Dist+trace[1].Dist > f.FullCircle() {
-			f.Flip()
-			return k(nmDir.Opposite())
-		}
-		return k(nmDir)
-	})
+	// The frame holds k and nmDir like a round primitive (see framestep.go),
+	// so the agreement allocates nothing.
+	f.kDir, f.opDir = k, nmDir
+	return f.await(f.agent.YieldRoundN(f.translate(nmDir), 2), opAgree)
+}
+
+// agree finishes Algorithm 1 from the trace of the double execution of the
+// nontrivial move f.opDir: it flips the frame if the two-round displacement
+// exceeds a full circle and returns the move's direction in the result.
+func (f *Frame) agree(trace []engine.Observation) ring.Direction {
+	if trace[0].Dist+trace[1].Dist > f.full {
+		f.Flip()
+		return f.opDir.Opposite()
+	}
+	return f.opDir
 }
 
 // DirectionAgreementOdd implements Proposition 17: for odd n the direction

@@ -44,6 +44,22 @@ type Frame struct {
 	// schedScratch holds frame-to-agent translations of RoundSchedule
 	// submissions; reused across calls.
 	schedScratch []ring.Direction
+
+	// The continuation slots of the machine-form primitives (framestep.go).
+	// A machine has at most one yield in flight, so each frame holds at most
+	// one pending continuation: the XStep primitive that builds a yield
+	// stores its k here, and resume — bound once per frame into resumeFn —
+	// empties the slot before calling it.
+	op       frameOp
+	kObs     func(engine.Observation) (engine.Yield, engine.Cont)
+	kTrace   func([]engine.Observation) (engine.Yield, engine.Cont)
+	kSum     func(int64) (engine.Yield, engine.Cont)
+	kClass   func(RotationClass) (engine.Yield, engine.Cont)
+	kDir     func(ring.Direction) (engine.Yield, engine.Cont)
+	opDir    ring.Direction     // the direction of the primitive's (first) rounds
+	opObs    engine.Observation // RoundPairStep: the first round's observation
+	opClass  RotationClass      // ClassifyRotationStep: the class, across the restore rounds
+	resumeFn engine.Cont
 }
 
 // NewFrame wraps the agent with an unflipped frame (the agent's own private

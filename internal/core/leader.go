@@ -25,24 +25,50 @@ func LeaderElectWithNM(f *Frame, nmDir ring.Direction) (bool, error) {
 
 // LeaderElectWithNMStep is the machine form of LeaderElectWithNM.
 func LeaderElectWithNMStep(f *Frame, nmDir ring.Direction, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	var bit func(i int, inX bool) (engine.Yield, engine.Cont)
-	bit = func(i int, inX bool) (engine.Yield, engine.Cont) {
-		if i > f.idBits() {
-			return k(inX)
-		}
-		inX0 := inX && IDBit(f.ID(), i) == 0
-		dir := ring.Anticlockwise
-		if inX0 {
-			dir = ring.Clockwise
-		}
-		return f.RoundStep(dir, func(obs engine.Observation) (engine.Yield, engine.Cont) {
-			if obs.Dist != 0 {
-				return bit(i+1, inX0)
-			}
-			return bit(i+1, inX && !inX0)
-		})
+	return new(leaderElect).start(f, nmDir, k)
+}
+
+// leaderElect is the state of one LeaderElectWithNMStep call: the bit loop
+// advances it in place instead of allocating a closure per round.
+type leaderElect struct {
+	f       *Frame
+	k       func(bool) (engine.Yield, engine.Cont)
+	bits    int
+	i       int  // the identifier bit of the pending round
+	inX     bool // whether this agent is still a candidate
+	inX0    bool // whether it moves clockwise in round i (candidate with bit i = 0)
+	onObsFn func(engine.Observation) (engine.Yield, engine.Cont)
+}
+
+// start runs the election with s as its state.
+func (s *leaderElect) start(f *Frame, nmDir ring.Direction, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	*s = leaderElect{f: f, k: k, bits: f.idBits(), inX: nmDir == ring.Clockwise}
+	s.onObsFn = s.onObs
+	return s.bit(1)
+}
+
+// bit runs the round for identifier bit i, or finishes after the last bit.
+func (s *leaderElect) bit(i int) (engine.Yield, engine.Cont) {
+	if i > s.bits {
+		return s.k(s.inX)
 	}
-	return bit(1, nmDir == ring.Clockwise)
+	s.i = i
+	s.inX0 = s.inX && IDBit(s.f.ID(), i) == 0
+	dir := ring.Anticlockwise
+	if s.inX0 {
+		dir = ring.Clockwise
+	}
+	return s.f.RoundStep(dir, s.onObsFn)
+}
+
+// onObs keeps whichever half of the candidates has a nonzero rotation index.
+func (s *leaderElect) onObs(obs engine.Observation) (engine.Yield, engine.Cont) {
+	if obs.Dist != 0 {
+		s.inX = s.inX0
+	} else {
+		s.inX = s.inX && !s.inX0
+	}
+	return s.bit(s.i + 1)
 }
 
 // EmptinessTest implements Lemma 12.  All agents know the query set B

@@ -25,28 +25,35 @@ func NontrivialMoveOdd(f *Frame) (ring.Direction, error) {
 
 // NontrivialMoveOddStep is the machine form of NontrivialMoveOdd.
 func NontrivialMoveOddStep(f *Frame, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	return f.RoundStep(ring.Clockwise, func(obs engine.Observation) (engine.Yield, engine.Cont) {
-		if obs.Dist != 0 {
-			return k(ring.Clockwise)
-		}
-		var bit func(i int) (engine.Yield, engine.Cont)
-		bit = func(i int) (engine.Yield, engine.Cont) {
-			if i > f.idBits() {
-				return engine.Abort(fmt.Errorf("%w: odd-n bit schedule exhausted", ErrNoNontrivialMove))
-			}
-			dir := ring.Anticlockwise
-			if IDBit(f.ID(), i) == 1 {
-				dir = ring.Clockwise
-			}
-			return f.RoundStep(dir, func(obs engine.Observation) (engine.Yield, engine.Cont) {
-				if obs.Dist != 0 {
-					return k(dir)
-				}
-				return bit(i + 1)
-			})
-		}
-		return bit(1)
-	})
+	s := &nmOdd{f: f, k: k, dir: ring.Clockwise}
+	s.onObsFn = s.onObs
+	return f.RoundStep(ring.Clockwise, s.onObsFn)
+}
+
+// nmOdd is the state of one NontrivialMoveOddStep call: the all-clockwise
+// round (i = 0), then one round per identifier bit i until one is
+// nontrivial.
+type nmOdd struct {
+	f       *Frame
+	k       func(ring.Direction) (engine.Yield, engine.Cont)
+	i       int
+	dir     ring.Direction // this agent's direction in round i
+	onObsFn func(engine.Observation) (engine.Yield, engine.Cont)
+}
+
+func (s *nmOdd) onObs(obs engine.Observation) (engine.Yield, engine.Cont) {
+	if obs.Dist != 0 {
+		return s.k(s.dir)
+	}
+	s.i++
+	if s.i > s.f.idBits() {
+		return engine.Abort(fmt.Errorf("%w: odd-n bit schedule exhausted", ErrNoNontrivialMove))
+	}
+	s.dir = ring.Anticlockwise
+	if IDBit(s.f.ID(), s.i) == 1 {
+		s.dir = ring.Clockwise
+	}
+	return s.f.RoundStep(s.dir, s.onObsFn)
 }
 
 // NontrivialMoveFromLeader solves the nontrivial move problem in O(1) rounds
@@ -102,31 +109,58 @@ func NontrivialMoveSearch(f *Frame, fam comb.SetFamily, weak bool) (ring.Directi
 
 // NontrivialMoveSearchStep is the machine form of NontrivialMoveSearch.
 func NontrivialMoveSearchStep(f *Frame, fam comb.SetFamily, weak bool, k func(ring.Direction, int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	var try func(i int) (engine.Yield, engine.Cont)
-	try = func(i int) (engine.Yield, engine.Cont) {
-		if i >= fam.Len() {
-			return engine.Abort(fmt.Errorf("%w: schedule of %d sets exhausted", ErrNoNontrivialMove, fam.Len()))
-		}
-		dir := ring.Anticlockwise
-		if fam.Contains(i, f.ID()) {
-			dir = ring.Clockwise
-		}
-		if weak {
-			return f.RoundStep(dir, func(obs engine.Observation) (engine.Yield, engine.Cont) {
-				if obs.Dist != 0 {
-					return k(dir, i)
-				}
-				return try(i + 1)
-			})
-		}
-		return f.ClassifyRotationStep(dir, false, func(cls RotationClass) (engine.Yield, engine.Cont) {
-			if cls.Nontrivial() {
-				return k(dir, i)
-			}
-			return try(i + 1)
-		})
+	s := &nmSearch{f: f, fam: fam, k: k}
+	if weak {
+		s.onObsFn = s.onObs
+	} else {
+		s.onClassFn = s.onClass
 	}
-	return try(0)
+	return s.try(0)
+}
+
+// nmSearch is the state of one NontrivialMoveSearchStep call: the candidate
+// loop advances it in place instead of allocating per candidate.
+type nmSearch struct {
+	f   *Frame
+	fam comb.SetFamily
+	k   func(ring.Direction, int) (engine.Yield, engine.Cont)
+	i   int            // the candidate set being tried
+	dir ring.Direction // this agent's direction in candidate i
+
+	// Exactly one is bound: onObsFn for the weak search (one round per
+	// candidate), onClassFn for the strong one (Lemma 2 per candidate).
+	onObsFn   func(engine.Observation) (engine.Yield, engine.Cont)
+	onClassFn func(RotationClass) (engine.Yield, engine.Cont)
+}
+
+// try executes candidate set i.
+func (s *nmSearch) try(i int) (engine.Yield, engine.Cont) {
+	if i >= s.fam.Len() {
+		return engine.Abort(fmt.Errorf("%w: schedule of %d sets exhausted", ErrNoNontrivialMove, s.fam.Len()))
+	}
+	s.i = i
+	s.dir = ring.Anticlockwise
+	if s.fam.Contains(i, s.f.ID()) {
+		s.dir = ring.Clockwise
+	}
+	if s.onObsFn != nil {
+		return s.f.RoundStep(s.dir, s.onObsFn)
+	}
+	return s.f.ClassifyRotationStep(s.dir, false, s.onClassFn)
+}
+
+func (s *nmSearch) onObs(obs engine.Observation) (engine.Yield, engine.Cont) {
+	if obs.Dist != 0 {
+		return s.k(s.dir, s.i)
+	}
+	return s.try(s.i + 1)
+}
+
+func (s *nmSearch) onClass(cls RotationClass) (engine.Yield, engine.Cont) {
+	if cls.Nontrivial() {
+		return s.k(s.dir, s.i)
+	}
+	return s.try(s.i + 1)
 }
 
 // defaultScheduleLength bounds the pseudo-random schedule used when n is

@@ -118,88 +118,120 @@ func perceptiveDiscoveryStep(a *engine.Agent, opts Options, k func(*Result) (eng
 // slot (gcd(step, n) = 1) and therefore knows every initial position as well
 // as n itself.
 func sweepDiscoveryStep(a *engine.Agent, opts Options, step int, k func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	return core.CoordinateStep(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed}, func(coord *core.Coordination) (engine.Yield, engine.Cont) {
-		f := coord.Frame
-		coordRounds := f.RoundsUsed()
+	s := &sweep{k: k, step: step}
+	return core.CoordinateStep(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed}, s.start)
+}
 
-		dir := ring.Idle
-		if step == 2 {
-			dir = ring.Anticlockwise
-		}
-		if coord.IsLeader {
-			dir = ring.Clockwise
-		}
+// maxVisitedPrealloc caps the sweep's up-front allocation when the
+// identifier bound is far above n.
+const maxVisitedPrealloc = 1024
 
-		full := f.FullCircle()
-		start := f.Displacement()
-		visited := []int64{start}
-		// The sweep executes as leap batches of doubling size: the agent does
-		// not know n, so it asks for exponentially growing constant-direction
-		// batches and scans each returned displacement trace for the round at
-		// which it is back at its pre-sweep position.  The engine solves that
-		// stop condition in closed form (Frame.RoundUntil), so the batch ends
-		// exactly at the return round — the same n rounds the per-round loop
-		// consumed — in O(log n) scheduler visits instead of n.
-		//
-		// Runaway guard: positions are distinct integer ticks, so n never
-		// exceeds the circumference in ticks (full is in half-ticks, twice
-		// that).  The bound is kept in int64: converting the circumference to
-		// int would truncate on 32-bit platforms.
-		circTicks := full / 2
-		var sweep func(batch int) (engine.Yield, engine.Cont)
-		sweep = func(batch int) (engine.Yield, engine.Cont) {
-			return f.RoundUntilStep(dir, start, batch, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
-				d := visited[len(visited)-1]
-				returned := false
-				for _, obs := range trace {
-					d = (d + obs.Dist) % full
-					if d == start {
-						returned = true
-						break
-					}
-					visited = append(visited, d)
-					if int64(len(visited)) > circTicks {
-						return engine.Abort(fmt.Errorf("%w: sweep did not return to its start", ErrProtocol))
-					}
-				}
-				if !returned {
-					return sweep(batch * 2)
-				}
-				n := len(visited)
+// sweep is the state of one sweepDiscoveryStep call.
+type sweep struct {
+	k           func(*Result) (engine.Yield, engine.Cont)
+	step        int
+	coord       *core.Coordination
+	coordRounds int
+	dir         ring.Direction
+	full        int64
+	circTicks   int64
+	begin       int64   // the frame displacement before the sweep
+	batch       int     // the size of the batch in flight
+	visited     []int64 // displacements of the slots visited, in sweep order
+	onTraceFn   func([]engine.Observation) (engine.Yield, engine.Cont)
+}
 
-				// Identify the sweep step at which the agent stood on its own
-				// initial position (displacement zero) and read everybody's
-				// position off the visited list: the slot visited at step j is
-				// step·j positions clockwise of the pre-sweep slot.
-				selfStep := -1
-				for j, v := range visited {
-					if ((v-0)%full+full)%full == 0 {
-						selfStep = j
-						break
-					}
-				}
-				if selfStep < 0 {
-					return engine.Abort(fmt.Errorf("%w: own initial position was not visited", ErrProtocol))
-				}
-				inv := 1
-				if step == 2 {
-					inv = (n + 1) / 2 // inverse of 2 modulo odd n
-				}
-				positions := make([]int64, n)
-				for t := 0; t < n; t++ {
-					j := (selfStep + t*inv) % n
-					positions[t] = ((visited[j]-visited[selfStep])%full + full) % full
-				}
-				return k(&Result{
-					IsLeader:           coord.IsLeader,
-					N:                  n,
-					Positions:          positions,
-					RoundsCoordination: coordRounds,
-					RoundsDiscovery:    f.RoundsUsed() - coordRounds,
-				})
-			})
+// start begins the sweep once the coordination problems are solved.
+func (s *sweep) start(coord *core.Coordination) (engine.Yield, engine.Cont) {
+	f := coord.Frame
+	s.coord = coord
+	s.coordRounds = f.RoundsUsed()
+
+	s.dir = ring.Idle
+	if s.step == 2 {
+		s.dir = ring.Anticlockwise
+	}
+	if coord.IsLeader {
+		s.dir = ring.Clockwise
+	}
+
+	s.full = f.FullCircle()
+	s.begin = f.Displacement()
+	// n never exceeds the identifier bound, so visited (n entries) rarely
+	// outgrows its first allocation.
+	s.visited = make([]int64, 1, min(f.IDBound(), maxVisitedPrealloc)+1)
+	s.visited[0] = s.begin
+	// The sweep executes as leap batches of doubling size: the agent does
+	// not know n, so it asks for exponentially growing constant-direction
+	// batches and scans each returned displacement trace for the round at
+	// which it is back at its pre-sweep position.  The engine solves that
+	// stop condition in closed form (Frame.RoundUntil), so the batch ends
+	// exactly at the return round — the same n rounds the per-round loop
+	// consumed — in O(log n) scheduler visits instead of n.
+	//
+	// Runaway guard: positions are distinct integer ticks, so n never
+	// exceeds the circumference in ticks (full is in half-ticks, twice
+	// that).  The bound is kept in int64: converting the circumference to
+	// int would truncate on 32-bit platforms.
+	s.circTicks = s.full / 2
+	s.onTraceFn = s.onTrace
+	s.batch = 1
+	return f.RoundUntilStep(s.dir, s.begin, s.batch, s.onTraceFn)
+}
+
+// onTrace scans one batch of the sweep; the batch sizes double.
+func (s *sweep) onTrace(trace []engine.Observation) (engine.Yield, engine.Cont) {
+	f := s.coord.Frame
+	full := s.full
+	d := s.visited[len(s.visited)-1]
+	returned := false
+	for _, obs := range trace {
+		d = (d + obs.Dist) % full
+		if d == s.begin {
+			returned = true
+			break
 		}
-		return sweep(1)
+		s.visited = append(s.visited, d)
+		if int64(len(s.visited)) > s.circTicks {
+			return engine.Abort(fmt.Errorf("%w: sweep did not return to its start", ErrProtocol))
+		}
+	}
+	if !returned {
+		s.batch *= 2
+		return f.RoundUntilStep(s.dir, s.begin, s.batch, s.onTraceFn)
+	}
+	visited := s.visited
+	n := len(visited)
+
+	// Identify the sweep step at which the agent stood on its own initial
+	// position (displacement zero) and read everybody's position off the
+	// visited list: the slot visited at step j is step·j positions
+	// clockwise of the pre-sweep slot.
+	selfStep := -1
+	for j, v := range visited {
+		if ((v-0)%full+full)%full == 0 {
+			selfStep = j
+			break
+		}
+	}
+	if selfStep < 0 {
+		return engine.Abort(fmt.Errorf("%w: own initial position was not visited", ErrProtocol))
+	}
+	inv := 1
+	if s.step == 2 {
+		inv = (n + 1) / 2 // inverse of 2 modulo odd n
+	}
+	positions := make([]int64, n)
+	for t := 0; t < n; t++ {
+		j := (selfStep + t*inv) % n
+		positions[t] = ((visited[j]-visited[selfStep])%full + full) % full
+	}
+	return s.k(&Result{
+		IsLeader:           s.coord.IsLeader,
+		N:                  n,
+		Positions:          positions,
+		RoundsCoordination: s.coordRounds,
+		RoundsDiscovery:    f.RoundsUsed() - s.coordRounds,
 	})
 }
 

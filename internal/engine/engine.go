@@ -168,11 +168,15 @@ type Agent struct {
 	dirBuf []ring.Direction
 	resBuf []Observation
 
-	// pend is the agent's single pending-batch slot: the Yield* builders
-	// (fsm.go) write the next submission here and return a handle to it, so a
-	// yield travels through the CPS frames as three words instead of a full
-	// batch copy.  At most one yield per agent is in flight, so one slot
-	// suffices.
+	// slot is the agent's single pending-batch slot: the Yield* builders
+	// (fsm.go) write the next submission there and return a handle to it, so
+	// a yield travels through the CPS frames as three words instead of a full
+	// batch copy.  Under the v3 scheduler it points at the agent's entry of
+	// the executor's pending column, so the batch is written once and
+	// executed where it lies; otherwise (nil) the builders use pend, which
+	// the blocking runtimes copy into their dispatcher.  At most one yield per
+	// agent is in flight, so one slot suffices.
+	slot *batch
 	pend batch
 }
 

@@ -1,10 +1,11 @@
 // The v3 runtime's agent model: a protocol is a resumable state machine in
 // continuation-passing style.  Instead of blocking inside Agent.Round, a
 // machine RETURNS its next round/leap-batch request as a Yield together with
-// the continuation to resume with, and the scheduler (sched.go) — one
-// goroutine per scenario — executes the crossing and feeds the Resume back
-// in.  No goroutine per agent, no barrier, no mutexes, no per-agent stacks:
-// every mutation of protocol state happens on the scheduler goroutine.
+// the continuation to resume with, and the scheduler (sched.go) — one loop
+// per scenario, on the caller's goroutine — executes the crossing and feeds
+// the Resume back in.  No goroutine per agent, no barrier, no mutexes, no
+// per-agent stacks: every mutation of protocol state happens on the scheduler
+// goroutine.
 //
 // The same machines also run unchanged on the v2 barrier and v1 legacy
 // runtimes: RunMachine drives a machine to completion through the agent's
@@ -82,18 +83,17 @@ type Machine interface {
 // errors travel exactly as they did through the blocking call chain, which
 // was propagate-only everywhere.
 type Proto[T any] struct {
-	next Cont
-	out  T
-	err  error
+	start func(done func(T, error) (Yield, Cont)) (Yield, Cont) // until the first Step
+	next  Cont
+	out   T
+	err   error
 }
 
 // NewProto builds a Proto from a CPS start function.  start receives the
 // machine's done callback and returns the first yield; protocol code calls
 // done(result, err) exactly where the blocking form returned.
 func NewProto[T any](start func(done func(T, error) (Yield, Cont)) (Yield, Cont)) *Proto[T] {
-	p := &Proto[T]{}
-	p.next = func(Resume) (Yield, Cont) { return start(p.finish) }
-	return p
+	return &Proto[T]{start: start}
 }
 
 // finish is the done callback handed to the protocol by NewProto.
@@ -110,10 +110,17 @@ func (p *Proto[T]) Result() (T, error) { return p.out, p.err }
 func (p *Proto[T]) Step(in Resume) (Yield, bool) {
 	if in.Err != nil {
 		p.err = in.Err
-		p.next = nil
+		p.start, p.next = nil, nil
 		return Yield{}, true
 	}
-	y, next := p.next(in)
+	var y Yield
+	var next Cont
+	if start := p.start; start != nil {
+		p.start = nil
+		y, next = start(p.finish)
+	} else {
+		y, next = p.next(in)
+	}
 	if y.abort != nil {
 		p.err = y.abort
 		p.next = nil
@@ -134,10 +141,16 @@ func (p *Proto[T]) Step(in Resume) (Yield, bool) {
 	return y, false
 }
 
-// yield stores bt in the agent's pending slot and returns the handle to it.
-func (a *Agent) yield(bt batch) Yield {
-	a.pend = bt
-	return Yield{b: &a.pend}
+// yieldSlot returns the agent's pending slot, cleared for the next batch.
+// The builders fill it field by field and return a handle to it, so a batch
+// is written once, in place, never built elsewhere and copied in.
+func (a *Agent) yieldSlot() *batch {
+	p := a.slot
+	if p == nil {
+		p = &a.pend
+	}
+	*p = batch{}
+	return p
 }
 
 // YieldRound is the yield form of Round: one round in direction dir (the
@@ -147,7 +160,9 @@ func (a *Agent) YieldRound(dir ring.Direction) Yield {
 	if err := a.checkDir(dir); err != nil {
 		return Yield{abort: err}
 	}
-	return a.yield(batch{dir: a.objective(dir), k: 1, trace: a.obsScratch(1)})
+	p := a.yieldSlot()
+	p.dir, p.k, p.trace = a.objective(dir), 1, a.obsScratch(1)
+	return Yield{b: p}
 }
 
 // YieldRoundN is the yield form of RoundN: k rounds in direction dir as one
@@ -160,7 +175,9 @@ func (a *Agent) YieldRoundN(dir ring.Direction, k int) Yield {
 	if k < 1 {
 		return Yield{abort: fmt.Errorf("engine: %w: got %d", ring.ErrBadRoundCount, k)}
 	}
-	return a.yield(batch{dir: a.objective(dir), k: k, trace: a.obsScratch(k)})
+	p := a.yieldSlot()
+	p.dir, p.k, p.trace = a.objective(dir), k, a.obsScratch(k)
+	return Yield{b: p}
 }
 
 // YieldRoundSum is the yield form of RoundNSum: k rounds in direction dir,
@@ -173,7 +190,9 @@ func (a *Agent) YieldRoundSum(dir ring.Direction, k int) Yield {
 	if k < 1 {
 		return Yield{abort: fmt.Errorf("engine: %w: got %d", ring.ErrBadRoundCount, k)}
 	}
-	return a.yield(batch{dir: a.objective(dir), k: k, sum: true})
+	p := a.yieldSlot()
+	p.dir, p.k, p.sum = a.objective(dir), k, true
+	return Yield{b: p}
 }
 
 // YieldRoundUntil is the yield form of RoundUntil.  Like the blocking form it
@@ -189,14 +208,10 @@ func (a *Agent) YieldRoundUntil(dir ring.Direction, target int64, k int) Yield {
 	if target < 0 || target >= a.fullCircle {
 		return Yield{abort: fmt.Errorf("engine: displacement target %d outside [0, %d)", target, a.fullCircle)}
 	}
-	return a.yield(batch{
-		dir:        a.objective(dir),
-		k:          k,
-		trace:      a.obsScratch(k),
-		stop:       true,
-		stopTarget: a.objDisp(target),
-		objDisp:    a.objDisp(a.disp),
-	})
+	p := a.yieldSlot()
+	p.dir, p.k, p.trace = a.objective(dir), k, a.obsScratch(k)
+	p.stop, p.stopTarget, p.objDisp = true, a.objDisp(target), a.objDisp(a.disp)
+	return Yield{b: p}
 }
 
 // YieldSchedule is the yield form of RoundSchedule: a whole per-round
@@ -217,7 +232,9 @@ func (a *Agent) YieldSchedule(dirs []ring.Direction) Yield {
 		}
 		sched[i] = a.objective(d)
 	}
-	return a.yield(batch{dirs: sched, k: len(dirs), trace: a.obsScratch(len(dirs))})
+	p := a.yieldSlot()
+	p.dirs, p.k, p.trace = sched, len(dirs), a.obsScratch(len(dirs))
+	return Yield{b: p}
 }
 
 // settle folds a completed batch into the agent's round and displacement

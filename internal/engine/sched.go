@@ -1,11 +1,12 @@
-// The v3 scheduler: a single goroutine per scenario drives every agent's
-// machine (fsm.go) to its next yield, executes the crossing inline through the
-// shared leap executor (exec.go) and resumes the machines with their
-// observations.  There is no barrier, no countdown, no per-agent wake channel
-// and no second goroutine anywhere in the round loop — all protocol state, all
-// pending slots and the ring state itself are mutated from the one scheduler
-// goroutine, so the whole runtime is synchronisation-free by construction
-// (ringvet's fsmguard analyzer holds protocol code to the same standard).
+// The v3 scheduler: one loop per scenario, on the caller's goroutine, drives
+// every agent's machine (fsm.go) to its next yield, executes the crossing
+// inline through the shared leap executor (exec.go) and resumes the machines
+// with their observations.  There is no barrier, no countdown, no per-agent
+// wake channel and no second goroutine anywhere in the round loop — all
+// protocol state, all pending slots and the ring state itself are mutated from
+// the one scheduler goroutine, so the whole runtime is synchronisation-free by
+// construction (ringvet's fsmguard analyzer holds protocol code to the same
+// standard).
 //
 // Batch is the structure-of-arrays arena behind a scheduler: machine, yield,
 // pending-slot and error columns indexed by ring index, plus the leap
@@ -55,7 +56,8 @@ func batchFromContext(ctx context.Context) *Batch {
 	return b
 }
 
-// prepare (re)sizes the arena for a run on nw, reusing capacity.
+// prepare (re)sizes the arena for a run on nw, reusing capacity, and points
+// every agent's pending slot at its entry of the executor's pending column.
 func (b *Batch) prepare(nw *Network) {
 	b.x.init(nw)
 	n := nw.N()
@@ -68,15 +70,21 @@ func (b *Batch) prepare(nw *Network) {
 	for i := 0; i < n; i++ {
 		b.machines[i] = nil
 		b.stepErr[i] = nil
+		nw.agents[i].slot = &b.x.pend[i].batch
 	}
 }
 
 // release drops the references a finished run left in the arena so a pooled
-// (or worker-held) Batch does not retain protocol state across scenarios.
+// (or worker-held) Batch does not retain protocol state across scenarios, and
+// hands the agents back their own pending slots.
 func (b *Batch) release() {
 	for i := range b.machines {
 		b.machines[i] = nil
 		b.stepErr[i] = nil
+		b.x.pend[i] = pending{}
+	}
+	for _, a := range b.x.nw.agents {
+		a.slot = nil
 	}
 }
 
@@ -102,6 +110,7 @@ func (b *Batch) stepMachine(i int, in Resume) {
 		b.machines[i] = nil
 		return
 	}
+	p := &b.x.pend[i]
 	if y.b == nil || y.b.k < 1 {
 		// Proto never emits this; guard hand-written Machines from wedging the
 		// crossing loop with an unresumable zero-length batch.
@@ -109,7 +118,16 @@ func (b *Batch) stepMachine(i int, in Resume) {
 		b.machines[i] = nil
 		return
 	}
-	b.x.pend[i] = pending{batch: *y.b}
+	if y.b != &p.batch {
+		// The builders wrote the batch into some other slot: another agent's
+		// (whose pending batch it overwrote) or one outside this run.
+		b.stepErr[i] = fmt.Errorf("engine: malformed yield: batch built outside agent %d's slot", i)
+		b.machines[i] = nil
+		return
+	}
+	// The agent's builder wrote the batch straight into its executor slot;
+	// only the executor's progress needs resetting.
+	p.pos, p.agg = 0, 0
 	b.x.submitted[i] = true
 }
 
@@ -208,13 +226,11 @@ func RunFSM[T any](nw *Network, build func(a *Agent) *Proto[T]) (*Result[T], err
 }
 
 // RunFSMContext is the v3 runtime's entry point: it constructs one machine per
-// agent and drives them all from a single scheduler goroutine, executing
-// crossings inline through the same leap executor as the v2 barrier — the
-// round sequence, traces and outputs are byte-identical to Run/RunContext over
-// the equivalent blocking protocol.  The scheduler goroutine comes from the
-// engine's worker pool; the calling goroutine blocks until the run completes.
-// Cancellation is honoured between crossings, like the barrier's
-// within-one-round granularity.
+// agent and drives them all on the calling goroutine, executing crossings
+// inline through the same leap executor as the v2 barrier — the round
+// sequence, traces and outputs are byte-identical to Run/RunContext over the
+// equivalent blocking protocol.  Cancellation is honoured between crossings,
+// like the barrier's within-one-round granularity.
 func RunFSMContext[T any](ctx context.Context, nw *Network, build func(a *Agent) *Proto[T]) (*Result[T], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("engine: run not started: %w", err)
@@ -232,6 +248,12 @@ func RunFSMContext[T any](ctx context.Context, nw *Network, build func(a *Agent)
 		b = batchPool.Get().(*Batch)
 	}
 	b.prepare(nw)
+	defer func() {
+		b.release()
+		if pooled {
+			batchPool.Put(b)
+		}
+	}()
 
 	protos := make([]*Proto[T], n)
 	for i := 0; i < n; i++ {
@@ -244,17 +266,7 @@ func RunFSMContext[T any](ctx context.Context, nw *Network, build func(a *Agent)
 		b.machines[i] = protos[i]
 	}
 
-	// The loop runs on a pooled goroutine: scheduler stacks grow with the
-	// protocols' continuation depth, and the pool keeps grown stacks warm
-	// across the thousands of short runs a campaign worker performs, instead
-	// of growing and shrinking the worker's own stack every scenario.
-	var runErr error
-	doneCh := make(chan struct{})
-	submit(func() {
-		defer close(doneCh)
-		runErr = b.run(ctx, nw)
-	})
-	<-doneCh
+	runErr := b.run(ctx, nw)
 
 	outputs := make([]T, n)
 	errs := make([]error, n)
@@ -266,11 +278,6 @@ func RunFSMContext[T any](ctx context.Context, nw *Network, build func(a *Agent)
 		outputs[i] = out
 		errs[i] = err
 	}
-	b.release()
-	if pooled {
-		batchPool.Put(b)
-	}
-
 	res := &Result[T]{Rounds: nw.state.Rounds() - startRounds, Outputs: outputs}
 	return res, joinRunErrors(nw, runErr, errs)
 }

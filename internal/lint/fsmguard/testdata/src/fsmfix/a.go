@@ -93,6 +93,48 @@ func (m *machine) Step(in engine.Resume) (engine.Yield, bool) {
 	return engine.Yield{}, true
 }
 
+// loopState is the per-call state struct of a protocol loop: its methods,
+// bound once into method values, are the loop's continuations.  They are
+// step handlers by signature, so they seed the scan like any literal, and
+// the plain helper methods they call are reached through the call graph.
+type loopState struct {
+	k       func() (engine.Yield, engine.Cont)
+	rounds  int
+	results chan int
+	onRound engine.Cont
+}
+
+func newLoop(k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	s := &loopState{k: k}
+	s.onRound = s.resume
+	return engine.Yield{}, s.onRound
+}
+
+// resume is the bound continuation: it touches a channel directly.
+func (s *loopState) resume(in engine.Resume) (engine.Yield, engine.Cont) {
+	s.rounds++
+	s.results <- s.rounds // want `channel send reachable from an FSM step handler`
+	return s.next(int(in.Sum))
+}
+
+// next is a typed continuation method; it reaches a blocking helper method.
+func (s *loopState) next(v int) (engine.Yield, engine.Cont) {
+	if s.publish(v) {
+		return s.k()
+	}
+	return engine.Yield{}, s.onRound
+}
+
+// publish is not a step handler itself, only reachable from one.
+func (s *loopState) publish(v int) bool {
+	select { // want `select statement reachable from an FSM step handler`
+	case s.results <- v: // want `channel send reachable from an FSM step handler`
+		return true
+	default:
+		return false
+	}
+}
+
 // allowedStep exercises the escape hatch: the allow comment suppresses the
 // finding, so no want is expected here.
 func allowedStep(k func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {

@@ -117,106 +117,142 @@ func DistancesStep(f *core.Frame, label, n int, k func(gaps []int64, finalOffset
 	if err != nil {
 		return engine.Abort(err)
 	}
-	rel := label - 1
-	offset := 0
-
-	// record folds one round's observation into the solver: the dist()
-	// equation of the round's rotation and, on a collision, the coll()
-	// equation against the nearest oppositely-moving agent (identifiable
-	// because the schedule is a function of the public labels).
-	record := func(dirOf func(label int) ring.Direction, rotation int, obs engine.Observation) error {
-		myDir := dirOf(label)
-		cur := ((rel+offset)%n + n) % n
-		if rotation%n != 0 {
-			if err := solver.AddArc(cur, rotation%n, obs.Dist); err != nil {
-				return err
-			}
-		}
-		if obs.Collided {
-			if span, ok := spanToOpposite(dirOf, label, n, myDir); ok {
-				from := cur
-				if myDir == ring.Anticlockwise {
-					from = ((cur-span)%n + n) % n
-				}
-				if err := solver.AddArc(from, span, 2*obs.Coll); err != nil {
-					return err
-				}
-			}
-		}
-		offset = (offset + rotation) % n
-		return nil
-	}
-
-	convolutionStep := func(t int, next func() (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		e := convolutionException(n, t)
-		dirOf := func(l int) ring.Direction { return convolutionDir(l, e) }
-		return f.RoundStep(dirOf(label), func(obs engine.Observation) (engine.Yield, engine.Cont) {
-			if err := record(dirOf, convolutionRotation(n), obs); err != nil {
-				return engine.Abort(err)
-			}
-			return next()
-		})
-	}
+	s := &distances{f: f, k: k, label: label, n: n, solver: solver}
 
 	// The paper's main schedule — ⌈n/2⌉ Convolution rounds plus, for even n,
 	// the three Pivot rounds — is fixed by the public labels alone, so every
 	// agent submits it as a single leap batch and runs the equation
 	// bookkeeping over the returned trace.
-	type schedRound struct {
-		dirOf    func(label int) ring.Direction
-		rotation int
-	}
-	var sched []schedRound
-	for t := 1; t <= (n+1)/2; t++ {
-		e := convolutionException(n, t)
-		sched = append(sched, schedRound{
-			dirOf:    func(l int) ring.Direction { return convolutionDir(l, e) },
-			rotation: convolutionRotation(n),
-		})
-	}
+	rounds := (n + 1) / 2
 	if n%2 == 0 {
-		for _, p := range []int{n, n - 1, n - 2} {
-			p := p
-			sched = append(sched, schedRound{
-				dirOf:    func(l int) ring.Direction { return pivotDir(l, p, n) },
-				rotation: 0,
-			})
-		}
+		rounds += 3
 	}
-	dirs := make([]ring.Direction, len(sched))
-	for t, sr := range sched {
-		dirs[t] = sr.dirOf(label)
+	dirs := make([]ring.Direction, rounds)
+	for t := range dirs {
+		dirs[t] = s.scheduled(t).dir(label)
 	}
-	return f.RoundScheduleStep(dirs, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
-		for t, sr := range sched {
-			if err := record(sr.dirOf, sr.rotation, trace[t]); err != nil {
-				return engine.Abort(err)
-			}
-		}
+	return f.RoundScheduleStep(dirs, s.onSchedule)
+}
 
-		// Completeness loop: exit only when every agent has solved its system.
-		var loop func(iter int) (engine.Yield, engine.Cont)
-		loop = func(iter int) (engine.Yield, engine.Cont) {
-			probeDir := ring.Clockwise
-			if solver.Solved() {
-				probeDir = ring.Anticlockwise
-			}
-			return f.RoundPairStep(probeDir, func(probe engine.Observation) (engine.Yield, engine.Cont) {
-				if solver.Solved() && !probe.Collided && probe.Dist == 0 {
-					gaps, err := solver.Gaps()
-					if err != nil {
-						return engine.Abort(err)
-					}
-					return k(gaps, offset)
-				}
-				if iter > 4*n {
-					return engine.Abort(fmt.Errorf("%w: Distances did not converge", ErrExhausted))
-				}
-				return convolutionStep((n+1)/2+iter+1, func() (engine.Yield, engine.Cont) {
-					return loop(iter + 1)
-				})
-			})
+// assignment is one round of Distances' schedule: Convolution with exception
+// label param, or Pivot(param).  Both are functions of the public labels.
+type assignment struct {
+	pivot bool
+	param int
+	n     int
+}
+
+// dir is the direction of the agent with the given label.
+func (as assignment) dir(label int) ring.Direction {
+	if as.pivot {
+		return pivotDir(label, as.param, as.n)
+	}
+	return convolutionDir(label, as.param)
+}
+
+// rotation is the round's rotation index.
+func (as assignment) rotation() int {
+	if as.pivot {
+		return 0
+	}
+	return convolutionRotation(as.n)
+}
+
+// convolution is the t-th Convolution round (1-based).
+func convolution(n, t int) assignment {
+	return assignment{param: convolutionException(n, t), n: n}
+}
+
+// distances is the state of one DistancesStep call.
+type distances struct {
+	f        *core.Frame
+	k        func(gaps []int64, finalOffset int) (engine.Yield, engine.Cont)
+	label, n int
+	solver   *arcsolve.Solver
+	offset   int        // the agent's ring offset from the reference configuration
+	iter     int        // completeness-loop iteration
+	extra    assignment // the completeness loop's Convolution round in flight
+
+	onProbeFn func(engine.Observation) (engine.Yield, engine.Cont)
+	onExtraFn func(engine.Observation) (engine.Yield, engine.Cont)
+}
+
+// scheduled returns round t (0-based) of the main schedule.
+func (s *distances) scheduled(t int) assignment {
+	if m := (s.n + 1) / 2; t >= m {
+		return assignment{pivot: true, param: s.n - (t - m), n: s.n}
+	}
+	return convolution(s.n, t+1)
+}
+
+// record folds one round's observation into the solver: the dist() equation
+// of the round's rotation and, on a collision, the coll() equation against
+// the nearest oppositely-moving agent (identifiable because the schedule is a
+// function of the public labels).
+func (s *distances) record(as assignment, obs engine.Observation) error {
+	n := s.n
+	rotation := as.rotation()
+	myDir := as.dir(s.label)
+	cur := ((s.label-1+s.offset)%n + n) % n
+	if rotation%n != 0 {
+		if err := s.solver.AddArc(cur, rotation%n, obs.Dist); err != nil {
+			return err
 		}
-		return loop(0)
-	})
+	}
+	if obs.Collided {
+		if span, ok := spanToOpposite(as.dir, s.label, n, myDir); ok {
+			from := cur
+			if myDir == ring.Anticlockwise {
+				from = ((cur-span)%n + n) % n
+			}
+			if err := s.solver.AddArc(from, span, 2*obs.Coll); err != nil {
+				return err
+			}
+		}
+	}
+	s.offset = (s.offset + rotation) % n
+	return nil
+}
+
+func (s *distances) onSchedule(trace []engine.Observation) (engine.Yield, engine.Cont) {
+	for t := range trace {
+		if err := s.record(s.scheduled(t), trace[t]); err != nil {
+			return engine.Abort(err)
+		}
+	}
+	s.onProbeFn, s.onExtraFn = s.onProbe, s.onExtra
+	return s.probe()
+}
+
+// probe runs one iteration of the completeness loop, which exits only when
+// every agent has solved its system.
+func (s *distances) probe() (engine.Yield, engine.Cont) {
+	probeDir := ring.Clockwise
+	if s.solver.Solved() {
+		probeDir = ring.Anticlockwise
+	}
+	return s.f.RoundPairStep(probeDir, s.onProbeFn)
+}
+
+func (s *distances) onProbe(probe engine.Observation) (engine.Yield, engine.Cont) {
+	if s.solver.Solved() && !probe.Collided && probe.Dist == 0 {
+		gaps, err := s.solver.Gaps()
+		if err != nil {
+			return engine.Abort(err)
+		}
+		return s.k(gaps, s.offset)
+	}
+	if s.iter > 4*s.n {
+		return engine.Abort(fmt.Errorf("%w: Distances did not converge", ErrExhausted))
+	}
+	s.extra = convolution(s.n, (s.n+1)/2+s.iter+1)
+	return s.f.RoundStep(s.extra.dir(s.label), s.onExtraFn)
+}
+
+func (s *distances) onExtra(obs engine.Observation) (engine.Yield, engine.Cont) {
+	if err := s.record(s.extra, obs); err != nil {
+		return engine.Abort(err)
+	}
+	s.iter++
+	return s.probe()
 }

@@ -49,56 +49,84 @@ func NMoveSStep(f *core.Frame, seed int64, k func(ring.Direction) (engine.Yield,
 	if !f.Agent().Model().RevealsCollision() {
 		return engine.Abort(ErrNeedPerceptive)
 	}
-	return f.ClassifyRotationStep(ring.Clockwise, true, func(cls core.RotationClass) (engine.Yield, engine.Cont) {
-		if cls.Nontrivial() {
-			return k(ring.Clockwise)
-		}
-		return rcomm.EstablishStep(f, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
-			idBits := comb.Bits(f.IDBound())
-			isLeader := true // L_0 contains every agent
+	s := &nmoveS{f: f, seed: seed, k: k, dir: ring.Clockwise}
+	s.onClassFn = s.onClass
+	return f.ClassifyRotationStep(ring.Clockwise, true, s.onClassFn)
+}
 
-			var level func(lvl int) (engine.Yield, engine.Cont)
-			level = func(lvl int) (engine.Yield, engine.Cont) {
-				d := 1 << lvl
-				if d > 2*f.IDBound() {
-					return engine.Abort(fmt.Errorf("%w: local-leader hierarchy exceeded the identifier bound", ErrExhausted))
-				}
-				// Thin the leaders: a level-(k-1) leader survives to level k iff
-				// its identifier is maximal among level-(k-1) leaders within ring
-				// distance 2^k.
-				return link.AggregateMaxStep(isLeader, uint64(f.ID()), idBits, d, func(max uint64, found bool) (engine.Yield, engine.Cont) {
-					if isLeader && found && int(max) > f.ID() {
-						isLeader = false
-					}
-					// Execute the (N, 2^k)-selective family on the surviving
-					// leaders: leaders contained in the current set flip to
-					// anticlockwise, every other agent stays clockwise.
-					fam, err := comb.NewRandomSelective(f.IDBound(), d, seed^int64(lvl)*0x9e3779b9, 0)
-					if err != nil {
-						return engine.Abort(err)
-					}
-					var try func(i int) (engine.Yield, engine.Cont)
-					try = func(i int) (engine.Yield, engine.Cont) {
-						if i == fam.Len() {
-							return level(lvl + 1)
-						}
-						dir := ring.Clockwise
-						if isLeader && fam.Contains(i, f.ID()) {
-							dir = ring.Anticlockwise
-						}
-						return f.ClassifyRotationStep(dir, true, func(cls core.RotationClass) (engine.Yield, engine.Cont) {
-							if cls.Nontrivial() {
-								return k(dir)
-							}
-							return try(i + 1)
-						})
-					}
-					return try(0)
-				})
-			}
-			return level(0)
-		})
-	})
+// nmoveS is the state of one NMoveSStep call: the all-clockwise probe, then
+// per level the leader thinning and the selective family's candidates, each
+// classified with Lemma 2.
+type nmoveS struct {
+	f        *core.Frame
+	seed     int64
+	k        func(ring.Direction) (engine.Yield, engine.Cont)
+	link     *rcomm.Link // nil during the all-clockwise probe
+	isLeader bool        // whether this agent is a local leader at level lvl
+	lvl      int
+	fam      *comb.RandomSelective // level lvl's selective family
+	i        int                   // the candidate set in flight
+	dir      ring.Direction        // this agent's direction in the classified round
+
+	onClassFn func(core.RotationClass) (engine.Yield, engine.Cont)
+	onMaxFn   func(max uint64, found bool) (engine.Yield, engine.Cont)
+}
+
+func (s *nmoveS) onClass(cls core.RotationClass) (engine.Yield, engine.Cont) {
+	if cls.Nontrivial() {
+		return s.k(s.dir)
+	}
+	if s.link == nil {
+		return rcomm.EstablishStep(s.f, s.onLink)
+	}
+	return s.try(s.i + 1)
+}
+
+func (s *nmoveS) onLink(link *rcomm.Link) (engine.Yield, engine.Cont) {
+	s.link = link
+	s.isLeader = true // L_0 contains every agent
+	s.onMaxFn = s.onMax
+	return s.level(0)
+}
+
+// level thins the leaders to level lvl: a level-(k-1) leader survives to
+// level k iff its identifier is maximal among level-(k-1) leaders within
+// ring distance 2^k.
+func (s *nmoveS) level(lvl int) (engine.Yield, engine.Cont) {
+	d := 1 << lvl
+	if d > 2*s.f.IDBound() {
+		return engine.Abort(fmt.Errorf("%w: local-leader hierarchy exceeded the identifier bound", ErrExhausted))
+	}
+	s.lvl = lvl
+	return s.link.AggregateMaxStep(s.isLeader, uint64(s.f.ID()), comb.Bits(s.f.IDBound()), d, s.onMaxFn)
+}
+
+func (s *nmoveS) onMax(max uint64, found bool) (engine.Yield, engine.Cont) {
+	if s.isLeader && found && int(max) > s.f.ID() {
+		s.isLeader = false
+	}
+	// Execute the (N, 2^k)-selective family on the surviving leaders:
+	// leaders contained in the current set flip to anticlockwise, every
+	// other agent stays clockwise.
+	fam, err := comb.NewRandomSelective(s.f.IDBound(), 1<<s.lvl, s.seed^int64(s.lvl)*0x9e3779b9, 0)
+	if err != nil {
+		return engine.Abort(err)
+	}
+	s.fam = fam
+	return s.try(0)
+}
+
+// try classifies candidate set i, or moves up a level after the last one.
+func (s *nmoveS) try(i int) (engine.Yield, engine.Cont) {
+	if i == s.fam.Len() {
+		return s.level(s.lvl + 1)
+	}
+	s.i = i
+	s.dir = ring.Clockwise
+	if s.isLeader && s.fam.Contains(i, s.f.ID()) {
+		s.dir = ring.Anticlockwise
+	}
+	return s.f.ClassifyRotationStep(s.dir, true, s.onClassFn)
 }
 
 // Options configures the perceptive coordination and discovery pipelines.
@@ -128,21 +156,5 @@ func CoordinateMachine(a *engine.Agent, opts Options) *engine.Proto[*core.Coordi
 // CoordinateStep is the machine form of Coordinate.
 func CoordinateStep(a *engine.Agent, opts Options, k func(*core.Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f := core.NewFrame(a)
-	start := f.RoundsUsed()
-	return NMoveSStep(f, opts.Seed, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
-		afterNM := f.RoundsUsed()
-		return core.DirectionAgreementStep(f, nmDir, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
-			afterDA := f.RoundsUsed()
-			return core.LeaderElectWithNMStep(f, nmDir, func(isLeader bool) (engine.Yield, engine.Cont) {
-				return k(&core.Coordination{
-					Frame:            f,
-					IsLeader:         isLeader,
-					NontrivialDir:    nmDir,
-					RoundsNontrivial: afterNM - start,
-					RoundsAgreement:  afterDA - afterNM,
-					RoundsLeader:     f.RoundsUsed() - afterDA,
-				})
-			})
-		})
-	})
+	return NMoveSStep(f, opts.Seed, core.AgreeAndElect(f, k))
 }

@@ -139,53 +139,77 @@ func (l *Link) AggregateMaxStep(isSource bool, value uint64, valueBits, distance
 	if 2*msgBits > 62 {
 		return engine.Abort(fmt.Errorf("%w: message of %d bits", ErrBadBits, msgBits))
 	}
-	enc := func(present bool, v uint64) uint64 {
-		if !present {
-			return 0
-		}
-		return 1 | v<<1
-	}
-	dec := func(w uint64) (bool, uint64) {
-		if w&1 == 0 {
-			return false, 0
-		}
-		return true, w >> 1
-	}
-	var max uint64
-	var found bool
+	s := &aggregateMax{l: l, k: k, msgBits: msgBits, distance: distance}
 	if isSource {
-		max, found = value, true
+		s.max, s.found = value, true
 	}
-	// bestFromLeft carries the running maximum over sources within `step`
-	// hops on our left side; it is what we forward to the right.
-	bestFromLeft := enc(isSource, value)
-	bestFromRight := bestFromLeft
-	var step func(i int) (engine.Yield, engine.Cont)
-	step = func(i int) (engine.Yield, engine.Cont) {
-		if i == distance {
-			return k(max, found)
+	s.bestFromLeft = encMax(isSource, value)
+	s.bestFromRight = s.bestFromLeft
+	s.onWordsFn = s.onWords
+	return s.step(0)
+}
+
+// aggregateMax is the state of one AggregateMaxStep call.
+type aggregateMax struct {
+	l                 *Link
+	k                 func(max uint64, found bool) (engine.Yield, engine.Cont)
+	msgBits, distance int
+	i                 int // the relay step in flight
+	max               uint64
+	found             bool
+	// bestFromLeft carries the running maximum over sources within i hops
+	// on our left side; it is what we forward to the right.  bestFromRight
+	// is symmetric.
+	bestFromLeft, bestFromRight uint64
+	onWordsFn                   func(fromLeft, fromRight uint64) (engine.Yield, engine.Cont)
+}
+
+// encMax encodes an AggregateMax message: a presence bit, then the value.
+func encMax(present bool, v uint64) uint64 {
+	if !present {
+		return 0
+	}
+	return 1 | v<<1
+}
+
+// decMax decodes an encMax message.
+func decMax(w uint64) (bool, uint64) {
+	if w&1 == 0 {
+		return false, 0
+	}
+	return true, w >> 1
+}
+
+// step runs relay step i, or reports after the last one.
+func (s *aggregateMax) step(i int) (engine.Yield, engine.Cont) {
+	if i == s.distance {
+		return s.k(s.max, s.found)
+	}
+	s.i = i
+	return s.l.ExchangeStep(s.bestFromRight, s.bestFromLeft, s.msgBits, s.onWordsFn)
+}
+
+func (s *aggregateMax) onWords(fromLeft, fromRight uint64) (engine.Yield, engine.Cont) {
+	if present, v := decMax(fromLeft); present {
+		s.see(v)
+		if p, cur := decMax(s.bestFromLeft); !p || v > cur {
+			s.bestFromLeft = encMax(true, v)
 		}
-		return l.ExchangeStep(bestFromRight, bestFromLeft, msgBits, func(fromLeft, fromRight uint64) (engine.Yield, engine.Cont) {
-			if present, v := dec(fromLeft); present {
-				if !found || v > max {
-					max, found = v, true
-				}
-				if p, cur := dec(bestFromLeft); !p || v > cur {
-					bestFromLeft = enc(true, v)
-				}
-			}
-			if present, v := dec(fromRight); present {
-				if !found || v > max {
-					max, found = v, true
-				}
-				if p, cur := dec(bestFromRight); !p || v > cur {
-					bestFromRight = enc(true, v)
-				}
-			}
-			return step(i + 1)
-		})
 	}
-	return step(0)
+	if present, v := decMax(fromRight); present {
+		s.see(v)
+		if p, cur := decMax(s.bestFromRight); !p || v > cur {
+			s.bestFromRight = encMax(true, v)
+		}
+	}
+	return s.step(s.i + 1)
+}
+
+// see folds a received value into the running maximum.
+func (s *aggregateMax) see(v uint64) {
+	if !s.found || v > s.max {
+		s.max, s.found = v, true
+	}
 }
 
 // bitsFor returns the number of bits needed to represent values in [0..v].

@@ -20,6 +20,19 @@ type Link struct {
 	// schedBuf is the schedule scratch reused by the batched exchange
 	// primitives.
 	schedBuf []ring.Direction
+
+	// The continuation slots of ExchangeWordStep and ExchangeStep, with the
+	// arguments their decoding needs.  Like the frame's (see core.Frame),
+	// they rely on the machine having one yield in flight; each resume
+	// method empties its slot before calling the continuation and is bound
+	// once per link.
+	word      uint64
+	wordBits  int
+	kWord     func(left, right uint64) (engine.Yield, engine.Cont)
+	onTraceFn func([]engine.Observation) (engine.Yield, engine.Cont)
+	exBits    int
+	kExchange func(fromLeft, fromRight uint64) (engine.Yield, engine.Cont)
+	onWordsFn func(left, right uint64) (engine.Yield, engine.Cont)
 }
 
 // NewLink builds a Link for the given frame from its neighbour information.
@@ -147,20 +160,33 @@ func (l *Link) ExchangeWordStep(word uint64, bits int, k func(left, right uint64
 	if bits <= 0 || bits > 63 {
 		return engine.Abort(fmt.Errorf("%w: %d bits", ErrBadBits, bits))
 	}
+	if l.schedBuf == nil {
+		// Sized for the widest word, so it never grows.
+		l.schedBuf = make([]ring.Direction, 0, 4*63)
+	}
 	sched := l.schedBuf[:0]
 	for i := 0; i < bits; i++ {
 		sched = appendBitSchedule(sched, (word>>i)&1)
 	}
 	l.schedBuf = sched
-	return l.frame.RoundScheduleStep(sched, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
-		var left, right uint64
-		for i := 0; i < bits; i++ {
-			lb, rb := l.decodeBitExchange((word>>i)&1, trace[4*i], trace[4*i+2])
-			left |= uint64(lb) << i
-			right |= uint64(rb) << i
-		}
-		return k(left, right)
-	})
+	l.word, l.wordBits, l.kWord = word, bits, k
+	if l.onTraceFn == nil {
+		l.onTraceFn = l.onWordTrace
+	}
+	return l.frame.RoundScheduleStep(sched, l.onTraceFn)
+}
+
+// onWordTrace decodes the neighbours' words from a word exchange's trace.
+func (l *Link) onWordTrace(trace []engine.Observation) (engine.Yield, engine.Cont) {
+	var left, right uint64
+	for i := 0; i < l.wordBits; i++ {
+		lb, rb := l.decodeBitExchange((l.word>>i)&1, trace[4*i], trace[4*i+2])
+		left |= uint64(lb) << i
+		right |= uint64(rb) << i
+	}
+	k := l.kWord
+	l.kWord = nil
+	return k(left, right)
 }
 
 // Exchange transmits possibly different words to the left and right
@@ -182,21 +208,33 @@ func (l *Link) ExchangeStep(toLeft, toRight uint64, bits int, k func(fromLeft, f
 	}
 	mask := uint64(1)<<bits - 1
 	packed := (toRight & mask) | (toLeft&mask)<<bits
-	return l.ExchangeWordStep(packed, 2*bits, func(leftWord, rightWord uint64) (engine.Yield, engine.Cont) {
-		var fromLeft, fromRight uint64
-		// Our left neighbour packed [its toRight | its toLeft<<bits].  We are
-		// its right neighbour exactly when it has the same sense of direction.
-		if l.nb.LeftSameSense {
-			fromLeft = leftWord & mask
-		} else {
-			fromLeft = (leftWord >> bits) & mask
-		}
-		// Our right neighbour: we are its left neighbour when senses agree.
-		if l.nb.RightSameSense {
-			fromRight = (rightWord >> bits) & mask
-		} else {
-			fromRight = rightWord & mask
-		}
-		return k(fromLeft, fromRight)
-	})
+	l.exBits, l.kExchange = bits, k
+	if l.onWordsFn == nil {
+		l.onWordsFn = l.onExchangeWords
+	}
+	return l.ExchangeWordStep(packed, 2*bits, l.onWordsFn)
+}
+
+// onExchangeWords unpacks the halves of the neighbours' packed words that
+// were addressed to this agent.
+func (l *Link) onExchangeWords(leftWord, rightWord uint64) (engine.Yield, engine.Cont) {
+	bits := l.exBits
+	mask := uint64(1)<<bits - 1
+	var fromLeft, fromRight uint64
+	// Our left neighbour packed [its toRight | its toLeft<<bits].  We are
+	// its right neighbour exactly when it has the same sense of direction.
+	if l.nb.LeftSameSense {
+		fromLeft = leftWord & mask
+	} else {
+		fromLeft = (leftWord >> bits) & mask
+	}
+	// Our right neighbour: we are its left neighbour when senses agree.
+	if l.nb.RightSameSense {
+		fromRight = (rightWord >> bits) & mask
+	} else {
+		fromRight = rightWord & mask
+	}
+	k := l.kExchange
+	l.kExchange = nil
+	return k(fromLeft, fromRight)
 }

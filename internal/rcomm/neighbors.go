@@ -69,83 +69,94 @@ func NeighborDiscoveryStep(f *core.Frame, k func(Neighbors) (engine.Yield, engin
 	if !f.Agent().Model().RevealsCollision() {
 		return engine.Abort(ErrNeedPerceptive)
 	}
-	type probe struct {
-		movedCW bool  // whether this agent moved frame-clockwise
-		allSame bool  // whether the round was an all-same-direction round
-		coll    int64 // first-collision arc, -1 when no collision
-	}
-	type probeSpec struct {
-		dir     ring.Direction
-		allSame bool
-	}
+	s := &neighborDiscovery{f: f, k: k, bits: comb.Bits(f.IDBound())}
+	s.side[0] = sideProbes{min: -1, allSameColl: -1}
+	s.side[1] = s.side[0]
+	s.onObsFn = s.onObs
+	return s.next(0)
+}
 
-	bits := comb.Bits(f.IDBound())
-	specs := make([]probeSpec, 0, 2*bits+2)
-	for i := 1; i <= bits; i++ {
-		for phase := 0; phase <= 1; phase++ {
-			dir := ring.Anticlockwise
-			if core.IDBit(f.ID(), i) == phase {
-				dir = ring.Clockwise
-			}
-			specs = append(specs, probeSpec{dir: dir})
-		}
-	}
-	specs = append(specs,
-		probeSpec{dir: ring.Clockwise, allSame: true},
-		probeSpec{dir: ring.Anticlockwise, allSame: true})
+// neighborDiscovery is the state of one NeighborDiscoveryStep call.  Probe i
+// is, for i < 2·bits, the round of identifier bit i/2+1 in phase i%2 (the
+// agent moves clockwise iff the bit equals the phase); then come the
+// all-clockwise and the all-anticlockwise round.  Each probe is folded into
+// the statistics of the side it moved towards as soon as it returns.
+type neighborDiscovery struct {
+	f       *core.Frame
+	k       func(Neighbors) (engine.Yield, engine.Cont)
+	bits    int
+	i       int            // the probe in flight
+	dir     ring.Direction // this agent's direction in probe i
+	side    [2]sideProbes  // by whether the probes moved clockwise
+	onObsFn func(engine.Observation) (engine.Yield, engine.Cont)
+}
 
-	probes := make([]probe, 0, len(specs))
-	side := func(cw bool) (gap int64, sameSense bool, err error) {
-		min := int64(-1)
-		allSameColl := int64(-1)
-		for _, p := range probes {
-			if p.movedCW != cw {
-				continue
-			}
-			if p.allSame {
-				allSameColl = p.coll
-			}
-			if p.coll < 0 {
-				continue
-			}
-			if min < 0 || p.coll < min {
-				min = p.coll
-			}
-		}
-		if min < 0 {
-			return 0, false, fmt.Errorf("%w (moving clockwise=%v)", ErrNoNeighbour, cw)
-		}
-		// In the round where every agent moves the same frame direction, a
-		// neighbour with the opposite sense of direction moves towards us and
-		// produces the tight collision at half the gap; a neighbour with the
-		// same sense moves away and the first collision (if any) is strictly
-		// farther.  The neighbour's orientation therefore follows from
-		// whether that round achieved the minimum.
-		return 2 * min, allSameColl != min, nil
-	}
+// sideProbes summarises the probes that moved towards one side.
+type sideProbes struct {
+	min         int64 // smallest first-collision arc, -1 before any collision
+	allSameColl int64 // first-collision arc of the all-same-direction probe, -1 if none
+}
 
-	var next func(i int) (engine.Yield, engine.Cont)
-	next = func(i int) (engine.Yield, engine.Cont) {
-		if i == len(specs) {
-			var nb Neighbors
-			var err error
-			if nb.RightGap, nb.RightSameSense, err = side(true); err != nil {
-				return engine.Abort(err)
-			}
-			if nb.LeftGap, nb.LeftSameSense, err = side(false); err != nil {
-				return engine.Abort(err)
-			}
-			return k(nb)
+// next runs probe i, or derives the neighbours after the last one.
+func (s *neighborDiscovery) next(i int) (engine.Yield, engine.Cont) {
+	if i == 2*s.bits+2 {
+		var nb Neighbors
+		var err error
+		if nb.RightGap, nb.RightSameSense, err = s.gap(true); err != nil {
+			return engine.Abort(err)
 		}
-		sp := specs[i]
-		return f.RoundPairStep(sp.dir, func(obs engine.Observation) (engine.Yield, engine.Cont) {
-			coll := int64(-1)
-			if obs.Collided {
-				coll = obs.Coll
-			}
-			probes = append(probes, probe{movedCW: sp.dir == ring.Clockwise, allSame: sp.allSame, coll: coll})
-			return next(i + 1)
-		})
+		if nb.LeftGap, nb.LeftSameSense, err = s.gap(false); err != nil {
+			return engine.Abort(err)
+		}
+		return s.k(nb)
 	}
-	return next(0)
+	s.i = i
+	switch {
+	case i == 2*s.bits:
+		s.dir = ring.Clockwise
+	case i == 2*s.bits+1:
+		s.dir = ring.Anticlockwise
+	case core.IDBit(s.f.ID(), i/2+1) == i%2:
+		s.dir = ring.Clockwise
+	default:
+		s.dir = ring.Anticlockwise
+	}
+	return s.f.RoundPairStep(s.dir, s.onObsFn)
+}
+
+func (s *neighborDiscovery) onObs(obs engine.Observation) (engine.Yield, engine.Cont) {
+	coll := int64(-1)
+	if obs.Collided {
+		coll = obs.Coll
+	}
+	sp := &s.side[0]
+	if s.dir == ring.Clockwise {
+		sp = &s.side[1]
+	}
+	if s.i >= 2*s.bits {
+		sp.allSameColl = coll
+	}
+	if coll >= 0 && (sp.min < 0 || coll < sp.min) {
+		sp.min = coll
+	}
+	return s.next(s.i + 1)
+}
+
+// gap returns the gap to the neighbour on the given side and whether it
+// shares this agent's sense of direction.
+func (s *neighborDiscovery) gap(cw bool) (gap int64, sameSense bool, err error) {
+	sp := s.side[0]
+	if cw {
+		sp = s.side[1]
+	}
+	if sp.min < 0 {
+		return 0, false, fmt.Errorf("%w (moving clockwise=%v)", ErrNoNeighbour, cw)
+	}
+	// In the round where every agent moves the same frame direction, a
+	// neighbour with the opposite sense of direction moves towards us and
+	// produces the tight collision at half the gap; a neighbour with the
+	// same sense moves away and the first collision (if any) is strictly
+	// farther.  The neighbour's orientation therefore follows from whether
+	// that round achieved the minimum.
+	return 2 * sp.min, sp.allSameColl != sp.min, nil
 }

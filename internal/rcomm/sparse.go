@@ -40,88 +40,97 @@ func (l *Link) DisseminateSparseStep(isSource bool, payload uint64, payloadBits,
 	if payloadBits < 1 || payloadBits > 60 {
 		return engine.Abort(fmt.Errorf("%w: %d payload bits", ErrBadBits, payloadBits))
 	}
-	steps := 1 + payloadBits + distance
+	s := &sparseRelay{l: l, k: k, isSource: isSource, payload: payload, payloadBits: payloadBits, distance: distance}
+	s.onBitsFn = s.onBits
+	return s.relayStep(1)
+}
 
-	// Outgoing bit queues per direction.  A source emits its own stream; a
-	// non-source starts silent and echoes what it hears.
-	stream := make([]int, 0, 1+payloadBits)
-	stream = append(stream, 1)
-	for i := 0; i < payloadBits; i++ {
-		stream = append(stream, int((payload>>i)&1))
-	}
-	nextBit := func(queue *[]int) int {
-		if len(*queue) == 0 {
-			return 0
-		}
-		b := (*queue)[0]
-		*queue = (*queue)[1:]
-		return b
-	}
+// sparseRelay is the state of one DisseminateSparseStep call.  Each
+// direction's outgoing queue is implicit: a source sends its stream — a
+// presence bit (1), then the payload bits, LSB first, then silence — and
+// relays nothing, while a non-source starts silent and echoes, one step
+// later, what it heard from the opposite side.
+type sparseRelay struct {
+	l                     *Link
+	k                     func(left, right SideInfo) (engine.Yield, engine.Cont)
+	isSource              bool
+	payload               uint64
+	payloadBits, distance int
+	step                  int    // the relay step in flight (1-based)
+	echoL, echoR          uint64 // non-source: the bits to send left/right next step
+	fromLeft, fromRight   sparseRecv
+	onBitsFn              func(gotL, gotR uint64) (engine.Yield, engine.Cont)
+}
 
-	var toRight, toLeft []int
-	if isSource {
-		toRight = append([]int(nil), stream...)
-		toLeft = append([]int(nil), stream...)
-	}
-	// Receiver state per side.
-	type recv struct {
-		started bool
-		startAt int
-		bits    []int
-		info    SideInfo
-	}
-	var fromLeft, fromRight recv
+// sparseRecv is the receiver state for one side.
+type sparseRecv struct {
+	started bool
+	startAt int    // the step at which the presence bit arrived
+	v       uint64 // payload bits received so far
+	nbits   int
+	info    SideInfo
+}
 
-	record := func(r *recv, bit, step int) {
-		if r.info.Found {
-			return
-		}
-		if !r.started {
-			if bit == 1 {
-				r.started = true
-				r.startAt = step
-			}
-			return
-		}
-		r.bits = append(r.bits, bit)
-		if len(r.bits) == payloadBits {
-			var v uint64
-			for i, b := range r.bits {
-				v |= uint64(b) << i
-			}
-			// The presence bit of a source at hop distance h arrives at
-			// relay step h (steps are 1-based).
-			r.info = SideInfo{Found: true, Payload: v, Hops: r.startAt}
-		}
+// relayStep runs relay step `step`, or reports after the last one.
+func (s *sparseRelay) relayStep(step int) (engine.Yield, engine.Cont) {
+	if step > 1+s.payloadBits+s.distance {
+		return s.k(s.clip(s.fromLeft), s.clip(s.fromRight))
 	}
+	s.step = step
+	outL, outR := s.echoL, s.echoR
+	if s.isSource {
+		outL = s.streamBit(step)
+		outR = outL
+	}
+	return s.l.ExchangeStep(outL, outR, 1, s.onBitsFn)
+}
 
-	// A receiver only reports sources whose full payload arrived within the
-	// distance budget.
-	clip := func(r recv) SideInfo {
-		if !r.info.Found || r.info.Hops > distance {
-			return SideInfo{}
-		}
-		return r.info
+// streamBit is the bit a source sends in relay step `step`.
+func (s *sparseRelay) streamBit(step int) uint64 {
+	switch i := step - 2; {
+	case i < 0:
+		return 1 // presence bit
+	case i < s.payloadBits:
+		return (s.payload >> i) & 1
 	}
+	return 0
+}
 
-	var relayStep func(step int) (engine.Yield, engine.Cont)
-	relayStep = func(step int) (engine.Yield, engine.Cont) {
-		if step > steps {
-			return k(clip(fromLeft), clip(fromRight))
-		}
-		outL := nextBit(&toLeft)
-		outR := nextBit(&toRight)
-		return l.ExchangeStep(uint64(outL), uint64(outR), 1, func(gotL, gotR uint64) (engine.Yield, engine.Cont) {
-			record(&fromLeft, int(gotL&1), step)
-			record(&fromRight, int(gotR&1), step)
-			if !isSource {
-				// Relay with a one-step delay: what arrived from the left goes
-				// out to the right next step, and vice versa.
-				toRight = append(toRight, int(gotL&1))
-				toLeft = append(toLeft, int(gotR&1))
-			}
-			return relayStep(step + 1)
-		})
+func (s *sparseRelay) onBits(gotL, gotR uint64) (engine.Yield, engine.Cont) {
+	s.record(&s.fromLeft, gotL&1)
+	s.record(&s.fromRight, gotR&1)
+	// Relay with a one-step delay: what arrived from the left goes out to
+	// the right next step, and vice versa.
+	s.echoR, s.echoL = gotL&1, gotR&1
+	return s.relayStep(s.step + 1)
+}
+
+// record folds one received bit into r.
+func (s *sparseRelay) record(r *sparseRecv, bit uint64) {
+	if r.info.Found {
+		return
 	}
-	return relayStep(1)
+	if !r.started {
+		if bit == 1 {
+			r.started = true
+			r.startAt = s.step
+		}
+		return
+	}
+	r.v |= bit << r.nbits
+	r.nbits++
+	if r.nbits == s.payloadBits {
+		// The presence bit of a source at hop distance h arrives at relay
+		// step h (steps are 1-based).
+		r.info = SideInfo{Found: true, Payload: r.v, Hops: r.startAt}
+	}
+}
+
+// clip reports a side's source only if its full payload arrived within the
+// distance budget.
+func (s *sparseRelay) clip(r sparseRecv) SideInfo {
+	if !r.info.Found || r.info.Hops > s.distance {
+		return SideInfo{}
+	}
+	return r.info
 }
