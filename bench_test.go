@@ -93,7 +93,7 @@ func BenchmarkFigure1Reductions(b *testing.B) {
 	var rs []eval.Reduction
 	for i := 0; i < b.N; i++ {
 		var err error
-		rs, err = eval.MeasureReductions(eval.Setting{Model: ring.Lazy}, 32, 128, int64(i))
+		rs, err = eval.MeasureReductions(context.Background(), eval.Setting{Model: ring.Lazy}, 32, 128, int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func BenchmarkFigure2Reductions(b *testing.B) {
 	var rs []eval.Reduction
 	for i := 0; i < b.N; i++ {
 		var err error
-		rs, err = eval.MeasureReductions(eval.Setting{Model: ring.Basic}, 32, 128, int64(i))
+		rs, err = eval.MeasureReductions(context.Background(), eval.Setting{Model: ring.Basic}, 32, 128, int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkFigure3RingDist(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				samples, err := eval.MeasureRingDist([]int{n}, 4, int64(i))
+				samples, err := eval.MeasureRingDist(context.Background(), []int{n}, 4, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -166,6 +166,16 @@ func BenchmarkDistinguisherSize(b *testing.B) {
 	for _, s := range samples {
 		b.ReportMetric(float64(s.MinPrefix), fmt.Sprintf("N%d-n%d-prefix", s.Universe, s.SubsetSize))
 	}
+}
+
+// runSteps drives one machine per agent on nw: step is the agent's protocol
+// in continuation-passing form, handing its result to k.
+func runSteps[T any](nw *engine.Network, step func(a *engine.Agent, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)) (*engine.Result[T], error) {
+	return engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[T] {
+		return engine.NewProto(func(done func(T, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return step(a, func(v T) (engine.Yield, engine.Cont) { return done(v, nil) })
+		})
+	})
 }
 
 // BenchmarkLowerBounds compares measured location-discovery round counts with
@@ -213,22 +223,16 @@ func BenchmarkAblationDissemination(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := engine.Run(nw, func(a *engine.Agent) (int, error) {
-				link, err := rcomm.Establish(core.NewFrame(a))
-				if err != nil {
-					return 0, err
-				}
-				before := a.RoundsUsed()
-				isSource := a.ID()%8 == 1
-				if sparse {
-					_, _, err = link.DisseminateSparse(isSource, uint64(a.ID()), payloadBits, distance)
-				} else {
-					_, _, err = link.Disseminate(isSource, uint64(a.ID()), payloadBits, distance)
-				}
-				if err != nil {
-					return 0, err
-				}
-				return a.RoundsUsed() - before, nil
+			res, err := runSteps(nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+				return rcomm.EstablishStep(core.NewFrame(a), func(link *rcomm.Link) (engine.Yield, engine.Cont) {
+					before := a.RoundsUsed()
+					isSource := a.ID()%8 == 1
+					end := func(rcomm.SideInfo, rcomm.SideInfo) (engine.Yield, engine.Cont) { return k(a.RoundsUsed() - before) }
+					if sparse {
+						return link.DisseminateSparseStep(isSource, uint64(a.ID()), payloadBits, distance, end)
+					}
+					return link.DisseminateStep(isSource, uint64(a.ID()), payloadBits, distance, end)
+				})
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -253,14 +257,12 @@ func BenchmarkAblationNontrivialDetection(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := engine.Run(nw, func(a *engine.Agent) (int, error) {
+			res, err := runSteps(nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				f := core.NewFrame(a)
 				if weak {
-					_, _, err := core.WeakNontrivialMoveEven(f, int64(i))
-					return f.RoundsUsed(), err
+					return core.WeakNontrivialMoveEvenStep(f, int64(i), func(ring.Direction, int) (engine.Yield, engine.Cont) { return k(f.RoundsUsed()) })
 				}
-				_, err := core.NontrivialMoveEven(f, int64(i))
-				return f.RoundsUsed(), err
+				return core.NontrivialMoveEvenStep(f, int64(i), func(ring.Direction) (engine.Yield, engine.Cont) { return k(f.RoundsUsed()) })
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -338,12 +340,11 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	b.Run("symmetric-cached", func(b *testing.B) { runSym(b, true) })
 }
 
-// benchEngineRound measures the raw cost of a single synchronised round
-// (goroutine barrier plus the analytic collision engine) on the given
-// runtime, reporting rounds/sec.  run is engine.Run (the v2 direct-dispatch
-// barrier) or engine.RunLegacy (the v1 channel rendezvous kept as baseline);
-// the v1-vs-v2 ratio is the speedup recorded in EXPERIMENTS.md.
-func benchEngineRound(b *testing.B, run func(*engine.Network, func(*engine.Agent) (int, error)) (*engine.Result[int], error)) {
+// BenchmarkEngineRound measures the raw cost of a single synchronised round
+// (one scheduler crossing plus the analytic collision engine), reporting
+// rounds/sec: every agent plays one round per yield, alternating its
+// direction, so no two consecutive rounds can leap.
+func BenchmarkEngineRound(b *testing.B) {
 	for _, n := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			cfg := netgen.MustGenerate(netgen.Options{N: n, Seed: 1, Model: ring.Perceptive})
@@ -354,18 +355,24 @@ func benchEngineRound(b *testing.B, run func(*engine.Network, func(*engine.Agent
 			}
 			b.ResetTimer()
 			rounds := b.N
-			_, err = run(nw, func(a *engine.Agent) (int, error) {
-				dir := ring.Clockwise
-				if a.ID()%2 == 0 {
-					dir = ring.Anticlockwise
-				}
-				for i := 0; i < rounds; i++ {
-					if _, err := a.Round(dir); err != nil {
-						return 0, err
+			_, err = engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[int] {
+				return engine.NewProto(func(done func(int, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+					dir := ring.Anticlockwise
+					if a.ID()%2 == 0 {
+						dir = ring.Clockwise
 					}
-					dir = dir.Opposite()
-				}
-				return 0, nil
+					played := 0
+					var loop engine.Cont
+					loop = func(engine.Resume) (engine.Yield, engine.Cont) {
+						if played == rounds {
+							return done(0, nil)
+						}
+						played++
+						dir = dir.Opposite()
+						return a.YieldRound(dir), loop
+					}
+					return loop(engine.Resume{})
+				})
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -375,25 +382,13 @@ func benchEngineRound(b *testing.B, run func(*engine.Network, func(*engine.Agent
 	}
 }
 
-// BenchmarkEngineRound measures the v2 direct-dispatch runtime.
-func BenchmarkEngineRound(b *testing.B) {
-	benchEngineRound(b, engine.Run[int])
-}
-
-// BenchmarkEngineRoundLegacy measures the retained v1 channel-rendezvous
-// runtime on the same workload, for direct comparison with
-// BenchmarkEngineRound.
-func BenchmarkEngineRoundLegacy(b *testing.B) {
-	benchEngineRound(b, engine.RunLegacy[int])
-}
-
 // BenchmarkEngineLeap measures leap execution on the constant-direction sweep
 // workload: every agent keeps a fixed direction (both directions present) and
-// submits it in doubling batches via RoundN, so each barrier crossing
+// yields it in batches of 512 rounds via YieldRoundN, so each crossing
 // executes a whole closed-form stretch.  The per-round baseline for the
 // leap-vs-single speedup recorded in EXPERIMENTS.md is
-// BenchmarkEngineLeapSingle, the identical workload submitted one round at a
-// time (the v2 per-round path).
+// BenchmarkEngineLeapSingle, the identical workload yielded one round at a
+// time.
 func BenchmarkEngineLeap(b *testing.B) {
 	benchEngineSweep(b, 512)
 }
@@ -414,7 +409,7 @@ func benchEngineSweep(b *testing.B, batch int) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			if _, err := engine.Run(nw, eval.EngineSweepProtocol(b.N, batch)); err != nil {
+			if _, err := engine.Run(context.Background(), nw, eval.EngineSweepProtocol(b.N, batch)); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -34,20 +35,14 @@ func main() {
 	figures := flag.Bool("figures", false, "print the Figure 1/2 reductions and the Figure 3 curve")
 	distinguishers := flag.Bool("distinguishers", false, "print the Section IV distinguisher experiment")
 	engineBench := flag.Bool("engine", false, "measure engine rounds/sec, single-round vs leap execution")
-	schedBench := flag.Bool("sched", false, "A/B the three runtimes: rounds/sec and small-n campaign scenarios/sec for fsm (v3), barrier (v2) and legacy (v1)")
 	sizes := flag.String("sizes", "16,32,64,128", "comma-separated network sizes n")
 	seed := flag.Int64("seed", 1, "seed for configurations and pseudo-random schedules")
 	idFactor := flag.Int("idfactor", 4, "identifier bound N as a multiple of n")
 	jsonPath := flag.String("json", "BENCH_tables.json", "write the table measurements as JSON to this file ('' disables)")
 	engineJSONPath := flag.String("enginejson", "BENCH_engine.json", "write the engine throughput measurements as JSON to this file ('' disables)")
-	schedJSONPath := flag.String("schedjson", "BENCH_sched.json", "write the runtime A/B measurements as JSON to this file ('' disables)")
-	schedReps := flag.Int("schedreps", 5, "interleaved repetitions per -sched arm (the median is reported)")
 	flag.Parse()
 
-	// -sched is opt-in even in "run everything" mode: its legacy arm replays
-	// the whole campaign grid on the v1 rendezvous runtime, which would
-	// dominate a default artefact regeneration.
-	if !*tables && !*figures && !*distinguishers && !*engineBench && !*schedBench {
+	if !*tables && !*figures && !*distinguishers && !*engineBench {
 		*tables, *figures, *distinguishers, *engineBench = true, true, true, true
 	}
 	ns, err := parseSizes(*sizes)
@@ -55,6 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := eval.SweepConfig{Sizes: ns, IDBoundFactor: *idFactor, Seed: *seed}
+	ctx := context.Background()
 
 	if *tables {
 		rows1, err := eval.TableRows(eval.Table1Settings(), cfg)
@@ -75,17 +71,17 @@ func main() {
 	}
 	if *figures {
 		n := ns[len(ns)/2]
-		fig1, err := eval.MeasureReductions(eval.Setting{Model: ring.Lazy}, n, *idFactor*n, *seed)
+		fig1, err := eval.MeasureReductions(ctx, eval.Setting{Model: ring.Lazy}, n, *idFactor*n, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(eval.FormatReductions("Figure 1 - reductions among coordination problems (odd n / lazy / perceptive)", fig1))
-		fig2, err := eval.MeasureReductions(eval.Setting{Model: ring.Basic}, n, *idFactor*n, *seed)
+		fig2, err := eval.MeasureReductions(ctx, eval.Setting{Model: ring.Basic}, n, *idFactor*n, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(eval.FormatReductions("Figure 2 - reductions among coordination problems (basic model, even n)", fig2))
-		fig3, err := eval.MeasureRingDist(ns, *idFactor, *seed)
+		fig3, err := eval.MeasureRingDist(ctx, ns, *idFactor, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -100,7 +96,7 @@ func main() {
 		fmt.Println(eval.FormatDistinguishers(samples))
 	}
 	if *engineBench {
-		entries, err := measureEngine(ns, *seed)
+		entries, err := measureEngine(ctx, ns, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -115,52 +111,11 @@ func main() {
 			}
 		}
 	}
-	if *schedBench {
-		entries, err := eval.MeasureSched(eval.SchedConfig{Seed: *seed, Reps: *schedReps})
-		if err != nil {
-			log.Fatal(err)
-		}
-		printSched(entries)
-		if *schedJSONPath != "" {
-			raw, err := json.MarshalIndent(entries, "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*schedJSONPath, append(raw, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-}
-
-// printSched renders the runtime A/B table: per-round sweep throughput and
-// whole-scenario campaign throughput for the v3/v2/v1 runtimes, with each
-// non-barrier arm's speedup over the v2 barrier baseline.
-func printSched(entries []eval.SchedEntry) {
-	fmt.Println("Runtime A/B - fsm (v3) vs barrier (v2) vs legacy (v1), interleaved medians")
-	fmt.Println()
-	fmt.Println("| workload | runtime |    n | scenarios |        value | unit          | vs barrier |")
-	fmt.Println("|----------|---------|-----:|----------:|-------------:|---------------|-----------:|")
-	for _, e := range entries {
-		n, sc, speedup := "", "", ""
-		if e.N > 0 {
-			n = fmt.Sprintf("%d", e.N)
-		}
-		if e.Scenarios > 0 {
-			sc = fmt.Sprintf("%d", e.Scenarios)
-		}
-		if e.SpeedupVsBarrier > 0 {
-			speedup = fmt.Sprintf("%.2fx", e.SpeedupVsBarrier)
-		}
-		fmt.Printf("| %-8s | %-7s | %4s | %9s | %12.1f | %-13s | %10s |\n",
-			e.Workload, e.Runtime, n, sc, e.Value, e.Unit, speedup)
-	}
-	fmt.Println()
 }
 
 // engineEntry is one engine throughput measurement: a constant-direction
-// sweep workload on n agents driven either one round per barrier crossing
-// ("single", the v2 per-round path) or in leap batches ("leap").  The file
+// sweep workload on n agents driven either one round per crossing
+// ("single", the per-round path) or in leap batches ("leap").  The file
 // BENCH_engine.json tracks the repo's raw engine throughput across
 // revisions, next to the round-count trends of BENCH_tables.json.
 type engineEntry struct {
@@ -175,7 +130,7 @@ type engineEntry struct {
 // measureEngine measures single-round vs leap throughput per network size,
 // on the shared constant-direction sweep workload (eval.EngineSweepProtocol —
 // the same workload the BenchmarkEngineLeap* pair drives).
-func measureEngine(ns []int, seed int64) ([]engineEntry, error) {
+func measureEngine(ctx context.Context, ns []int, seed int64) ([]engineEntry, error) {
 	const (
 		singleRounds = 30_000
 		leapRounds   = 1_000_000
@@ -183,11 +138,11 @@ func measureEngine(ns []int, seed int64) ([]engineEntry, error) {
 	)
 	var entries []engineEntry
 	for _, n := range ns {
-		single, err := eval.MeasureEngineSweep(n, seed, singleRounds, 1)
+		single, err := eval.MeasureEngineSweep(ctx, n, seed, singleRounds, 1)
 		if err != nil {
 			return nil, err
 		}
-		leap, err := eval.MeasureEngineSweep(n, seed, leapRounds, leapBatch)
+		leap, err := eval.MeasureEngineSweep(ctx, n, seed, leapRounds, leapBatch)
 		if err != nil {
 			return nil, err
 		}

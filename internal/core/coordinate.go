@@ -32,10 +32,10 @@ type Coordination struct {
 	RoundsLeader     int
 }
 
-// Coordinate solves nontrivial move, direction agreement and leader election
-// (Theorem 7) for the basic and lazy models, and for the perceptive model via
-// the basic-model algorithms (the faster perceptive pipeline lives in
-// internal/perceptive).  The route depends on the setting:
+// CoordinateMachine solves nontrivial move, direction agreement and leader
+// election (Theorem 7) for the basic and lazy models, and for the perceptive
+// model via the basic-model algorithms (the faster perceptive pipeline lives
+// in internal/perceptive).  The route depends on the setting:
 //
 //   - common sense of direction promised: leader election by binary search
 //     with emptiness testing (Lemma 13), then a nontrivial move from the
@@ -44,13 +44,8 @@ type Coordination struct {
 //     Algorithm 1 and Algorithm 2;
 //   - even (or unknown) n: the pseudo-random schedule substituting for
 //     Theorem 27, then Algorithm 1 and Algorithm 2.
-func Coordinate(a *engine.Agent, opts Options) (*Coordination, error) {
-	return engine.RunMachine(a, CoordinateMachine(a, opts))
-}
-
-// CoordinateMachine builds the coordination pipeline as a resumable machine
-// for the engine's v3 scheduler; Coordinate drives the same machine through
-// the blocking dispatcher on the v1/v2 runtimes.
+//
+// The pipeline is built as a resumable machine for engine.Run.
 func CoordinateMachine(a *engine.Agent, opts Options) *engine.Proto[*Coordination] {
 	return engine.NewProto(func(done func(*Coordination, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		return CoordinateStep(a, opts, func(c *Coordination) (engine.Yield, engine.Cont) {
@@ -59,7 +54,8 @@ func CoordinateMachine(a *engine.Agent, opts Options) *engine.Proto[*Coordinatio
 	})
 }
 
-// CoordinateStep is the machine form of Coordinate.
+// CoordinateStep is CoordinateMachine's pipeline as a CPS step: k receives
+// the agent's Coordination.
 func CoordinateStep(a *engine.Agent, opts Options, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f := NewFrame(a)
 	if opts.CommonSense {

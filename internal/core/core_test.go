@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -28,6 +29,16 @@ func objectiveDir(dir ring.Direction, flipped, chirality bool) ring.Direction {
 // directions.
 func rotationOf(dirs []ring.Direction) int {
 	return ring.RotationIndex(len(dirs), dirs)
+}
+
+// run drives one machine per agent on nw: step is the agent's protocol in
+// continuation-passing form, handing its result to k.
+func run[T any](nw *engine.Network, step func(a *engine.Agent, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)) (*engine.Result[T], error) {
+	return engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[T] {
+		return engine.NewProto(func(done func(T, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return step(a, func(v T) (engine.Yield, engine.Cont) { return done(v, nil) })
+		})
+	})
 }
 
 func newNetwork(t *testing.T, opt netgen.Options) *engine.Network {
@@ -67,30 +78,26 @@ func TestFrameRoundTranslation(t *testing.T) {
 	type out struct {
 		plain, flipped int64
 	}
-	res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
+	res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		f := NewFrame(a)
 		// A fixed asymmetric rule so that the rotation index is nonzero.
 		dir := ring.Anticlockwise
 		if a.ID()%2 == 1 {
 			dir = ring.Clockwise
 		}
-		obs1, err := f.Round(dir)
-		if err != nil {
-			return out{}, err
-		}
-		// Undo the round so the next one starts from the same configuration.
-		if _, err := f.Round(dir.Opposite()); err != nil {
-			return out{}, err
-		}
-		f.Flip()
-		// In the flipped frame the opposite frame direction denotes the same
-		// objective direction, so the displacement is the same but must be
-		// reported complemented.
-		obs2, err := f.Round(dir.Opposite())
-		if err != nil {
-			return out{}, err
-		}
-		return out{obs1.Dist, obs2.Dist}, nil
+		return f.RoundStep(dir, func(obs1 engine.Observation) (engine.Yield, engine.Cont) {
+			// Undo the round so the next one starts from the same
+			// configuration.
+			return f.RoundStep(dir.Opposite(), func(engine.Observation) (engine.Yield, engine.Cont) {
+				f.Flip()
+				// In the flipped frame the opposite frame direction denotes
+				// the same objective direction, so the displacement is the
+				// same but must be reported complemented.
+				return f.RoundStep(dir.Opposite(), func(obs2 engine.Observation) (engine.Yield, engine.Cont) {
+					return k(out{obs1.Dist, obs2.Dist})
+				})
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,13 +137,12 @@ func TestClassifyRotation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			nw := newNetwork(t, netgen.Options{N: n, IDBound: n, Seed: 3, Model: ring.Basic})
-			res, err := engine.Run(nw, func(a *engine.Agent) (RotationClass, error) {
-				f := NewFrame(a)
+			res, err := run(nw, func(a *engine.Agent, k func(RotationClass) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				dir := ring.Anticlockwise
 				if a.ID() <= tc.clockwise {
 					dir = ring.Clockwise
 				}
-				return f.ClassifyRotation(dir, true)
+				return NewFrame(a).ClassifyRotationStep(dir, true, k)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -179,10 +185,9 @@ func TestNontrivialMoveOdd(t *testing.T) {
 				dir     ring.Direction
 				flipped bool
 			}
-			res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
+			res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				f := NewFrame(a)
-				dir, err := NontrivialMoveOdd(f)
-				return out{dir, f.Flipped()}, err
+				return NontrivialMoveOddStep(f, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.Flipped()}) })
 			})
 			if err != nil {
 				t.Fatalf("mixed=%v seed=%d: %v", mixed, seed, err)
@@ -215,10 +220,9 @@ func TestNontrivialMoveEven(t *testing.T) {
 			dir     ring.Direction
 			flipped bool
 		}
-		res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
+		res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			f := NewFrame(a)
-			dir, err := NontrivialMoveEven(f, 99)
-			return out{dir, f.Flipped()}, err
+			return NontrivialMoveEvenStep(f, 99, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.Flipped()}) })
 		})
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
@@ -247,22 +251,15 @@ func TestDirectionAgreement(t *testing.T) {
 				N: n, IDBound: 32, Seed: seed, Model: ring.Basic,
 				MixedChirality: true, ForceSplitChirality: true,
 			})
-			res, err := engine.Run(nw, func(a *engine.Agent) (bool, error) {
+			res, err := run(nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				f := NewFrame(a)
-				var dir ring.Direction
-				var err error
+				agree := func(dir ring.Direction) (engine.Yield, engine.Cont) {
+					return DirectionAgreementStep(f, dir, func(ring.Direction) (engine.Yield, engine.Cont) { return k(f.Flipped()) })
+				}
 				if a.NParity() == engine.ParityOdd {
-					dir, err = NontrivialMoveOdd(f)
-				} else {
-					dir, err = NontrivialMoveEven(f, 7)
+					return NontrivialMoveOddStep(f, agree)
 				}
-				if err != nil {
-					return false, err
-				}
-				if _, err := DirectionAgreement(f, dir); err != nil {
-					return false, err
-				}
-				return f.Flipped(), nil
+				return NontrivialMoveEvenStep(f, 7, agree)
 			})
 			if err != nil {
 				t.Fatalf("odd=%v seed=%d: %v", parityOdd, seed, err)
@@ -285,12 +282,9 @@ func TestDirectionAgreementOdd(t *testing.T) {
 			N: 7, IDBound: 32, Seed: 11, Model: ring.Basic,
 			MixedChirality: mixed, ForceSplitChirality: mixed,
 		})
-		res, err := engine.Run(nw, func(a *engine.Agent) (bool, error) {
+		res, err := run(nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			f := NewFrame(a)
-			if err := DirectionAgreementOdd(f); err != nil {
-				return false, err
-			}
-			return f.Flipped(), nil
+			return DirectionAgreementOddStep(f, func() (engine.Yield, engine.Cont) { return k(f.Flipped()) })
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -371,9 +365,8 @@ func TestEmptinessTest(t *testing.T) {
 					ids[i] = nw.IDOf(i)
 				}
 				want := q.want(ids)
-				res, err := engine.Run(nw, func(a *engine.Agent) (bool, error) {
-					f := NewFrame(a)
-					return EmptinessTest(f, q.contains(a.ID(), s.n))
+				res, err := run(nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+					return EmptinessTestStep(NewFrame(a), q.contains(a.ID(), s.n), k)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -400,8 +393,8 @@ func TestLeaderElectCommonSense(t *testing.T) {
 	for _, model := range []ring.Model{ring.Basic, ring.Lazy, ring.Perceptive} {
 		for _, n := range []int{7, 8} {
 			nw := newNetwork(t, netgen.Options{N: n, IDBound: 128, Seed: 17, Model: model})
-			res, err := engine.Run(nw, func(a *engine.Agent) (bool, error) {
-				return LeaderElectCommonSense(NewFrame(a))
+			res, err := run(nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+				return LeaderElectCommonSenseStep(NewFrame(a), k)
 			})
 			if err != nil {
 				t.Fatalf("model=%v n=%d: %v", model, n, err)
@@ -441,10 +434,9 @@ func TestNontrivialMoveFromLeader(t *testing.T) {
 			dir     ring.Direction
 			flipped bool
 		}
-		res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
+		res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			f := NewFrame(a)
-			dir, err := NontrivialMoveFromLeader(f, a.ID() == maxID)
-			return out{dir, f.Flipped()}, err
+			return NontrivialMoveFromLeaderStep(f, a.ID() == maxID, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.Flipped()}) })
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -472,9 +464,8 @@ func TestBroadcastBits(t *testing.T) {
 		}
 	}
 	const payload = uint64(0b1011001110)
-	res, err := engine.Run(nw, func(a *engine.Agent) (uint64, error) {
-		f := NewFrame(a)
-		return BroadcastBits(f, a.ID() == maxID, payload, 10)
+	res, err := run(nw, func(a *engine.Agent, k func(uint64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return BroadcastBitsStep(NewFrame(a), a.ID() == maxID, payload, 10, k)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -488,8 +479,8 @@ func TestBroadcastBits(t *testing.T) {
 		t.Errorf("rounds = %d, want 10", res.Rounds)
 	}
 	// Parameter validation.
-	if _, err := engine.Run(nw, func(a *engine.Agent) (uint64, error) {
-		return BroadcastBits(NewFrame(a), false, 0, 0)
+	if _, err := run(nw, func(a *engine.Agent, k func(uint64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return BroadcastBitsStep(NewFrame(a), false, 0, 0, k)
 	}); err == nil {
 		t.Error("bits=0 accepted")
 	}
@@ -526,12 +517,10 @@ func TestCoordinateAllSettings(t *testing.T) {
 				dir     ring.Direction
 				flipped bool
 			}
-			res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-				c, err := Coordinate(a, Options{CommonSense: s.commonSense, Seed: 41})
-				if err != nil {
-					return out{}, err
-				}
-				return out{c.IsLeader, c.NontrivialDir, c.Frame.Flipped()}, nil
+			res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+				return CoordinateStep(a, Options{CommonSense: s.commonSense, Seed: 41}, func(c *Coordination) (engine.Yield, engine.Cont) {
+					return k(out{c.IsLeader, c.NontrivialDir, c.Frame.Flipped()})
+				})
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -565,8 +554,8 @@ func TestCoordinateAllSettings(t *testing.T) {
 // for the odd-n pipeline.
 func TestCoordinateRoundAccounting(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 9, IDBound: 64, Seed: 2, Model: ring.Basic, MixedChirality: true, ForceSplitChirality: true})
-	res, err := engine.Run(nw, func(a *engine.Agent) (*Coordination, error) {
-		return Coordinate(a, Options{Seed: 3})
+	res, err := engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[*Coordination] {
+		return CoordinateMachine(a, Options{Seed: 3})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -589,15 +578,13 @@ func TestCoordinateRoundAccounting(t *testing.T) {
 
 func TestNontrivialMoveSearchExhausted(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 8, IDBound: 32, Seed: 4, Model: ring.Basic})
-	_, err := engine.Run(nw, func(a *engine.Agent) (struct{}, error) {
-		f := NewFrame(a)
+	_, err := run(nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		// An empty family can never produce a nontrivial move.
 		fam, ferr := newEmptyFamily(a.IDBound())
 		if ferr != nil {
-			return struct{}{}, ferr
+			return engine.Abort(ferr)
 		}
-		_, _, err := NontrivialMoveSearch(f, fam, false)
-		return struct{}{}, err
+		return NontrivialMoveSearchStep(NewFrame(a), fam, false, func(_ ring.Direction, set int) (engine.Yield, engine.Cont) { return k(set) })
 	})
 	if !errors.Is(err, ErrNoNontrivialMove) {
 		t.Fatalf("got %v, want ErrNoNontrivialMove", err)

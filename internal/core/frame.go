@@ -5,10 +5,12 @@
 // (Lemma 12), together with the reductions of Theorem 7.
 //
 // All algorithms are written from a single agent's point of view: they take a
-// *Frame (the agent plus its current software sense of direction) and block
-// on rounds through the engine runtime.  Every agent of the network runs the
-// same function; global consistency comes from the observations being shared
-// (rotation indices are global) exactly as argued in the paper.
+// *Frame (the agent plus its current software sense of direction) and are
+// written in continuation-passing style (XStep functions), composing into one
+// resumable machine per agent that engine.Run executes.  Every agent of the
+// network runs the same function; global consistency comes from the
+// observations being shared (rotation indices are global) exactly as argued in
+// the paper.
 package core
 
 import (
@@ -34,14 +36,14 @@ var (
 
 // Frame wraps an agent together with its current software sense of
 // direction.  Protocols express all directions in frame coordinates;
-// DirectionAgreement flips frames so that afterwards every agent's frame
+// DirectionAgreementStep flips frames so that afterwards every agent's frame
 // refers to the same objective direction.
 type Frame struct {
 	agent   *engine.Agent
 	flipped bool
 	full    int64
 
-	// schedScratch holds frame-to-agent translations of RoundSchedule
+	// schedScratch holds frame-to-agent translations of RoundScheduleStep
 	// submissions; reused across calls.
 	schedScratch []ring.Direction
 
@@ -109,20 +111,6 @@ func (f *Frame) translate(dir ring.Direction) ring.Direction {
 	return dir
 }
 
-// Round executes one round in which the agent moves in direction dir
-// (frame coordinates) and returns the observation with dist() measured in the
-// frame's clockwise direction.
-func (f *Frame) Round(dir ring.Direction) (engine.Observation, error) {
-	obs, err := f.agent.Round(f.translate(dir))
-	if err != nil {
-		return engine.Observation{}, err
-	}
-	if f.flipped && obs.Dist != 0 {
-		obs.Dist = f.full - obs.Dist
-	}
-	return obs, nil
-}
-
 // retranslate maps an observation trace into the frame's orientation,
 // in place.
 func (f *Frame) retranslate(trace []engine.Observation) []engine.Observation {
@@ -134,92 +122,6 @@ func (f *Frame) retranslate(trace []engine.Observation) []engine.Observation {
 		}
 	}
 	return trace
-}
-
-// RoundN executes k consecutive rounds in which the agent moves in direction
-// dir (frame coordinates), submitted as a single leap batch, and returns the
-// per-round observations — exactly what k sequential Round calls would have
-// returned, without k barrier crossings.
-func (f *Frame) RoundN(dir ring.Direction, k int) ([]engine.Observation, error) {
-	return f.RoundNInto(dir, k, nil)
-}
-
-// RoundNInto is RoundN writing the trace into dst from index 0, reusing its
-// capacity and overwriting any existing contents.
-func (f *Frame) RoundNInto(dir ring.Direction, k int, dst []engine.Observation) ([]engine.Observation, error) {
-	trace, err := f.agent.RoundNInto(f.translate(dir), k, dst)
-	if err != nil {
-		return nil, err
-	}
-	return f.retranslate(trace), nil
-}
-
-// RoundNSum executes k rounds in direction dir (frame coordinates) and
-// returns only the cumulative displacement of the stretch, measured in the
-// frame's clockwise direction modulo the full circle.  Use it for stretches
-// whose per-round observations are discarded (restores, undo phases): the
-// runtime then skips materialising the trace entirely.
-func (f *Frame) RoundNSum(dir ring.Direction, k int) (int64, error) {
-	sum, err := f.agent.RoundNSum(f.translate(dir), k)
-	if err != nil {
-		return 0, err
-	}
-	if f.flipped && sum != 0 {
-		sum = f.full - sum
-	}
-	return sum, nil
-}
-
-// RoundUntil executes up to k rounds in direction dir (frame coordinates),
-// stopping after the first round at which the frame displacement (the value
-// Displacement reports) equals target.  The stop is solved in closed form by
-// the runtime, so the batch consumes exactly as many rounds as the
-// equivalent per-round loop — no overshoot.  The returned trace covers the
-// executed rounds.
-func (f *Frame) RoundUntil(dir ring.Direction, target int64, k int, dst []engine.Observation) ([]engine.Observation, error) {
-	agentTarget := target
-	if f.flipped && target != 0 {
-		agentTarget = f.full - target
-	}
-	trace, err := f.agent.RoundUntil(f.translate(dir), agentTarget, k, dst)
-	if err != nil {
-		return nil, err
-	}
-	return f.retranslate(trace), nil
-}
-
-// RoundSchedule executes a whole per-round direction schedule (frame
-// coordinates) as one batch and returns the per-round observations.  The
-// schedule is translated into the agent's frame in a scratch buffer, so the
-// caller's slice is never modified.
-func (f *Frame) RoundSchedule(dirs []ring.Direction, dst []engine.Observation) ([]engine.Observation, error) {
-	if cap(f.schedScratch) < len(dirs) {
-		f.schedScratch = make([]ring.Direction, len(dirs))
-	}
-	sched := f.schedScratch[:len(dirs)]
-	for i, d := range dirs {
-		sched[i] = f.translate(d)
-	}
-	trace, err := f.agent.RoundSchedule(sched, dst)
-	if err != nil {
-		return nil, err
-	}
-	return f.retranslate(trace), nil
-}
-
-// RoundPair executes SINGLEROUND followed by REVERSEDROUND for the given
-// direction, so that afterwards every agent is back at the position it
-// occupied before the pair (provided every agent uses RoundPair with its own
-// direction).  It returns the observation of the first round.
-func (f *Frame) RoundPair(dir ring.Direction) (engine.Observation, error) {
-	obs, err := f.Round(dir)
-	if err != nil {
-		return engine.Observation{}, err
-	}
-	if _, err := f.Round(dir.Opposite()); err != nil {
-		return engine.Observation{}, err
-	}
-	return obs, nil
 }
 
 // RotationClass classifies the rotation index of a direction assignment as
@@ -262,30 +164,8 @@ func (c RotationClass) String() string {
 // though RotBelowHalf/RotAboveHalf themselves are frame-relative.
 func (c RotationClass) Nontrivial() bool { return c == RotBelowHalf || c == RotAboveHalf }
 
-// ClassifyRotation implements Lemma 2: it executes the assignment in which
-// this agent moves in direction dir twice (all agents must call it with their
-// respective directions) and classifies the assignment's rotation index.
-// When restore is true two reversed rounds follow, so every agent ends at the
-// position it started from.  Cost: 2 rounds (4 with restore).
-func (f *Frame) ClassifyRotation(dir ring.Direction, restore bool) (RotationClass, error) {
-	var pair [2]engine.Observation
-	trace, err := f.RoundNInto(dir, 2, pair[:0])
-	if err != nil {
-		return RotUnknown, err
-	}
-	obs1, obs2 := trace[0], trace[1]
-	if restore {
-		// The reversed rounds' observations are discarded, so the aggregate
-		// form suffices.
-		if _, err := f.RoundNSum(dir.Opposite(), 2); err != nil {
-			return RotUnknown, err
-		}
-	}
-	return classOf(f.full, obs1, obs2), nil
-}
-
 // classOf is Lemma 2's classification from the two observations of the double
-// execution, shared by the blocking and the machine form.
+// execution.
 func classOf(full int64, obs1, obs2 engine.Observation) RotationClass {
 	switch sum := obs1.Dist + obs2.Dist; {
 	case obs1.Dist == 0:

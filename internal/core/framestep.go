@@ -1,11 +1,11 @@
-// Machine (CPS) forms of the Frame round primitives, for protocols running on
-// the engine's v3 scheduler.  Each XStep method mirrors its blocking
-// counterpart X exactly — same validation, same frame translation on the way
-// in, same flip adjustment on the way out — but instead of blocking it returns
-// a yield plus the continuation to resume with, so a whole protocol built from
-// these composes into one resumable state machine (engine.Proto).  Errors need
-// no plumbing: validation failures abort the machine through the yield and run
-// failures arrive as Resume errors, both intercepted by engine.Proto.
+// The Frame round primitives, in continuation-passing form.  Each XStep
+// method translates its directions from the frame into the agent's own sense
+// of direction, returns a yield plus the continuation to resume with, and
+// hands its continuation k the observations translated back into the frame's
+// orientation, so a whole protocol built from these composes into one
+// resumable state machine (engine.Proto).  Errors need no plumbing:
+// validation failures abort the machine through the yield and run failures
+// arrive as Resume errors, both intercepted by engine.Proto.
 //
 // The primitives allocate nothing per round.  The continuation a primitive
 // returns is always the frame's resume method, bound once per frame; the
@@ -113,31 +113,42 @@ func (f *Frame) resume(in engine.Resume) (engine.Yield, engine.Cont) {
 	panic("core: frame resumed with no round primitive pending")
 }
 
-// RoundStep is the machine form of Round: one round in direction dir (frame
-// coordinates); k receives the observation in the frame's orientation.
+// RoundStep executes one round in which the agent moves in direction dir
+// (frame coordinates); k receives the observation with dist() measured in the
+// frame's clockwise direction.
 func (f *Frame) RoundStep(dir ring.Direction, k func(engine.Observation) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f.kObs = k
 	return f.await(f.agent.YieldRound(f.translate(dir)), opRound)
 }
 
-// RoundNStep is the machine form of RoundN: n rounds in direction dir as one
-// leap batch; k receives the per-round trace (frame orientation, aliasing the
-// resume buffer).
+// RoundNStep executes n consecutive rounds in which the agent moves in
+// direction dir (frame coordinates), submitted as a single leap batch; k
+// receives the per-round observations (frame orientation, aliasing the resume
+// buffer) — exactly what n RoundStep calls would have observed, in one
+// crossing where the other agents' batches allow it.
 func (f *Frame) RoundNStep(dir ring.Direction, n int, k func([]engine.Observation) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f.kTrace = k
 	return f.await(f.agent.YieldRoundN(f.translate(dir), n), opTrace)
 }
 
-// RoundNSumStep is the machine form of RoundNSum: k receives the stretch's
-// cumulative displacement in the frame's orientation.
+// RoundNSumStep executes n rounds in direction dir (frame coordinates); k
+// receives only the cumulative displacement of the stretch, measured in the
+// frame's clockwise direction modulo the full circle.  Use it for stretches
+// whose per-round observations are discarded (restores, undo phases): the
+// executor then skips materialising the trace entirely.
 func (f *Frame) RoundNSumStep(dir ring.Direction, n int, k func(int64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f.kSum = k
 	return f.await(f.agent.YieldRoundSum(f.translate(dir), n), opSum)
 }
 
-// RoundUntilStep is the machine form of RoundUntil.  Like the blocking form
-// (and YieldRoundUntil) it snapshots the agent's displacement, so it must be
-// invoked at yield time, not built ahead.
+// RoundUntilStep executes up to n rounds in direction dir (frame
+// coordinates), stopping after the first round at which the frame
+// displacement (the value Displacement reports) equals target.  The stop is
+// solved in closed form by the executor, so the batch consumes exactly as
+// many rounds as the equivalent per-round loop — no overshoot.  k receives
+// the trace of the executed rounds.  Like engine.Agent.YieldRoundUntil it
+// snapshots the agent's displacement, so it must be invoked at yield time,
+// not built ahead.
 func (f *Frame) RoundUntilStep(dir ring.Direction, target int64, n int, k func([]engine.Observation) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	agentTarget := target
 	if f.flipped && target != 0 {
@@ -147,8 +158,10 @@ func (f *Frame) RoundUntilStep(dir ring.Direction, target int64, n int, k func([
 	return f.await(f.agent.YieldRoundUntil(f.translate(dir), agentTarget, n), opTrace)
 }
 
-// RoundScheduleStep is the machine form of RoundSchedule: a whole per-round
-// direction schedule (frame coordinates) as one batch.
+// RoundScheduleStep executes a whole per-round direction schedule (frame
+// coordinates) as one batch; k receives the per-round observations.  The
+// schedule is translated into the agent's frame in a scratch buffer, so the
+// caller's slice is never modified.
 func (f *Frame) RoundScheduleStep(dirs []ring.Direction, k func([]engine.Observation) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if cap(f.schedScratch) < len(dirs) {
 		f.schedScratch = make([]ring.Direction, len(dirs))
@@ -161,14 +174,21 @@ func (f *Frame) RoundScheduleStep(dirs []ring.Direction, k func([]engine.Observa
 	return f.await(f.agent.YieldSchedule(sched), opTrace)
 }
 
-// RoundPairStep is the machine form of RoundPair: SINGLEROUND then
-// REVERSEDROUND; k receives the first round's observation.
+// RoundPairStep executes SINGLEROUND followed by REVERSEDROUND for the given
+// direction, so that afterwards every agent is back at the position it
+// occupied before the pair (provided every agent runs RoundPairStep with its
+// own direction).  k receives the observation of the first round.
 func (f *Frame) RoundPairStep(dir ring.Direction, k func(engine.Observation) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f.kObs, f.opDir = k, dir
 	return f.await(f.agent.YieldRound(f.translate(dir)), opPairFirst)
 }
 
-// ClassifyRotationStep is the machine form of ClassifyRotation (Lemma 2).
+// ClassifyRotationStep implements Lemma 2: it executes the assignment in
+// which this agent moves in direction dir twice (all agents must run it with
+// their respective directions) and hands k the class of the assignment's
+// rotation index.  When restore is true two reversed rounds follow, so every
+// agent ends at the position it started from.  Cost: 2 rounds (4 with
+// restore).
 func (f *Frame) ClassifyRotationStep(dir ring.Direction, restore bool, k func(RotationClass) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f.kClass, f.opDir = k, dir
 	op := opClassify

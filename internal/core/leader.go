@@ -7,23 +7,16 @@ import (
 	"ringsym/internal/ring"
 )
 
-// LeaderElectWithNM implements Algorithm 2 (LeaderWithNMove).
+// LeaderElectWithNMStep implements Algorithm 2 (LeaderWithNMove).
 //
 // Preconditions: every agent's frame refers to the same objective clockwise
-// direction (run DirectionAgreement first) and nmDir is this agent's
+// direction (run DirectionAgreementStep first) and nmDir is this agent's
 // direction, in that common frame, in an assignment known to be a nontrivial
 // move.  The candidate set starts as the agents that move clockwise in the
 // nontrivial move (its rotation index is nonzero) and is halved along
 // identifier bits, keeping whichever half still has a nonzero rotation index
 // (Lemma 3(c) guarantees one of them does).  After ⌈log2 N⌉ rounds exactly
 // one agent remains.  Cost: ⌈log2 N⌉ rounds.
-func LeaderElectWithNM(f *Frame, nmDir ring.Direction) (bool, error) {
-	return engine.RunStep(f.Agent(), func(k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return LeaderElectWithNMStep(f, nmDir, k)
-	})
-}
-
-// LeaderElectWithNMStep is the machine form of LeaderElectWithNM.
 func LeaderElectWithNMStep(f *Frame, nmDir ring.Direction, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	return new(leaderElect).start(f, nmDir, k)
 }
@@ -71,22 +64,15 @@ func (s *leaderElect) onObs(obs engine.Observation) (engine.Yield, engine.Cont) 
 	return s.bit(s.i + 1)
 }
 
-// EmptinessTest implements Lemma 12.  All agents know the query set B
+// EmptinessTestStep implements Lemma 12.  All agents know the query set B
 // implicitly: each caller passes whether its own identifier belongs to B.
 // Precondition: every agent's frame refers to the same objective clockwise
 // direction.
 //
 // Costs: one round in the lazy and perceptive models and in the basic model
 // with odd n; 1 + ⌈log2 N⌉ rounds in the basic model with even (or unknown)
-// parity.  The returned value — whether B contains the identifier of at least
-// one agent — is identical at every agent.
-func EmptinessTest(f *Frame, inB bool) (bool, error) {
-	return engine.RunStep(f.Agent(), func(k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return EmptinessTestStep(f, inB, k)
-	})
-}
-
-// EmptinessTestStep is the machine form of EmptinessTest.
+// parity.  The value k receives — whether B contains the identifier of at
+// least one agent — is identical at every agent.
 func EmptinessTestStep(f *Frame, inB bool, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	model := f.agent.Model()
 
@@ -133,19 +119,12 @@ func EmptinessTestStep(f *Frame, inB bool, k func(bool) (engine.Yield, engine.Co
 	})
 }
 
-// LeaderElectCommonSense implements Lemma 13: with a common sense of
+// LeaderElectCommonSenseStep implements Lemma 13: with a common sense of
 // direction the agent with the maximum identifier is located by binary search
-// over [1, N], using EmptinessTest on the upper half of the remaining range.
-// Cost: ⌈log2 N⌉ emptiness tests, i.e. O(log N) rounds in the lazy,
+// over [1, N], using EmptinessTestStep on the upper half of the remaining
+// range.  Cost: ⌈log2 N⌉ emptiness tests, i.e. O(log N) rounds in the lazy,
 // perceptive and odd-n basic settings and O(log² N) rounds in the basic model
 // with even n.
-func LeaderElectCommonSense(f *Frame) (bool, error) {
-	return engine.RunStep(f.Agent(), func(k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return LeaderElectCommonSenseStep(f, k)
-	})
-}
-
-// LeaderElectCommonSenseStep is the machine form of LeaderElectCommonSense.
 func LeaderElectCommonSenseStep(f *Frame, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	var probe func(lo, hi int) (engine.Yield, engine.Cont)
 	probe = func(lo, hi int) (engine.Yield, engine.Cont) {
@@ -164,7 +143,7 @@ func LeaderElectCommonSenseStep(f *Frame, k func(bool) (engine.Yield, engine.Con
 	return probe(1, f.IDBound())
 }
 
-// BroadcastBits lets a single distinguished agent publish a message of the
+// BroadcastBitsStep lets a single distinguished agent publish a message of the
 // given number of bits to every other agent using the global
 // rotation-signalling channel: in the round for bit b the broadcaster moves
 // clockwise when the bit is 1 and anticlockwise otherwise, while every other
@@ -172,14 +151,7 @@ func LeaderElectCommonSenseStep(f *Frame, k func(bool) (engine.Yield, engine.Con
 // bit is 1, which every agent observes through dist().
 //
 // Precondition: common sense of direction and a unique broadcaster.
-// Cost: bits rounds.  Every agent returns the broadcaster's value.
-func BroadcastBits(f *Frame, isBroadcaster bool, value uint64, bits int) (uint64, error) {
-	return engine.RunStep(f.Agent(), func(k func(uint64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return BroadcastBitsStep(f, isBroadcaster, value, bits, k)
-	})
-}
-
-// BroadcastBitsStep is the machine form of BroadcastBits.
+// Cost: bits rounds.  Every agent's k receives the broadcaster's value.
 func BroadcastBitsStep(f *Frame, isBroadcaster bool, value uint64, bits int, k func(uint64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if bits <= 0 || bits > 63 {
 		return engine.Abort(fmt.Errorf("core: BroadcastBits supports 1..63 bits, got %d", bits))

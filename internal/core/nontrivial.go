@@ -8,22 +8,15 @@ import (
 	"ringsym/internal/ring"
 )
 
-// NontrivialMoveOdd solves the nontrivial move problem when n is odd
+// NontrivialMoveOddStep solves the nontrivial move problem when n is odd
 // (Corollary 18).  For odd n a round is nontrivial as soon as both objective
 // directions occur, so the all-clockwise round works unless every agent is
 // oriented the same way, in which case the agents differ on some identifier
 // bit and the corresponding bit round breaks the tie.  Cost: at most
 // 1 + ⌈log2 N⌉ rounds.
 //
-// The returned direction is this agent's direction, in frame coordinates, in
+// k receives this agent's direction, in frame coordinates, in
 // a round known by every agent to be a nontrivial move.
-func NontrivialMoveOdd(f *Frame) (ring.Direction, error) {
-	return engine.RunStep(f.Agent(), func(k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return NontrivialMoveOddStep(f, k)
-	})
-}
-
-// NontrivialMoveOddStep is the machine form of NontrivialMoveOdd.
 func NontrivialMoveOddStep(f *Frame, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	s := &nmOdd{f: f, k: k, dir: ring.Clockwise}
 	s.onObsFn = s.onObs
@@ -56,17 +49,11 @@ func (s *nmOdd) onObs(obs engine.Observation) (engine.Yield, engine.Cont) {
 	return s.f.RoundStep(s.dir, s.onObsFn)
 }
 
-// NontrivialMoveFromLeader solves the nontrivial move problem in O(1) rounds
-// once a unique leader exists (Lemma 10).  The two candidate assignments
-// differ only in the leader's direction, so their rotation indices differ by
-// 2 and cannot both lie in {0, n/2} when n > 4.  Cost: at most 4 rounds.
-func NontrivialMoveFromLeader(f *Frame, isLeader bool) (ring.Direction, error) {
-	return engine.RunStep(f.Agent(), func(k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return NontrivialMoveFromLeaderStep(f, isLeader, k)
-	})
-}
-
-// NontrivialMoveFromLeaderStep is the machine form of NontrivialMoveFromLeader.
+// NontrivialMoveFromLeaderStep solves the nontrivial move problem in O(1)
+// rounds once a unique leader exists (Lemma 10).  The two candidate
+// assignments differ only in the leader's direction, so their rotation indices
+// differ by 2 and cannot both lie in {0, n/2} when n > 4.  Cost: at most 4
+// rounds.
 func NontrivialMoveFromLeaderStep(f *Frame, isLeader bool, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	return f.ClassifyRotationStep(ring.Clockwise, false, func(cls RotationClass) (engine.Yield, engine.Cont) {
 		if cls.Nontrivial() {
@@ -85,29 +72,15 @@ func NontrivialMoveFromLeaderStep(f *Frame, isLeader bool, k func(ring.Direction
 	})
 }
 
-// NontrivialMoveSearch executes the direction schedule defined by the set
+// NontrivialMoveSearchStep executes the direction schedule defined by the set
 // family (agents whose identifier is in the i-th set move clockwise in their
 // frame, all others anticlockwise) until a round with a nontrivial rotation
 // index appears.  With weak set, a weakly nontrivial move (rotation index
 // different from 0, Proposition 22) is accepted and each candidate costs one
 // round; otherwise each candidate is classified with Lemma 2 and costs two.
 //
-// It returns this agent's direction in the successful round and the index of
+// k receives this agent's direction in the successful round and the index of
 // the successful set.
-func NontrivialMoveSearch(f *Frame, fam comb.SetFamily, weak bool) (ring.Direction, int, error) {
-	type hit struct {
-		dir ring.Direction
-		set int
-	}
-	h, err := engine.RunStep(f.Agent(), func(k func(hit) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return NontrivialMoveSearchStep(f, fam, weak, func(dir ring.Direction, set int) (engine.Yield, engine.Cont) {
-			return k(hit{dir: dir, set: set})
-		})
-	})
-	return h.dir, h.set, err
-}
-
-// NontrivialMoveSearchStep is the machine form of NontrivialMoveSearch.
 func NontrivialMoveSearchStep(f *Frame, fam comb.SetFamily, weak bool, k func(ring.Direction, int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	s := &nmSearch{f: f, fam: fam, k: k}
 	if weak {
@@ -171,18 +144,11 @@ func defaultScheduleLength(idBound int) int {
 	return l
 }
 
-// NontrivialMoveEven solves the (strong) nontrivial move problem in the basic
-// or lazy model for even n using the seeded pseudo-random schedule that
+// NontrivialMoveEvenStep solves the (strong) nontrivial move problem in the
+// basic or lazy model for even n using the seeded pseudo-random schedule that
 // substitutes for the non-constructive sequence of Theorem 27.  The expected
 // number of rounds matches Θ(n·log(N/n)/log n) up to constants; Corollary 26
 // shows this is optimal up to the log n factor.
-func NontrivialMoveEven(f *Frame, seed int64) (ring.Direction, error) {
-	return engine.RunStep(f.Agent(), func(k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return NontrivialMoveEvenStep(f, seed, k)
-	})
-}
-
-// NontrivialMoveEvenStep is the machine form of NontrivialMoveEven.
 func NontrivialMoveEvenStep(f *Frame, seed int64, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	fam, err := comb.NewRandomDistinguisher(f.IDBound(), defaultScheduleLength(f.IDBound()), seed)
 	if err != nil {
@@ -193,14 +159,14 @@ func NontrivialMoveEvenStep(f *Frame, seed int64, k func(ring.Direction) (engine
 	})
 }
 
-// WeakNontrivialMoveEven is the weak variant (rotation index merely nonzero),
-// the object related to (N, n/2)-distinguishers by Proposition 22.  It
-// returns the index of the successful round so that experiments can compare
-// the empirical count against the distinguisher bounds of Section IV.
-func WeakNontrivialMoveEven(f *Frame, seed int64) (ring.Direction, int, error) {
+// WeakNontrivialMoveEvenStep is the weak variant (rotation index merely
+// nonzero), the object related to (N, n/2)-distinguishers by Proposition 22.
+// k also receives the index of the successful round, so that experiments can
+// compare the empirical count against the distinguisher bounds of Section IV.
+func WeakNontrivialMoveEvenStep(f *Frame, seed int64, k func(ring.Direction, int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	fam, err := comb.NewRandomDistinguisher(f.IDBound(), defaultScheduleLength(f.IDBound()), seed)
 	if err != nil {
-		return ring.Idle, 0, err
+		return engine.Abort(err)
 	}
-	return NontrivialMoveSearch(f, fam, true)
+	return NontrivialMoveSearchStep(f, fam, true, k)
 }

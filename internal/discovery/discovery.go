@@ -57,15 +57,9 @@ type Result struct {
 	RoundsDiscovery    int
 }
 
-// LocationDiscovery solves location discovery in the given agent's model,
-// choosing the appropriate algorithm (see the package comment).
-func LocationDiscovery(a *engine.Agent, opts Options) (*Result, error) {
-	return engine.RunMachine(a, LocationDiscoveryMachine(a, opts))
-}
-
-// LocationDiscoveryMachine builds the model-dispatching discovery pipeline as
-// a resumable machine for the engine's v3 scheduler; LocationDiscovery drives
-// the same machine through the blocking dispatcher on the v1/v2 runtimes.
+// LocationDiscoveryMachine solves location discovery in the given agent's
+// model, choosing the appropriate algorithm (see the package comment), as a
+// resumable machine for engine.Run.
 func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*Result] {
 	return engine.NewProto(func(done func(*Result, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		return LocationDiscoveryStep(a, opts, func(r *Result) (engine.Yield, engine.Cont) {
@@ -74,7 +68,8 @@ func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*Resu
 	})
 }
 
-// LocationDiscoveryStep is the machine form of LocationDiscovery.
+// LocationDiscoveryStep is LocationDiscoveryMachine's pipeline as a CPS
+// step: k receives the agent's result.
 func LocationDiscoveryStep(a *engine.Agent, opts Options, k func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	even := a.NParity() == engine.ParityEven
 	switch a.Model() {
@@ -165,7 +160,7 @@ func (s *sweep) start(coord *core.Coordination) (engine.Yield, engine.Cont) {
 	// not know n, so it asks for exponentially growing constant-direction
 	// batches and scans each returned displacement trace for the round at
 	// which it is back at its pre-sweep position.  The engine solves that
-	// stop condition in closed form (Frame.RoundUntil), so the batch ends
+	// stop condition in closed form (Frame.RoundUntilStep), so the batch ends
 	// exactly at the return round — the same n rounds the per-round loop
 	// consumed — in O(log n) scheduler visits instead of n.
 	//

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -65,8 +66,8 @@ func checkPositions(t *testing.T, nw *engine.Network, outputs []*Result) {
 
 func runDiscovery(t *testing.T, nw *engine.Network, opts Options) []*Result {
 	t.Helper()
-	res, err := engine.Run(nw, func(a *engine.Agent) (*Result, error) {
-		return LocationDiscovery(a, opts)
+	res, err := engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[*Result] {
+		return LocationDiscoveryMachine(a, opts)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +135,8 @@ func TestLocationDiscoveryPerceptive(t *testing.T) {
 
 func TestLocationDiscoveryBasicEvenImpossible(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 8, IDBound: 64, Seed: 2, Model: ring.Basic})
-	_, err := engine.Run(nw, func(a *engine.Agent) (*Result, error) {
-		return LocationDiscovery(a, Options{})
+	_, err := engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[*Result] {
+		return LocationDiscoveryMachine(a, Options{})
 	})
 	if !errors.Is(err, ErrNotSolvable) {
 		t.Fatalf("got %v, want ErrNotSolvable", err)
@@ -317,49 +318,5 @@ func TestSweepRoundsExact(t *testing.T) {
 					tc.model, tc.n, i, r.RoundsDiscovery, tc.n)
 			}
 		}
-	}
-}
-
-// TestDiscoveryLeapMatchesLegacy runs full location discovery on the v2 leap
-// runtime and on the v1 per-round legacy runtime (which executes every batch
-// one round at a time) and demands identical outputs and round counts — the
-// protocol-level leap-on/leap-off differential.
-func TestDiscoveryLeapMatchesLegacy(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opt  netgen.Options
-	}{
-		{"lazy-even-mixed", netgen.Options{N: 10, IDBound: 64, Seed: 7, Model: ring.Lazy, MixedChirality: true, ForceSplitChirality: true}},
-		{"basic-odd-common", netgen.Options{N: 9, IDBound: 64, Seed: 8, Model: ring.Basic}},
-		{"perceptive-even-mixed", netgen.Options{N: 8, IDBound: 64, Seed: 9, Model: ring.Perceptive, MixedChirality: true, ForceSplitChirality: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			protocol := func(a *engine.Agent) (*Result, error) {
-				return LocationDiscovery(a, Options{Seed: 11})
-			}
-			v2, err := engine.Run(newNetwork(t, tc.opt), protocol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v1, err := engine.RunLegacy(newNetwork(t, tc.opt), protocol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v2.Rounds != v1.Rounds {
-				t.Fatalf("rounds: leap %d, legacy %d", v2.Rounds, v1.Rounds)
-			}
-			for i := range v2.Outputs {
-				a, b := v2.Outputs[i], v1.Outputs[i]
-				if a.IsLeader != b.IsLeader || a.N != b.N ||
-					a.RoundsCoordination != b.RoundsCoordination || a.RoundsDiscovery != b.RoundsDiscovery {
-					t.Fatalf("agent %d: leap %+v, legacy %+v", i, a, b)
-				}
-				for j := range a.Positions {
-					if a.Positions[j] != b.Positions[j] {
-						t.Fatalf("agent %d position %d: leap %d, legacy %d", i, j, a.Positions[j], b.Positions[j])
-					}
-				}
-			}
-		})
 	}
 }

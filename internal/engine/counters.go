@@ -6,17 +6,17 @@ import "ringsym/internal/obs"
 // counters so serving layers get them in the Prometheus exposition for free
 // and /metrics JSON keeps its snapshot shape via CounterSnapshot.  Rounds
 // counts synchronised rounds executed on the analytic engine; leap batches
-// count barrier crossings — one crossing executes one or more rounds, so
+// count crossings — one crossing executes one or more rounds, so
 // rounds/crossings is the mean leap length and the direct measure of how much
-// the batched submission API is collapsing barrier traffic.  The hot-path
+// the batched submission API is collapsing crossings.  The hot-path
 // cost is unchanged: an obs.Counter add is the same single atomic add as the
 // bespoke atomics these replaced.
 var (
 	ctrRounds    = obs.NewCounter("ringsym_engine_rounds_total", "Synchronised rounds executed on the analytic engine.")
-	ctrCrossings = obs.NewCounter("ringsym_engine_leap_batches_total", "Barrier crossings (leap batches) that executed those rounds.")
+	ctrCrossings = obs.NewCounter("ringsym_engine_leap_batches_total", "Crossings (leap batches) that executed those rounds.")
 )
 
-// leapSampleMask samples engine.leap events to one per 1024 barrier
+// leapSampleMask samples engine.leap events to one per 1024
 // crossings: the crossing rate reaches millions per second, and per-crossing
 // events would only be dropped by every subscriber's bounded ring anyway.
 // Each sampled event carries the cumulative totals, so consumers recover
@@ -30,7 +30,7 @@ const leapSampleMask = 1<<10 - 1
 //	}
 //
 // open-coded at the call sites rather than wrapped in a helper: the crossing
-// counter sits on the barrier hot path, the pre-telemetry code was an inlined
+// counter sits on the crossing hot path, the pre-telemetry code was an inlined
 // atomic add, and a helper carrying the add, the mask test and a call does
 // not fit the compiler's inlining budget.  Everything beyond the mask test —
 // including the bus check, needed just once per 1024 crossings — lives in the
@@ -54,7 +54,7 @@ func emitLeapSample(crossings uint64) {
 type Counters struct {
 	// Rounds is the total number of synchronised rounds executed.
 	Rounds uint64 `json:"rounds"`
-	// LeapBatches is the total number of barrier crossings (leap batches)
+	// LeapBatches is the total number of crossings (leap batches)
 	// that executed those rounds.
 	LeapBatches uint64 `json:"leap_batches"`
 	// MeanRoundsPerCrossing is Rounds / LeapBatches (0 when nothing ran).

@@ -30,18 +30,14 @@ func TestDisplacementTracksTruePosition(t *testing.T) {
 			id   int
 			disp int64
 		}
-		res, err := Run(nw, func(a *Agent) (out, error) {
+		res, err := run(nw, func(a *Agent) *Proto[out] {
 			local := rand.New(rand.NewSource(seeds[nw.IndexOfID(a.ID())]))
-			for r := 0; r < rounds; r++ {
-				dir := ring.Clockwise
+			return perRound(a, func(r int) (ring.Direction, bool) {
 				if local.Intn(2) == 0 {
-					dir = ring.Anticlockwise
+					return ring.Anticlockwise, r < rounds
 				}
-				if _, err := a.Round(dir); err != nil {
-					return out{}, err
-				}
-			}
-			return out{a.ID(), a.Displacement()}, nil
+				return ring.Clockwise, r < rounds
+			}, nil, func() out { return out{a.ID(), a.Displacement()} })
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,20 +6,48 @@ import (
 	"ringsym/internal/ring"
 )
 
-// leapExec is the runtime-independent crossing executor: the pending-batch
-// slots plus the stretch/stop/budget loop that executes one barrier crossing
-// on the analytic engine.  The v2 barrier embeds it behind its countdown and
-// hand-off lock (barrier.go); the v3 scheduler drives it inline from its
-// single goroutine (sched.go).  Keeping the loop in one place is what makes
-// the two runtimes execute byte-identical round sequences: the leap length,
-// the stretch splits, the closed-form stop clamping and the per-agent
-// accounting are literally the same code.
+// testHookExecuteRound, when set, runs at the start of every crossing's round
+// execution; tests use it to inject executor-side panics.
+var testHookExecuteRound func()
+
+// batch is one agent's submission: a schedule of one or more rounds executed
+// without the agent's machine being resumed in between.  Exactly one of dir
+// (constant direction) or dirs (explicit per-round schedule) is used; k is
+// the schedule length.  trace, when non-nil, receives the agent's objective
+// per-round observations; a nil trace requests aggregate mode, where only the
+// cumulative displacement is computed (O(1) per leap instead of O(k)).
 //
-// Ownership contract: between the moment a crossing starts and the moment the
-// caller hands completed slots back to their agents, the executing goroutine
-// is the only one touching pend, submitted and the shared ring state.  The
-// barrier guarantees this with its countdown + xlock; the scheduler trivially,
-// by having only one goroutine.
+// stop arms the early-stop condition: the batch ends after the first round at
+// which the agent's cumulative objective displacement reaches stopTarget,
+// even if fewer than k rounds have executed.  objDisp seeds the executor's
+// displacement tracking with the agent's displacement at submission.  The
+// stop condition is solved in closed form by the executor
+// (ring.(*State).StopRound), so a condition-bounded batch costs the same as a
+// plain one; it exists so protocols whose per-round loops break on their own
+// displacement can batch without overshooting the round they would have
+// stopped at.
+type batch struct {
+	dir        ring.Direction
+	dirs       []ring.Direction
+	k          int
+	trace      []ring.Observation
+	sum        bool // aggregate mode: settle resumes with Sum instead of Obs
+	stop       bool
+	stopTarget int64
+	objDisp    int64
+}
+
+// pending is a submitted batch plus the executor-owned progress through it.
+type pending struct {
+	batch
+	pos int   // rounds of the batch already executed (fill index into trace)
+	agg int64 // cumulative objective displacement of the batch, mod full circle
+}
+
+// leapExec is the crossing executor: the pending-batch slots plus the
+// stretch/stop/budget loop that executes one crossing on the analytic engine.
+// The scheduler (sched.go) drives it inline from its single goroutine, which
+// is therefore the only one ever touching pend, submitted and the ring state.
 type leapExec struct {
 	nw   *Network
 	full int64 // circumference in half-ticks

@@ -1,18 +1,10 @@
-// The v3 runtime's agent model: a protocol is a resumable state machine in
-// continuation-passing style.  Instead of blocking inside Agent.Round, a
-// machine RETURNS its next round/leap-batch request as a Yield together with
-// the continuation to resume with, and the scheduler (sched.go) — one loop
-// per scenario, on the caller's goroutine — executes the crossing and feeds
-// the Resume back in.  No goroutine per agent, no barrier, no mutexes, no
-// per-agent stacks: every mutation of protocol state happens on the scheduler
-// goroutine.
-//
-// The same machines also run unchanged on the v2 barrier and v1 legacy
-// runtimes: RunMachine drives a machine to completion through the agent's
-// blocking dispatcher, which is exactly how the blocking protocol entry
-// points (core.Coordinate and friends) are implemented.  One protocol source,
-// three runtimes — which is what entitles the differential tests to demand
-// byte-identical traces.
+// The agent model: a protocol is a resumable state machine in
+// continuation-passing style.  A machine never blocks; it RETURNS its next
+// round/leap-batch request as a Yield together with the continuation to
+// resume with, and the scheduler (sched.go) — one loop per scenario, on the
+// caller's goroutine — executes the crossing and feeds the Resume back in.
+// No goroutine per agent and no per-agent stacks: every mutation of protocol
+// state happens on the scheduler goroutine.
 package engine
 
 import (
@@ -43,10 +35,9 @@ type Resume struct {
 type Cont func(in Resume) (Yield, Cont)
 
 // Yield is one agent's round/leap-batch request, built by the Agent's Yield*
-// builders (never literally): the same validated, frame-translated submission
-// the blocking Round* methods hand to the dispatcher.  A Yield carrying an
-// abort error terminates the machine with that error instead of executing
-// (see Abort).
+// builders (never literally): a validated submission, translated from the
+// agent's frame into the global one.  A Yield carrying an abort error
+// terminates the machine with that error instead of executing (see Abort).
 //
 // A Yield is a three-word handle, not the batch itself: the batch lives in the
 // agent's single pending slot and b points at it.  Keeping the struct at
@@ -63,8 +54,8 @@ type Yield struct {
 
 // Abort terminates a machine with err without executing further rounds.  It
 // is the exception channel of the CPS form: protocol code returns
-// Abort(err) where the blocking form returned err, and Proto surfaces it as
-// the machine's error — so intermediate layers need no error plumbing.
+// Abort(err) to fail, and Proto surfaces it as the machine's error — so
+// intermediate layers need no error plumbing.
 func Abort(err error) (Yield, Cont) { return Yield{abort: err}, nil }
 
 // Machine is a resumable agent protocol.  Step consumes the Resume of the
@@ -79,9 +70,7 @@ type Machine interface {
 // Proto adapts a continuation-passing protocol into a Machine with a typed
 // result.  It owns the machine-level error handling: a Resume carrying a run
 // failure and a yield carrying an abort both terminate the machine with that
-// error, so protocol code in CPS form contains no error propagation at all —
-// errors travel exactly as they did through the blocking call chain, which
-// was propagate-only everywhere.
+// error, so protocol code in CPS form contains no error propagation at all.
 type Proto[T any] struct {
 	start func(done func(T, error) (Yield, Cont)) (Yield, Cont) // until the first Step
 	next  Cont
@@ -91,7 +80,7 @@ type Proto[T any] struct {
 
 // NewProto builds a Proto from a CPS start function.  start receives the
 // machine's done callback and returns the first yield; protocol code calls
-// done(result, err) exactly where the blocking form returned.
+// done(result, err) where it finishes.
 func NewProto[T any](start func(done func(T, error) (Yield, Cont)) (Yield, Cont)) *Proto[T] {
 	return &Proto[T]{start: start}
 }
@@ -143,19 +132,16 @@ func (p *Proto[T]) Step(in Resume) (Yield, bool) {
 
 // yieldSlot returns the agent's pending slot, cleared for the next batch.
 // The builders fill it field by field and return a handle to it, so a batch
-// is written once, in place, never built elsewhere and copied in.
+// is written once, in place, never built elsewhere and copied in.  The slot
+// exists only during a run; a builder called outside one panics.
 func (a *Agent) yieldSlot() *batch {
 	p := a.slot
-	if p == nil {
-		p = &a.pend
-	}
 	*p = batch{}
 	return p
 }
 
-// YieldRound is the yield form of Round: one round in direction dir (the
-// agent's own frame); the continuation resumes with the single observation in
-// Resume.Obs[0].
+// YieldRound requests one round in direction dir (the agent's own frame);
+// the continuation resumes with the single observation in Resume.Obs[0].
 func (a *Agent) YieldRound(dir ring.Direction) Yield {
 	if err := a.checkDir(dir); err != nil {
 		return Yield{abort: err}
@@ -165,9 +151,12 @@ func (a *Agent) YieldRound(dir ring.Direction) Yield {
 	return Yield{b: p}
 }
 
-// YieldRoundN is the yield form of RoundN: k rounds in direction dir as one
-// leap batch; the continuation resumes with the per-round trace in
-// Resume.Obs.
+// YieldRoundN requests k rounds in direction dir (the agent's own frame) as
+// one leap batch: the scheduler executes the whole constant-direction stretch
+// without resuming the machine in between, in closed form where the other
+// agents' directions allow it.  The continuation resumes with the per-round
+// trace in Resume.Obs — exactly the observations k single-round yields would
+// have received.
 func (a *Agent) YieldRoundN(dir ring.Direction, k int) Yield {
 	if err := a.checkDir(dir); err != nil {
 		return Yield{abort: err}
@@ -180,9 +169,11 @@ func (a *Agent) YieldRoundN(dir ring.Direction, k int) Yield {
 	return Yield{b: p}
 }
 
-// YieldRoundSum is the yield form of RoundNSum: k rounds in direction dir,
-// aggregate mode; the continuation resumes with the stretch's cumulative
-// own-frame displacement in Resume.Sum.
+// YieldRoundSum is the aggregate form of YieldRoundN for machines that only
+// need the stretch's cumulative displacement: no per-round trace is
+// materialised (the executor derives the total in O(1) per leap), and the
+// continuation resumes with the displacement over the k rounds, measured in
+// the agent's own clockwise direction modulo the full circle, in Resume.Sum.
 func (a *Agent) YieldRoundSum(dir ring.Direction, k int) Yield {
 	if err := a.checkDir(dir); err != nil {
 		return Yield{abort: err}
@@ -195,9 +186,15 @@ func (a *Agent) YieldRoundSum(dir ring.Direction, k int) Yield {
 	return Yield{b: p}
 }
 
-// YieldRoundUntil is the yield form of RoundUntil.  Like the blocking form it
-// snapshots the agent's current displacement into the batch, so it must be
-// built at yield time, not ahead of it.
+// YieldRoundUntil is YieldRoundN with an early-stop condition: the batch ends
+// after the first round at which the agent's cumulative run displacement
+// (the value Displacement reports) equals target, even if fewer than k rounds
+// have executed; the trace covers exactly the executed rounds.  The executor
+// solves the stop in closed form, so the batch never overshoots the round at
+// which the per-round loop — one round until Displacement() == target —
+// would have stopped.  When no round in the batch reaches target, all k
+// rounds execute.  The builder snapshots the agent's current displacement
+// into the batch, so it must be called at yield time, not ahead of it.
 func (a *Agent) YieldRoundUntil(dir ring.Direction, target int64, k int) Yield {
 	if err := a.checkDir(dir); err != nil {
 		return Yield{abort: err}
@@ -214,10 +211,14 @@ func (a *Agent) YieldRoundUntil(dir ring.Direction, target int64, k int) Yield {
 	return Yield{b: p}
 }
 
-// YieldSchedule is the yield form of RoundSchedule: a whole per-round
-// direction schedule (the agent's own frame) as one batch.  The schedule is
-// translated into an agent-owned scratch buffer, so the caller's slice is
-// never retained.
+// YieldSchedule requests a whole per-round direction schedule (the agent's
+// own frame) as one batch: the scheduler executes all len(dirs) rounds
+// without resuming the machine in between, leaping over the
+// constant-direction stretches of the schedule, and resumes it with the
+// per-round trace.  Schedules of different agents need not agree — the
+// executor splits the leap wherever batch lengths or directions require.  The
+// schedule is translated into an agent-owned scratch buffer, so the caller's
+// slice is never retained.
 func (a *Agent) YieldSchedule(dirs []ring.Direction) Yield {
 	if len(dirs) == 0 {
 		return Yield{abort: fmt.Errorf("engine: %w: empty schedule", ring.ErrBadRoundCount)}
@@ -238,9 +239,10 @@ func (a *Agent) YieldSchedule(dirs []ring.Direction) Yield {
 }
 
 // settle folds a completed batch into the agent's round and displacement
-// accounting — exactly what the blocking Round* methods do after awaitBatch
-// returns — and builds the Resume for the continuation.  executed and agg are
-// the dispatcher's results for the batch.
+// accounting and builds the Resume for the continuation.  executed is the
+// number of rounds the batch ran (less than its k only when the stop
+// condition ended it early) and agg its cumulative objective displacement
+// modulo the full circle.
 func (a *Agent) settle(bt *batch, executed int, agg int64) Resume {
 	if bt.sum {
 		own := agg
@@ -253,35 +255,4 @@ func (a *Agent) settle(bt *batch, executed int, agg int64) Resume {
 	}
 	a.resBuf = a.finishTrace(executed, a.resBuf)
 	return Resume{Obs: a.resBuf}
-}
-
-// RunMachine drives machine p to completion through the agent's blocking
-// dispatcher and returns its result.  This is how the yield-form protocols
-// execute on the v2 barrier and v1 legacy runtimes: the blocking protocol
-// entry points are RunMachine over the same machines the v3 scheduler steps,
-// so all three runtimes run literally the same protocol code.
-func RunMachine[T any](a *Agent, p *Proto[T]) (T, error) {
-	var in Resume
-	for {
-		y, done := p.Step(in)
-		if done {
-			return p.Result()
-		}
-		executed, agg, err := a.d.awaitBatch(a.idx, *y.b)
-		if err != nil {
-			in = Resume{Err: err}
-			continue
-		}
-		in = a.settle(y.b, executed, agg)
-	}
-}
-
-// RunStep runs a single CPS step function — a protocol fragment whose
-// continuation takes the fragment's result — to completion on the blocking
-// dispatcher.  It is the one-line adapter the blocking wrappers of
-// sub-protocols are built from.
-func RunStep[T any](a *Agent, step func(k func(T) (Yield, Cont)) (Yield, Cont)) (T, error) {
-	return RunMachine(a, NewProto(func(done func(T, error) (Yield, Cont)) (Yield, Cont) {
-		return step(func(v T) (Yield, Cont) { return done(v, nil) })
-	}))
 }

@@ -3,128 +3,138 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"ringsym/internal/ring"
 )
 
-// The tests in this file pin the v3 scheduler runtime: machines built from
-// the same generated scripts as leap_test.go must produce byte-identical
-// traces, outputs, round counts and crossing counts on RunFSM, on the v2
-// barrier (both as blocking calls and as RunMachine over the same machines)
-// and on the v1 legacy runtime.
+// The tests in this file pin the scheduler: leap execution against the
+// split-batch oracle (export_test.go), the worker-held Batch arena, the abort
+// channel, budget exhaustion, panic containment, cancellation and the guard
+// against malformed hand-written machines.
 
-// scriptMachine is the machine form of batchedProtocol: the same generated
-// script executed through the yield builders, one yield per op.
-func scriptMachine(seed int64, ops int) func(a *Agent) *Proto[leapTrace] {
-	return func(a *Agent) *Proto[leapTrace] {
-		return NewProto(func(done func(leapTrace, error) (Yield, Cont)) (Yield, Cont) {
-			script := scriptFor(a.ID(), seed, a.Model(), a.FullCircle(), ops)
-			var tr leapTrace
-			var step func(i int) (Yield, Cont)
-			step = func(i int) (Yield, Cont) {
-				if i == len(script) {
-					tr.disp = a.Displacement()
-					tr.used = a.RoundsUsed()
-					return done(tr, nil)
+// TestFSMSchedulerEquivalence is the randomized differential test of the
+// scheduler: generated mixed-op scripts across all three models, both
+// chirality regimes and both parities, executed with leap execution and under
+// the split-batch oracle, with byte-identical traces, equal round counts and
+// the oracle's crossings-equal-rounds invariant.
+func TestFSMSchedulerEquivalence(t *testing.T) {
+	equivalenceModels(t, 4242, func(t *testing.T, trial int, seed int64, cfg Config) {
+		const ops = 12
+		if msg := leapMatchesPerRound(cfg, seed, ops, SplitBatches(scriptMachine(seed, ops))); msg != "" {
+			t.Fatalf("trial %d: %s", trial, msg)
+		}
+	})
+}
+
+// scriptedBatches is a deterministic pseudo-random direction script derived
+// from the agent's identity, played as leap batches: the first half as one
+// YieldSchedule, then each maximal run of equal directions as one
+// YieldRoundN.  Agents use different round counts, so finished agents
+// exercise the default-direction path; the output is the full observation
+// trace plus the final displacement and round count.
+func scriptedBatches(model ring.Model, rounds int) func(a *Agent) *Proto[[]Observation] {
+	return func(a *Agent) *Proto[[]Observation] {
+		myRounds := rounds + a.ID()%5
+		state := uint64(a.ID()*2654435761 + 12345)
+		dirs := make([]ring.Direction, myRounds)
+		for i := range dirs {
+			state = state*6364136223846793005 + 1442695040888963407
+			switch {
+			case model.AllowsIdle() && state%5 == 0:
+				dirs[i] = ring.Idle
+			case state%2 == 0:
+				dirs[i] = ring.Clockwise
+			default:
+				dirs[i] = ring.Anticlockwise
+			}
+		}
+		return NewProto(func(done func([]Observation, error) (Yield, Cont)) (Yield, Cont) {
+			var trace []Observation
+			var next func(i int) (Yield, Cont)
+			next = func(i int) (Yield, Cont) {
+				if i == len(dirs) {
+					trace = append(trace, Observation{Dist: a.Displacement(), Coll: int64(a.RoundsUsed())})
+					return done(trace, nil)
 				}
-				op := script[i]
-				var y Yield
-				switch op.kind {
-				case 0:
-					y = a.YieldRound(op.dir)
-				case 1:
-					y = a.YieldRoundN(op.dir, op.k)
-				case 2:
-					y = a.YieldSchedule(op.dirs)
-				case 3:
-					y = a.YieldRoundSum(op.dir, op.k)
-				case 4:
-					y = a.YieldRoundUntil(op.dir, op.target, op.k)
+				k, y := len(dirs)/2, Yield{}
+				if i == 0 {
+					y = a.YieldSchedule(dirs[:k])
+				} else {
+					for k = 1; i+k < len(dirs) && dirs[i+k] == dirs[i]; k++ {
+					}
+					y = a.YieldRoundN(dirs[i], k)
 				}
 				return y, func(in Resume) (Yield, Cont) {
-					if op.kind == 3 {
-						tr.sums = append(tr.sums, in.Sum)
-					} else {
-						tr.obs = append(tr.obs, in.Obs...)
-					}
-					return step(i + 1)
+					trace = append(trace, in.Obs...)
+					return next(i + k)
 				}
 			}
-			return step(0)
+			return next(0)
 		})
 	}
 }
 
-// TestFSMSchedulerEquivalence is the randomized differential test of the v3
-// runtime: generated mixed-op scripts across all three models, both chirality
-// regimes and both parities, executed four ways — v3 scheduler, v2 barrier
-// (blocking calls), v2 barrier driving the machines via RunMachine, v1 legacy
-// — with byte-identical traces, equal round counts, equal v2/v3 crossing
-// counts and the v1 crossings-equal-rounds invariant.
-func TestFSMSchedulerEquivalence(t *testing.T) {
-	for _, model := range []ring.Model{ring.Basic, ring.Lazy, ring.Perceptive} {
-		for _, oddN := range []bool{false, true} {
-			for _, mixed := range []bool{false, true} {
-				name := fmt.Sprintf("%v/odd=%v/mixed=%v", model, oddN, mixed)
-				t.Run(name, func(t *testing.T) {
-					for trial := 0; trial < 8; trial++ {
-						seed := int64(1000*trial) + 4242
-						rng := rand.New(rand.NewSource(seed))
-						cfg := leapTestConfig(rng, model, oddN, mixed)
-						build := func() *Network {
-							nw, err := New(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							return nw
-						}
-						const ops = 12
-
-						nwF, nwB, nwM, nwL := build(), build(), build(), build()
-						fsm, errF := RunFSM(nwF, scriptMachine(seed, ops))
-						barrier, errB := Run(nwB, batchedProtocol(seed, ops))
-						machined, errM := Run(nwM, func(a *Agent) (leapTrace, error) {
-							return RunMachine(a, scriptMachine(seed, ops)(a))
-						})
-						legacy, errL := RunLegacy(nwL, batchedProtocol(seed, ops))
-						if errF != nil || errB != nil || errM != nil || errL != nil {
-							t.Fatalf("trial %d: errors fsm=%v barrier=%v machined=%v legacy=%v",
-								trial, errF, errB, errM, errL)
-						}
-						if fsm.Rounds != barrier.Rounds || fsm.Rounds != machined.Rounds || fsm.Rounds != legacy.Rounds {
-							t.Fatalf("trial %d: rounds fsm=%d barrier=%d machined=%d legacy=%d",
-								trial, fsm.Rounds, barrier.Rounds, machined.Rounds, legacy.Rounds)
-						}
-						for i := range fsm.Outputs {
-							if !fsm.Outputs[i].equal(barrier.Outputs[i]) {
-								t.Fatalf("trial %d agent %d: fsm != barrier\nfsm:     %+v\nbarrier: %+v",
-									trial, i, fsm.Outputs[i], barrier.Outputs[i])
-							}
-							if !fsm.Outputs[i].equal(machined.Outputs[i]) {
-								t.Fatalf("trial %d agent %d: fsm != machine-on-barrier", trial, i)
-							}
-							if !fsm.Outputs[i].equal(legacy.Outputs[i]) {
-								t.Fatalf("trial %d agent %d: fsm != legacy", trial, i)
-							}
-						}
-						// The scheduler and the barrier share the crossing
-						// executor, so their leap decomposition is identical;
-						// legacy dispatches per round by design.
-						if nwF.Crossings() != nwB.Crossings() || nwF.Crossings() != nwM.Crossings() {
-							t.Fatalf("trial %d: crossings fsm=%d barrier=%d machined=%d",
-								trial, nwF.Crossings(), nwB.Crossings(), nwM.Crossings())
-						}
-						if nwL.Crossings() != nwL.Rounds() {
-							t.Fatalf("trial %d: legacy crossings %d != rounds %d",
-								trial, nwL.Crossings(), nwL.Rounds())
-						}
-					}
+// TestDirectDispatchMatchesLegacy runs the same scripted batches with leap
+// execution and under the per-round split-batch oracle and demands identical
+// observation traces, displacements and round counts across models,
+// chirality regimes and parities.
+func TestDirectDispatchMatchesLegacy(t *testing.T) {
+	chir6 := []bool{true, false, false, true, false, true}
+	for _, tc := range []struct {
+		name  string
+		model ring.Model
+		chir  []bool
+		circ  int64
+		pos   []int64
+	}{
+		{"basic-common", ring.Basic, nil, 1000, []int64{0, 100, 300, 600, 800}},
+		{"basic-mixed", ring.Basic, []bool{true, false, true, false, true}, 1000, []int64{0, 100, 300, 600, 800}},
+		{"lazy-mixed", ring.Lazy, chir6, 1200, []int64{0, 50, 300, 320, 600, 1000}},
+		{"perceptive-mixed", ring.Perceptive, chir6, 1200, []int64{0, 50, 300, 320, 600, 1000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Network {
+				n := len(tc.pos)
+				ids := make([]int, n)
+				for i := range ids {
+					ids[i] = 2*i + 1
+				}
+				nw, err := New(Config{
+					Model: tc.model, Circ: tc.circ, Positions: tc.pos,
+					IDs: ids, IDBound: 4 * n, Chirality: tc.chir,
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return nw
 			}
-		}
+			leapNw, splitNw := build(), build()
+			leap, errL := run(leapNw, scriptedBatches(tc.model, 20))
+			split, errS := run(splitNw, SplitBatches(scriptedBatches(tc.model, 20)))
+			if errL != nil || errS != nil {
+				t.Fatalf("errors: leap=%v split=%v", errL, errS)
+			}
+			if leap.Rounds != split.Rounds {
+				t.Fatalf("rounds: leap=%d split=%d", leap.Rounds, split.Rounds)
+			}
+			for i := range leap.Outputs {
+				a, b := leap.Outputs[i], split.Outputs[i]
+				if len(a) != len(b) {
+					t.Fatalf("agent %d trace length: leap=%d split=%d", i, len(a), len(b))
+				}
+				for j := range a {
+					if a[j] != b[j] {
+						t.Fatalf("agent %d entry %d: leap=%+v split=%+v", i, j, a[j], b[j])
+					}
+				}
+			}
+			if leapNw.Crossings() >= leapNw.Rounds() || splitNw.Crossings() != splitNw.Rounds() {
+				t.Fatalf("crossings: leap %d for %d rounds, split %d for %d rounds",
+					leapNw.Crossings(), leapNw.Rounds(), splitNw.Crossings(), splitNw.Rounds())
+			}
+		})
 	}
 }
 
@@ -145,8 +155,8 @@ func TestFSMBatchReuse(t *testing.T) {
 			return nw
 		}
 		const ops = 9
-		shared, errS := RunFSMContext(ctx, build(), scriptMachine(seed, ops))
-		pooled, errP := RunFSM(build(), scriptMachine(seed, ops))
+		shared, errS := Run(ctx, build(), scriptMachine(seed, ops))
+		pooled, errP := run(build(), scriptMachine(seed, ops))
 		if errS != nil || errP != nil {
 			t.Fatalf("trial %d: errors shared=%v pooled=%v", trial, errS, errP)
 		}
@@ -159,8 +169,8 @@ func TestFSMBatchReuse(t *testing.T) {
 }
 
 // TestFSMValidationAborts pins the abort channel: invalid yield parameters
-// terminate the machine with the same error values the blocking API returns,
-// without consuming rounds.
+// terminate the machine with the builders' error values, without consuming
+// rounds.
 func TestFSMValidationAborts(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -178,7 +188,7 @@ func TestFSMValidationAborts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = RunFSM(nw, func(a *Agent) *Proto[struct{}] {
+			_, err = run(nw, func(a *Agent) *Proto[struct{}] {
 				return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
 					return tc.yield(a), func(Resume) (Yield, Cont) { return done(struct{}{}, nil) }
 				})
@@ -197,7 +207,7 @@ func TestFSMValidationAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFSM(nw, func(a *Agent) *Proto[struct{}] {
+	if _, err := run(nw, func(a *Agent) *Proto[struct{}] {
 		return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
 			return a.YieldRoundUntil(ring.Clockwise, -2, 3), func(Resume) (Yield, Cont) { return done(struct{}{}, nil) }
 		})
@@ -207,7 +217,7 @@ func TestFSMValidationAborts(t *testing.T) {
 }
 
 // TestFSMBudgetExhaustion pins ErrMaxRoundsExceed on the scheduler: the clamp
-// executes exactly the budgeted rounds, like the barrier.
+// executes exactly the budgeted rounds.
 func TestFSMBudgetExhaustion(t *testing.T) {
 	cfg := testConfig(ring.Basic, nil)
 	cfg.MaxRounds = 5
@@ -215,7 +225,7 @@ func TestFSMBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunFSM(nw, func(a *Agent) *Proto[struct{}] {
+	_, err = run(nw, func(a *Agent) *Proto[struct{}] {
 		return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
 			return a.YieldRoundN(ring.Clockwise, 9), func(in Resume) (Yield, Cont) {
 				return done(struct{}{}, nil)
@@ -237,7 +247,7 @@ func TestFSMStepPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFSM(nw, func(a *Agent) *Proto[int] {
+	res, err := run(nw, func(a *Agent) *Proto[int] {
 		return NewProto(func(done func(int, error) (Yield, Cont)) (Yield, Cont) {
 			return a.YieldRound(ring.Clockwise), func(in Resume) (Yield, Cont) {
 				if a.ID() == 1 {
@@ -267,7 +277,7 @@ func TestFSMCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunFSMContext(ctx, nw, func(a *Agent) *Proto[struct{}] {
+	_, err = Run(ctx, nw, func(a *Agent) *Proto[struct{}] {
 		return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
 			var loop func(in Resume) (Yield, Cont)
 			loop = func(in Resume) (Yield, Cont) {
@@ -281,24 +291,6 @@ func TestFSMCancellation(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-
-	// A context dead on arrival refuses to start at all.
-	pre, preCancel := context.WithCancel(context.Background())
-	preCancel()
-	nw2, err := New(testConfig(ring.Basic, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunFSMContext(pre, nw2, func(a *Agent) *Proto[struct{}] {
-		return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
-			return done(struct{}{}, nil)
-		})
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled context: got %v, want context.Canceled", err)
-	}
-	if nw2.Rounds() != 0 {
-		t.Fatalf("pre-cancelled run executed %d rounds", nw2.Rounds())
 	}
 }
 
@@ -336,30 +328,6 @@ func TestFSMMalformedYield(t *testing.T) {
 	for i, err := range b.stepErr {
 		if err == nil {
 			t.Errorf("machine %d: malformed yield accepted", i)
-		}
-	}
-}
-
-// TestRuntimeResolve pins the default-runtime plumbing.
-func TestRuntimeResolve(t *testing.T) {
-	defer SetDefaultRuntime(RuntimeDefault)
-	if got := RuntimeDefault.Resolve(); got != RuntimeFSM {
-		t.Fatalf("built-in default resolved to %v, want fsm", got)
-	}
-	SetDefaultRuntime(RuntimeBarrier)
-	if got := RuntimeDefault.Resolve(); got != RuntimeBarrier {
-		t.Fatalf("overridden default resolved to %v, want barrier", got)
-	}
-	if got := RuntimeLegacy.Resolve(); got != RuntimeLegacy {
-		t.Fatalf("explicit runtime resolved to %v, want legacy", got)
-	}
-	SetDefaultRuntime(RuntimeDefault)
-	if got := RuntimeDefault.Resolve(); got != RuntimeFSM {
-		t.Fatalf("restored default resolved to %v, want fsm", got)
-	}
-	for rt, want := range map[Runtime]string{RuntimeDefault: "default", RuntimeFSM: "fsm", RuntimeBarrier: "barrier", RuntimeLegacy: "legacy"} {
-		if rt.String() != want {
-			t.Errorf("Runtime(%d).String() = %q, want %q", rt, rt.String(), want)
 		}
 	}
 }

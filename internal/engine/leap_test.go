@@ -9,20 +9,22 @@ import (
 	"ringsym/internal/ring"
 )
 
-// The tests in this file pin the leap-execution contract: a protocol written
-// against the batched submission API (RoundN, RoundNSum, RoundUntil,
-// RoundSchedule) is observably identical — trace, displacement, round counts,
-// outputs — to the same protocol written with single Round calls, across all
-// three models, both chirality regimes and both parities, and identical
-// between the v2 leap barrier and the v1 per-round legacy runtime.
+// The tests in this file pin the leap-execution contract: a machine written
+// against the batched yields (YieldRoundN, YieldRoundSum, YieldRoundUntil,
+// YieldSchedule) is observably identical — trace, displacement, round counts,
+// outputs — to the same script played one round per yield, across all three
+// models, both chirality regimes and both parities.  Two per-round oracles
+// back it: the script hand-expanded into single-round yields
+// (expandedMachine), and the split-batch wrapper of export_test.go, which
+// replays any machine's batches one round at a time.
 
 // leapOp is one step of a generated protocol script.
 type leapOp struct {
-	kind   int // 0 Round, 1 RoundN, 2 RoundSchedule, 3 RoundNSum, 4 RoundUntil
+	kind   int // 0 YieldRound, 1 YieldRoundN, 2 YieldSchedule, 3 YieldRoundSum, 4 YieldRoundUntil
 	dir    ring.Direction
 	dirs   []ring.Direction
 	k      int
-	target int64 // RoundUntil displacement target
+	target int64 // YieldRoundUntil displacement target
 }
 
 // randDir picks a model-appropriate direction.
@@ -87,96 +89,97 @@ func (tr leapTrace) equal(other leapTrace) bool {
 	return true
 }
 
-// batchedProtocol executes the script through the batched API.
-func batchedProtocol(seed int64, ops int) func(a *Agent) (leapTrace, error) {
-	return func(a *Agent) (leapTrace, error) {
-		var tr leapTrace
-		var buf []Observation
-		for _, op := range scriptFor(a.ID(), seed, a.Model(), a.FullCircle(), ops) {
-			var err error
-			switch op.kind {
-			case 0:
-				var obs Observation
-				obs, err = a.Round(op.dir)
-				buf = append(buf[:0], obs)
-			case 1:
-				buf, err = a.RoundNInto(op.dir, op.k, buf[:0])
-			case 2:
-				buf, err = a.RoundSchedule(op.dirs, buf[:0])
-			case 3:
-				var sum int64
-				sum, err = a.RoundNSum(op.dir, op.k)
-				tr.sums = append(tr.sums, sum)
-				buf = buf[:0]
-			case 4:
-				buf, err = a.RoundUntil(op.dir, op.target, op.k, buf[:0])
+// scriptMachine plays the generated script through the batched yields, one
+// yield per op.
+func scriptMachine(seed int64, ops int) func(a *Agent) *Proto[leapTrace] {
+	return func(a *Agent) *Proto[leapTrace] {
+		return NewProto(func(done func(leapTrace, error) (Yield, Cont)) (Yield, Cont) {
+			script := scriptFor(a.ID(), seed, a.Model(), a.FullCircle(), ops)
+			var tr leapTrace
+			var step func(i int) (Yield, Cont)
+			step = func(i int) (Yield, Cont) {
+				if i == len(script) {
+					tr.disp = a.Displacement()
+					tr.used = a.RoundsUsed()
+					return done(tr, nil)
+				}
+				op := script[i]
+				var y Yield
+				switch op.kind {
+				case 0:
+					y = a.YieldRound(op.dir)
+				case 1:
+					y = a.YieldRoundN(op.dir, op.k)
+				case 2:
+					y = a.YieldSchedule(op.dirs)
+				case 3:
+					y = a.YieldRoundSum(op.dir, op.k)
+				case 4:
+					y = a.YieldRoundUntil(op.dir, op.target, op.k)
+				}
+				return y, func(in Resume) (Yield, Cont) {
+					if op.kind == 3 {
+						tr.sums = append(tr.sums, in.Sum)
+					} else {
+						tr.obs = append(tr.obs, in.Obs...)
+					}
+					return step(i + 1)
+				}
 			}
-			if err != nil {
-				return tr, err
-			}
-			tr.obs = append(tr.obs, buf...)
-		}
-		tr.disp = a.Displacement()
-		tr.used = a.RoundsUsed()
-		return tr, nil
+			return step(0)
+		})
 	}
 }
 
-// expandedProtocol executes the same script with single Round calls only.
-func expandedProtocol(seed int64, ops int) func(a *Agent) (leapTrace, error) {
-	return func(a *Agent) (leapTrace, error) {
-		var tr leapTrace
-		full := a.FullCircle()
-		for _, op := range scriptFor(a.ID(), seed, a.Model(), full, ops) {
-			switch op.kind {
-			case 0:
-				obs, err := a.Round(op.dir)
-				if err != nil {
-					return tr, err
+// expandedMachine plays the same script with single-round yields only: each
+// op is expanded by hand into its per-round loop, stopping a YieldRoundUntil
+// op at the first round whose displacement hits the target and summing a
+// YieldRoundSum op's observations.
+func expandedMachine(seed int64, ops int) func(a *Agent) *Proto[leapTrace] {
+	return func(a *Agent) *Proto[leapTrace] {
+		return NewProto(func(done func(leapTrace, error) (Yield, Cont)) (Yield, Cont) {
+			full := a.FullCircle()
+			script := scriptFor(a.ID(), seed, a.Model(), full, ops)
+			var tr leapTrace
+			var sum int64
+			var step func(i, j int) (Yield, Cont)
+			step = func(i, j int) (Yield, Cont) {
+				if i == len(script) {
+					tr.disp = a.Displacement()
+					tr.used = a.RoundsUsed()
+					return done(tr, nil)
 				}
-				tr.obs = append(tr.obs, obs)
-			case 1:
-				for j := 0; j < op.k; j++ {
-					obs, err := a.Round(op.dir)
-					if err != nil {
-						return tr, err
-					}
-					tr.obs = append(tr.obs, obs)
+				op := script[i]
+				dir, rounds := op.dir, op.k
+				switch op.kind {
+				case 0:
+					rounds = 1
+				case 2:
+					dir, rounds = op.dirs[j], len(op.dirs)
 				}
-			case 2:
-				for _, d := range op.dirs {
-					obs, err := a.Round(d)
-					if err != nil {
-						return tr, err
+				return a.YieldRound(dir), func(in Resume) (Yield, Cont) {
+					obs := in.Obs[0]
+					last := j+1 == rounds
+					if op.kind == 3 {
+						sum = (sum + obs.Dist) % full
+						if last {
+							tr.sums = append(tr.sums, sum)
+							sum = 0
+						}
+					} else {
+						tr.obs = append(tr.obs, obs)
 					}
-					tr.obs = append(tr.obs, obs)
-				}
-			case 3:
-				var sum int64
-				for j := 0; j < op.k; j++ {
-					obs, err := a.Round(op.dir)
-					if err != nil {
-						return tr, err
+					if op.kind == 4 && a.Displacement() == op.target {
+						last = true
 					}
-					sum = (sum + obs.Dist) % full
-				}
-				tr.sums = append(tr.sums, sum)
-			case 4:
-				for j := 0; j < op.k; j++ {
-					obs, err := a.Round(op.dir)
-					if err != nil {
-						return tr, err
+					if last {
+						return step(i+1, 0)
 					}
-					tr.obs = append(tr.obs, obs)
-					if a.Displacement() == op.target {
-						break
-					}
+					return step(i, j+1)
 				}
 			}
-		}
-		tr.disp = a.Displacement()
-		tr.used = a.RoundsUsed()
-		return tr, nil
+			return step(0, 0)
+		})
 	}
 }
 
@@ -217,48 +220,19 @@ func leapTestConfig(rng *rand.Rand, model ring.Model, oddN, mixed bool) Config {
 	return Config{Model: model, Circ: circ, Positions: pos, IDs: ids, IDBound: 4 * n, Chirality: chir}
 }
 
-// TestLeapStepEquivalence is the randomized property test of leap execution:
-// mixed RoundN/RoundSchedule/RoundNSum/RoundUntil/Round scripts produce
-// byte-identical traces and outputs to the all-single-round expansion, across
-// all three models, both chirality regimes and both parities, on both the v2
-// leap barrier and (batched) on the v1 legacy runtime.
-func TestLeapStepEquivalence(t *testing.T) {
+// equivalenceModels runs check on every model × parity × chirality
+// configuration with 8 trials each, handing it the trial's seed and network
+// configuration.
+func equivalenceModels(t *testing.T, seedBase int64, check func(t *testing.T, trial int, seed int64, cfg Config)) {
 	for _, model := range []ring.Model{ring.Basic, ring.Lazy, ring.Perceptive} {
 		for _, oddN := range []bool{false, true} {
 			for _, mixed := range []bool{false, true} {
 				name := fmt.Sprintf("%v/odd=%v/mixed=%v", model, oddN, mixed)
 				t.Run(name, func(t *testing.T) {
 					for trial := 0; trial < 8; trial++ {
-						seed := int64(1000*trial) + 17
+						seed := int64(1000*trial) + seedBase
 						rng := rand.New(rand.NewSource(seed))
-						cfg := leapTestConfig(rng, model, oddN, mixed)
-						build := func() *Network {
-							nw, err := New(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							return nw
-						}
-						const ops = 12
-						batched, errB := Run(build(), batchedProtocol(seed, ops))
-						expanded, errE := Run(build(), expandedProtocol(seed, ops))
-						legacy, errL := RunLegacy(build(), batchedProtocol(seed, ops))
-						if errB != nil || errE != nil || errL != nil {
-							t.Fatalf("trial %d: errors batched=%v expanded=%v legacy=%v", trial, errB, errE, errL)
-						}
-						if batched.Rounds != expanded.Rounds || batched.Rounds != legacy.Rounds {
-							t.Fatalf("trial %d: rounds batched=%d expanded=%d legacy=%d",
-								trial, batched.Rounds, expanded.Rounds, legacy.Rounds)
-						}
-						for i := range batched.Outputs {
-							if !batched.Outputs[i].equal(expanded.Outputs[i]) {
-								t.Fatalf("trial %d agent %d: batched != expanded\nbatched:  %+v\nexpanded: %+v",
-									trial, i, batched.Outputs[i], expanded.Outputs[i])
-							}
-							if !batched.Outputs[i].equal(legacy.Outputs[i]) {
-								t.Fatalf("trial %d agent %d: v2 != legacy", trial, i)
-							}
-						}
+						check(t, trial, seed, leapTestConfig(rng, model, oddN, mixed))
 					}
 				})
 			}
@@ -266,33 +240,82 @@ func TestLeapStepEquivalence(t *testing.T) {
 	}
 }
 
+// leapMatchesPerRound runs the generated script with leap execution and
+// under reference, which must play it one round per crossing, and demands
+// equal errors, rounds and per-agent traces.  It reports what went wrong,
+// or "" when the runs agree.
+func leapMatchesPerRound(cfg Config, seed int64, ops int, reference func(a *Agent) *Proto[leapTrace]) string {
+	leapNw, err := New(cfg)
+	if err != nil {
+		return err.Error()
+	}
+	refNw, err := New(cfg)
+	if err != nil {
+		return err.Error()
+	}
+	leap, errL := run(leapNw, scriptMachine(seed, ops))
+	ref, errR := run(refNw, reference)
+	if errL != nil || errR != nil {
+		return fmt.Sprintf("errors leap=%v per-round=%v", errL, errR)
+	}
+	if leap.Rounds != ref.Rounds {
+		return fmt.Sprintf("rounds leap=%d per-round=%d", leap.Rounds, ref.Rounds)
+	}
+	for i := range leap.Outputs {
+		if !leap.Outputs[i].equal(ref.Outputs[i]) {
+			return fmt.Sprintf("agent %d: leap != per-round\nleap:      %+v\nper-round: %+v", i, leap.Outputs[i], ref.Outputs[i])
+		}
+	}
+	if refNw.Crossings() != refNw.Rounds() {
+		return fmt.Sprintf("per-round reference leapt: %d crossings for %d rounds", refNw.Crossings(), refNw.Rounds())
+	}
+	return ""
+}
+
+// TestLeapStepEquivalence is the randomized property test of leap execution
+// against both per-round oracles: mixed
+// YieldRound/YieldRoundN/YieldSchedule/YieldRoundSum/YieldRoundUntil scripts
+// produce byte-identical traces and outputs to their hand-written
+// single-round expansion and to the split-batch replay of the same script —
+// which also checks the split wrapper against the expansion.
+func TestLeapStepEquivalence(t *testing.T) {
+	equivalenceModels(t, 17, func(t *testing.T, trial int, seed int64, cfg Config) {
+		const ops = 12
+		if msg := leapMatchesPerRound(cfg, seed, ops, expandedMachine(seed, ops)); msg != "" {
+			t.Fatalf("trial %d: expanded: %s", trial, msg)
+		}
+		if msg := leapMatchesPerRound(cfg, seed, ops, SplitBatches(scriptMachine(seed, ops))); msg != "" {
+			t.Fatalf("trial %d: split: %s", trial, msg)
+		}
+	})
+}
+
 // TestRoundUntilStopsExactly pins the closed-form stop: a constant-rotation
-// sweep submitted as one oversized RoundUntil batch stops exactly at the
+// sweep submitted as one oversized YieldRoundUntil batch stops exactly at the
 // round the per-round loop would have, with the trace ending at the return
 // round.
 func TestRoundUntilStopsExactly(t *testing.T) {
-	cfg := testConfig(ring.Basic, nil) // 5 agents
-	nw, err := New(cfg)
+	nw, err := New(testConfig(ring.Basic, nil)) // 5 agents
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := nw.N()
-	res, err := Run(nw, func(a *Agent) (int, error) {
-		// Rotation index 1: ID 1 moves clockwise, everybody else
-		// anticlockwise... that is rotation 1-4 = -3 mod 5 = 2; either way the
-		// sweep returns to the start after exactly n rounds (gcd(r, n) = 1).
-		dir := ring.Anticlockwise
-		if a.ID() == 1 {
-			dir = ring.Clockwise
-		}
-		trace, err := a.RoundUntil(dir, 0, 10*n, nil)
-		if err != nil {
-			return 0, err
-		}
-		if a.Displacement() != 0 {
-			return 0, fmt.Errorf("stopped at displacement %d", a.Displacement())
-		}
-		return len(trace), nil
+	res, err := run(nw, func(a *Agent) *Proto[int] {
+		return NewProto(func(done func(int, error) (Yield, Cont)) (Yield, Cont) {
+			// ID 1 moves clockwise, everybody else anticlockwise: rotation
+			// 1-4 = -3 mod 5 = 2, so the sweep returns to the start after
+			// exactly n rounds (gcd(r, n) = 1).
+			dir := ring.Anticlockwise
+			if a.ID() == 1 {
+				dir = ring.Clockwise
+			}
+			return a.YieldRoundUntil(dir, 0, 10*n), func(in Resume) (Yield, Cont) {
+				if a.Displacement() != 0 {
+					return done(0, fmt.Errorf("stopped at displacement %d", a.Displacement()))
+				}
+				return done(len(in.Obs), nil)
+			}
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,72 +330,78 @@ func TestRoundUntilStopsExactly(t *testing.T) {
 	}
 }
 
-// TestRoundNBudgetClamp pins MaxRounds semantics under batching: a batch that
-// overruns the budget consumes exactly the budgeted rounds (identical state
-// round count to the per-round path) and fails with ErrMaxRoundsExceed, and
-// a batch fitting the budget exactly succeeds.
+// TestRoundNBudgetClamp pins MaxRounds semantics under batching: when the
+// budget ends inside a leap of unequal batches, the state executes exactly
+// the budgeted rounds — the same count, error and positions as the
+// per-round oracle.  (TestExactRoundBudgetSucceeds covers a batch that fits
+// the budget exactly.)
 func TestRoundNBudgetClamp(t *testing.T) {
 	cfg := testConfig(ring.Basic, nil)
 	cfg.MaxRounds = 5
-	nw, err := New(cfg)
+	build := func(a *Agent) *Proto[struct{}] {
+		return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
+			return a.YieldRoundN(ring.Clockwise, 3+a.ID()%4), func(Resume) (Yield, Cont) {
+				return a.YieldRoundN(ring.Anticlockwise, 4), func(Resume) (Yield, Cont) { return done(struct{}{}, nil) }
+			}
+		})
+	}
+	leapNw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(nw, func(a *Agent) (struct{}, error) {
-		_, err := a.RoundN(ring.Clockwise, 9)
-		return struct{}{}, err
-	})
-	if !errors.Is(err, ErrMaxRoundsExceed) {
-		t.Fatalf("got %v, want ErrMaxRoundsExceed", err)
-	}
-	if nw.Rounds() != 5 {
-		t.Fatalf("state executed %d rounds, want the full budget of 5", nw.Rounds())
-	}
-
-	cfg2 := testConfig(ring.Basic, nil)
-	cfg2.MaxRounds = 5
-	nw2, err := New(cfg2)
+	splitNw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(nw2, func(a *Agent) (struct{}, error) {
-		_, err := a.RoundN(ring.Clockwise, 5)
-		return struct{}{}, err
-	}); err != nil {
-		t.Fatalf("exact-budget batch failed: %v", err)
+	_, errL := run(leapNw, build)
+	_, errS := run(splitNw, SplitBatches(build))
+	if !errors.Is(errL, ErrMaxRoundsExceed) || !errors.Is(errS, ErrMaxRoundsExceed) {
+		t.Fatalf("got leap=%v split=%v, want ErrMaxRoundsExceed", errL, errS)
+	}
+	if leapNw.Rounds() != 5 || splitNw.Rounds() != 5 {
+		t.Fatalf("state executed leap=%d split=%d rounds, want the full budget of 5", leapNw.Rounds(), splitNw.Rounds())
+	}
+	if fmt.Sprint(leapNw.CurrentPositions()) != fmt.Sprint(splitNw.CurrentPositions()) {
+		t.Fatalf("positions leap=%v split=%v", leapNw.CurrentPositions(), splitNw.CurrentPositions())
 	}
 }
 
-// TestBatchValidation pins the argument checks of the batched API.
+// TestBatchValidation pins the argument checks of the yield builders: an
+// invalid request comes back as an abort yield and consumes no rounds, and
+// the agent can still play a valid round afterwards.
 func TestBatchValidation(t *testing.T) {
 	nw, err := New(testConfig(ring.Basic, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(nw, func(a *Agent) (struct{}, error) {
-		if _, err := a.RoundN(ring.Clockwise, 0); err == nil {
-			return struct{}{}, errors.New("k = 0 accepted")
-		}
-		if _, err := a.RoundN(ring.Idle, 2); !errors.Is(err, ErrIdleNotAllowed) {
-			return struct{}{}, fmt.Errorf("idle in basic model: %v", err)
-		}
-		if _, err := a.RoundSchedule(nil, nil); err == nil {
-			return struct{}{}, errors.New("empty schedule accepted")
-		}
-		if _, err := a.RoundUntil(ring.Clockwise, -2, 3, nil); err == nil {
-			return struct{}{}, errors.New("negative target accepted")
-		}
-		if _, err := a.RoundNSum(ring.Clockwise, -1); err == nil {
-			return struct{}{}, errors.New("negative k accepted")
-		}
-		// The failed validations must not have consumed rounds.
-		if a.RoundsUsed() != 0 {
-			return struct{}{}, fmt.Errorf("validation consumed %d rounds", a.RoundsUsed())
-		}
-		_, err := a.Round(ring.Clockwise)
-		return struct{}{}, err
+	if _, err := run(nw, func(a *Agent) *Proto[struct{}] {
+		return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
+			for _, c := range []struct {
+				name string
+				y    Yield
+				want error
+			}{
+				{"k = 0", a.YieldRoundN(ring.Clockwise, 0), ring.ErrBadRoundCount},
+				{"idle in basic model", a.YieldRoundN(ring.Idle, 2), ErrIdleNotAllowed},
+				{"empty schedule", a.YieldSchedule(nil), ring.ErrBadRoundCount},
+				{"negative target", a.YieldRoundUntil(ring.Clockwise, -2, 3), nil},
+				{"negative sum count", a.YieldRoundSum(ring.Clockwise, -1), ring.ErrBadRoundCount},
+				{"bad direction", a.YieldRound(ring.Direction(9)), ErrBadDirection},
+			} {
+				if c.y.abort == nil || (c.want != nil && !errors.Is(c.y.abort, c.want)) {
+					return done(struct{}{}, fmt.Errorf("%s: abort %v, want %v", c.name, c.y.abort, c.want))
+				}
+			}
+			if a.RoundsUsed() != 0 {
+				return done(struct{}{}, fmt.Errorf("validation consumed %d rounds", a.RoundsUsed()))
+			}
+			return a.YieldRound(ring.Clockwise), func(Resume) (Yield, Cont) { return done(struct{}{}, nil) }
+		})
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if nw.Rounds() != 1 {
+		t.Fatalf("rounds = %d, want 1", nw.Rounds())
 	}
 }
 
@@ -385,9 +414,10 @@ func TestLeapCountersAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 64
-	if _, err := Run(nw, func(a *Agent) (struct{}, error) {
-		_, err := a.RoundNSum(ring.Clockwise, k)
-		return struct{}{}, err
+	if _, err := run(nw, func(a *Agent) *Proto[struct{}] {
+		return NewProto(func(done func(struct{}, error) (Yield, Cont)) (Yield, Cont) {
+			return a.YieldRoundSum(ring.Clockwise, k), func(Resume) (Yield, Cont) { return done(struct{}{}, nil) }
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -401,4 +431,20 @@ func TestLeapCountersAdvance(t *testing.T) {
 	if dr, dc := after.Rounds-before.Rounds, after.LeapBatches-before.LeapBatches; dc >= dr {
 		t.Errorf("crossings %d >= rounds %d: leap batching had no effect", dc, dr)
 	}
+}
+
+// FuzzLeapMatchesPerRound is the fuzzable form of TestFSMSchedulerEquivalence:
+// a generated configuration (seed, model, parity, chirality regime) and
+// script length, executed with leap execution and under the split-batch
+// oracle.  The seed corpus in testdata/fuzz holds the equivalence test's 8
+// trials × 12 configurations, so plain go test replays them.
+func FuzzLeapMatchesPerRound(f *testing.F) {
+	models := []ring.Model{ring.Basic, ring.Lazy, ring.Perceptive}
+	f.Fuzz(func(t *testing.T, seed int64, model uint8, oddN, mixed bool, ops uint8) {
+		cfg := leapTestConfig(rand.New(rand.NewSource(seed)), models[int(model)%len(models)], oddN, mixed)
+		n := int(ops) % 32
+		if msg := leapMatchesPerRound(cfg, seed, n, SplitBatches(scriptMachine(seed, n))); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }

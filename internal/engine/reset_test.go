@@ -35,7 +35,7 @@ func resetCfgB() Config {
 // first-round observations plus total rounds.
 func runProbe(t *testing.T, nw *Network) ([]Observation, int) {
 	t.Helper()
-	res, err := RunFSM(nw, func(a *Agent) *Proto[Observation] {
+	res, err := run(nw, func(a *Agent) *Proto[Observation] {
 		return NewProto(func(done func(Observation, error) (Yield, Cont)) (Yield, Cont) {
 			return a.YieldRound(ring.Clockwise), func(in Resume) (Yield, Cont) {
 				first := in.Obs[0]
@@ -85,51 +85,6 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 		}
 		if got, want := reused.IndexOfID(cfg.IDs[0]), 0; got != want {
 			t.Fatalf("IndexOfID(%d) = %d, want %d", cfg.IDs[0], got, want)
-		}
-	}
-}
-
-// TestNetworkResetBarrierRuntime re-runs the reuse check on the blocking v2
-// runtime, which exercises the lazily (re)built barrier after size changes.
-func TestNetworkResetBarrierRuntime(t *testing.T) {
-	reused, err := New(resetCfgB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := func(nw *Network) ([]Observation, int) {
-		res, err := Run(nw, func(a *Agent) (Observation, error) {
-			obs, err := a.Round(ring.Clockwise)
-			if err != nil {
-				return Observation{}, err
-			}
-			if _, err := a.RoundN(ring.Anticlockwise, 3); err != nil {
-				return Observation{}, err
-			}
-			return obs, nil
-		})
-		if err != nil {
-			t.Fatalf("barrier probe: %v", err)
-		}
-		return res.Outputs, res.Rounds
-	}
-	probe(reused)
-	for _, cfg := range []Config{resetCfgA(), resetCfgB()} {
-		if err := reused.Reset(cfg); err != nil {
-			t.Fatalf("Reset: %v", err)
-		}
-		fresh, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotObs, gotRounds := probe(reused)
-		wantObs, wantRounds := probe(fresh)
-		if gotRounds != wantRounds {
-			t.Fatalf("rounds: reset %d, fresh %d", gotRounds, wantRounds)
-		}
-		for i := range wantObs {
-			if gotObs[i] != wantObs[i] {
-				t.Fatalf("agent %d: reset %+v, fresh %+v", i, gotObs[i], wantObs[i])
-			}
 		}
 	}
 }

@@ -1,12 +1,11 @@
-// The v3 scheduler: one loop per scenario, on the caller's goroutine, drives
+// The scheduler: one loop per scenario, on the caller's goroutine, drives
 // every agent's machine (fsm.go) to its next yield, executes the crossing
-// inline through the shared leap executor (exec.go) and resumes the machines
-// with their observations.  There is no barrier, no countdown, no per-agent
-// wake channel and no second goroutine anywhere in the round loop — all
-// protocol state, all pending slots and the ring state itself are mutated from
-// the one scheduler goroutine, so the whole runtime is synchronisation-free by
-// construction (ringvet's fsmguard analyzer holds protocol code to the same
-// standard).
+// inline through the leap executor (exec.go) and resumes the machines with
+// their observations.  There is no second goroutine anywhere in the round
+// loop — all protocol state, all pending slots and the ring state itself are
+// mutated from the one scheduler goroutine, so the whole runtime is
+// synchronisation-free by construction (ringvet's fsmguard analyzer holds
+// protocol code to the same standard).
 //
 // Batch is the structure-of-arrays arena behind a scheduler: machine, yield,
 // pending-slot and error columns indexed by ring index, plus the leap
@@ -22,13 +21,13 @@ import (
 	"sync"
 )
 
-// Batch is the reusable scenario-batch arena of the v3 scheduler: every
+// Batch is the reusable scenario-batch arena of the scheduler: every
 // per-agent column the scheduler touches, stored structure-of-arrays and
 // resized (capacity-reusing) per run.  A Batch is single-threaded — it must
 // not be shared by concurrent runs — and is either owned by a campaign worker
 // (WithBatch) or borrowed from an internal pool for the duration of one run.
 type Batch struct {
-	x        leapExec  // pending slots + crossing executor (shared with v2)
+	x        leapExec  // pending slots + crossing executor
 	machines []Machine // live machines by ring index; nil once terminated
 	stepErr  []error   // terminal step failures (panics, malformed yields)
 }
@@ -41,7 +40,7 @@ var batchPool = sync.Pool{New: func() any { return NewBatch() }}
 
 type batchCtxKey struct{}
 
-// WithBatch returns a context carrying b: every RunFSMContext under it reuses
+// WithBatch returns a context carrying b: every Run under it reuses
 // b's buffers instead of borrowing from the internal pool.  Campaign workers
 // use this to keep one cache-resident arena per worker across a whole block of
 // scenarios.  The Batch is single-threaded; do not share the returned context
@@ -90,9 +89,8 @@ func (b *Batch) release() {
 
 // stepMachine advances machine i with in: a yield is recorded in the arena and
 // submitted to the executor's pending slot; termination clears the machine.  A
-// panic inside protocol code terminates the machine with ErrProtocolPanic —
-// the per-machine analogue of the goroutine recover in the blocking runtimes —
-// and never reaches the scheduler loop.
+// panic inside protocol code terminates the machine with ErrProtocolPanic and
+// never reaches the scheduler loop.
 func (b *Batch) stepMachine(i int, in Resume) {
 	m := b.machines[i]
 	if m == nil {
@@ -131,9 +129,9 @@ func (b *Batch) stepMachine(i int, in Resume) {
 	b.x.submitted[i] = true
 }
 
-// crossingGuarded is leapExec.crossing with the same panic conversion the
-// barrier applies: an analytic-engine panic becomes a broken-network run
-// failure instead of unwinding the scheduler.
+// crossingGuarded is leapExec.crossing with panic conversion: an
+// analytic-engine panic becomes a broken-network run failure instead of
+// unwinding the scheduler.
 func (b *Batch) crossingGuarded(nw *Network) (active int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -147,8 +145,8 @@ func (b *Batch) crossingGuarded(nw *Network) (active int, err error) {
 // run is the scheduler loop: step every machine to its first yield, then
 // alternate crossings and resumptions until every machine has terminated.
 // The returned error is the run-level failure (max rounds, broken network,
-// cancellation), sticky exactly like the barrier's: once set, every still-
-// pending machine is resumed with it until it terminates.
+// cancellation), and it is sticky: once set, every still-pending machine is
+// resumed with it until it terminates.
 func (b *Batch) run(ctx context.Context, nw *Network) error {
 	n := len(b.machines)
 	for i := 0; i < n; i++ {
@@ -158,17 +156,16 @@ func (b *Batch) run(ctx context.Context, nw *Network) error {
 	done := ctx.Done()
 	for {
 		if runErr == nil && done != nil {
-			// Checked once per crossing, matching the blocking runtimes'
-			// within-one-round cancellation granularity.
+			// Checked once per crossing: cancellation lands within one
+			// crossing.
 			if err := ctx.Err(); err != nil {
 				runErr = fmt.Errorf("engine: run aborted: %w", err)
 			}
 		}
 		if runErr != nil {
 			// Resume every pending machine with the sticky failure; Proto
-			// terminates on it, and a machine that ignores it keeps being
-			// resumed — the same livelock a blocking protocol that ignores
-			// Round errors exhibits on the barrier.
+			// terminates on it, and a hand-written machine that ignores it
+			// keeps being resumed until it stops yielding.
 			pendingCount := 0
 			for i := 0; i < n; i++ {
 				if b.x.submitted[i] {
@@ -217,21 +214,15 @@ func (b *Batch) run(ctx context.Context, nw *Network) error {
 	}
 }
 
-// RunFSM executes one machine per agent on the v3 scheduler runtime and waits
-// for all of them.  build is called once per agent, in ring-index order, to
-// construct its machine.
-func RunFSM[T any](nw *Network, build func(a *Agent) *Proto[T]) (*Result[T], error) {
-	//ringvet:allow ctxflow context-free compatibility wrapper: RunFSMContext is the cancellable form
-	return RunFSMContext(context.Background(), nw, build)
-}
-
-// RunFSMContext is the v3 runtime's entry point: it constructs one machine per
-// agent and drives them all on the calling goroutine, executing crossings
-// inline through the same leap executor as the v2 barrier — the round
-// sequence, traces and outputs are byte-identical to Run/RunContext over the
-// equivalent blocking protocol.  Cancellation is honoured between crossings,
-// like the barrier's within-one-round granularity.
-func RunFSMContext[T any](ctx context.Context, nw *Network, build func(a *Agent) *Proto[T]) (*Result[T], error) {
+// Run executes one machine per agent and waits for all of them: build is
+// called once per agent, in ring-index order, to construct its machine, and
+// every machine is then driven on the calling goroutine, crossings executing
+// inline through the leap executor.  It returns the per-agent outputs
+// (indexed by ring index) and the number of rounds consumed; the run-level
+// failure (max rounds, broken network, cancellation) and the per-agent
+// protocol errors are joined into a single error.  Cancellation is honoured
+// between crossings; a context already done refuses to start the run.
+func Run[T any](ctx context.Context, nw *Network, build func(a *Agent) *Proto[T]) (*Result[T], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("engine: run not started: %w", err)
 	}
@@ -257,12 +248,7 @@ func RunFSMContext[T any](ctx context.Context, nw *Network, build func(a *Agent)
 
 	protos := make([]*Proto[T], n)
 	for i := 0; i < n; i++ {
-		a := nw.agents[i]
-		// No blocking dispatcher under the scheduler: a ported protocol that
-		// still calls a blocking Round* method dereferences nil, which the
-		// per-step recover converts into ErrProtocolPanic for that machine.
-		a.d = nil
-		protos[i] = build(a)
+		protos[i] = build(nw.agents[i])
 		b.machines[i] = protos[i]
 	}
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"time"
 
@@ -13,38 +14,31 @@ import (
 // workload shared by the engine throughput benchmarks (BenchmarkEngineLeap /
 // BenchmarkEngineLeapSingle in the repository root) and the benchtables
 // -engine mode: each agent keeps a direction fixed by the parity of its
-// identifier (both directions present) for the given number of rounds.
-// batch = 1 submits one round per barrier crossing — the per-round path —
-// and larger batches use leap execution via RoundN.  Keeping the single copy
-// here is what entitles EXPERIMENTS.md to claim the benchmark pair and the
-// BENCH_engine.json table measure the same workload.
-func EngineSweepProtocol(rounds, batch int) func(a *engine.Agent) (int, error) {
-	return func(a *engine.Agent) (int, error) {
-		dir := ring.Clockwise
-		if a.ID()%2 == 0 {
-			dir = ring.Anticlockwise
-		}
-		if batch == 1 {
-			for i := 0; i < rounds; i++ {
-				if _, err := a.Round(dir); err != nil {
-					return 0, err
+// identifier (both directions present) for the given number of rounds,
+// yielded in batches of batch rounds.  batch = 1 is the per-round path;
+// larger batches use leap execution.  Each agent's output is the length of
+// its last batch's trace.  Keeping the single copy here is what entitles
+// EXPERIMENTS.md to claim the benchmark pair and the BENCH_engine.json table
+// measure the same workload.
+func EngineSweepProtocol(rounds, batch int) func(a *engine.Agent) *engine.Proto[int] {
+	return func(a *engine.Agent) *engine.Proto[int] {
+		return engine.NewProto(func(done func(int, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			dir := ring.Clockwise
+			if a.ID()%2 == 0 {
+				dir = ring.Anticlockwise
+			}
+			spent := 0
+			var next engine.Cont
+			next = func(in engine.Resume) (engine.Yield, engine.Cont) {
+				if spent == rounds {
+					return done(len(in.Obs), nil)
 				}
+				k := min(batch, rounds-spent)
+				spent += k
+				return a.YieldRoundN(dir, k), next
 			}
-			return 0, nil
-		}
-		var trace []engine.Observation
-		for done := 0; done < rounds; done += batch {
-			k := batch
-			if rounds-done < k {
-				k = rounds - done
-			}
-			var err error
-			trace, err = a.RoundNInto(dir, k, trace[:0])
-			if err != nil {
-				return 0, err
-			}
-		}
-		return len(trace), nil
+			return next(engine.Resume{})
+		})
 	}
 }
 
@@ -58,14 +52,14 @@ func EngineSweepNetwork(n int, seed int64) (*engine.Network, error) {
 
 // MeasureEngineSweep runs the constant-direction sweep workload and returns
 // the wall-clock rounds/sec.
-func MeasureEngineSweep(n int, seed int64, rounds, batch int) (float64, error) {
+func MeasureEngineSweep(ctx context.Context, n int, seed int64, rounds, batch int) (float64, error) {
 	nw, err := EngineSweepNetwork(n, seed)
 	if err != nil {
 		return 0, err
 	}
 	//ringvet:allow determinism this is the benchmark path: rounds/sec is a wall-clock measurement by definition
 	start := time.Now()
-	if _, err := engine.Run(nw, EngineSweepProtocol(rounds, batch)); err != nil {
+	if _, err := engine.Run(ctx, nw, EngineSweepProtocol(rounds, batch)); err != nil {
 		return 0, err
 	}
 	//ringvet:allow determinism this is the benchmark path: rounds/sec is a wall-clock measurement by definition

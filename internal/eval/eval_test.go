@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -100,7 +101,7 @@ func TestTable2SmallSweep(t *testing.T) {
 }
 
 func TestMeasureReductions(t *testing.T) {
-	rs, err := MeasureReductions(Setting{Model: ring.Lazy}, 8, 32, 3)
+	rs, err := MeasureReductions(context.Background(), Setting{Model: ring.Lazy}, 8, 32, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestMeasureReductions(t *testing.T) {
 }
 
 func TestMeasureRingDist(t *testing.T) {
-	samples, err := MeasureRingDist([]int{8, 16}, 4, 2)
+	samples, err := MeasureRingDist(context.Background(), []int{8, 16}, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

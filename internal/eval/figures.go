@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -26,64 +27,55 @@ type Reduction struct {
 // MeasureReductions measures every arrow of the reduction graph (Figure 1 for
 // odd n / lazy / perceptive, Figure 2 for the basic model with even n) on a
 // single configuration of the given size.
-func MeasureReductions(s Setting, n, idBound int, seed int64) ([]Reduction, error) {
+func MeasureReductions(ctx context.Context, s Setting, n, idBound int, seed int64) ([]Reduction, error) {
 	n = adjustParity(n, s.OddN)
 	logN := comb.Log2(float64(idBound))
 
+	// A measure runs the reduction on frame f and hands k the rounds it
+	// spent; nmDir and isLeader are the solved source problem.
+	type measure func(f *core.Frame, nmDir ring.Direction, isLeader bool, k func(rounds int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)
 	type probe struct {
 		from, to Problem
 		bound    float64
 		boundStr string
-		measure  func(f *core.Frame, nmDir ring.Direction, isLeader bool) (int, error)
+		measure  measure
+	}
+	// since hands k the rounds f spent since start; the continuation's
+	// argument (the reduction's own result) is discarded.
+	since := func(f *core.Frame, k func(int) (engine.Yield, engine.Cont)) func() (engine.Yield, engine.Cont) {
+		start := f.RoundsUsed()
+		return func() (engine.Yield, engine.Cont) { return k(f.RoundsUsed() - start) }
 	}
 	probes := []probe{
-		{NontrivialMove, DirectionAgreement, 1, "O(1)", func(f *core.Frame, nmDir ring.Direction, _ bool) (int, error) {
-			start := f.RoundsUsed()
-			_, err := core.DirectionAgreement(f, nmDir)
-			return f.RoundsUsed() - start, err
+		{NontrivialMove, DirectionAgreement, 1, "O(1)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			end := since(f, k)
+			return core.DirectionAgreementStep(f, nmDir, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
 		}},
-		{NontrivialMove, LeaderElection, logN, "O(log N)", func(f *core.Frame, nmDir ring.Direction, _ bool) (int, error) {
-			start := f.RoundsUsed()
-			nmDir, err := core.DirectionAgreement(f, nmDir)
-			if err != nil {
-				return 0, err
-			}
-			if _, err := core.LeaderElectWithNM(f, nmDir); err != nil {
-				return 0, err
-			}
-			return f.RoundsUsed() - start, nil
+		{NontrivialMove, LeaderElection, logN, "O(log N)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			end := since(f, k)
+			return core.DirectionAgreementStep(f, nmDir, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
+				return core.LeaderElectWithNMStep(f, nmDir, func(bool) (engine.Yield, engine.Cont) { return end() })
+			})
 		}},
-		{LeaderElection, NontrivialMove, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool) (int, error) {
-			start := f.RoundsUsed()
-			_, err := core.NontrivialMoveFromLeader(f, isLeader)
-			return f.RoundsUsed() - start, err
+		{LeaderElection, NontrivialMove, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			end := since(f, k)
+			return core.NontrivialMoveFromLeaderStep(f, isLeader, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
 		}},
-		{LeaderElection, DirectionAgreement, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool) (int, error) {
-			start := f.RoundsUsed()
-			dir, err := core.NontrivialMoveFromLeader(f, isLeader)
-			if err != nil {
-				return 0, err
-			}
-			if _, err := core.DirectionAgreement(f, dir); err != nil {
-				return 0, err
-			}
-			return f.RoundsUsed() - start, nil
+		{LeaderElection, DirectionAgreement, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			end := since(f, k)
+			return core.NontrivialMoveFromLeaderStep(f, isLeader, func(dir ring.Direction) (engine.Yield, engine.Cont) {
+				return core.DirectionAgreementStep(f, dir, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
+			})
 		}},
-		{DirectionAgreement, LeaderElection, daToLeaderBound(s, n, idBound), daToLeaderBoundStr(s), func(f *core.Frame, _ ring.Direction, _ bool) (int, error) {
-			start := f.RoundsUsed()
-			_, err := core.LeaderElectCommonSense(f)
-			return f.RoundsUsed() - start, err
+		{DirectionAgreement, LeaderElection, daToLeaderBound(s, n, idBound), daToLeaderBoundStr(s), func(f *core.Frame, _ ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			end := since(f, k)
+			return core.LeaderElectCommonSenseStep(f, func(bool) (engine.Yield, engine.Cont) { return end() })
 		}},
-		{DirectionAgreement, NontrivialMove, daToLeaderBound(s, n, idBound) + 1, daToLeaderBoundStr(s) + " + O(1)", func(f *core.Frame, _ ring.Direction, _ bool) (int, error) {
-			start := f.RoundsUsed()
-			isLeader, err := core.LeaderElectCommonSense(f)
-			if err != nil {
-				return 0, err
-			}
-			if _, err := core.NontrivialMoveFromLeader(f, isLeader); err != nil {
-				return 0, err
-			}
-			return f.RoundsUsed() - start, nil
+		{DirectionAgreement, NontrivialMove, daToLeaderBound(s, n, idBound) + 1, daToLeaderBoundStr(s) + " + O(1)", func(f *core.Frame, _ ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			end := since(f, k)
+			return core.LeaderElectCommonSenseStep(f, func(isLeader bool) (engine.Yield, engine.Cont) {
+				return core.NontrivialMoveFromLeaderStep(f, isLeader, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
+			})
 		}},
 	}
 
@@ -102,18 +94,19 @@ func MeasureReductions(s Setting, n, idBound int, seed int64) ([]Reduction, erro
 				maxID = nw.IDOf(i)
 			}
 		}
-		res, err := engine.Run(nw, func(a *engine.Agent) (int, error) {
-			f := core.NewFrame(a)
-			isLeader := a.ID() == maxID
-			var nmDir ring.Direction
-			if p.from == NontrivialMove {
-				var err error
-				nmDir, err = core.NontrivialMoveFromLeader(f, isLeader)
-				if err != nil {
-					return 0, err
+		res, err := engine.Run(ctx, nw, func(a *engine.Agent) *engine.Proto[int] {
+			return engine.NewProto(func(done func(int, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+				f := core.NewFrame(a)
+				isLeader := a.ID() == maxID
+				k := func(rounds int) (engine.Yield, engine.Cont) { return done(rounds, nil) }
+				if p.from == NontrivialMove {
+					return core.NontrivialMoveFromLeaderStep(f, isLeader, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
+						return p.measure(f, nmDir, isLeader, k)
+					})
 				}
-			}
-			return p.measure(f, nmDir, isLeader)
+				var nmDir ring.Direction
+				return p.measure(f, nmDir, isLeader, k)
+			})
 		})
 		if err != nil {
 			return nil, fmt.Errorf("eval: reduction %s->%s: %w", p.from, p.to, err)
@@ -161,7 +154,7 @@ type RingDistSample struct {
 
 // MeasureRingDist measures the number of rounds RingDist needs (after
 // coordination) in the perceptive model for each size.
-func MeasureRingDist(sizes []int, idBoundFactor int, seed int64) ([]RingDistSample, error) {
+func MeasureRingDist(ctx context.Context, sizes []int, idBoundFactor int, seed int64) ([]RingDistSample, error) {
 	if idBoundFactor <= 0 {
 		idBoundFactor = 4
 	}
@@ -173,20 +166,17 @@ func MeasureRingDist(sizes []int, idBoundFactor int, seed int64) ([]RingDistSamp
 		if err != nil {
 			return nil, err
 		}
-		res, err := engine.Run(nw, func(a *engine.Agent) (int, error) {
-			c, err := perceptive.Coordinate(a, perceptive.Options{Seed: seed})
-			if err != nil {
-				return 0, err
-			}
-			start := c.Frame.RoundsUsed()
-			link, err := rcomm.Establish(c.Frame)
-			if err != nil {
-				return 0, err
-			}
-			if _, _, err := perceptive.RingDist(link, c.IsLeader); err != nil {
-				return 0, err
-			}
-			return c.Frame.RoundsUsed() - start, nil
+		res, err := engine.Run(ctx, nw, func(a *engine.Agent) *engine.Proto[int] {
+			return engine.NewProto(func(done func(int, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+				return perceptive.CoordinateStep(a, perceptive.Options{Seed: seed}, func(c *core.Coordination) (engine.Yield, engine.Cont) {
+					start := c.Frame.RoundsUsed()
+					return rcomm.EstablishStep(c.Frame, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
+						return perceptive.RingDistStep(link, c.IsLeader, func(int, bool) (engine.Yield, engine.Cont) {
+							return done(c.Frame.RoundsUsed()-start, nil)
+						})
+					})
+				})
+			})
 		})
 		if err != nil {
 			return nil, fmt.Errorf("eval: ringdist n=%d: %w", n, err)

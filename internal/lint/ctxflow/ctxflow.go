@@ -18,8 +18,8 @@ var Analyzer = &analysis.Analyzer{
 
 A protocol run abandoned by its client must stop burning CPU within one
 simulated round; that only works when every layer hands the caller's context
-down (the class of gap the engine-v2 rewrite fixed by adding RunContext and
-threading ctx end to end).  Two rules:
+down (engine.Run takes the caller's context and checks it between
+crossings).  Two rules:
 
   - A function that receives a context.Context must not call
     context.Background() or context.TODO() anywhere in its body: a fresh

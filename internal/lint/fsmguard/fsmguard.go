@@ -1,5 +1,5 @@
-// Package fsmguard enforces the single-goroutine contract of the engine's v3
-// FSM scheduler: code reachable from a step handler must never block or
+// Package fsmguard enforces the single-goroutine contract of the engine's
+// scheduler: code reachable from a step handler must never block or
 // synchronise, because every machine in a scenario is stepped by one
 // scheduler goroutine and a blocked handler wedges the whole scenario.
 package fsmguard
@@ -22,7 +22,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "fsmguard",
 	Doc: `code reachable from FSM step handlers must not block or synchronise
 
-The v3 runtime (internal/engine fsm.go/sched.go) steps every agent's machine
+The engine (internal/engine fsm.go/sched.go) steps every agent's machine
 on a single scheduler goroutine: a yield is the only legal way to wait, and
 all engine state is mutated from that one goroutine, which is what entitles
 the scheduler to run without locks.  A step handler that spawns a goroutine,
@@ -36,9 +36,9 @@ written in), or the Machine shape Step(engine.Resume) (engine.Yield, bool).
 The analyzer walks the intra-package static call graph from those seeds and
 flags, anywhere in reachable code: go statements, channel operations and
 channel types, select statements, and references to sync or sync/atomic.
-Blocking wrappers that merely *build* a machine (RunStep/RunMachine callers)
-are not seeds; only the handler bodies and what they call are held to the
-contract.`,
+Code that merely *builds* or runs machines (a Proto constructor, the
+caller of engine.Run) is not a seed; only the handler bodies and what they
+call are held to the contract.`,
 	Run: run,
 }
 
@@ -92,8 +92,8 @@ func run(pass *analysis.Pass) error {
 	}
 
 	// BFS over static same-package calls.  Literal seeds contribute edges
-	// too: a blocking wrapper's inline continuation calls the Step form it
-	// wraps, which must then be scanned.
+	// too: an inline continuation calls the Step forms it composes, which
+	// must then be scanned.
 	follow := func(root ast.Node) {
 		ast.Inspect(root, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
@@ -145,7 +145,7 @@ func scan(pass *analysis.Pass, root ast.Node) {
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			pass.Reportf(n.Pos(), "go statement reachable from an FSM step handler (v3 machines run on one scheduler goroutine; spawn nothing)")
+			pass.Reportf(n.Pos(), "go statement reachable from an FSM step handler (machines run on one scheduler goroutine; spawn nothing)")
 		case *ast.SendStmt:
 			pass.Reportf(n.Pos(), "channel send reachable from an FSM step handler (yield to the scheduler instead of blocking)")
 		case *ast.UnaryExpr:
@@ -167,7 +167,7 @@ func scan(pass *analysis.Pass, root ast.Node) {
 	})
 }
 
-// isStepSig reports whether sig marks a v3 step handler: results including
+// isStepSig reports whether sig marks a step handler: results including
 // both engine.Yield and engine.Cont (the CPS form), or the Machine shape
 // Step(engine.Resume) (engine.Yield, bool).
 func isStepSig(sig *types.Signature) bool {

@@ -25,8 +25,8 @@ func pureHelper(n int, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, e
 }
 
 // blockingWrapper is NOT a step handler (it returns plain values), so its
-// synchronisation is legitimate — the v1/v2 runtimes are built from exactly
-// this kind of code.
+// synchronisation is legitimate — callers of engine.Run (servers, campaign
+// pools) are built from exactly this kind of code.
 func blockingWrapper() int {
 	var mu sync.Mutex
 	mu.Lock()

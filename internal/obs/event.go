@@ -66,8 +66,8 @@ const (
 	StorePeerHit  Type = "store.peer.hit"
 	StorePeerMiss Type = "store.peer.miss"
 
-	// Engine execution, sampled (one event per leapSampleEvery barrier
-	// crossings) with cumulative totals: per-crossing emission at millions of
+	// Engine execution, sampled (one event per leapSampleEvery crossings)
+	// with cumulative totals: per-crossing emission at millions of
 	// crossings per second would drown every subscriber.
 	EngineLeap Type = "engine.leap"
 
@@ -174,7 +174,7 @@ type Event struct {
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
 
-	// Engine totals (engine.leap: cumulative rounds and barrier crossings).
+	// Engine totals (engine.leap: cumulative rounds and crossings).
 	Crossings int64 `json:"crossings,omitempty"`
 
 	// Serving (serve.*).

@@ -71,13 +71,7 @@ func spanToOpposite(dirOf func(label int) ring.Direction, myLabel, n int, myDir 
 	return 0, false
 }
 
-// distancesResult carries Distances' result through the blocking wrapper.
-type distancesResult struct {
-	gaps   []int64
-	offset int
-}
-
-// Distances implements Algorithm 6 together with the equation bookkeeping
+// DistancesStep implements Algorithm 6 together with the equation bookkeeping
 // that the paper describes informally: every round contributes the dist()
 // equation (an arc of `rotation index` consecutive gaps) and, when the agent
 // collides, the coll() equation (the arc to the nearest oppositely-moving
@@ -93,22 +87,12 @@ type distancesResult struct {
 // gap vector; with the paper's schedule the loop exits immediately.
 //
 // Preconditions: perceptive model, common sense of direction, labels and n
-// known (RingDist + BroadcastSize), configuration equal to the reference
-// configuration the labels refer to.
+// known (RingDistStep + BroadcastSizeStep), configuration equal to the
+// reference configuration the labels refer to.
 //
-// Returns the leader-relative gap vector (g_j is the arc from the agent with
+// k receives the leader-relative gap vector (g_j is the arc from the agent with
 // label j+1 to the agent with label j+2) and the agent's final ring offset
 // from the reference configuration.
-func Distances(f *core.Frame, label, n int) (gaps []int64, finalOffset int, err error) {
-	r, err := engine.RunStep(f.Agent(), func(k func(distancesResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return DistancesStep(f, label, n, func(gaps []int64, offset int) (engine.Yield, engine.Cont) {
-			return k(distancesResult{gaps: gaps, offset: offset})
-		})
-	})
-	return r.gaps, r.offset, err
-}
-
-// DistancesStep is the machine form of Distances.
 func DistancesStep(f *core.Frame, label, n int, k func(gaps []int64, finalOffset int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if label < 1 || label > n || n < 5 {
 		return engine.Abort(fmt.Errorf("%w: label %d of %d", ErrProtocol, label, n))

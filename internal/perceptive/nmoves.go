@@ -23,7 +23,7 @@ var (
 	ErrProtocol       = errors.New("perceptive: protocol invariant violated")
 )
 
-// NMoveS implements Algorithm 4: the nontrivial move problem in
+// NMoveSStep implements Algorithm 4: the nontrivial move problem in
 // O(√n·log N) rounds without a common sense of direction.
 //
 // If the all-clockwise round is already nontrivial we are done.  Otherwise
@@ -36,15 +36,8 @@ var (
 // one leader, flipping exactly that leader yields a nontrivial move, which
 // every agent recognises with Lemma 2.
 //
-// The returned direction is this agent's direction, in its frame, in a round
-// known by every agent to be a nontrivial move.
-func NMoveS(f *core.Frame, seed int64) (ring.Direction, error) {
-	return engine.RunStep(f.Agent(), func(k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return NMoveSStep(f, seed, k)
-	})
-}
-
-// NMoveSStep is the machine form of NMoveS.
+// k receives this agent's direction, in its frame, in a round known by every
+// agent to be a nontrivial move.
 func NMoveSStep(f *core.Frame, seed int64, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if !f.Agent().Model().RevealsCollision() {
 		return engine.Abort(ErrNeedPerceptive)
@@ -135,16 +128,10 @@ type Options struct {
 	Seed int64
 }
 
-// Coordinate solves nontrivial move, direction agreement and leader election
-// in the perceptive model in O(√n·log N) rounds (Table I, last row), by
-// composing NMoveS with Algorithm 1 and Algorithm 2.
-func Coordinate(a *engine.Agent, opts Options) (*core.Coordination, error) {
-	return engine.RunMachine(a, CoordinateMachine(a, opts))
-}
-
-// CoordinateMachine builds the perceptive coordination pipeline as a resumable
-// machine for the engine's v3 scheduler; Coordinate drives the same machine
-// through the blocking dispatcher on the v1/v2 runtimes.
+// CoordinateMachine solves nontrivial move, direction agreement and leader
+// election in the perceptive model in O(√n·log N) rounds (Table I, last row),
+// by composing NMoveSStep with Algorithm 1 and Algorithm 2, as a resumable
+// machine for engine.Run.
 func CoordinateMachine(a *engine.Agent, opts Options) *engine.Proto[*core.Coordination] {
 	return engine.NewProto(func(done func(*core.Coordination, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		return CoordinateStep(a, opts, func(c *core.Coordination) (engine.Yield, engine.Cont) {
@@ -153,7 +140,8 @@ func CoordinateMachine(a *engine.Agent, opts Options) *engine.Proto[*core.Coordi
 	})
 }
 
-// CoordinateStep is the machine form of Coordinate.
+// CoordinateStep is CoordinateMachine's pipeline as a CPS step: k receives
+// the agent's Coordination.
 func CoordinateStep(a *engine.Agent, opts Options, k func(*core.Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f := core.NewFrame(a)
 	return NMoveSStep(f, opts.Seed, core.AgreeAndElect(f, k))

@@ -21,10 +21,9 @@ func TestNMoveSLocalLeaderHierarchy(t *testing.T) {
 				dir    ring.Direction
 				rounds int
 			}
-			res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
+			res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				f := core.NewFrame(a)
-				dir, err := NMoveS(f, 13)
-				return out{dir, f.RoundsUsed()}, err
+				return NMoveSStep(f, 13, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.RoundsUsed()}) })
 			})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
@@ -63,10 +62,9 @@ func TestNMoveSBalancedOrientations(t *testing.T) {
 		dir     ring.Direction
 		flipped bool
 	}
-	res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
+	res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		f := core.NewFrame(a)
-		dir, err := NMoveS(f, 2)
-		return out{dir, f.Flipped()}, err
+		return NMoveSStep(f, 2, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.Flipped()}) })
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package perceptive
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -10,6 +11,16 @@ import (
 	"ringsym/internal/rcomm"
 	"ringsym/internal/ring"
 )
+
+// run drives one machine per agent on nw: step is the agent's protocol in
+// continuation-passing form, handing its result to k.
+func run[T any](nw *engine.Network, step func(a *engine.Agent, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)) (*engine.Result[T], error) {
+	return engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[T] {
+		return engine.NewProto(func(done func(T, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return step(a, func(v T) (engine.Yield, engine.Cont) { return done(v, nil) })
+		})
+	})
+}
 
 func newNetwork(t *testing.T, opt netgen.Options) *engine.Network {
 	t.Helper()
@@ -45,9 +56,8 @@ func TestNMoveSRequiresPerceptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = engine.Run(nw, func(a *engine.Agent) (struct{}, error) {
-		_, err := NMoveS(core.NewFrame(a), 1)
-		return struct{}{}, err
+	_, err = run(nw, func(a *engine.Agent, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return NMoveSStep(core.NewFrame(a), 1, k)
 	})
 	if !errors.Is(err, ErrNeedPerceptive) {
 		t.Fatalf("got %v, want ErrNeedPerceptive", err)
@@ -67,10 +77,9 @@ func TestNMoveS(t *testing.T) {
 				dir     ring.Direction
 				flipped bool
 			}
-			res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
+			res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				f := core.NewFrame(a)
-				dir, err := NMoveS(f, 7)
-				return out{dir, f.Flipped()}, err
+				return NMoveSStep(f, 7, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.Flipped()}) })
 			})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
@@ -97,12 +106,10 @@ func TestCoordinate(t *testing.T) {
 			leader  bool
 			flipped bool
 		}
-		res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-			c, err := Coordinate(a, Options{Seed: 5})
-			if err != nil {
-				return out{}, err
-			}
-			return out{c.IsLeader, c.Frame.Flipped()}, nil
+		res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return CoordinateStep(a, Options{Seed: 5}, func(c *core.Coordination) (engine.Yield, engine.Cont) {
+				return k(out{c.IsLeader, c.Frame.Flipped()})
+			})
 		})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -127,7 +134,7 @@ func TestCoordinate(t *testing.T) {
 }
 
 // TestRingDistLabels verifies Algorithm 5: labels are the clockwise ring
-// distances from the leader (in the agreed direction), and BroadcastSize
+// distances from the leader (in the agreed direction), and BroadcastSizeStep
 // delivers n to everybody.
 func TestRingDistLabels(t *testing.T) {
 	for _, n := range []int{6, 8, 11, 16} {
@@ -140,24 +147,16 @@ func TestRingDistLabels(t *testing.T) {
 			size    int
 			flipped bool
 		}
-		res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-			c, err := Coordinate(a, Options{Seed: 9})
-			if err != nil {
-				return out{}, err
-			}
-			link, err := rcomm.Establish(c.Frame)
-			if err != nil {
-				return out{}, err
-			}
-			label, isLast, err := RingDist(link, c.IsLeader)
-			if err != nil {
-				return out{}, err
-			}
-			size, err := BroadcastSize(c.Frame, isLast, label)
-			if err != nil {
-				return out{}, err
-			}
-			return out{c.IsLeader, label, size, c.Frame.Flipped()}, nil
+		res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return CoordinateStep(a, Options{Seed: 9}, func(c *core.Coordination) (engine.Yield, engine.Cont) {
+				return rcomm.EstablishStep(c.Frame, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
+					return RingDistStep(link, c.IsLeader, func(label int, isLast bool) (engine.Yield, engine.Cont) {
+						return BroadcastSizeStep(c.Frame, isLast, label, func(size int) (engine.Yield, engine.Cont) {
+							return k(out{c.IsLeader, label, size, c.Frame.Flipped()})
+						})
+					})
+				})
+			})
 		})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -198,16 +197,8 @@ func TestLocationDiscovery(t *testing.T) {
 			nw := newNetwork(t, netgen.Options{
 				N: n, IDBound: 128, Seed: seed*31 + int64(n), MixedChirality: true, ForceSplitChirality: true,
 			})
-			type out struct {
-				res     *DiscoveryResult
-				flipped bool
-			}
-			run, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-				r, err := LocationDiscovery(a, Options{Seed: 3})
-				if err != nil {
-					return out{}, err
-				}
-				return out{res: r}, nil
+			run, err := engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[*DiscoveryResult] {
+				return LocationDiscoveryMachine(a, Options{Seed: 3})
 			})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
@@ -215,8 +206,7 @@ func TestLocationDiscovery(t *testing.T) {
 			pos := nw.InitialPositions()
 			circ := nw.Circ()
 			leaders := 0
-			for i, o := range run.Outputs {
-				r := o.res
+			for i, r := range run.Outputs {
 				if r.IsLeader {
 					leaders++
 				}
@@ -261,9 +251,8 @@ func TestLocationDiscovery(t *testing.T) {
 
 func TestDistancesValidation(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 6, Seed: 2})
-	_, err := engine.Run(nw, func(a *engine.Agent) (struct{}, error) {
-		_, _, err := Distances(core.NewFrame(a), 0, 6)
-		return struct{}{}, err
+	_, err := run(nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return DistancesStep(core.NewFrame(a), 0, 6, func(_ []int64, offset int) (engine.Yield, engine.Cont) { return k(offset) })
 	})
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("got %v, want ErrProtocol", err)

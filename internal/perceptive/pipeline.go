@@ -31,19 +31,13 @@ type DiscoveryResult struct {
 	RoundsDistances    int
 }
 
-// LocationDiscovery implements Theorem 42: location discovery in the
+// LocationDiscoveryMachine implements Theorem 42: location discovery in the
 // perceptive model in n/2 + O(√n·log²N) rounds for even n (the paper's
 // setting; odd n is handled by the lazy-model style sweep in
-// internal/discovery).  The pipeline is: NMoveS → direction agreement →
-// leader election → neighbour re-discovery in the agreed frame → RingDist →
-// size broadcast → Distances → per-agent solution of the arc equations.
-func LocationDiscovery(a *engine.Agent, opts Options) (*DiscoveryResult, error) {
-	return engine.RunMachine(a, LocationDiscoveryMachine(a, opts))
-}
-
-// LocationDiscoveryMachine builds the full location-discovery pipeline as a
-// resumable machine for the engine's v3 scheduler; LocationDiscovery drives
-// the same machine through the blocking dispatcher on the v1/v2 runtimes.
+// internal/discovery), as a resumable machine for engine.Run.  The pipeline
+// is: NMoveS → direction agreement → leader election → neighbour
+// re-discovery in the agreed frame → RingDist → size broadcast → Distances →
+// per-agent solution of the arc equations.
 func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*DiscoveryResult] {
 	return engine.NewProto(func(done func(*DiscoveryResult, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		return LocationDiscoveryStep(a, opts, func(r *DiscoveryResult) (engine.Yield, engine.Cont) {
@@ -52,7 +46,8 @@ func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*Disc
 	})
 }
 
-// LocationDiscoveryStep is the machine form of LocationDiscovery.
+// LocationDiscoveryStep is LocationDiscoveryMachine's pipeline as a CPS
+// step: k receives the agent's result.
 func LocationDiscoveryStep(a *engine.Agent, opts Options, k func(*DiscoveryResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	return CoordinateStep(a, opts, func(coord *core.Coordination) (engine.Yield, engine.Cont) {
 		f := coord.Frame

@@ -18,12 +18,7 @@ type SideInfo struct {
 	Hops int
 }
 
-// sidePair carries both sides' results through the blocking wrappers.
-type sidePair struct {
-	left, right SideInfo
-}
-
-// Disseminate implements the information dissemination task of
+// DisseminateStep implements the information dissemination task of
 // Corollary 33/34: every source agent floods its payload up to the given ring
 // distance in both directions, hop by hop.  Each agent learns, for each of
 // its two sides, the payload and ring distance of the nearest source on that
@@ -33,16 +28,6 @@ type sidePair struct {
 // Cost: distance relay steps of 8·(1+payloadBits+hopBits) rounds each, i.e.
 // O(distance · payloadBits) rounds.  The configuration is restored
 // afterwards.
-func (l *Link) Disseminate(isSource bool, payload uint64, payloadBits, distance int) (left, right SideInfo, err error) {
-	p, err := engine.RunStep(l.frame.Agent(), func(k func(sidePair) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return l.DisseminateStep(isSource, payload, payloadBits, distance, func(left, right SideInfo) (engine.Yield, engine.Cont) {
-			return k(sidePair{left: left, right: right})
-		})
-	})
-	return p.left, p.right, err
-}
-
-// DisseminateStep is the machine form of Disseminate.
 func (l *Link) DisseminateStep(isSource bool, payload uint64, payloadBits, distance int, k func(left, right SideInfo) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if distance < 1 {
 		return engine.Abort(fmt.Errorf("rcomm: dissemination distance must be positive, got %d", distance))
@@ -106,28 +91,12 @@ func relay(w uint64, dec func(uint64) (bool, uint64, int), enc func(bool, uint64
 	return enc(true, payload, hops+1)
 }
 
-// maxResult carries AggregateMax's result through the blocking wrapper.
-type maxResult struct {
-	max   uint64
-	found bool
-}
-
-// AggregateMax floods source values up to the given ring distance and returns
-// the maximum value among all sources within that distance of this agent
-// (including the agent itself when it is a source).  found reports whether
-// any such source exists.
+// AggregateMaxStep floods source values up to the given ring distance and
+// hands k the maximum value among all sources within that distance of this
+// agent (including the agent itself when it is a source).  found reports
+// whether any such source exists.
 //
 // Cost: distance relay steps of 8·(1+valueBits) rounds each.
-func (l *Link) AggregateMax(isSource bool, value uint64, valueBits, distance int) (max uint64, found bool, err error) {
-	r, err := engine.RunStep(l.frame.Agent(), func(k func(maxResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return l.AggregateMaxStep(isSource, value, valueBits, distance, func(max uint64, found bool) (engine.Yield, engine.Cont) {
-			return k(maxResult{max: max, found: found})
-		})
-	})
-	return r.max, r.found, err
-}
-
-// AggregateMaxStep is the machine form of AggregateMax.
 func (l *Link) AggregateMaxStep(isSource bool, value uint64, valueBits, distance int, k func(max uint64, found bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if distance < 1 {
 		return engine.Abort(fmt.Errorf("rcomm: aggregation distance must be positive, got %d", distance))
@@ -164,7 +133,7 @@ type aggregateMax struct {
 	onWordsFn                   func(fromLeft, fromRight uint64) (engine.Yield, engine.Cont)
 }
 
-// encMax encodes an AggregateMax message: a presence bit, then the value.
+// encMax encodes an AggregateMaxStep message: a presence bit, then the value.
 func encMax(present bool, v uint64) uint64 {
 	if !present {
 		return 0

@@ -40,17 +40,8 @@ func NewLink(f *core.Frame, nb Neighbors) *Link {
 	return &Link{frame: f, nb: nb}
 }
 
-// Establish runs neighbour discovery and returns a ready-to-use Link
+// EstablishStep runs neighbour discovery and hands k a ready-to-use Link
 // (Corollary 32's O(log N) preprocessing).
-func Establish(f *core.Frame) (*Link, error) {
-	nb, err := NeighborDiscovery(f)
-	if err != nil {
-		return nil, err
-	}
-	return NewLink(f, nb), nil
-}
-
-// EstablishStep is the machine form of Establish.
 func EstablishStep(f *core.Frame, k func(*Link) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	return NeighborDiscoveryStep(f, func(nb Neighbors) (engine.Yield, engine.Cont) {
 		return k(NewLink(f, nb))
@@ -63,16 +54,17 @@ func (l *Link) Frame() *core.Frame { return l.frame }
 // Neighbors returns the neighbour information the link was built from.
 func (l *Link) Neighbors() Neighbors { return l.nb }
 
-// ExchangeBit implements Proposition 31: the agent transmits one bit to both
-// neighbours and learns the bit transmitted by each of them.  Cost: 4 rounds
-// (two information rounds, each followed by a reversed round), submitted as
-// one leap batch.
-func (l *Link) ExchangeBit(bit int) (left, right int, err error) {
+// ExchangeBitStep implements Proposition 31: the agent transmits one bit to
+// both neighbours and k receives the bit transmitted by each of them.  Cost:
+// 4 rounds (two information rounds, each followed by a reversed round),
+// submitted as one leap batch.
+func (l *Link) ExchangeBitStep(bit int, k func(left, right int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if bit != 0 && bit != 1 {
-		return 0, 0, fmt.Errorf("rcomm: bit must be 0 or 1, got %d", bit)
+		return engine.Abort(fmt.Errorf("rcomm: bit must be 0 or 1, got %d", bit))
 	}
-	lw, rw, err := l.ExchangeWord(uint64(bit), 1)
-	return int(lw), int(rw), err
+	return l.ExchangeWordStep(uint64(bit), 1, func(left, right uint64) (engine.Yield, engine.Cont) {
+		return k(int(left), int(right))
+	})
 }
 
 // appendBitSchedule appends the 4-round schedule of one bit exchange: the
@@ -132,30 +124,15 @@ func decodeNeighbourBit(round int, towards, movedCWTowardsUs bool) int {
 	return 0
 }
 
-// wordPair carries the two directions' words through the blocking wrappers.
-type wordPair struct {
-	left, right uint64
-}
-
-// ExchangeWord transmits a word of the given width (LSB first) to both
-// neighbours and returns the words received from the left and right
+// ExchangeWordStep transmits a word of the given width (LSB first) to both
+// neighbours and hands k the words received from the left and right
 // neighbours.  Cost: 4·bits rounds.
 //
 // The whole schedule depends only on the agent's own word, so all 4·bits
-// rounds are submitted as one leap batch — one barrier crossing per word
+// rounds are submitted as one leap batch — one crossing per word
 // exchange instead of one per round — and the bits are decoded from the
 // returned trace.  The round sequence is identical to bit-by-bit exchange,
 // so the configuration-restoring property is preserved.
-func (l *Link) ExchangeWord(word uint64, bits int) (left, right uint64, err error) {
-	p, err := engine.RunStep(l.frame.Agent(), func(k func(wordPair) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return l.ExchangeWordStep(word, bits, func(left, right uint64) (engine.Yield, engine.Cont) {
-			return k(wordPair{left: left, right: right})
-		})
-	})
-	return p.left, p.right, err
-}
-
-// ExchangeWordStep is the machine form of ExchangeWord.
 func (l *Link) ExchangeWordStep(word uint64, bits int, k func(left, right uint64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if bits <= 0 || bits > 63 {
 		return engine.Abort(fmt.Errorf("%w: %d bits", ErrBadBits, bits))
@@ -189,19 +166,9 @@ func (l *Link) onWordTrace(trace []engine.Observation) (engine.Yield, engine.Con
 	return k(left, right)
 }
 
-// Exchange transmits possibly different words to the left and right
-// neighbours (each of the given width) and returns the words each neighbour
+// ExchangeStep transmits possibly different words to the left and right
+// neighbours (each of the given width) and hands k the words each neighbour
 // addressed to this agent.  Cost: 8·bits rounds.
-func (l *Link) Exchange(toLeft, toRight uint64, bits int) (fromLeft, fromRight uint64, err error) {
-	p, err := engine.RunStep(l.frame.Agent(), func(k func(wordPair) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return l.ExchangeStep(toLeft, toRight, bits, func(fromLeft, fromRight uint64) (engine.Yield, engine.Cont) {
-			return k(wordPair{left: fromLeft, right: fromRight})
-		})
-	})
-	return p.left, p.right, err
-}
-
-// ExchangeStep is the machine form of Exchange.
 func (l *Link) ExchangeStep(toLeft, toRight uint64, bits int, k func(fromLeft, fromRight uint64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if bits <= 0 || 2*bits > 62 {
 		return engine.Abort(fmt.Errorf("%w: %d bits per side", ErrBadBits, bits))

@@ -49,7 +49,7 @@ type Neighbors struct {
 	LeftSameSense bool
 }
 
-// NeighborDiscovery implements Algorithm 3.  Every agent probes its
+// NeighborDiscoveryStep implements Algorithm 3.  Every agent probes its
 // neighbourhood for O(log N) paired rounds; because any two identifiers
 // differ in some bit, each agent is guaranteed a round in which it moves
 // towards each neighbour while that neighbour moves towards it, which pins
@@ -58,13 +58,6 @@ type Neighbors struct {
 // all-anticlockwise round reveals the neighbour's relative orientation.
 //
 // Cost: 4·⌈log2 N⌉ + 4 rounds.  Positions are restored afterwards.
-func NeighborDiscovery(f *core.Frame) (Neighbors, error) {
-	return engine.RunStep(f.Agent(), func(k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return NeighborDiscoveryStep(f, k)
-	})
-}
-
-// NeighborDiscoveryStep is the machine form of NeighborDiscovery.
 func NeighborDiscoveryStep(f *core.Frame, k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if !f.Agent().Model().RevealsCollision() {
 		return engine.Abort(ErrNeedPerceptive)

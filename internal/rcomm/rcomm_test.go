@@ -1,6 +1,7 @@
 package rcomm
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -9,6 +10,42 @@ import (
 	"ringsym/internal/netgen"
 	"ringsym/internal/ring"
 )
+
+// run drives one machine per agent on nw: step is the agent's protocol in
+// continuation-passing form, handing its result to k.
+func run[T any](nw *engine.Network, step func(a *engine.Agent, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)) (*engine.Result[T], error) {
+	return engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[T] {
+		return engine.NewProto(func(done func(T, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return step(a, func(v T) (engine.Yield, engine.Cont) { return done(v, nil) })
+		})
+	})
+}
+
+// withLink is run with every agent's step starting on an established Link.
+func withLink[T any](nw *engine.Network, step func(a *engine.Agent, l *Link, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)) (*engine.Result[T], error) {
+	return run(nw, func(a *engine.Agent, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return EstablishStep(core.NewFrame(a), func(l *Link) (engine.Yield, engine.Cont) { return step(a, l, k) })
+	})
+}
+
+// rejects runs each case as its own protocol on nw — link establishment, then
+// the case's operation — and requires the operation to fail the run, after
+// checking that link establishment alone succeeds on nw.
+func rejects(t *testing.T, nw *engine.Network, cases map[string]func(l *Link) (engine.Yield, engine.Cont)) {
+	t.Helper()
+	if _, err := withLink(nw, func(_ *engine.Agent, _ *Link, k func(struct{}) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return k(struct{}{})
+	}); err != nil {
+		t.Fatalf("link establishment: %v", err)
+	}
+	for name, op := range cases {
+		if _, err := withLink(nw, func(_ *engine.Agent, l *Link, _ func(struct{}) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return op(l)
+		}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
 
 func newNetwork(t *testing.T, opt netgen.Options) *engine.Network {
 	t.Helper()
@@ -50,8 +87,8 @@ func trueGapTo(nw *engine.Network, i int, right bool) int64 {
 func TestNeighborDiscovery(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		nw := newNetwork(t, netgen.Options{N: 9, IDBound: 64, Seed: seed, MixedChirality: true, ForceSplitChirality: true})
-		res, err := engine.Run(nw, func(a *engine.Agent) (Neighbors, error) {
-			return NeighborDiscovery(core.NewFrame(a))
+		res, err := run(nw, func(a *engine.Agent, k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return NeighborDiscoveryStep(core.NewFrame(a), k)
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -89,8 +126,8 @@ func TestNeighborDiscoveryRequiresPerceptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = engine.Run(nw, func(a *engine.Agent) (Neighbors, error) {
-		return NeighborDiscovery(core.NewFrame(a))
+	_, err = run(nw, func(a *engine.Agent, k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return NeighborDiscoveryStep(core.NewFrame(a), k)
 	})
 	if !errors.Is(err, ErrNeedPerceptive) {
 		t.Fatalf("got %v, want ErrNeedPerceptive", err)
@@ -104,13 +141,8 @@ func TestExchangeBit(t *testing.T) {
 		type out struct {
 			left, right int
 		}
-		res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-			link, err := Establish(core.NewFrame(a))
-			if err != nil {
-				return out{}, err
-			}
-			l, r, err := link.ExchangeBit(myBit(a.ID()))
-			return out{l, r}, err
+		res, err := withLink(nw, func(a *engine.Agent, link *Link, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return link.ExchangeBitStep(myBit(a.ID()), func(l, r int) (engine.Yield, engine.Cont) { return k(out{l, r}) })
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -130,17 +162,11 @@ func TestExchangeBit(t *testing.T) {
 
 func TestExchangeBitValidation(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 6, Seed: 2})
-	_, err := engine.Run(nw, func(a *engine.Agent) (struct{}, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return struct{}{}, err
-		}
-		_, _, err = link.ExchangeBit(7)
-		return struct{}{}, err
+	rejects(t, nw, map[string]func(l *Link) (engine.Yield, engine.Cont){
+		"bit=7": func(l *Link) (engine.Yield, engine.Cont) {
+			return l.ExchangeBitStep(7, func(int, int) (engine.Yield, engine.Cont) { return engine.Abort(nil) })
+		},
 	})
-	if err == nil {
-		t.Fatal("bit=7 accepted")
-	}
 }
 
 func TestExchangeWordAndExchange(t *testing.T) {
@@ -150,21 +176,14 @@ func TestExchangeWordAndExchange(t *testing.T) {
 		wordLeft, wordRight uint64
 		fromLeft, fromRight uint64
 	}
-	res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return out{}, err
-		}
-		wl, wr, err := link.ExchangeWord(uint64(a.ID()), bits)
-		if err != nil {
-			return out{}, err
-		}
-		// Directed exchange: send ID+1 to the left neighbour, ID+2 to the right.
-		fl, fr, err := link.Exchange(uint64(a.ID()+1), uint64(a.ID()+2), bits+2)
-		if err != nil {
-			return out{}, err
-		}
-		return out{wl, wr, fl, fr}, nil
+	res, err := withLink(nw, func(a *engine.Agent, link *Link, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return link.ExchangeWordStep(uint64(a.ID()), bits, func(wl, wr uint64) (engine.Yield, engine.Cont) {
+			// Directed exchange: send ID+1 to the left neighbour, ID+2 to
+			// the right.
+			return link.ExchangeStep(uint64(a.ID()+1), uint64(a.ID()+2), bits+2, func(fl, fr uint64) (engine.Yield, engine.Cont) {
+				return k(out{wl, wr, fl, fr})
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,13 +232,10 @@ func TestDisseminate(t *testing.T) {
 	type out struct {
 		left, right SideInfo
 	}
-	res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return out{}, err
-		}
-		l, r, err := link.Disseminate(isSource(a.ID()), uint64(a.ID()), 8, distance)
-		return out{l, r}, err
+	res, err := withLink(nw, func(a *engine.Agent, link *Link, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return link.DisseminateStep(isSource(a.ID()), uint64(a.ID()), 8, distance, func(l, r SideInfo) (engine.Yield, engine.Cont) {
+			return k(out{l, r})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,22 +289,15 @@ func TestDisseminateSparse(t *testing.T) {
 	for i := 0; i < nw.N(); i++ {
 		idxOf[nw.IDOf(i)] = i
 	}
-	res, err := engine.Run(nw, func(a *engine.Agent) (out, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return out{}, err
-		}
+	res, err := withLink(nw, func(a *engine.Agent, link *Link, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		me := idxOf[a.ID()]
 		before := a.RoundsUsed()
-		l, r, err := link.DisseminateSparse(isSource(me), uint64(a.ID()), payloadBits, distance)
-		if err != nil {
-			return out{}, err
-		}
-		mid := a.RoundsUsed()
-		if _, _, err := link.Disseminate(isSource(me), uint64(a.ID()), payloadBits, distance); err != nil {
-			return out{}, err
-		}
-		return out{l, r, mid - before, a.RoundsUsed() - mid}, nil
+		return link.DisseminateSparseStep(isSource(me), uint64(a.ID()), payloadBits, distance, func(l, r SideInfo) (engine.Yield, engine.Cont) {
+			mid := a.RoundsUsed()
+			return link.DisseminateStep(isSource(me), uint64(a.ID()), payloadBits, distance, func(SideInfo, SideInfo) (engine.Yield, engine.Cont) {
+				return k(out{l, r, mid - before, a.RoundsUsed() - mid})
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,60 +332,35 @@ func TestDisseminateSparse(t *testing.T) {
 
 func TestDisseminateSparseValidation(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 6, Seed: 9})
-	_, err := engine.Run(nw, func(a *engine.Agent) (struct{}, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return struct{}{}, err
+	sparse := func(payloadBits, distance int) func(l *Link) (engine.Yield, engine.Cont) {
+		return func(l *Link) (engine.Yield, engine.Cont) {
+			return l.DisseminateSparseStep(false, 0, payloadBits, distance, func(SideInfo, SideInfo) (engine.Yield, engine.Cont) { return engine.Abort(nil) })
 		}
-		if _, _, err := link.DisseminateSparse(false, 0, 8, 0); err == nil {
-			return struct{}{}, errors.New("distance 0 accepted")
-		}
-		if _, _, err := link.DisseminateSparse(false, 0, 0, 2); err == nil {
-			return struct{}{}, errors.New("payloadBits 0 accepted")
-		}
-		if _, _, err := link.DisseminateSparse(false, 0, 61, 2); err == nil {
-			return struct{}{}, errors.New("oversized payload accepted")
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	rejects(t, nw, map[string]func(l *Link) (engine.Yield, engine.Cont){
+		"distance 0":        sparse(8, 0),
+		"payloadBits 0":     sparse(0, 2),
+		"oversized payload": sparse(61, 2),
+	})
 }
 
 func TestDisseminateValidation(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 6, Seed: 3})
-	_, err := engine.Run(nw, func(a *engine.Agent) (struct{}, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return struct{}{}, err
-		}
-		if _, _, err := link.Disseminate(false, 0, 8, 0); err == nil {
-			return struct{}{}, errors.New("distance 0 accepted")
-		}
-		if _, _, err := link.Disseminate(false, 0, 0, 3); err == nil {
-			return struct{}{}, errors.New("payloadBits 0 accepted")
-		}
-		if _, _, err := link.Disseminate(false, 0, 40, 3); err == nil {
-			return struct{}{}, errors.New("oversized message accepted")
-		}
-		if _, _, err := link.AggregateMax(false, 0, 0, 3); err == nil {
-			return struct{}{}, errors.New("valueBits 0 accepted")
-		}
-		if _, _, err := link.AggregateMax(false, 0, 8, 0); err == nil {
-			return struct{}{}, errors.New("aggregate distance 0 accepted")
-		}
-		if _, _, err := link.ExchangeWord(0, 0); err == nil {
-			return struct{}{}, errors.New("0-bit word accepted")
-		}
-		if _, _, err := link.Exchange(0, 0, 40); err == nil {
-			return struct{}{}, errors.New("oversized exchange accepted")
-		}
-		return struct{}{}, nil
+	sides := func(SideInfo, SideInfo) (engine.Yield, engine.Cont) { return engine.Abort(nil) }
+	words := func(uint64, uint64) (engine.Yield, engine.Cont) { return engine.Abort(nil) }
+	rejects(t, nw, map[string]func(l *Link) (engine.Yield, engine.Cont){
+		"distance 0":        func(l *Link) (engine.Yield, engine.Cont) { return l.DisseminateStep(false, 0, 8, 0, sides) },
+		"payloadBits 0":     func(l *Link) (engine.Yield, engine.Cont) { return l.DisseminateStep(false, 0, 0, 3, sides) },
+		"oversized message": func(l *Link) (engine.Yield, engine.Cont) { return l.DisseminateStep(false, 0, 40, 3, sides) },
+		"valueBits 0": func(l *Link) (engine.Yield, engine.Cont) {
+			return l.AggregateMaxStep(false, 0, 0, 3, func(uint64, bool) (engine.Yield, engine.Cont) { return engine.Abort(nil) })
+		},
+		"aggregate distance 0": func(l *Link) (engine.Yield, engine.Cont) {
+			return l.AggregateMaxStep(false, 0, 8, 0, func(uint64, bool) (engine.Yield, engine.Cont) { return engine.Abort(nil) })
+		},
+		"0-bit word":         func(l *Link) (engine.Yield, engine.Cont) { return l.ExchangeWordStep(0, 0, words) },
+		"oversized exchange": func(l *Link) (engine.Yield, engine.Cont) { return l.ExchangeStep(0, 0, 40, words) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestAggregateMax(t *testing.T) {
@@ -384,19 +368,13 @@ func TestAggregateMax(t *testing.T) {
 	const distance = 2
 	// Every agent is a source with its own ID: the aggregate is the maximum
 	// ID within ring distance 2 (in either direction).
-	res, err := engine.Run(nw, func(a *engine.Agent) (uint64, error) {
-		link, err := Establish(core.NewFrame(a))
-		if err != nil {
-			return 0, err
-		}
-		max, found, err := link.AggregateMax(true, uint64(a.ID()), 9, distance)
-		if err != nil {
-			return 0, err
-		}
-		if !found {
-			return 0, errors.New("aggregate found nothing")
-		}
-		return max, nil
+	res, err := withLink(nw, func(a *engine.Agent, link *Link, k func(uint64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return link.AggregateMaxStep(true, uint64(a.ID()), 9, distance, func(max uint64, found bool) (engine.Yield, engine.Cont) {
+			if !found {
+				return engine.Abort(errors.New("aggregate found nothing"))
+			}
+			return k(max)
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

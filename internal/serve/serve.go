@@ -41,7 +41,7 @@
 // unboundedly: when the count of scenarios queued or running on the pool
 // reaches the cap, /v1/run and /v1/campaign answer 429 with a Retry-After
 // header (counted in /metrics as throttled) rather than parking another
-// handler on the pool.  Clients — the fleet dispatcher among them — are
+// handler on the pool.  Clients — the fleet coordinator among them — are
 // expected to back off and retry.
 //
 // With Options.Pprof, the net/http/pprof handlers are additionally served
@@ -653,9 +653,9 @@ type Metrics struct {
 	Cancelled        uint64  `json:"cancelled"`
 	RecordsPerSecond float64 `json:"records_per_second"`
 	// Engine exposes the round runtime's process-wide execution counters:
-	// rounds executed, leap batches (barrier crossings) executed and the mean
+	// rounds executed, leap batches (crossings) executed and the mean
 	// rounds per crossing — the live measure of how much leap execution is
-	// collapsing barrier traffic for the scenarios this daemon serves.
+	// collapsing crossings for the scenarios this daemon serves.
 	Engine engine.Counters `json:"engine"`
 	// CacheRequests counts accepted GET /v1/cache/<key> lookups (the fleet
 	// peering endpoint); always 0 without a store.

@@ -14,14 +14,14 @@
 // This package is the public facade over the full implementation:
 //
 //   - Network wraps a simulated ring of agents (exact integer geometry; the
-//     default runtime steps every agent's protocol as a resumable state
-//     machine on one scheduler goroutine, with the older goroutine-per-agent
-//     runtimes selectable per call);
+//     engine steps every agent's protocol as a resumable state machine on
+//     one scheduler goroutine);
 //   - Coordinate runs the symmetry-breaking pipeline of the paper
 //     (nontrivial move → direction agreement → leader election);
 //   - DiscoverLocations runs location discovery with the best algorithm for
 //     the model and parity (Lemma 16 or Theorem 42);
-//   - Run exposes the raw per-agent runtime for custom protocols.
+//   - Engine exposes the underlying network, on which engine.Run executes
+//     custom protocols.
 //
 // The sub-packages under internal/ contain the substrates (geometry, physics,
 // engine, combinatorics, communication layer) and the individual algorithms;
@@ -67,28 +67,6 @@ const (
 
 // Agent is the handle a protocol uses to act in the network.
 type Agent = engine.Agent
-
-// Runtime selects the synchronisation substrate a pipeline runs on.  All
-// runtimes produce byte-identical observations, outputs and round counts;
-// they differ only in scheduling cost.
-type Runtime = engine.Runtime
-
-// Runtimes.
-const (
-	// RuntimeDefault resolves to the process-wide default (the FSM scheduler
-	// unless overridden with SetDefaultRuntime).
-	RuntimeDefault = engine.RuntimeDefault
-	// RuntimeFSM is the v3 single-goroutine scheduler over resumable state
-	// machines.
-	RuntimeFSM = engine.RuntimeFSM
-	// RuntimeBarrier is the v2 goroutine-per-agent barrier runtime.
-	RuntimeBarrier = engine.RuntimeBarrier
-	// RuntimeLegacy is the v1 channel-rendezvous runtime (no cancellation).
-	RuntimeLegacy = engine.RuntimeLegacy
-)
-
-// SetDefaultRuntime changes what RuntimeDefault resolves to, process-wide.
-func SetDefaultRuntime(rt Runtime) { engine.SetDefaultRuntime(rt) }
 
 // Observation is what an agent learns at the end of a round.
 type Observation = engine.Observation
@@ -218,27 +196,9 @@ func (n *Network) InitialPositions() []int64 { return n.nw.InitialPositions() }
 // index.
 func (n *Network) CurrentPositions() []int64 { return n.nw.CurrentPositions() }
 
-// Engine exposes the underlying runtime for advanced uses (custom protocols
-// via Run).
+// Engine exposes the underlying engine network for advanced uses (custom
+// protocols via engine.Run).
 func (n *Network) Engine() *engine.Network { return n.nw }
-
-// Run executes a custom per-agent protocol on every agent concurrently and
-// returns the outputs by ring index together with the number of rounds used.
-func Run[T any](n *Network, protocol func(a *Agent) (T, error)) ([]T, int, error) {
-	return RunContext(context.Background(), n, protocol)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled, the in-flight
-// round is aborted and every agent's pending Round call returns an error
-// wrapping ctx.Err() within one round, instead of the run continuing until
-// the protocol terminates or the round bound is hit.
-func RunContext[T any](ctx context.Context, n *Network, protocol func(a *Agent) (T, error)) ([]T, int, error) {
-	res, err := engine.RunContext(ctx, n.nw, protocol)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Outputs, res.Rounds, nil
-}
 
 // CoordinationOptions configures Coordinate.
 type CoordinationOptions struct {
@@ -248,11 +208,10 @@ type CoordinationOptions struct {
 	CommonSense bool
 	// Seed drives the pseudo-random schedules used for even n.
 	Seed int64
-	// UsePerceptiveAlgorithms selects the O(√n·log N) Section V algorithms
-	// when the model is perceptive (default true for perceptive networks).
+	// DisablePerceptiveAlgorithms makes a perceptive network use the
+	// basic-model algorithms instead of the O(√n·log N) Section V ones
+	// (default false: perceptive networks use Section V).
 	DisablePerceptiveAlgorithms bool
-	// Runtime selects the engine runtime (default: the FSM scheduler).
-	Runtime Runtime `json:"-"`
 }
 
 // AgentCoordination is one agent's coordination outcome.
@@ -285,48 +244,18 @@ func (n *Network) Coordinate(opts CoordinationOptions) (*CoordinationResult, err
 // the pipeline within one round.
 func (n *Network) CoordinateContext(ctx context.Context, opts CoordinationOptions) (*CoordinationResult, error) {
 	usePerceptive := n.Model() == Perceptive && !opts.DisablePerceptiveAlgorithms && !opts.CommonSense
-	var (
-		outputs []*core.Coordination
-		rounds  int
-		err     error
-	)
-	switch opts.Runtime.Resolve() {
-	case engine.RuntimeFSM:
-		var res *engine.Result[*core.Coordination]
-		res, err = engine.RunFSMContext(ctx, n.nw, func(a *Agent) *engine.Proto[*core.Coordination] {
-			if usePerceptive {
-				return perceptive.CoordinateMachine(a, perceptive.Options{Seed: opts.Seed})
-			}
-			return core.CoordinateMachine(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed})
-		})
-		if res != nil {
-			outputs, rounds = res.Outputs, res.Rounds
+	run, err := engine.Run(ctx, n.nw, func(a *Agent) *engine.Proto[*core.Coordination] {
+		if usePerceptive {
+			return perceptive.CoordinateMachine(a, perceptive.Options{Seed: opts.Seed})
 		}
-	case engine.RuntimeLegacy:
-		var res *engine.Result[*core.Coordination]
-		res, err = engine.RunLegacy(n.nw, func(a *Agent) (*core.Coordination, error) {
-			if usePerceptive {
-				return perceptive.Coordinate(a, perceptive.Options{Seed: opts.Seed})
-			}
-			return core.Coordinate(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed})
-		})
-		if res != nil {
-			outputs, rounds = res.Outputs, res.Rounds
-		}
-	default:
-		outputs, rounds, err = RunContext(ctx, n, func(a *Agent) (*core.Coordination, error) {
-			if usePerceptive {
-				return perceptive.Coordinate(a, perceptive.Options{Seed: opts.Seed})
-			}
-			return core.Coordinate(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed})
-		})
-	}
+		return core.CoordinateMachine(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed})
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := &CoordinationResult{Rounds: rounds, PerAgent: make([]AgentCoordination, len(outputs))}
+	res := &CoordinationResult{Rounds: run.Rounds, PerAgent: make([]AgentCoordination, len(run.Outputs))}
 	leaders := 0
-	for i, c := range outputs {
+	for i, c := range run.Outputs {
 		res.PerAgent[i] = AgentCoordination{
 			ID:               n.nw.IDOf(i),
 			IsLeader:         c.IsLeader,
@@ -351,8 +280,6 @@ type DiscoveryOptions struct {
 	CommonSense bool
 	// Seed drives the pseudo-random schedules.
 	Seed int64
-	// Runtime selects the engine runtime (default: the FSM scheduler).
-	Runtime Runtime `json:"-"`
 }
 
 // AgentDiscovery is one agent's location-discovery outcome.
@@ -393,38 +320,14 @@ func (n *Network) DiscoverLocations(opts DiscoveryOptions) (*DiscoveryResult, er
 func (n *Network) DiscoverLocationsContext(ctx context.Context, opts DiscoveryOptions) (*DiscoveryResult, error) {
 	start := n.nw.CurrentPositions()
 	dopts := discovery.Options{CommonSense: opts.CommonSense, Seed: opts.Seed}
-	var (
-		outputs []*discovery.Result
-		rounds  int
-		err     error
-	)
-	switch opts.Runtime.Resolve() {
-	case engine.RuntimeFSM:
-		var res *engine.Result[*discovery.Result]
-		res, err = engine.RunFSMContext(ctx, n.nw, func(a *Agent) *engine.Proto[*discovery.Result] {
-			return discovery.LocationDiscoveryMachine(a, dopts)
-		})
-		if res != nil {
-			outputs, rounds = res.Outputs, res.Rounds
-		}
-	case engine.RuntimeLegacy:
-		var res *engine.Result[*discovery.Result]
-		res, err = engine.RunLegacy(n.nw, func(a *Agent) (*discovery.Result, error) {
-			return discovery.LocationDiscovery(a, dopts)
-		})
-		if res != nil {
-			outputs, rounds = res.Outputs, res.Rounds
-		}
-	default:
-		outputs, rounds, err = RunContext(ctx, n, func(a *Agent) (*discovery.Result, error) {
-			return discovery.LocationDiscovery(a, dopts)
-		})
-	}
+	run, err := engine.Run(ctx, n.nw, func(a *Agent) *engine.Proto[*discovery.Result] {
+		return discovery.LocationDiscoveryMachine(a, dopts)
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := &DiscoveryResult{Rounds: rounds, PerAgent: make([]AgentDiscovery, len(outputs)), StartPositions: start}
-	for i, r := range outputs {
+	res := &DiscoveryResult{Rounds: run.Rounds, PerAgent: make([]AgentDiscovery, len(run.Outputs)), StartPositions: start}
+	for i, r := range run.Outputs {
 		res.PerAgent[i] = AgentDiscovery{
 			ID:                 n.nw.IDOf(i),
 			IsLeader:           r.IsLeader,
@@ -444,12 +347,17 @@ func (n *Network) DiscoverLocationsContext(ctx context.Context, opts DiscoveryOp
 // truth: every agent must report the true relative positions of all agents
 // (as of the start of the discovery run), in one consistent orientation.
 func (n *Network) VerifyDiscovery(res *DiscoveryResult) error {
+	count := n.N()
+	if len(res.PerAgent) != count {
+		return fmt.Errorf("%w: %d agent outcomes for %d agents", ErrVerification, len(res.PerAgent), count)
+	}
 	pos := res.StartPositions
 	if pos == nil {
 		pos = n.nw.InitialPositions()
+	} else if len(pos) != count {
+		return fmt.Errorf("%w: %d start positions for %d agents", ErrVerification, len(pos), count)
 	}
 	circ := n.nw.Circ()
-	count := n.N()
 	for i, agent := range res.PerAgent {
 		if agent.N != count {
 			return fmt.Errorf("%w: agent %d discovered n=%d, want %d", ErrVerification, i, agent.N, count)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ringsym"
+	"ringsym/internal/engine"
 )
 
 func TestNewNetworkValidation(t *testing.T) {
@@ -125,18 +126,18 @@ func TestRunCustomProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, rounds, err := ringsym.Run(nw, func(a *ringsym.Agent) (int64, error) {
-		obs, err := a.Round(ringsym.Clockwise)
-		if err != nil {
-			return 0, err
-		}
-		return obs.Dist, nil
+	res, err := engine.Run(context.Background(), nw.Engine(), func(a *ringsym.Agent) *engine.Proto[int64] {
+		return engine.NewProto(func(done func(int64, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return a.YieldRound(ringsym.Clockwise), func(in engine.Resume) (engine.Yield, engine.Cont) {
+				return done(in.Obs[0].Dist, nil)
+			}
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds != 1 || len(outs) != 6 {
-		t.Fatalf("rounds=%d outs=%d", rounds, len(outs))
+	if res.Rounds != 1 || len(res.Outputs) != 6 || nw.Rounds() != 1 {
+		t.Fatalf("rounds=%d outs=%d network rounds=%d", res.Rounds, len(res.Outputs), nw.Rounds())
 	}
 }
 
@@ -158,6 +159,20 @@ func TestVerificationFailureDetected(t *testing.T) {
 	res.PerAgent[0].N = 3
 	if err := nw.VerifyDiscovery(res); !errors.Is(err, ringsym.ErrVerification) {
 		t.Fatalf("got %v, want ErrVerification", err)
+	}
+	res.PerAgent[0].N = nw.N()
+	if err := nw.VerifyDiscovery(res); err != nil {
+		t.Fatalf("restored result rejected: %v", err)
+	}
+	// A result with no agent outcomes proves nothing.
+	if err := nw.VerifyDiscovery(&ringsym.DiscoveryResult{StartPositions: res.StartPositions}); !errors.Is(err, ringsym.ErrVerification) {
+		t.Fatalf("empty result: got %v, want ErrVerification", err)
+	}
+	// Start positions of the wrong length must be rejected, not indexed.
+	short := *res
+	short.StartPositions = res.StartPositions[:2]
+	if err := nw.VerifyDiscovery(&short); !errors.Is(err, ringsym.ErrVerification) {
+		t.Fatalf("short start positions: got %v, want ErrVerification", err)
 	}
 }
 
@@ -194,8 +209,9 @@ func TestCoordinateContextCancelled(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelMidProtocol cancels a custom protocol that would never
-// terminate and checks the run is cut short.
+// TestRunContextCancelMidProtocol cancels a custom protocol on the facade's
+// engine network that would never terminate and checks the run is cut
+// short.
 func TestRunContextCancelMidProtocol(t *testing.T) {
 	nw, err := ringsym.RandomNetwork(ringsym.RandomConfig{N: 6, Seed: 5})
 	if err != nil {
@@ -203,15 +219,17 @@ func TestRunContextCancelMidProtocol(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, _, err = ringsym.RunContext(ctx, nw, func(a *ringsym.Agent) (int, error) {
-		for {
-			if a.RoundsUsed() == 5 && a.ID()%2 == 1 {
-				cancel()
+	_, err = engine.Run(ctx, nw.Engine(), func(a *ringsym.Agent) *engine.Proto[int] {
+		return engine.NewProto(func(done func(int, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			var loop engine.Cont
+			loop = func(engine.Resume) (engine.Yield, engine.Cont) {
+				if a.RoundsUsed() == 5 && a.ID()%2 == 1 {
+					cancel()
+				}
+				return a.YieldRound(ringsym.Clockwise), loop
 			}
-			if _, err := a.Round(ringsym.Clockwise); err != nil {
-				return a.RoundsUsed(), err
-			}
-		}
+			return loop(engine.Resume{})
+		})
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
