@@ -36,11 +36,11 @@ func benchSetting(b *testing.B, s eval.Setting) {
 				}
 				idBound := 4 * n
 				var err error
-				nm, da, le, err = eval.MeasureCoordination(s, n, idBound, int64(i))
+				nm, da, le, err = eval.MeasureCoordination(b.Context(), s, n, idBound, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
-				total, _, _, solvable, err := eval.MeasureLocationDiscovery(s, n, idBound, int64(i))
+				total, _, _, solvable, err := eval.MeasureLocationDiscovery(b.Context(), s, n, idBound, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -193,7 +193,7 @@ func BenchmarkLowerBounds(b *testing.B) {
 			s := eval.Setting{Model: tc.model}
 			var total int
 			for i := 0; i < b.N; i++ {
-				t, _, _, _, err := eval.MeasureLocationDiscovery(s, tc.n, 4*tc.n, int64(i))
+				t, _, _, _, err := eval.MeasureLocationDiscovery(b.Context(), s, tc.n, 4*tc.n, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}

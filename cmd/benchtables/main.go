@@ -53,12 +53,12 @@ func main() {
 	ctx := context.Background()
 
 	if *tables {
-		rows1, err := eval.TableRows(eval.Table1Settings(), cfg)
+		rows1, err := eval.TableRowsContext(ctx, eval.Table1Settings(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(eval.Format("Table I - deterministic solutions in the general setting", rows1))
-		rows2, err := eval.TableRows(eval.Table2Settings(), cfg)
+		rows2, err := eval.TableRowsContext(ctx, eval.Table2Settings(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -26,11 +26,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"sort"
 	"strings"
 
@@ -93,8 +95,13 @@ func main() {
 		}
 	}
 
+	// An interrupt cancels a record-path run within one engine round and
+	// reports it as a failed record.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	if *jsonOut {
-		runJSON(campaign.Task(*taskName), *n, *modelName, *mixed, *seed, opts, closeStore)
+		runJSON(ctx, campaign.Task(*taskName), *n, *modelName, *mixed, *seed, opts, closeStore)
 		return
 	}
 
@@ -113,7 +120,7 @@ func main() {
 		}
 		fallthrough
 	default:
-		runGeneric(*taskName, *n, *modelName, *mixed, *seed, opts)
+		runGeneric(ctx, *taskName, *n, *modelName, *mixed, *seed, opts)
 	}
 	closeStore()
 }
@@ -137,8 +144,8 @@ func scenarioFor(taskName campaign.Task, n int, model string, mixed bool, seed i
 // request uses — and prints the record as one JSON line.  A failed record
 // still prints (with its error field) but exits nonzero, so scripts can
 // branch on the exit status.
-func runJSON(taskName campaign.Task, n int, model string, mixed bool, seed int64, opts campaign.Options, closeStore func()) {
-	rec := campaign.RunScenario(scenarioFor(taskName, n, model, mixed, seed), opts)
+func runJSON(ctx context.Context, taskName campaign.Task, n int, model string, mixed bool, seed int64, opts campaign.Options, closeStore func()) {
+	rec := campaign.RunScenarioContext(ctx, scenarioFor(taskName, n, model, mixed, seed), opts)
 	enc := json.NewEncoder(os.Stdout)
 	if err := enc.Encode(rec); err != nil {
 		log.Fatal(err)
@@ -151,8 +158,8 @@ func runJSON(taskName campaign.Task, n int, model string, mixed bool, seed int64
 
 // runGeneric runs any registry task through the campaign runner and prints a
 // human-readable summary of the record, including the task's extra fields.
-func runGeneric(taskName string, n int, model string, mixed bool, seed int64, opts campaign.Options) {
-	rec := campaign.RunScenario(scenarioFor(campaign.Task(taskName), n, model, mixed, seed), opts)
+func runGeneric(ctx context.Context, taskName string, n int, model string, mixed bool, seed int64, opts campaign.Options) {
+	rec := campaign.RunScenarioContext(ctx, scenarioFor(campaign.Task(taskName), n, model, mixed, seed), opts)
 	switch rec.Status {
 	case campaign.StatusFailed:
 		log.Fatal(rec.Error)

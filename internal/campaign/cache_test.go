@@ -6,6 +6,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ringsym/internal/canon"
+	"ringsym/internal/store"
+	"ringsym/internal/task"
 )
 
 // symmetricMatrix is a sweep in which every setting appears in 6 symmetric
@@ -278,51 +282,128 @@ func TestUpperBounds(t *testing.T) {
 }
 
 // TestProbeCache: a probe answers only already-cached outcomes, as a record
-// field-identical to the executed one (modulo the hit annotation), and never
-// executes or joins anything itself.
+// field-identical to the executed one (modulo the hit annotation and Wall),
+// and never executes or joins anything itself.  Probe and run share one
+// pipeline, so over every scenario of the symmetric matrix and the golden
+// grid, plus invalid ones, a probe after the run must hit exactly when the
+// run produced a verified outcome; unsolvable and invalid scenarios never hit.
 func TestProbeCache(t *testing.T) {
+	sym, err := symmetricMatrix().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := goldenGrid.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := append(sym, grid...)
+	scenarios = append(scenarios,
+		Scenario{Task: TaskCoordinate, Model: "teleporting", N: 8, IDBound: 32, Seed: 1},
+		Scenario{Task: "juggle", Model: "basic", N: 8, IDBound: 32, Seed: 1},
+	)
+
 	cache := NewCache(0)
 	opts := Options{Cache: cache}
+	for _, sc := range scenarios {
+		if _, ok := ProbeCache(sc, Options{}); ok {
+			t.Fatalf("%s: probe hit with a nil cache", sc.Key())
+		}
+		if _, ok := ProbeCache(sc, opts); ok {
+			t.Fatalf("%s: probe hit on an empty cache", sc.Key())
+		}
+	}
+	if st := cache.Stats(); st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("probes executed something: %+v", st)
+	}
+
+	seen := map[Status]int{}
+	for _, sc := range scenarios {
+		ran := RunScenarioContext(t.Context(), sc, opts)
+		seen[ran.Status]++
+		got, ok := ProbeCache(sc, opts)
+		if ran.Status != StatusOK {
+			if ok {
+				t.Errorf("%s: probe hit a %s scenario", sc.Key(), ran.Status)
+			}
+			continue
+		}
+		if !ok {
+			t.Errorf("%s: probe missed a cached outcome", sc.Key())
+			continue
+		}
+		if got.Cache != "hit" {
+			t.Errorf("%s: probe annotation = %q", sc.Key(), got.Cache)
+		}
+		got.Cache, ran.Cache = "", ""
+		got.Wall, ran.Wall = 0, 0
+		if !reflect.DeepEqual(got, ran) {
+			t.Errorf("probe record differs from executed record:\nprobe %+v\nran   %+v", got, ran)
+		}
+	}
+	if seen[StatusOK] == 0 || seen[StatusUnsolvable] == 0 || seen[StatusFailed] != 2 {
+		t.Fatalf("statuses %v: want verified, unsolvable and exactly the 2 invalid scenarios", seen)
+	}
+
+	// Any other orbit member of a primed scenario is also answerable.
+	cache = NewCache(0)
+	opts = Options{Cache: cache}
 	sc := Scenario{Task: TaskCoordinate, Model: "basic", N: 8, IDBound: 32, Seed: 1, Phase: 2, Reflect: true}
-
-	if _, ok := ProbeCache(sc, Options{}); ok {
-		t.Fatal("probe hit with a nil cache")
-	}
-	if _, ok := ProbeCache(sc, opts); ok {
-		t.Fatal("probe hit on an empty cache")
-	}
-	if st := cache.Stats(); st.Misses != 0 {
-		t.Fatalf("probe executed something: %+v", st)
-	}
-
-	ran := RunScenario(sc, opts)
-	if ran.Status != StatusOK || ran.Cache != "miss" {
+	if ran := RunScenarioContext(t.Context(), sc, opts); ran.Status != StatusOK || ran.Cache != "miss" {
 		t.Fatalf("priming run: %+v", ran)
 	}
-	got, ok := ProbeCache(sc, opts)
-	if !ok {
-		t.Fatal("probe missed a cached outcome")
-	}
-	if got.Cache != "hit" {
-		t.Fatalf("probe annotation = %q", got.Cache)
-	}
-	got.Cache, ran.Cache = "", ""
-	got.Wall, ran.Wall = 0, 0
-	if !reflect.DeepEqual(got, ran) {
-		t.Fatalf("probe record differs from executed record:\nprobe %+v\nran   %+v", got, ran)
-	}
-
-	// Any other orbit member of the primed scenario is also answerable.
-	other := sc
-	other.Phase, other.Reflect = 0, false
-	if _, ok := ProbeCache(other, opts); !ok {
+	sc.Phase, sc.Reflect = 0, false
+	if _, ok := ProbeCache(sc, opts); !ok {
 		t.Fatal("probe missed a symmetric framing of a cached outcome")
 	}
+}
 
-	// Unsolvable scenarios never touch the cache, so probes never hit them.
-	unsolvable := Scenario{Task: TaskDiscover, Model: "basic", N: 8, IDBound: 32, Seed: 1}
-	RunScenario(unsolvable, opts)
-	if _, ok := ProbeCache(unsolvable, opts); ok {
-		t.Fatal("probe hit an unsolvable scenario")
+// TestProbeCacheMalformedTierOutcome: a disk record can pass the store's CRC
+// check and still hold an outcome that does not fit the ring — here a
+// PerAgent shorter than n.  A disk hit promotes it into memory, and mapping
+// it into a rotated, reflected frame panics.  The pipeline's recover must
+// contain that on both paths: the run records a failed scenario, and the
+// probe reports a miss instead of panicking on a serving goroutine.
+func TestProbeCacheMalformedTierOutcome(t *testing.T) {
+	sc := Scenario{Task: TaskCoordinate, Model: "basic", N: 9, IDBound: 36, Seed: 1, Phase: 3, Reflect: true}
+	model, err := ParseModel(sc.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := generateConfig(sc, Options{}, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg, _, err := canon.Canonicalize(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	malformed, err := json.Marshal(task.Outcome{Rounds: 10, PerAgent: make([]task.Split, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(cacheKey(canon.Fingerprint(ccfg), sc), malformed); err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache(0)
+	cache.AttachTier(st, nil)
+	opts := Options{Cache: cache}
+
+	rec := RunScenarioContext(t.Context(), sc, opts)
+	if rec.Status != StatusFailed || !strings.HasPrefix(rec.Error, "panic: ") {
+		t.Fatalf("run on a malformed outcome: status %s (%s)", rec.Status, rec.Error)
+	}
+	if rec.Bound == 0 || rec.BoundStr == "" {
+		t.Errorf("failed record lost its bound: %+v", rec)
+	}
+	if st := cache.Stats(); st.DiskHits != 1 || st.Entries != 1 {
+		t.Fatalf("malformed outcome not promoted to memory: %+v", st)
+	}
+	if got, ok := ProbeCache(sc, opts); ok {
+		t.Fatalf("probe answered a malformed outcome: %+v", got)
 	}
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -95,8 +96,8 @@ type Options struct {
 	Cache *Cache
 }
 
-// testHookScenario, when set, runs inside the worker just before a scenario
-// executes; tests use it to inject panics.
+// testHookScenario, when set, runs at the start of RunScenarioContext's
+// lookup stage, inside the pipeline's recover; tests use it to inject panics.
 var testHookScenario func(Scenario)
 
 // Run executes the scenarios on a pool of workers and streams one Record per
@@ -266,20 +267,14 @@ func RunAll(ctx context.Context, scenarios []Scenario, opts Options) ([]Record, 
 	return recs, nil
 }
 
-// RunScenario executes a single scenario synchronously: it generates the
-// network with netgen and drives it through the public ringsym facade, which
-// verifies outcomes against the simulator's ground truth.  Panics anywhere in
+// RunScenarioContext executes a single scenario: it generates the network
+// with netgen and drives it through the public ringsym facade, which verifies
+// outcomes against the simulator's ground truth.  When ctx is cancelled the
+// in-flight protocol is aborted within one round and the scenario is recorded
+// as failed with an error wrapping context.Canceled (or the context's cause),
+// rather than running until the engine's round bound.  Panics anywhere in
 // generation or protocol execution are recovered into a failed record.
-func RunScenario(sc Scenario, opts Options) Record {
-	//ringvet:allow ctxflow context-free compatibility wrapper: RunScenarioContext is the cancellable form
-	return RunScenarioContext(context.Background(), sc, opts)
-}
-
-// RunScenarioContext is RunScenario with cancellation: when ctx is cancelled
-// the in-flight protocol is aborted within one round and the scenario is
-// recorded as failed with an error wrapping context.Canceled (or the context's
-// cause), rather than running until the engine's round bound.
-func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) (rec Record) {
+func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) Record {
 	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
 	start := time.Now()
 	if obs.On() {
@@ -288,135 +283,60 @@ func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) (rec Rec
 			Task: string(sc.Task), Model: sc.Model, N: sc.N, Seed: sc.Seed, Index: sc.Index,
 		})
 	}
-	rec = Record{Scenario: sc}
-	defer func() {
-		if r := recover(); r != nil {
-			rec = Record{Scenario: sc, Status: StatusFailed, Error: fmt.Sprintf("panic: %v", r)}
-			if model, err := ParseModel(sc.Model); err == nil {
-				if spec, err := task.Lookup(string(sc.Task)); err == nil {
-					rec.Bound, rec.BoundStr = spec.Bound(model, sc.N%2 == 1, sc.CommonSense, sc.N, sc.IDBound)
-				}
-			}
+	rec := runStages(sc, opts, func(spec task.Spec, cfg engine.Config, key string) (task.Outcome, memo.Kind, error) {
+		if testHookScenario != nil {
+			testHookScenario(sc)
 		}
-		//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
-		rec.Wall = time.Since(start)
-		if obs.On() {
-			emitScenarioDone(rec)
+		if opts.Cache == nil {
+			out, err := runSpec(ctx, spec, cfg, sc)
+			return out, memo.Miss, err
 		}
-	}()
-	if testHookScenario != nil {
-		testHookScenario(sc)
-	}
-
-	model, err := ParseModel(sc.Model)
-	if err != nil {
-		rec.Status = StatusFailed
-		rec.Error = err.Error()
-		return rec
-	}
-	spec, err := task.Lookup(string(sc.Task))
-	if err != nil {
-		rec.Status = StatusFailed
-		rec.Error = err.Error()
-		return rec
-	}
-	oddN := sc.N%2 == 1
-	rec.Bound, rec.BoundStr = spec.Bound(model, oddN, sc.CommonSense, sc.N, sc.IDBound)
-	if !spec.Solvable(model, oddN) {
-		rec.Status = StatusUnsolvable
-		return rec
-	}
-
-	gen, err := generateConfig(sc, opts, model)
-	if err != nil {
-		rec.Status = StatusFailed
-		rec.Error = err.Error()
-		return rec
-	}
-
-	if opts.Cache == nil {
-		out, err := runSpec(ctx, spec, gen, sc)
-		if err != nil {
-			rec.Status = StatusFailed
-			rec.Error = err.Error()
-			return rec
-		}
-		rec.fill(out) // identity frame: the outcome is already in sc's frame
-		return rec
-	}
-
-	// Cached path: run the canonical representative of the configuration's
-	// orbit (so every orbit member computes the identical stored outcome) and
-	// translate the result back into this scenario's frame through the task's
-	// MapOutcome.
-	ccfg, m, err := canon.Canonicalize(gen)
-	if err != nil {
-		rec.Status = StatusFailed
-		rec.Error = err.Error()
-		return rec
-	}
-	out, kind, err := opts.Cache.c.Do(ctx, cacheKey(canon.Fingerprint(ccfg), sc), func(cctx context.Context) (task.Outcome, error) {
-		// The computation runs on a cache-owned goroutine that can outlive
-		// this caller (another waiter keeps it alive after a cancellation),
-		// while cctx still carries ctx's values — so the worker-owned arenas
-		// riding in them must be detached here or two goroutines could share
-		// one arena.  The engine falls back to its internal pools.
-		return runSpec(detachWorkerState(cctx), spec, ccfg, sc)
+		return opts.Cache.c.Do(ctx, key, func(cctx context.Context) (task.Outcome, error) {
+			// The computation runs on a cache-owned goroutine that can
+			// outlive this caller (another waiter keeps it alive after a
+			// cancellation), while cctx still carries ctx's values — so the
+			// worker-owned arenas riding in them must be detached here or two
+			// goroutines could share one arena.  The engine falls back to its
+			// internal pools.
+			return runSpec(detachWorkerState(cctx), spec, cfg, sc)
+		})
 	})
-	if err != nil {
-		rec.Status = StatusFailed
-		rec.Error = err.Error()
-		return rec
+	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
+	rec.Wall = time.Since(start)
+	if obs.On() {
+		emitScenarioDone(rec)
 	}
-	rec.fill(spec.MapOutcome(out, m))
-	rec.Cache = kind.String()
 	return rec
 }
 
 // ProbeCache answers a scenario purely from the memo cache: it returns the
 // record (annotated as a hit) when the outcome of the scenario's canonical
-// representative is already cached, and ok=false otherwise — when the cache
-// is nil, the scenario is unsolvable/invalid (those paths never touch the
-// cache), or the outcome simply is not there yet.  Nothing executes and no
-// singleflight computation is joined, so a serving layer can answer hits on
-// the request goroutine without occupying a pool worker; every false falls
-// through to RunScenarioContext, which repeats this preparation and handles
-// all error reporting.  The repeat is not free: in ringbench's traced run
-// (bench/results/seed1-trace.json) a missing probe costs 23.8 µs
-// (serve.probe_miss_us) against 136–187 µs of protocol run (task.run_us),
-// so a miss pays about 13% extra for it.
+// representative is already in memory, and ok=false otherwise — when the
+// cache is nil, the scenario is unsolvable or invalid (those never reach the
+// lookup stage), the outcome simply is not there yet, or a stage failed
+// (a malformed tier-promoted outcome that panics in MapOutcome included).
+// It drives the same stages as RunScenarioContext and stops after the memory
+// lookup: nothing executes and no singleflight computation is joined, so a
+// serving layer can answer hits on the request goroutine without occupying a
+// pool worker.  Every false falls through to RunScenarioContext, which
+// prepares the scenario again and reports any error.  The repeat is not
+// free: in ringbench's traced run (bench/results/seed1-trace.json) a missing
+// probe costs 23.8 µs (serve.probe_miss_us) against 136–187 µs of protocol
+// run (task.run_us), so a miss pays about 13% extra for it.
 func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 	if opts.Cache == nil {
 		return Record{}, false
 	}
-	model, err := ParseModel(sc.Model)
-	if err != nil {
+	rec := runStages(sc, opts, func(_ task.Spec, _ engine.Config, key string) (task.Outcome, memo.Kind, error) {
+		out, ok := opts.Cache.c.Get(key)
+		if !ok {
+			return out, memo.Miss, errNotCached
+		}
+		return out, memo.Hit, nil
+	})
+	if rec.Status != StatusOK {
 		return Record{}, false
 	}
-	spec, err := task.Lookup(string(sc.Task))
-	if err != nil {
-		return Record{}, false
-	}
-	oddN := sc.N%2 == 1
-	if !spec.Solvable(model, oddN) {
-		return Record{}, false
-	}
-	gen, err := generateConfig(sc, opts, model)
-	if err != nil {
-		return Record{}, false
-	}
-	ccfg, m, err := canon.Canonicalize(gen)
-	if err != nil {
-		return Record{}, false
-	}
-	out, ok := opts.Cache.c.Get(cacheKey(canon.Fingerprint(ccfg), sc))
-	if !ok {
-		return Record{}, false
-	}
-	rec := Record{Scenario: sc}
-	rec.Bound, rec.BoundStr = spec.Bound(model, oddN, sc.CommonSense, sc.N, sc.IDBound)
-	rec.fill(spec.MapOutcome(out, m))
-	rec.Cache = memo.Hit.String()
 	// A probe hit never reaches RunScenarioContext, so its completion event is
 	// emitted here: cache-served scenarios stay visible on the event spine.
 	if obs.On() {
@@ -425,11 +345,76 @@ func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 	return rec, true
 }
 
-// generateConfig builds the scenario's (possibly phase-rotated/reflected)
-// network configuration.  It is the single source of generation truth for
-// both the execution path (RunScenarioContext) and the cache probe
-// (ProbeCache): with one copy, the canonical key the probe computes cannot
-// drift from the key the worker stores under when generation inputs change.
+// errNotCached is a probe's lookup miss; ProbeCache turns it into ok=false.
+var errNotCached = errors.New("campaign: outcome not cached")
+
+// runStages drives one scenario through the stages every entry point
+// shares: resolve (model, spec, bound, solvability) → generate →
+// canonicalize → key → lookup → map → fill.  The stages and their order live
+// here alone, so the key a probe reads cannot drift from the key a run
+// stores under.  Entry points differ only in the lookup stage, which returns
+// the outcome of cfg and how the memo cache served it: RunScenarioContext
+// runs the task (through Cache.Do when cached) and ProbeCache reads memory.
+// With a cache, cfg is the canonical representative of the scenario's orbit
+// and key its cache key; without one, cfg is the scenario's own framing and
+// key is empty.  Every failure, a recovered panic included, leaves through
+// one exit as a failed record that keeps the bound once it is resolved.
+func runStages(sc Scenario, opts Options, lookup func(spec task.Spec, cfg engine.Config, key string) (task.Outcome, memo.Kind, error)) (rec Record) {
+	rec = Record{Scenario: sc}
+	var err error
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+		if err != nil {
+			rec = Record{Scenario: sc, Status: StatusFailed, Error: err.Error(), Bound: rec.Bound, BoundStr: rec.BoundStr}
+		}
+	}()
+	model, err := ParseModel(sc.Model)
+	if err != nil {
+		return rec
+	}
+	spec, err := task.Lookup(string(sc.Task))
+	if err != nil {
+		return rec
+	}
+	oddN := sc.N%2 == 1
+	rec.Bound, rec.BoundStr = spec.Bound(model, oddN, sc.CommonSense, sc.N, sc.IDBound)
+	if !spec.Solvable(model, oddN) {
+		rec.Status = StatusUnsolvable
+		return rec
+	}
+	cfg, err := generateConfig(sc, opts, model)
+	if err != nil {
+		return rec
+	}
+	// Cached path: look up the canonical representative of the
+	// configuration's orbit, so every orbit member shares one stored
+	// outcome, and translate it back into this scenario's frame through the
+	// task's MapOutcome.  Uncached, the outcome is already in sc's frame.
+	var m canon.Map
+	var key string
+	if opts.Cache != nil {
+		if cfg, m, err = canon.Canonicalize(cfg); err != nil {
+			return rec
+		}
+		key = cacheKey(canon.Fingerprint(cfg), sc)
+	}
+	out, kind, err := lookup(spec, cfg, key)
+	if err != nil {
+		return rec
+	}
+	if opts.Cache != nil {
+		out = spec.MapOutcome(out, m)
+		rec.Cache = kind.String()
+	}
+	rec.fill(out)
+	return rec
+}
+
+// generateConfig is the pipeline's generate stage (see runStages): it
+// builds the scenario's (possibly phase-rotated/reflected) network
+// configuration.
 func generateConfig(sc Scenario, opts Options, model ring.Model) (engine.Config, error) {
 	gen, err := netgen.Generate(netgen.Options{
 		N:                   sc.N,

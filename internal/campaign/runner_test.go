@@ -302,7 +302,7 @@ func TestArbitraryPartitionReproducesFullExport(t *testing.T) {
 }
 
 func TestRunScenarioWallClock(t *testing.T) {
-	rec := RunScenario(Scenario{Task: TaskCoordinate, Model: "lazy", N: 8, IDBound: 32, MixedChirality: true, Seed: 1}, Options{})
+	rec := RunScenarioContext(t.Context(), Scenario{Task: TaskCoordinate, Model: "lazy", N: 8, IDBound: 32, MixedChirality: true, Seed: 1}, Options{})
 	if rec.Status != StatusOK {
 		t.Fatalf("status %s: %s", rec.Status, rec.Error)
 	}

@@ -166,9 +166,9 @@ func recordErr(rec campaign.Record) error {
 
 // MeasureCoordination measures, for one configuration, the from-scratch round
 // cost of the three coordination problems on a single scenario of the
-// campaign runner.
-func MeasureCoordination(s Setting, n, idBound int, seed int64) (nm, da, le int, err error) {
-	rec := campaign.RunScenario(scenario(s, campaign.TaskCoordinate, n, idBound, seed), campaign.Options{})
+// campaign runner; ctx cancels the protocol run.
+func MeasureCoordination(ctx context.Context, s Setting, n, idBound int, seed int64) (nm, da, le int, err error) {
+	rec := campaign.RunScenarioContext(ctx, scenario(s, campaign.TaskCoordinate, n, idBound, seed), campaign.Options{})
 	if err := recordErr(rec); err != nil {
 		return 0, 0, 0, err
 	}
@@ -179,9 +179,9 @@ func MeasureCoordination(s Setting, n, idBound int, seed int64) (nm, da, le int,
 // MeasureLocationDiscovery measures the total location-discovery cost and its
 // split into the o(n) coordination part and the main discovery part.  The
 // solvable return value is false when the problem is unsolvable in the
-// setting (Lemma 5).
-func MeasureLocationDiscovery(s Setting, n, idBound int, seed int64) (total, coordination, main int, solvable bool, err error) {
-	rec := campaign.RunScenario(scenario(s, campaign.TaskDiscover, n, idBound, seed), campaign.Options{})
+// setting (Lemma 5); ctx cancels the protocol run.
+func MeasureLocationDiscovery(ctx context.Context, s Setting, n, idBound int, seed int64) (total, coordination, main int, solvable bool, err error) {
+	rec := campaign.RunScenarioContext(ctx, scenario(s, campaign.TaskDiscover, n, idBound, seed), campaign.Options{})
 	if err := recordErr(rec); err != nil {
 		return 0, 0, 0, false, err
 	}
@@ -200,17 +200,12 @@ func Bound(s Setting, p Problem, n, idBound int) (float64, string) {
 	return campaign.Bound(s.Model, s.OddN, s.CommonSense, p, n, idBound)
 }
 
-// TableRows measures every cell of the given settings for the sweep.  It is
-// a thin pre-baked campaign: the settings expand into one coordinate and one
-// discover scenario per (setting, size) cell, run on the campaign worker
-// pool, and the records are folded back into table measurements.
-func TableRows(settings []Setting, cfg SweepConfig) ([]Measurement, error) {
-	//ringvet:allow ctxflow context-free compatibility wrapper: TableRowsContext is the cancellable form
-	return TableRowsContext(context.Background(), settings, cfg)
-}
-
-// TableRowsContext is TableRows with cancellation: a cancelled ctx aborts
-// in-flight scenarios within one round and returns the context error.
+// TableRowsContext measures every cell of the given settings for the sweep.
+// It is a thin pre-baked campaign: the settings expand into one coordinate
+// and one discover scenario per (setting, size) cell, run on the campaign
+// worker pool, and the records are folded back into table measurements.  A
+// cancelled ctx aborts in-flight scenarios within one round and returns the
+// context error.
 func TableRowsContext(ctx context.Context, settings []Setting, cfg SweepConfig) ([]Measurement, error) {
 	cfg.fill()
 	type cell struct {

@@ -50,7 +50,7 @@ func TestBoundFormulas(t *testing.T) {
 // about n in the lazy model and about n/2 (plus overhead) in the perceptive
 // model, and the basic model with even n cannot solve location discovery.
 func TestTable1SmallSweep(t *testing.T) {
-	rows, err := TableRows(Table1Settings(), SweepConfig{Sizes: []int{8, 16}, IDBoundFactor: 4, Seed: 5})
+	rows, err := TableRowsContext(t.Context(), Table1Settings(), SweepConfig{Sizes: []int{8, 16}, IDBoundFactor: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestTable1SmallSweep(t *testing.T) {
 }
 
 func TestTable2SmallSweep(t *testing.T) {
-	rows, err := TableRows(Table2Settings(), SweepConfig{Sizes: []int{8}, IDBoundFactor: 4, Seed: 7})
+	rows, err := TableRowsContext(t.Context(), Table2Settings(), SweepConfig{Sizes: []int{8}, IDBoundFactor: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,16 +158,16 @@ func TestMeasureDistinguishers(t *testing.T) {
 // same cache is served from it (one miss per scenario, then all hits).
 func TestTableRowsCached(t *testing.T) {
 	cfg := SweepConfig{Sizes: []int{8}, IDBoundFactor: 4, Seed: 5}
-	plain, err := TableRows(Table1Settings(), cfg)
+	plain, err := TableRowsContext(t.Context(), Table1Settings(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Cache = campaign.NewCache(0)
-	first, err := TableRows(Table1Settings(), cfg)
+	first, err := TableRowsContext(t.Context(), Table1Settings(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := TableRows(Table1Settings(), cfg)
+	again, err := TableRowsContext(t.Context(), Table1Settings(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

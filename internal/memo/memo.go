@@ -1,11 +1,11 @@
-// Package memo provides a sharded, bounded, deduplicating result cache for
+// Package memo provides a bounded, deduplicating result cache for
 // deterministic computations keyed by canonical scenario keys (see
 // internal/canon).
 //
 // Three properties matter for the serving layer built on top of it:
 //
-//   - Bounded memory: each shard keeps an LRU list; inserting past the
-//     capacity evicts the least recently used entry of that shard.
+//   - Bounded memory: one LRU list spans the whole cache; inserting past the
+//     capacity evicts the globally least recently used entry.
 //   - Singleflight: concurrent Do calls for the same key run the computation
 //     once; late arrivals join the in-flight call instead of recomputing.
 //   - Cooperative cancellation: the computation runs under a context that is
@@ -31,7 +31,6 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -137,13 +136,17 @@ type Stats struct {
 
 const defaultCapacity = 4096
 
-// Cache is a sharded LRU + singleflight cache from string keys to values of
-// type V.  The zero value is not usable; construct with New.
+// Cache is an LRU + singleflight cache from string keys to values of type V.
+// One mutex guards the entry map, the recency list and the in-flight table;
+// it is never held across a computation or a tier call.  The zero value is
+// not usable; construct with New.
 type Cache[V any] struct {
-	shards [nShards]shard[V]
-	seed   maphash.Seed
-	cap    int // per shard
-	tier   atomic.Pointer[tierBox[V]]
+	mu       sync.Mutex
+	entries  map[string]*list.Element
+	lru      *list.List // front = most recently used
+	inflight map[string]*call[V]
+	cap      int
+	tier     atomic.Pointer[tierBox[V]]
 
 	hits, misses, dedups, evictions atomic.Uint64
 	diskHits, peerHits              atomic.Uint64
@@ -167,15 +170,6 @@ func (c *Cache[V]) getTier() Tier[V] {
 	return nil
 }
 
-const nShards = 16
-
-type shard[V any] struct {
-	mu       sync.Mutex
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recently used
-	inflight map[string]*call[V]
-}
-
 type entry[V any] struct {
 	key string
 	val V
@@ -195,37 +189,27 @@ type call[V any] struct {
 	cancel   context.CancelFunc
 }
 
-// New returns a cache bounded to roughly the given total number of entries
-// (<= 0 selects a default of 4096).  The bound is enforced per shard, so the
-// precise ceiling is capacity rounded up to a multiple of the shard count.
+// New returns a cache holding at most capacity entries (<= 0 selects a
+// default of 4096); past it, the least recently used entry is evicted.
 func New[V any](capacity int) *Cache[V] {
 	if capacity <= 0 {
 		capacity = defaultCapacity
 	}
-	perShard := (capacity + nShards - 1) / nShards
-	c := &Cache[V]{seed: maphash.MakeSeed(), cap: perShard}
-	for i := range c.shards {
-		c.shards[i] = shard[V]{
-			entries:  make(map[string]*list.Element),
-			lru:      list.New(),
-			inflight: make(map[string]*call[V]),
-		}
+	return &Cache[V]{
+		entries:  make(map[string]*list.Element),
+		lru:      list.New(),
+		inflight: make(map[string]*call[V]),
+		cap:      capacity,
 	}
-	return c
-}
-
-func (c *Cache[V]) shardOf(key string) *shard[V] {
-	return &c.shards[maphash.String(c.seed, key)%nShards]
 }
 
 // Get returns the cached value for key without affecting the singleflight
 // state.  It counts as a hit when present and updates the LRU recency.
 func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
 		c.hits.Add(1)
 		note(totHits, obs.CacheHit)
 		return el.Value.(*entry[V]).val, true
@@ -242,31 +226,30 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // cached.  When ctx is cancelled while waiting, Do returns ctx.Err() without
 // waiting for fn.
 func (c *Cache[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, error)) (V, Kind, error) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
 		// Copy the value out under the lock: insertLocked updates entries
 		// in place, so reading after Unlock would race with a concurrent
 		// re-insert of the same key.
 		v := el.Value.(*entry[V]).val
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.hits.Add(1)
 		note(totHits, obs.CacheHit)
 		return v, Hit, nil
 	}
-	if cl, ok := s.inflight[key]; ok {
+	if cl, ok := c.inflight[key]; ok {
 		cl.waiters++
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.dedups.Add(1)
 		note(totDedups, obs.CacheDedup)
-		v, err := c.wait(ctx, s, key, cl)
+		v, err := c.wait(ctx, key, cl)
 		return v, Dedup, err
 	}
 	cctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	cl := &call[V]{done: make(chan struct{}), waiters: 1, cancel: cancel}
-	s.inflight[key] = cl
-	s.mu.Unlock()
+	c.inflight[key] = cl
+	c.mu.Unlock()
 	tier := c.getTier()
 
 	go func() {
@@ -313,30 +296,30 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 			note(totMisses, obs.CacheMiss)
 		}
 		// Write a freshly computed value through to the tier before
-		// publishing it, outside the shard lock (the tier does disk and
+		// publishing it, outside the lock (the tier does disk and
 		// network I/O).  Tier-served values are not re-offered: the disk
 		// tier already has them, and peer hits were written through to the
 		// local store by the tier itself.
 		if err == nil && kind == Miss && tier != nil {
 			tier.Store(key, v)
 		}
-		s.mu.Lock()
+		c.mu.Lock()
 		cl.finished = true
 		cl.val, cl.err, cl.kind = v, err, kind
 		// An abandoned call was already deregistered by its last waiter and
 		// may have been replaced by a fresh one; only remove our own entry.
-		if s.inflight[key] == cl {
-			delete(s.inflight, key)
+		if c.inflight[key] == cl {
+			delete(c.inflight, key)
 		}
 		if err == nil {
-			c.insertLocked(s, key, v)
+			c.insertLocked(key, v)
 		}
-		s.mu.Unlock()
+		c.mu.Unlock()
 		cancel()
 		close(cl.done)
 	}()
 
-	v, err := c.wait(ctx, s, key, cl)
+	v, err := c.wait(ctx, key, cl)
 	// The resolved kind is published only at done; a waiter that bailed on
 	// ctx cancellation reports Miss (the zero value it returns with).
 	kind := Miss
@@ -352,44 +335,44 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 // waiter deregisters its interest; the last deregistration cancels the
 // computation itself and removes it from the in-flight table, so a later Do
 // for the key starts a fresh computation instead of joining a dying one.
-func (c *Cache[V]) wait(ctx context.Context, s *shard[V], key string, cl *call[V]) (V, error) {
+func (c *Cache[V]) wait(ctx context.Context, key string, cl *call[V]) (V, error) {
 	select {
 	case <-cl.done:
 		return cl.val, cl.err
 	case <-ctx.Done():
-		s.mu.Lock()
+		c.mu.Lock()
 		if !cl.finished {
 			cl.waiters--
 			if cl.waiters == 0 {
 				cl.cancel()
-				if s.inflight[key] == cl {
-					delete(s.inflight, key)
+				if c.inflight[key] == cl {
+					delete(c.inflight, key)
 				}
 			}
-			s.mu.Unlock()
+			c.mu.Unlock()
 			var zero V
 			return zero, ctx.Err()
 		}
-		s.mu.Unlock()
+		c.mu.Unlock()
 		// The computation beat the cancellation; deliver the result.
 		<-cl.done
 		return cl.val, cl.err
 	}
 }
 
-// insertLocked adds key→val to the shard (which must be locked) and evicts
-// past the per-shard capacity.
-func (c *Cache[V]) insertLocked(s *shard[V], key string, val V) {
-	if el, ok := s.entries[key]; ok {
+// insertLocked adds key→val (c.mu must be held) and evicts the least
+// recently used entries past the capacity.
+func (c *Cache[V]) insertLocked(key string, val V) {
+	if el, ok := c.entries[key]; ok {
 		el.Value.(*entry[V]).val = val
-		s.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 		return
 	}
-	s.entries[key] = s.lru.PushFront(&entry[V]{key: key, val: val})
-	for s.lru.Len() > c.cap {
-		back := s.lru.Back()
-		s.lru.Remove(back)
-		delete(s.entries, back.Value.(*entry[V]).key)
+	c.entries[key] = c.lru.PushFront(&entry[V]{key: key, val: val})
+	for c.lru.Len() > c.cap {
+		back := c.lru.Back()
+		c.lru.Remove(back)
+		delete(c.entries, back.Value.(*entry[V]).key)
 		c.evictions.Add(1)
 		note(totEvictions, obs.CacheEvict)
 	}
@@ -397,14 +380,9 @@ func (c *Cache[V]) insertLocked(s *shard[V], key string, val V) {
 
 // Len returns the current number of cached entries.
 func (c *Cache[V]) Len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return total
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }
 
 // Stats returns a snapshot of the counters.

@@ -283,25 +283,52 @@ func TestPanickingComputation(t *testing.T) {
 	}
 }
 
+// TestLRUEviction: the bound is exact and global.  With capacity c, the
+// (c+1)th insert evicts exactly one key — the least recently used one — and
+// a key refreshed by Get survives in its place.
 func TestLRUEviction(t *testing.T) {
-	// Capacity 16 = 1 entry per shard: inserting two keys that land in the
-	// same shard must evict the older one.
-	c := memo.New[int](16)
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if _, _, err := c.Do(context.Background(), k, func(context.Context) (int, error) { return i, nil }); err != nil {
+	const capacity = 8
+	c := memo.New[int](capacity)
+	put := func(i int) {
+		t.Helper()
+		if _, _, err := c.Do(context.Background(), fmt.Sprintf("key-%d", i), func(context.Context) (int, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := c.Stats()
-	if st.Entries > 16 {
-		t.Fatalf("entries = %d, want <= 16", st.Entries)
+	for i := 0; i < capacity; i++ {
+		put(i)
 	}
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions after 100 inserts into capacity 16")
+	if st := c.Stats(); st.Entries != capacity || st.Evictions != 0 {
+		t.Fatalf("after %d inserts: %+v, want %d entries and no evictions", capacity, st, capacity)
 	}
-	if st.Entries+int(st.Evictions) != 100 {
-		t.Fatalf("entries %d + evictions %d != 100", st.Entries, st.Evictions)
+	// Touch the oldest key: key-1 becomes the least recently used.
+	if _, ok := c.Get("key-0"); !ok {
+		t.Fatal("key-0 missing before any eviction")
+	}
+	put(capacity)
+	if st := c.Stats(); st.Entries != capacity || st.Evictions != 1 {
+		t.Fatalf("after %d inserts: %+v, want %d entries and 1 eviction", capacity+1, st, capacity)
+	}
+	if _, ok := c.Get("key-1"); ok {
+		t.Fatal("the least recently used key survived the eviction")
+	}
+	for _, i := range []int{0, 2, 3, 4, 5, 6, 7, capacity} {
+		if v, ok := c.Get(fmt.Sprintf("key-%d", i)); !ok || v != i {
+			t.Fatalf("key-%d = %d, %v after evicting key-1", i, v, ok)
+		}
+	}
+	// Every further insert evicts exactly one key, so the last c inserted
+	// are the survivors.
+	for i := capacity + 1; i < 4*capacity; i++ {
+		put(i)
+	}
+	if st := c.Stats(); st.Entries != capacity || int(st.Evictions) != 3*capacity {
+		t.Fatalf("after %d inserts: %+v, want %d entries and %d evictions", 4*capacity, st, capacity, 3*capacity)
+	}
+	for i := 3 * capacity; i < 4*capacity; i++ {
+		if _, ok := c.Get(fmt.Sprintf("key-%d", i)); !ok {
+			t.Fatalf("recent key-%d evicted", i)
+		}
 	}
 }
 

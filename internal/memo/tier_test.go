@@ -152,13 +152,13 @@ func TestTierDedup(t *testing.T) {
 	// Wait until every goroutine has either become the leader or joined it,
 	// then release the tier load.
 	for {
-		c.shardOf("k").mu.Lock()
-		cl := c.shardOf("k").inflight["k"]
+		c.mu.Lock()
+		cl := c.inflight["k"]
 		n := 0
 		if cl != nil {
 			n = cl.waiters
 		}
-		c.shardOf("k").mu.Unlock()
+		c.mu.Unlock()
 		if n == waiters {
 			break
 		}

@@ -86,7 +86,7 @@ func TestRunEndpoint(t *testing.T) {
 
 	want := sc
 	want.IDBound = 4 * sc.N // the daemon's documented default
-	wantRec := campaign.RunScenario(want, campaign.Options{})
+	wantRec := campaign.RunScenarioContext(t.Context(), want, campaign.Options{})
 	wantRec.Wall, got.Wall = 0, 0
 	if !reflect.DeepEqual(got, wantRec) {
 		t.Fatalf("daemon record differs:\n got %+v\nwant %+v", got, wantRec)
@@ -175,7 +175,7 @@ func TestConcurrentClients(t *testing.T) {
 	want := make([]campaign.Record, len(scenarios))
 	for i, sc := range scenarios {
 		sc.IDBound = 4 * sc.N
-		want[i] = campaign.RunScenario(sc, campaign.Options{})
+		want[i] = campaign.RunScenarioContext(t.Context(), sc, campaign.Options{})
 		want[i].Wall = 0
 		if want[i].Status != campaign.StatusOK {
 			t.Fatalf("%s: ground truth not ok: %+v", sc.Key(), want[i])

@@ -24,7 +24,6 @@ package tasktest
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -82,7 +81,7 @@ func Conformance(t *testing.T, name string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := campaign.RunScenario(sc, campaign.Options{})
+		rec := campaign.RunScenarioContext(t.Context(), sc, campaign.Options{})
 
 		if !spec.Solvable(model, g.n%2 == 1) {
 			if rec.Status != campaign.StatusUnsolvable {
@@ -108,7 +107,7 @@ func Conformance(t *testing.T, name string) {
 // byteStableRecord re-runs the scenario and requires byte-identical JSON.
 func byteStableRecord(t *testing.T, spec task.Spec, sc campaign.Scenario, rec campaign.Record) {
 	t.Helper()
-	again := campaign.RunScenario(sc, campaign.Options{})
+	again := campaign.RunScenarioContext(t.Context(), sc, campaign.Options{})
 	a, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +173,7 @@ func runVerified(t *testing.T, spec task.Spec, gen engine.Config, p task.Params,
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	//ringvet:allow ctxflow test-support conformance harness: runs under the test binary, nothing to cancel
-	out, err := spec.Run(context.Background(), nw, p)
+	out, err := spec.Run(t.Context(), nw, p)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -192,13 +190,13 @@ func endToEndSymmetry(t *testing.T, sc campaign.Scenario, _ campaign.Record) {
 	t.Helper()
 	framed := sc
 	framed.Phase, framed.Reflect = 3, true
-	plain := campaign.RunScenario(framed, campaign.Options{})
+	plain := campaign.RunScenarioContext(t.Context(), framed, campaign.Options{})
 	cache := campaign.NewCache(0)
-	prime := campaign.RunScenario(sc, campaign.Options{Cache: cache})
+	prime := campaign.RunScenarioContext(t.Context(), sc, campaign.Options{Cache: cache})
 	if prime.Cache != "miss" {
 		t.Errorf("%s: priming run annotated %q, want miss", sc.Key(), prime.Cache)
 	}
-	cached := campaign.RunScenario(framed, campaign.Options{Cache: cache})
+	cached := campaign.RunScenarioContext(t.Context(), framed, campaign.Options{Cache: cache})
 	if cached.Cache != "hit" {
 		t.Errorf("%s: symmetric framing annotated %q, want hit", framed.Key(), cached.Cache)
 	}
