@@ -9,10 +9,12 @@ import (
 	"ringsym/internal/campaign"
 	"ringsym/internal/core"
 	"ringsym/internal/engine"
+	"ringsym/internal/engine/enginetest"
 	"ringsym/internal/eval"
 	"ringsym/internal/netgen"
 	"ringsym/internal/rcomm"
 	"ringsym/internal/ring"
+	"ringsym/internal/task"
 )
 
 // The benchmarks below regenerate the paper's evaluation artefacts: one
@@ -119,13 +121,13 @@ func BenchmarkFigure2Reductions(b *testing.B) {
 	}
 }
 
-func shortProblem(p eval.Problem) string {
+func shortProblem(p task.Problem) string {
 	switch p {
-	case eval.LeaderElection:
+	case task.LeaderElection:
 		return "LE"
-	case eval.NontrivialMove:
+	case task.NontrivialMove:
 		return "NM"
-	case eval.DirectionAgreement:
+	case task.DirectionAgreement:
 		return "DA"
 	default:
 		return "LD"
@@ -166,16 +168,6 @@ func BenchmarkDistinguisherSize(b *testing.B) {
 	for _, s := range samples {
 		b.ReportMetric(float64(s.MinPrefix), fmt.Sprintf("N%d-n%d-prefix", s.Universe, s.SubsetSize))
 	}
-}
-
-// runSteps drives one machine per agent on nw: step is the agent's protocol
-// in continuation-passing form, handing its result to k.
-func runSteps[T any](nw *engine.Network, step func(a *engine.Agent, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)) (*engine.Result[T], error) {
-	return engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[T] {
-		return engine.NewProto(func(done func(T, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return step(a, func(v T) (engine.Yield, engine.Cont) { return done(v, nil) })
-		})
-	})
 }
 
 // BenchmarkLowerBounds compares measured location-discovery round counts with
@@ -223,7 +215,7 @@ func BenchmarkAblationDissemination(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := runSteps(nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				return rcomm.EstablishStep(core.NewFrame(a), func(link *rcomm.Link) (engine.Yield, engine.Cont) {
 					before := a.RoundsUsed()
 					isSource := a.ID()%8 == 1
@@ -257,7 +249,7 @@ func BenchmarkAblationNontrivialDetection(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := runSteps(nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				f := core.NewFrame(a)
 				if weak {
 					return core.WeakNontrivialMoveEvenStep(f, int64(i), func(ring.Direction, int) (engine.Yield, engine.Cont) { return k(f.RoundsUsed()) })

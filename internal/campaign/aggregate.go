@@ -191,9 +191,9 @@ func (a *Aggregator) Summary() []SummaryRow {
 			row.MinRounds = g.min
 			row.MaxRounds = g.max
 			row.MeanRounds = float64(g.sum) / float64(ok)
-			row.P50Rounds = Percentile(g.hist, ok, 50)
-			row.P90Rounds = Percentile(g.hist, ok, 90)
-			row.P99Rounds = Percentile(g.hist, ok, 99)
+			row.P50Rounds = obs.Percentile(g.hist, ok, 50)
+			row.P90Rounds = obs.Percentile(g.hist, ok, 90)
+			row.P99Rounds = obs.Percentile(g.hist, ok, 99)
 		}
 		if g.ratioCount > 0 {
 			row.BoundRatio = g.ratioSum / float64(g.ratioCount)
@@ -220,15 +220,6 @@ func lessKey(a, b GroupKey) bool {
 		return !a.CommonSense
 	}
 	return a.N < b.N
-}
-
-// Percentile returns the nearest-rank p-th percentile of a value→count
-// histogram holding count samples: the smallest value v such that at least
-// ceil(p/100 · count) samples are <= v.  The implementation lives in
-// internal/obs (the telemetry windows need the same exact-percentile fold);
-// this delegate keeps the campaign-side name every caller and test uses.
-func Percentile(hist map[int]int, count, p int) int {
-	return obs.Percentile(hist, count, p)
 }
 
 func (k GroupKey) label() (parity, chir, cs string) {

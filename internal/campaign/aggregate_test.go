@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ringsym/internal/obs"
 )
 
 // bruteForcePercentile is the reference nearest-rank percentile over the raw
@@ -32,7 +34,7 @@ func TestPercentileMatchesBruteForce(t *testing.T) {
 			hist[v]++
 		}
 		for _, p := range []int{1, 25, 50, 75, 90, 99, 100} {
-			got := Percentile(hist, n, p)
+			got := obs.Percentile(hist, n, p)
 			want := bruteForcePercentile(samples, p)
 			if got != want {
 				t.Fatalf("trial %d: p%d of %d samples: got %d, want %d", trial, p, n, got, want)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"ringsym/internal/engine"
 )
 
 // allocBudget is the steady-state allocation count of one scenario on a
@@ -33,8 +31,7 @@ var allocBudget = map[string]float64{
 const allocSlack = 1.10
 
 // TestScenarioAllocBudget runs one grid scenario per task × model × parity
-// the way a campaign worker does — with the worker's scheduler arena and
-// network slot in the context — and fails when its allocations exceed the
+// the way a campaign worker does — on the worker's network slot — and fails when its allocations exceed the
 // budget by more than allocSlack: a protocol loop that builds a closure per
 // round again shows up here as a count proportional to its rounds.
 func TestScenarioAllocBudget(t *testing.T) {
@@ -55,7 +52,7 @@ func TestScenarioAllocBudget(t *testing.T) {
 			pick[key] = rec
 		}
 	}
-	ctx := withNetSlot(engine.WithBatch(context.Background(), engine.NewBatch()), &netSlot{})
+	slot := &netSlot{}
 	for key, want := range pick {
 		budget, ok := allocBudget[key]
 		if !ok {
@@ -64,9 +61,9 @@ func TestScenarioAllocBudget(t *testing.T) {
 		}
 		sc := want.Scenario
 		var rec Record
-		got := testing.AllocsPerRun(20, func() { rec = RunScenarioContext(ctx, sc, Options{}) })
+		got := testing.AllocsPerRun(20, func() { rec = runScenario(context.Background(), sc, Options{}, slot) })
 		if rec.Status != want.Status || rec.Rounds != want.Rounds {
-			t.Errorf("%s (%s): %s in %d rounds on the worker context, %s in %d in the sweep", key, sc.Key(), rec.Status, rec.Rounds, want.Status, want.Rounds)
+			t.Errorf("%s (%s): %s in %d rounds on the worker slot, %s in %d in the sweep", key, sc.Key(), rec.Status, rec.Rounds, want.Status, want.Rounds)
 		}
 		t.Logf("%s (%s, %d rounds): %.0f allocs, budget %.0f", key, sc.Key(), rec.Rounds, got, budget)
 		if got > budget*allocSlack {

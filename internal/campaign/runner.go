@@ -96,8 +96,8 @@ type Options struct {
 	Cache *Cache
 }
 
-// testHookScenario, when set, runs at the start of RunScenarioContext's
-// lookup stage, inside the pipeline's recover; tests use it to inject panics.
+// testHookScenario, when set, runs at the start of runScenario's lookup
+// stage, inside the pipeline's recover; tests use it to inject panics.
 var testHookScenario func(Scenario)
 
 // Run executes the scenarios on a pool of workers and streams one Record per
@@ -146,12 +146,10 @@ func Run(ctx context.Context, scenarios []Scenario, opts Options) <-chan Record 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Each worker owns one scheduler batch arena for its whole shift:
-			// every FSM run of every scenario this worker executes reuses the
-			// same machine/yield/pending arrays and leap executor, keeping the
-			// block of small-n scenarios cache-resident instead of paying a
-			// pool round-trip (and cold arrays) per scenario.
-			wctx := withNetSlot(engine.WithBatch(ctx, engine.NewBatch()), &netSlot{})
+			// Each worker owns one network slot for its whole shift and
+			// passes it to every scenario it runs, so consecutive scenarios
+			// reset one network instead of building one each.
+			slot := &netSlot{}
 			for block := range feed {
 				for _, sc := range block {
 					// The scenario runs under ctx, so cancellation interrupts an
@@ -161,7 +159,7 @@ func Run(ctx context.Context, scenarios []Scenario, opts Options) <-chan Record 
 					// best-effort on a cancelled context (the documented Run
 					// contract): a consumer that keeps draining until close
 					// receives the record unless ctx.Done wins the race.
-					rec := RunScenarioContext(wctx, sc, opts)
+					rec := runScenario(ctx, sc, opts, slot)
 					n := done.Add(1)
 					if obs.On() && n%checkpointEvery == 0 {
 						obs.Emit(obs.Event{Type: obs.CampaignCheckpoint, Level: obs.LevelInfo, Done: int(n), Total: len(scenarios)})
@@ -275,6 +273,14 @@ func RunAll(ctx context.Context, scenarios []Scenario, opts Options) ([]Record, 
 // rather than running until the engine's round bound.  Panics anywhere in
 // generation or protocol execution are recovered into a failed record.
 func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) Record {
+	return runScenario(ctx, sc, opts, nil)
+}
+
+// runScenario is RunScenarioContext on a caller's network slot: an uncached
+// scenario runs on the slot's network (see acquireNetwork), and a nil slot
+// builds a fresh network.  A cached computation always builds a fresh one,
+// because it runs on a goroutine the cache owns, which can outlive the caller.
+func runScenario(ctx context.Context, sc Scenario, opts Options, slot *netSlot) Record {
 	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
 	start := time.Now()
 	if obs.On() {
@@ -288,17 +294,11 @@ func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) Record {
 			testHookScenario(sc)
 		}
 		if opts.Cache == nil {
-			out, err := runSpec(ctx, spec, cfg, sc)
+			out, err := runSpec(ctx, spec, cfg, sc, slot)
 			return out, memo.Miss, err
 		}
 		return opts.Cache.c.Do(ctx, key, func(cctx context.Context) (task.Outcome, error) {
-			// The computation runs on a cache-owned goroutine that can
-			// outlive this caller (another waiter keeps it alive after a
-			// cancellation), while cctx still carries ctx's values — so the
-			// worker-owned arenas riding in them must be detached here or two
-			// goroutines could share one arena.  The engine falls back to its
-			// internal pools.
-			return runSpec(detachWorkerState(cctx), spec, cfg, sc)
+			return runSpec(cctx, spec, cfg, sc, nil)
 		})
 	})
 	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
@@ -438,30 +438,15 @@ func generateConfig(sc Scenario, opts Options, model ring.Model) (engine.Config,
 // netSlot is a worker-owned network-reuse slot: one facade network, reset in
 // place for every scenario the worker runs, so the ring state, agent objects
 // and their grown scratch buffers survive across a whole sweep instead of
-// being rebuilt per scenario.  A slot is single-threaded, like the engine
-// arena it rides next to in the worker's context.
+// being rebuilt per scenario.  A slot is single-threaded: only the worker
+// that owns it passes it to runScenario.
 type netSlot struct{ nw *ringsym.Network }
 
-type netSlotKey struct{}
-
-// withNetSlot returns a context carrying s; runSpec reuses the slot's network
-// when present.  Pass nil to shadow an inherited slot (detachWorkerState).
-func withNetSlot(ctx context.Context, s *netSlot) context.Context {
-	return context.WithValue(ctx, netSlotKey{}, s)
-}
-
-// detachWorkerState shadows the worker-owned single-threaded state riding in
-// ctx's values (the engine arena and the network slot) so a computation that
-// may run concurrently with — or outlive — the worker cannot share them.
-func detachWorkerState(ctx context.Context) context.Context {
-	return withNetSlot(engine.WithBatch(ctx, nil), nil)
-}
-
-// acquireNetwork returns a network for cfg: the context's slot network, reset
-// in place, when a slot is installed — a fresh one otherwise (and after a
-// failed reset, whose contract leaves the network undefined).
-func acquireNetwork(ctx context.Context, cfg ringsym.Config) (*ringsym.Network, error) {
-	s, _ := ctx.Value(netSlotKey{}).(*netSlot)
+// acquireNetwork returns a network for cfg: the slot's network, reset in
+// place, when the slot holds one; a fresh one otherwise (and after a failed
+// reset, whose contract leaves the network undefined), which a non-nil slot
+// keeps for the next scenario.
+func acquireNetwork(s *netSlot, cfg ringsym.Config) (*ringsym.Network, error) {
 	if s != nil && s.nw != nil {
 		if err := s.nw.Reset(cfg); err == nil {
 			return s.nw, nil
@@ -482,9 +467,10 @@ func acquireNetwork(ctx context.Context, cfg ringsym.Config) (*ringsym.Network, 
 // the registry spec: the network is built behind the public facade (whose
 // pipelines verify protocol outcomes against the simulator's ground truth),
 // the spec runs, and the finished outcome is re-checked with the spec's own
-// Verify before it may enter the cache or a record.
-func runSpec(ctx context.Context, spec task.Spec, gen engine.Config, sc Scenario) (task.Outcome, error) {
-	nw, err := acquireNetwork(ctx, ringsym.Config{
+// Verify before it may enter the cache or a record.  The network comes from
+// slot (see acquireNetwork).
+func runSpec(ctx context.Context, spec task.Spec, gen engine.Config, sc Scenario, slot *netSlot) (task.Outcome, error) {
+	nw, err := acquireNetwork(slot, ringsym.Config{
 		Model:         gen.Model,
 		Circumference: gen.Circ,
 		Positions:     gen.Positions,

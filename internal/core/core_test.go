@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ringsym/internal/engine"
+	"ringsym/internal/engine/enginetest"
 	"ringsym/internal/netgen"
 	"ringsym/internal/ring"
 )
@@ -29,16 +30,6 @@ func objectiveDir(dir ring.Direction, flipped, chirality bool) ring.Direction {
 // directions.
 func rotationOf(dirs []ring.Direction) int {
 	return ring.RotationIndex(len(dirs), dirs)
-}
-
-// run drives one machine per agent on nw: step is the agent's protocol in
-// continuation-passing form, handing its result to k.
-func run[T any](nw *engine.Network, step func(a *engine.Agent, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)) (*engine.Result[T], error) {
-	return engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[T] {
-		return engine.NewProto(func(done func(T, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return step(a, func(v T) (engine.Yield, engine.Cont) { return done(v, nil) })
-		})
-	})
 }
 
 func newNetwork(t *testing.T, opt netgen.Options) *engine.Network {
@@ -78,7 +69,7 @@ func TestFrameRoundTranslation(t *testing.T) {
 	type out struct {
 		plain, flipped int64
 	}
-	res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		f := NewFrame(a)
 		// A fixed asymmetric rule so that the rotation index is nonzero.
 		dir := ring.Anticlockwise
@@ -137,7 +128,7 @@ func TestClassifyRotation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			nw := newNetwork(t, netgen.Options{N: n, IDBound: n, Seed: 3, Model: ring.Basic})
-			res, err := run(nw, func(a *engine.Agent, k func(RotationClass) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(RotationClass) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				dir := ring.Anticlockwise
 				if a.ID() <= tc.clockwise {
 					dir = ring.Clockwise
@@ -185,7 +176,7 @@ func TestNontrivialMoveOdd(t *testing.T) {
 				dir     ring.Direction
 				flipped bool
 			}
-			res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				f := NewFrame(a)
 				return NontrivialMoveOddStep(f, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.Flipped()}) })
 			})
@@ -220,7 +211,7 @@ func TestNontrivialMoveEven(t *testing.T) {
 			dir     ring.Direction
 			flipped bool
 		}
-		res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			f := NewFrame(a)
 			return NontrivialMoveEvenStep(f, 99, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.Flipped()}) })
 		})
@@ -251,7 +242,7 @@ func TestDirectionAgreement(t *testing.T) {
 				N: n, IDBound: 32, Seed: seed, Model: ring.Basic,
 				MixedChirality: true, ForceSplitChirality: true,
 			})
-			res, err := run(nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				f := NewFrame(a)
 				agree := func(dir ring.Direction) (engine.Yield, engine.Cont) {
 					return DirectionAgreementStep(f, dir, func(ring.Direction) (engine.Yield, engine.Cont) { return k(f.Flipped()) })
@@ -282,7 +273,7 @@ func TestDirectionAgreementOdd(t *testing.T) {
 			N: 7, IDBound: 32, Seed: 11, Model: ring.Basic,
 			MixedChirality: mixed, ForceSplitChirality: mixed,
 		})
-		res, err := run(nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			f := NewFrame(a)
 			return DirectionAgreementOddStep(f, func() (engine.Yield, engine.Cont) { return k(f.Flipped()) })
 		})
@@ -365,7 +356,7 @@ func TestEmptinessTest(t *testing.T) {
 					ids[i] = nw.IDOf(i)
 				}
 				want := q.want(ids)
-				res, err := run(nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+				res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 					return EmptinessTestStep(NewFrame(a), q.contains(a.ID(), s.n), k)
 				})
 				if err != nil {
@@ -393,7 +384,7 @@ func TestLeaderElectCommonSense(t *testing.T) {
 	for _, model := range []ring.Model{ring.Basic, ring.Lazy, ring.Perceptive} {
 		for _, n := range []int{7, 8} {
 			nw := newNetwork(t, netgen.Options{N: n, IDBound: 128, Seed: 17, Model: model})
-			res, err := run(nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				return LeaderElectCommonSenseStep(NewFrame(a), k)
 			})
 			if err != nil {
@@ -434,7 +425,7 @@ func TestNontrivialMoveFromLeader(t *testing.T) {
 			dir     ring.Direction
 			flipped bool
 		}
-		res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			f := NewFrame(a)
 			return NontrivialMoveFromLeaderStep(f, a.ID() == maxID, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.Flipped()}) })
 		})
@@ -464,7 +455,7 @@ func TestBroadcastBits(t *testing.T) {
 		}
 	}
 	const payload = uint64(0b1011001110)
-	res, err := run(nw, func(a *engine.Agent, k func(uint64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(uint64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		return BroadcastBitsStep(NewFrame(a), a.ID() == maxID, payload, 10, k)
 	})
 	if err != nil {
@@ -479,7 +470,7 @@ func TestBroadcastBits(t *testing.T) {
 		t.Errorf("rounds = %d, want 10", res.Rounds)
 	}
 	// Parameter validation.
-	if _, err := run(nw, func(a *engine.Agent, k func(uint64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	if _, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(uint64) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		return BroadcastBitsStep(NewFrame(a), false, 0, 0, k)
 	}); err == nil {
 		t.Error("bits=0 accepted")
@@ -517,7 +508,7 @@ func TestCoordinateAllSettings(t *testing.T) {
 				dir     ring.Direction
 				flipped bool
 			}
-			res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				return CoordinateStep(a, Options{CommonSense: s.commonSense, Seed: 41}, func(c *Coordination) (engine.Yield, engine.Cont) {
 					return k(out{c.IsLeader, c.NontrivialDir, c.Frame.Flipped()})
 				})
@@ -578,7 +569,7 @@ func TestCoordinateRoundAccounting(t *testing.T) {
 
 func TestNontrivialMoveSearchExhausted(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 8, IDBound: 32, Seed: 4, Model: ring.Basic})
-	_, err := run(nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	_, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		// An empty family can never produce a nontrivial move.
 		fam, ferr := newEmptyFamily(a.IDBound())
 		if ferr != nil {

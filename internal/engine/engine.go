@@ -16,7 +16,9 @@
 // them: a loop on the caller's goroutine steps every agent's machine to its
 // next yield, executes the crossing inline through the leap executor
 // (exec.go) and resumes the machines with their observations, with no
-// goroutine per agent and no synchronisation in the round loop.
+// goroutine per agent and no synchronisation in the round loop.  Each run
+// borrows its scratch arena from one internal pool, so callers hold no
+// scheduler state and pass none through a context.
 package engine
 
 import (
@@ -114,6 +116,7 @@ type Observation struct {
 // supports at most one run at a time: a concurrent Run on the same Network
 // fails with ErrRunInProgress instead of corrupting the shared state.
 // Sequential runs reuse the same agent handles and their scratch buffers.
+// The zero Network has no configuration until Reset gives it one.
 type Network struct {
 	cfg     Config
 	state   *ring.State
@@ -164,69 +167,30 @@ type Agent struct {
 	slot *batch
 }
 
-// New validates cfg and builds the network.
+// New validates cfg and builds the network: it is Reset on a zero Network.
 func New(cfg Config) (*Network, error) {
-	st, err := ring.New(ring.Config{
-		Model:      cfg.Model,
-		Circ:       cfg.Circ,
-		Positions:  cfg.Positions,
-		AllowSmall: cfg.AllowSmall,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	n := len(cfg.Positions)
-	if len(cfg.IDs) != n {
-		return nil, fmt.Errorf("%w: got %d IDs for %d agents", ErrBadIDs, len(cfg.IDs), n)
-	}
-	if cfg.IDBound < n {
-		return nil, fmt.Errorf("%w: IDBound %d < n %d", ErrBadIDs, cfg.IDBound, n)
-	}
-	idToIdx := make(map[int]int, n)
-	for i, id := range cfg.IDs {
-		if id < 1 || id > cfg.IDBound {
-			return nil, fmt.Errorf("%w: ID %d out of range", ErrBadIDs, id)
-		}
-		if _, dup := idToIdx[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate ID %d", ErrBadIDs, id)
-		}
-		idToIdx[id] = i
-	}
-	if cfg.Chirality != nil && len(cfg.Chirality) != n {
-		return nil, ErrBadChirality
-	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = DefaultMaxRounds
-	}
-	nw := &Network{cfg: cfg, state: st, idToIdx: idToIdx}
-	nw.agents = make([]*Agent, n)
-	for i := 0; i < n; i++ {
-		nw.agents[i] = &Agent{
-			nw:         nw,
-			idx:        i,
-			id:         cfg.IDs[i],
-			idBound:    cfg.IDBound,
-			parity:     nw.parity(),
-			model:      cfg.Model,
-			chirality:  nw.ChiralityOf(i),
-			fullCircle: st.FullCircle(),
-		}
+	nw := new(Network)
+	if err := nw.Reset(cfg); err != nil {
+		return nil, err
 	}
 	return nw, nil
 }
 
-// Reset re-initialises the network in place for a new configuration, reusing
-// the ring state, agent objects (with their grown scratch buffers) and ID
-// index of the previous one.  It validates exactly like New.  On error
-// the network may be left partially updated and must be discarded; Reset is
-// for scenario sweeps over trusted generators, where rebuilding a complete
-// network object per scenario is pure allocation overhead.  Reset must not be
-// called while a run is in flight.
+// Reset validates cfg and (re)initialises the network in place, reusing the
+// ring state, agent objects (with their grown scratch buffers) and ID index
+// of the previous configuration, if any; New is Reset on a zero Network, so
+// the two share one validation.  On error the network may be left partially
+// updated and must be discarded; Reset is for scenario sweeps over trusted
+// generators, where rebuilding a complete network object per scenario is pure
+// allocation overhead.  Reset must not be called while a run is in flight.
 func (nw *Network) Reset(cfg Config) error {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	if nw.running {
 		return ErrRunInProgress
+	}
+	if nw.state == nil {
+		nw.state = new(ring.State)
 	}
 	if err := nw.state.Reset(ring.Config{
 		Model:      cfg.Model,
@@ -242,6 +206,9 @@ func (nw *Network) Reset(cfg Config) error {
 	}
 	if cfg.IDBound < n {
 		return fmt.Errorf("%w: IDBound %d < n %d", ErrBadIDs, cfg.IDBound, n)
+	}
+	if nw.idToIdx == nil {
+		nw.idToIdx = make(map[int]int, n)
 	}
 	clear(nw.idToIdx)
 	for i, id := range cfg.IDs {

@@ -3,14 +3,17 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"ringsym/internal/ring"
 )
 
 // The tests in this file pin the scheduler: leap execution against the
-// split-batch oracle (export_test.go), the worker-held Batch arena, the abort
+// split-batch oracle (export_test.go), the pooled arena's release, the abort
 // channel, budget exhaustion, panic containment, cancellation and the guard
 // against malformed hand-written machines.
 
@@ -138,34 +141,119 @@ func TestDirectDispatchMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestFSMBatchReuse pins the WithBatch path: sequential scenarios through one
-// worker-held Batch produce the same results as pool-backed runs.
-func TestFSMBatchReuse(t *testing.T) {
-	arena := NewBatch()
-	ctx := WithBatch(context.Background(), arena)
-	for trial := 0; trial < 6; trial++ {
-		seed := int64(31*trial) + 7
-		rng := rand.New(rand.NewSource(seed))
-		cfg := leapTestConfig(rng, ring.Perceptive, trial%2 == 0, true)
-		build := func() *Network {
+// TestPooledArenaCarriesNothing pins release: one network is driven through
+// three failing runs — cancelled mid-protocol, a panicking machine, an
+// exceeded round budget — and after each one the arenas in the pool hold no
+// machine, step error, pending batch or network, and the network, Reset,
+// runs exactly like a fresh one.  Two goroutines run it at once, each with
+// its own network, so arenas move between goroutines under -race.
+func TestPooledArenaCarriesNothing(t *testing.T) {
+	failures := []struct {
+		name  string
+		edit  func(cfg *Config)
+		build func(ctx context.Context, cancel context.CancelFunc) func(a *Agent) *Proto[struct{}]
+		want  error
+	}{
+		{"cancelled", func(*Config) {}, func(_ context.Context, cancel context.CancelFunc) func(a *Agent) *Proto[struct{}] {
+			return func(a *Agent) *Proto[struct{}] {
+				return forever(a, func() {
+					if a.RoundsUsed() == 3 {
+						cancel()
+					}
+				})
+			}
+		}, context.Canceled},
+		{"panic", func(*Config) {}, func(context.Context, context.CancelFunc) func(a *Agent) *Proto[struct{}] {
+			return func(a *Agent) *Proto[struct{}] {
+				return perRound(a, func(i int) (ring.Direction, bool) {
+					if i == 4 && a.ID() == a.nw.IDOf(0) {
+						panic("machine meltdown")
+					}
+					return ring.Clockwise, i < 8
+				}, nil, func() struct{} { return struct{}{} })
+			}
+		}, ErrProtocolPanic},
+		{"max rounds", func(cfg *Config) { cfg.MaxRounds = 5 }, func(context.Context, context.CancelFunc) func(a *Agent) *Proto[struct{}] {
+			return func(a *Agent) *Proto[struct{}] { return forever(a, nil) }
+		}, ErrMaxRoundsExceed},
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			cfg := leapTestConfig(rand.New(rand.NewSource(seed)), ring.Perceptive, seed%2 == 1, true)
 			nw, err := New(cfg)
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return
 			}
-			return nw
-		}
-		const ops = 9
-		shared, errS := Run(ctx, build(), scriptMachine(seed, ops))
-		pooled, errP := run(build(), scriptMachine(seed, ops))
-		if errS != nil || errP != nil {
-			t.Fatalf("trial %d: errors shared=%v pooled=%v", trial, errS, errP)
-		}
-		for i := range shared.Outputs {
-			if !shared.Outputs[i].equal(pooled.Outputs[i]) {
-				t.Fatalf("trial %d agent %d: shared-arena run differs from pooled run", trial, i)
+			for _, f := range failures {
+				failing := cfg
+				f.edit(&failing)
+				if err := nw.Reset(failing); err != nil {
+					t.Error(err)
+					return
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				_, err := Run(ctx, nw, f.build(ctx, cancel))
+				cancel()
+				if !errors.Is(err, f.want) {
+					t.Errorf("%s: got %v, want %v", f.name, err, f.want)
+					return
+				}
+				if msg := pooledArenaLeftovers(); msg != "" {
+					t.Errorf("after the %s run: %s", f.name, msg)
+				}
+				if err := nw.Reset(cfg); err != nil {
+					t.Error(err)
+					return
+				}
+				fresh, err := New(cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				const ops = 9
+				got, errG := run(nw, scriptMachine(seed, ops))
+				want, errW := run(fresh, scriptMachine(seed, ops))
+				if errG != nil || errW != nil {
+					t.Errorf("after the %s run: errors reset=%v fresh=%v", f.name, errG, errW)
+					return
+				}
+				if got.Rounds != want.Rounds {
+					t.Errorf("after the %s run: rounds reset %d, fresh %d", f.name, got.Rounds, want.Rounds)
+				}
+				for i := range want.Outputs {
+					if !got.Outputs[i].equal(want.Outputs[i]) {
+						t.Errorf("after the %s run: agent %d differs from a fresh network's", f.name, i)
+					}
+				}
 			}
+		}(int64(17 + g))
+	}
+	wg.Wait()
+}
+
+// pooledArenaLeftovers borrows an arena from the pool, describes anything a
+// finished run left in it, and returns it.
+func pooledArenaLeftovers() string {
+	b := arenaPool.Get().(*arena)
+	defer arenaPool.Put(b)
+	if b.x.nw != nil {
+		return "the arena still references a network"
+	}
+	for i := range b.machines {
+		switch {
+		case b.machines[i] != nil:
+			return fmt.Sprintf("machine %d survived", i)
+		case b.stepErr[i] != nil:
+			return fmt.Sprintf("step error %d survived: %v", i, b.stepErr[i])
+		case !reflect.ValueOf(b.x.pend[i]).IsZero():
+			return fmt.Sprintf("pending batch %d survived: %+v", i, b.x.pend[i])
 		}
 	}
+	return ""
 }
 
 // TestFSMValidationAborts pins the abort channel: invalid yield parameters
@@ -313,7 +401,7 @@ func TestFSMMalformedYield(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatch()
+	b := new(arena)
 	b.prepare(nw)
 	if err := nw.beginRun(); err != nil {
 		t.Fatal(err)

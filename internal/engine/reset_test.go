@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"ringsym/internal/geom"
 	"ringsym/internal/ring"
 )
 
@@ -89,16 +90,118 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestNetworkResetValidates pins the error surface: a Reset with an invalid
-// configuration fails like New would.
+// TestNetworkResetValidates pins one error surface for New and Reset: every
+// invalid configuration fails both a fresh New and a Reset of a network that
+// has already run with the same sentinel and the same message.
 func TestNetworkResetValidates(t *testing.T) {
-	nw, err := New(resetCfgA())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		edit func(c *Config)
+		want error
+	}{
+		{"bad model", func(c *Config) { c.Model = ring.Model(42) }, ring.ErrInvalidModel},
+		{"zero circumference", func(c *Config) { c.Circ = 0 }, geom.ErrBadCircumference},
+		{"odd circumference", func(c *Config) { c.Circ = 63 }, geom.ErrBadCircumference},
+		{"n < 2", func(c *Config) {
+			c.Positions, c.IDs, c.AllowSmall = []int64{4}, []int{1}, true
+		}, ring.ErrAllowSmallMissing},
+		{"n <= 4 without AllowSmall", func(c *Config) {
+			c.Positions, c.IDs = []int64{0, 10, 22, 30}, []int{3, 1, 4, 2}
+		}, ring.ErrTooFewAgents},
+		{"unsorted positions", func(c *Config) { c.Positions = []int64{0, 22, 10, 30, 44} }, ring.ErrBadPositions},
+		{"repeated positions", func(c *Config) { c.Positions = []int64{0, 10, 10, 30, 44} }, ring.ErrBadPositions},
+		{"ID count != n", func(c *Config) { c.IDs = []int{3, 1, 4, 5} }, ErrBadIDs},
+		{"IDBound < n", func(c *Config) { c.IDs, c.IDBound = []int{3, 1, 4, 2, 1}, 4 }, ErrBadIDs},
+		{"out-of-range ID", func(c *Config) { c.IDs = []int{3, 1, 4, 21, 2} }, ErrBadIDs},
+		{"duplicate ID", func(c *Config) { c.IDs = []int{1, 1, 2, 3, 4} }, ErrBadIDs},
+		{"chirality length", func(c *Config) { c.Chirality = []bool{true, false} }, ErrBadChirality},
 	}
-	bad := resetCfgA()
-	bad.IDs = []int{1, 1, 2, 3, 4}
-	if err := nw.Reset(bad); !errors.Is(err, ErrBadIDs) {
-		t.Fatalf("Reset(dup ids) = %v, want ErrBadIDs", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := resetCfgA()
+			tc.edit(&cfg)
+			_, errNew := New(cfg)
+			used, err := New(resetCfgB())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runProbe(t, used)
+			errReset := used.Reset(cfg)
+			if !errors.Is(errNew, tc.want) || !errors.Is(errReset, tc.want) {
+				t.Fatalf("New = %v, Reset = %v, want %v", errNew, errReset, tc.want)
+			}
+			if errNew.Error() != errReset.Error() {
+				t.Fatalf("messages differ: New %q, Reset %q", errNew, errReset)
+			}
+		})
 	}
+}
+
+// fuzzResetBase is the larger configuration a fuzzed Reset starts from: 12
+// agents with mixed chirality, so Reset has to shrink the agent slice, re-key
+// the ID index and re-translate every frame.
+func fuzzResetBase() Config {
+	cfg := Config{Model: ring.Lazy, Circ: 512, IDBound: 40, Chirality: make([]bool, 12)}
+	for i := 0; i < 12; i++ {
+		cfg.Positions = append(cfg.Positions, int64(40*i+3*(i%3)))
+		cfg.IDs = append(cfg.IDs, 40-3*i)
+		cfg.Chirality[i] = i%3 != 1
+	}
+	return cfg
+}
+
+// FuzzNetworkResetMatchesNew decodes a small configuration — valid or not —
+// and requires Reset on a network that has already run fuzzResetBase to
+// behave exactly like New: the same error, or the same probe observations and
+// rounds.  Positions and IDs are one byte per agent (at most 10 agents); an
+// empty chirality input means nil.  The seed corpus (testdata/fuzz) holds
+// valid configurations of 3 to 10 agents and one of each validation failure.
+func FuzzNetworkResetMatchesNew(f *testing.F) {
+	f.Fuzz(func(t *testing.T, model int8, circ int16, positions, ids []byte, idBound uint8, chirality []byte, allowSmall, hideParity bool) {
+		if len(positions) > 10 || len(ids) > 10 || len(chirality) > 10 {
+			t.Skip("more than 10 agents")
+		}
+		cfg := Config{
+			Model:      ring.Model(model),
+			Circ:       int64(circ),
+			IDBound:    int(idBound),
+			AllowSmall: allowSmall,
+			HideParity: hideParity,
+		}
+		for _, p := range positions {
+			cfg.Positions = append(cfg.Positions, int64(p))
+		}
+		for _, id := range ids {
+			cfg.IDs = append(cfg.IDs, int(id))
+		}
+		for _, c := range chirality {
+			cfg.Chirality = append(cfg.Chirality, c&1 == 1)
+		}
+		used, err := New(fuzzResetBase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runProbe(t, used)
+		errReset := used.Reset(cfg)
+		fresh, errNew := New(cfg)
+		if (errNew == nil) != (errReset == nil) {
+			t.Fatalf("New = %v, Reset = %v", errNew, errReset)
+		}
+		if errNew != nil {
+			if errNew.Error() != errReset.Error() {
+				t.Fatalf("messages differ: New %q, Reset %q", errNew, errReset)
+			}
+			return
+		}
+		gotObs, gotRounds := runProbe(t, used)
+		wantObs, wantRounds := runProbe(t, fresh)
+		if gotRounds != wantRounds {
+			t.Fatalf("rounds: reset %d, fresh %d", gotRounds, wantRounds)
+		}
+		for i := range wantObs {
+			if gotObs[i] != wantObs[i] {
+				t.Fatalf("agent %d: reset %+v, fresh %+v", i, gotObs[i], wantObs[i])
+			}
+		}
+	})
 }

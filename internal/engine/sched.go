@@ -7,12 +7,10 @@
 // synchronisation-free by construction (ringvet's fsmguard analyzer holds
 // protocol code to the same standard).
 //
-// Batch is the structure-of-arrays arena behind a scheduler: machine, yield,
-// pending-slot and error columns indexed by ring index, plus the leap
-// executor's buffers.  A campaign worker installs one Batch in its context
-// (WithBatch) and sweeps a block of independent small-n scenarios through it
-// per pass, so consecutive scenarios reuse the same cache-resident arena
-// instead of reallocating per run.
+// Each run borrows its arena (machine, step-error and pending-slot columns
+// indexed by ring index, plus the leap executor's buffers) from one
+// process-wide pool and returns it cleared, so a sweep of small-n scenarios
+// reuses warm arrays without any caller holding scheduler state.
 package engine
 
 import (
@@ -21,43 +19,22 @@ import (
 	"sync"
 )
 
-// Batch is the reusable scenario-batch arena of the scheduler: every
-// per-agent column the scheduler touches, stored structure-of-arrays and
-// resized (capacity-reusing) per run.  A Batch is single-threaded — it must
-// not be shared by concurrent runs — and is either owned by a campaign worker
-// (WithBatch) or borrowed from an internal pool for the duration of one run.
-type Batch struct {
+// arena is the scheduler's structure-of-arrays scratch: every per-agent
+// column a run touches, resized (capacity-reusing) per run.  An arena belongs
+// to one run at a time: Run takes it from arenaPool and puts it back once
+// release has dropped everything the run left in it.
+type arena struct {
 	x        leapExec  // pending slots + crossing executor
 	machines []Machine // live machines by ring index; nil once terminated
 	stepErr  []error   // terminal step failures (panics, malformed yields)
 }
 
-// NewBatch returns an empty arena; buffers grow on first use.
-func NewBatch() *Batch { return &Batch{} }
-
-// batchPool feeds runs that have no Batch in their context.
-var batchPool = sync.Pool{New: func() any { return NewBatch() }}
-
-type batchCtxKey struct{}
-
-// WithBatch returns a context carrying b: every Run under it reuses
-// b's buffers instead of borrowing from the internal pool.  Campaign workers
-// use this to keep one cache-resident arena per worker across a whole block of
-// scenarios.  The Batch is single-threaded; do not share the returned context
-// across concurrently running scenarios.
-func WithBatch(ctx context.Context, b *Batch) context.Context {
-	return context.WithValue(ctx, batchCtxKey{}, b)
-}
-
-// batchFromContext returns the context's Batch, or nil.
-func batchFromContext(ctx context.Context) *Batch {
-	b, _ := ctx.Value(batchCtxKey{}).(*Batch)
-	return b
-}
+// arenaPool lends every Run its arena.
+var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
 // prepare (re)sizes the arena for a run on nw, reusing capacity, and points
 // every agent's pending slot at its entry of the executor's pending column.
-func (b *Batch) prepare(nw *Network) {
+func (b *arena) prepare(nw *Network) {
 	b.x.init(nw)
 	n := nw.N()
 	if cap(b.machines) < n {
@@ -74,9 +51,9 @@ func (b *Batch) prepare(nw *Network) {
 }
 
 // release drops the references a finished run left in the arena so a pooled
-// (or worker-held) Batch does not retain protocol state across scenarios, and
-// hands the agents back their own pending slots.
-func (b *Batch) release() {
+// arena does not retain protocol state or the network across runs, and hands
+// the agents back their own pending slots.
+func (b *arena) release() {
 	for i := range b.machines {
 		b.machines[i] = nil
 		b.stepErr[i] = nil
@@ -85,13 +62,14 @@ func (b *Batch) release() {
 	for _, a := range b.x.nw.agents {
 		a.slot = nil
 	}
+	b.x.nw = nil
 }
 
 // stepMachine advances machine i with in: a yield is recorded in the arena and
 // submitted to the executor's pending slot; termination clears the machine.  A
 // panic inside protocol code terminates the machine with ErrProtocolPanic and
 // never reaches the scheduler loop.
-func (b *Batch) stepMachine(i int, in Resume) {
+func (b *arena) stepMachine(i int, in Resume) {
 	m := b.machines[i]
 	if m == nil {
 		return
@@ -132,7 +110,7 @@ func (b *Batch) stepMachine(i int, in Resume) {
 // crossingGuarded is leapExec.crossing with panic conversion: an
 // analytic-engine panic becomes a broken-network run failure instead of
 // unwinding the scheduler.
-func (b *Batch) crossingGuarded(nw *Network) (active int, err error) {
+func (b *arena) crossingGuarded(nw *Network) (active int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			nw.broken = fmt.Errorf("round execution panicked: %v", r)
@@ -147,7 +125,7 @@ func (b *Batch) crossingGuarded(nw *Network) (active int, err error) {
 // The returned error is the run-level failure (max rounds, broken network,
 // cancellation), and it is sticky: once set, every still-pending machine is
 // resumed with it until it terminates.
-func (b *Batch) run(ctx context.Context, nw *Network) error {
+func (b *arena) run(ctx context.Context, nw *Network) error {
 	n := len(b.machines)
 	for i := 0; i < n; i++ {
 		b.stepMachine(i, Resume{})
@@ -233,17 +211,11 @@ func Run[T any](ctx context.Context, nw *Network, build func(a *Agent) *Proto[T]
 
 	n := nw.N()
 	startRounds := nw.state.Rounds()
-	b := batchFromContext(ctx)
-	pooled := b == nil
-	if pooled {
-		b = batchPool.Get().(*Batch)
-	}
+	b := arenaPool.Get().(*arena)
 	b.prepare(nw)
 	defer func() {
 		b.release()
-		if pooled {
-			batchPool.Put(b)
-		}
+		arenaPool.Put(b)
 	}()
 
 	protos := make([]*Proto[T], n)

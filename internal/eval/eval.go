@@ -21,17 +21,7 @@ import (
 	"ringsym/internal/engine"
 	"ringsym/internal/netgen"
 	"ringsym/internal/ring"
-)
-
-// Problem identifies one of the paper's problems.
-type Problem = campaign.Problem
-
-// Problems measured by the harness.
-const (
-	LeaderElection     = campaign.LeaderElection
-	NontrivialMove     = campaign.NontrivialMove
-	DirectionAgreement = campaign.DirectionAgreement
-	LocationDiscovery  = campaign.LocationDiscovery
+	"ringsym/internal/task"
 )
 
 // Setting identifies a row of Table I / Table II.
@@ -70,7 +60,7 @@ func Table2Settings() []Setting {
 // Measurement is one measured cell sample.
 type Measurement struct {
 	Setting  Setting
-	Problem  Problem
+	Problem  task.Problem
 	N        int
 	IDBound  int
 	Rounds   int
@@ -102,11 +92,6 @@ func (c *SweepConfig) fill() {
 	if c.IDBoundFactor <= 0 {
 		c.IDBoundFactor = 4
 	}
-}
-
-// adjustParity nudges n to the parity required by the setting.
-func adjustParity(n int, odd bool) int {
-	return campaign.AdjustParity(n, odd)
 }
 
 // network builds the network for one sample of a setting.
@@ -192,12 +177,12 @@ func MeasureLocationDiscovery(ctx context.Context, s Setting, n, idBound int, se
 }
 
 // Bound returns the paper's asymptotic bound (as a plain formula without the
-// hidden constant) and its human-readable form for a cell.  It delegates to
-// the campaign package, whose tables live in the task registry
-// (internal/task) — the same source every registered task's per-record
-// bound comes from, so the table columns cannot drift from sweep records.
-func Bound(s Setting, p Problem, n, idBound int) (float64, string) {
-	return campaign.Bound(s.Model, s.OddN, s.CommonSense, p, n, idBound)
+// hidden constant) and its human-readable form for a cell.  It reads the
+// task registry's bound tables (internal/task) — the same source every
+// registered task's per-record bound comes from, so the table columns cannot
+// drift from sweep records.
+func Bound(s Setting, p task.Problem, n, idBound int) (float64, string) {
+	return task.Bound(s.Model, s.OddN, s.CommonSense, p, n, idBound)
 }
 
 // TableRowsContext measures every cell of the given settings for the sweep.
@@ -216,7 +201,7 @@ func TableRowsContext(ctx context.Context, settings []Setting, cfg SweepConfig) 
 	var scenarios []campaign.Scenario
 	for _, s := range settings {
 		for _, rawN := range cfg.Sizes {
-			n := adjustParity(rawN, s.OddN)
+			n := campaign.AdjustParity(rawN, s.OddN)
 			idBound := cfg.IDBoundFactor * n
 			cells = append(cells, cell{s: s, n: n})
 			coord := scenario(s, campaign.TaskCoordinate, n, idBound, cfg.Seed)
@@ -241,16 +226,16 @@ func TableRowsContext(ctx context.Context, settings []Setting, cfg SweepConfig) 
 			return nil, fmt.Errorf("eval: %s n=%d location discovery: %w", c.s.Name, c.n, err)
 		}
 		nm, da, le := coordinationSplit(c.s, coordRec)
-		rounds := map[Problem]int{
-			LeaderElection:     le,
-			NontrivialMove:     nm,
-			DirectionAgreement: da,
-			LocationDiscovery:  discRec.Rounds,
+		rounds := map[task.Problem]int{
+			task.LeaderElection:     le,
+			task.NontrivialMove:     nm,
+			task.DirectionAgreement: da,
+			task.LocationDiscovery:  discRec.Rounds,
 		}
-		problems := []Problem{LeaderElection, NontrivialMove, DirectionAgreement, LocationDiscovery}
+		problems := []task.Problem{task.LeaderElection, task.NontrivialMove, task.DirectionAgreement, task.LocationDiscovery}
 		if c.s.CommonSense {
 			// Table II has no direction-agreement column: it is given.
-			problems = []Problem{LeaderElection, NontrivialMove, LocationDiscovery}
+			problems = []task.Problem{task.LeaderElection, task.NontrivialMove, task.LocationDiscovery}
 		}
 		for _, p := range problems {
 			bound, boundStr := Bound(c.s, p, c.n, coordRec.IDBound)
@@ -259,7 +244,7 @@ func TableRowsContext(ctx context.Context, settings []Setting, cfg SweepConfig) 
 				Rounds: rounds[p], Bound: bound, BoundStr: boundStr,
 				Solvable: true,
 			}
-			if p == LocationDiscovery && discRec.Status == campaign.StatusUnsolvable {
+			if p == task.LocationDiscovery && discRec.Status == campaign.StatusUnsolvable {
 				m.Solvable = false
 				m.Rounds = 0
 			}

@@ -7,40 +7,41 @@ import (
 
 	"ringsym/internal/campaign"
 	"ringsym/internal/ring"
+	"ringsym/internal/task"
 )
 
 func TestAdjustParity(t *testing.T) {
-	if adjustParity(8, false) != 8 || adjustParity(8, true) != 9 {
-		t.Error("adjustParity wrong for 8")
+	if campaign.AdjustParity(8, false) != 8 || campaign.AdjustParity(8, true) != 9 {
+		t.Error("AdjustParity wrong for 8")
 	}
-	if adjustParity(9, true) != 9 || adjustParity(9, false) != 10 {
-		t.Error("adjustParity wrong for 9")
+	if campaign.AdjustParity(9, true) != 9 || campaign.AdjustParity(9, false) != 10 {
+		t.Error("AdjustParity wrong for 9")
 	}
 }
 
 func TestBoundFormulas(t *testing.T) {
 	odd := Setting{Name: "odd n", Model: ring.Basic, OddN: true}
-	if v, s := Bound(odd, DirectionAgreement, 9, 36); v != 1 || s != "O(1)" {
+	if v, s := Bound(odd, task.DirectionAgreement, 9, 36); v != 1 || s != "O(1)" {
 		t.Errorf("odd DA bound = %v %q", v, s)
 	}
 	basicEven := Setting{Name: "basic even", Model: ring.Basic}
-	if _, s := Bound(basicEven, LocationDiscovery, 8, 32); s != "not solvable" {
+	if _, s := Bound(basicEven, task.LocationDiscovery, 8, 32); s != "not solvable" {
 		t.Errorf("basic even LD bound = %q", s)
 	}
 	lazyEven := Setting{Name: "lazy even", Model: ring.Lazy}
-	if v, _ := Bound(lazyEven, LocationDiscovery, 8, 32); v <= 8 {
+	if v, _ := Bound(lazyEven, task.LocationDiscovery, 8, 32); v <= 8 {
 		t.Errorf("lazy even LD bound = %v, want > n", v)
 	}
 	perc := Setting{Name: "perceptive even", Model: ring.Perceptive}
-	if _, s := Bound(perc, LeaderElection, 16, 64); !strings.Contains(s, "sqrt") {
+	if _, s := Bound(perc, task.LeaderElection, 16, 64); !strings.Contains(s, "sqrt") {
 		t.Errorf("perceptive LE bound = %q", s)
 	}
 	common := Setting{Name: "basic even", Model: ring.Basic, CommonSense: true}
-	if _, s := Bound(common, LeaderElection, 8, 32); s != "O(log^2 N)" {
+	if _, s := Bound(common, task.LeaderElection, 8, 32); s != "O(log^2 N)" {
 		t.Errorf("common basic even LE bound = %q", s)
 	}
 	commonPerc := Setting{Name: "perceptive even", Model: ring.Perceptive, CommonSense: true}
-	if _, s := Bound(commonPerc, LocationDiscovery, 8, 32); !strings.Contains(s, "n/2") {
+	if _, s := Bound(commonPerc, task.LocationDiscovery, 8, 32); !strings.Contains(s, "n/2") {
 		t.Errorf("common perceptive LD bound = %q", s)
 	}
 }
@@ -59,11 +60,11 @@ func TestTable1SmallSweep(t *testing.T) {
 	}
 	for _, m := range rows {
 		switch {
-		case m.Setting.Name == "basic model, even n" && m.Problem == LocationDiscovery:
+		case m.Setting.Name == "basic model, even n" && m.Problem == task.LocationDiscovery:
 			if m.Solvable {
 				t.Error("basic even location discovery should be unsolvable")
 			}
-		case m.Problem == LocationDiscovery:
+		case m.Problem == task.LocationDiscovery:
 			if !m.Solvable || m.Rounds < m.N/2 {
 				t.Errorf("%s n=%d: LD rounds %d implausibly small", m.Setting.Name, m.N, m.Rounds)
 			}
@@ -89,12 +90,12 @@ func TestTable2SmallSweep(t *testing.T) {
 		t.Fatalf("got %d measurements, want 12", len(rows))
 	}
 	for _, m := range rows {
-		if m.Problem == DirectionAgreement {
+		if m.Problem == task.DirectionAgreement {
 			t.Error("Table II should not include direction agreement")
 		}
 		// With a common sense of direction every coordination problem is
 		// polylogarithmic: far below n rounds for these sizes.
-		if m.Problem == LeaderElection && m.Rounds > 200 {
+		if m.Problem == task.LeaderElection && m.Rounds > 200 {
 			t.Errorf("%s: leader election took %d rounds", m.Setting.Name, m.Rounds)
 		}
 	}

@@ -5,18 +5,20 @@ import (
 	"fmt"
 	"strings"
 
+	"ringsym/internal/campaign"
 	"ringsym/internal/comb"
 	"ringsym/internal/core"
 	"ringsym/internal/engine"
 	"ringsym/internal/perceptive"
 	"ringsym/internal/rcomm"
 	"ringsym/internal/ring"
+	"ringsym/internal/task"
 )
 
 // Reduction identifies one arrow of Figures 1 and 2: the cost of solving the
 // target problem given that the source problem is already solved.
 type Reduction struct {
-	From, To Problem
+	From, To task.Problem
 	// Rounds is the measured cost of the reduction alone.
 	Rounds int
 	// Bound and BoundStr give the paper's bound for the arrow.
@@ -28,14 +30,14 @@ type Reduction struct {
 // odd n / lazy / perceptive, Figure 2 for the basic model with even n) on a
 // single configuration of the given size.
 func MeasureReductions(ctx context.Context, s Setting, n, idBound int, seed int64) ([]Reduction, error) {
-	n = adjustParity(n, s.OddN)
+	n = campaign.AdjustParity(n, s.OddN)
 	logN := comb.Log2(float64(idBound))
 
 	// A measure runs the reduction on frame f and hands k the rounds it
 	// spent; nmDir and isLeader are the solved source problem.
 	type measure func(f *core.Frame, nmDir ring.Direction, isLeader bool, k func(rounds int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)
 	type probe struct {
-		from, to Problem
+		from, to task.Problem
 		bound    float64
 		boundStr string
 		measure  measure
@@ -47,31 +49,31 @@ func MeasureReductions(ctx context.Context, s Setting, n, idBound int, seed int6
 		return func() (engine.Yield, engine.Cont) { return k(f.RoundsUsed() - start) }
 	}
 	probes := []probe{
-		{NontrivialMove, DirectionAgreement, 1, "O(1)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{task.NontrivialMove, task.DirectionAgreement, 1, "O(1)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.DirectionAgreementStep(f, nmDir, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
 		}},
-		{NontrivialMove, LeaderElection, logN, "O(log N)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{task.NontrivialMove, task.LeaderElection, logN, "O(log N)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.DirectionAgreementStep(f, nmDir, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
 				return core.LeaderElectWithNMStep(f, nmDir, func(bool) (engine.Yield, engine.Cont) { return end() })
 			})
 		}},
-		{LeaderElection, NontrivialMove, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{task.LeaderElection, task.NontrivialMove, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.NontrivialMoveFromLeaderStep(f, isLeader, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
 		}},
-		{LeaderElection, DirectionAgreement, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{task.LeaderElection, task.DirectionAgreement, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.NontrivialMoveFromLeaderStep(f, isLeader, func(dir ring.Direction) (engine.Yield, engine.Cont) {
 				return core.DirectionAgreementStep(f, dir, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
 			})
 		}},
-		{DirectionAgreement, LeaderElection, daToLeaderBound(s, n, idBound), daToLeaderBoundStr(s), func(f *core.Frame, _ ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{task.DirectionAgreement, task.LeaderElection, daToLeaderBound(s, n, idBound), daToLeaderBoundStr(s), func(f *core.Frame, _ ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.LeaderElectCommonSenseStep(f, func(bool) (engine.Yield, engine.Cont) { return end() })
 		}},
-		{DirectionAgreement, NontrivialMove, daToLeaderBound(s, n, idBound) + 1, daToLeaderBoundStr(s) + " + O(1)", func(f *core.Frame, _ ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{task.DirectionAgreement, task.NontrivialMove, daToLeaderBound(s, n, idBound) + 1, daToLeaderBoundStr(s) + " + O(1)", func(f *core.Frame, _ ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.LeaderElectCommonSenseStep(f, func(isLeader bool) (engine.Yield, engine.Cont) {
 				return core.NontrivialMoveFromLeaderStep(f, isLeader, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
@@ -99,7 +101,7 @@ func MeasureReductions(ctx context.Context, s Setting, n, idBound int, seed int6
 				f := core.NewFrame(a)
 				isLeader := a.ID() == maxID
 				k := func(rounds int) (engine.Yield, engine.Cont) { return done(rounds, nil) }
-				if p.from == NontrivialMove {
+				if p.from == task.NontrivialMove {
 					return core.NontrivialMoveFromLeaderStep(f, isLeader, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
 						return p.measure(f, nmDir, isLeader, k)
 					})
@@ -160,7 +162,7 @@ func MeasureRingDist(ctx context.Context, sizes []int, idBoundFactor int, seed i
 	}
 	var out []RingDistSample
 	for _, rawN := range sizes {
-		n := adjustParity(rawN, false)
+		n := campaign.AdjustParity(rawN, false)
 		idBound := idBoundFactor * n
 		nw, err := network(Setting{Model: ring.Perceptive}, n, idBound, seed)
 		if err != nil {
@@ -181,7 +183,7 @@ func MeasureRingDist(ctx context.Context, sizes []int, idBoundFactor int, seed i
 		if err != nil {
 			return nil, fmt.Errorf("eval: ringdist n=%d: %w", n, err)
 		}
-		bound, _ := Bound(Setting{Model: ring.Perceptive}, NontrivialMove, n, idBound)
+		bound, _ := Bound(Setting{Model: ring.Perceptive}, task.NontrivialMove, n, idBound)
 		out = append(out, RingDistSample{N: n, IDBound: idBound, Rounds: res.Outputs[0], Bound: bound})
 	}
 	return out, nil

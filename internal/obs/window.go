@@ -4,10 +4,8 @@ import "sort"
 
 // Percentile returns the nearest-rank p-th percentile of a value→count
 // histogram holding count samples: the smallest value v such that at least
-// ceil(p/100 · count) samples are <= v.  This is the campaign aggregator's
-// exact-percentile machinery, hosted here so the telemetry windows below and
-// internal/campaign share one implementation (campaign.Percentile
-// delegates).
+// ceil(p/100 · count) samples are <= v.  The telemetry windows below and
+// the campaign aggregator (internal/campaign) share this one implementation.
 func Percentile(hist map[int]int, count, p int) int {
 	if count <= 0 {
 		return 0

@@ -1,10 +1,12 @@
 package perceptive
 
 import (
+	"context"
 	"testing"
 
 	"ringsym/internal/core"
 	"ringsym/internal/engine"
+	"ringsym/internal/engine/enginetest"
 	"ringsym/internal/netgen"
 	"ringsym/internal/ring"
 )
@@ -21,7 +23,7 @@ func TestNMoveSLocalLeaderHierarchy(t *testing.T) {
 				dir    ring.Direction
 				rounds int
 			}
-			res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				f := core.NewFrame(a)
 				return NMoveSStep(f, 13, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.RoundsUsed()}) })
 			})
@@ -62,7 +64,7 @@ func TestNMoveSBalancedOrientations(t *testing.T) {
 		dir     ring.Direction
 		flipped bool
 	}
-	res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		f := core.NewFrame(a)
 		return NMoveSStep(f, 2, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.Flipped()}) })
 	})

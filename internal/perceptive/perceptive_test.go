@@ -7,20 +7,11 @@ import (
 
 	"ringsym/internal/core"
 	"ringsym/internal/engine"
+	"ringsym/internal/engine/enginetest"
 	"ringsym/internal/netgen"
 	"ringsym/internal/rcomm"
 	"ringsym/internal/ring"
 )
-
-// run drives one machine per agent on nw: step is the agent's protocol in
-// continuation-passing form, handing its result to k.
-func run[T any](nw *engine.Network, step func(a *engine.Agent, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)) (*engine.Result[T], error) {
-	return engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[T] {
-		return engine.NewProto(func(done func(T, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return step(a, func(v T) (engine.Yield, engine.Cont) { return done(v, nil) })
-		})
-	})
-}
 
 func newNetwork(t *testing.T, opt netgen.Options) *engine.Network {
 	t.Helper()
@@ -56,7 +47,7 @@ func TestNMoveSRequiresPerceptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = run(nw, func(a *engine.Agent, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	_, err = enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		return NMoveSStep(core.NewFrame(a), 1, k)
 	})
 	if !errors.Is(err, ErrNeedPerceptive) {
@@ -77,7 +68,7 @@ func TestNMoveS(t *testing.T) {
 				dir     ring.Direction
 				flipped bool
 			}
-			res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 				f := core.NewFrame(a)
 				return NMoveSStep(f, 7, func(dir ring.Direction) (engine.Yield, engine.Cont) { return k(out{dir, f.Flipped()}) })
 			})
@@ -106,7 +97,7 @@ func TestCoordinate(t *testing.T) {
 			leader  bool
 			flipped bool
 		}
-		res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			return CoordinateStep(a, Options{Seed: 5}, func(c *core.Coordination) (engine.Yield, engine.Cont) {
 				return k(out{c.IsLeader, c.Frame.Flipped()})
 			})
@@ -147,7 +138,7 @@ func TestRingDistLabels(t *testing.T) {
 			size    int
 			flipped bool
 		}
-		res, err := run(nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			return CoordinateStep(a, Options{Seed: 9}, func(c *core.Coordination) (engine.Yield, engine.Cont) {
 				return rcomm.EstablishStep(c.Frame, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
 					return RingDistStep(link, c.IsLeader, func(label int, isLast bool) (engine.Yield, engine.Cont) {
@@ -251,7 +242,7 @@ func TestLocationDiscovery(t *testing.T) {
 
 func TestDistancesValidation(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 6, Seed: 2})
-	_, err := run(nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	_, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		return DistancesStep(core.NewFrame(a), 0, 6, func(_ []int64, offset int) (engine.Yield, engine.Cont) { return k(offset) })
 	})
 	if !errors.Is(err, ErrProtocol) {

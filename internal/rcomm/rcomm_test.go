@@ -7,23 +7,14 @@ import (
 
 	"ringsym/internal/core"
 	"ringsym/internal/engine"
+	"ringsym/internal/engine/enginetest"
 	"ringsym/internal/netgen"
 	"ringsym/internal/ring"
 )
 
-// run drives one machine per agent on nw: step is the agent's protocol in
-// continuation-passing form, handing its result to k.
-func run[T any](nw *engine.Network, step func(a *engine.Agent, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)) (*engine.Result[T], error) {
-	return engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[T] {
-		return engine.NewProto(func(done func(T, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return step(a, func(v T) (engine.Yield, engine.Cont) { return done(v, nil) })
-		})
-	})
-}
-
 // withLink is run with every agent's step starting on an established Link.
 func withLink[T any](nw *engine.Network, step func(a *engine.Agent, l *Link, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)) (*engine.Result[T], error) {
-	return run(nw, func(a *engine.Agent, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	return enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(T) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		return EstablishStep(core.NewFrame(a), func(l *Link) (engine.Yield, engine.Cont) { return step(a, l, k) })
 	})
 }
@@ -87,7 +78,7 @@ func trueGapTo(nw *engine.Network, i int, right bool) int64 {
 func TestNeighborDiscovery(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		nw := newNetwork(t, netgen.Options{N: 9, IDBound: 64, Seed: seed, MixedChirality: true, ForceSplitChirality: true})
-		res, err := run(nw, func(a *engine.Agent, k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			return NeighborDiscoveryStep(core.NewFrame(a), k)
 		})
 		if err != nil {
@@ -126,7 +117,7 @@ func TestNeighborDiscoveryRequiresPerceptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = run(nw, func(a *engine.Agent, k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	_, err = enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 		return NeighborDiscoveryStep(core.NewFrame(a), k)
 	})
 	if !errors.Is(err, ErrNeedPerceptive) {

@@ -174,42 +174,22 @@ type Outcome struct {
 	Agents []Observation
 }
 
-// New validates cfg and returns the initial state.
+// New validates cfg and returns the initial state: it is Reset on a zero
+// State.
 func New(cfg Config) (*State, error) {
-	if !cfg.Model.Valid() {
-		return nil, ErrInvalidModel
+	s := new(State)
+	if err := s.Reset(cfg); err != nil {
+		return nil, err
 	}
-	circle, err := geom.New(cfg.Circ)
-	if err != nil {
-		return nil, fmt.Errorf("ring: %w", err)
-	}
-	n := len(cfg.Positions)
-	if n < 2 {
-		return nil, ErrAllowSmallMissing
-	}
-	if n <= 4 && !cfg.AllowSmall {
-		return nil, fmt.Errorf("%w: n=%d", ErrTooFewAgents, n)
-	}
-	if !geom.SortedDistinct(cfg.Circ, cfg.Positions) {
-		return nil, ErrBadPositions
-	}
-	slots := make([]int64, n)
-	copy(slots, cfg.Positions)
-	return &State{
-		model:  cfg.Model,
-		circle: circle,
-		slots:  slots,
-		gaps:   circle.Gaps(slots),
-		offset: 0,
-	}, nil
+	return s, nil
 }
 
-// Reset re-initialises the state in place for a new configuration, reusing
-// the slot, gap and executor scratch capacity of the previous one.  It
-// validates exactly like New and leaves the state unchanged on error.  Reset
-// exists for scenario sweeps (the campaign runner): retiring one small
-// configuration per run and rebuilding the state object thousands of times
-// per second is pure allocation overhead.
+// Reset validates cfg and (re)initialises the state in place, reusing the
+// slot, gap and executor scratch capacity of the previous configuration, if
+// any, and leaves the state unchanged on error.  It exists for scenario
+// sweeps (the campaign runner): retiring one small configuration per run and
+// rebuilding the state object thousands of times per second is pure
+// allocation overhead.
 func (s *State) Reset(cfg Config) error {
 	if !cfg.Model.Valid() {
 		return ErrInvalidModel

@@ -119,21 +119,14 @@ type Network struct {
 	nw *engine.Network
 }
 
-// NewNetwork builds a network from an explicit configuration.
+// NewNetwork builds a network from an explicit configuration: it is Reset on
+// a network with no configuration yet.
 func NewNetwork(cfg Config) (*Network, error) {
-	nw, err := engine.New(engine.Config{
-		Model:     cfg.Model,
-		Circ:      cfg.Circumference,
-		Positions: cfg.Positions,
-		IDs:       cfg.IDs,
-		IDBound:   cfg.IDBound,
-		Chirality: cfg.Chirality,
-		MaxRounds: cfg.MaxRounds,
-	})
-	if err != nil {
+	n := &Network{nw: new(engine.Network)}
+	if err := n.Reset(cfg); err != nil {
 		return nil, err
 	}
-	return &Network{nw: nw}, nil
+	return n, nil
 }
 
 // RandomNetwork builds a pseudo-random network (deterministic for a fixed
@@ -158,12 +151,11 @@ func RandomNetwork(cfg RandomConfig) (*Network, error) {
 	return &Network{nw: nw}, nil
 }
 
-// Reset re-initialises the network in place with a new configuration, reusing
-// the previous network's ring state, agent objects and scratch buffers.  It
-// validates exactly like NewNetwork; on error the network may be left
-// partially updated and must be discarded.  Scenario sweeps (the campaign
-// runner) use it to retire one configuration per run without rebuilding the
-// network object.
+// Reset validates cfg and re-initialises the network in place, reusing the
+// previous network's ring state, agent objects and scratch buffers; NewNetwork
+// shares its validation.  On error the network may be left partially updated
+// and must be discarded.  Scenario sweeps (the campaign runner) use it to
+// retire one configuration per run without rebuilding the network object.
 func (n *Network) Reset(cfg Config) error {
 	return n.nw.Reset(engine.Config{
 		Model:     cfg.Model,

@@ -7,6 +7,8 @@ import (
 
 	"ringsym"
 	"ringsym/internal/engine"
+	"ringsym/internal/geom"
+	"ringsym/internal/ring"
 )
 
 func TestNewNetworkValidation(t *testing.T) {
@@ -35,6 +37,60 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 	if len(nw.InitialPositions()) != 5 || len(nw.CurrentPositions()) != 5 {
 		t.Error("position accessors wrong")
+	}
+}
+
+// TestNewNetworkResetValidates pins one error surface for the facade:
+// NewNetwork and Reset of a network that has already run reject every
+// invalid configuration with the same sentinel and the same message.
+func TestNewNetworkResetValidates(t *testing.T) {
+	valid := func() ringsym.Config {
+		return ringsym.Config{
+			Model:         ringsym.Lazy,
+			Circumference: 1000,
+			Positions:     []int64{0, 100, 300, 500, 800},
+			IDs:           []int{5, 3, 9, 1, 7},
+			IDBound:       16,
+		}
+	}
+	cases := []struct {
+		name string
+		edit func(c *ringsym.Config)
+		want error
+	}{
+		{"bad model", func(c *ringsym.Config) { c.Model = ringsym.Model(42) }, ring.ErrInvalidModel},
+		{"zero circumference", func(c *ringsym.Config) { c.Circumference = 0 }, geom.ErrBadCircumference},
+		{"odd circumference", func(c *ringsym.Config) { c.Circumference = 999 }, geom.ErrBadCircumference},
+		{"n < 2", func(c *ringsym.Config) { c.Positions, c.IDs = []int64{4}, []int{1} }, ring.ErrAllowSmallMissing},
+		{"n <= 4", func(c *ringsym.Config) { c.Positions, c.IDs = []int64{0, 100, 300, 500}, []int{5, 3, 9, 1} }, ring.ErrTooFewAgents},
+		{"unsorted positions", func(c *ringsym.Config) { c.Positions = []int64{0, 300, 100, 500, 800} }, ring.ErrBadPositions},
+		{"repeated positions", func(c *ringsym.Config) { c.Positions = []int64{0, 100, 100, 500, 800} }, ring.ErrBadPositions},
+		{"ID count != n", func(c *ringsym.Config) { c.IDs = []int{5, 3, 9, 1} }, engine.ErrBadIDs},
+		{"IDBound < n", func(c *ringsym.Config) { c.IDs, c.IDBound = []int{4, 3, 2, 1, 1}, 4 }, engine.ErrBadIDs},
+		{"out-of-range ID", func(c *ringsym.Config) { c.IDs = []int{5, 3, 17, 1, 7} }, engine.ErrBadIDs},
+		{"duplicate ID", func(c *ringsym.Config) { c.IDs = []int{5, 3, 5, 1, 7} }, engine.ErrBadIDs},
+		{"chirality length", func(c *ringsym.Config) { c.Chirality = []bool{true} }, engine.ErrBadChirality},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := valid()
+			tc.edit(&cfg)
+			_, errNew := ringsym.NewNetwork(cfg)
+			used, err := ringsym.RandomNetwork(ringsym.RandomConfig{N: 9, Model: ringsym.Perceptive, MixedChirality: true, Seed: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := used.Coordinate(ringsym.CoordinationOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			errReset := used.Reset(cfg)
+			if !errors.Is(errNew, tc.want) || !errors.Is(errReset, tc.want) {
+				t.Fatalf("NewNetwork = %v, Reset = %v, want %v", errNew, errReset, tc.want)
+			}
+			if errNew.Error() != errReset.Error() {
+				t.Fatalf("messages differ: NewNetwork %q, Reset %q", errNew, errReset)
+			}
+		})
 	}
 }
 
