@@ -165,7 +165,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if *storeStats {
-			// One-shot ops dump: segments, live/garbage bytes, index entries.
+			// One-shot ops dump: segments, index entries, total bytes.
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
 			enc.Encode(st.Stats())
@@ -250,8 +250,8 @@ func main() {
 				log.Printf("store close: %v", err)
 			} else {
 				sst := st.Stats()
-				log.Printf("store at exit: %d records in %d segments (%d live bytes, %d garbage)",
-					sst.IndexEntries, sst.Segments, sst.LiveBytes, sst.GarbageBytes)
+				log.Printf("store at exit: %d records in %d segments (%d bytes)",
+					sst.IndexEntries, sst.Segments, sst.TotalBytes)
 			}
 		}
 	case err := <-errCh:

@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"ringsym/internal/campaign"
+	agent "ringsym/internal/fleet/worker"
 	"ringsym/internal/obs"
 )
 
@@ -77,13 +78,6 @@ type Options struct {
 	// StealMin is the smallest remaining range worth splitting off a
 	// straggler; defaults to 4 indices.
 	StealMin int
-	// StallTimeout cancels a lease whose stream has made no progress for
-	// this long (a wedged-but-connected worker); defaults to 2 minutes.
-	StallTimeout time.Duration
-	// HeartbeatTimeout expires a dynamically joined worker that stopped
-	// heartbeating and holds no lease; defaults to 15 seconds.  Static
-	// workers never expire — they are probed back to life after failures.
-	HeartbeatTimeout time.Duration
 	// ProbeInterval is the coordinator's housekeeping cadence (stall
 	// checks, heartbeat expiry, re-probing down workers); defaults to
 	// 500 milliseconds.
@@ -109,12 +103,17 @@ type Options struct {
 }
 
 const (
-	defaultMaxAttempts      = 3
-	defaultStealMin         = 4
-	defaultStallTimeout     = 2 * time.Minute
-	defaultHeartbeatTimeout = 15 * time.Second
-	defaultProbeInterval    = 500 * time.Millisecond
-	defaultRetryBase        = 250 * time.Millisecond
+	defaultMaxAttempts   = 3
+	defaultStealMin      = 4
+	defaultProbeInterval = 500 * time.Millisecond
+	defaultRetryBase     = 250 * time.Millisecond
+	// stallTimeout cancels a lease whose stream has made no progress for
+	// this long (a wedged-but-connected worker).
+	stallTimeout = 2 * time.Minute
+	// heartbeatTimeout expires a dynamically joined worker that stopped
+	// heartbeating and holds no lease.  Static workers never expire — they
+	// are probed back to life after failures.
+	heartbeatTimeout = 3 * agent.HeartbeatInterval
 	// leasesPerWorker is the initial-split target: enough leases per worker
 	// that re-leasing a failure costs a fraction of the sweep, few enough
 	// that per-lease HTTP overhead stays negligible.
@@ -198,12 +197,6 @@ func New(m campaign.Matrix, opts Options) (*Coordinator, error) {
 	}
 	if opts.StealMin <= 0 {
 		opts.StealMin = defaultStealMin
-	}
-	if opts.StallTimeout <= 0 {
-		opts.StallTimeout = defaultStallTimeout
-	}
-	if opts.HeartbeatTimeout <= 0 {
-		opts.HeartbeatTimeout = defaultHeartbeatTimeout
 	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = defaultProbeInterval
@@ -402,14 +395,14 @@ func (c *Coordinator) housekeep(ctx context.Context) {
 	var probes []*worker
 	c.mu.Lock()
 	for _, l := range c.active {
-		if now-l.lastProgress > int64(c.opts.StallTimeout) {
+		if now-l.lastProgress > int64(stallTimeout) {
 			l.lastProgress = now // one cancellation per stall detection
 			l.cancel()
 		}
 	}
 	for _, w := range c.sortedWorkersLocked() {
 		switch {
-		case w.up && w.dynamic && w.busy == 0 && now-w.lastSeen > int64(c.opts.HeartbeatTimeout):
+		case w.up && w.dynamic && w.busy == 0 && now-w.lastSeen > int64(heartbeatTimeout):
 			c.markDownLocked(w, "heartbeat timeout")
 		case !w.up && !w.probing && now >= w.retryAt:
 			w.probing = true

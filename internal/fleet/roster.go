@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
-	"time"
 
 	"ringsym/internal/obs"
 )
@@ -145,14 +144,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
-		"ok":       true,
-		"interval": c.heartbeatInterval().String(),
-		"peers":    peers,
+		"ok":    true,
+		"peers": peers,
 	})
-}
-
-// heartbeatInterval is the cadence the coordinator asks joined workers to
-// heartbeat at: a third of the expiry window, so two drops are survivable.
-func (c *Coordinator) heartbeatInterval() time.Duration {
-	return c.opts.HeartbeatTimeout / 3
 }

@@ -22,15 +22,17 @@ import (
 	"time"
 )
 
+// HeartbeatInterval is the join/heartbeat cadence.  The coordinator expires
+// a silent dynamic worker after three intervals, so two lost heartbeats are
+// survivable.
+const HeartbeatInterval = 5 * time.Second
+
 // Options configures the membership agent.
 type Options struct {
 	// Coordinator is the coordinator's base URL (as ParseWorkers accepts).
 	Coordinator string
 	// Advertise is this worker's base URL as the coordinator should dial it.
 	Advertise string
-	// Interval is the heartbeat cadence; defaults to 5 seconds (a third of
-	// the coordinator's default expiry window).
-	Interval time.Duration
 	// Client is the HTTP client; defaults to one with a 5-second timeout
 	// (join and heartbeat are tiny control-plane calls).
 	Client *http.Client
@@ -48,9 +50,8 @@ type Options struct {
 // joinResponse is the (lenient) shape of a join/heartbeat response; older
 // coordinators omit peers.
 type joinResponse struct {
-	OK       bool     `json:"ok"`
-	Interval string   `json:"interval"`
-	Peers    []string `json:"peers"`
+	OK    bool     `json:"ok"`
+	Peers []string `json:"peers"`
 }
 
 // Start runs the join/heartbeat loop until ctx ends.  It blocks; run it in
@@ -58,9 +59,6 @@ type joinResponse struct {
 // worker never gives up on its coordinator, because lease traffic is
 // unaffected either way.
 func Start(ctx context.Context, opts Options) {
-	if opts.Interval <= 0 {
-		opts.Interval = 5 * time.Second
-	}
 	client := opts.Client
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}
@@ -98,7 +96,7 @@ func Start(ctx context.Context, opts Options) {
 	}
 
 	joined := false
-	t := time.NewTicker(opts.Interval)
+	t := time.NewTicker(HeartbeatInterval)
 	defer t.Stop()
 	for {
 		path := "/v1/fleet/heartbeat"

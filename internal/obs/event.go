@@ -55,14 +55,13 @@ const (
 	CacheEvict Type = "cache.evict"
 
 	// Persistent-store service events (internal/store), one per store
-	// operation: disk lookups, segment eviction, compaction, and the peer
-	// hop of the fleet cache (a store.peer.miss means every configured peer
-	// was consulted and none had the key).  Like the memo events they carry
-	// no payload beyond the type — the hot path must not allocate.
+	// operation: disk lookups, segment eviction, and the peer hop of the
+	// fleet cache (a store.peer.miss means every configured peer was
+	// consulted and none had the key).  Like the memo events they carry no
+	// payload beyond the type — the hot path must not allocate.
 	StoreHit      Type = "store.hit"
 	StoreMiss     Type = "store.miss"
 	StoreEvict    Type = "store.evict"
-	StoreCompact  Type = "store.compact"
 	StorePeerHit  Type = "store.peer.hit"
 	StorePeerMiss Type = "store.peer.miss"
 

@@ -221,6 +221,7 @@ func TestStoreMetrics(t *testing.T) {
 	httpResp.Body.Close()
 	for _, want := range []string{
 		"ringsym_store_index_entries 1",
+		"ringsym_store_total_bytes ",
 		"ringsym_memo_disk_hits_total",
 		"ringsym_store_puts_total",
 		"ringsym_serve_cache_requests_total 0",

@@ -100,12 +100,6 @@ type Options struct {
 	// minutes and allocate O(n) engine state — a denial of service, not a
 	// legitimate workload.
 	MaxN int
-	// WriteTimeout bounds each response write (per record on streaming
-	// endpoints, so long campaigns are fine as long as the client keeps
-	// reading); defaults to 30s.  Without it, a client that stops reading
-	// its stream would block its handler in Write forever and, through the
-	// full delivery channel, wedge every shared worker.
-	WriteTimeout time.Duration
 	// Pprof additionally serves the net/http/pprof profiling handlers under
 	// /debug/pprof/.  Off by default: profiling endpoints on a production
 	// daemon are opt-in.
@@ -128,8 +122,13 @@ type Options struct {
 const (
 	defaultMaxCampaignScenarios = 100000
 	defaultMaxN                 = 4096
-	defaultWriteTimeout         = 30 * time.Second
 	defaultEventBuffer          = 4096
+	// writeTimeout bounds each response write (per record on streaming
+	// endpoints, so long campaigns are fine as long as the client keeps
+	// reading).  Without it, a client that stops reading its stream would
+	// block its handler in Write forever and, through the full delivery
+	// channel, wedge every shared worker.
+	writeTimeout = 30 * time.Second
 )
 
 // maxBodyBytes bounds request bodies; matrix specs and scenarios are tiny.
@@ -176,9 +175,6 @@ func New(opts Options) *Server {
 	}
 	if opts.MaxN <= 0 {
 		opts.MaxN = defaultMaxN
-	}
-	if opts.WriteTimeout <= 0 {
-		opts.WriteTimeout = defaultWriteTimeout
 	}
 	if opts.EventBuffer <= 0 {
 		opts.EventBuffer = defaultEventBuffer
@@ -455,7 +451,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if rec, ok := campaign.ProbeCache(sc, s.campaignOptions()); ok {
 		s.records.Add(1)
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(s.deadlineWriter(w)).Encode(rec)
+		json.NewEncoder(deadlineWriter(w)).Encode(rec)
 		return
 	}
 	// Admission control sits after the probe on purpose: a cache hit costs
@@ -476,7 +472,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	select {
 	case rec := <-out:
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(s.deadlineWriter(w)).Encode(rec)
+		json.NewEncoder(deadlineWriter(w)).Encode(rec)
 	case <-ctx.Done():
 		// The client disconnected; the worker's engine run aborts within one
 		// round through the same context.
@@ -547,7 +543,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	writer := campaign.NewOrderedWriter(s.deadlineWriter(w), scenarios)
+	writer := campaign.NewOrderedWriter(deadlineWriter(w), scenarios)
 	for received := 0; received < len(scenarios); received++ {
 		select {
 		case rec := <-out:
@@ -596,23 +592,22 @@ func sliceRange(r *http.Request, scenarios []campaign.Scenario) ([]campaign.Scen
 // deadlineWriter wraps a response so every write (one record, on the
 // streaming endpoints) carries a fresh write deadline and an immediate
 // flush: records reach a reading client as they complete, and a client that
-// stops reading turns into a write error within WriteTimeout instead of
+// stops reading turns into a write error within writeTimeout instead of
 // blocking the handler — and, through the full delivery channel, the shared
 // worker pool — forever.
-func (s *Server) deadlineWriter(w http.ResponseWriter) io.Writer {
-	return &flushWriter{w: w, rc: http.NewResponseController(w), timeout: s.opts.WriteTimeout}
+func deadlineWriter(w http.ResponseWriter) io.Writer {
+	return &flushWriter{w: w, rc: http.NewResponseController(w)}
 }
 
 type flushWriter struct {
-	w       http.ResponseWriter
-	rc      *http.ResponseController
-	timeout time.Duration
+	w  http.ResponseWriter
+	rc *http.ResponseController
 }
 
 func (f *flushWriter) Write(p []byte) (int, error) {
 	// Not every ResponseWriter supports deadlines (httptest's recorder does
 	// not); degrade to an unbounded write there rather than failing.
-	f.rc.SetWriteDeadline(time.Now().Add(f.timeout))
+	f.rc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	n, err := f.w.Write(p)
 	if err == nil {
 		f.rc.Flush()
@@ -747,8 +742,7 @@ func (s *Server) handleMetricsPrometheus(w http.ResponseWriter, r *http.Request)
 		reg.CounterFunc("ringsym_serve_cache_requests_total", "Accepted GET /v1/cache/<key> peer lookups.", func() float64 { return float64(m.CacheRequests) })
 		reg.Gauge("ringsym_store_segments", "Segment files in this daemon's persistent store.", func() float64 { return float64(m.Store.Segments) })
 		reg.Gauge("ringsym_store_index_entries", "Keys resident in this daemon's persistent store.", func() float64 { return float64(m.Store.IndexEntries) })
-		reg.Gauge("ringsym_store_live_bytes", "Live record bytes in this daemon's persistent store.", func() float64 { return float64(m.Store.LiveBytes) })
-		reg.Gauge("ringsym_store_garbage_bytes", "Superseded record bytes awaiting compaction.", func() float64 { return float64(m.Store.GarbageBytes) })
+		reg.Gauge("ringsym_store_total_bytes", "On-disk bytes of this daemon's persistent store (the quantity -store-max caps).", func() float64 { return float64(m.Store.TotalBytes) })
 	}
 	if err := reg.WritePrometheus(w); err != nil {
 		return
@@ -789,7 +783,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// the first matching event arrives.
 	http.NewResponseController(w).Flush()
 
-	enc := json.NewEncoder(s.deadlineWriter(w))
+	enc := json.NewEncoder(deadlineWriter(w))
 	ctx := r.Context()
 	for {
 		ev, err := sub.Next(ctx)

@@ -35,11 +35,9 @@ type Peers struct {
 	self   string // own advertise URL, excluded from the fetch fan-out
 	client *http.Client
 
-	mu      sync.RWMutex
-	addrs   []string            // peer base URLs, e.g. "http://host:port"
-	neg     map[string]struct{} // keys every current peer has missed
-	nHits   uint64
-	nMisses uint64
+	mu    sync.RWMutex
+	addrs []string            // peer base URLs, e.g. "http://host:port"
+	neg   map[string]struct{} // keys every current peer has missed
 }
 
 // NewPeers returns a peer fetcher that excludes self (its own advertise URL,
@@ -100,13 +98,6 @@ func (p *Peers) Set(addrs []string) {
 	p.mu.Unlock()
 }
 
-// List returns a copy of the current peer list.
-func (p *Peers) List() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return append([]string(nil), p.addrs...)
-}
-
 // Fetch asks each peer in roster order for key and returns the first hit's
 // body.  A fleet-wide miss is suppressed: until the roster changes (or the
 // suppression set fills and is cleared), re-fetching the same key returns
@@ -122,7 +113,6 @@ func (p *Peers) Fetch(ctx context.Context, key string) ([]byte, bool) {
 	}
 	for _, addr := range addrs {
 		if body, ok := p.fetchOne(ctx, addr, key); ok {
-			p.nHitsAdd()
 			note(totPeerHits, obs.StorePeerHit)
 			return body, true
 		}
@@ -137,7 +127,6 @@ func (p *Peers) Fetch(ctx context.Context, key string) ([]byte, bool) {
 	}
 	p.neg[key] = struct{}{}
 	p.mu.Unlock()
-	p.nMissesAdd()
 	note(totPeerMisses, obs.StorePeerMiss)
 	return nil, false
 }
@@ -162,17 +151,4 @@ func (p *Peers) fetchOne(ctx context.Context, addr, key string) ([]byte, bool) {
 		return nil, false
 	}
 	return body, true
-}
-
-// Stats counters (hits = records served by a peer, misses = fleet-wide
-// lookup failures).  Kept as plain methods so cmd-layer dumps don't need a
-// second stats struct.
-func (p *Peers) nHitsAdd()   { p.mu.Lock(); p.nHits++; p.mu.Unlock() }
-func (p *Peers) nMissesAdd() { p.mu.Lock(); p.nMisses++; p.mu.Unlock() }
-
-// Counts returns the peer-hit and fleet-wide-miss counts since construction.
-func (p *Peers) Counts() (hits, misses uint64) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.nHits, p.nMisses
 }

@@ -16,8 +16,8 @@
 //     continues from there.
 //   - Values are immutable per key version.  A key is a content address
 //     (the canonical configuration fingerprint plus the task inputs), so a
-//     re-put of an existing key writes an identical value; the index keeps
-//     the newest copy and older copies become garbage for the compactor.
+//     re-put of a resident key with a value of the same length is a no-op;
+//     any other re-put appends a new record that supersedes the old one.
 //   - Nothing nondeterministic reaches the record bytes.  Keys and values
 //     are produced by the deterministic campaign/canon layers; the store
 //     adds framing and checksums only.  Recency for eviction is a logical
@@ -26,11 +26,8 @@
 //
 // Capacity is managed at segment granularity: when Options.MaxBytes is
 // exceeded, whole sealed segments are evicted oldest-access-first (their
-// keys drop from the index), and a background compaction rewrites live
-// records into fresh segments once the garbage ratio passes a threshold,
-// reclaiming space from superseded duplicates.  Compacted segments get ids
-// above every existing id, so a crash between writing the compacted copy and
-// unlinking the originals re-resolves in favour of the copy on the next scan.
+// keys drop from the index).  Eviction is also the only thing that reclaims
+// the bytes of a superseded record.
 package store
 
 import (
@@ -49,12 +46,11 @@ import (
 // pattern internal/memo set): per-instance Stats() answers "how is this
 // store doing" while the Prometheus exposition sees fleet-facing totals.
 var (
-	totHits        = obs.NewCounter("ringsym_store_hits_total", "Store lookups served from a segment, across all stores.")
-	totMisses      = obs.NewCounter("ringsym_store_misses_total", "Store lookups that found no record, across all stores.")
-	totPuts        = obs.NewCounter("ringsym_store_puts_total", "Records appended, across all stores.")
-	totEvictSegs   = obs.NewCounter("ringsym_store_evicted_segments_total", "Sealed segments dropped by the size cap, across all stores.")
-	totEvictRecs   = obs.NewCounter("ringsym_store_evicted_records_total", "Live records lost to segment eviction, across all stores.")
-	totCompactions = obs.NewCounter("ringsym_store_compactions_total", "Compaction passes completed, across all stores.")
+	totHits      = obs.NewCounter("ringsym_store_hits_total", "Store lookups served from a segment, across all stores.")
+	totMisses    = obs.NewCounter("ringsym_store_misses_total", "Store lookups that found no record, across all stores.")
+	totPuts      = obs.NewCounter("ringsym_store_puts_total", "Records appended, across all stores.")
+	totEvictSegs = obs.NewCounter("ringsym_store_evicted_segments_total", "Sealed segments dropped by the size cap, across all stores.")
+	totEvictRecs = obs.NewCounter("ringsym_store_evicted_records_total", "Live records lost to segment eviction, across all stores.")
 )
 
 // note records one service outcome on the process-wide counter and the event
@@ -73,21 +69,17 @@ type Options struct {
 	// first, so the floor is one active segment (the cap cannot evict the
 	// segment being appended to).
 	MaxBytes int64
-	// SegmentBytes is the size at which the active segment is sealed and a
-	// fresh one started; 0 selects 4 MiB.  Smaller segments evict and
-	// compact at finer granularity for more file-rotation churn.
-	SegmentBytes int64
-	// NoAutoCompact disables the background compaction that otherwise runs
-	// when sealed garbage exceeds half the store; Compact can still be
-	// called explicitly.
-	NoAutoCompact bool
 
+	// segmentBytes is the size at which the active segment is sealed and a
+	// fresh one started; 0 selects defaultSegmentSize.  Tests shrink it to
+	// exercise rotation and eviction.
+	segmentBytes int64
 	// wrapWriter, when set, interposes on the active segment's writer; the
 	// crash-recovery property test injects torn appends through it.
 	wrapWriter func(io.WriterAt) io.WriterAt
 }
 
-const defaultSegmentBytes = 4 << 20
+const defaultSegmentSize = 4 << 20
 
 // ref locates the current record for a key.
 type ref struct {
@@ -97,14 +89,12 @@ type ref struct {
 	vl  int
 }
 
-// segment is one on-disk file plus its liveness accounting.
+// segment is one on-disk file.
 type segment struct {
 	id     uint64
 	f      *os.File
 	w      io.WriterAt // f, possibly wrapped for fault injection
 	size   int64       // valid bytes (header + complete records)
-	live   int64       // bytes of records the index still points at
-	liveN  int         // records the index still points at
 	access atomic.Int64
 }
 
@@ -122,13 +112,10 @@ type Store struct {
 	closed bool
 	buf    []byte // record scratch, guarded by mu (appends are serialized)
 
-	clock      atomic.Int64 // logical access clock for eviction recency
-	compacting atomic.Bool
-	compactWG  sync.WaitGroup
+	clock atomic.Int64 // logical access clock for eviction recency
 
-	hits, misses, puts          atomic.Uint64
-	evictSegs, evictRecs        atomic.Uint64
-	compactions, compactedBytes atomic.Uint64
+	hits, misses, puts   atomic.Uint64
+	evictSegs, evictRecs atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of a store's state and service counters.
@@ -137,19 +124,15 @@ type Stats struct {
 	// included); IndexEntries the number of distinct keys resident.
 	Segments     int `json:"segments"`
 	IndexEntries int `json:"index_entries"`
-	// LiveBytes are record bytes the index points at; GarbageBytes are
-	// superseded duplicates awaiting compaction; TotalBytes is the on-disk
-	// footprint including segment headers.
-	LiveBytes    int64 `json:"live_bytes"`
-	GarbageBytes int64 `json:"garbage_bytes"`
-	TotalBytes   int64 `json:"total_bytes"`
+	// TotalBytes is the on-disk footprint including segment headers, the
+	// quantity Options.MaxBytes caps.
+	TotalBytes int64 `json:"total_bytes"`
 	// Service counters since Open.
 	Hits            uint64 `json:"hits"`
 	Misses          uint64 `json:"misses"`
 	Puts            uint64 `json:"puts"`
 	EvictedSegments uint64 `json:"evicted_segments"`
 	EvictedRecords  uint64 `json:"evicted_records"`
-	Compactions     uint64 `json:"compactions"`
 }
 
 // ErrClosed is returned by operations on a closed store.
@@ -161,8 +144,8 @@ var ErrClosed = errors.New("store: closed")
 // reused as the active one when it has room.  Files in dir that are not
 // segment files are ignored.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = defaultSegmentSize
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -189,7 +172,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.nextID = 1
 	}
 	// Ensure an active segment with room; a full (or absent) tail rotates.
-	if len(s.order) == 0 || s.activeLocked().size >= opts.SegmentBytes {
+	if len(s.order) == 0 || s.activeLocked().size >= opts.segmentBytes {
 		if err := s.rotateLocked(); err != nil {
 			s.closeAll()
 			return nil, err
@@ -236,10 +219,9 @@ func (s *Store) openSegment(id uint64) error {
 	s.order = append(s.order, id)
 	// Replay in file order: within a segment later records supersede
 	// earlier ones, and segments are opened in ascending id order, so the
-	// last write for a key always wins — the same resolution a crash
-	// between compaction and unlink relies on.
+	// last write for a key always wins, as it did before the restart.
 	for _, r := range recs {
-		s.indexLocked(r.key, ref{seg: id, off: r.off, kl: r.kl, vl: r.vl})
+		s.idx[r.key] = ref{seg: id, off: r.off, kl: r.kl, vl: r.vl}
 	}
 	return nil
 }
@@ -250,21 +232,6 @@ func (s *Store) wrap(f *os.File) io.WriterAt {
 		return s.opts.wrapWriter(f)
 	}
 	return f
-}
-
-// indexLocked points the index at a (new) record, moving any previous copy's
-// bytes to the garbage side of its segment's accounting.
-func (s *Store) indexLocked(key string, r ref) {
-	if old, ok := s.idx[key]; ok {
-		if oseg := s.segs[old.seg]; oseg != nil {
-			oseg.live -= recordSize(old.kl, old.vl)
-			oseg.liveN--
-		}
-	}
-	s.idx[key] = r
-	seg := s.segs[r.seg]
-	seg.live += recordSize(r.kl, r.vl)
-	seg.liveN++
 }
 
 func (s *Store) activeLocked() *segment {
@@ -299,7 +266,9 @@ func (s *Store) rotateLocked() error {
 
 // Get returns the stored value for key.  The record's checksum is
 // re-verified on every read — a flipped bit on disk surfaces as a miss (and
-// a recompute), never as a corrupt outcome served to a client.
+// a recompute), never as a corrupt outcome served to a client.  A record
+// that fails to read or verify also leaves the index, so the recompute's Put
+// appends a fresh copy instead of being a no-op against the bad one.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	if s.closed {
@@ -318,21 +287,22 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	_, err := seg.f.ReadAt(buf, r.off)
 	seg.access.Store(s.clock.Add(1))
 	s.mu.RUnlock()
-	if err != nil {
-		s.misses.Add(1)
-		note(totMisses, obs.StoreMiss)
-		return nil, false
-	}
-	rec := appendRecord(nil, key, buf[recHeaderLen+r.kl:])
-	if !bytes.Equal(rec[:recHeaderLen+r.kl], buf[:recHeaderLen+r.kl]) {
-		// Key or framing mismatch under a stale index entry.
+	hdr := recHeaderLen + r.kl
+	if err != nil || !bytes.Equal(appendRecord(nil, key, buf[hdr:])[:hdr], buf[:hdr]) {
+		// Short read, or a CRC, key or framing mismatch.  Drop the entry
+		// unless a concurrent Put has already replaced it.
+		s.mu.Lock()
+		if s.idx[key] == r {
+			delete(s.idx, key)
+		}
+		s.mu.Unlock()
 		s.misses.Add(1)
 		note(totMisses, obs.StoreMiss)
 		return nil, false
 	}
 	s.hits.Add(1)
 	note(totHits, obs.StoreHit)
-	return buf[recHeaderLen+r.kl:], true
+	return buf[hdr:], true
 }
 
 // Put appends key→val to the active segment and points the index at it.  A
@@ -351,8 +321,9 @@ func (s *Store) Put(key string, val []byte) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	// A content-addressed re-put of the resident value is a no-op, not new
-	// garbage: warm sweeps re-offer every outcome they serve.
+	// A re-put of a value as long as the resident one is a no-op: the key
+	// is a content address, and warm sweeps re-offer every outcome they
+	// serve.  Any other re-put appends and supersedes the old record.
 	if r, ok := s.idx[key]; ok && r.vl == len(val) {
 		s.mu.Unlock()
 		return nil
@@ -362,14 +333,12 @@ func (s *Store) Put(key string, val []byte) error {
 	// mean they are not — rotation failure after a durable append would
 	// break that contract (the crash-recovery property test holds it).
 	seg := s.activeLocked()
-	var rotated bool
-	if seg.size >= s.opts.SegmentBytes {
+	if seg.size >= s.opts.segmentBytes {
 		if err := s.rotateLocked(); err != nil {
 			s.mu.Unlock()
 			return err
 		}
 		seg = s.activeLocked()
-		rotated = true
 	}
 	s.buf = appendRecord(s.buf, key, val)
 	if _, err := seg.w.WriteAt(s.buf, seg.size); err != nil {
@@ -379,20 +348,11 @@ func (s *Store) Put(key string, val []byte) error {
 	off := seg.size
 	seg.size += int64(len(s.buf))
 	seg.access.Store(s.clock.Add(1))
-	s.indexLocked(key, ref{seg: seg.id, off: off, kl: len(key), vl: len(val)})
+	s.idx[key] = ref{seg: seg.id, off: off, kl: len(key), vl: len(val)}
 	s.evictLocked()
-	wantCompact := rotated && !s.opts.NoAutoCompact && s.garbageLocked() > s.totalLocked()/2
 	s.mu.Unlock()
 	s.puts.Add(1)
 	totPuts.Add(1)
-	if wantCompact && s.compacting.CompareAndSwap(false, true) {
-		s.compactWG.Add(1)
-		go func() {
-			defer s.compactWG.Done()
-			defer s.compacting.Store(false)
-			s.Compact()
-		}()
-	}
 	return nil
 }
 
@@ -402,15 +362,6 @@ func (s *Store) totalLocked() int64 {
 		t += s.segs[id].size
 	}
 	return t
-}
-
-func (s *Store) garbageLocked() int64 {
-	var g int64
-	for _, id := range s.order {
-		seg := s.segs[id]
-		g += seg.size - int64(segHeaderLen) - seg.live
-	}
-	return g
 }
 
 // evictLocked drops sealed segments, oldest logical access first, until the
@@ -432,13 +383,13 @@ func (s *Store) evictLocked() {
 		if victim == -1 {
 			return
 		}
-		s.dropSegmentLocked(victim, true)
+		s.dropSegmentLocked(victim)
 	}
 }
 
-// dropSegmentLocked removes the segment at position i of s.order from the
+// dropSegmentLocked evicts the segment at position i of s.order from the
 // index, the map and (best-effort) the disk.
-func (s *Store) dropSegmentLocked(i int, evict bool) {
+func (s *Store) dropSegmentLocked(i int) {
 	id := s.order[i]
 	seg := s.segs[id]
 	dropped := 0
@@ -452,99 +403,13 @@ func (s *Store) dropSegmentLocked(i int, evict bool) {
 	os.Remove(segPath(s.dir, id))
 	delete(s.segs, id)
 	s.order = append(s.order[:i], s.order[i+1:]...)
-	if evict {
-		s.evictSegs.Add(1)
-		s.evictRecs.Add(uint64(dropped))
-		totEvictSegs.Add(1)
-		totEvictRecs.Add(uint64(dropped))
-		if obs.On() {
-			obs.Emit(obs.Event{Type: obs.StoreEvict, Level: obs.LevelInfo})
-		}
+	s.evictSegs.Add(1)
+	s.evictRecs.Add(uint64(dropped))
+	totEvictSegs.Add(1)
+	totEvictRecs.Add(uint64(dropped))
+	if obs.On() {
+		obs.Emit(obs.Event{Type: obs.StoreEvict, Level: obs.LevelInfo})
 	}
-}
-
-// Compact rewrites every live record of the sealed segments into fresh
-// segments (in segment-id, then file-offset order — never map iteration
-// order) and unlinks the originals, reclaiming the space superseded
-// duplicates occupy.  The store is locked for the duration; compaction is a
-// maintenance pass, not a hot-path operation.  Crash safety: the compacted
-// copies are synced before any original is unlinked, and they carry higher
-// segment ids, so a reopen that sees both resolves every key to the copy.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	// Seal the current active segment so the whole existing tail is
-	// compactable and appends after the pass land in a clean segment.
-	if err := s.rotateLocked(); err != nil {
-		return err
-	}
-	oldIDs := append([]uint64(nil), s.order[:len(s.order)-1]...)
-	val := make([]byte, 0, 4096)
-	for _, id := range oldIDs {
-		seg := s.segs[id]
-		if seg.liveN == 0 {
-			continue
-		}
-		// Walk the segment in offset order and re-append the records the
-		// index still points at.
-		var scanErr error
-		_, _ = scanSegment(seg.f, seg.size, func(r scannedRecord) {
-			if scanErr != nil {
-				return
-			}
-			cur, ok := s.idx[r.key]
-			if !ok || cur.seg != id || cur.off != r.off {
-				return // superseded or evicted: garbage
-			}
-			if cap(val) < r.vl {
-				val = make([]byte, r.vl)
-			}
-			val = val[:r.vl]
-			if _, err := seg.f.ReadAt(val, r.off+recHeaderLen+int64(r.kl)); err != nil {
-				scanErr = err
-				return
-			}
-			scanErr = s.appendCompactedLocked(r.key, val)
-		})
-		if scanErr != nil {
-			return fmt.Errorf("store: compact: %w", scanErr)
-		}
-	}
-	// Sync the compacted copies before unlinking what they replace.
-	if err := s.activeLocked().f.Sync(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	for range oldIDs {
-		// The old segments occupy the prefix of s.order; drop position 0
-		// repeatedly (dropSegmentLocked reslices).
-		s.dropSegmentLocked(0, false)
-	}
-	s.compactions.Add(1)
-	note(totCompactions, obs.StoreCompact)
-	return nil
-}
-
-// appendCompactedLocked appends one live record to the compaction target,
-// rotating as segments fill.
-func (s *Store) appendCompactedLocked(key string, val []byte) error {
-	seg := s.activeLocked()
-	if seg.size >= s.opts.SegmentBytes {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
-		seg = s.activeLocked()
-	}
-	s.buf = appendRecord(s.buf, key, val)
-	if _, err := seg.w.WriteAt(s.buf, seg.size); err != nil {
-		return err
-	}
-	off := seg.size
-	seg.size += int64(len(s.buf))
-	s.indexLocked(key, ref{seg: seg.id, off: off, kl: len(key), vl: len(val)})
-	return nil
 }
 
 // Len returns the number of distinct keys resident in the index.
@@ -561,10 +426,6 @@ func (s *Store) Stats() Stats {
 		Segments:     len(s.order),
 		IndexEntries: len(s.idx),
 		TotalBytes:   s.totalLocked(),
-		GarbageBytes: s.garbageLocked(),
-	}
-	for _, id := range s.order {
-		st.LiveBytes += s.segs[id].live
 	}
 	s.mu.RUnlock()
 	st.Hits = s.hits.Load()
@@ -572,14 +433,12 @@ func (s *Store) Stats() Stats {
 	st.Puts = s.puts.Load()
 	st.EvictedSegments = s.evictSegs.Load()
 	st.EvictedRecords = s.evictRecs.Load()
-	st.Compactions = s.compactions.Load()
 	return st
 }
 
 // Close syncs the active segment and releases every file.  Operations after
 // Close fail with ErrClosed (Get reports a miss-shaped false).
 func (s *Store) Close() error {
-	s.compactWG.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
