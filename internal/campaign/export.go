@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 )
@@ -71,9 +70,8 @@ func (o *OrderedWriter) write(rec Record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := o.w.Write(line); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(o.w)
+	// One Write per record: a flushing writer (ringd's stream) sends each
+	// Write as its own chunk.
+	_, err = o.w.Write(append(line, '\n'))
 	return err
 }

@@ -99,3 +99,26 @@ func BenchmarkGoldenGrid(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSymmetricSweep times one cached pass of ringbench's 1440-scenario
+// symmetric sweep (sizes 8,12 × seeds 1:5 × phases 0:2 × reflect) on two
+// workers with a fresh cache per pass: 220 computes and 1220 cheap
+// cache-served scenarios, so the runner's own dispatch cost shows next to
+// the protocols.
+func BenchmarkSymmetricSweep(b *testing.B) {
+	scs, err := Matrix{
+		Sizes:       []int{8, 12},
+		Seeds:       []int64{1, 2, 3, 4, 5},
+		Phases:      []int{0, 1, 2},
+		Reflections: []bool{false, true},
+	}.Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := RunAll(context.Background(), scs, Options{Workers: 2, Cache: NewCache(0)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -107,40 +107,43 @@ var testHookScenario func(Scenario)
 // inside one scenario is isolated: it becomes a failed record and the sweep
 // continues.
 func Run(ctx context.Context, scenarios []Scenario, opts Options) <-chan Record {
+	out := make(chan Record)
+	go func() {
+		defer close(out)
+		sweep(ctx, scenarios, opts, func(_ int, rec Record) bool {
+			// Best-effort once ctx is cancelled: ctx.Done may win the race.
+			select {
+			case out <- rec:
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		})
+	}()
+	return out
+}
+
+// sweep runs the scenarios on a pool of workers, calling emit concurrently
+// with each record and its position in the feed (the DecorrelateOrbits order
+// when cached, so not the scenario Index), and returns once every worker has
+// stopped.  Workers claim one scenario at a time from a shared cursor with no
+// handoff to a feeder or collector goroutine: a cached duplicate costs
+// microseconds, so a handoff would leave CPUs idle.  A worker stops claiming
+// once ctx is cancelled or emit returns false.
+func sweep(ctx context.Context, scenarios []Scenario, opts Options, emit func(pos int, rec Record) bool) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(scenarios) && len(scenarios) > 0 {
-		workers = len(scenarios)
-	}
-	out := make(chan Record)
-	feed := make(chan []Scenario)
+	workers = min(workers, len(scenarios))
 	if opts.Cache != nil {
 		scenarios = DecorrelateOrbits(scenarios)
 	}
 	if obs.On() {
 		obs.Emit(obs.Event{Type: obs.CampaignStart, Level: obs.LevelInfo, Total: len(scenarios)})
 	}
-	go func() {
-		// The feed hands out blocks of consecutive scenarios rather than one
-		// scenario per channel rendezvous: on small-n sweeps a scenario costs
-		// tens of microseconds, so per-scenario channel synchronisation would
-		// be a measurable fraction of the work.
-		defer close(feed)
-		for lo := 0; lo < len(scenarios); lo += feedChunk {
-			hi := lo + feedChunk
-			if hi > len(scenarios) {
-				hi = len(scenarios)
-			}
-			select {
-			case feed <- scenarios[lo:hi]:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
 	var wg sync.WaitGroup
+	var next atomic.Int64
 	var done atomic.Uint64
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -150,43 +153,29 @@ func Run(ctx context.Context, scenarios []Scenario, opts Options) <-chan Record 
 			// passes it to every scenario it runs, so consecutive scenarios
 			// reset one network instead of building one each.
 			slot := &netSlot{}
-			for block := range feed {
-				for _, sc := range block {
-					// The scenario runs under ctx, so cancellation interrupts an
-					// in-flight protocol within one round instead of waiting out
-					// the round bound, recording the scenario as failed with an
-					// error wrapping context.Canceled.  Emission below stays
-					// best-effort on a cancelled context (the documented Run
-					// contract): a consumer that keeps draining until close
-					// receives the record unless ctx.Done wins the race.
-					rec := runScenario(ctx, sc, opts, slot)
-					n := done.Add(1)
-					if obs.On() && n%checkpointEvery == 0 {
-						obs.Emit(obs.Event{Type: obs.CampaignCheckpoint, Level: obs.LevelInfo, Done: int(n), Total: len(scenarios)})
-					}
-					select {
-					case out <- rec:
-					case <-ctx.Done():
-						return
-					}
+			for ctx.Err() == nil {
+				pos := int(next.Add(1) - 1)
+				if pos >= len(scenarios) {
+					return
+				}
+				// Under ctx, cancellation interrupts an in-flight protocol
+				// within one round and records it as failed (context.Canceled).
+				rec := runScenario(ctx, scenarios[pos], opts, slot)
+				n := done.Add(1)
+				if obs.On() && n%checkpointEvery == 0 {
+					obs.Emit(obs.Event{Type: obs.CampaignCheckpoint, Level: obs.LevelInfo, Done: int(n), Total: len(scenarios)})
+				}
+				if !emit(pos, rec) {
+					return
 				}
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		if obs.On() {
-			obs.Emit(obs.Event{Type: obs.CampaignFinish, Level: obs.LevelInfo, Done: int(done.Load()), Total: len(scenarios)})
-		}
-		close(out)
-	}()
-	return out
+	wg.Wait()
+	if obs.On() {
+		obs.Emit(obs.Event{Type: obs.CampaignFinish, Level: obs.LevelInfo, Done: int(done.Load()), Total: len(scenarios)})
+	}
 }
-
-// feedChunk is the number of consecutive scenarios handed to a worker per
-// feed rendezvous.  Small enough that tail imbalance is negligible even on
-// short sweeps, large enough to amortise the channel synchronisation.
-const feedChunk = 8
 
 // checkpointEvery is the campaign.checkpoint cadence in completed scenarios:
 // frequent enough that a live view or durability layer tracking checkpoints
@@ -254,10 +243,13 @@ func DecorrelateOrbits(scenarios []Scenario) []Scenario {
 // RunAll runs the scenarios and returns all records sorted by scenario
 // index.  It returns the context error when the run was cut short.
 func RunAll(ctx context.Context, scenarios []Scenario, opts Options) ([]Record, error) {
-	recs := make([]Record, 0, len(scenarios))
-	for rec := range Run(ctx, scenarios, opts) {
-		recs = append(recs, rec)
-	}
+	// Indexed by feed position, not scenario Index: a shard's indices do not
+	// start at 0.
+	recs := make([]Record, len(scenarios))
+	sweep(ctx, scenarios, opts, func(pos int, rec Record) bool {
+		recs[pos] = rec
+		return true
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -3,7 +3,11 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -309,4 +313,89 @@ func TestRunScenarioWallClock(t *testing.T) {
 	if rec.Wall <= 0 || rec.Wall > time.Minute {
 		t.Errorf("implausible wall time %v", rec.Wall)
 	}
+}
+
+// TestRunAllShardMatchesRun pins RunAll's feed-position slots: on a shard
+// whose indices do not start at 0, cache off and on (where the feed is
+// reordered), RunAll equals the records streamed by Run sorted by Index.
+func TestRunAllShardMatchesRun(t *testing.T) {
+	scs, err := goldenGrid.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := Shard(scs, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shard[0].Index == 0 {
+		t.Fatal("shard 1/3 starts at index 0")
+	}
+	for _, cached := range []bool{false, true} {
+		opts := func() Options {
+			if cached {
+				return Options{Workers: 2, Cache: NewCache(0)}
+			}
+			return Options{Workers: 2}
+		}
+		all, err := RunAll(t.Context(), shard, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var streamed []Record
+		for rec := range Run(t.Context(), shard, opts()) {
+			streamed = append(streamed, rec)
+		}
+		sort.Slice(streamed, func(i, j int) bool { return streamed[i].Index < streamed[j].Index })
+		if len(all) != len(shard) || len(streamed) != len(shard) {
+			t.Fatalf("cached=%v: RunAll gave %d and Run %d records for %d scenarios", cached, len(all), len(streamed), len(shard))
+		}
+		for i := range all {
+			a, b := all[i], streamed[i]
+			a.Wall, b.Wall = 0, 0
+			if cached {
+				// Which framing of an orbit computes depends on scheduling.
+				a.Cache, b.Cache = "", ""
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("cached=%v: record %d: RunAll %+v, Run %+v", cached, i, a, b)
+			}
+		}
+	}
+}
+
+// TestSweepLeavesNoGoroutines checks that a cancelled RunAll and a Run whose
+// consumer stops early both wind down every worker: none may block on a send
+// no one will receive.
+func TestSweepLeavesNoGoroutines(t *testing.T) {
+	scs, err := Matrix{Sizes: []int{8, 16, 32}, Seeds: []int64{1, 2, 3, 4}}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, baseline %d", what, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(t.Context())
+	testHookScenario = func(Scenario) { cancel() }
+	_, err = RunAll(ctx, scs, Options{Workers: 4})
+	testHookScenario = nil
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunAll returned %v", err)
+	}
+	settled("cancelled RunAll")
+
+	ctx, cancel = context.WithCancel(t.Context())
+	for range Run(ctx, scs, Options{Workers: 4}) {
+		break
+	}
+	cancel()
+	settled("Run abandoned after one record")
 }
