@@ -101,24 +101,8 @@ func runFleet(m campaign.Matrix, total int, roster []string, lease int, listen, 
 	}
 	stopTop()
 
-	rows := agg.Summary()
-	csvF, err := os.Create(filepath.Join(outDir, "summary.csv"))
+	md, err := writeSummaries(outDir, agg.Summary(), cached)
 	if err != nil {
-		return err
-	}
-	defer csvF.Close()
-	var md string
-	if cached {
-		err = campaign.WriteSummaryCSVCache(csvF, rows)
-		md = campaign.FormatSummaryMarkdownCache(rows)
-	} else {
-		err = campaign.WriteSummaryCSV(csvF, rows)
-		md = campaign.FormatSummaryMarkdown(rows)
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(outDir, "summary.md"), []byte(md), 0o644); err != nil {
 		return err
 	}
 

@@ -302,26 +302,8 @@ func runCampaign(scenarios []campaign.Scenario, shardI, shardM, total, workers i
 	}
 	stopTop() // final frame before the summary, so the summary stays visible
 
-	rows := agg.Summary()
-	csvF, err := os.Create(filepath.Join(outDir, "summary.csv"))
+	md, err := writeSummaries(outDir, agg.Summary(), cache != nil)
 	if err != nil {
-		return err
-	}
-	defer csvF.Close()
-	// The cache-off artefacts must stay byte-identical to cache-less builds,
-	// so the cache columns are emitted only for cached sweeps.
-	var md string
-	if cache != nil {
-		err = campaign.WriteSummaryCSVCache(csvF, rows)
-		md = campaign.FormatSummaryMarkdownCache(rows)
-	} else {
-		err = campaign.WriteSummaryCSV(csvF, rows)
-		md = campaign.FormatSummaryMarkdown(rows)
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(outDir, "summary.md"), []byte(md), 0o644); err != nil {
 		return err
 	}
 
@@ -349,6 +331,25 @@ func runCampaign(scenarios []campaign.Scenario, shardI, shardM, total, workers i
 		return fmt.Errorf("%d scenarios failed (see %s)", agg.Failed, filepath.Join(outDir, "records.jsonl"))
 	}
 	return nil
+}
+
+// writeSummaries writes summary.csv and summary.md into outDir and returns
+// the Markdown table.  The cache columns appear only when cache is set, so
+// cache-off artefacts stay byte-identical to cache-less builds.
+func writeSummaries(outDir string, rows []campaign.SummaryRow, cache bool) (string, error) {
+	csvF, err := os.Create(filepath.Join(outDir, "summary.csv"))
+	if err != nil {
+		return "", err
+	}
+	if err := campaign.WriteSummaryCSV(csvF, rows, cache); err != nil {
+		csvF.Close()
+		return "", err
+	}
+	if err := csvF.Close(); err != nil {
+		return "", err
+	}
+	md := campaign.FormatSummaryMarkdown(rows, cache)
+	return md, os.WriteFile(filepath.Join(outDir, "summary.md"), []byte(md), 0o644)
 }
 
 // effectiveWorkers mirrors the pool sizing of campaign.Run: GOMAXPROCS by

@@ -239,18 +239,10 @@ func (k GroupKey) label() (parity, chir, cs string) {
 }
 
 // WriteSummaryCSV writes the summary rows as CSV.  Output is deterministic
-// for a fixed record multiset and byte-identical across cache-less builds.
-func WriteSummaryCSV(w io.Writer, rows []SummaryRow) error {
-	return writeSummaryCSV(w, rows, false)
-}
-
-// WriteSummaryCSVCache is WriteSummaryCSV plus the memo-cache service
-// columns (misses, hits, dedups); use it for sweeps that ran with a cache.
-func WriteSummaryCSVCache(w io.Writer, rows []SummaryRow) error {
-	return writeSummaryCSV(w, rows, true)
-}
-
-func writeSummaryCSV(w io.Writer, rows []SummaryRow, cache bool) error {
+// for a fixed record multiset.  cache adds the cache service columns (misses,
+// hits, dedups, disk, peer); pass it only for sweeps that ran with a cache,
+// so cache-off artefacts stay byte-identical to cache-less builds.
+func WriteSummaryCSV(w io.Writer, rows []SummaryRow, cache bool) error {
 	header := "task,model,parity,chirality,common_sense,n,count,failed,unsolvable,min_rounds,max_rounds,mean_rounds,p50_rounds,p90_rounds,p99_rounds,bound_ratio"
 	if cache {
 		header += ",cache_misses,cache_hits,cache_dedups,cache_disk,cache_peer"
@@ -279,18 +271,9 @@ func writeSummaryCSV(w io.Writer, rows []SummaryRow, cache bool) error {
 	return nil
 }
 
-// FormatSummaryMarkdown renders the summary rows as a Markdown table.
-func FormatSummaryMarkdown(rows []SummaryRow) string {
-	return formatSummaryMarkdown(rows, false)
-}
-
-// FormatSummaryMarkdownCache is FormatSummaryMarkdown plus the memo-cache
-// service columns.
-func FormatSummaryMarkdownCache(rows []SummaryRow) string {
-	return formatSummaryMarkdown(rows, true)
-}
-
-func formatSummaryMarkdown(rows []SummaryRow, cache bool) string {
+// FormatSummaryMarkdown renders the summary rows as a Markdown table; cache
+// adds the cache service columns, as in WriteSummaryCSV.
+func FormatSummaryMarkdown(rows []SummaryRow, cache bool) string {
 	var b strings.Builder
 	b.WriteString("| task | model | parity | chirality | common sense | n | count | failed | unsolvable | min | max | mean | p50 | p90 | p99 | obs/bound |")
 	if cache {

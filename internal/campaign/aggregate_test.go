@@ -89,13 +89,13 @@ func TestAggregatorSummary(t *testing.T) {
 	}
 
 	var csv strings.Builder
-	if err := WriteSummaryCSV(&csv, rows); err != nil {
+	if err := WriteSummaryCSV(&csv, rows, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(csv.String(), "coordinate,lazy,even,common,no,8,5,1,0,10,40,25.000,20,40,40,2.5000") {
 		t.Errorf("unexpected CSV:\n%s", csv.String())
 	}
-	md := FormatSummaryMarkdown(rows)
+	md := FormatSummaryMarkdown(rows, false)
 	if !strings.Contains(md, "| coordinate | lazy |") || !strings.Contains(md, "| discover | basic |") {
 		t.Errorf("unexpected markdown:\n%s", md)
 	}

@@ -192,10 +192,10 @@ func TestSummaryCacheColumns(t *testing.T) {
 	}
 
 	var plain, withCache strings.Builder
-	if err := WriteSummaryCSV(&plain, rows); err != nil {
+	if err := WriteSummaryCSV(&plain, rows, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSummaryCSVCache(&withCache, rows); err != nil {
+	if err := WriteSummaryCSV(&withCache, rows, true); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(plain.String(), "cache") {
@@ -205,11 +205,11 @@ func TestSummaryCacheColumns(t *testing.T) {
 		!strings.Contains(withCache.String(), ",1,1,1") {
 		t.Errorf("cache CSV misses columns:\n%s", withCache.String())
 	}
-	md := FormatSummaryMarkdownCache(rows)
+	md := FormatSummaryMarkdown(rows, true)
 	if !strings.Contains(md, "| miss | hit | dedup |") || !strings.Contains(md, " 1 | 1 | 1 |") {
 		t.Errorf("cache markdown misses columns:\n%s", md)
 	}
-	if strings.Contains(FormatSummaryMarkdown(rows), "dedup") {
+	if strings.Contains(FormatSummaryMarkdown(rows, false), "dedup") {
 		t.Errorf("plain markdown mentions the cache")
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -264,6 +265,9 @@ func (m Matrix) Expand() ([]Scenario, error) {
 							n := AdjustParity(size, odd)
 							if n < 5 {
 								return nil, fmt.Errorf("campaign: size %d too small (the paper needs n > 4)", size)
+							}
+							if f.IDBoundFactor > math.MaxInt/n {
+								return nil, fmt.Errorf("campaign: id_bound_factor %d times n = %d overflows the identifier bound", f.IDBoundFactor, n)
 							}
 							for _, seed := range f.Seeds {
 								for _, phase := range f.Phases {

@@ -68,6 +68,10 @@ func TestExpandRejectsBadAxes(t *testing.T) {
 		{Parities: []string{"prime"}},
 		{Chirality: []string{"sinister"}},
 		{Sizes: []int{3}},
+		// IDBoundFactor·n must not overflow: 2^61·8 wraps to 0 (which
+		// netgen read as "use the default") and (2^60+1)·9 wraps negative.
+		{Sizes: []int{8}, IDBoundFactor: 1 << 61},
+		{Sizes: []int{8}, IDBoundFactor: 1<<60 + 1},
 	} {
 		if _, err := m.Expand(); err == nil {
 			t.Errorf("Expand(%+v) accepted an invalid axis", m)

@@ -161,9 +161,8 @@ func sweep(ctx context.Context, scenarios []Scenario, opts Options, emit func(po
 				// Under ctx, cancellation interrupts an in-flight protocol
 				// within one round and records it as failed (context.Canceled).
 				rec := runScenario(ctx, scenarios[pos], opts, slot)
-				n := done.Add(1)
-				if obs.On() && n%checkpointEvery == 0 {
-					obs.Emit(obs.Event{Type: obs.CampaignCheckpoint, Level: obs.LevelInfo, Done: int(n), Total: len(scenarios)})
+				if n := done.Add(1); obs.On() {
+					EmitCheckpoint(int(n), len(scenarios))
 				}
 				if !emit(pos, rec) {
 					return
@@ -183,12 +182,24 @@ func sweep(ctx context.Context, scenarios []Scenario, opts Options, emit func(po
 // per-scenario events.
 const checkpointEvery = 1000
 
-// emitScenarioDone publishes the completion event for one record:
+// EmitCheckpoint publishes campaign.checkpoint when done, the number of the
+// sweep's scenarios completed so far, is a multiple of the checkpoint
+// cadence.  The local runner and the fleet merger both call it, so a sweep
+// checkpoints at the same counts wherever it ran.  Callers guard with
+// obs.On(), as for EmitScenarioDone: the helper is too large to inline.
+func EmitCheckpoint(done, total int) {
+	if obs.On() && done%checkpointEvery == 0 {
+		obs.Emit(obs.Event{Type: obs.CampaignCheckpoint, Level: obs.LevelInfo, Done: done, Total: total})
+	}
+}
+
+// EmitScenarioDone publishes the completion event for one record:
 // scenario.error for failures (with the cause), scenario.finish otherwise.
-// Callers guard with obs.On() to avoid the call itself; the early return
-// keeps the helper correct on its own, so no future call site can build the
-// Event — including its string fields — on a quiet bus.
-func emitScenarioDone(rec Record) {
+// A zero Wall, as on records decoded from a worker's stream, leaves wall_us
+// out of the event.  Callers guard with obs.On() to avoid the call itself;
+// the early return keeps the helper correct on its own, so no future call
+// site can build the Event — including its string fields — on a quiet bus.
+func EmitScenarioDone(rec Record) {
 	if !obs.On() {
 		return
 	}
@@ -296,7 +307,7 @@ func runScenario(ctx context.Context, sc Scenario, opts Options, slot *netSlot) 
 	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
 	rec.Wall = time.Since(start)
 	if obs.On() {
-		emitScenarioDone(rec)
+		EmitScenarioDone(rec)
 	}
 	return rec
 }
@@ -332,7 +343,7 @@ func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 	// A probe hit never reaches RunScenarioContext, so its completion event is
 	// emitted here: cache-served scenarios stay visible on the event spine.
 	if obs.On() {
-		emitScenarioDone(rec)
+		EmitScenarioDone(rec)
 	}
 	return rec, true
 }

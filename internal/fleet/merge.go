@@ -102,38 +102,18 @@ func (mg *merger) drain() {
 		}
 		mg.written++
 		mg.next++
-		mg.emit(rec)
+		// The runner's own events, so downstream consumers (ringfarm top,
+		// NDJSON sinks) see a fleet sweep in the same vocabulary as a local
+		// one; wall time stayed on the worker, so wall_us is omitted.
+		if obs.On() {
+			campaign.EmitScenarioDone(rec)
+			campaign.EmitCheckpoint(mg.written, mg.total)
+		}
 		if mg.onRec != nil {
 			mg.onRec(rec)
 		}
 	}
 }
-
-// emit mirrors the campaign runner's per-scenario events for merged records,
-// so downstream consumers (ringfarm top, NDJSON sinks) see a fleet sweep in
-// the same vocabulary as a local one.  WallMicros is zero: wall time was
-// spent on the worker and deliberately does not travel in records.
-func (mg *merger) emit(rec campaign.Record) {
-	if !obs.On() {
-		return
-	}
-	ev := obs.Event{
-		Type: obs.ScenarioFinish, Level: obs.LevelInfo,
-		Task: string(rec.Task), Model: rec.Model, N: rec.N, Seed: rec.Seed, Index: rec.Index,
-		Status: string(rec.Status), Cache: rec.Cache,
-		Rounds: int64(rec.Rounds),
-	}
-	if rec.Status == campaign.StatusFailed {
-		ev.Type, ev.Level, ev.Err = obs.ScenarioError, obs.LevelError, rec.Error
-	}
-	obs.Emit(ev)
-	if mg.written%checkpointEvery == 0 {
-		obs.Emit(obs.Event{Type: obs.CampaignCheckpoint, Level: obs.LevelInfo, Done: mg.written, Total: mg.total})
-	}
-}
-
-// checkpointEvery matches the campaign runner's checkpoint cadence.
-const checkpointEvery = 1000
 
 // done reports whether every index was written or skipped.
 func (mg *merger) done() bool { return mg.next >= mg.total }

@@ -52,15 +52,6 @@ var (
 	totPeerHits  = obs.NewCounter("ringsym_memo_peer_hits_total", "Cache lookups served by a fleet peer and promoted to memory, across all caches.")
 )
 
-// note records one service outcome on the process-wide counter and the event
-// bus.  With no subscribers the event branch is a single atomic load.
-func note(ctr *obs.Counter, t obs.Type) {
-	ctr.Add(1)
-	if obs.On() {
-		obs.Emit(obs.Event{Type: t, Level: obs.LevelDebug})
-	}
-}
-
 // Kind classifies how a Do call was served.
 type Kind int8
 
@@ -211,7 +202,7 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		c.hits.Add(1)
-		note(totHits, obs.CacheHit)
+		totHits.Note(obs.CacheHit)
 		return el.Value.(*entry[V]).val, true
 	}
 	var zero V
@@ -235,14 +226,14 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 		v := el.Value.(*entry[V]).val
 		c.mu.Unlock()
 		c.hits.Add(1)
-		note(totHits, obs.CacheHit)
+		totHits.Note(obs.CacheHit)
 		return v, Hit, nil
 	}
 	if cl, ok := c.inflight[key]; ok {
 		cl.waiters++
 		c.mu.Unlock()
 		c.dedups.Add(1)
-		note(totDedups, obs.CacheDedup)
+		totDedups.Note(obs.CacheDedup)
 		v, err := c.wait(ctx, key, cl)
 		return v, Dedup, err
 	}
@@ -293,7 +284,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 			totPeerHits.Add(1)
 		default:
 			c.misses.Add(1)
-			note(totMisses, obs.CacheMiss)
+			totMisses.Note(obs.CacheMiss)
 		}
 		// Write a freshly computed value through to the tier before
 		// publishing it, outside the lock (the tier does disk and
@@ -374,7 +365,7 @@ func (c *Cache[V]) insertLocked(key string, val V) {
 		c.lru.Remove(back)
 		delete(c.entries, back.Value.(*entry[V]).key)
 		c.evictions.Add(1)
-		note(totEvictions, obs.CacheEvict)
+		totEvictions.Note(obs.CacheEvict)
 	}
 }
 

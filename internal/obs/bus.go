@@ -7,11 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// Bus fans events out to subscribers.  The publish path is lock-free: it
-// loads an atomically-published snapshot of the subscriber list and offers
-// the event to each subscriber's bounded ring, dropping (and counting) where
-// a ring is full.  Subscribe/Close swap the snapshot under a mutex — they are
-// rare control-plane operations; Publish never takes it.
+// Bus fans events out to subscribers.  Publish takes no lock: it loads an
+// atomically-published snapshot of the subscriber list and offers the event
+// to each subscriber's buffered channel without waiting, dropping (and
+// counting) where a queue is full.  Subscribe/Close swap the snapshot under a
+// mutex; they are rare control-plane operations.
 //
 // A Bus with no subscribers is inert: Active() is a single atomic load
 // returning false, and Publish returns before touching the event.  Emit
@@ -42,7 +42,7 @@ func Emit(ev Event) { Default.Publish(ev) }
 func (b *Bus) Active() bool { return b.subs.Load() != nil }
 
 // Publish offers ev to every subscriber whose filter accepts it.  It never
-// blocks: a subscriber whose ring is full loses the event and both the
+// blocks: a subscriber whose queue is full loses the event and both the
 // subscription's and the bus's drop counters advance.  A zero Nanos is
 // stamped with Now().
 func (b *Bus) Publish(ev Event) {
@@ -58,9 +58,9 @@ func (b *Bus) Publish(ev Event) {
 		if !sub.accepts(ev) {
 			continue
 		}
-		if sub.q.tryPush(ev) {
-			sub.wake()
-		} else {
+		select {
+		case sub.q <- ev:
+		default:
 			sub.dropped.Add(1)
 			b.dropped.Add(1)
 		}
@@ -69,9 +69,9 @@ func (b *Bus) Publish(ev Event) {
 
 // SubOptions configures a subscription.
 type SubOptions struct {
-	// Buffer is the subscriber's ring capacity in events (rounded up to a
-	// power of two); <= 0 selects 1024.  Events published while the ring is
-	// full are dropped and counted, never waited for.
+	// Buffer is the subscriber's queue capacity in events, exactly; <= 0
+	// selects 1024.  Events published while the queue is full are dropped
+	// and counted, never waited for.
 	Buffer int
 	// Types, when non-empty, restricts delivery to events whose type equals
 	// an entry or falls under a dotted prefix ("scenario" matches
@@ -86,8 +86,7 @@ type SubOptions struct {
 // from the bus.
 type Subscription struct {
 	bus     *Bus
-	q       *ring
-	notify  chan struct{}
+	q       chan Event
 	types   []string
 	minLvl  Level
 	dropped atomic.Uint64
@@ -101,8 +100,7 @@ func (b *Bus) Subscribe(opts SubOptions) *Subscription {
 	}
 	s := &Subscription{
 		bus:    b,
-		q:      newRing(buf),
-		notify: make(chan struct{}, 1),
+		q:      make(chan Event, buf),
 		types:  opts.Types,
 		minLvl: opts.MinLevel,
 	}
@@ -119,7 +117,8 @@ func (b *Bus) Subscribe(opts SubOptions) *Subscription {
 }
 
 // Close detaches the subscription; events already buffered remain readable.
-// Close is idempotent.
+// Close is idempotent.  It does not close the queue: a Publish that loaded
+// the subscriber snapshot before the swap may still send on it.
 func (s *Subscription) Close() {
 	b := s.bus
 	b.mu.Lock()
@@ -157,34 +156,28 @@ func (s *Subscription) accepts(ev Event) bool {
 	return false
 }
 
-// wake nudges a blocked Next; a pending nudge is enough, so a full notify
-// channel is not waited on.
-func (s *Subscription) wake() {
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
 // Next returns the next buffered event, blocking until one is published or
 // ctx is done.
 func (s *Subscription) Next(ctx context.Context) (Event, error) {
-	for {
-		if ev, ok := s.q.tryPop(); ok {
-			return ev, nil
-		}
-		select {
-		case <-s.notify:
-		case <-ctx.Done():
-			return Event{}, ctx.Err()
-		}
+	select {
+	case ev := <-s.q:
+		return ev, nil
+	case <-ctx.Done():
+		return Event{}, ctx.Err()
 	}
 }
 
 // TryNext returns the next buffered event without blocking.
-func (s *Subscription) TryNext() (Event, bool) { return s.q.tryPop() }
+func (s *Subscription) TryNext() (Event, bool) {
+	select {
+	case ev := <-s.q:
+		return ev, true
+	default:
+		return Event{}, false
+	}
+}
 
-// Dropped returns how many events this subscription has lost to a full ring.
+// Dropped returns how many events this subscription has lost to a full queue.
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
 // BusStats is a snapshot of a bus's fan-out accounting.
@@ -193,7 +186,7 @@ type BusStats struct {
 	Subscribers int `json:"subscribers"`
 	// Published counts events offered to at least one subscriber.
 	Published uint64 `json:"published"`
-	// Dropped counts subscriber-side losses to full rings, summed over all
+	// Dropped counts subscriber-side losses to full queues, summed over all
 	// subscriptions (one event dropped by two slow subscribers counts twice).
 	Dropped uint64 `json:"dropped"`
 }

@@ -11,11 +11,11 @@
 //     pointer load and every emit site is `if obs.On() { ... }` — no event is
 //     even constructed, so the golden artefacts and the benchmarks are
 //     untouched by the existence of the telemetry layer.
-//   - Publishing never blocks.  Each subscriber owns a bounded lock-free
-//     ring buffer (a multi-producer single-consumer Vyukov queue); a full
-//     queue drops the event and counts the drop instead of back-pressuring
-//     the worker that emitted it.  A stalled /v1/events client therefore
-//     cannot wedge the serve pool.
+//   - Publishing never blocks.  Each subscriber owns a buffered channel
+//     that Publish sends on without waiting; a full queue drops the event
+//     and counts the drop instead of back-pressuring the worker that
+//     emitted it.  A stalled /v1/events client therefore cannot wedge the
+//     serve pool.
 //   - Counters are registered, not bespoke.  Process-wide totals (engine
 //     rounds, cache hits, bus drops) live in a metric Registry that renders
 //     Prometheus text exposition, so a new counter is one NewCounter call
@@ -147,9 +147,9 @@ func (e errBadLevel) Error() string {
 
 // Event is one telemetry record.  It is a flat struct of fixed fields — no
 // maps, no interfaces — so emitting one is a stack copy, the fan-out bus can
-// store them inline in its ring slots, and zero-valued fields vanish from the
-// JSON.  Emitters fill only the fields their type defines (see the taxonomy
-// above); Nanos is stamped by Publish when left zero.
+// queue them by value, and zero-valued fields vanish from the JSON.  Emitters
+// fill only the fields their type defines (see the taxonomy above); Nanos is
+// stamped by Publish when left zero.
 type Event struct {
 	// Nanos is the monotonic timestamp: nanoseconds since process start.
 	Nanos int64 `json:"nanos"`

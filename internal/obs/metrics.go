@@ -21,6 +21,16 @@ type Counter struct {
 // Add increments the counter and returns the new value.
 func (c *Counter) Add(n uint64) uint64 { return c.v.Add(n) }
 
+// Note counts one service operation and, while the default bus has a
+// subscriber, emits it as a payload-free debug event of type t.  With no
+// subscriber the event branch is one atomic load and nothing is built.
+func (c *Counter) Note(t Type) {
+	c.v.Add(1)
+	if On() {
+		Emit(Event{Type: t, Level: LevelDebug})
+	}
+}
+
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
@@ -131,7 +141,7 @@ var (
 			func() float64 { return float64(Default.Stats().Subscribers) })
 		Metrics.CounterFunc("ringsym_obs_events_published_total", "Events published to the default bus (only counted while subscribers exist).",
 			func() float64 { return float64(Default.published.Load()) })
-		Metrics.CounterFunc("ringsym_obs_events_dropped_total", "Events dropped by full subscriber rings on the default bus.",
+		Metrics.CounterFunc("ringsym_obs_events_dropped_total", "Events dropped by full subscriber queues on the default bus.",
 			func() float64 { return float64(Default.dropped.Load()) })
 		return struct{}{}
 	}()

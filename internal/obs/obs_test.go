@@ -10,99 +10,100 @@ import (
 	"time"
 )
 
-// TestRingFIFO: events come out in the order one producer pushed them, and a
-// full ring rejects instead of blocking or overwriting.
+// TestRingFIFO: a subscription's queue hands events out in the order one
+// producer published them, holds exactly Buffer events, rejects (and counts)
+// instead of blocking or overwriting when full, and is reusable once drained.
 func TestRingFIFO(t *testing.T) {
-	r := newRing(4)
-	for i := 0; i < 4; i++ {
-		if !r.tryPush(Event{Index: i}) {
-			t.Fatalf("push %d failed on non-full ring", i)
-		}
+	b := NewBus()
+	sub := b.Subscribe(SubOptions{Buffer: 5})
+	for i := 0; i < 5; i++ {
+		b.Publish(Event{Index: i})
 	}
-	if r.tryPush(Event{Index: 99}) {
-		t.Fatal("push succeeded on a full ring")
+	if sub.Dropped() != 0 {
+		t.Fatalf("%d events dropped before the queue held Buffer events", sub.Dropped())
 	}
-	for i := 0; i < 4; i++ {
-		ev, ok := r.tryPop()
+	b.Publish(Event{Index: 99})
+	if sub.Dropped() != 1 {
+		t.Fatalf("publish to a full queue: dropped = %d, want 1", sub.Dropped())
+	}
+	for i := 0; i < 5; i++ {
+		ev, ok := sub.TryNext()
 		if !ok || ev.Index != i {
 			t.Fatalf("pop %d: got (%v, %v)", i, ev.Index, ok)
 		}
 	}
-	if _, ok := r.tryPop(); ok {
-		t.Fatal("pop succeeded on an empty ring")
+	if _, ok := sub.TryNext(); ok {
+		t.Fatal("pop succeeded on an empty queue")
 	}
-	// The ring is reusable after a full lap.
-	if !r.tryPush(Event{Index: 7}) {
-		t.Fatal("push failed after drain")
+	b.Publish(Event{Index: 7})
+	if ev, ok := sub.TryNext(); !ok || ev.Index != 7 {
+		t.Fatal("publish after drain was not delivered")
 	}
-	if ev, ok := r.tryPop(); !ok || ev.Index != 7 {
-		t.Fatal("wrap-around pop failed")
+	if sub.Dropped() != 1 {
+		t.Fatalf("dropped = %d after drain, want 1", sub.Dropped())
 	}
 }
 
-// TestRingConcurrent: many producers against one consumer under -race; every
-// successfully pushed event arrives exactly once.
+// TestRingConcurrent: many publishers against one consumer under -race.
+// Every event not counted as dropped arrives exactly once, each publisher's
+// events arrive in its publish order, and delivered + dropped = published.
 func TestRingConcurrent(t *testing.T) {
-	r := newRing(64)
+	b := NewBus()
+	sub := b.Subscribe(SubOptions{Buffer: 64})
 	const producers, perProducer = 8, 1000
-	var pushed sync.Map // index -> true for every event that tryPush accepted
+	ctx, producersDone := context.WithCancel(context.Background())
+	received := make(map[int]bool)
+	last := make(map[int]int) // producer -> last index received from it
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		take := func(ev Event) {
+			if received[ev.Index] {
+				t.Errorf("event %d delivered twice", ev.Index)
+			}
+			received[ev.Index] = true
+			p := ev.Index / perProducer
+			if prev, ok := last[p]; ok && ev.Index <= prev {
+				t.Errorf("producer %d: event %d arrived after %d", p, ev.Index, prev)
+			}
+			last[p] = ev.Index
+		}
+		for {
+			ev, err := sub.Next(ctx)
+			if err != nil {
+				break
+			}
+			take(ev)
+		}
+		// Every producer has returned: drain what is left.
+		for {
+			ev, ok := sub.TryNext()
+			if !ok {
+				return
+			}
+			take(ev)
+		}
+	}()
 	var wg sync.WaitGroup
 	wg.Add(producers)
 	for p := 0; p < producers; p++ {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				idx := p*perProducer + i
-				if r.tryPush(Event{Index: idx}) {
-					pushed.Store(idx, true)
-				}
+				b.Publish(Event{Index: p*perProducer + i})
 			}
 		}(p)
 	}
-	received := make(map[int]bool)
-	done := make(chan struct{})
-	doneProducing := make(chan struct{})
-	go func() {
-		defer close(done)
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if ev, ok := r.tryPop(); ok {
-				if received[ev.Index] {
-					t.Errorf("event %d delivered twice", ev.Index)
-					return
-				}
-				received[ev.Index] = true
-				continue
-			}
-			select {
-			case <-doneProducing:
-				// Drain whatever is left, then stop.
-				for {
-					ev, ok := r.tryPop()
-					if !ok {
-						return
-					}
-					received[ev.Index] = true
-				}
-			default:
-			}
-		}
-	}()
 	wg.Wait()
-	close(doneProducing)
+	producersDone()
 	<-done
 
-	pushedCount := 0
-	pushed.Range(func(k, _ any) bool {
-		pushedCount++
-		if !received[k.(int)] {
-			t.Errorf("event %d pushed but never delivered", k.(int))
-			return false
-		}
-		return true
-	})
-	if len(received) != pushedCount {
-		t.Fatalf("received %d events, producers pushed %d", len(received), pushedCount)
+	const published = producers * perProducer
+	if got := uint64(len(received)) + sub.Dropped(); got != published {
+		t.Fatalf("delivered %d + dropped %d = %d, want %d published", len(received), sub.Dropped(), got, published)
+	}
+	if st := b.Stats(); st.Published != published || st.Dropped != sub.Dropped() {
+		t.Fatalf("bus stats %+v, subscription dropped %d", st, sub.Dropped())
 	}
 }
 

@@ -2,9 +2,10 @@
 // daemon (cmd/ringd) that executes ring-network scenarios on demand instead
 // of batch sweeps.
 //
-// All requests are batched onto one bounded worker pool — the same substrate
-// the campaign runner uses for offline sweeps — so a burst of clients queues
-// instead of oversubscribing the machine, and every request shares the
+// All requests are batched onto the daemon's own bounded worker pool, so a
+// burst of clients queues instead of oversubscribing the machine.  Each
+// worker runs its scenarios through campaign.RunScenarioContext, the same
+// per-scenario pipeline an offline sweep runs, and every request shares the
 // optional symmetry-canonical memo cache (internal/memo keyed by
 // internal/canon): two clients asking for rotations of the same ring are
 // served one computation.  Request contexts are threaded through to the
@@ -92,9 +93,6 @@ type Options struct {
 	Circ int64
 	// MaxRounds aborts runaway protocols; 0 uses the engine default.
 	MaxRounds int
-	// MaxCampaignScenarios caps the expansion of one /v1/campaign request;
-	// defaults to 100000.
-	MaxCampaignScenarios int
 	// MaxN caps the network size of any requested scenario; defaults to
 	// 4096.  Unbounded n would let a single request pin a worker for
 	// minutes and allocate O(n) engine state — a denial of service, not a
@@ -120,9 +118,10 @@ type Options struct {
 }
 
 const (
-	defaultMaxCampaignScenarios = 100000
-	defaultMaxN                 = 4096
-	defaultEventBuffer          = 4096
+	// maxCampaignScenarios caps the expansion of one /v1/campaign request.
+	maxCampaignScenarios = 100000
+	defaultMaxN          = 4096
+	defaultEventBuffer   = 4096
 	// writeTimeout bounds each response write (per record on streaming
 	// endpoints, so long campaigns are fine as long as the client keeps
 	// reading).  Without it, a client that stops reading its stream would
@@ -169,9 +168,6 @@ type job struct {
 func New(opts Options) *Server {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.MaxCampaignScenarios <= 0 {
-		opts.MaxCampaignScenarios = defaultMaxCampaignScenarios
 	}
 	if opts.MaxN <= 0 {
 		opts.MaxN = defaultMaxN
@@ -493,9 +489,9 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	// axis-product element, so a malicious spec with huge axes must be
 	// rejected from the axis lengths alone, not after the allocation.
 	bound, maxN := m.UpperBounds()
-	if bound > s.opts.MaxCampaignScenarios {
+	if bound > maxCampaignScenarios {
 		s.httpError(w, r, http.StatusBadRequest,
-			fmt.Errorf("matrix expands to up to %d scenarios, above the limit of %d", bound, s.opts.MaxCampaignScenarios))
+			fmt.Errorf("matrix expands to up to %d scenarios, above the limit of %d", bound, maxCampaignScenarios))
 		return
 	}
 	if maxN > s.opts.MaxN {

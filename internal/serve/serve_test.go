@@ -326,24 +326,32 @@ func TestCampaignRange(t *testing.T) {
 }
 
 func TestCampaignTooLarge(t *testing.T) {
-	_, ts := newTestServer(t, serve.Options{Workers: 1, MaxCampaignScenarios: 10})
-	resp := postJSON(t, ts.URL+"/v1/campaign", campaign.Matrix{Sizes: []int{8}, Seeds: []int64{1, 2, 3, 4, 5}})
+	// 100 seeds × 50 phases over the 24 default axis combinations is
+	// 120,000 scenarios, above the 100,000 limit.
+	_, ts := newTestServer(t, serve.Options{Workers: 1})
+	m := campaign.Matrix{Sizes: []int{8}, Seeds: make([]int64, 100), Phases: make([]int, 50)}
+	for i := range m.Seeds {
+		m.Seeds[i] = int64(i + 1)
+	}
+	for i := range m.Phases {
+		m.Phases[i] = i
+	}
+	resp := postJSON(t, ts.URL+"/v1/campaign", m)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
 
 	// An abusive spec with huge axes must be rejected from the axis lengths
-	// alone — before expansion allocates anything — so even a default-limit
-	// server answers instantly.
-	_, ts2 := newTestServer(t, serve.Options{Workers: 1})
+	// alone — before expansion allocates anything — so the server answers
+	// instantly.
 	seeds := make([]int64, 50000)
 	phases := make([]int, 50000)
 	for i := range seeds {
 		seeds[i], phases[i] = int64(i+1), i
 	}
 	start := time.Now()
-	resp2 := postJSON(t, ts2.URL+"/v1/campaign", campaign.Matrix{Sizes: []int{8}, Seeds: seeds, Phases: phases})
+	resp2 := postJSON(t, ts.URL+"/v1/campaign", campaign.Matrix{Sizes: []int{8}, Seeds: seeds, Phases: phases})
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("huge-axes status = %d, want 400", resp2.StatusCode)
@@ -605,6 +613,7 @@ func TestCampaignValidation(t *testing.T) {
 		"unknown field": `{"task": ["coordinate"], "sizes": [8]}`,
 		"bad task":      `{"tasks": ["elect"], "sizes": [8]}`,
 		"trailing":      `{"sizes": [8]}{}`,
+		"id bound":      `{"sizes": [8], "id_bound_factor": 2305843009213693952}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/campaign", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -615,7 +624,7 @@ func TestCampaignValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if m := pool.Snapshot(); m.BadRequests != 3 || m.Records != 0 {
+	if m := pool.Snapshot(); m.BadRequests != 4 || m.Records != 0 {
 		t.Fatalf("metrics after bad requests: %+v", m)
 	}
 }

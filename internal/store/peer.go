@@ -113,7 +113,7 @@ func (p *Peers) Fetch(ctx context.Context, key string) ([]byte, bool) {
 	}
 	for _, addr := range addrs {
 		if body, ok := p.fetchOne(ctx, addr, key); ok {
-			note(totPeerHits, obs.StorePeerHit)
+			totPeerHits.Note(obs.StorePeerHit)
 			return body, true
 		}
 		if ctx.Err() != nil {
@@ -127,7 +127,7 @@ func (p *Peers) Fetch(ctx context.Context, key string) ([]byte, bool) {
 	}
 	p.neg[key] = struct{}{}
 	p.mu.Unlock()
-	note(totPeerMisses, obs.StorePeerMiss)
+	totPeerMisses.Note(obs.StorePeerMiss)
 	return nil, false
 }
 

@@ -53,15 +53,6 @@ var (
 	totEvictRecs = obs.NewCounter("ringsym_store_evicted_records_total", "Live records lost to segment eviction, across all stores.")
 )
 
-// note records one service outcome on the process-wide counter and the event
-// bus; with no subscribers the event branch is a single atomic load.
-func note(ctr *obs.Counter, t obs.Type) {
-	ctr.Add(1)
-	if obs.On() {
-		obs.Emit(obs.Event{Type: t, Level: obs.LevelDebug})
-	}
-}
-
 // Options configures a Store.
 type Options struct {
 	// MaxBytes caps the total on-disk size; 0 means unbounded.  The cap is
@@ -279,7 +270,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if !ok {
 		s.mu.RUnlock()
 		s.misses.Add(1)
-		note(totMisses, obs.StoreMiss)
+		totMisses.Note(obs.StoreMiss)
 		return nil, false
 	}
 	seg := s.segs[r.seg]
@@ -297,11 +288,11 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		}
 		s.mu.Unlock()
 		s.misses.Add(1)
-		note(totMisses, obs.StoreMiss)
+		totMisses.Note(obs.StoreMiss)
 		return nil, false
 	}
 	s.hits.Add(1)
-	note(totHits, obs.StoreHit)
+	totHits.Note(obs.StoreHit)
 	return buf[hdr:], true
 }
 
