@@ -390,9 +390,9 @@ func BenchmarkEngineLeapSingle(b *testing.B) {
 	benchEngineSweep(b, 1)
 }
 
-// benchEngineSweep drives the shared constant-direction sweep workload
-// (eval.EngineSweepProtocol, the same workload benchtables -engine measures)
-// with the given batch size (1 = the per-round path) and reports rounds/sec.
+// benchEngineSweep drives the constant-direction sweep workload
+// (eval.EngineSweepProtocol) with the given batch size (1 = the per-round
+// path) and reports rounds/sec.
 func benchEngineSweep(b *testing.B, batch int) {
 	for _, n := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

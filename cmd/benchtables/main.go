@@ -34,16 +34,14 @@ func main() {
 	tables := flag.Bool("tables", false, "print Table I and Table II")
 	figures := flag.Bool("figures", false, "print the Figure 1/2 reductions and the Figure 3 curve")
 	distinguishers := flag.Bool("distinguishers", false, "print the Section IV distinguisher experiment")
-	engineBench := flag.Bool("engine", false, "measure engine rounds/sec, single-round vs leap execution")
 	sizes := flag.String("sizes", "16,32,64,128", "comma-separated network sizes n")
 	seed := flag.Int64("seed", 1, "seed for configurations and pseudo-random schedules")
 	idFactor := flag.Int("idfactor", 4, "identifier bound N as a multiple of n")
 	jsonPath := flag.String("json", "BENCH_tables.json", "write the table measurements as JSON to this file ('' disables)")
-	engineJSONPath := flag.String("enginejson", "BENCH_engine.json", "write the engine throughput measurements as JSON to this file ('' disables)")
 	flag.Parse()
 
-	if !*tables && !*figures && !*distinguishers && !*engineBench {
-		*tables, *figures, *distinguishers, *engineBench = true, true, true, true
+	if !*tables && !*figures && !*distinguishers {
+		*tables, *figures, *distinguishers = true, true, true
 	}
 	ns, err := parseSizes(*sizes)
 	if err != nil {
@@ -95,78 +93,6 @@ func main() {
 		}
 		fmt.Println(eval.FormatDistinguishers(samples))
 	}
-	if *engineBench {
-		entries, err := measureEngine(ctx, ns, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		printEngine(entries)
-		if *engineJSONPath != "" {
-			raw, err := json.MarshalIndent(entries, "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*engineJSONPath, append(raw, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-}
-
-// engineEntry is one engine throughput measurement: a constant-direction
-// sweep workload on n agents driven either one round per crossing
-// ("single", the per-round path) or in leap batches ("leap").  The file
-// BENCH_engine.json tracks the repo's raw engine throughput across
-// revisions, next to the round-count trends of BENCH_tables.json.
-type engineEntry struct {
-	N            int     `json:"n"`
-	Mode         string  `json:"mode"` // "single" or "leap"
-	Rounds       int     `json:"rounds"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	// Speedup is leap/single for the same n (set on leap entries only).
-	Speedup float64 `json:"speedup,omitempty"`
-}
-
-// measureEngine measures single-round vs leap throughput per network size,
-// on the shared constant-direction sweep workload (eval.EngineSweepProtocol —
-// the same workload the BenchmarkEngineLeap* pair drives).
-func measureEngine(ctx context.Context, ns []int, seed int64) ([]engineEntry, error) {
-	const (
-		singleRounds = 30_000
-		leapRounds   = 1_000_000
-		leapBatch    = 512
-	)
-	var entries []engineEntry
-	for _, n := range ns {
-		single, err := eval.MeasureEngineSweep(ctx, n, seed, singleRounds, 1)
-		if err != nil {
-			return nil, err
-		}
-		leap, err := eval.MeasureEngineSweep(ctx, n, seed, leapRounds, leapBatch)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries,
-			engineEntry{N: n, Mode: "single", Rounds: singleRounds, RoundsPerSec: single},
-			engineEntry{N: n, Mode: "leap", Rounds: leapRounds, RoundsPerSec: leap, Speedup: leap / single},
-		)
-	}
-	return entries, nil
-}
-
-func printEngine(entries []engineEntry) {
-	fmt.Println("Engine throughput - constant-direction sweep, single-round vs leap execution")
-	fmt.Println()
-	fmt.Println("|    n | mode   |   rounds/sec | speedup |")
-	fmt.Println("|-----:|--------|-------------:|--------:|")
-	for _, e := range entries {
-		speedup := ""
-		if e.Speedup > 0 {
-			speedup = fmt.Sprintf("%.1fx", e.Speedup)
-		}
-		fmt.Printf("| %4d | %-6s | %12.0f | %7s |\n", e.N, e.Mode, e.RoundsPerSec, speedup)
-	}
-	fmt.Println()
 }
 
 // tableEntry is one measured cell in the machine-readable export.

@@ -1,25 +1,16 @@
 // Command ringvet runs the repository's proof-obligation analyzers
-// (internal/lint) over Go packages.  It works in two modes:
-//
-// Direct, as a multichecker over package patterns:
+// (internal/lint) over Go packages, as a multichecker over package patterns:
 //
 //	go run ./cmd/ringvet ./...
 //
-// and as a unitchecker under the build system's vet driver:
-//
-//	go build -o /tmp/ringvet ./cmd/ringvet
-//	go vet -vettool=/tmp/ringvet ./...
-//
-// In both modes every diagnostic prints as file:line:col: [analyzer] message
-// and a non-empty report exits non-zero, so CI fails on any finding.
-// Suppressions use //ringvet:allow (see internal/lint/analysis).
+// Every diagnostic prints as file:line:col: [analyzer] message and a
+// non-empty report exits non-zero, so CI fails on any finding.  Suppressions
+// use //ringvet:allow (see internal/lint/analysis).
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -28,28 +19,14 @@ import (
 )
 
 func main() {
-	versionFlag := flag.String("V", "", "print version and exit (the build system's tool-ID probe is -V=full)")
-	flagsFlag := flag.Bool("flags", false, "print the tool's analyzer flags as JSON and exit (build-system probe)")
 	listFlag := flag.Bool("list", false, "list the registered analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: ringvet [packages...]  (default ./...)\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "       ringvet <vet>.cfg       (go vet -vettool unitchecker mode)\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: ringvet [packages...]  (default ./...)\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	switch {
-	case *versionFlag != "":
-		// The go command probes `ringvet -V=full` and folds the line into its
-		// cache key, so the fingerprint must change with the binary.
-		fmt.Printf("ringvet version devel buildID=%s\n", selfFingerprint())
-		return
-	case *flagsFlag:
-		// The go command probes for analyzer flags it may forward; ringvet's
-		// analyzers have none.
-		fmt.Println("[]")
-		return
-	case *listFlag:
+	if *listFlag {
 		for _, a := range lint.All() {
 			doc := a.Doc
 			if i := strings.IndexByte(doc, '\n'); i >= 0 {
@@ -61,9 +38,6 @@ func main() {
 	}
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -83,23 +57,4 @@ func main() {
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-// selfFingerprint hashes the executable so the build cache invalidates when
-// the tool changes.
-func selfFingerprint() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"os"
-	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -47,27 +46,5 @@ func TestTreeIsClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
-	}
-}
-
-// TestVettoolProtocol smoke-tests the unitchecker path end to end: build the
-// binary, then run it under the real vet driver over a package that emits
-// telemetry, so a protocol regression (cfg parsing, export-data lookup,
-// facts output) fails loudly rather than only in CI.
-func TestVettoolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and shells out to go vet")
-	}
-	root := repoRoot(t)
-	tool := filepath.Join(t.TempDir(), "ringvet")
-	build := exec.Command("go", "build", "-o", tool, "./cmd/ringvet")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building ringvet: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+tool, "./internal/memo/", "./internal/obs/")
-	vet.Dir = root
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool: %v\n%s", err, out)
 	}
 }

@@ -191,12 +191,52 @@ func TestNontrivialMoveOdd(t *testing.T) {
 			if r == 0 {
 				t.Fatalf("mixed=%v seed=%d: returned assignment is trivial", mixed, seed)
 			}
-			bits := 7 // idBits for IDBound 64
-			if res.Rounds > 1+bits {
-				t.Errorf("mixed=%v seed=%d: %d rounds, want <= %d", mixed, seed, res.Rounds, 1+bits)
+			if bound := nontrivialOddBound(64, 9); res.Rounds > bound {
+				t.Errorf("mixed=%v seed=%d: %d rounds, want <= %d", mixed, seed, res.Rounds, bound)
 			}
 		}
 	}
+	// Clustered identifiers 1 + j·2^k with a common orientation agree on
+	// their k lowest bits, so the bound is met exactly: the trivial
+	// all-clockwise round, k trivial bit rounds, then bit k+1 splits them.
+	for _, n := range []int{9, 17, 33} {
+		for k := 0; k <= 8; k++ {
+			idBound := n << k
+			cfg, err := netgen.Generate(netgen.Options{N: n, IDBound: idBound, Seed: int64(k), Model: ring.Basic})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range cfg.IDs {
+				cfg.IDs[j] = 1 + j<<k
+			}
+			nw, err := engine.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+				return NontrivialMoveOddStep(NewFrame(a), k)
+			})
+			if err != nil {
+				t.Fatalf("n=%d k=%d: %v", n, k, err)
+			}
+			if rotationOf(res.Outputs) == 0 {
+				t.Fatalf("n=%d k=%d: returned assignment is trivial", n, k)
+			}
+			if want := nontrivialOddBound(idBound, n); want != k+2 || res.Rounds != want {
+				t.Errorf("n=%d k=%d: %d rounds, bound %d, want exactly %d", n, k, res.Rounds, want, k+2)
+			}
+		}
+	}
+}
+
+// nontrivialOddBound is Corollary 18's round bound for NontrivialMoveOddStep:
+// 2 + max{k ≥ 0 : ⌈N/2^k⌉ ≥ n}.
+func nontrivialOddBound(idBound, n int) int {
+	k := 0
+	for (idBound+(1<<(k+1))-1)>>(k+1) >= n {
+		k++
+	}
+	return 2 + k
 }
 
 // TestNontrivialMoveEven verifies the Theorem 27 substitute on even-size

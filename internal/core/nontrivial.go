@@ -13,7 +13,9 @@ import (
 // directions occur, so the all-clockwise round works unless every agent is
 // oriented the same way, in which case the agents differ on some identifier
 // bit and the corresponding bit round breaks the tie.  Cost: at most
-// 1 + ⌈log2 N⌉ rounds.
+// 2 + max{k ≥ 0 : ⌈N/2^k⌉ ≥ n} rounds, since n distinct identifiers in 1..N
+// that agree on their k lowest bits need ⌈N/2^k⌉ ≥ n; that is at most
+// 1 + ⌈log2 N⌉.
 //
 // k receives this agent's direction, in frame coordinates, in
 // a round known by every agent to be a nontrivial move.

@@ -33,6 +33,29 @@ func goldenDigest(t *testing.T, name string) string {
 	return ""
 }
 
+// TestGoldenTables pins Table I/II to the checked-in digest of
+// golden/tables.txt: it rebuilds, in process, exactly what
+// `benchtables -tables -sizes 16,32 -seed 1` prints with the JSON file off
+// (N = 4n).
+func TestGoldenTables(t *testing.T) {
+	cfg := SweepConfig{Sizes: []int{16, 32}, IDBoundFactor: 4, Seed: 1}
+	var b strings.Builder
+	rows1, err := TableRowsContext(context.Background(), Table1Settings(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(Format("Table I - deterministic solutions in the general setting", rows1) + "\n")
+	rows2, err := TableRowsContext(context.Background(), Table2Settings(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(Format("Table II - deterministic solutions with a common sense of direction", rows2) + "\n")
+	sum := sha256.Sum256([]byte(b.String()))
+	if got, want := hex.EncodeToString(sum[:]), goldenDigest(t, "golden/tables.txt"); got != want {
+		t.Fatalf("tables.txt digest %s, want %s: the tables' observable output drifted (see testdata/golden/README.md)\n%s", got, want, b.String())
+	}
+}
+
 // TestGoldenFigures pins Figures 1-3 to the checked-in digest of
 // golden/figures.txt: it rebuilds, in process, exactly what
 // `benchtables -figures -sizes 16,32 -seed 1` prints (the reductions at the

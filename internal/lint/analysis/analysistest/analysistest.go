@@ -260,7 +260,7 @@ func (im *fixtureImporter) loadTree(path string) (*analysis.Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("fixture %q has no Go files", path)
 	}
-	tpkg, info, err := analysis.Check(im.fset, path, files, im, "")
+	tpkg, info, err := analysis.Check(im.fset, path, files, im)
 	if err != nil {
 		return nil, err
 	}

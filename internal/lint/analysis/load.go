@@ -103,7 +103,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			}
 			files = append(files, f)
 		}
-		pkg, info, err := Check(fset, t.ImportPath, files, imp, "")
+		pkg, info, err := Check(fset, t.ImportPath, files, imp)
 		if err != nil {
 			return nil, fmt.Errorf("typechecking %s: %v", t.ImportPath, err)
 		}
@@ -120,10 +120,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 }
 
 // Check typechecks one package's parsed files with full types.Info, the way
-// every ringvet entry point (driver, unitchecker, analysistest) needs it.
-// goVersion, when non-empty ("go1.24"), bounds the accepted language level —
-// the unitchecker receives it from the build system.
-func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, goVersion string) (*types.Package, *types.Info, error) {
+// both of its callers (Load and analysistest) need it.
+func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -132,7 +130,7 @@ func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Import
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: imp, GoVersion: goVersion}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, nil, err

@@ -48,19 +48,8 @@ func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
 		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
 }
 
-// EnclosingFunc returns the innermost function declaration or literal on the
-// stack, and the index at which it sits.
-func EnclosingFunc(stack []ast.Node) (ast.Node, int) {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return stack[i], i
-		}
-	}
-	return nil, -1
-}
-
-// FuncBody returns the body of a node returned by EnclosingFunc.
+// FuncBody returns the body of a function declaration or literal, or nil
+// for any other node.
 func FuncBody(fn ast.Node) *ast.BlockStmt {
 	switch fn := fn.(type) {
 	case *ast.FuncDecl:

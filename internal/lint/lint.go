@@ -6,9 +6,8 @@
 // testdata/src exercising both a flagged and an allowed case; the kernel they
 // are written against is internal/lint/analysis (a stdlib-only re-creation of
 // the golang.org/x/tools/go/analysis surface, see its doc comment for why).
-// cmd/ringvet runs the whole catalogue, either directly over package patterns
-// or as a `go vet -vettool` unitchecker.  All analyzers honor the
-// //ringvet:allow escape hatch (analysis/allow.go).
+// cmd/ringvet runs the whole catalogue over package patterns.  All analyzers
+// honor the //ringvet:allow escape hatch (analysis/allow.go).
 package lint
 
 import (

@@ -15,6 +15,8 @@
 //     computed on the canonical representative of s's symmetry orbit,
 //     translated back through the frame map, must equal the outcome computed
 //     on s directly.  This is the correctness contract of the memo cache.
+//   - One stage split: every agent reports the same per-stage split, since
+//     a record takes its split from agent 0 of whatever frame it runs in.
 //   - End-to-end symmetry: a rotated+reflected framing of a scenario served
 //     from the cache must produce a record identical to direct execution.
 //   - Byte-stable record JSON: running the same scenario twice must
@@ -122,7 +124,7 @@ func byteStableRecord(t *testing.T, spec task.Spec, sc campaign.Scenario, rec ca
 }
 
 // cacheRoundTrip checks Run(s) == MapOutcome(Run(canon(s))) at the outcome
-// level, plus Verify on both fresh outcomes.  The generation parameters
+// level, plus Verify and one stage split on both fresh outcomes.  The generation parameters
 // mirror the campaign runner's exactly (same netgen options), so the orbit
 // exercised here is the one the cache would key.
 func cacheRoundTrip(t *testing.T, spec task.Spec, sc campaign.Scenario) {
@@ -158,7 +160,7 @@ func cacheRoundTrip(t *testing.T, spec task.Spec, sc campaign.Scenario) {
 
 // runVerified builds the network for a generated configuration exactly as
 // the campaign runner does, runs the spec on it and requires its own Verify
-// to accept the fresh outcome.
+// to accept the fresh outcome and every agent to report agent 0's split.
 func runVerified(t *testing.T, spec task.Spec, gen engine.Config, p task.Params, label string) task.Outcome {
 	t.Helper()
 	nw, err := ringsym.NewNetwork(ringsym.Config{
@@ -179,6 +181,11 @@ func runVerified(t *testing.T, spec task.Spec, gen engine.Config, p task.Params,
 	}
 	if err := spec.Verify(nw, p, out); err != nil {
 		t.Errorf("%s: Verify rejects a fresh outcome: %v", label, err)
+	}
+	for i, sp := range out.PerAgent {
+		if sp != out.PerAgent[0] {
+			t.Errorf("%s: agent %d reports split %+v, agent 0 %+v", label, i, sp, out.PerAgent[0])
+		}
 	}
 	return out
 }

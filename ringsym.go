@@ -200,10 +200,6 @@ type CoordinationOptions struct {
 	CommonSense bool
 	// Seed drives the pseudo-random schedules used for even n.
 	Seed int64
-	// DisablePerceptiveAlgorithms makes a perceptive network use the
-	// basic-model algorithms instead of the O(√n·log N) Section V ones
-	// (default false: perceptive networks use Section V).
-	DisablePerceptiveAlgorithms bool
 }
 
 // AgentCoordination is one agent's coordination outcome.
@@ -227,7 +223,9 @@ type CoordinationResult struct {
 
 // Coordinate solves the three coordination problems of the paper (nontrivial
 // move, direction agreement, leader election) on every agent and verifies
-// that exactly one leader was elected.
+// that exactly one leader was elected.  A perceptive network without
+// CommonSense runs the O(√n·log N) Section V algorithms; every other setting
+// runs the basic-model ones.
 func (n *Network) Coordinate(opts CoordinationOptions) (*CoordinationResult, error) {
 	return n.CoordinateContext(context.Background(), opts)
 }
@@ -235,7 +233,7 @@ func (n *Network) Coordinate(opts CoordinationOptions) (*CoordinationResult, err
 // CoordinateContext is Coordinate with cancellation: a cancelled ctx aborts
 // the pipeline within one round.
 func (n *Network) CoordinateContext(ctx context.Context, opts CoordinationOptions) (*CoordinationResult, error) {
-	usePerceptive := n.Model() == Perceptive && !opts.DisablePerceptiveAlgorithms && !opts.CommonSense
+	usePerceptive := n.Model() == Perceptive && !opts.CommonSense
 	run, err := engine.Run(ctx, n.nw, func(a *Agent) *engine.Proto[*core.Coordination] {
 		if usePerceptive {
 			return perceptive.CoordinateMachine(a, perceptive.Options{Seed: opts.Seed})
