@@ -60,7 +60,8 @@ func ParseCacheFlag(s string) (*Cache, error) {
 // identifiers, chirality, circumference, round bound) is already part of the
 // fingerprint.
 func cacheKey(fingerprint string, sc Scenario) string {
-	return fmt.Sprintf("%s|task=%s|cs=%t|seed=%d", fingerprint, sc.Task, sc.CommonSense, sc.Seed)
+	return fingerprint + "|task=" + string(sc.Task) + "|cs=" + strconv.FormatBool(sc.CommonSense) +
+		"|seed=" + strconv.FormatInt(sc.Seed, 10)
 }
 
 // fill populates the outcome fields of a record from a task outcome whose

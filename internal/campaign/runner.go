@@ -323,9 +323,9 @@ func runScenario(ctx context.Context, sc Scenario, opts Options, slot *netSlot) 
 // serving layer can answer hits on the request goroutine without occupying a
 // pool worker.  Every false falls through to RunScenarioContext, which
 // prepares the scenario again and reports any error.  The repeat is not
-// free: in ringbench's traced run (bench/results/seed1-trace.json) a missing
-// probe costs 23.8 µs (serve.probe_miss_us) against 136–187 µs of protocol
-// run (task.run_us), so a miss pays about 13% extra for it.
+// free: in the traced serve-mixed runs of BENCH_store.json (seeds 41–42) a
+// missing probe costs 24–30 µs (serve.probe_miss_us) against 156–166 µs of
+// protocol run (task.run_us), so a miss pays about 15–18% extra for it.
 func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 	if opts.Cache == nil {
 		return Record{}, false

@@ -18,10 +18,16 @@ import (
 var ValidCacheKey = regexp.MustCompile(`^[0-9a-f]{64}\|task=[a-z0-9_-]+\|cs=(?:true|false)\|seed=-?[0-9]+$`)
 
 // outcomeTier adapts the byte-oriented persistent store (and optional fleet
-// peer fetcher) to memo's typed Tier: outcomes cross the boundary as the
-// same deterministic JSON encoding everywhere (encoding/json sorts map keys
-// and round-trips RawMessage verbatim), so a record served from disk or
-// from a peer is byte-identical to a recomputed one after re-encoding.
+// peer fetcher) to memo's typed Tier.  Outcomes cross the boundary in their
+// stored form (task.Outcome's MarshalJSON): a version-led JSON array of one
+// stage split, the agent count and the sorted Extra object, so a record
+// served from disk or from a peer is byte-identical to a recomputed one
+// after re-encoding.  The tier codes it through encoding/json, not the
+// methods directly, because the benchmark's replay decodes the same store
+// with json.Unmarshal and must stay in step with it.  Bytes of any other
+// version (an older build's object form included) fail to decode and are a
+// miss; the recompute's Put then supersedes them.  An outcome whose agents
+// report different splits has no stored form and is not persisted.
 type outcomeTier struct {
 	st    *store.Store
 	peers *store.Peers

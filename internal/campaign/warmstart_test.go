@@ -1,11 +1,17 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
+	"ringsym/internal/canon"
 	"ringsym/internal/store"
+	"ringsym/internal/task"
 )
 
 // warmMatrix is the symmetric sweep of the warm-start acceptance bar:
@@ -166,5 +172,116 @@ func TestStoreTierMatchesUncached(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stripVolatile(warmRecs), stripVolatile(plain)) {
 		t.Error("disk-served records differ from computed records modulo annotation")
+	}
+}
+
+// v1Outcome is task.Outcome without its methods: encoding/json writes it in
+// the object form that stores before the versioned stored form hold.
+type v1Outcome task.Outcome
+
+// TestStoreMigratesV1Records: a store record in the object form of earlier
+// builds is a miss, never a failed scenario.  The recompute's Put
+// supersedes it, and a reopened store then serves the scenario from disk
+// with the same record and the same stored bytes.  An object-form body from
+// a fleet peer is a miss as well, and is never promoted to the local store.
+func TestStoreMigratesV1Records(t *testing.T) {
+	sc := Scenario{Task: TaskCoordinate, Model: "basic", N: 9, IDBound: 36, Seed: 1, Phase: 2, Reflect: true}
+	model, err := ParseModel(sc.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := generateConfig(sc, Options{}, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg, _, err := canon.Canonicalize(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cacheKey(canon.Fingerprint(ccfg), sc)
+	plain := RunScenarioContext(t.Context(), sc, Options{})
+	if plain.Status != StatusOK {
+		t.Fatalf("uncached run: %+v", plain)
+	}
+	run := func(st *store.Store, peers *store.Peers, want string) ([]byte, []byte) {
+		t.Helper()
+		cache := NewCache(0)
+		cache.AttachTier(st, peers)
+		rec := RunScenarioContext(t.Context(), sc, Options{Cache: cache})
+		if rec.Cache != want {
+			t.Fatalf("run served as %q, want %q (record %+v)", rec.Cache, want, rec)
+		}
+		got := stripVolatile([]Record{rec, plain})
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("record differs from the uncached one:\ngot  %+v\nwant %+v", got[0], got[1])
+		}
+		b, err := json.Marshal(got[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, ok := st.Get(key)
+		if !ok {
+			t.Fatal("store holds no record for the key after the run")
+		}
+		return b, stored
+	}
+
+	// The v1 bytes of the canonical outcome, from a cold fill.
+	fill, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fill.Close()
+	_, v2 := run(fill, nil, "miss")
+	var out task.Outcome
+	if err := json.Unmarshal(v2, &out); err != nil {
+		t.Fatal(err)
+	}
+	v1, err := json.Marshal(v1Outcome(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(v1, []byte(`{"Rounds":`)) || !bytes.HasPrefix(v2, []byte(`[2,`)) {
+		t.Fatalf("fixtures: v1 %s, v2 %s", v1, v2)
+	}
+
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, v1); err != nil {
+		t.Fatal(err)
+	}
+	missRec, missBytes := run(st, nil, "miss")
+	if !bytes.Equal(missBytes, v2) || st.Stats().Puts != 2 {
+		t.Fatalf("recompute did not supersede the v1 record: stored %s, %d puts", missBytes, st.Stats().Puts)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	diskRec, diskBytes := run(st, nil, "disk")
+	if !bytes.Equal(diskRec, missRec) || !bytes.Equal(diskBytes, v2) {
+		t.Fatalf("disk hit after reopen: record %s stored %s, want %s and %s", diskRec, diskBytes, missRec, v2)
+	}
+
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(v1)
+	}))
+	defer peer.Close()
+	peers := store.NewPeers("", nil)
+	peers.Set([]string{peer.URL})
+	local, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	if _, stored := run(local, peers, "miss"); !bytes.Equal(stored, v2) || local.Stats().Puts != 1 {
+		t.Fatalf("peer's v1 body reached the local store: stored %s, %d puts", stored, local.Stats().Puts)
 	}
 }

@@ -64,20 +64,30 @@ func (m Map) OrigIndex(c int) int {
 }
 
 // orbitView is the read-only decomposition of a configuration that the
-// candidate comparison walks: clockwise gaps, identifiers and explicit
-// chirality bits by ring index.
+// candidate comparison walks: positions, identifiers and explicit chirality
+// bits by ring index.  The clockwise gaps are derived from the positions on
+// demand, so building a view allocates nothing.
 type orbitView struct {
 	n    int
-	gaps []int64
+	circ int64
+	pos  []int64
 	ids  []int
 	chir []bool // nil means all true
 }
 
-func (v orbitView) chirAt(i int) bool {
+func (v *orbitView) chirAt(i int) bool {
 	if v.chir == nil {
 		return true
 	}
 	return v.chir[i]
+}
+
+// gap is the clockwise arc from the agent at ring index a to the next one.
+func (v *orbitView) gap(a int) int64 {
+	if a == v.n-1 {
+		return v.circ - v.pos[a] + v.pos[0]
+	}
+	return v.pos[a+1] - v.pos[a]
 }
 
 // tupleAt returns the j-th (gap, id, chirality) tuple of the traversal that
@@ -85,19 +95,30 @@ func (v orbitView) chirAt(i int) bool {
 // clockwise, so the gap is the arc to the next agent clockwise; reflected
 // traversals walk anticlockwise, so the gap is the arc to the previous agent,
 // and the chirality bit is flipped because the agent's private clockwise is
-// now measured against the reversed global orientation.
-func (v orbitView) tupleAt(r int, reflected bool, j int) (gap int64, id int, chir bool) {
+// now measured against the reversed global orientation.  Both r and j lie
+// in [0, n), so a conditional wrap stands in for each modulo.
+func (v *orbitView) tupleAt(r int, reflected bool, j int) (gap int64, id int, chir bool) {
 	if reflected {
-		a := ((r-j)%v.n + v.n) % v.n
-		return v.gaps[((a-1)%v.n+v.n)%v.n], v.ids[a], !v.chirAt(a)
+		a := r - j
+		if a < 0 {
+			a += v.n
+		}
+		prev := a - 1
+		if prev < 0 {
+			prev += v.n
+		}
+		return v.gap(prev), v.ids[a], !v.chirAt(a)
 	}
-	a := (r + j) % v.n
-	return v.gaps[a], v.ids[a], v.chirAt(a)
+	a := r + j
+	if a >= v.n {
+		a -= v.n
+	}
+	return v.gap(a), v.ids[a], v.chirAt(a)
 }
 
 // less reports whether candidate framing (r1, f1) encodes strictly
 // lexicographically smaller than (r2, f2).
-func (v orbitView) less(r1 int, f1 bool, r2 int, f2 bool) bool {
+func (v *orbitView) less(r1 int, f1 bool, r2 int, f2 bool) bool {
 	for j := 0; j < v.n; j++ {
 		g1, id1, c1 := v.tupleAt(r1, f1, j)
 		g2, id2, c2 := v.tupleAt(r2, f2, j)
@@ -114,7 +135,7 @@ func (v orbitView) less(r1 int, f1 bool, r2 int, f2 bool) bool {
 	return false
 }
 
-func view(cfg engine.Config) (orbitView, error) {
+func view(cfg *engine.Config) (orbitView, error) {
 	n := len(cfg.Positions)
 	if n < 2 {
 		return orbitView{}, fmt.Errorf("%w: %d agents", ErrBadConfig, n)
@@ -136,12 +157,7 @@ func view(cfg engine.Config) (orbitView, error) {
 			return orbitView{}, fmt.Errorf("%w: positions not strictly increasing", ErrBadConfig)
 		}
 	}
-	gaps := make([]int64, n)
-	for i := 0; i < n-1; i++ {
-		gaps[i] = cfg.Positions[i+1] - cfg.Positions[i]
-	}
-	gaps[n-1] = cfg.Circ - cfg.Positions[n-1] + cfg.Positions[0]
-	return orbitView{n: n, gaps: gaps, ids: cfg.IDs, chir: cfg.Chirality}, nil
+	return orbitView{n: n, circ: cfg.Circ, pos: cfg.Positions, ids: cfg.IDs, chir: cfg.Chirality}, nil
 }
 
 // build materialises the framing (r, reflected) of v as a configuration:
@@ -149,9 +165,9 @@ func view(cfg engine.Config) (orbitView, error) {
 // translated so the first agent sits at 0), identifiers and chirality follow
 // the traversal.  A chirality slice that comes out all-true collapses to nil,
 // the engine's normal form for it.
-func build(cfg engine.Config, v orbitView, r int, reflected bool) engine.Config {
+func build(cfg *engine.Config, v *orbitView, r int, reflected bool) engine.Config {
 	n := v.n
-	out := cfg // copies Model, Circ, IDBound, HideParity, MaxRounds, AllowSmall
+	out := *cfg // copies Model, Circ, IDBound, HideParity, MaxRounds, AllowSmall
 	out.Positions = make([]int64, n)
 	out.IDs = make([]int, n)
 	chir := make([]bool, n)
@@ -180,7 +196,7 @@ func build(cfg engine.Config, v orbitView, r int, reflected bool) engine.Config 
 // canonicalizing a canonical configuration returns it unchanged with the
 // identity Map.
 func Canonicalize(cfg engine.Config) (engine.Config, Map, error) {
-	v, err := view(cfg)
+	v, err := view(&cfg)
 	if err != nil {
 		return engine.Config{}, Map{}, err
 	}
@@ -195,7 +211,7 @@ func Canonicalize(cfg engine.Config) (engine.Config, Map, error) {
 			}
 		}
 	}
-	return build(cfg, v, bestR, bestF), Map{N: v.n, Rotation: bestR, Reflected: bestF}, nil
+	return build(&cfg, &v, bestR, bestF), Map{N: v.n, Rotation: bestR, Reflected: bestF}, nil
 }
 
 // Transform returns the member of cfg's orbit whose frame starts at original
@@ -205,12 +221,12 @@ func Canonicalize(cfg engine.Config) (engine.Config, Map, error) {
 // sits at position 0.  Transform(cfg, 0, false) differs from cfg only by that
 // translation.
 func Transform(cfg engine.Config, rot int, reflected bool) (engine.Config, error) {
-	v, err := view(cfg)
+	v, err := view(&cfg)
 	if err != nil {
 		return engine.Config{}, err
 	}
 	rot = ((rot % v.n) + v.n) % v.n
-	return build(cfg, v, rot, reflected), nil
+	return build(&cfg, &v, rot, reflected), nil
 }
 
 // encoding layout version; bump when the byte layout below changes so stale
@@ -225,39 +241,35 @@ const keyVersion = "ringsym-canon-v1"
 // slice encodes identically to an explicit all-true slice, matching the
 // engine's treatment of the two.
 func Fingerprint(cfg engine.Config) string {
-	h := sha256.New()
-	h.Write([]byte(keyVersion))
-	var buf [8]byte
-	word := func(v int64) {
-		binary.BigEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
+	// The layout is hashed in one call over a stack buffer, which holds
+	// rings of up to (len(stack)-64)/17 agents without a heap allocation.
+	var stack [1024]byte
 	n := len(cfg.Positions)
-	word(int64(cfg.Model))
+	b := append(stack[:0], keyVersion...)
+	parity := int64(0)
 	if cfg.HideParity {
-		word(1)
-	} else {
-		word(0)
+		parity = 1
 	}
-	word(cfg.Circ)
-	word(int64(n))
-	word(int64(cfg.IDBound))
-	word(int64(cfg.MaxRounds))
+	for _, w := range [...]int64{int64(cfg.Model), parity, cfg.Circ, int64(n), int64(cfg.IDBound), int64(cfg.MaxRounds)} {
+		b = binary.BigEndian.AppendUint64(b, uint64(w))
+	}
 	for _, p := range cfg.Positions {
-		word(p)
+		b = binary.BigEndian.AppendUint64(b, uint64(p))
 	}
 	for _, id := range cfg.IDs {
-		word(int64(id))
+		b = binary.BigEndian.AppendUint64(b, uint64(int64(id)))
 	}
 	for i := 0; i < n; i++ {
-		c := cfg.Chirality == nil || cfg.Chirality[i]
-		if c {
-			h.Write([]byte{1})
+		if cfg.Chirality == nil || cfg.Chirality[i] {
+			b = append(b, 1)
 		} else {
-			h.Write([]byte{0})
+			b = append(b, 0)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
 // Key canonicalizes cfg and returns the fingerprint of the canonical

@@ -16,8 +16,8 @@
 //     continues from there.
 //   - Values are immutable per key version.  A key is a content address
 //     (the canonical configuration fingerprint plus the task inputs), so a
-//     re-put of a resident key with a value of the same length is a no-op;
-//     any other re-put appends a new record that supersedes the old one.
+//     re-put of the resident bytes is a no-op; any other re-put appends a
+//     new record that supersedes the old one.
 //   - Nothing nondeterministic reaches the record bytes.  Keys and values
 //     are produced by the deterministic campaign/canon layers; the store
 //     adds framing and checksums only.  Recency for eviction is a logical
@@ -312,10 +312,11 @@ func (s *Store) Put(key string, val []byte) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	// A re-put of a value as long as the resident one is a no-op: the key
-	// is a content address, and warm sweeps re-offer every outcome they
-	// serve.  Any other re-put appends and supersedes the old record.
-	if r, ok := s.idx[key]; ok && r.vl == len(val) {
+	// A re-put of the resident bytes is a no-op: the key is a content
+	// address.  The tier re-puts only after the resident record failed to
+	// decode, so a different value, even one of the same length (another
+	// store format's record), appends and supersedes it.
+	if r, ok := s.idx[key]; ok && r.vl == len(val) && s.holdsLocked(r, val) {
 		s.mu.Unlock()
 		return nil
 	}
@@ -345,6 +346,17 @@ func (s *Store) Put(key string, val []byte) error {
 	s.puts.Add(1)
 	totPuts.Add(1)
 	return nil
+}
+
+// holdsLocked reports whether the record r holds exactly val.  It reads
+// the value into the append scratch, which the caller then overwrites.
+func (s *Store) holdsLocked(r ref, val []byte) bool {
+	if cap(s.buf) < r.vl {
+		s.buf = make([]byte, r.vl)
+	}
+	b := s.buf[:r.vl]
+	_, err := s.segs[r.seg].f.ReadAt(b, r.off+int64(recHeaderLen+r.kl))
+	return err == nil && bytes.Equal(b, val)
 }
 
 func (s *Store) totalLocked() int64 {

@@ -99,6 +99,36 @@ func TestRePutIsNoOp(t *testing.T) {
 	wantGet(t, s, testKey(1), longer)
 }
 
+// TestRePutSameLengthSupersedes: a resident record of another store format
+// can be exactly as long as the fresh one (a [3,…] record against a [2,…]
+// one).  The re-put that follows its failed decode must replace it, on
+// this handle and across a reopen, or the key recomputes on every lookup.
+func TestRePutSameLengthSupersedes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(1)
+	foreign, fresh := []byte(`[3,12,5,8,0,0,0,4,8]`), []byte(`[2,12,5,8,0,0,0,4,8]`)
+	put(t, s, key, foreign)
+	before := s.Stats()
+	put(t, s, key, fresh)
+	if after := s.Stats(); after.Puts != before.Puts+1 || after.TotalBytes <= before.TotalBytes {
+		t.Fatalf("same-length re-put did not append: before %+v after %+v", before, after)
+	}
+	wantGet(t, s, key, fresh)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	wantGet(t, s, key, fresh)
+}
+
 // TestCorruptRecordHeals flips one value byte on disk: Get must report a
 // miss, and the recompute's Put of the same value must be served afterwards
 // rather than being taken for a re-put of the corrupt record.  Several

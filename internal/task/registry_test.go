@@ -123,4 +123,10 @@ func TestReframe(t *testing.T) {
 				i, rot.PerAgent[i], m.CanonIndex(i), out.PerAgent[m.CanonIndex(i)])
 		}
 	}
+	// n identical splits read the same in every frame, as a decoded stored
+	// outcome always does: they are shared, not copied.
+	same := Outcome{Rounds: 7, PerAgent: []Split{{Leader: 5}, {Leader: 5}, {Leader: 5}, {Leader: 5}}}
+	if got := Reframe(same, canon.Map{N: 4, Rotation: 3, Reflected: true}); &got.PerAgent[0] != &same.PerAgent[0] {
+		t.Error("Reframe copied an outcome of identical splits")
+	}
 }

@@ -69,7 +69,9 @@ type Split struct {
 // per-agent data is indexed by the ring indices of the frame the task ran in;
 // MapOutcome translates between frames.  Extra carries task-declared fields
 // that flow verbatim into the record JSON (and therefore must be produced
-// deterministically — marshal with encoding/json, never by hand).
+// deterministically — marshal with encoding/json, never by hand).  JSON
+// coding goes through the compact stored form of stored.go, not a
+// field-by-field object.
 type Outcome struct {
 	// Rounds is the total round cost of the task.
 	Rounds int
@@ -127,9 +129,11 @@ type Spec interface {
 // original ring index i takes the per-agent data of canonical index
 // m.CanonIndex(i).  Scalar fields and Extra are unchanged (shared).  It is
 // the whole MapOutcome implementation for tasks whose Extra fields are
-// frame-invariant.
+// frame-invariant.  An outcome holding exactly m.N identical splits is the
+// same in every frame and comes back unchanged; any other length is
+// permuted, so a split count that does not fit the ring fails loudly.
 func Reframe(out Outcome, m canon.Map) Outcome {
-	if m.Rotation == 0 && !m.Reflected {
+	if m.Rotation == 0 && !m.Reflected || uniform(out.PerAgent, m.N) {
 		return out
 	}
 	per := make([]Split, len(out.PerAgent))
@@ -138,6 +142,19 @@ func Reframe(out Outcome, m canon.Map) Outcome {
 	}
 	out.PerAgent = per
 	return out
+}
+
+// uniform reports whether per holds exactly n copies of one split.
+func uniform(per []Split, n int) bool {
+	if len(per) != n {
+		return false
+	}
+	for _, sp := range per {
+		if sp != per[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // mustJSON marshals a value that cannot fail (ints, slices of ints); it is

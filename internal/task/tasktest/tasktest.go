@@ -17,6 +17,9 @@
 //     on s directly.  This is the correctness contract of the memo cache.
 //   - One stage split: every agent reports the same per-stage split, since
 //     a record takes its split from agent 0 of whatever frame it runs in.
+//   - Stored-form round trip: json.Unmarshal(json.Marshal(out)) equals every
+//     fresh outcome, Extra included, so the disk and peer tiers serve
+//     exactly what was computed.
 //   - End-to-end symmetry: a rotated+reflected framing of a scenario served
 //     from the cache must produce a record identical to direct execution.
 //   - Byte-stable record JSON: running the same scenario twice must
@@ -124,7 +127,8 @@ func byteStableRecord(t *testing.T, spec task.Spec, sc campaign.Scenario, rec ca
 }
 
 // cacheRoundTrip checks Run(s) == MapOutcome(Run(canon(s))) at the outcome
-// level, plus Verify and one stage split on both fresh outcomes.  The generation parameters
+// level, plus Verify, one stage split and the stored-form round trip on both
+// fresh outcomes.  The generation parameters
 // mirror the campaign runner's exactly (same netgen options), so the orbit
 // exercised here is the one the cache would key.
 func cacheRoundTrip(t *testing.T, spec task.Spec, sc campaign.Scenario) {
@@ -160,7 +164,8 @@ func cacheRoundTrip(t *testing.T, spec task.Spec, sc campaign.Scenario) {
 
 // runVerified builds the network for a generated configuration exactly as
 // the campaign runner does, runs the spec on it and requires its own Verify
-// to accept the fresh outcome and every agent to report agent 0's split.
+// to accept the fresh outcome, every agent to report agent 0's split and the
+// outcome to survive its stored form unchanged.
 func runVerified(t *testing.T, spec task.Spec, gen engine.Config, p task.Params, label string) task.Outcome {
 	t.Helper()
 	nw, err := ringsym.NewNetwork(ringsym.Config{
@@ -186,6 +191,15 @@ func runVerified(t *testing.T, spec task.Spec, gen engine.Config, p task.Params,
 		if sp != out.PerAgent[0] {
 			t.Errorf("%s: agent %d reports split %+v, agent 0 %+v", label, i, sp, out.PerAgent[0])
 		}
+	}
+	stored, err := json.Marshal(out)
+	if err != nil {
+		t.Errorf("%s: outcome has no stored form: %v", label, err)
+		return out
+	}
+	var back task.Outcome
+	if err := json.Unmarshal(stored, &back); err != nil || !reflect.DeepEqual(back, out) {
+		t.Errorf("%s: stored form %s decodes to %+v (%v), want %+v", label, stored, back, err, out)
 	}
 	return out
 }
