@@ -23,6 +23,11 @@
 //	curl -s -X POST localhost:8080/v1/run -d '{"task":"coordinate","model":"basic","n":8,"seed":1}'
 //	curl -s -X POST localhost:8080/v1/campaign -d '{"sizes":[8,16],"seeds":[1,2,3]}'
 //
+// No flag changes a record beyond its cache annotation: the circumference
+// and the round bound are the campaign's, so a record depends on its
+// scenario alone and every daemon of a fleet writes the bytes a local
+// ringfarm sweep does.
+//
 // With -pprof, the net/http/pprof profiling handlers are additionally served
 // under /debug/pprof/.  `ringfarm top -url http://localhost:8080` renders a
 // live view from the event stream.
@@ -79,8 +84,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "scenario worker-pool size (default GOMAXPROCS)")
 	cacheFlag := flag.String("cache", "on", "memo cache: on, off, or a capacity in entries (each entry is O(n) memory)")
-	circ := flag.Int64("circ", 0, "ring circumference in ticks (default netgen's 1<<20)")
-	maxRounds := flag.Int("maxrounds", 0, "round bound on runaway protocols (default engine's)")
 	maxN := flag.Int("maxn", 0, "largest network size a request may ask for (default 4096)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof profiling handlers under /debug/pprof/")
@@ -98,12 +101,6 @@ func main() {
 	}
 	if *maxN < 0 {
 		usageError(fmt.Errorf("invalid -maxn %d (must be >= 0; 0 means the default of 4096)", *maxN))
-	}
-	if *circ < 0 {
-		usageError(fmt.Errorf("invalid -circ %d (must be >= 0; 0 means the netgen default)", *circ))
-	}
-	if *maxRounds < 0 {
-		usageError(fmt.Errorf("invalid -maxrounds %d (must be >= 0; 0 means the engine default)", *maxRounds))
 	}
 	if *drain < 0 {
 		usageError(fmt.Errorf("invalid -drain %v (must be >= 0)", *drain))
@@ -178,7 +175,7 @@ func main() {
 		// -peers or dynamically through the fleet join roster — and excludes
 		// this daemon's own advertise URL from every fan-out.
 		if len(peerAddrs) > 0 || coordinator != "" {
-			peers = store.NewPeers(selfURL, nil)
+			peers = store.NewPeers(selfURL)
 			peers.Set(peerAddrs)
 		}
 		cache.AttachTier(st, peers)
@@ -187,8 +184,6 @@ func main() {
 	pool := serve.New(serve.Options{
 		Workers:    *workers,
 		Cache:      cache,
-		Circ:       *circ,
-		MaxRounds:  *maxRounds,
 		MaxN:       *maxN,
 		Pprof:      *pprofFlag,
 		MaxPending: *maxPending,

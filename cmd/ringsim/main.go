@@ -67,7 +67,7 @@ func main() {
 		return
 	}
 
-	model, err := parseModel(*modelName)
+	model, err := campaign.ParseModel(*modelName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -184,19 +184,6 @@ func runGeneric(ctx context.Context, taskName string, n int, model string, mixed
 		fmt.Printf("outcome served from the %s cache tier (verified when first computed)\n", rec.Cache)
 	} else {
 		fmt.Println("outcome verified against the simulator's ground truth")
-	}
-}
-
-func parseModel(name string) (ringsym.Model, error) {
-	switch strings.ToLower(name) {
-	case "basic":
-		return ringsym.Basic, nil
-	case "lazy":
-		return ringsym.Lazy, nil
-	case "perceptive":
-		return ringsym.Perceptive, nil
-	default:
-		return 0, fmt.Errorf("unknown model %q", name)
 	}
 }
 

@@ -369,7 +369,7 @@ func TestProbeCacheMalformedTierOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := generateConfig(sc, Options{}, model)
+	gen, err := generateConfig(sc, model)
 	if err != nil {
 		t.Fatal(err)
 	}

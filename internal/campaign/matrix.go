@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -54,6 +53,13 @@ const (
 	ChiralityMixed  = "mixed"
 	ChiralityCommon = "common"
 )
+
+// MaxIDBound is the largest identifier bound a scenario may carry.  The
+// perceptive protocols send an identifier and a presence bit in one half of
+// a 62-bit word (internal/rcomm), so they cannot run a bound of 2^30 or
+// more; Matrix.Expand and ringd's /v1/run reject larger bounds for every
+// model.
+const MaxIDBound = 1<<30 - 1
 
 // Scenario is one fully specified experiment: every field is explicit, so a
 // scenario is reproducible in isolation and a record is a pure function of
@@ -266,8 +272,8 @@ func (m Matrix) Expand() ([]Scenario, error) {
 							if n < 5 {
 								return nil, fmt.Errorf("campaign: size %d too small (the paper needs n > 4)", size)
 							}
-							if f.IDBoundFactor > math.MaxInt/n {
-								return nil, fmt.Errorf("campaign: id_bound_factor %d times n = %d overflows the identifier bound", f.IDBoundFactor, n)
+							if f.IDBoundFactor > MaxIDBound/n {
+								return nil, fmt.Errorf("campaign: id_bound_factor %d times n = %d exceeds the identifier bound limit %d", f.IDBoundFactor, n, MaxIDBound)
 							}
 							for _, seed := range f.Seeds {
 								for _, phase := range f.Phases {

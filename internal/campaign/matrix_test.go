@@ -72,6 +72,9 @@ func TestExpandRejectsBadAxes(t *testing.T) {
 		// netgen read as "use the default") and (2^60+1)·9 wraps negative.
 		{Sizes: []int{8}, IDBoundFactor: 1 << 61},
 		{Sizes: []int{8}, IDBoundFactor: 1<<60 + 1},
+		// The perceptive protocols cannot run an identifier bound of 2^30:
+		// 2^27·8 is rejected up front instead of failing every record.
+		{Sizes: []int{8}, IDBoundFactor: 1 << 27},
 	} {
 		if _, err := m.Expand(); err == nil {
 			t.Errorf("Expand(%+v) accepted an invalid axis", m)

@@ -84,10 +84,6 @@ type Record struct {
 type Options struct {
 	// Workers is the worker-pool size; defaults to GOMAXPROCS.
 	Workers int
-	// Circ is the ring circumference in ticks; 0 uses the netgen default.
-	Circ int64
-	// MaxRounds aborts runaway protocols; 0 uses the engine default.
-	MaxRounds int
 	// Cache, when non-nil, memoises outcomes under their canonical symmetry
 	// key (see internal/canon): symmetric duplicates in the sweep are
 	// answered from the cache and annotated in Record.Cache.  When nil,
@@ -387,7 +383,7 @@ func runStages(sc Scenario, opts Options, lookup func(spec task.Spec, cfg engine
 		rec.Status = StatusUnsolvable
 		return rec
 	}
-	cfg, err := generateConfig(sc, opts, model)
+	cfg, err := generateConfig(sc, model)
 	if err != nil {
 		return rec
 	}
@@ -417,17 +413,17 @@ func runStages(sc Scenario, opts Options, lookup func(spec task.Spec, cfg engine
 
 // generateConfig is the pipeline's generate stage (see runStages): it
 // builds the scenario's (possibly phase-rotated/reflected) network
-// configuration.
-func generateConfig(sc Scenario, opts Options, model ring.Model) (engine.Config, error) {
+// configuration.  The circumference and the round bound are netgen's and the
+// engine's defaults: no scenario field selects them, so a record stays a
+// function of its scenario alone.
+func generateConfig(sc Scenario, model ring.Model) (engine.Config, error) {
 	gen, err := netgen.Generate(netgen.Options{
 		N:                   sc.N,
 		IDBound:             sc.IDBound,
-		Circ:                opts.Circ,
 		Model:               model,
 		MixedChirality:      sc.MixedChirality,
 		ForceSplitChirality: sc.MixedChirality,
 		Seed:                sc.Seed,
-		MaxRounds:           opts.MaxRounds,
 	})
 	if err != nil {
 		return engine.Config{}, err

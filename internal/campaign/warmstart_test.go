@@ -190,7 +190,7 @@ func TestStoreMigratesV1Records(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := generateConfig(sc, Options{}, model)
+	gen, err := generateConfig(sc, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestStoreMigratesV1Records(t *testing.T) {
 		w.Write(v1)
 	}))
 	defer peer.Close()
-	peers := store.NewPeers("", nil)
+	peers := store.NewPeers("")
 	peers.Set([]string{peer.URL})
 	local, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {

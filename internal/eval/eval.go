@@ -6,9 +6,11 @@
 // (Corollaries 26-29).
 //
 // Every measurement runs real protocols on the simulated ring and reports the
-// observed number of rounds next to the theoretical bound of the paper.  The
-// harness is used both by cmd/benchtables and by the testing.B benchmarks in
-// the repository root.
+// observed number of rounds next to the theoretical bound of the paper.
+// Table I/II are one campaign over internal/campaign, run without the memo
+// cache: each regeneration executes every protocol again.  The harness is
+// used both by cmd/benchtables and by the testing.B benchmarks in the
+// repository root.
 package eval
 
 import (
@@ -78,11 +80,6 @@ type SweepConfig struct {
 	IDBoundFactor int
 	// Seed drives the pseudo-random configurations and schedules.
 	Seed int64
-	// Cache, when non-nil, memoises scenario outcomes under their canonical
-	// symmetry key (see internal/canon): repeated table regenerations — for
-	// example inside a long-lived serving process — reuse earlier
-	// computations instead of re-running every protocol.
-	Cache *campaign.Cache
 }
 
 func (c *SweepConfig) fill() {
@@ -212,7 +209,7 @@ func TableRowsContext(ctx context.Context, settings []Setting, cfg SweepConfig) 
 			scenarios = append(scenarios, disc)
 		}
 	}
-	recs, err := campaign.RunAll(ctx, scenarios, campaign.Options{Cache: cfg.Cache})
+	recs, err := campaign.RunAll(ctx, scenarios, campaign.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("eval: campaign: %w", err)
 	}

@@ -153,35 +153,3 @@ func TestMeasureDistinguishers(t *testing.T) {
 		t.Error("FormatDistinguishers output malformed")
 	}
 }
-
-// TestTableRowsCached: a table sweep with the memo cache produces the same
-// measurements as the uncached sweep, and a second regeneration over the
-// same cache is served from it (one miss per scenario, then all hits).
-func TestTableRowsCached(t *testing.T) {
-	cfg := SweepConfig{Sizes: []int{8}, IDBoundFactor: 4, Seed: 5}
-	plain, err := TableRowsContext(t.Context(), Table1Settings(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Cache = campaign.NewCache(0)
-	first, err := TableRowsContext(t.Context(), Table1Settings(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := TableRowsContext(t.Context(), Table1Settings(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != len(plain) || len(again) != len(plain) {
-		t.Fatalf("measurement counts differ: %d/%d vs %d", len(first), len(again), len(plain))
-	}
-	for i := range plain {
-		if first[i] != plain[i] || again[i] != plain[i] {
-			t.Errorf("measurement %d differs across cache modes:\nplain %+v\nfirst %+v\nagain %+v", i, plain[i], first[i], again[i])
-		}
-	}
-	st := cfg.Cache.Stats()
-	if st.Misses == 0 || st.Hits < st.Misses {
-		t.Fatalf("second regeneration not served from the cache: %+v", st)
-	}
-}

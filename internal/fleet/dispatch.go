@@ -153,7 +153,7 @@ func (c *Coordinator) consume(body io.Reader, w *worker, l *lease) string {
 // jitter source is seeded (Options.JitterSeed) and only shapes retry
 // timing — artefact bytes are independent of it.
 func (c *Coordinator) backoff(ctx context.Context, retryAfter string) bool {
-	d := c.opts.RetryBase
+	d := c.opts.retryBase
 	if secs, err := strconv.Atoi(retryAfter); err == nil && secs > 0 {
 		d = time.Duration(secs) * time.Second
 	}

@@ -26,10 +26,10 @@
 //     [watermark, mid) and grants [mid, hi) to an idle worker.  The victim's
 //     reader simply stops consuming at the new boundary, so victim and thief
 //     never produce overlapping indices.
-//   - A range that keeps failing is quarantined after Options.MaxAttempts
-//     attempts and reported in Result.Quarantined (and as a
-//     fleet.lease.quarantine event) instead of blocking the merge; the sweep
-//     completes with a hole the caller can see and re-run.
+//   - A range that keeps failing is quarantined after three attempts and
+//     reported in Result.Quarantined (and as a fleet.lease.quarantine event)
+//     instead of blocking the merge; the sweep completes with a hole the
+//     caller can see and re-run.
 //   - A worker answering 429 (serve admission control) is backed off with a
 //     jittered Retry-After delay; throttling is routine load-shedding, not a
 //     lease failure.
@@ -72,19 +72,6 @@ type Options struct {
 	// picks total/(4·workers) (at least 1) so every worker sees several
 	// leases and a straggler costs at most a lease, not the sweep.
 	LeaseSize int
-	// MaxAttempts bounds how often one range is re-leased after failures
-	// before it is quarantined; defaults to 3.
-	MaxAttempts int
-	// StealMin is the smallest remaining range worth splitting off a
-	// straggler; defaults to 4 indices.
-	StealMin int
-	// ProbeInterval is the coordinator's housekeeping cadence (stall
-	// checks, heartbeat expiry, re-probing down workers); defaults to
-	// 500 milliseconds.
-	ProbeInterval time.Duration
-	// RetryBase is the base delay for jittered backoff after a 429 without
-	// a Retry-After hint; defaults to 250 milliseconds.
-	RetryBase time.Duration
 	// JitterSeed seeds the backoff jitter; 0 uses a fixed seed.  The seed
 	// only shapes retry timing, never artefact bytes.
 	JitterSeed int64
@@ -97,16 +84,31 @@ type Options struct {
 	// lock, so it must not call back into the Coordinator.
 	OnRecord func(campaign.Record)
 	// Client is the HTTP client for worker requests; defaults to a
-	// deadline-free client (campaign streams are long-lived; per-stream
-	// liveness is the stall watchdog's job).
+	// deadline-free client with a transport of its own (campaign streams
+	// are long-lived; per-stream liveness is the stall watchdog's job).
+	// Run closes the client's idle connections when it returns.
 	Client *http.Client
+
+	// maxAttempts bounds how often one range is re-leased after failures
+	// before it is quarantined; 0 selects defaultMaxAttempts.
+	maxAttempts int
+	// probeInterval is the coordinator's housekeeping cadence (stall
+	// checks, heartbeat expiry, re-probing down workers); 0 selects
+	// defaultProbeInterval.
+	probeInterval time.Duration
+	// retryBase is the base delay for jittered backoff after a 429 without
+	// a Retry-After hint; 0 selects defaultRetryBase.  Tests shrink all
+	// three to keep fault scenarios fast.
+	retryBase time.Duration
 }
 
 const (
 	defaultMaxAttempts   = 3
-	defaultStealMin      = 4
 	defaultProbeInterval = 500 * time.Millisecond
 	defaultRetryBase     = 250 * time.Millisecond
+	// stealMin is the smallest remaining range worth splitting off a
+	// straggler.
+	stealMin = 4
 	// stallTimeout cancels a lease whose stream has made no progress for
 	// this long (a wedged-but-connected worker).
 	stallTimeout = 2 * time.Minute
@@ -147,9 +149,9 @@ type Result struct {
 	Total int `json:"total"`
 	// Merged is the number of records merged into the output.
 	Merged int `json:"merged"`
-	// Quarantined lists the index ranges abandoned after MaxAttempts
-	// failed lease attempts, sorted by Lo.  Empty on a clean run — and only
-	// then is the output byte-identical to a single-machine sweep.
+	// Quarantined lists the index ranges abandoned after three failed lease
+	// attempts, sorted by Lo.  Empty on a clean run — and only then is the
+	// output byte-identical to a single-machine sweep.
 	Quarantined []Range `json:"quarantined,omitempty"`
 	// Workers reports per-worker contributions, sorted by address.
 	Workers []WorkerStats `json:"workers"`
@@ -192,17 +194,14 @@ func New(m campaign.Matrix, opts Options) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding matrix spec: %w", err)
 	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = defaultMaxAttempts
+	if opts.maxAttempts <= 0 {
+		opts.maxAttempts = defaultMaxAttempts
 	}
-	if opts.StealMin <= 0 {
-		opts.StealMin = defaultStealMin
+	if opts.probeInterval <= 0 {
+		opts.probeInterval = defaultProbeInterval
 	}
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = defaultProbeInterval
-	}
-	if opts.RetryBase <= 0 {
-		opts.RetryBase = defaultRetryBase
+	if opts.retryBase <= 0 {
+		opts.retryBase = defaultRetryBase
 	}
 	seed := opts.JitterSeed
 	if seed == 0 {
@@ -210,7 +209,7 @@ func New(m campaign.Matrix, opts Options) (*Coordinator, error) {
 	}
 	client := opts.Client
 	if client == nil {
-		client = &http.Client{}
+		client = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 	}
 	c := &Coordinator{
 		opts:       opts,
@@ -280,10 +279,14 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 	// caller regains ownership of the Records sink.
 	runCtx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
+	// Once the streams are done, no keep-alive to a worker outlives Run:
+	// whether a worker's last stream ended cleanly or was cut after a steal
+	// depends on timing, and what a finished run holds on to should not.
+	defer c.client.CloseIdleConnections()
 	var wg sync.WaitGroup
 	defer wg.Wait()
 
-	ticker := time.NewTicker(c.opts.ProbeInterval)
+	ticker := time.NewTicker(c.opts.probeInterval)
 	defer ticker.Stop()
 	for {
 		c.mu.Lock()
@@ -372,7 +375,7 @@ func (c *Coordinator) stealLocked() bool {
 			victim, remaining = l, r
 		}
 	}
-	if victim == nil || remaining < c.opts.StealMin {
+	if victim == nil || remaining < stealMin {
 		return false
 	}
 	mid := victim.next + remaining/2

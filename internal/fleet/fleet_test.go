@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -101,6 +102,39 @@ func TestFleetByteIdentity(t *testing.T) {
 	}
 }
 
+// TestRunLeavesNoConnection checks that a finished Run holds no keep-alive
+// to a worker, with the default client and with a caller's: whether one
+// survived used to hang on steal timing.
+func TestRunLeavesNoConnection(t *testing.T) {
+	m := testMatrix()
+	for name, client := range map[string]*http.Client{"default": nil, "caller's": {Transport: &http.Transport{}}} {
+		var open atomic.Int64
+		pool := serve.New(serve.Options{Workers: 1})
+		ts := httptest.NewUnstartedServer(pool.Handler())
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			switch st {
+			case http.StateNew:
+				open.Add(1)
+			case http.StateClosed, http.StateHijacked:
+				open.Add(-1)
+			}
+		}
+		ts.Start()
+		if _, err := Run(context.Background(), m, Options{Workers: []string{ts.URL}, Client: client}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for open.Load() != 0 && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := open.Load(); n != 0 {
+			t.Errorf("%s client: %d connection(s) still open after Run returned", name, n)
+		}
+		ts.Close()
+		pool.Close()
+	}
+}
+
 // flakyWorker streams real records but aborts the connection after maxLines
 // lines on the first failTimes requests: a daemon dying mid-stream.
 type flakyWorker struct {
@@ -171,7 +205,7 @@ func TestFleetSurvivesMidStreamDeath(t *testing.T) {
 	defer sub.Close()
 
 	// The worker dies after the first line of a lease.  A steal leaves the
-	// victim at least StealMin/2 = 2 lines, so the cut always lands inside
+	// victim at least stealMin/2 = 2 lines, so the cut always lands inside
 	// the range the coordinator still expects; dying after 2 lines let a
 	// steal that shrank the lease to exactly 2 hide the fault.
 	flaky := &flakyWorker{t: t, maxLines: 1}
@@ -185,7 +219,7 @@ func TestFleetSurvivesMidStreamDeath(t *testing.T) {
 		Workers:       []string{fw.URL, good.URL},
 		LeaseSize:     4,
 		Records:       &got,
-		ProbeInterval: 10 * time.Millisecond,
+		probeInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,10 +298,10 @@ func TestFleetQuarantinesPoisonRange(t *testing.T) {
 	res, err := Run(context.Background(), m, Options{
 		Workers:       []string{pw.URL},
 		LeaseSize:     1, // isolate the poison to its own lease
-		MaxAttempts:   2,
+		maxAttempts:   2,
 		Records:       &got,
-		ProbeInterval: 10 * time.Millisecond,
-		RetryBase:     5 * time.Millisecond,
+		probeInterval: 10 * time.Millisecond,
+		retryBase:     5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +331,7 @@ type throttlingWorker struct {
 
 func (tw *throttlingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.URL.Path, "/v1/campaign") && tw.rejects.Add(-1) >= 0 {
-		w.Header().Set("Retry-After", "0") // malformed on purpose: falls back to RetryBase
+		w.Header().Set("Retry-After", "0") // malformed on purpose: falls back to retryBase
 		w.WriteHeader(http.StatusTooManyRequests)
 		return
 	}
@@ -320,7 +354,7 @@ func TestFleetHonours429Backoff(t *testing.T) {
 		Workers:   []string{ts.URL},
 		LeaseSize: 4,
 		Records:   &got,
-		RetryBase: 2 * time.Millisecond,
+		retryBase: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -361,10 +395,10 @@ func TestStealSplitsStraggler(t *testing.T) {
 	if len(c.pending) != 1 || c.pending[0].lo != 6 || c.pending[0].hi != 10 {
 		t.Fatalf("stolen lease = %+v, want [6, 10)", c.pending)
 	}
-	// Below StealMin nothing is worth splitting.
+	// Below stealMin nothing is worth splitting.
 	straggler.next = straggler.hi - 2
 	if c.stealLocked() {
-		t.Error("stealLocked split a range narrower than StealMin")
+		t.Error("stealLocked split a range narrower than stealMin")
 	}
 }
 

@@ -31,7 +31,7 @@ func (c *Coordinator) newLease(lo, hi, attempts int) *lease {
 
 // endLeaseLocked retires an active lease after its stream closed.  A fully
 // streamed lease is done; a short stream either re-queues the remainder for
-// another attempt or — after MaxAttempts failures — quarantines it so the
+// another attempt or — after maxAttempts failures — quarantines it so the
 // sweep can finish around the hole.
 func (c *Coordinator) endLeaseLocked(w *worker, l *lease, cause string) {
 	delete(c.active, l.id)
@@ -50,7 +50,7 @@ func (c *Coordinator) endLeaseLocked(w *worker, l *lease, cause string) {
 	if obs.On() {
 		obs.Emit(obs.Event{Type: obs.FleetLeaseFail, Level: obs.LevelWarn, Worker: w.addr, Lo: l.next, Hi: l.hi, Err: cause})
 	}
-	if l.attempts >= c.opts.MaxAttempts {
+	if l.attempts >= c.opts.maxAttempts {
 		c.quarantined = append(c.quarantined, Range{Lo: l.next, Hi: l.hi})
 		c.merger.markAbsent(l.next, l.hi)
 		if obs.On() {

@@ -49,7 +49,7 @@ func (c *Coordinator) markDownLocked(w *worker, cause string) {
 		return
 	}
 	w.up = false
-	w.retryAt = obs.Now() + int64(c.opts.ProbeInterval)
+	w.retryAt = obs.Now() + int64(c.opts.probeInterval)
 	if obs.On() {
 		obs.Emit(obs.Event{Type: obs.FleetWorkerDown, Level: obs.LevelWarn, Worker: w.addr, Err: cause})
 	}
@@ -84,7 +84,7 @@ func (c *Coordinator) probe(ctx context.Context, w *worker) {
 	if alive {
 		c.addWorkerLocked(w.addr, w.dynamic)
 	} else {
-		w.retryAt = obs.Now() + int64(c.opts.ProbeInterval)
+		w.retryAt = obs.Now() + int64(c.opts.probeInterval)
 	}
 	c.mu.Unlock()
 }

@@ -33,9 +33,6 @@ type Options struct {
 	Coordinator string
 	// Advertise is this worker's base URL as the coordinator should dial it.
 	Advertise string
-	// Client is the HTTP client; defaults to one with a 5-second timeout
-	// (join and heartbeat are tiny control-plane calls).
-	Client *http.Client
 	// Logf, when non-nil, receives join/retry diagnostics.
 	Logf func(format string, args ...any)
 	// OnPeers, when non-nil, receives the coordinator's current list of
@@ -59,10 +56,8 @@ type joinResponse struct {
 // worker never gives up on its coordinator, because lease traffic is
 // unaffected either way.
 func Start(ctx context.Context, opts Options) {
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
+	// Join and heartbeat are tiny control-plane calls.
+	client := &http.Client{Timeout: 5 * time.Second}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}

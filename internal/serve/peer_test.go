@@ -95,7 +95,7 @@ func TestPeerFillOneComputeFleetWide(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coldStore.Close()
-	peers := store.NewPeers("", nil)
+	peers := store.NewPeers("")
 	peers.Set([]string{warmTS.URL})
 	coldCache := campaign.NewCache(0)
 	coldCache.AttachTier(coldStore, peers)

@@ -5,13 +5,14 @@
 // All requests are batched onto the daemon's own bounded worker pool, so a
 // burst of clients queues instead of oversubscribing the machine.  Each
 // worker runs its scenarios through campaign.RunScenarioContext, the same
-// per-scenario pipeline an offline sweep runs, and every request shares the
-// optional symmetry-canonical memo cache (internal/memo keyed by
-// internal/canon): two clients asking for rotations of the same ring are
-// served one computation.  Request contexts are threaded through to the
-// engine, so a disconnected or cancelled client stops burning CPU within one
-// simulated round (unless another in-flight client is waiting on the same
-// canonical computation).
+// per-scenario pipeline an offline sweep runs; no Options field reaches a
+// record except through the cache annotation, so the daemon writes a sweep's
+// bytes for every scenario.  Every request shares the optional
+// symmetry-canonical memo cache (internal/memo keyed by internal/canon): two
+// clients asking for rotations of the same ring are served one computation.
+// Request contexts are threaded through to the engine, so a disconnected or
+// cancelled client stops burning CPU within one simulated round (unless
+// another in-flight client is waiting on the same canonical computation).
 //
 // Endpoints:
 //
@@ -88,11 +89,6 @@ type Options struct {
 	// metrics.  Attaching it under Cache as a tier is the caller's job
 	// (campaign.Cache.AttachTier); the serve layer only exposes it.
 	Store *store.Store
-	// Circ is the ring circumference in ticks forwarded to network
-	// generation; 0 uses the netgen default.
-	Circ int64
-	// MaxRounds aborts runaway protocols; 0 uses the engine default.
-	MaxRounds int
 	// MaxN caps the network size of any requested scenario; defaults to
 	// 4096.  Unbounded n would let a single request pin a worker for
 	// minutes and allocate O(n) engine state — a denial of service, not a
@@ -228,11 +224,7 @@ func (s *Server) worker() {
 }
 
 func (s *Server) campaignOptions() campaign.Options {
-	return campaign.Options{
-		Circ:      s.opts.Circ,
-		MaxRounds: s.opts.MaxRounds,
-		Cache:     s.opts.Cache,
-	}
+	return campaign.Options{Cache: s.opts.Cache}
 }
 
 // errServerClosed reports a submission racing with shutdown.
@@ -396,12 +388,15 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
 
 // validateScenario normalises a client-supplied scenario: the task and model
 // must parse, n must satisfy the paper's n > 4 and the daemon's size cap,
-// and a zero identifier bound defaults to the campaign's 4n.
+// a zero identifier bound defaults to the campaign's 4n, and the bound must
+// lie in [n, campaign.MaxIDBound].
 func (s *Server) validateScenario(sc *campaign.Scenario) error {
-	// Normalize the casing Lookup tolerates: the task name feeds the
-	// symmetry cache key and the record verbatim, so "Coordinate" must not
-	// fragment the cache (or the records) away from "coordinate".
+	// Normalize the casing Lookup and ParseModel tolerate: the task and
+	// model names feed the symmetry cache key and the record verbatim, so
+	// "Coordinate" or "Basic" must not fragment the cache (or the records)
+	// away from the lowercase names a sweep writes.
 	sc.Task = campaign.Task(strings.ToLower(string(sc.Task)))
+	sc.Model = strings.ToLower(sc.Model)
 	if _, err := task.Lookup(string(sc.Task)); err != nil {
 		return err
 	}
@@ -422,6 +417,9 @@ func (s *Server) validateScenario(sc *campaign.Scenario) error {
 	}
 	if sc.IDBound < sc.N {
 		return fmt.Errorf("id_bound %d < n %d (identifiers are distinct)", sc.IDBound, sc.N)
+	}
+	if sc.IDBound > campaign.MaxIDBound {
+		return fmt.Errorf("id_bound %d above the limit of %d", sc.IDBound, campaign.MaxIDBound)
 	}
 	return nil
 }

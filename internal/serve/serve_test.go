@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -108,6 +109,7 @@ func TestRunValidation(t *testing.T) {
 		"n too large":   `{"task":"coordinate","model":"basic","n":100000000}`,
 		"contradiction": `{"task":"coordinate","model":"basic","n":8,"mixed_chirality":true,"common_sense":true}`,
 		"small idbound": `{"task":"coordinate","model":"basic","n":8,"id_bound":7}`,
+		"large idbound": `{"task":"coordinate","model":"perceptive","n":8,"id_bound":1073741824}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -118,7 +120,7 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if m := pool.Snapshot(); m.BadRequests != 9 || m.RunRequests != 0 || m.Records != 0 {
+	if m := pool.Snapshot(); m.BadRequests != 10 || m.RunRequests != 0 || m.Records != 0 {
 		t.Fatalf("metrics after bad requests: %+v", m)
 	}
 }
@@ -629,15 +631,36 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
-// TestRunTaskCaseNormalized: Lookup tolerates casing, but the name feeds the
-// cache key and the record — "Coordinate" must land in the same orbit (and
-// produce the same record bytes) as "coordinate".
+// TestRunTaskCaseNormalized: Lookup and ParseModel tolerate casing, but the
+// names feed the cache key and the record — "Coordinate"/"Basic" must land
+// in the same orbit, and produce the same record bytes, as the lowercase
+// names a sweep writes.
 func TestRunTaskCaseNormalized(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Cache: campaign.NewCache(0)})
-	rec := decodeRecord(t, postJSON(t, ts.URL+"/v1/run",
-		map[string]any{"task": "Coordinate", "model": "basic", "n": 8, "seed": 1}))
-	if rec.Task != campaign.TaskCoordinate || rec.Status != campaign.StatusOK {
-		t.Fatalf("mixed-case task record: %+v", rec)
+	run := func(body map[string]any) []byte {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/run", body)
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	mixed := run(map[string]any{"task": "Coordinate", "model": "Basic", "n": 8, "seed": 1})
+	var rec campaign.Record
+	if err := json.Unmarshal(mixed, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Task != campaign.TaskCoordinate || rec.Model != "basic" || rec.Status != campaign.StatusOK {
+		t.Fatalf("mixed-case record: %s", mixed)
+	}
+	lower := run(map[string]any{"task": "coordinate", "model": "basic", "n": 8, "seed": 1})
+	strip := func(raw []byte, cache string) []byte {
+		return bytes.Replace(raw, []byte(`,"cache":"`+cache+`"`), nil, 1)
+	}
+	if !bytes.Equal(strip(mixed, "miss"), strip(lower, "hit")) {
+		t.Errorf("lowercase record differs beyond the cache annotation:\nmixed %s\nlower %s", mixed, lower)
 	}
 	variant := decodeRecord(t, postJSON(t, ts.URL+"/v1/run",
 		map[string]any{"task": "coordinate", "model": "basic", "n": 8, "seed": 1, "phase": 3, "reflect": true}))

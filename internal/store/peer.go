@@ -41,16 +41,12 @@ type Peers struct {
 }
 
 // NewPeers returns a peer fetcher that excludes self (its own advertise URL,
-// "" when unknown) from every fan-out.  client may be nil for a default
-// client with a 2-second overall timeout — a slow peer must cost less than
-// the compute it would save.
-func NewPeers(self string, client *http.Client) *Peers {
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Second}
-	}
+// "" when unknown) from every fan-out.  Its HTTP client has a 2-second
+// overall timeout: a slow peer must cost less than the compute it would save.
+func NewPeers(self string) *Peers {
 	return &Peers{
 		self:   canonAddr(self),
-		client: client,
+		client: &http.Client{Timeout: 2 * time.Second},
 		neg:    make(map[string]struct{}),
 	}
 }

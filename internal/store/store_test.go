@@ -348,7 +348,7 @@ func TestPeersFetch(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	p := NewPeers("", nil)
+	p := NewPeers("")
 	p.Set([]string{srv.URL})
 	ctx := context.Background()
 	hits0, misses0 := totPeerHits.Load(), totPeerMisses.Load()
@@ -392,7 +392,7 @@ func TestPeersFetch(t *testing.T) {
 }
 
 func TestPeersSelfExclusion(t *testing.T) {
-	p := NewPeers("http://127.0.0.1:9999", nil)
+	p := NewPeers("http://127.0.0.1:9999")
 	p.Set([]string{"127.0.0.1:9999", "127.0.0.1:9999/", "http://127.0.0.1:8888", "127.0.0.1:8888"})
 	p.mu.RLock()
 	got := p.addrs
