@@ -52,6 +52,11 @@
 // -fleet-listen additionally serves the coordinator's join/heartbeat control
 // plane for ringd -join workers.
 //
+// Local and fleet sweeps share one code path and differ only in who executes
+// the scenarios.  An interrupt (SIGINT) keeps the records written so far,
+// skips the summaries and exits 1; so does a failed record or, on a fleet,
+// a quarantined range.
+//
 // Specs are decoded strictly: a typo'd axis name is an error, not a silent
 // fallback to the defaults.  The tasks axis accepts any task registered in
 // internal/task (see ringsim -tasks for the catalogue, or GET /v1/tasks on
@@ -61,13 +66,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -173,17 +180,6 @@ func main() {
 		if *storeDir != "" {
 			usageError(fmt.Errorf("-store is decided by each ringd worker (its own -store flag), not by the fleet coordinator"))
 		}
-		if *dryrun {
-			for _, sc := range scenarios {
-				fmt.Printf("%6d  %s\n", sc.Index, sc.Key())
-			}
-			fmt.Printf("%d scenarios across %d workers\n", total, len(roster))
-			return
-		}
-		if err := runFleet(matrix, total, roster, *lease, *fleetListen, *out, *quiet, *top, *events); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 	scenarios, err = campaign.Shard(scenarios, i, m)
 	if err != nil {
@@ -199,20 +195,26 @@ func main() {
 		fmt.Printf("%d scenarios (shard %d/%d of %d)\n", len(scenarios), i, m, total)
 		return
 	}
-	// The store opens after the dryrun exit so listing scenarios never
-	// creates (or locks) a store directory.
+	var j job
 	var st *store.Store
-	if *storeDir != "" {
-		if cache == nil {
-			usageError(fmt.Errorf("-store requires the cache (the store is its second tier); add -cache on"))
+	if fleetMode {
+		j = fleetJob(matrix, total, roster, *lease, *fleetListen)
+	} else {
+		// The store opens after the dryrun exit so listing scenarios never
+		// creates (or locks) a store directory.
+		if *storeDir != "" {
+			if cache == nil {
+				usageError(fmt.Errorf("-store requires the cache (the store is its second tier); add -cache on"))
+			}
+			if st, err = store.Open(*storeDir, store.Options{}); err != nil {
+				log.Fatal(err)
+			}
+			cache.AttachTier(st, nil)
+			log.Printf("store: %s (%d records on disk)", *storeDir, st.Len())
 		}
-		if st, err = store.Open(*storeDir, store.Options{}); err != nil {
-			log.Fatal(err)
-		}
-		cache.AttachTier(st, nil)
-		log.Printf("store: %s (%d records on disk)", *storeDir, st.Len())
+		j = localJob(scenarios, i, m, total, campaign.Options{Workers: workers, Cache: cache})
 	}
-	err = runCampaign(scenarios, i, m, total, workers, *out, *quiet, *top, *events, cache)
+	err = runSweep(j, *out, *quiet, *top, *events)
 	if st != nil {
 		if cerr := st.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -231,16 +233,113 @@ func usageError(err error) {
 	os.Exit(2)
 }
 
-func runCampaign(scenarios []campaign.Scenario, shardI, shardM, total, workers int, outDir string, quiet, top bool, eventsPath string, cache *campaign.Cache) error {
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	jsonlF, err := os.Create(filepath.Join(outDir, "records.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer jsonlF.Close()
+// job is what differs between a local and a fleet sweep; runSweep does
+// every other step of both.
+type job struct {
+	banner string // announces the run on stderr
+	total  int    // records a complete run writes
+	// run writes every record's JSON line to w and calls onRecord with it,
+	// both in scenario-index order, and returns ctx's error when cut short.
+	run func(ctx context.Context, w io.Writer, onRecord func(campaign.Record)) error
+	// cacheColumns reports whether the summaries carry the cache columns.
+	cacheColumns func(agg *campaign.Aggregator) bool
+	// footer prints the mode's closing lines and returns the error, if
+	// any, that fails a finished run besides failed records.
+	footer func(agg *campaign.Aggregator) error
+}
 
+// localJob runs the scenarios (shard i/m of total) on this machine's worker
+// pool.  The summaries carry the cache columns exactly when opts has a
+// cache, whether or not any record touched it, so a cached sweep's schema
+// is stable (see campaign.Aggregator).
+func localJob(scenarios []campaign.Scenario, shardI, shardM, total int, opts campaign.Options) job {
+	return job{
+		banner: fmt.Sprintf("running %d scenarios (shard %d/%d of %d)", len(scenarios), shardI, shardM, total),
+		total:  len(scenarios),
+		run: func(ctx context.Context, w io.Writer, onRecord func(campaign.Record)) error {
+			return campaign.Run(ctx, scenarios, opts, w, onRecord)
+		},
+		cacheColumns: func(*campaign.Aggregator) bool { return opts.Cache != nil },
+		footer: func(agg *campaign.Aggregator) error {
+			fmt.Printf("scenario cpu time: %v\n", agg.Wall.Round(time.Millisecond))
+			if opts.Cache == nil {
+				return nil
+			}
+			served := agg.CacheHits + agg.CacheDedups
+			ratio := 0.0
+			if looked := agg.CacheMisses + served; looked > 0 {
+				ratio = float64(served) / float64(looked)
+			}
+			cs := opts.Cache.Stats()
+			fmt.Printf("cache: %d computed, %d served from symmetry (%d hits + %d dedups, dedup ratio %.1f%%), %d evictions\n",
+				agg.CacheMisses, served, agg.CacheHits, agg.CacheDedups, 100*ratio, cs.Evictions)
+			if cs.DiskHits > 0 {
+				fmt.Printf("store: %d outcomes served from disk without computation\n", cs.DiskHits)
+			}
+			return nil
+		},
+	}
+}
+
+// fleetJob dispatches the matrix's total scenarios to the ringd roster
+// through internal/fleet, whose merged stream is byte-identical to a local
+// run's, and serves the coordinator's join/heartbeat control plane on
+// listen when it is set.  The summaries carry the cache columns exactly
+// when the workers annotated records: the coordinator cannot see their
+// -cache flags.  Quarantined ranges fail the run.
+func fleetJob(m campaign.Matrix, total int, roster []string, lease int, listen string) job {
+	var res fleet.Result
+	return job{
+		banner: fmt.Sprintf("running %d scenarios on a fleet of %d workers", total, len(roster)),
+		total:  total,
+		run: func(ctx context.Context, w io.Writer, onRecord func(campaign.Record)) error {
+			coord, err := fleet.New(m, fleet.Options{Workers: roster, LeaseSize: lease, Records: w, OnRecord: onRecord})
+			if err != nil {
+				return err
+			}
+			if listen != "" {
+				ctrl := &http.Server{Addr: listen, Handler: coord.Handler(), ReadHeaderTimeout: 10 * time.Second}
+				go func() {
+					if err := ctrl.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+						log.Printf("fleet control plane: %v", err)
+					}
+				}()
+				defer ctrl.Close()
+			}
+			res, err = coord.Run(ctx)
+			return err
+		},
+		cacheColumns: func(a *campaign.Aggregator) bool {
+			return a.CacheMisses+a.CacheHits+a.CacheDedups+a.CacheDisk+a.CachePeer > 0
+		},
+		footer: func(*campaign.Aggregator) error {
+			for _, w := range res.Workers {
+				state := "up"
+				if !w.Up {
+					state = "down"
+				}
+				fmt.Printf("  worker %s: %d records, %d leases, %d failed attempts (%s)\n",
+					w.Addr, w.Records, w.Leases, w.Fails, state)
+			}
+			for _, q := range res.Quarantined {
+				log.Printf("quarantined: scenario indices [%d, %d) abandoned after repeated lease failures", q.Lo, q.Hi)
+			}
+			if len(res.Quarantined) > 0 {
+				return fmt.Errorf("%d index ranges quarantined; records.jsonl is incomplete", len(res.Quarantined))
+			}
+			return nil
+		},
+	}
+}
+
+// runSweep runs every ringfarm sweep, local or fleet.  It runs j under
+// a context that SIGINT cancels, with the optional event log and top view
+// attached, into outDir/records.jsonl, which it syncs and closes, both
+// checked, on every path.  It draws the progress line, and after a complete
+// run writes summary.csv and summary.md and prints the totals and j's
+// footer.  An interrupted run keeps the records written so far and fails;
+// so does a finished run with a failed record or a failing footer.
+func runSweep(j job, outDir string, quiet, top bool, eventsPath string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -265,68 +364,67 @@ func runCampaign(scenarios []campaign.Scenario, shardI, shardM, total, workers i
 		defer stopTop() // idempotent; also called before the summary prints
 	}
 
-	fmt.Fprintf(os.Stderr, "ringfarm: running %d scenarios (shard %d/%d of %d) on %d workers\n",
-		len(scenarios), shardI, shardM, total, effectiveWorkers(workers, len(scenarios)))
-	writer := campaign.NewOrderedWriter(jsonlF, scenarios)
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(outDir, "records.jsonl"))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "ringfarm: %s\n", j.banner)
 	agg := campaign.NewAggregator()
 	start := time.Now()
 	engStart := engine.CounterSnapshot()
 	lastProgress := time.Time{}
-	for rec := range campaign.Run(ctx, scenarios, campaign.Options{Workers: workers, Cache: cache}) {
-		if err := writer.Add(rec); err != nil {
-			return err
-		}
+	err = j.run(ctx, f, func(rec campaign.Record) {
 		agg.Add(rec)
-		if !quiet && time.Since(lastProgress) > 100*time.Millisecond {
-			lastProgress = time.Now()
-			elapsed := time.Since(start).Seconds()
-			line := fmt.Sprintf("\rringfarm: %d/%d done  ok=%d failed=%d unsolvable=%d  %.1f scen/s",
-				agg.Total, len(scenarios), agg.OK, agg.Failed, agg.Unsolvable,
-				float64(agg.Total)/elapsed)
-			eng := engine.CounterSnapshot()
-			line += fmt.Sprintf("  %s rounds/s", humanCount(float64(eng.Rounds-engStart.Rounds)/elapsed))
-			if served := agg.CacheHits + agg.CacheDedups; cache != nil && served+agg.CacheMisses > 0 {
-				line += fmt.Sprintf("  dedup %.1f%%", 100*float64(served)/float64(served+agg.CacheMisses))
-			}
-			fmt.Fprint(os.Stderr, line, " ")
+		if quiet || time.Since(lastProgress) < 100*time.Millisecond {
+			return
 		}
-	}
+		lastProgress = time.Now()
+		elapsed := time.Since(start).Seconds()
+		line := fmt.Sprintf("\rringfarm: %d/%d done  ok=%d failed=%d unsolvable=%d  %.1f scen/s",
+			agg.Total, j.total, agg.OK, agg.Failed, agg.Unsolvable, float64(agg.Total)/elapsed)
+		// Rounds run in this process only on a local sweep.
+		if rounds := engine.CounterSnapshot().Rounds - engStart.Rounds; rounds > 0 {
+			line += fmt.Sprintf("  %s rounds/s", humanCount(float64(rounds)/elapsed))
+		}
+		if served := agg.CacheHits + agg.CacheDedups; served+agg.CacheMisses > 0 {
+			line += fmt.Sprintf("  dedup %.1f%%", 100*float64(served)/float64(served+agg.CacheMisses))
+		}
+		fmt.Fprint(os.Stderr, line, " ")
+	})
 	if !quiet {
 		fmt.Fprintln(os.Stderr)
 	}
-	if err := writer.Flush(); err != nil {
-		return err
+	if serr := f.Sync(); err == nil {
+		err = serr
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("campaign interrupted after %d of %d scenarios", agg.Total, len(scenarios))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		if ctx.Err() != nil {
+			return fmt.Errorf("campaign interrupted after %d of %d scenarios", agg.Total, j.total)
+		}
+		return err
 	}
 	stopTop() // final frame before the summary, so the summary stays visible
 
-	md, err := writeSummaries(outDir, agg.Summary(), cache != nil)
+	md, err := writeSummaries(outDir, agg.Summary(), j.cacheColumns(agg))
 	if err != nil {
 		return err
 	}
-
 	elapsed := time.Since(start)
 	fmt.Printf("%s\n", md)
-	fmt.Printf("%d scenarios in %v (%.1f scenarios/sec, %v cpu): ok=%d failed=%d unsolvable=%d\n",
-		agg.Total, elapsed.Round(time.Millisecond),
-		float64(agg.Total)/elapsed.Seconds(), agg.Wall.Round(time.Millisecond),
+	fmt.Printf("%d scenarios in %v (%.1f scenarios/sec): ok=%d failed=%d unsolvable=%d\n",
+		agg.Total, elapsed.Round(time.Millisecond), float64(agg.Total)/elapsed.Seconds(),
 		agg.OK, agg.Failed, agg.Unsolvable)
-	if cache != nil {
-		served := agg.CacheHits + agg.CacheDedups
-		ratio := 0.0
-		if total := agg.CacheMisses + served; total > 0 {
-			ratio = float64(served) / float64(total)
-		}
-		cs := cache.Stats()
-		fmt.Printf("cache: %d computed, %d served from symmetry (%d hits + %d dedups, dedup ratio %.1f%%), %d evictions\n",
-			agg.CacheMisses, served, agg.CacheHits, agg.CacheDedups, 100*ratio, cs.Evictions)
-		if cs.DiskHits > 0 {
-			fmt.Printf("store: %d outcomes served from disk without computation\n", cs.DiskHits)
-		}
-	}
+	footErr := j.footer(agg)
 	fmt.Printf("artefacts: %s\n", outDir)
+	if footErr != nil {
+		return footErr
+	}
 	if agg.Failed > 0 {
 		return fmt.Errorf("%d scenarios failed (see %s)", agg.Failed, filepath.Join(outDir, "records.jsonl"))
 	}
@@ -350,18 +448,6 @@ func writeSummaries(outDir string, rows []campaign.SummaryRow, cache bool) (stri
 	}
 	md := campaign.FormatSummaryMarkdown(rows, cache)
 	return md, os.WriteFile(filepath.Join(outDir, "summary.md"), []byte(md), 0o644)
-}
-
-// effectiveWorkers mirrors the pool sizing of campaign.Run: GOMAXPROCS by
-// default, never more workers than scenarios.
-func effectiveWorkers(w, scenarios int) int {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > scenarios && scenarios > 0 {
-		w = scenarios
-	}
-	return w
 }
 
 // buildMatrix assembles the campaign matrix from a spec file or flags.

@@ -59,7 +59,8 @@ type groupStats struct {
 
 // Aggregator folds a record stream into per-group statistics without
 // retaining the records.  It is not safe for concurrent use; feed it from
-// the single goroutine draining Run's channel.
+// one callback that is never called concurrently, such as Run's onRecord or
+// fleet.Options.OnRecord, which both deliver records in index order.
 type Aggregator struct {
 	groups map[GroupKey]*groupStats
 	// Totals over the whole stream.

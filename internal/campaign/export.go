@@ -17,6 +17,7 @@ type OrderedWriter struct {
 	pending  map[int]Record
 	expected []int
 	pos      int
+	onRecord func(Record) // Run's callback, after each written line
 }
 
 // NewOrderedWriter returns a writer for a run over exactly the given
@@ -73,5 +74,8 @@ func (o *OrderedWriter) write(rec Record) error {
 	// One Write per record: a flushing writer (ringd's stream) sends each
 	// Write as its own chunk.
 	_, err = o.w.Write(append(line, '\n'))
+	if err == nil && o.onRecord != nil {
+		o.onRecord(rec)
+	}
 	return err
 }

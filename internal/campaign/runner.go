@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -96,27 +97,36 @@ type Options struct {
 // stage, inside the pipeline's recover; tests use it to inject panics.
 var testHookScenario func(Scenario)
 
-// Run executes the scenarios on a pool of workers and streams one Record per
-// scenario on the returned channel, in completion order.  The channel is
-// closed when all scenarios finished or the context was cancelled (in which
-// case records for not-yet-started scenarios are never emitted).  A panic
-// inside one scenario is isolated: it becomes a failed record and the sweep
-// continues.
-func Run(ctx context.Context, scenarios []Scenario, opts Options) <-chan Record {
-	out := make(chan Record)
-	go func() {
-		defer close(out)
-		sweep(ctx, scenarios, opts, func(_ int, rec Record) bool {
-			// Best-effort once ctx is cancelled: ctx.Done may win the race.
-			select {
-			case out <- rec:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}()
-	return out
+// Run executes the scenarios on a pool of workers and writes every record's
+// JSON line to w in scenario-index order, through an OrderedWriter, calling
+// onRecord (when non-nil) once per written record in the same order, never
+// concurrently: the contract of fleet.Options.Records and OnRecord.  A
+// panic inside one scenario is isolated: it becomes a failed record and the
+// sweep continues.  A write error stops the workers and is returned.  When
+// ctx is cancelled, Run flushes the records that finished and returns
+// ctx.Err().
+func Run(ctx context.Context, scenarios []Scenario, opts Options, w io.Writer, onRecord func(Record)) error {
+	ow := NewOrderedWriter(w, scenarios)
+	ow.onRecord = onRecord
+	var mu sync.Mutex
+	var werr error
+	sweep(ctx, scenarios, opts, func(_ int, rec Record) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		// After a cancellation a record may be a scenario the cancellation
+		// cut short: it is not written.
+		if werr == nil && ctx.Err() == nil {
+			werr = ow.Add(rec)
+		}
+		return werr == nil
+	})
+	if werr == nil {
+		werr = ow.Flush()
+	}
+	if werr != nil {
+		return werr
+	}
+	return ctx.Err()
 }
 
 // sweep runs the scenarios on a pool of workers, calling emit concurrently

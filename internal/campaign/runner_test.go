@@ -4,10 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
-	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -129,13 +128,15 @@ func TestRunCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	got := 0
-	for range Run(ctx, scs, Options{Workers: 2}) {
-		got++
-		if got == 3 {
+	err = Run(ctx, scs, Options{Workers: 2}, io.Discard, func(Record) {
+		if got++; got == 3 {
 			cancel()
 		}
-	}
+	})
 	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Run returned %v, want context.Canceled", err)
+	}
 	if got >= len(scs) {
 		t.Fatalf("cancellation did not cut the sweep short (%d records)", got)
 	}
@@ -179,14 +180,13 @@ func TestRunCancelledPoolDrainsPromptly(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range Run(ctx, scs, Options{Workers: 2}) {
-		}
-	}()
+	done := make(chan error)
+	go func() { done <- Run(ctx, scs, Options{Workers: 2}, io.Discard, nil) }()
 	select {
-	case <-done:
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled Run returned %v, want context.Canceled", err)
+		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled pool did not drain")
 	}
@@ -315,9 +315,11 @@ func TestRunScenarioWallClock(t *testing.T) {
 	}
 }
 
-// TestRunAllShardMatchesRun pins RunAll's feed-position slots: on a shard
-// whose indices do not start at 0, cache off and on (where the feed is
-// reordered), RunAll equals the records streamed by Run sorted by Index.
+// TestRunAllShardMatchesRun pins RunAll's feed-position slots and Run's
+// writer: on a shard whose indices do not start at 0, cache off and on
+// (where the feed is reordered), the JSONL Run writes equals RunAll's
+// records through an OrderedWriter, and Run hands onRecord every record
+// once, in index order.
 func TestRunAllShardMatchesRun(t *testing.T) {
 	scs, err := goldenGrid.Expand()
 	if err != nil {
@@ -341,31 +343,46 @@ func TestRunAllShardMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var streamed []Record
-		for rec := range Run(t.Context(), shard, opts()) {
-			streamed = append(streamed, rec)
+		var streamed bytes.Buffer
+		var seen []int
+		if err := Run(t.Context(), shard, opts(), &streamed, func(rec Record) { seen = append(seen, rec.Index) }); err != nil {
+			t.Fatal(err)
 		}
-		sort.Slice(streamed, func(i, j int) bool { return streamed[i].Index < streamed[j].Index })
-		if len(all) != len(shard) || len(streamed) != len(shard) {
-			t.Fatalf("cached=%v: RunAll gave %d and Run %d records for %d scenarios", cached, len(all), len(streamed), len(shard))
+		want, got := mustJSONL(t, shard, all), streamed.Bytes()
+		if cached {
+			// Which framing of an orbit computes depends on scheduling.
+			want, got = cacheAnnotation.ReplaceAll(want, nil), cacheAnnotation.ReplaceAll(got, nil)
 		}
-		for i := range all {
-			a, b := all[i], streamed[i]
-			a.Wall, b.Wall = 0, 0
-			if cached {
-				// Which framing of an orbit computes depends on scheduling.
-				a.Cache, b.Cache = "", ""
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("cached=%v: record %d: RunAll %+v, Run %+v", cached, i, a, b)
+		if !bytes.Equal(want, got) {
+			t.Fatalf("cached=%v: Run's JSONL differs from RunAll's records written in order", cached)
+		}
+		if len(seen) != len(shard) {
+			t.Fatalf("cached=%v: onRecord saw %d records for %d scenarios", cached, len(seen), len(shard))
+		}
+		for i, idx := range seen {
+			if idx != shard[i].Index {
+				t.Fatalf("cached=%v: onRecord call %d got index %d, want %d", cached, i, idx, shard[i].Index)
 			}
 		}
 	}
 }
 
+// failAfter is a records sink whose writes fail once it has taken n.
+type failAfter struct{ n int }
+
+var errSinkFull = errors.New("sink full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.n == 0 {
+		return 0, errSinkFull
+	}
+	f.n--
+	return len(p), nil
+}
+
 // TestSweepLeavesNoGoroutines checks that a cancelled RunAll and a Run whose
-// consumer stops early both wind down every worker: none may block on a send
-// no one will receive.
+// writer fails after one record both wind down every worker, and that Run
+// returns the write error.
 func TestSweepLeavesNoGoroutines(t *testing.T) {
 	scs, err := Matrix{Sizes: []int{8, 16, 32}, Seeds: []int64{1, 2, 3, 4}}.Expand()
 	if err != nil {
@@ -392,10 +409,13 @@ func TestSweepLeavesNoGoroutines(t *testing.T) {
 	}
 	settled("cancelled RunAll")
 
-	ctx, cancel = context.WithCancel(t.Context())
-	for range Run(ctx, scs, Options{Workers: 4}) {
-		break
+	written := 0
+	err = Run(t.Context(), scs, Options{Workers: 4}, &failAfter{n: 1}, func(Record) { written++ })
+	if !errors.Is(err, errSinkFull) {
+		t.Fatalf("Run with a failing writer returned %v, want the write error", err)
 	}
-	cancel()
-	settled("Run abandoned after one record")
+	if written != 1 {
+		t.Errorf("onRecord saw %d records, want the 1 the writer took", written)
+	}
+	settled("Run whose writer fails after one record")
 }

@@ -89,7 +89,7 @@ func (c *Coordinator) streamLease(ctx context.Context, w *worker, l *lease) (cau
 			return fmt.Sprintf("worker returned %d: %s", resp.StatusCode, bytes.TrimSpace(body)), false
 		}
 
-		cause = c.consume(resp.Body, w, l)
+		cause = c.consume(resp.Body, w, l, hi)
 		resp.Body.Close()
 		cancel()
 		c.mu.Lock()
@@ -105,12 +105,15 @@ func (c *Coordinator) streamLease(ctx context.Context, w *worker, l *lease) (cau
 	}
 }
 
-// consume reads one response stream line by line, merging each record.  The
-// worker streams its range in index order (serve uses OrderedWriter), so
-// the lease watermark advances contiguously.  Reading stops early — without
-// error — once the lease's hi bound passes below the incoming index, which
-// is how a steal victim hands off the split range mid-stream.
-func (c *Coordinator) consume(body io.Reader, w *worker, l *lease) string {
+// consume reads one response stream, requested up to hi, line by line,
+// merging each record.  The worker streams its range in index order (serve
+// uses OrderedWriter), so the lease watermark advances contiguously.  A
+// steal victim hands off the split range mid-stream: once a lease whose hi
+// a steal shrank below the requested hi has merged its last owed record,
+// reading stops without error, without waiting for the worker to compute
+// the thief's first record.  A lease that was not shrunk reads to EOF, so
+// its keep-alive connection is reused.
+func (c *Coordinator) consume(body io.Reader, w *worker, l *lease, hi int) string {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 	for sc.Scan() {
@@ -140,7 +143,14 @@ func (c *Coordinator) consume(body io.Reader, w *worker, l *lease) string {
 		l.lastProgress = now
 		w.lastSeen = now
 		w.records++
+		handedOff := l.next >= l.hi && l.hi < hi
+		if c.merger.done() {
+			c.kickLoop() // the sweep is over even if this stream has not ended
+		}
 		c.mu.Unlock()
+		if handedOff {
+			return ""
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return "stream: " + err.Error()

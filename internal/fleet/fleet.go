@@ -77,6 +77,7 @@ type Options struct {
 	JitterSeed int64
 	// Records, when non-nil, receives the merged JSONL stream: every
 	// worker-produced record line, byte for byte, in scenario-index order.
+	// A write error ends the run (see Coordinator.Run).
 	Records io.Writer
 	// OnRecord, when non-nil, is called for every merged record in
 	// scenario-index order (after its line reached Records).  Callers use
@@ -257,11 +258,12 @@ func (c *Coordinator) initialLeases() []*lease {
 
 // Run drives the sweep to completion: granting leases, re-leasing failures,
 // stealing from stragglers and merging streams, until every index is merged
-// or quarantined.  It returns the context's error when cancelled mid-sweep;
-// a completed run with failures reports them in Result.Quarantined instead
-// of an error, so a partial artefact is always accompanied by an exact
-// account of its holes.  Run must be called at most once.
-func (c *Coordinator) Run(ctx context.Context) (Result, error) {
+// or quarantined.  It returns the context's error when cancelled mid-sweep,
+// and the first error writing to Options.Records, which stops the sweep; a
+// completed run with failures reports them in Result.Quarantined instead of
+// an error, so a partial artefact is always accompanied by an exact account
+// of its holes.  Run must be called at most once.
+func (c *Coordinator) Run(ctx context.Context) (res Result, err error) {
 	c.mu.Lock()
 	if c.running {
 		c.mu.Unlock()
@@ -274,17 +276,21 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 		obs.Emit(obs.Event{Type: obs.CampaignStart, Level: obs.LevelInfo, Total: c.total})
 	}
 
-	// Every worker request derives from runCtx so returning from Run —
-	// completion or cancellation — unwinds all in-flight streams before the
-	// caller regains ownership of the Records sink.
+	// Every worker request derives from runCtx.  Returning from Run —
+	// completion or cancellation — cuts every in-flight stream (one that
+	// owes nothing more is retired, not failed), then waits for the stream
+	// goroutines, so the caller owns the Records sink again and res, taken
+	// last, counts every retired lease.  No keep-alive to a worker outlives
+	// Run: whether a last stream ended cleanly or was cut depends on
+	// timing, and what a finished run holds on to should not.
 	runCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	// Once the streams are done, no keep-alive to a worker outlives Run:
-	// whether a worker's last stream ended cleanly or was cut after a steal
-	// depends on timing, and what a finished run holds on to should not.
-	defer c.client.CloseIdleConnections()
 	var wg sync.WaitGroup
-	defer wg.Wait()
+	defer func() {
+		cancelAll()
+		wg.Wait()
+		c.client.CloseIdleConnections()
+		res = c.result()
+	}()
 
 	ticker := time.NewTicker(c.opts.probeInterval)
 	defer ticker.Stop()
@@ -294,14 +300,17 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 		if c.stealLocked() {
 			c.grantLocked(runCtx, &wg)
 		}
-		done := c.merger.done()
+		done, werr := c.merger.done(), c.merger.err
 		c.mu.Unlock()
+		if werr != nil {
+			return Result{}, werr
+		}
 		if done {
 			break
 		}
 		select {
 		case <-ctx.Done():
-			return c.result(), ctx.Err()
+			return Result{}, ctx.Err()
 		case <-c.kick:
 		case <-ticker.C:
 			c.housekeep(runCtx)
@@ -310,7 +319,7 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 	if obs.On() {
 		obs.Emit(obs.Event{Type: obs.CampaignFinish, Level: obs.LevelInfo, Done: c.merger.Written(), Total: c.total})
 	}
-	return c.result(), nil
+	return Result{}, nil
 }
 
 // kickLoop wakes the grant loop; safe under or outside the lock.

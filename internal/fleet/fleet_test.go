@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -402,6 +403,36 @@ func TestStealSplitsStraggler(t *testing.T) {
 	}
 }
 
+// TestConsumeStopsAtStolenBound pins the victim side of a steal: once a
+// lease that a steal shrank below the requested bound has merged its last
+// owed record, consume returns, although the worker has not ended the
+// stream and may take long to compute the thief's first record.
+func TestConsumeStopsAtStolenBound(t *testing.T) {
+	c, err := New(testMatrix(), Options{Workers: []string{"http://a:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, stream := io.Pipe()
+	defer stream.Close()
+	go func() {
+		for i := 0; i < 3; i++ {
+			fmt.Fprintf(stream, "{\"index\":%d}\n", i)
+		}
+	}()
+	l := c.newLease(0, 6, 0)
+	l.hi = 3 // a steal took [3, 6) after the stream was requested up to 6
+	done := make(chan string, 1)
+	go func() { done <- c.consume(body, c.roster["http://a:1"], l, 6) }()
+	select {
+	case cause := <-done:
+		if cause != "" || l.next != 3 {
+			t.Errorf("consume = %q with next %d, want a clean hand-off at 3", cause, l.next)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("consume still reading past the victim's new bound")
+	}
+}
+
 func TestJoinAndHeartbeatHandler(t *testing.T) {
 	c, err := New(testMatrix(), Options{})
 	if err != nil {
@@ -582,4 +613,126 @@ func TestFleetRunTwice(t *testing.T) {
 	if _, err := c.Run(context.Background()); err == nil {
 		t.Fatal("second Run did not fail")
 	}
+}
+
+// stallWorker streams real records, but before index i of a request for
+// [lo, hi) — i == hi meaning after the last record — it asks stall, which
+// may block, and stops there when stall says so: it neither writes nor ends
+// the response until the request is cancelled or release is closed.
+type stallWorker struct {
+	lines   [][]byte
+	stall   func(lo, hi, i int) bool
+	release chan struct{}
+}
+
+func (s *stallWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/healthz" {
+		w.WriteHeader(http.StatusOK)
+		return
+	}
+	lo, _ := strconv.Atoi(r.URL.Query().Get("lo"))
+	hi, _ := strconv.Atoi(r.URL.Query().Get("hi"))
+	for i := lo; i <= hi; i++ {
+		if s.stall(lo, hi, i) {
+			select {
+			case <-r.Context().Done():
+			case <-s.release:
+			}
+			return
+		}
+		if i < hi {
+			w.Write(append(s.lines[i], '\n'))
+			w.(http.Flusher).Flush()
+		}
+	}
+}
+
+// TestRunReturnsPastStalledStreams checks that a sweep returns as soon as
+// every record is merged, even when a worker's stream would block until it
+// is cancelled, and that such a stream is retired, not failed.
+func TestRunReturnsPastStalledStreams(t *testing.T) {
+	m := testMatrix()
+	want := localExport(t, m)
+	scs, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := exportLines(t, scs)
+	total := len(lines)
+
+	run := func(t *testing.T, workers, lease int, stall func(release <-chan struct{}) func(lo, hi, i int) bool) {
+		release := make(chan struct{})
+		sw := &stallWorker{lines: lines, stall: stall(release), release: release}
+		var addrs []string
+		for range workers {
+			ts := httptest.NewServer(sw)
+			t.Cleanup(ts.Close)
+			addrs = append(addrs, ts.URL)
+		}
+		type outcome struct {
+			res Result
+			err error
+		}
+		var got bytes.Buffer
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := Run(context.Background(), m, Options{Workers: addrs, LeaseSize: lease, Records: &got})
+			done <- outcome{res, err}
+		}()
+		var out outcome
+		select {
+		case out = <-done:
+			close(release)
+		case <-time.After(10 * time.Second):
+			t.Error("Run still blocked 10s after the sweep: it waits on a stream it never cancels")
+			close(release)
+			out = <-done
+		}
+		if out.err != nil {
+			t.Fatal(out.err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Error("fleet export differs from the single-machine export")
+		}
+		if out.res.Merged != total || len(out.res.Quarantined) != 0 {
+			t.Errorf("merged %d of %d, quarantined %v", out.res.Merged, total, out.res.Quarantined)
+		}
+		for _, ws := range out.res.Workers {
+			if ws.Fails != 0 {
+				t.Errorf("worker %s counted %d failures; a stream cut after its last owed record is retired", ws.Addr, ws.Fails)
+			}
+		}
+	}
+
+	// The first of two workers holds [0, 6) and, after one record, waits
+	// until the other worker has run every other lease and stolen [mid, 6).
+	// It then streams up to mid and stalls there: record mid is the thief's,
+	// so nothing but a cancellation would ever end that stream.  Six indices
+	// leave the victim fewer than stealMin after the split, so no second
+	// steal moves its bound again.
+	t.Run("steal victim", func(t *testing.T) {
+		run(t, 2, 6, func(release <-chan struct{}) func(lo, hi, i int) bool {
+			stolen := make(chan int, 1)
+			mid := -1 // used by the victim's handler alone
+			return func(lo, hi, i int) bool {
+				switch {
+				case lo > 0 && lo < 6 && i == lo:
+					stolen <- lo // the thief asks from the victim's new bound
+				case lo == 0 && i == 1:
+					select {
+					case mid = <-stolen:
+					case <-release:
+					}
+				}
+				return lo == 0 && i == mid
+			}
+		})
+	})
+	// One worker holds one lease over the whole sweep and, after its last
+	// record, never ends the response.
+	t.Run("after the last record", func(t *testing.T) {
+		run(t, 1, total, func(<-chan struct{}) func(lo, hi, i int) bool {
+			return func(_, hi, i int) bool { return i == total }
+		})
+	})
 }

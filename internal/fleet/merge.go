@@ -34,7 +34,7 @@ type merger struct {
 	recs   map[int]campaign.Record
 	absent map[int]bool
 
-	err error // first write error; poisons the rest of the merge
+	err error // first write error; stops the merge and ends Coordinator.Run
 }
 
 func newMerger(total int, out io.Writer, onRec func(campaign.Record)) *merger {
@@ -82,7 +82,7 @@ func (mg *merger) markAbsent(lo, hi int) {
 
 // drain advances the watermark, writing parked lines in index order.
 func (mg *merger) drain() {
-	for mg.next < mg.total {
+	for mg.next < mg.total && mg.err == nil {
 		if mg.absent[mg.next] {
 			delete(mg.absent, mg.next)
 			mg.next++
@@ -95,9 +95,9 @@ func (mg *merger) drain() {
 		delete(mg.lines, mg.next)
 		rec := mg.recs[mg.next]
 		delete(mg.recs, mg.next)
-		if mg.out != nil && mg.err == nil {
-			if _, err := mg.out.Write(append(line, '\n')); err != nil {
-				mg.err = err
+		if mg.out != nil {
+			if _, mg.err = mg.out.Write(append(line, '\n')); mg.err != nil {
+				return
 			}
 		}
 		mg.written++

@@ -149,12 +149,12 @@ func TestEventsBadLevel(t *testing.T) {
 
 // TestEventsBackpressure is the backpressure acceptance bar: a subscriber
 // that never reads its /v1/events stream must not slow down 64 parallel
-// /v1/run clients — the subscriber's bounded queue fills, further events are
-// dropped and counted, and every run completes correctly.
+// /v1/run clients, and once its bounded queue is full further events are
+// dropped and counted.
 func TestEventsBackpressure(t *testing.T) {
 	cache := campaign.NewCache(0)
-	// A tiny event buffer so the stalled subscriber demonstrably overflows.
-	pool, ts := newTestServer(t, serve.Options{Cache: cache, EventBuffer: 8})
+	pool, ts := newTestServer(t, serve.Options{Cache: cache})
+	droppedBefore := obs.Default.Stats().Dropped
 
 	// The stalled subscriber: opens the stream at debug level (every event
 	// matches) and then never reads the body until the test ends.
@@ -208,11 +208,17 @@ func TestEventsBackpressure(t *testing.T) {
 	if m.Records != total || m.Failed != 0 {
 		t.Fatalf("metrics: %+v", m)
 	}
-	// The drop-and-count contract is visible: far more than 8 events were
-	// published at the stalled subscriber, so drops must have been counted and
-	// surfaced in the snapshot.
-	if m.Events.Subscribers < 1 || m.Events.Published == 0 || m.Events.Dropped == 0 {
-		t.Fatalf("bus accounting after stalled subscriber: %+v", m.Events)
+	// The drop-and-count contract: publishing far more than the subscriber
+	// queue holds (up to 256 batches of 4096) at the stalled subscriber must
+	// make it drop, and the drops must surface in the snapshot.
+	for batch := 0; batch < 256 && obs.Default.Stats().Dropped == droppedBefore; batch++ {
+		for i := 0; i < 4096; i++ {
+			obs.Emit(obs.Event{Type: obs.ScenarioStart, Level: obs.LevelDebug, Index: i})
+		}
+	}
+	m = pool.Snapshot()
+	if m.Events.Subscribers < 1 || m.Events.Published == 0 || m.Events.Dropped == droppedBefore {
+		t.Fatalf("bus accounting after stalled subscriber: %+v (dropped before: %d)", m.Events, droppedBefore)
 	}
 }
 

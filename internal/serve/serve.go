@@ -98,11 +98,6 @@ type Options struct {
 	// /debug/pprof/.  Off by default: profiling endpoints on a production
 	// daemon are opt-in.
 	Pprof bool
-	// EventBuffer is the per-subscriber queue capacity of GET /v1/events in
-	// events; defaults to 4096.  A subscriber that falls further behind
-	// loses events (counted in the obs bus drop counter and the metrics
-	// snapshot) instead of slowing any producer down.
-	EventBuffer int
 	// MaxPending, when positive, is the admission-control cap on scenarios
 	// queued or running on the worker pool: a /v1/run or /v1/campaign
 	// request arriving while the count is at the cap is rejected with 429
@@ -117,7 +112,11 @@ const (
 	// maxCampaignScenarios caps the expansion of one /v1/campaign request.
 	maxCampaignScenarios = 100000
 	defaultMaxN          = 4096
-	defaultEventBuffer   = 4096
+	// eventBuffer is the per-subscriber queue capacity of GET /v1/events in
+	// events.  A subscriber that falls further behind loses events (counted
+	// in the obs bus drop counter and the metrics snapshot) instead of
+	// slowing any producer down.
+	eventBuffer = 4096
 	// writeTimeout bounds each response write (per record on streaming
 	// endpoints, so long campaigns are fine as long as the client keeps
 	// reading).  Without it, a client that stops reading its stream would
@@ -167,9 +166,6 @@ func New(opts Options) *Server {
 	}
 	if opts.MaxN <= 0 {
 		opts.MaxN = defaultMaxN
-	}
-	if opts.EventBuffer <= 0 {
-		opts.EventBuffer = defaultEventBuffer
 	}
 	s := &Server{
 		opts:  opts,
@@ -747,12 +743,12 @@ func (s *Server) handleMetricsPrometheus(w http.ResponseWriter, r *http.Request)
 // handleEvents streams the daemon's structured events as NDJSON until the
 // client disconnects.  Filters: ?types=scenario,cache.hit (comma-separated
 // types or dotted prefixes) and ?level=info (minimum level).  The
-// subscription's queue is bounded (Options.EventBuffer): a subscriber that
+// subscription's queue is bounded (eventBuffer): a subscriber that
 // reads slower than the daemon emits loses events — visible in the metrics
 // snapshot's drop counter — and a subscriber that stops reading entirely is
 // disconnected by the per-write deadline.  Workers never wait on either.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	sopts := obs.SubOptions{Buffer: s.opts.EventBuffer}
+	sopts := obs.SubOptions{Buffer: eventBuffer}
 	if tp := r.URL.Query().Get("types"); tp != "" {
 		for _, t := range strings.Split(tp, ",") {
 			if t = strings.TrimSpace(t); t != "" {
