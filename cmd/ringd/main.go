@@ -9,9 +9,7 @@
 //	ringd                              # serve on :8080 with the cache on
 //	ringd -addr 127.0.0.1:9090 -cache off
 //	ringd -cache 100000 -workers 8     # cache bounded to ~100k outcomes
-//	ringd -join coord:9999             # register with a fleet coordinator
 //	ringd -store /var/lib/ringd        # persist results; warm-start on boot
-//	ringd -store dir -peers host:8080  # serve misses from a peer's store
 //	ringd -store dir -store-stats      # one-shot store dump (JSON), then exit
 //
 // Endpoints (see internal/serve):
@@ -32,19 +30,16 @@
 // under /debug/pprof/.  `ringfarm top -url http://localhost:8080` renders a
 // live view from the event stream.
 //
-// With -join, the daemon additionally registers itself with a ringfleet
-// coordinator (see internal/fleet) and heartbeats for as long as it runs;
-// -advertise overrides the base URL the coordinator dials back (it defaults
-// to http://127.0.0.1:<port> of -addr, which is only right on one machine).
+// A fleet is a `ringfarm -workers` roster of ringd daemons (see
+// internal/fleet).  The coordinator leases scenario ranges to each daemon
+// over /v1/campaign; daemons never talk to each other.
 //
 // With -store, outcomes additionally persist in a disk-backed
-// content-addressed store (internal/store): the daemon warm-starts from the
-// directory on boot (a restart serves previously seen orbits with zero
-// computation), serves single records to fleet peers on GET /v1/cache/<key>,
-// and — with -peers, or automatically through the -join roster — fetches
-// records it lacks from its peers before computing.  -store-max caps the
-// directory size (oldest segments evicted first); -store-stats prints the
-// store's segment/index statistics as JSON and exits without serving.
+// content-addressed store (internal/store) of this daemon's own: it
+// warm-starts from the directory on boot, so a restart serves previously
+// seen orbits with zero computation.  -store-max caps the directory size
+// (oldest segments evicted first); -store-stats prints the store's
+// segment/index statistics as JSON and exits without serving.
 //
 // The daemon sheds load instead of queueing unboundedly: once -maxpending
 // scenarios are queued or running, /v1/run and /v1/campaign answer 429 with
@@ -61,7 +56,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -71,8 +65,6 @@ import (
 	"encoding/json"
 
 	"ringsym/internal/campaign"
-	"ringsym/internal/fleet"
-	"ringsym/internal/fleet/worker"
 	"ringsym/internal/serve"
 	"ringsym/internal/store"
 )
@@ -88,11 +80,8 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof profiling handlers under /debug/pprof/")
 	maxPending := flag.Int("maxpending", 1024, "admission control: queued+running scenarios above which /v1/run and /v1/campaign answer 429 (0 disables)")
-	join := flag.String("join", "", "fleet coordinator base URL to register with (host:port or http://host:port)")
-	advertise := flag.String("advertise", "", "base URL the coordinator dials this daemon at (default http://127.0.0.1:<port of -addr>)")
 	storeDir := flag.String("store", "", "directory of the persistent result store (off when empty; requires the cache)")
 	storeMax := flag.Int64("store-max", 0, "store size cap in bytes; oldest segments evicted first (0 = unbounded)")
-	peersFlag := flag.String("peers", "", "comma-separated peer daemons whose stores serve this daemon's misses (requires -store)")
 	storeStats := flag.Bool("store-stats", false, "print the store's statistics as JSON and exit (requires -store)")
 	flag.Parse()
 
@@ -119,43 +108,13 @@ func main() {
 		if *storeMax != 0 {
 			usageError(errors.New("-store-max is only meaningful with -store"))
 		}
-		if *peersFlag != "" {
-			usageError(errors.New("-peers is only meaningful with -store"))
-		}
 		if *storeStats {
 			usageError(errors.New("-store-stats is only meaningful with -store"))
 		}
 	} else if cache == nil {
 		usageError(errors.New("-store requires the cache (the store is its second tier); drop -cache off"))
 	}
-	var peerAddrs []string
-	if *peersFlag != "" {
-		if peerAddrs, err = fleet.ParseWorkers(*peersFlag); err != nil {
-			usageError(fmt.Errorf("invalid -peers %q: %v", *peersFlag, err))
-		}
-	}
-	var coordinator, selfURL string
-	if *join != "" {
-		coords, err := fleet.ParseWorkers(*join)
-		if err != nil || len(coords) != 1 {
-			usageError(fmt.Errorf("invalid -join %q: %v", *join, err))
-		}
-		coordinator = coords[0]
-		selfURL = *advertise
-		if selfURL == "" {
-			selfURL = defaultAdvertise(*addr)
-		}
-		selves, err := fleet.ParseWorkers(selfURL)
-		if err != nil || len(selves) != 1 {
-			usageError(fmt.Errorf("invalid -advertise %q: %v", selfURL, err))
-		}
-		selfURL = selves[0]
-	} else if *advertise != "" {
-		usageError(fmt.Errorf("-advertise is only meaningful with -join"))
-	}
-
 	var st *store.Store
-	var peers *store.Peers
 	if *storeDir != "" {
 		st, err = store.Open(*storeDir, store.Options{MaxBytes: *storeMax})
 		if err != nil {
@@ -171,14 +130,7 @@ func main() {
 		}
 		log.Printf("store %s: %d records in %d segments warm-started",
 			*storeDir, st.Stats().IndexEntries, st.Stats().Segments)
-		// The peer fetcher exists whenever peers can arrive — statically via
-		// -peers or dynamically through the fleet join roster — and excludes
-		// this daemon's own advertise URL from every fan-out.
-		if len(peerAddrs) > 0 || coordinator != "" {
-			peers = store.NewPeers(selfURL)
-			peers.Set(peerAddrs)
-		}
-		cache.AttachTier(st, peers)
+		cache.AttachTier(st, nil)
 	}
 
 	pool := serve.New(serve.Options{
@@ -209,16 +161,6 @@ func main() {
 		cacheState = "on"
 	}
 	log.Printf("serving on %s (cache %s)", *addr, cacheState)
-	if coordinator != "" {
-		log.Printf("joining fleet coordinator %s as %s", coordinator, selfURL)
-		wopts := worker.Options{Coordinator: coordinator, Advertise: selfURL, Logf: log.Printf}
-		if peers != nil {
-			// Fleet-roster peer discovery: every join/heartbeat refreshes
-			// the store-peer list with the coordinator's current fleet.
-			wopts.OnPeers = func(addrs []string) { peers.Set(append(addrs, peerAddrs...)) }
-		}
-		go worker.Start(ctx, wopts)
-	}
 
 	select {
 	case <-ctx.Done():
@@ -237,8 +179,8 @@ func main() {
 		pool.Close()
 		if cache != nil {
 			cst := cache.Stats()
-			log.Printf("cache at exit: %d entries, %d hits, %d misses, %d dedups, %d disk, %d peer, %d evictions",
-				cst.Entries, cst.Hits, cst.Misses, cst.Dedups, cst.DiskHits, cst.PeerHits, cst.Evictions)
+			log.Printf("cache at exit: %d entries, %d hits, %d misses, %d dedups, %d disk, %d evictions",
+				cst.Entries, cst.Hits, cst.Misses, cst.Dedups, cst.DiskHits, cst.Evictions)
 		}
 		if st != nil {
 			if err := st.Close(); err != nil {
@@ -260,19 +202,4 @@ func usageError(err error) {
 	fmt.Fprintf(os.Stderr, "ringd: %v\n\n", err)
 	flag.Usage()
 	os.Exit(2)
-}
-
-// defaultAdvertise derives the base URL a coordinator can dial back from the
-// listen address: the listen port on 127.0.0.1 when -addr binds all
-// interfaces (right on one machine, which is what the default is for; a
-// multi-host fleet must pass -advertise explicitly).
-func defaultAdvertise(addr string) string {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "http://" + addr
-	}
-	if host == "" || host == "::" || host == "0.0.0.0" {
-		host = "127.0.0.1"
-	}
-	return "http://" + net.JoinHostPort(host, port)
 }

@@ -48,9 +48,9 @@
 // internal/fleet — the index space is split into lease ranges, dead or
 // straggling workers are re-leased (visible as fleet.* events in -events and
 // as per-worker rows in -top), and the merged artefacts are byte-identical
-// to a local run of the same spec.  -lease overrides the lease size and
-// -fleet-listen additionally serves the coordinator's join/heartbeat control
-// plane for ringd -join workers.
+// to a local run of the same spec.  -lease overrides the lease size.  The
+// roster is the whole fleet: its daemons talk only to the coordinator,
+// through leases, and each keeps its own -cache and -store.
 //
 // Local and fleet sweeps share one code path and differ only in who executes
 // the scenarios.  An interrupt (SIGINT) keeps the records written so far,
@@ -71,7 +71,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -113,7 +112,6 @@ func main() {
 	shard := flag.String("shard", "", "run only shard i/m of the campaign (e.g. 0/4)")
 	workersFlag := flag.String("workers", "", "local worker-pool size (default GOMAXPROCS), or a comma-separated ringd roster host1:8080,host2:8080 to run the sweep on a fleet")
 	lease := flag.Int("lease", 0, "fleet mode: scenario indices per lease (default: auto, total/(4*workers))")
-	fleetListen := flag.String("fleet-listen", "", "fleet mode: serve the coordinator control plane (worker join/heartbeat) on this address")
 	cacheFlag := flag.String("cache", "off", "memoise outcomes under their canonical symmetry key: off, on, or a capacity in entries")
 	storeDir := flag.String("store", "", "back the cache with the on-disk result store in this directory (shared with ringd -store); requires -cache")
 	out := flag.String("out", "ringfarm-out", "output directory for records.jsonl, summary.csv, summary.md")
@@ -146,11 +144,9 @@ func main() {
 	if *lease < 0 {
 		usageError(fmt.Errorf("invalid -lease %d (must be >= 0; 0 means automatic sizing)", *lease))
 	}
-	// Fleet mode: a worker roster, a join listener for dynamic workers
-	// (ringd -join), or both.
-	fleetMode := roster != nil || *fleetListen != ""
+	fleetMode := roster != nil
 	if !fleetMode && *lease > 0 {
-		usageError(fmt.Errorf("-lease is only meaningful in fleet mode (-workers roster or -fleet-listen)"))
+		usageError(fmt.Errorf("-lease is only meaningful in fleet mode (a -workers roster)"))
 	}
 	if *idFactor < 0 {
 		usageError(fmt.Errorf("invalid -idfactor %d (must be >= 0; 0 means the default of 4)", *idFactor))
@@ -198,7 +194,7 @@ func main() {
 	var j job
 	var st *store.Store
 	if fleetMode {
-		j = fleetJob(matrix, total, roster, *lease, *fleetListen)
+		j = fleetJob(matrix, total, roster, *lease)
 	} else {
 		// The store opens after the dryrun exit so listing scenarios never
 		// creates (or locks) a store directory.
@@ -283,34 +279,21 @@ func localJob(scenarios []campaign.Scenario, shardI, shardM, total int, opts cam
 
 // fleetJob dispatches the matrix's total scenarios to the ringd roster
 // through internal/fleet, whose merged stream is byte-identical to a local
-// run's, and serves the coordinator's join/heartbeat control plane on
-// listen when it is set.  The summaries carry the cache columns exactly
-// when the workers annotated records: the coordinator cannot see their
-// -cache flags.  Quarantined ranges fail the run.
-func fleetJob(m campaign.Matrix, total int, roster []string, lease int, listen string) job {
+// run's.  The summaries carry the cache columns exactly when the workers
+// annotated records: the coordinator cannot see their -cache flags.
+// Quarantined ranges fail the run.
+func fleetJob(m campaign.Matrix, total int, roster []string, lease int) job {
 	var res fleet.Result
 	return job{
 		banner: fmt.Sprintf("running %d scenarios on a fleet of %d workers", total, len(roster)),
 		total:  total,
 		run: func(ctx context.Context, w io.Writer, onRecord func(campaign.Record)) error {
-			coord, err := fleet.New(m, fleet.Options{Workers: roster, LeaseSize: lease, Records: w, OnRecord: onRecord})
-			if err != nil {
-				return err
-			}
-			if listen != "" {
-				ctrl := &http.Server{Addr: listen, Handler: coord.Handler(), ReadHeaderTimeout: 10 * time.Second}
-				go func() {
-					if err := ctrl.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-						log.Printf("fleet control plane: %v", err)
-					}
-				}()
-				defer ctrl.Close()
-			}
-			res, err = coord.Run(ctx)
+			var err error
+			res, err = fleet.Run(ctx, m, fleet.Options{Workers: roster, LeaseSize: lease, Records: w, OnRecord: onRecord})
 			return err
 		},
 		cacheColumns: func(a *campaign.Aggregator) bool {
-			return a.CacheMisses+a.CacheHits+a.CacheDedups+a.CacheDisk+a.CachePeer > 0
+			return a.CacheMisses+a.CacheHits+a.CacheDedups+a.CacheDisk > 0
 		},
 		footer: func(*campaign.Aggregator) error {
 			for _, w := range res.Workers {
@@ -337,8 +320,10 @@ func fleetJob(m campaign.Matrix, total int, roster []string, lease int, listen s
 // attached, into outDir/records.jsonl, which it syncs and closes, both
 // checked, on every path.  It draws the progress line, and after a complete
 // run writes summary.csv and summary.md and prints the totals and j's
-// footer.  An interrupted run keeps the records written so far and fails;
-// so does a finished run with a failed record or a failing footer.
+// footer; the summaries of an earlier run into outDir are removed first, so
+// they never sit beside records they do not summarise.  An interrupted run
+// keeps the records written so far and fails; so does a finished run with a
+// failed record or a failing footer.
 func runSweep(j job, outDir string, quiet, top bool, eventsPath string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -366,6 +351,11 @@ func runSweep(j job, outDir string, quiet, top bool, eventsPath string) error {
 
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
+	}
+	for _, name := range []string{"summary.csv", "summary.md"} {
+		if err := os.Remove(filepath.Join(outDir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
 	}
 	f, err := os.Create(filepath.Join(outDir, "records.jsonl"))
 	if err != nil {

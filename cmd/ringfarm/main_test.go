@@ -2,9 +2,11 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -32,7 +34,7 @@ func goldenJobs(t *testing.T) map[string]func() job {
 	}
 	return map[string]func() job{
 		"local": func() job { return localJob(scs, 0, 1, len(scs), campaign.Options{}) },
-		"fleet": func() job { return fleetJob(m, len(scs), fleetOfTwo(t), 0, "") },
+		"fleet": func() job { return fleetJob(m, len(scs), fleetOfTwo(t), 0) },
 	}
 }
 
@@ -121,5 +123,30 @@ func TestSweepFailingSink(t *testing.T) {
 				t.Errorf("sweep wrote summaries after the records write failed (%v)", err)
 			}
 		})
+	}
+}
+
+// TestSweepFailedRunClearsSummaries checks that a run that does not finish
+// leaves no summaries in a reused out directory: the last run's would sit
+// beside records they do not summarise.
+func TestSweepFailedRunClearsSummaries(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"summary.csv", "summary.md"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("an earlier run's summary\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom := errors.New("boom")
+	j := job{
+		total: 1,
+		run:   func(context.Context, io.Writer, func(campaign.Record)) error { return boom },
+	}
+	if err := runSweep(j, dir, true, false, ""); !errors.Is(err, boom) {
+		t.Fatalf("runSweep = %v, want the run's error", err)
+	}
+	for _, name := range []string{"summary.csv", "summary.md"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived a failed run (stat: %v)", name, err)
+		}
 	}
 }

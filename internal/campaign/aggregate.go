@@ -54,7 +54,6 @@ type groupStats struct {
 	cacheHits   int
 	cacheDedups int
 	cacheDisk   int
-	cachePeer   int
 }
 
 // Aggregator folds a record stream into per-group statistics without
@@ -76,11 +75,9 @@ type Aggregator struct {
 	CacheMisses int
 	CacheHits   int
 	CacheDedups int
-	// CacheDisk / CachePeer count records served by the persistent-store
-	// tier (local disk and fleet peers respectively); zero unless a store
-	// is attached.
+	// CacheDisk counts records served by the persistent-store tier; zero
+	// unless a store is attached.
 	CacheDisk int
-	CachePeer int
 }
 
 // NewAggregator returns an empty aggregator.
@@ -113,9 +110,6 @@ func (a *Aggregator) Add(rec Record) {
 	case "disk":
 		a.CacheDisk++
 		g.cacheDisk++
-	case "peer":
-		a.CachePeer++
-		g.cachePeer++
 	}
 	switch rec.Status {
 	case StatusFailed:
@@ -163,7 +157,6 @@ type SummaryRow struct {
 	CacheHits   int `json:"cache_hits,omitempty"`
 	CacheDedups int `json:"cache_dedups,omitempty"`
 	CacheDisk   int `json:"cache_disk,omitempty"`
-	CachePeer   int `json:"cache_peer,omitempty"`
 }
 
 // Summary returns one row per group, deterministically ordered.
@@ -185,7 +178,6 @@ func (a *Aggregator) Summary() []SummaryRow {
 			CacheHits:   g.cacheHits,
 			CacheDedups: g.cacheDedups,
 			CacheDisk:   g.cacheDisk,
-			CachePeer:   g.cachePeer,
 		}
 		ok := g.count - g.failed - g.unsolvable
 		if ok > 0 {
@@ -241,12 +233,12 @@ func (k GroupKey) label() (parity, chir, cs string) {
 
 // WriteSummaryCSV writes the summary rows as CSV.  Output is deterministic
 // for a fixed record multiset.  cache adds the cache service columns (misses,
-// hits, dedups, disk, peer); pass it only for sweeps that ran with a cache,
+// hits, dedups, disk); pass it only for sweeps that ran with a cache,
 // so cache-off artefacts stay byte-identical to cache-less builds.
 func WriteSummaryCSV(w io.Writer, rows []SummaryRow, cache bool) error {
 	header := "task,model,parity,chirality,common_sense,n,count,failed,unsolvable,min_rounds,max_rounds,mean_rounds,p50_rounds,p90_rounds,p99_rounds,bound_ratio"
 	if cache {
-		header += ",cache_misses,cache_hits,cache_dedups,cache_disk,cache_peer"
+		header += ",cache_misses,cache_hits,cache_dedups,cache_disk"
 	}
 	if _, err := fmt.Fprintln(w, header); err != nil {
 		return err
@@ -261,7 +253,7 @@ func WriteSummaryCSV(w io.Writer, rows []SummaryRow, cache bool) error {
 			return err
 		}
 		if cache {
-			if _, err := fmt.Fprintf(w, ",%d,%d,%d,%d,%d", r.CacheMisses, r.CacheHits, r.CacheDedups, r.CacheDisk, r.CachePeer); err != nil {
+			if _, err := fmt.Fprintf(w, ",%d,%d,%d,%d", r.CacheMisses, r.CacheHits, r.CacheDedups, r.CacheDisk); err != nil {
 				return err
 			}
 		}
@@ -278,12 +270,12 @@ func FormatSummaryMarkdown(rows []SummaryRow, cache bool) string {
 	var b strings.Builder
 	b.WriteString("| task | model | parity | chirality | common sense | n | count | failed | unsolvable | min | max | mean | p50 | p90 | p99 | obs/bound |")
 	if cache {
-		b.WriteString(" miss | hit | dedup | disk | peer |")
+		b.WriteString(" miss | hit | dedup | disk |")
 	}
 	b.WriteString("\n")
 	b.WriteString("|---|---|---|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
 	if cache {
-		b.WriteString("---:|---:|---:|---:|---:|")
+		b.WriteString("---:|---:|---:|---:|")
 	}
 	b.WriteString("\n")
 	for _, r := range rows {
@@ -294,7 +286,7 @@ func FormatSummaryMarkdown(rows []SummaryRow, cache bool) string {
 			r.MinRounds, r.MaxRounds, r.MeanRounds,
 			r.P50Rounds, r.P90Rounds, r.P99Rounds, r.BoundRatio)
 		if cache {
-			fmt.Fprintf(&b, " %d | %d | %d | %d | %d |", r.CacheMisses, r.CacheHits, r.CacheDedups, r.CacheDisk, r.CachePeer)
+			fmt.Fprintf(&b, " %d | %d | %d | %d |", r.CacheMisses, r.CacheHits, r.CacheDedups, r.CacheDisk)
 		}
 		b.WriteString("\n")
 	}

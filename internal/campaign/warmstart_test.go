@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -75,7 +73,7 @@ func TestWarmStartByteIdentity(t *testing.T) {
 	if coldStats.Misses == 0 {
 		t.Fatal("cold pass computed nothing")
 	}
-	if coldStats.DiskHits != 0 || coldStats.PeerHits != 0 {
+	if coldStats.DiskHits != 0 {
 		t.Fatalf("cold pass on an empty store reported tier hits: %+v", coldStats)
 	}
 	if int(st1.Stats().Puts) != int(coldStats.Misses) {
@@ -182,8 +180,7 @@ type v1Outcome task.Outcome
 // TestStoreMigratesV1Records: a store record in the object form of earlier
 // builds is a miss, never a failed scenario.  The recompute's Put
 // supersedes it, and a reopened store then serves the scenario from disk
-// with the same record and the same stored bytes.  An object-form body from
-// a fleet peer is a miss as well, and is never promoted to the local store.
+// with the same record and the same stored bytes.
 func TestStoreMigratesV1Records(t *testing.T) {
 	sc := Scenario{Task: TaskCoordinate, Model: "basic", N: 9, IDBound: 36, Seed: 1, Phase: 2, Reflect: true}
 	model, err := ParseModel(sc.Model)
@@ -203,10 +200,10 @@ func TestStoreMigratesV1Records(t *testing.T) {
 	if plain.Status != StatusOK {
 		t.Fatalf("uncached run: %+v", plain)
 	}
-	run := func(st *store.Store, peers *store.Peers, want string) ([]byte, []byte) {
+	run := func(st *store.Store, want string) ([]byte, []byte) {
 		t.Helper()
 		cache := NewCache(0)
-		cache.AttachTier(st, peers)
+		cache.AttachTier(st, nil)
 		rec := RunScenarioContext(t.Context(), sc, Options{Cache: cache})
 		if rec.Cache != want {
 			t.Fatalf("run served as %q, want %q (record %+v)", rec.Cache, want, rec)
@@ -232,7 +229,7 @@ func TestStoreMigratesV1Records(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fill.Close()
-	_, v2 := run(fill, nil, "miss")
+	_, v2 := run(fill, "miss")
 	var out task.Outcome
 	if err := json.Unmarshal(v2, &out); err != nil {
 		t.Fatal(err)
@@ -253,7 +250,7 @@ func TestStoreMigratesV1Records(t *testing.T) {
 	if err := st.Put(key, v1); err != nil {
 		t.Fatal(err)
 	}
-	missRec, missBytes := run(st, nil, "miss")
+	missRec, missBytes := run(st, "miss")
 	if !bytes.Equal(missBytes, v2) || st.Stats().Puts != 2 {
 		t.Fatalf("recompute did not supersede the v1 record: stored %s, %d puts", missBytes, st.Stats().Puts)
 	}
@@ -265,23 +262,8 @@ func TestStoreMigratesV1Records(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	diskRec, diskBytes := run(st, nil, "disk")
+	diskRec, diskBytes := run(st, "disk")
 	if !bytes.Equal(diskRec, missRec) || !bytes.Equal(diskBytes, v2) {
 		t.Fatalf("disk hit after reopen: record %s stored %s, want %s and %s", diskRec, diskBytes, missRec, v2)
-	}
-
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(v1)
-	}))
-	defer peer.Close()
-	peers := store.NewPeers("")
-	peers.Set([]string{peer.URL})
-	local, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-	if _, stored := run(local, peers, "miss"); !bytes.Equal(stored, v2) || local.Stats().Puts != 1 {
-		t.Fatalf("peer's v1 body reached the local store: stored %s, %d puts", stored, local.Stats().Puts)
 	}
 }

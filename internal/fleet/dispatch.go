@@ -127,9 +127,9 @@ func (c *Coordinator) consume(body io.Reader, w *worker, l *lease, hi int) strin
 		}
 		line := append([]byte(nil), raw...)
 		c.mu.Lock()
-		if rec.Index >= l.hi {
-			// A steal shrank the lease under us: everything owed is merged,
-			// the rest belongs to the thief.  Abandon the stream.
+		if l.next >= l.hi {
+			// Everything owed is merged; past it the stream is the thief's
+			// share or an overrun.  Abandon it.
 			c.mu.Unlock()
 			return ""
 		}
@@ -139,9 +139,7 @@ func (c *Coordinator) consume(body io.Reader, w *worker, l *lease, hi int) strin
 		}
 		c.merger.add(rec.Index, line, rec)
 		l.next = rec.Index + 1
-		now := obs.Now()
-		l.lastProgress = now
-		w.lastSeen = now
+		l.lastProgress = obs.Now()
 		w.records++
 		handedOff := l.next >= l.hi && l.hi < hi
 		if c.merger.done() {

@@ -34,10 +34,10 @@
 //     jittered Retry-After delay; throttling is routine load-shedding, not a
 //     lease failure.
 //
-// Workers arrive on the roster two ways: a static list (ringfarm
-// -workers host:8080,host:8081) probed for liveness, and dynamic
-// registration (ringd -join) through the coordinator's HTTP handler
-// (POST /v1/fleet/join + periodic /v1/fleet/heartbeat, see roster.go).
+// The fleet is a static roster (ringfarm -workers host:8080,host:8081) of
+// independent ringd daemons.  They talk to the coordinator only through
+// leases and never to each other; a worker marked down is re-probed on
+// /healthz, so a restarted daemon rejoins the sweep on its own.
 //
 // Everything the coordinator does is visible on the structured-event spine
 // (internal/obs): fleet.worker.up/down, fleet.lease.grant/done/steal/fail/
@@ -58,15 +58,13 @@ import (
 	"time"
 
 	"ringsym/internal/campaign"
-	agent "ringsym/internal/fleet/worker"
 	"ringsym/internal/obs"
 )
 
 // Options configures a fleet run.
 type Options struct {
-	// Workers is the static roster: worker base URLs as returned by
-	// ParseWorkers.  It may be empty when the coordinator's Handler is
-	// served and workers join dynamically (ringd -join).
+	// Workers is the roster: worker base URLs as returned by ParseWorkers.
+	// It must not be empty.
 	Workers []string
 	// LeaseSize is the number of scenario indices per initial lease; 0
 	// picks total/(4·workers) (at least 1) so every worker sees several
@@ -94,8 +92,7 @@ type Options struct {
 	// before it is quarantined; 0 selects defaultMaxAttempts.
 	maxAttempts int
 	// probeInterval is the coordinator's housekeeping cadence (stall
-	// checks, heartbeat expiry, re-probing down workers); 0 selects
-	// defaultProbeInterval.
+	// checks, re-probing down workers); 0 selects defaultProbeInterval.
 	probeInterval time.Duration
 	// retryBase is the base delay for jittered backoff after a 429 without
 	// a Retry-After hint; 0 selects defaultRetryBase.  Tests shrink all
@@ -113,10 +110,6 @@ const (
 	// stallTimeout cancels a lease whose stream has made no progress for
 	// this long (a wedged-but-connected worker).
 	stallTimeout = 2 * time.Minute
-	// heartbeatTimeout expires a dynamically joined worker that stopped
-	// heartbeating and holds no lease.  Static workers never expire — they
-	// are probed back to life after failures.
-	heartbeatTimeout = 3 * agent.HeartbeatInterval
 	// leasesPerWorker is the initial-split target: enough leases per worker
 	// that re-leasing a failure costs a fraction of the sweep, few enough
 	// that per-lease HTTP overhead stays negligible.
@@ -159,7 +152,7 @@ type Result struct {
 }
 
 // Coordinator drives one campaign across a worker fleet.  Construct with
-// New, optionally serve Handler for dynamic joins, then call Run once.
+// New, then call Run once.
 type Coordinator struct {
 	opts       Options
 	matrixBody []byte
@@ -176,17 +169,20 @@ type Coordinator struct {
 	rng         *rand.Rand
 	running     bool
 
-	// kick wakes the grant loop after any state change (lease end, join,
-	// heartbeat, probe success).  Buffered so notifiers never block.
+	// kick wakes the grant loop after any state change (lease end, probe
+	// success).  Buffered so notifiers never block.
 	kick chan struct{}
 }
 
-// New expands the matrix once and prepares a coordinator over the static
-// roster in opts.Workers (which ParseWorkers should have validated).  The
-// expansion is the same deterministic campaign.Matrix.Expand a local sweep
-// runs, so the coordinator's index space is exactly the one every worker
-// recomputes from the posted spec.
+// New expands the matrix once and prepares a coordinator over the roster in
+// opts.Workers (which ParseWorkers should have validated; an empty roster is
+// an error).  The expansion is the same deterministic campaign.Matrix.Expand
+// a local sweep runs, so the coordinator's index space is exactly the one
+// every worker recomputes from the posted spec.
 func New(m campaign.Matrix, opts Options) (*Coordinator, error) {
+	if len(opts.Workers) == 0 {
+		return nil, fmt.Errorf("fleet: no workers")
+	}
 	scenarios, err := m.Expand()
 	if err != nil {
 		return nil, err
@@ -225,7 +221,7 @@ func New(m campaign.Matrix, opts Options) (*Coordinator, error) {
 	}
 	c.pending = c.initialLeases()
 	for _, addr := range opts.Workers {
-		c.addWorkerLocked(addr, false) // no lock needed yet: New is single-threaded
+		c.addWorkerLocked(addr) // no lock needed yet: New is single-threaded
 	}
 	return c, nil
 }
@@ -235,12 +231,7 @@ func New(m campaign.Matrix, opts Options) (*Coordinator, error) {
 func (c *Coordinator) initialLeases() []*lease {
 	size := c.opts.LeaseSize
 	if size <= 0 {
-		workers := len(c.opts.Workers)
-		if workers == 0 {
-			// Listen-only roster: assume a small fleet will join.
-			workers = 2
-		}
-		size = c.total / (leasesPerWorker * workers)
+		size = c.total / (leasesPerWorker * len(c.opts.Workers))
 		if size < 1 {
 			size = 1
 		}
@@ -400,8 +391,8 @@ func (c *Coordinator) stealLocked() bool {
 	return true
 }
 
-// housekeep runs the periodic liveness work: cancel stalled leases, expire
-// silent dynamic workers, re-probe down workers.
+// housekeep runs the periodic liveness work: cancel stalled leases and
+// re-probe down workers.
 func (c *Coordinator) housekeep(ctx context.Context) {
 	now := obs.Now()
 	var probes []*worker
@@ -413,10 +404,7 @@ func (c *Coordinator) housekeep(ctx context.Context) {
 		}
 	}
 	for _, w := range c.sortedWorkersLocked() {
-		switch {
-		case w.up && w.dynamic && w.busy == 0 && now-w.lastSeen > int64(heartbeatTimeout):
-			c.markDownLocked(w, "heartbeat timeout")
-		case !w.up && !w.probing && now >= w.retryAt:
+		if !w.up && !w.probing && now >= w.retryAt {
 			w.probing = true
 			probes = append(probes, w)
 		}
@@ -447,7 +435,7 @@ func (c *Coordinator) result() Result {
 }
 
 // Run executes the matrix across the fleet in opts and returns the merged
-// outcome: the one-call form of New + Coordinator.Run for static rosters.
+// outcome: the one-call form of New + Coordinator.Run.
 func Run(ctx context.Context, m campaign.Matrix, opts Options) (Result, error) {
 	c, err := New(m, opts)
 	if err != nil {

@@ -433,58 +433,18 @@ func TestConsumeStopsAtStolenBound(t *testing.T) {
 	}
 }
 
-func TestJoinAndHeartbeatHandler(t *testing.T) {
-	c, err := New(testMatrix(), Options{})
+// TestConsumeJumpPastBoundFails: a stream that skips indices of a lease no
+// steal shrank is a failure with a cause, not a clean hand-off, even when
+// the index it jumps to lies past the lease.
+func TestConsumeJumpPastBoundFails(t *testing.T) {
+	c, err := New(testMatrix(), Options{Workers: []string{"http://a:1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-
-	post := func(path, addr string) *http.Response {
-		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(fmt.Sprintf(`{"addr":%q}`, addr)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-
-	if resp := post("/v1/fleet/join", "127.0.0.1:9001"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("join: %s", resp.Status)
-	}
-	// A heartbeat from an unknown worker is a join (coordinator restart).
-	if resp := post("/v1/fleet/heartbeat", "127.0.0.1:9002"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("heartbeat-join: %s", resp.Status)
-	}
-	if resp := post("/v1/fleet/join", "not a url://"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed join: %s, want 400", resp.Status)
-	}
-	c.mu.Lock()
-	for _, addr := range []string{"http://127.0.0.1:9001", "http://127.0.0.1:9002"} {
-		w, ok := c.roster[addr]
-		if !ok || !w.up || !w.dynamic {
-			t.Errorf("worker %s not registered as a live dynamic worker (%+v)", addr, w)
-		}
-	}
-	c.mu.Unlock()
-
-	// Peer discovery: the join/heartbeat response lists the other up
-	// workers (sorted, requester excluded) for the store-peer fetcher.
-	resp := post("/v1/fleet/heartbeat", "127.0.0.1:9001")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("heartbeat: %s", resp.Status)
-	}
-	var jr struct {
-		OK    bool     `json:"ok"`
-		Peers []string `json:"peers"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		t.Fatal(err)
-	}
-	if !jr.OK || len(jr.Peers) != 1 || jr.Peers[0] != "http://127.0.0.1:9002" {
-		t.Fatalf("heartbeat response = %+v, want the one other worker as peer", jr)
+	l := c.newLease(0, 4, 0)
+	cause := c.consume(strings.NewReader("{\"index\":0}\n{\"index\":9}\n"), c.roster["http://a:1"], l, 4)
+	if cause == "" || l.next != 1 {
+		t.Fatalf("consume = %q with next %d, want a failure cause at next 1", cause, l.next)
 	}
 }
 
@@ -596,6 +556,10 @@ func TestParseWorkers(t *testing.T) {
 		if got, err := ParseWorkers(in); err == nil {
 			t.Errorf("ParseWorkers(%q) = %v, want error", in, got)
 		}
+	}
+	// The roster is the fleet: a coordinator without one is an error too.
+	if _, err := New(testMatrix(), Options{}); err == nil {
+		t.Error("New with no workers succeeded")
 	}
 }
 

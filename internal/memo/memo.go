@@ -21,10 +21,9 @@
 //
 // A Cache can carry a second level below the memory LRU (SetTier): on a
 // memory miss the singleflight leader consults the tier — typically the
-// disk store and fleet peer fetcher of internal/store — before computing,
-// and writes fresh results through to it, so the full miss path is
-// memory → disk → peers → compute with every stage collapsed to one probe
-// per key by the same singleflight.
+// disk store of internal/store — before computing, and writes fresh results
+// through to it, so the full miss path is memory → disk → compute with
+// every stage collapsed to one probe per key by the same singleflight.
 package memo
 
 import (
@@ -49,7 +48,6 @@ var (
 	totDedups    = obs.NewCounter("ringsym_memo_dedups_total", "Cache lookups that joined an in-flight computation, across all caches.")
 	totEvictions = obs.NewCounter("ringsym_memo_evictions_total", "Entries dropped by the LRU bound, across all caches.")
 	totDiskHits  = obs.NewCounter("ringsym_memo_disk_hits_total", "Cache lookups served by the disk tier and promoted to memory, across all caches.")
-	totPeerHits  = obs.NewCounter("ringsym_memo_peer_hits_total", "Cache lookups served by a fleet peer and promoted to memory, across all caches.")
 )
 
 // Kind classifies how a Do call was served.
@@ -65,9 +63,6 @@ const (
 	// DiskHit: the attached tier served the value from local disk; it was
 	// promoted into memory without executing the computation.
 	DiskHit
-	// PeerHit: the attached tier fetched the value from a fleet peer; it
-	// was promoted into memory without executing the computation.
-	PeerHit
 )
 
 // String implements fmt.Stringer.
@@ -79,17 +74,16 @@ func (k Kind) String() string {
 		return "dedup"
 	case DiskHit:
 		return "disk"
-	case PeerHit:
-		return "peer"
 	default:
 		return "miss"
 	}
 }
 
 // Tier is a second cache level consulted between a memory miss and the
-// computation: typically a disk store backed by a peer fetcher (see
-// internal/store).  Load reports how it served the key (DiskHit or PeerHit)
-// — any other Kind with ok true is treated as DiskHit for accounting.  Store
+// computation: typically the disk store of internal/store.  Any Load that
+// reports ok is counted as a DiskHit, whatever Kind it returns; the Kind
+// result is kept only because the benchmark module implements this
+// interface, and the next benchmark change drops it.  Store
 // is the write-through of a freshly computed value; it must not block
 // correctness (a tier that drops writes only costs future recomputes).  Both
 // methods are called from the cache's singleflight leader, so at most one
@@ -104,7 +98,7 @@ type tierBox[V any] struct{ t Tier[V] }
 
 // Stats is a point-in-time snapshot of the cache counters.  The four
 // service kinds partition the Do calls that resolved: every call is exactly
-// one of Hits (memory), DiskHits/PeerHits (tier promotion), Dedups (joined
+// one of Hits (memory), DiskHits (tier promotion), Dedups (joined
 // an in-flight call) or Misses (executed the computation) — a tier
 // promotion is never double-counted as a miss.
 type Stats struct {
@@ -117,8 +111,9 @@ type Stats struct {
 	Dedups uint64 `json:"dedups"`
 	// DiskHits counts Do calls served by the attached tier from local disk.
 	DiskHits uint64 `json:"disk_hits"`
-	// PeerHits counts Do calls served by the attached tier from a peer.
-	PeerHits uint64 `json:"peer_hits"`
+	// PeerHits is always 0: it is kept only because the benchmark module
+	// reads it, and goes in the next benchmark change.
+	PeerHits uint64 `json:"-"`
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
 	// Entries is the current number of cached values.
@@ -139,8 +134,7 @@ type Cache[V any] struct {
 	cap      int
 	tier     atomic.Pointer[tierBox[V]]
 
-	hits, misses, dedups, evictions atomic.Uint64
-	diskHits, peerHits              atomic.Uint64
+	hits, misses, dedups, evictions, diskHits atomic.Uint64
 }
 
 // SetTier attaches (or, with nil, detaches) a second cache level consulted
@@ -174,7 +168,7 @@ type call[V any] struct {
 	done     chan struct{}
 	val      V
 	err      error
-	kind     Kind // how the leader resolved: Miss, DiskHit or PeerHit
+	kind     Kind // how the leader resolved: Miss or DiskHit
 	waiters  int
 	finished bool
 	cancel   context.CancelFunc
@@ -259,38 +253,29 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 				}
 			}()
 			if tier != nil {
-				if tv, tk, ok := tier.Load(cctx, key); ok {
-					v = tv
-					if tk == PeerHit {
-						kind = PeerHit
-					} else {
-						kind = DiskHit
-					}
+				if tv, _, ok := tier.Load(cctx, key); ok {
+					v, kind = tv, DiskHit
 					return
 				}
 			}
 			v, err = fn(cctx)
 		}()
 		// Counting happens at resolution time, by how the call actually
-		// resolved: a tier promotion is a disk/peer hit, never a miss —
+		// resolved: a tier promotion is a disk hit, never a miss —
 		// misses count executed computations (successful or not), so the
 		// miss counter remains the exact "work we could not avoid" gauge.
 		switch {
 		case err == nil && kind == DiskHit:
 			c.diskHits.Add(1)
 			totDiskHits.Add(1)
-		case err == nil && kind == PeerHit:
-			c.peerHits.Add(1)
-			totPeerHits.Add(1)
 		default:
 			c.misses.Add(1)
 			totMisses.Note(obs.CacheMiss)
 		}
 		// Write a freshly computed value through to the tier before
-		// publishing it, outside the lock (the tier does disk and
-		// network I/O).  Tier-served values are not re-offered: the disk
-		// tier already has them, and peer hits were written through to the
-		// local store by the tier itself.
+		// publishing it, outside the lock (the tier does disk I/O).
+		// Tier-served values are not re-offered: the tier already has
+		// them.
 		if err == nil && kind == Miss && tier != nil {
 			tier.Store(key, v)
 		}
@@ -383,7 +368,6 @@ func (c *Cache[V]) Stats() Stats {
 		Misses:    c.misses.Load(),
 		Dedups:    c.dedups.Load(),
 		DiskHits:  c.diskHits.Load(),
-		PeerHits:  c.peerHits.Load(),
 		Evictions: c.evictions.Load(),
 		Entries:   c.Len(),
 	}

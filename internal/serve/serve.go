@@ -30,10 +30,6 @@
 //	                   NDJSON, with ?types= and ?level= client-side filters;
 //	                   each subscriber gets a bounded queue that drops (and
 //	                   counts) rather than ever back-pressuring the workers
-//	GET  /v1/cache/<key>  one raw stored record from the persistent store
-//	                   (internal/store) by its validated cache key; 404 on
-//	                   miss.  This is the fleet peering endpoint: a peer's
-//	                   miss path calls it instead of recomputing
 //	GET  /healthz      liveness: {"status":"ok"}
 //	GET  /metrics      throughput and cache counters (JSON)
 //	GET  /metrics/prometheus  the same counters plus every obs-registered
@@ -84,10 +80,9 @@ type Options struct {
 	// Cache, when non-nil, memoises outcomes across requests under their
 	// canonical symmetry key.
 	Cache *campaign.Cache
-	// Store, when non-nil, is the persistent result store served on
-	// GET /v1/cache/<key> (the fleet peering endpoint) and reported in the
+	// Store, when non-nil, is the persistent result store reported in the
 	// metrics.  Attaching it under Cache as a tier is the caller's job
-	// (campaign.Cache.AttachTier); the serve layer only exposes it.
+	// (campaign.Cache.AttachTier); the serve layer only reports it.
 	Store *store.Store
 	// MaxN caps the network size of any requested scenario; defaults to
 	// 4096.  Unbounded n would let a single request pin a worker for
@@ -139,7 +134,6 @@ type Server struct {
 
 	runRequests      atomic.Uint64
 	campaignRequests atomic.Uint64
-	cacheRequests    atomic.Uint64
 	badRequests      atomic.Uint64
 	throttled        atomic.Uint64
 	records          atomic.Uint64
@@ -269,9 +263,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/run", s.handleRun)
 	mux.HandleFunc("POST /v1/campaign", s.handleCampaign)
 	mux.HandleFunc("GET /v1/tasks", s.handleTasks)
-	if s.opts.Store != nil {
-		mux.HandleFunc("GET /v1/cache/{key}", s.handleCache)
-	}
 	mux.HandleFunc("GET /v1/events", s.handleEvents)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -311,37 +302,6 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
-}
-
-// handleCache serves one raw record from the persistent store by its cache
-// key — the fleet peering endpoint (internal/store.Peers calls it on the
-// peer-hop of a miss).  The key must match the canonical key shape exactly;
-// anything else is a 400 before the store is even consulted.  The body is
-// the stored bytes verbatim (the deterministic JSON outcome encoding), so a
-// peer can promote it into its own store without re-encoding.  Lookups are
-// answered on the request goroutine: a store Get is one bounded read, never
-// a computation, so it must not queue behind the worker pool (and a peer
-// probing this daemon cannot be throttled into recomputing).
-func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !campaign.ValidCacheKey.MatchString(key) {
-		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("bad cache key %q", key))
-		return
-	}
-	s.noteRequest(&s.cacheRequests, r)
-	val, ok := s.opts.Store.Get(key)
-	if !ok {
-		// A miss is routine peering traffic (the asking peer computes and
-		// often calls back with nothing missing next time), not a bad
-		// request: answered directly instead of through httpError so it
-		// never inflates bad_requests or the serve.reject stream.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "key not in store"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(val)
 }
 
 // httpError writes a JSON error body with the given status.  Only 4xx
@@ -642,9 +602,6 @@ type Metrics struct {
 	// rounds per crossing — the live measure of how much leap execution is
 	// collapsing crossings for the scenarios this daemon serves.
 	Engine engine.Counters `json:"engine"`
-	// CacheRequests counts accepted GET /v1/cache/<key> lookups (the fleet
-	// peering endpoint); always 0 without a store.
-	CacheRequests uint64 `json:"cache_requests"`
 	// Cache is present only when the daemon runs with the memo cache.
 	Cache *memo.Stats `json:"cache,omitempty"`
 	// Store is present only when the daemon runs with a persistent store:
@@ -694,7 +651,6 @@ func (s *Server) Snapshot() Metrics {
 		st := s.opts.Cache.Stats()
 		m.Cache = &st
 	}
-	m.CacheRequests = s.cacheRequests.Load()
 	if s.opts.Store != nil {
 		st := s.opts.Store.Stats()
 		m.Store = &st
@@ -729,7 +685,6 @@ func (s *Server) handleMetricsPrometheus(w http.ResponseWriter, r *http.Request)
 		reg.Gauge("ringsym_memo_entries", "Cached outcomes resident in this daemon's memo cache.", func() float64 { return float64(m.Cache.Entries) })
 	}
 	if m.Store != nil {
-		reg.CounterFunc("ringsym_serve_cache_requests_total", "Accepted GET /v1/cache/<key> peer lookups.", func() float64 { return float64(m.CacheRequests) })
 		reg.Gauge("ringsym_store_segments", "Segment files in this daemon's persistent store.", func() float64 { return float64(m.Store.Segments) })
 		reg.Gauge("ringsym_store_index_entries", "Keys resident in this daemon's persistent store.", func() float64 { return float64(m.Store.IndexEntries) })
 		reg.Gauge("ringsym_store_total_bytes", "On-disk bytes of this daemon's persistent store (the quantity -store-max caps).", func() float64 { return float64(m.Store.TotalBytes) })

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 
 	"ringsym/internal/campaign"
 	"ringsym/internal/serve"
+	"ringsym/internal/store"
 	"ringsym/internal/task"
 )
 
@@ -666,5 +668,67 @@ func TestRunTaskCaseNormalized(t *testing.T) {
 		map[string]any{"task": "coordinate", "model": "basic", "n": 8, "seed": 1, "phase": 3, "reflect": true}))
 	if variant.Cache != "hit" {
 		t.Errorf("lowercase symmetric variant annotated %q, want hit (cache fragmented by casing)", variant.Cache)
+	}
+}
+
+// TestStoreMetrics: the metrics snapshot exposes the store when one is
+// configured, and the daemon serves no store records over HTTP.
+func TestStoreMetrics(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cache := campaign.NewCache(0)
+	cache.AttachTier(st, nil)
+	pool, ts := newTestServer(t, serve.Options{Cache: cache, Store: st})
+
+	resp := postJSON(t, ts.URL+"/v1/run", campaign.Scenario{Task: campaign.TaskCoordinate, Model: "basic", N: 8, Seed: 1})
+	if rec := decodeRecord(t, resp); rec.Status != campaign.StatusOK {
+		t.Fatalf("run failed: %+v", rec)
+	}
+	m := pool.Snapshot()
+	if m.Store == nil {
+		t.Fatal("metrics lack the store block")
+	}
+	if m.Store.Puts != 1 || m.Store.IndexEntries != 1 {
+		t.Fatalf("store stats = %+v, want the computed record written through", m.Store)
+	}
+	if m.Cache == nil || m.Cache.Misses != 1 || m.Cache.DiskHits != 0 {
+		t.Fatalf("cache stats = %+v", m.Cache)
+	}
+
+	// The Prometheus exposition carries the store gauges.
+	httpResp, err := http.Get(ts.URL + "/metrics/prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	body.ReadFrom(httpResp.Body)
+	httpResp.Body.Close()
+	for _, want := range []string{
+		"ringsym_store_index_entries 1",
+		"ringsym_store_total_bytes ",
+		"ringsym_memo_disk_hits_total",
+		"ringsym_store_puts_total",
+	} {
+		if !bytes.Contains(body.Bytes(), []byte(want)) {
+			t.Errorf("prometheus exposition lacks %q", want)
+		}
+	}
+
+	// A fleet's daemons share records only through leases: a stored record
+	// is not served by key.
+	key := strings.Repeat("0", 64) + "|task=coordinate|cs=false|seed=1"
+	if err := st.Put(key, []byte("[2]")); err != nil {
+		t.Fatal(err)
+	}
+	httpResp, err = http.Get(ts.URL + "/v1/cache/" + url.PathEscape(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/cache/<key>: status %d, want 404", httpResp.StatusCode)
 	}
 }

@@ -2,8 +2,7 @@
 // memo cache: scenario outcomes keyed by their versioned canonical SHA-256
 // keys (internal/canon + the campaign key suffix) survive process restarts,
 // so a restarted daemon answers its first symmetric sweep from disk instead
-// of recomputing the universe, and a fleet of daemons can serve each other's
-// stores over HTTP (see Peers and ringd's GET /v1/cache/<key>).
+// of recomputing the universe.
 //
 // The design is a small bitcask: append-only segment files of length-prefixed
 // records with a per-record CRC32C, and an in-memory index rebuilt by

@@ -1,13 +1,9 @@
 package store
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"net/url"
 	"os"
 	"sync"
 	"testing"
@@ -322,82 +318,5 @@ func TestConcurrentPutGet(t *testing.T) {
 	wg.Wait()
 	if got := s.Len(); got != 400 {
 		t.Fatalf("Len = %d, want 400", got)
-	}
-}
-
-func TestPeersFetch(t *testing.T) {
-	records := map[string][]byte{
-		testKey(1): testVal(1),
-	}
-	var mu sync.Mutex
-	requests := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		requests++
-		mu.Unlock()
-		key, err := url.PathUnescape(r.URL.Path[len("/v1/cache/"):])
-		if err != nil {
-			http.Error(w, "bad key", http.StatusBadRequest)
-			return
-		}
-		if val, ok := records[key]; ok {
-			w.Write(val)
-			return
-		}
-		http.NotFound(w, r)
-	}))
-	defer srv.Close()
-
-	p := NewPeers("")
-	p.Set([]string{srv.URL})
-	ctx := context.Background()
-	hits0, misses0 := totPeerHits.Load(), totPeerMisses.Load()
-
-	got, ok := p.Fetch(ctx, testKey(1))
-	if !ok || string(got) != string(testVal(1)) {
-		t.Fatalf("Fetch hit = %v %q", ok, got)
-	}
-	if _, ok := p.Fetch(ctx, testKey(2)); ok {
-		t.Fatal("Fetch(absent) hit")
-	}
-	// The fleet-wide miss is suppressed: no second request for the same key.
-	mu.Lock()
-	before := requests
-	mu.Unlock()
-	if _, ok := p.Fetch(ctx, testKey(2)); ok {
-		t.Fatal("suppressed Fetch hit")
-	}
-	mu.Lock()
-	after := requests
-	mu.Unlock()
-	if after != before {
-		t.Fatalf("suppressed fetch still hit the network (%d -> %d requests)", before, after)
-	}
-	// Re-announcing the same roster must NOT clear the suppression set…
-	p.Set([]string{srv.URL})
-	records[testKey(2)] = testVal(2)
-	if _, ok := p.Fetch(ctx, testKey(2)); ok {
-		t.Fatal("unchanged roster cleared the suppression set")
-	}
-	// …but an actual roster change does.
-	p.Set(nil)
-	p.Set([]string{srv.URL})
-	got, ok = p.Fetch(ctx, testKey(2))
-	if !ok || string(got) != string(testVal(2)) {
-		t.Fatalf("Fetch after roster change = %v %q", ok, got)
-	}
-	if hits, misses := totPeerHits.Load()-hits0, totPeerMisses.Load()-misses0; hits != 2 || misses != 1 {
-		t.Fatalf("peer counters moved by %d hits %d misses, want 2/1", hits, misses)
-	}
-}
-
-func TestPeersSelfExclusion(t *testing.T) {
-	p := NewPeers("http://127.0.0.1:9999")
-	p.Set([]string{"127.0.0.1:9999", "127.0.0.1:9999/", "http://127.0.0.1:8888", "127.0.0.1:8888"})
-	p.mu.RLock()
-	got := p.addrs
-	p.mu.RUnlock()
-	if len(got) != 1 || got[0] != "http://127.0.0.1:8888" {
-		t.Fatalf("peers = %v, want the one non-self peer, deduplicated", got)
 	}
 }

@@ -8,10 +8,9 @@ import (
 	"strconv"
 )
 
-// The stored form of an Outcome is what the disk tier and the fleet's peer
-// endpoint hold.  It is a version-led JSON array with one stage split and
-// the agent count, because every agent reports the same split (tasktest
-// requires it):
+// The stored form of an Outcome is what the disk tier holds.  It is a
+// version-led JSON array with one stage split and the agent count, because
+// every agent reports the same split (tasktest requires it):
 //
 //	[2,rounds,leader_id,agents,nontrivial,agreement,leader,coordination,discovery]
 //	[2,rounds,leader_id,agents,nontrivial,agreement,leader,coordination,discovery,{extra}]

@@ -88,7 +88,7 @@ func TestStoredOutcomeRejects(t *testing.T) {
 }
 
 // FuzzStoredOutcome feeds arbitrary bytes to the stored-form decoder, the
-// path every disk record and peer body takes.  No input may panic or make
+// path every disk record takes.  No input may panic or make
 // the decoder allocate past the agent cap, and every accepted input must be
 // exactly what encoding the decoded outcome writes back, with one split
 // repeated across the agents.

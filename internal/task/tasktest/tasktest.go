@@ -18,8 +18,8 @@
 //   - One stage split: every agent reports the same per-stage split, since
 //     a record takes its split from agent 0 of whatever frame it runs in.
 //   - Stored-form round trip: json.Unmarshal(json.Marshal(out)) equals every
-//     fresh outcome, Extra included, so the disk and peer tiers serve
-//     exactly what was computed.
+//     fresh outcome, Extra included, so the disk tier serves exactly what
+//     was computed.
 //   - End-to-end symmetry: a rotated+reflected framing of a scenario served
 //     from the cache must produce a record identical to direct execution.
 //   - Byte-stable record JSON: running the same scenario twice must
