@@ -40,15 +40,28 @@ type Solver struct {
 // New creates a solver for n gaps on a circle of the given total length
 // (same unit as the equation values).
 func New(n int, full int64) (*Solver, error) {
-	if n < 2 || full <= 0 {
-		return nil, fmt.Errorf("%w: n=%d full=%d", ErrBadArc, n, full)
-	}
-	s := &Solver{n: n, full: full, parent: make([]int, n), offset: make([]int64, n), size: make([]int, n)}
-	for i := range s.parent {
-		s.parent[i] = i
-		s.size[i] = 1
+	s := new(Solver)
+	if err := s.Reset(n, full); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// Reset re-initialises s in place as New(n, full) would build it, without
+// equations, reusing its storage; on error s is unchanged.
+func (s *Solver) Reset(n int, full int64) error {
+	if n < 2 || full <= 0 {
+		return fmt.Errorf("%w: n=%d full=%d", ErrBadArc, n, full)
+	}
+	if cap(s.parent) < n {
+		s.parent, s.offset, s.size = make([]int, n), make([]int64, n), make([]int, n)
+	}
+	s.n, s.full, s.merged = n, full, 0
+	s.parent, s.offset, s.size = s.parent[:n], s.offset[:n], s.size[:n]
+	for i := range s.parent {
+		s.parent[i], s.offset[i], s.size[i] = i, 0, 1
+	}
+	return nil
 }
 
 // N returns the number of gaps.
@@ -141,18 +154,21 @@ func (s *Solver) Gaps() ([]int64, error) {
 	if !s.Solved() {
 		return nil, ErrUnsolved
 	}
-	prefixes := make([]int64, s.n+1)
+	// gaps[j] = P_{j+1} − P_j, with P_n = full.
+	gaps := make([]int64, s.n)
 	for j := 0; j < s.n; j++ {
 		p, ok := s.Prefix(j)
 		if !ok {
 			return nil, ErrUnsolved
 		}
-		prefixes[j] = p
+		gaps[j] = p
 	}
-	prefixes[s.n] = s.full
-	gaps := make([]int64, s.n)
 	for j := 0; j < s.n; j++ {
-		gaps[j] = prefixes[j+1] - prefixes[j]
+		next := s.full
+		if j+1 < s.n {
+			next = gaps[j+1]
+		}
+		gaps[j] = next - gaps[j]
 		if gaps[j] <= 0 {
 			return nil, fmt.Errorf("%w: derived non-positive gap g_%d = %d", ErrInconsistent, j, gaps[j])
 		}

@@ -24,13 +24,24 @@ var _ SetFamily = (*RandomDistinguisher)(nil)
 // NewRandomDistinguisher creates a pseudo-random family with the given prefix
 // length over the universe [1..universe].
 func NewRandomDistinguisher(universe, length int, seed int64) (*RandomDistinguisher, error) {
+	r := new(RandomDistinguisher)
+	if err := r.Reset(universe, length, seed); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Reset re-initialises r in place as NewRandomDistinguisher would build it;
+// on error r is unchanged.
+func (r *RandomDistinguisher) Reset(universe, length int, seed int64) error {
 	if universe <= 0 {
-		return nil, ErrBadUniverse
+		return ErrBadUniverse
 	}
 	if length < 0 {
-		return nil, fmt.Errorf("%w: length %d", ErrBadSize, length)
+		return fmt.Errorf("%w: length %d", ErrBadSize, length)
 	}
-	return &RandomDistinguisher{universe: universe, length: length, seed: seed}, nil
+	*r = RandomDistinguisher{universe: universe, length: length, seed: seed}
+	return nil
 }
 
 // Len implements SetFamily.

@@ -35,16 +35,26 @@ var _ SetFamily = (*RandomSelective)(nil)
 // the number of sets per density level; repeat <= 0 selects a default of
 // 2·⌈log2 universe⌉ + 8.
 func NewRandomSelective(universe, k int, seed int64, repeat int) (*RandomSelective, error) {
+	f := new(RandomSelective)
+	if err := f.Reset(universe, k, seed, repeat); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Reset re-initialises f in place as NewRandomSelective would build it,
+// reusing its storage; on error f is unchanged.
+func (f *RandomSelective) Reset(universe, k int, seed int64, repeat int) error {
 	if universe <= 0 {
-		return nil, ErrBadUniverse
+		return ErrBadUniverse
 	}
 	if k < 1 || k > universe {
-		return nil, fmt.Errorf("%w: k=%d universe=%d", ErrBadSize, k, universe)
+		return fmt.Errorf("%w: k=%d universe=%d", ErrBadSize, k, universe)
 	}
 	if repeat <= 0 {
 		repeat = 2*Bits(universe) + 8
 	}
-	f := &RandomSelective{universe: universe, k: k, seed: seed}
+	*f = RandomSelective{universe: universe, k: k, seed: seed, levels: f.levels[:0]}
 	for j := 0; ; j++ {
 		f.levels = append(f.levels, selLevel{prob: math.Pow(2, -float64(j)), count: repeat})
 		f.length += repeat
@@ -52,7 +62,7 @@ func NewRandomSelective(universe, k int, seed int64, repeat int) (*RandomSelecti
 			break
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // Len implements SetFamily.

@@ -46,18 +46,20 @@ type Coordination struct {
 //     Theorem 27, then Algorithm 1 and Algorithm 2.
 //
 // The pipeline is built as a resumable machine for engine.Run.
+//
+// The machine, its frame and the Coordination it returns are the agent's
+// kept state (engine.MachineSlot, PipelineFrame): they are valid until the
+// agent's next run.
 func CoordinateMachine(a *engine.Agent, opts Options) *engine.Proto[*Coordination] {
-	return engine.NewProto(func(done func(*Coordination, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return CoordinateStep(a, opts, func(c *Coordination) (engine.Yield, engine.Cont) {
-			return done(c, nil)
-		})
-	})
+	return coordinateMachines.New(a, opts)
 }
 
+var coordinateMachines = engine.NewMachineSlot(CoordinateStep)
+
 // CoordinateStep is CoordinateMachine's pipeline as a CPS step: k receives
-// the agent's Coordination.
+// the agent's Coordination.  It runs on the agent's PipelineFrame.
 func CoordinateStep(a *engine.Agent, opts Options, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	f := NewFrame(a)
+	f := PipelineFrame(a)
 	if opts.CommonSense {
 		return coordinateCommonSenseStep(f, k)
 	}
@@ -73,16 +75,22 @@ func CoordinateStep(a *engine.Agent, opts Options, k func(*Coordination) (engine
 // continuation runs direction agreement (Algorithm 1) and leader election
 // (Algorithm 2) and hands k the Coordination, with the nontrivial-move stage
 // counted from the rounds f had used when AgreeAndElect was called.  Pass it
-// as the continuation of the nontrivial-move step.
+// as the continuation of the nontrivial-move step.  The state, the
+// Coordination included, lives in f, so a frame runs one such pipeline at a
+// time.
 func AgreeAndElect(f *Frame, k func(*Coordination) (engine.Yield, engine.Cont)) func(ring.Direction) (engine.Yield, engine.Cont) {
-	s := &agreeElect{k: k, c: Coordination{Frame: f}, start: f.RoundsUsed()}
-	s.onDirFn = s.onDir
+	s := &f.ae
+	if s.onDirFn == nil {
+		s.onDirFn, s.onLeaderFn = s.onDir, s.onLeader
+	}
+	s.c = Coordination{Frame: f}
+	s.k, s.start, s.agreed = k, f.RoundsUsed(), false
 	return s.onDirFn
 }
 
-// agreeElect is the state of the pipeline after the nontrivial move: one
-// allocation carries the stage boundaries, the leader election's state and
-// the result through both stages.
+// agreeElect is the state of the pipeline after the nontrivial move: it
+// carries the stage boundaries, the leader election's state and the result
+// through both stages.
 type agreeElect struct {
 	le                      leaderElect
 	c                       Coordination
@@ -90,6 +98,7 @@ type agreeElect struct {
 	start, afterNM, afterDA int  // RoundsUsed at the stage boundaries
 	agreed                  bool // direction agreement has run: onDir's second call
 	onDirFn                 func(ring.Direction) (engine.Yield, engine.Cont)
+	onLeaderFn              func(bool) (engine.Yield, engine.Cont)
 }
 
 // onDir receives the nontrivial move's direction, first from the
@@ -104,7 +113,7 @@ func (s *agreeElect) onDir(nmDir ring.Direction) (engine.Yield, engine.Cont) {
 	}
 	s.c.NontrivialDir = nmDir
 	s.afterDA = f.RoundsUsed()
-	return s.le.start(f, nmDir, s.onLeader)
+	return s.le.start(f, nmDir, s.onLeaderFn)
 }
 
 func (s *agreeElect) onLeader(isLeader bool) (engine.Yield, engine.Cont) {

@@ -62,12 +62,37 @@ type Frame struct {
 	opObs    engine.Observation // RoundPairStep: the first round's observation
 	opClass  RotationClass      // ClassifyRotationStep: the class, across the restore rounds
 	resumeFn engine.Cont
+
+	// The state of the pipeline stages run on the frame, at most one call of
+	// each at a time (coordinate.go, nontrivial.go); the nontrivial-move
+	// states are allocated on first use, as only one of them runs.  A
+	// pipeline frame keeps it all across runs together with the callbacks
+	// bound into it.
+	ae     agreeElect
+	odd    *nmOdd
+	search *nmSearch
 }
 
 // NewFrame wraps the agent with an unflipped frame (the agent's own private
 // sense of direction).
 func NewFrame(a *engine.Agent) *Frame {
 	return &Frame{agent: a, full: a.FullCircle()}
+}
+
+// pipelineFrames keeps every agent's pipeline frame.
+var pipelineFrames = engine.NewSlot[Frame]()
+
+// PipelineFrame returns a's frame for a coordination pipeline, unflipped: the
+// same Frame on every run of the agent, kept in an engine.Slot with its
+// stage state and bound callbacks, so the pipelines of a reused network
+// allocate none of that after the agent's first run.  A run uses at most one
+// pipeline frame per agent; code that needs frames of its own builds them
+// with NewFrame.
+func PipelineFrame(a *engine.Agent) *Frame {
+	f := pipelineFrames.Of(a)
+	f.agent, f.flipped, f.full = a, false, a.FullCircle()
+	f.op, f.kObs, f.kTrace, f.kSum, f.kClass, f.kDir = opNone, nil, nil, nil, nil, nil
+	return f
 }
 
 // Agent returns the underlying agent handle.

@@ -33,10 +33,14 @@ type leaderElect struct {
 	onObsFn func(engine.Observation) (engine.Yield, engine.Cont)
 }
 
-// start runs the election with s as its state.
+// start runs the election with s as its state, binding its callback on s's
+// first election.
 func (s *leaderElect) start(f *Frame, nmDir ring.Direction, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	*s = leaderElect{f: f, k: k, bits: f.idBits(), inX: nmDir == ring.Clockwise}
-	s.onObsFn = s.onObs
+	onObsFn := s.onObsFn
+	if onObsFn == nil {
+		onObsFn = s.onObs
+	}
+	*s = leaderElect{f: f, k: k, bits: f.idBits(), inX: nmDir == ring.Clockwise, onObsFn: onObsFn}
 	return s.bit(1)
 }
 

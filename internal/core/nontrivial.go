@@ -20,14 +20,21 @@ import (
 // k receives this agent's direction, in frame coordinates, in
 // a round known by every agent to be a nontrivial move.
 func NontrivialMoveOddStep(f *Frame, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	s := &nmOdd{f: f, k: k, dir: ring.Clockwise}
-	s.onObsFn = s.onObs
+	if f.odd == nil {
+		f.odd = new(nmOdd)
+	}
+	s := f.odd
+	onObsFn := s.onObsFn
+	if onObsFn == nil {
+		onObsFn = s.onObs
+	}
+	*s = nmOdd{f: f, k: k, dir: ring.Clockwise, onObsFn: onObsFn}
 	return f.RoundStep(ring.Clockwise, s.onObsFn)
 }
 
-// nmOdd is the state of one NontrivialMoveOddStep call: the all-clockwise
-// round (i = 0), then one round per identifier bit i until one is
-// nontrivial.
+// nmOdd is the state of one NontrivialMoveOddStep call, kept in its frame:
+// the all-clockwise round (i = 0), then one round per identifier bit i until
+// one is nontrivial.
 type nmOdd struct {
 	f       *Frame
 	k       func(ring.Direction) (engine.Yield, engine.Cont)
@@ -84,28 +91,47 @@ func NontrivialMoveFromLeaderStep(f *Frame, isLeader bool, k func(ring.Direction
 // k receives this agent's direction in the successful round and the index of
 // the successful set.
 func NontrivialMoveSearchStep(f *Frame, fam comb.SetFamily, weak bool, k func(ring.Direction, int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	s := &nmSearch{f: f, fam: fam, k: k}
-	if weak {
-		s.onObsFn = s.onObs
-	} else {
-		s.onClassFn = s.onClass
-	}
-	return s.try(0)
+	return f.searchState().start(f, fam, weak, k, nil)
 }
 
-// nmSearch is the state of one NontrivialMoveSearchStep call: the candidate
-// loop advances it in place instead of allocating per candidate.
+// searchState returns the frame's nmSearch, allocating it on first use.
+func (f *Frame) searchState() *nmSearch {
+	if f.search == nil {
+		f.search = new(nmSearch)
+	}
+	return f.search
+}
+
+// nmSearch is the state of one NontrivialMoveSearchStep call, kept in its
+// frame: the candidate loop advances it in place instead of allocating per
+// candidate.
 type nmSearch struct {
 	f   *Frame
 	fam comb.SetFamily
-	k   func(ring.Direction, int) (engine.Yield, engine.Cont)
-	i   int            // the candidate set being tried
-	dir ring.Direction // this agent's direction in candidate i
+	// Exactly one continuation is set: k for NontrivialMoveSearchStep,
+	// kDir for NontrivialMoveEvenStep, which drops the set index.
+	k    func(ring.Direction, int) (engine.Yield, engine.Cont)
+	kDir func(ring.Direction) (engine.Yield, engine.Cont)
+	weak bool
+	i    int            // the candidate set being tried
+	dir  ring.Direction // this agent's direction in candidate i
 
-	// Exactly one is bound: onObsFn for the weak search (one round per
-	// candidate), onClassFn for the strong one (Lemma 2 per candidate).
+	// dist is NontrivialMoveEvenStep's family, reset in place per call.
+	dist comb.RandomDistinguisher
+
+	// onObsFn serves the weak search (one round per candidate), onClassFn
+	// the strong one (Lemma 2 per candidate); both are bound on first use.
 	onObsFn   func(engine.Observation) (engine.Yield, engine.Cont)
 	onClassFn func(RotationClass) (engine.Yield, engine.Cont)
+}
+
+// start begins a search with s as its state.
+func (s *nmSearch) start(f *Frame, fam comb.SetFamily, weak bool, k func(ring.Direction, int) (engine.Yield, engine.Cont), kDir func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	if s.onObsFn == nil {
+		s.onObsFn, s.onClassFn = s.onObs, s.onClass
+	}
+	s.f, s.fam, s.weak, s.k, s.kDir = f, fam, weak, k, kDir
+	return s.try(0)
 }
 
 // try executes candidate set i.
@@ -118,22 +144,30 @@ func (s *nmSearch) try(i int) (engine.Yield, engine.Cont) {
 	if s.fam.Contains(i, s.f.ID()) {
 		s.dir = ring.Clockwise
 	}
-	if s.onObsFn != nil {
+	if s.weak {
 		return s.f.RoundStep(s.dir, s.onObsFn)
 	}
 	return s.f.ClassifyRotationStep(s.dir, false, s.onClassFn)
 }
 
+// found hands the successful candidate to the continuation.
+func (s *nmSearch) found() (engine.Yield, engine.Cont) {
+	if s.kDir != nil {
+		return s.kDir(s.dir)
+	}
+	return s.k(s.dir, s.i)
+}
+
 func (s *nmSearch) onObs(obs engine.Observation) (engine.Yield, engine.Cont) {
 	if obs.Dist != 0 {
-		return s.k(s.dir, s.i)
+		return s.found()
 	}
 	return s.try(s.i + 1)
 }
 
 func (s *nmSearch) onClass(cls RotationClass) (engine.Yield, engine.Cont) {
 	if cls.Nontrivial() {
-		return s.k(s.dir, s.i)
+		return s.found()
 	}
 	return s.try(s.i + 1)
 }
@@ -152,13 +186,11 @@ func defaultScheduleLength(idBound int) int {
 // number of rounds matches Θ(n·log(N/n)/log n) up to constants; Corollary 26
 // shows this is optimal up to the log n factor.
 func NontrivialMoveEvenStep(f *Frame, seed int64, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	fam, err := comb.NewRandomDistinguisher(f.IDBound(), defaultScheduleLength(f.IDBound()), seed)
-	if err != nil {
+	s := f.searchState()
+	if err := s.dist.Reset(f.IDBound(), defaultScheduleLength(f.IDBound()), seed); err != nil {
 		return engine.Abort(err)
 	}
-	return NontrivialMoveSearchStep(f, fam, false, func(dir ring.Direction, _ int) (engine.Yield, engine.Cont) {
-		return k(dir)
-	})
+	return s.start(f, &s.dist, false, nil, k)
 }
 
 // WeakNontrivialMoveEvenStep is the weak variant (rotation index merely

@@ -59,14 +59,13 @@ type Result struct {
 
 // LocationDiscoveryMachine solves location discovery in the given agent's
 // model, choosing the appropriate algorithm (see the package comment), as a
-// resumable machine for engine.Run.
+// resumable machine for engine.Run.  The machine is the agent's kept state
+// (engine.MachineSlot), valid until the agent's next run.
 func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*Result] {
-	return engine.NewProto(func(done func(*Result, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return LocationDiscoveryStep(a, opts, func(r *Result) (engine.Yield, engine.Cont) {
-			return done(r, nil)
-		})
-	})
+	return machines.New(a, opts)
 }
+
+var machines = engine.NewMachineSlot(LocationDiscoveryStep)
 
 // LocationDiscoveryStep is LocationDiscoveryMachine's pipeline as a CPS
 // step: k receives the agent's result.
@@ -93,14 +92,22 @@ func LocationDiscoveryStep(a *engine.Agent, opts Options, k func(*Result) (engin
 // perceptiveDiscoveryStep adapts the Section V pipeline to the package's
 // Result.
 func perceptiveDiscoveryStep(a *engine.Agent, opts Options, k func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	return perceptive.LocationDiscoveryStep(a, perceptive.Options{Seed: opts.Seed}, func(r *perceptive.DiscoveryResult) (engine.Yield, engine.Cont) {
-		return k(&Result{
-			IsLeader:           r.IsLeader,
-			N:                  r.N,
-			Positions:          r.Positions,
-			RoundsCoordination: r.RoundsCoordination + r.RoundsRingDist,
-			RoundsDiscovery:    r.RoundsDistances,
-		})
+	s := sweeps.Of(a)
+	if s.onPerceptiveFn == nil {
+		s.onPerceptiveFn = s.onPerceptive
+	}
+	s.k = k
+	return perceptive.LocationDiscoveryStep(a, perceptive.Options{Seed: opts.Seed}, s.onPerceptiveFn)
+}
+
+// onPerceptive completes perceptiveDiscoveryStep.
+func (s *sweep) onPerceptive(r *perceptive.DiscoveryResult) (engine.Yield, engine.Cont) {
+	return s.k(&Result{
+		IsLeader:           r.IsLeader,
+		N:                  r.N,
+		Positions:          r.Positions,
+		RoundsCoordination: r.RoundsCoordination + r.RoundsRingDist,
+		RoundsDiscovery:    r.RoundsDistances,
 	})
 }
 
@@ -113,15 +120,24 @@ func perceptiveDiscoveryStep(a *engine.Agent, opts Options, k func(*Result) (eng
 // slot (gcd(step, n) = 1) and therefore knows every initial position as well
 // as n itself.
 func sweepDiscoveryStep(a *engine.Agent, opts Options, step int, k func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	s := &sweep{k: k, step: step}
-	return core.CoordinateStep(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed}, s.start)
+	s := sweeps.Of(a)
+	if s.startFn == nil {
+		s.startFn, s.onTraceFn = s.start, s.onTrace
+	}
+	s.k, s.step = k, step
+	return core.CoordinateStep(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed}, s.startFn)
 }
 
 // maxVisitedPrealloc caps the sweep's up-front allocation when the
 // identifier bound is far above n.
 const maxVisitedPrealloc = 1024
 
-// sweep is the state of one sweepDiscoveryStep call.
+// sweeps keeps every agent's discovery state, so that its callbacks and its
+// visited list's capacity carry over to the agent's next run.
+var sweeps = engine.NewSlot[sweep]()
+
+// sweep is the state of one sweepDiscoveryStep call; perceptiveDiscoveryStep
+// uses only its k.
 type sweep struct {
 	k           func(*Result) (engine.Yield, engine.Cont)
 	step        int
@@ -133,7 +149,10 @@ type sweep struct {
 	begin       int64   // the frame displacement before the sweep
 	batch       int     // the size of the batch in flight
 	visited     []int64 // displacements of the slots visited, in sweep order
+	startFn     func(*core.Coordination) (engine.Yield, engine.Cont)
 	onTraceFn   func([]engine.Observation) (engine.Yield, engine.Cont)
+
+	onPerceptiveFn func(*perceptive.DiscoveryResult) (engine.Yield, engine.Cont)
 }
 
 // start begins the sweep once the coordination problems are solved.
@@ -152,10 +171,12 @@ func (s *sweep) start(coord *core.Coordination) (engine.Yield, engine.Cont) {
 
 	s.full = f.FullCircle()
 	s.begin = f.Displacement()
-	// n never exceeds the identifier bound, so visited (n entries) rarely
-	// outgrows its first allocation.
-	s.visited = make([]int64, 1, min(f.IDBound(), maxVisitedPrealloc)+1)
-	s.visited[0] = s.begin
+	if s.visited == nil {
+		// n never exceeds the identifier bound, so visited (n entries)
+		// rarely outgrows its first allocation, which the agent keeps.
+		s.visited = make([]int64, 0, min(f.IDBound(), maxVisitedPrealloc)+1)
+	}
+	s.visited = append(s.visited[:0], s.begin)
 	// The sweep executes as leap batches of doubling size: the agent does
 	// not know n, so it asks for exponentially growing constant-direction
 	// batches and scans each returned displacement trace for the round at
@@ -169,7 +190,6 @@ func (s *sweep) start(coord *core.Coordination) (engine.Yield, engine.Cont) {
 	// that).  The bound is kept in int64: converting the circumference to
 	// int would truncate on 32-bit platforms.
 	s.circTicks = s.full / 2
-	s.onTraceFn = s.onTrace
 	s.batch = 1
 	return f.RoundUntilStep(s.dir, s.begin, s.batch, s.onTraceFn)
 }

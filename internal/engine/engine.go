@@ -157,6 +157,10 @@ type Agent struct {
 	dirBuf []ring.Direction
 	resBuf []Observation
 
+	// kept holds the protocol packages' per-agent state by Slot index
+	// (keep.go); like the buffers above it survives runs and Reset.
+	kept []any
+
 	// slot is the agent's single pending-batch slot: the Yield* builders
 	// (fsm.go) write the next submission there and return a handle to it, so
 	// a yield travels through the CPS frames as three words instead of a full
@@ -356,24 +360,6 @@ func (nw *Network) endRun() {
 	nw.mu.Lock()
 	nw.running = false
 	nw.mu.Unlock()
-}
-
-// joinRunErrors merges the run-level error (max rounds, broken state,
-// cancellation) with the per-agent protocol errors.
-func joinRunErrors(nw *Network, runErr error, errs []error) error {
-	all := make([]error, 0, len(errs)+1)
-	if runErr != nil {
-		all = append(all, runErr)
-	}
-	for i, err := range errs {
-		if err != nil {
-			all = append(all, fmt.Errorf("agent id %d: %w", nw.cfg.IDs[i], err))
-		}
-	}
-	if len(all) > 0 {
-		return errors.Join(all...)
-	}
-	return nil
 }
 
 // objectiveDir translates agent i's own-frame direction into the global frame.

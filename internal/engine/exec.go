@@ -96,19 +96,29 @@ func (e *leapExec) crossing() (active int, err error) {
 	nw := e.nw
 	n := len(e.pend)
 
-	// The leap length is the minimum remaining count across pending batches;
-	// agents that left get their default direction, constant for the whole
-	// crossing.
+	// The leap length is the minimum remaining count across pending batches.
+	// The same pass writes every direction that is constant for the whole
+	// crossing — an agent that left gets its default, a constant-direction
+	// batch its own — and notes whether any pending batch is a schedule or
+	// has a stop armed, the only cases that need per-stretch work below.
 	kmin := 0
+	sched, stops := false, false
 	for i := 0; i < n; i++ {
 		if !e.submitted[i] {
 			e.dirs[i] = nw.objectiveDir(i, ring.Clockwise)
 			continue
 		}
+		p := &e.pend[i]
 		active++
-		if k := e.pend[i].k - e.pend[i].pos; active == 1 || k < kmin {
+		if k := p.k - p.pos; active == 1 || k < kmin {
 			kmin = k
 		}
+		if p.dirs == nil {
+			e.dirs[i] = p.dir
+		} else {
+			sched = true
+		}
+		stops = stops || p.stop
 	}
 	if active == 0 {
 		// Every agent has left; the run is over and nobody is waiting.  This
@@ -134,39 +144,48 @@ func (e *leapExec) crossing() (active int, err error) {
 	// constant, so each stretch is a single closed-form step.
 	for done := 0; done < kmin; {
 		stretch := kmin - done
-		for i := 0; i < n; i++ {
-			if !e.submitted[i] {
-				continue // default direction, already constant in e.dirs[i]
-			}
-			p := &e.pend[i]
-			if p.dirs == nil {
-				e.dirs[i] = p.dir
-				continue
-			}
-			// p.pos is kept current across stretches, so it is the cursor
-			// into the schedule.
-			d := p.dirs[p.pos]
-			e.dirs[i] = d
-			run := 1
-			for run < stretch && p.dirs[p.pos+run] == d {
-				run++
-			}
-			if run < stretch {
-				stretch = run
+		if sched {
+			// A schedule's direction changes along the leap: the stretch ends
+			// where any schedule's current run of one direction does.
+			for i := 0; i < n; i++ {
+				p := &e.pend[i]
+				if !e.submitted[i] || p.dirs == nil {
+					continue
+				}
+				// p.pos is kept current across stretches, so it is the cursor
+				// into the schedule.
+				d := p.dirs[p.pos]
+				e.dirs[i] = d
+				run := 1
+				for run < stretch && p.dirs[p.pos+run] == d {
+					run++
+				}
+				if run < stretch {
+					stretch = run
+				}
 			}
 		}
-		// Armed stop conditions clamp the stretch so no batch overshoots the
-		// round its per-round equivalent would have stopped at.
-		r := ring.RotationIndex(n, e.dirs)
-		for i := 0; i < n; i++ {
-			if e.submitted[i] && e.pend[i].stop {
-				p := &e.pend[i]
-				if j := nw.state.StopRound(nw.state.Slot(i), r, p.objDisp, p.stopTarget, stretch); j > 0 && j < stretch {
-					stretch = j
+		if stops {
+			// Armed stop conditions clamp the stretch so no batch overshoots
+			// the round its per-round equivalent would have stopped at.
+			r := ring.RotationIndex(n, e.dirs)
+			for i := 0; i < n; i++ {
+				if e.submitted[i] && e.pend[i].stop {
+					p := &e.pend[i]
+					if j := nw.state.StopRound(nw.state.Slot(i), r, p.objDisp, p.stopTarget, stretch); j > 0 && j < stretch {
+						stretch = j
+					}
 				}
 			}
 		}
 
+		// A batch whose stop condition hits at the end of the stretch is
+		// complete regardless of its remaining count; the stretch was clamped
+		// so the hit is exactly at the stretch boundary.  An early stop also
+		// ends the whole crossing: the model needs every agent to act in
+		// every round, so no further round can execute until the stopped
+		// agent submits again (or leaves).
+		stopped := false
 		if stretch == 1 {
 			if err := nw.state.ExecuteRoundInto(e.dirs, &e.out); err != nil {
 				nw.broken = err
@@ -190,6 +209,10 @@ func (e *leapExec) crossing() (active int, err error) {
 					p.objDisp -= e.full
 				}
 				p.pos++
+				if p.stop && p.pos < p.k && p.objDisp == p.stopTarget {
+					p.k = p.pos
+					stopped = true
+				}
 			}
 		} else {
 			if err := nw.state.ExecuteRoundsInto(e.dirs, stretch, &e.leap); err != nil {
@@ -202,26 +225,20 @@ func (e *leapExec) crossing() (active int, err error) {
 				}
 				p := &e.pend[i]
 				if p.trace != nil {
-					for j := 0; j < stretch; j++ {
-						p.trace[p.pos+j] = e.leap.Observe(i, j)
-					}
+					e.leap.Trace(i, p.trace[p.pos:p.pos+stretch])
 				}
+				// delta, p.agg and p.objDisp are all below the full circle.
 				delta := e.leap.Displacement(i, stretch)
-				p.agg = (p.agg + delta) % e.full
-				p.objDisp = (p.objDisp + delta) % e.full
+				p.agg += delta
+				if p.agg >= e.full {
+					p.agg -= e.full
+				}
+				p.objDisp += delta
+				if p.objDisp >= e.full {
+					p.objDisp -= e.full
+				}
 				p.pos += stretch
-			}
-		}
-		// A batch whose stop condition just hit is complete regardless of its
-		// remaining count; the stretch was clamped so the hit is exactly at
-		// the stretch boundary.  An early stop also ends the whole crossing:
-		// the model needs every agent to act in every round, so no further
-		// round can execute until the stopped agent submits again (or
-		// leaves).
-		stopped := false
-		for i := 0; i < n; i++ {
-			if e.submitted[i] {
-				if p := &e.pend[i]; p.stop && p.pos < p.k && p.objDisp == p.stopTarget {
+				if p.stop && p.pos < p.k && p.objDisp == p.stopTarget {
 					p.k = p.pos
 					stopped = true
 				}

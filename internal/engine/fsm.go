@@ -72,10 +72,11 @@ type Machine interface {
 // failure and a yield carrying an abort both terminate the machine with that
 // error, so protocol code in CPS form contains no error propagation at all.
 type Proto[T any] struct {
-	start func(done func(T, error) (Yield, Cont)) (Yield, Cont) // until the first Step
-	next  Cont
-	out   T
-	err   error
+	start    func(done func(T, error) (Yield, Cont)) (Yield, Cont) // until the first Step
+	next     Cont
+	out      T
+	err      error
+	finishFn func(T, error) (Yield, Cont) // finish, bound on the first Step
 }
 
 // NewProto builds a Proto from a CPS start function.  start receives the
@@ -83,6 +84,12 @@ type Proto[T any] struct {
 // done(result, err) where it finishes.
 func NewProto[T any](start func(done func(T, error) (Yield, Cont)) (Yield, Cont)) *Proto[T] {
 	return &Proto[T]{start: start}
+}
+
+// rearm makes p, whose previous run is over, a fresh machine running start,
+// keeping its bound finish callback.
+func (p *Proto[T]) rearm(start func(done func(T, error) (Yield, Cont)) (Yield, Cont)) {
+	*p = Proto[T]{start: start, finishFn: p.finishFn}
 }
 
 // finish is the done callback handed to the protocol by NewProto.
@@ -106,7 +113,10 @@ func (p *Proto[T]) Step(in Resume) (Yield, bool) {
 	var next Cont
 	if start := p.start; start != nil {
 		p.start = nil
-		y, next = start(p.finish)
+		if p.finishFn == nil {
+			p.finishFn = p.finish
+		}
+		y, next = start(p.finishFn)
 	} else {
 		y, next = p.next(in)
 	}

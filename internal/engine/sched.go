@@ -15,6 +15,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -167,27 +168,23 @@ func (b *arena) run(ctx context.Context, nw *Network) error {
 			// Every machine terminated without a pending yield; the run is over.
 			return nil
 		}
-		// Completion scan: a batch is complete when its cursor reached its
-		// (possibly stop-shortened) count.  Count first: when the round budget
-		// clamped the leap below every pending batch nobody completes, which is
-		// the same budget exhaustion the per-round path reports.
+		// Completion pass: a batch is complete when its cursor reached its
+		// (possibly stop-shortened) count; its agent settles and its machine
+		// steps to the next yield.  When the round budget clamped the leap
+		// below every pending batch nobody completes, which is the same
+		// budget exhaustion the per-round path reports.
 		released := 0
 		for i := 0; i < n; i++ {
 			if b.x.submitted[i] && b.x.pend[i].pos == b.x.pend[i].k {
 				released++
-			}
-		}
-		if released == 0 {
-			runErr = fmt.Errorf("%w (%d)", ErrMaxRoundsExceed, nw.cfg.MaxRounds)
-			continue
-		}
-		for i := 0; i < n; i++ {
-			if b.x.submitted[i] && b.x.pend[i].pos == b.x.pend[i].k {
 				b.x.submitted[i] = false
 				p := &b.x.pend[i]
 				in := nw.agents[i].settle(&p.batch, p.pos, p.agg)
 				b.stepMachine(i, in)
 			}
+		}
+		if released == 0 {
+			runErr = fmt.Errorf("%w (%d)", ErrMaxRoundsExceed, nw.cfg.MaxRounds)
 		}
 	}
 }
@@ -227,15 +224,20 @@ func Run[T any](ctx context.Context, nw *Network, build func(a *Agent) *Proto[T]
 	runErr := b.run(ctx, nw)
 
 	outputs := make([]T, n)
-	errs := make([]error, n)
+	var failed []error // built only when something failed
+	if runErr != nil {
+		failed = append(failed, runErr)
+	}
 	for i := 0; i < n; i++ {
 		out, err := protos[i].Result()
 		if b.stepErr[i] != nil {
 			err = b.stepErr[i]
 		}
 		outputs[i] = out
-		errs[i] = err
+		if err != nil {
+			failed = append(failed, fmt.Errorf("agent id %d: %w", nw.cfg.IDs[i], err))
+		}
 	}
 	res := &Result[T]{Rounds: nw.state.Rounds() - startRounds, Outputs: outputs}
-	return res, joinRunErrors(nw, runErr, errs)
+	return res, errors.Join(failed...)
 }

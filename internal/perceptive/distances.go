@@ -97,11 +97,14 @@ func DistancesStep(f *core.Frame, label, n int, k func(gaps []int64, finalOffset
 	if label < 1 || label > n || n < 5 {
 		return engine.Abort(fmt.Errorf("%w: label %d of %d", ErrProtocol, label, n))
 	}
-	solver, err := arcsolve.New(n, f.FullCircle())
-	if err != nil {
+	s := distancesStates.Of(f.Agent())
+	if err := s.solver.Reset(n, f.FullCircle()); err != nil {
 		return engine.Abort(err)
 	}
-	s := &distances{f: f, k: k, label: label, n: n, solver: solver}
+	if s.onScheduleFn == nil {
+		s.onScheduleFn, s.onProbeFn, s.onExtraFn = s.onSchedule, s.onProbe, s.onExtra
+	}
+	s.f, s.k, s.label, s.n, s.offset, s.iter = f, k, label, n, 0, 0
 
 	// The paper's main schedule — ⌈n/2⌉ Convolution rounds plus, for even n,
 	// the three Pivot rounds — is fixed by the public labels alone, so every
@@ -111,11 +114,11 @@ func DistancesStep(f *core.Frame, label, n int, k func(gaps []int64, finalOffset
 	if n%2 == 0 {
 		rounds += 3
 	}
-	dirs := make([]ring.Direction, rounds)
-	for t := range dirs {
-		dirs[t] = s.scheduled(t).dir(label)
+	s.dirs = s.dirs[:0]
+	for t := 0; t < rounds; t++ {
+		s.dirs = append(s.dirs, s.scheduled(t).dir(label))
 	}
-	return f.RoundScheduleStep(dirs, s.onSchedule)
+	return f.RoundScheduleStep(s.dirs, s.onScheduleFn)
 }
 
 // assignment is one round of Distances' schedule: Convolution with exception
@@ -147,18 +150,21 @@ func convolution(n, t int) assignment {
 	return assignment{param: convolutionException(n, t), n: n}
 }
 
-// distances is the state of one DistancesStep call.
+// distances is the state of one DistancesStep call, kept per agent
+// (distancesStates).
 type distances struct {
 	f        *core.Frame
 	k        func(gaps []int64, finalOffset int) (engine.Yield, engine.Cont)
 	label, n int
-	solver   *arcsolve.Solver
-	offset   int        // the agent's ring offset from the reference configuration
-	iter     int        // completeness-loop iteration
-	extra    assignment // the completeness loop's Convolution round in flight
+	solver   arcsolve.Solver
+	dirs     []ring.Direction // the main schedule
+	offset   int              // the agent's ring offset from the reference configuration
+	iter     int              // completeness-loop iteration
+	extra    assignment       // the completeness loop's Convolution round in flight
 
-	onProbeFn func(engine.Observation) (engine.Yield, engine.Cont)
-	onExtraFn func(engine.Observation) (engine.Yield, engine.Cont)
+	onScheduleFn func([]engine.Observation) (engine.Yield, engine.Cont)
+	onProbeFn    func(engine.Observation) (engine.Yield, engine.Cont)
+	onExtraFn    func(engine.Observation) (engine.Yield, engine.Cont)
 }
 
 // scheduled returns round t (0-based) of the main schedule.
@@ -204,7 +210,6 @@ func (s *distances) onSchedule(trace []engine.Observation) (engine.Yield, engine
 			return engine.Abort(err)
 		}
 	}
-	s.onProbeFn, s.onExtraFn = s.onProbe, s.onExtra
 	return s.probe()
 }
 

@@ -42,10 +42,25 @@ func NMoveSStep(f *core.Frame, seed int64, k func(ring.Direction) (engine.Yield,
 	if !f.Agent().Model().RevealsCollision() {
 		return engine.Abort(ErrNeedPerceptive)
 	}
-	s := &nmoveS{f: f, seed: seed, k: k, dir: ring.Clockwise}
-	s.onClassFn = s.onClass
+	s := nmoveStates.Of(f.Agent())
+	if s.onClassFn == nil {
+		s.onClassFn, s.onLinkFn, s.onMaxFn = s.onClass, s.onLink, s.onMax
+	}
+	s.f, s.seed, s.k, s.dir, s.link = f, seed, k, ring.Clockwise, nil
 	return f.ClassifyRotationStep(ring.Clockwise, true, s.onClassFn)
 }
+
+// The agents keep the state of the package's multi-round steps, one slot per
+// step, so a reused network allocates it, and binds its callbacks, on the
+// agent's first run only.  A run executes at most one call of each step per
+// agent at a time.
+var (
+	nmoveStates     = engine.NewSlot[nmoveS]()
+	ringDistStates  = engine.NewSlot[ringDist]()
+	broadcastStates = engine.NewSlot[broadcastSize]()
+	distancesStates = engine.NewSlot[distances]()
+	discoveryStates = engine.NewSlot[locationDiscovery]()
+)
 
 // nmoveS is the state of one NMoveSStep call: the all-clockwise probe, then
 // per level the leader thinning and the selective family's candidates, each
@@ -57,11 +72,12 @@ type nmoveS struct {
 	link     *rcomm.Link // nil during the all-clockwise probe
 	isLeader bool        // whether this agent is a local leader at level lvl
 	lvl      int
-	fam      *comb.RandomSelective // level lvl's selective family
-	i        int                   // the candidate set in flight
-	dir      ring.Direction        // this agent's direction in the classified round
+	fam      comb.RandomSelective // level lvl's selective family
+	i        int                  // the candidate set in flight
+	dir      ring.Direction       // this agent's direction in the classified round
 
 	onClassFn func(core.RotationClass) (engine.Yield, engine.Cont)
+	onLinkFn  func(*rcomm.Link) (engine.Yield, engine.Cont)
 	onMaxFn   func(max uint64, found bool) (engine.Yield, engine.Cont)
 }
 
@@ -70,7 +86,7 @@ func (s *nmoveS) onClass(cls core.RotationClass) (engine.Yield, engine.Cont) {
 		return s.k(s.dir)
 	}
 	if s.link == nil {
-		return rcomm.EstablishStep(s.f, s.onLink)
+		return rcomm.EstablishStep(s.f, s.onLinkFn)
 	}
 	return s.try(s.i + 1)
 }
@@ -78,7 +94,6 @@ func (s *nmoveS) onClass(cls core.RotationClass) (engine.Yield, engine.Cont) {
 func (s *nmoveS) onLink(link *rcomm.Link) (engine.Yield, engine.Cont) {
 	s.link = link
 	s.isLeader = true // L_0 contains every agent
-	s.onMaxFn = s.onMax
 	return s.level(0)
 }
 
@@ -101,11 +116,9 @@ func (s *nmoveS) onMax(max uint64, found bool) (engine.Yield, engine.Cont) {
 	// Execute the (N, 2^k)-selective family on the surviving leaders:
 	// leaders contained in the current set flip to anticlockwise, every
 	// other agent stays clockwise.
-	fam, err := comb.NewRandomSelective(s.f.IDBound(), 1<<s.lvl, s.seed^int64(s.lvl)*0x9e3779b9, 0)
-	if err != nil {
+	if err := s.fam.Reset(s.f.IDBound(), 1<<s.lvl, s.seed^int64(s.lvl)*0x9e3779b9, 0); err != nil {
 		return engine.Abort(err)
 	}
-	s.fam = fam
 	return s.try(0)
 }
 
@@ -131,18 +144,17 @@ type Options struct {
 // CoordinateMachine solves nontrivial move, direction agreement and leader
 // election in the perceptive model in O(√n·log N) rounds (Table I, last row),
 // by composing NMoveSStep with Algorithm 1 and Algorithm 2, as a resumable
-// machine for engine.Run.
+// machine for engine.Run.  Like core.CoordinateMachine's, the machine and its
+// result are the agent's kept state, valid until the agent's next run.
 func CoordinateMachine(a *engine.Agent, opts Options) *engine.Proto[*core.Coordination] {
-	return engine.NewProto(func(done func(*core.Coordination, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return CoordinateStep(a, opts, func(c *core.Coordination) (engine.Yield, engine.Cont) {
-			return done(c, nil)
-		})
-	})
+	return coordinateMachines.New(a, opts)
 }
 
+var coordinateMachines = engine.NewMachineSlot(CoordinateStep)
+
 // CoordinateStep is CoordinateMachine's pipeline as a CPS step: k receives
-// the agent's Coordination.
+// the agent's Coordination.  It runs on the agent's core.PipelineFrame.
 func CoordinateStep(a *engine.Agent, opts Options, k func(*core.Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	f := core.NewFrame(a)
+	f := core.PipelineFrame(a)
 	return NMoveSStep(f, opts.Seed, core.AgreeAndElect(f, k))
 }

@@ -37,51 +37,82 @@ type DiscoveryResult struct {
 // internal/discovery), as a resumable machine for engine.Run.  The pipeline
 // is: NMoveS → direction agreement → leader election → neighbour
 // re-discovery in the agreed frame → RingDist → size broadcast → Distances →
-// per-agent solution of the arc equations.
+// per-agent solution of the arc equations.  The machine is the agent's kept
+// state (engine.MachineSlot), valid until the agent's next run.
 func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*DiscoveryResult] {
-	return engine.NewProto(func(done func(*DiscoveryResult, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-		return LocationDiscoveryStep(a, opts, func(r *DiscoveryResult) (engine.Yield, engine.Cont) {
-			return done(r, nil)
-		})
-	})
+	return discoveryMachines.New(a, opts)
 }
+
+var discoveryMachines = engine.NewMachineSlot(LocationDiscoveryStep)
 
 // LocationDiscoveryStep is LocationDiscoveryMachine's pipeline as a CPS
 // step: k receives the agent's result.
 func LocationDiscoveryStep(a *engine.Agent, opts Options, k func(*DiscoveryResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	return CoordinateStep(a, opts, func(coord *core.Coordination) (engine.Yield, engine.Cont) {
-		f := coord.Frame
-		afterCoord := f.RoundsUsed()
+	s := discoveryStates.Of(a)
+	if s.onCoordFn == nil {
+		s.onCoordFn, s.onLinkFn, s.onLabelFn, s.onSizeFn, s.onGapsFn = s.onCoord, s.onLink, s.onLabel, s.onSize, s.onGaps
+	}
+	s.k = k
+	return CoordinateStep(a, opts, s.onCoordFn)
+}
 
-		// The link must be rebuilt because direction agreement may have flipped
-		// the frame after NMoveS's neighbour discovery.
-		return rcomm.EstablishStep(f, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
-			return RingDistStep(link, coord.IsLeader, func(label int, isLast bool) (engine.Yield, engine.Cont) {
-				return BroadcastSizeStep(f, isLast, label, func(n int) (engine.Yield, engine.Cont) {
-					if n < 5 || label < 1 || label > n {
-						return engine.Abort(fmt.Errorf("%w: ring distance stage produced label %d, n %d", ErrProtocol, label, n))
-					}
-					afterRingDist := f.RoundsUsed()
+// locationDiscovery is the state of one LocationDiscoveryStep call, kept per
+// agent (discoveryStates): one continuation per stage, bound once.
+type locationDiscovery struct {
+	k             func(*DiscoveryResult) (engine.Yield, engine.Cont)
+	coord         *core.Coordination
+	f             *core.Frame
+	afterCoord    int // RoundsUsed at the stage boundaries
+	afterRingDist int
+	label, n      int
 
-					return DistancesStep(f, label, n, func(gaps []int64, offset int) (engine.Yield, engine.Cont) {
-						positions, err := relativePositions(f, label, n, gaps, offset)
-						if err != nil {
-							return engine.Abort(err)
-						}
-						return k(&DiscoveryResult{
-							IsLeader:           coord.IsLeader,
-							Label:              label,
-							N:                  n,
-							Gaps:               gaps,
-							Positions:          positions,
-							RoundsCoordination: afterCoord,
-							RoundsRingDist:     afterRingDist - afterCoord,
-							RoundsDistances:    f.RoundsUsed() - afterRingDist,
-						})
-					})
-				})
-			})
-		})
+	onCoordFn func(*core.Coordination) (engine.Yield, engine.Cont)
+	onLinkFn  func(*rcomm.Link) (engine.Yield, engine.Cont)
+	onLabelFn func(label int, isLast bool) (engine.Yield, engine.Cont)
+	onSizeFn  func(n int) (engine.Yield, engine.Cont)
+	onGapsFn  func(gaps []int64, offset int) (engine.Yield, engine.Cont)
+}
+
+func (s *locationDiscovery) onCoord(coord *core.Coordination) (engine.Yield, engine.Cont) {
+	s.coord, s.f = coord, coord.Frame
+	s.afterCoord = s.f.RoundsUsed()
+	// The link must be rebuilt because direction agreement may have flipped
+	// the frame after NMoveS's neighbour discovery.
+	return rcomm.EstablishStep(s.f, s.onLinkFn)
+}
+
+func (s *locationDiscovery) onLink(link *rcomm.Link) (engine.Yield, engine.Cont) {
+	return RingDistStep(link, s.coord.IsLeader, s.onLabelFn)
+}
+
+func (s *locationDiscovery) onLabel(label int, isLast bool) (engine.Yield, engine.Cont) {
+	s.label = label
+	return BroadcastSizeStep(s.f, isLast, label, s.onSizeFn)
+}
+
+func (s *locationDiscovery) onSize(n int) (engine.Yield, engine.Cont) {
+	if n < 5 || s.label < 1 || s.label > n {
+		return engine.Abort(fmt.Errorf("%w: ring distance stage produced label %d, n %d", ErrProtocol, s.label, n))
+	}
+	s.n = n
+	s.afterRingDist = s.f.RoundsUsed()
+	return DistancesStep(s.f, s.label, n, s.onGapsFn)
+}
+
+func (s *locationDiscovery) onGaps(gaps []int64, offset int) (engine.Yield, engine.Cont) {
+	positions, err := relativePositions(s.f, s.label, s.n, gaps, offset)
+	if err != nil {
+		return engine.Abort(err)
+	}
+	return s.k(&DiscoveryResult{
+		IsLeader:           s.coord.IsLeader,
+		Label:              s.label,
+		N:                  s.n,
+		Gaps:               gaps,
+		Positions:          positions,
+		RoundsCoordination: s.afterCoord,
+		RoundsRingDist:     s.afterRingDist - s.afterCoord,
+		RoundsDistances:    s.f.RoundsUsed() - s.afterRingDist,
 	})
 }
 

@@ -37,11 +37,15 @@ func RingDistStep(link *rcomm.Link, isLeader bool, k func(label int, isLast bool
 	if !f.Agent().Model().RevealsCollision() {
 		return engine.Abort(ErrNeedPerceptive)
 	}
-	s := &ringDist{link: link, f: f, k: k, isLeader: isLeader}
+	s := ringDistStates.Of(f.Agent())
+	if s.onTraceFn == nil {
+		s.onTraceFn, s.onSumFn, s.onObsFn, s.onSidesFn = s.onTrace, s.onSum, s.onObs, s.onSides
+	}
+	s.link, s.f, s.k, s.isLeader = link, f, k, isLeader
+	s.label, s.isLast, s.kk, s.obsZ = 0, false, 0, engine.Observation{}
 	if isLeader {
 		s.label = 1
 	}
-	s.onTraceFn, s.onSumFn, s.onObsFn, s.onSidesFn = s.onTrace, s.onSum, s.onObs, s.onSides
 	// The leader announces itself over ring distance 4 so that agents a_2..a_5
 	// know their labels before the first iteration, and a_n learns that it is
 	// the leader's anticlockwise neighbour.
@@ -49,9 +53,9 @@ func RingDistStep(link *rcomm.Link, isLeader bool, k func(label int, isLast bool
 	return link.DisseminateSparseStep(isLeader, 1, 1, 4, s.onSidesFn)
 }
 
-// ringDist is the state of one RingDistStep call.  The iterations advance it
-// in place; stage tells the shared continuations which step of the
-// iteration has just completed.
+// ringDist is the state of one RingDistStep call, kept per agent
+// (ringDistStates).  The iterations advance it in place; stage tells the
+// shared continuations which step of the iteration has just completed.
 type ringDist struct {
 	link     *rcomm.Link
 	f        *core.Frame
@@ -218,7 +222,12 @@ func (s *ringDist) onSides(left, right rcomm.SideInfo) (engine.Yield, engine.Con
 // rotation-signalling channel, one bit per paired round, so the configuration
 // is preserved.  Every agent's k receives n.  Cost: 2·⌈log2 N⌉ rounds.
 func BroadcastSizeStep(f *core.Frame, isLast bool, ownLabel int, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	bits := comb.Bits(f.IDBound())
+	s := broadcastStates.Of(f.Agent())
+	if s.onTraceFn == nil {
+		s.onTraceFn = s.onTrace
+	}
+	s.bits = comb.Bits(f.IDBound())
+	s.isLast, s.ownLabel, s.k = isLast, ownLabel, k
 	value := uint64(0)
 	if isLast {
 		value = uint64(ownLabel)
@@ -226,24 +235,37 @@ func BroadcastSizeStep(f *core.Frame, isLast bool, ownLabel int, k func(int) (en
 	// The full schedule — one information round plus one reversed round per
 	// bit — depends only on the broadcaster's own value, so the whole
 	// broadcast is one leap batch.
-	dirs := make([]ring.Direction, 0, 2*bits)
-	for i := 0; i < bits; i++ {
+	s.dirs = s.dirs[:0]
+	for i := 0; i < s.bits; i++ {
 		dir := ring.Anticlockwise
 		if isLast && (value>>i)&1 == 1 {
 			dir = ring.Clockwise
 		}
-		dirs = append(dirs, dir, dir.Opposite())
+		s.dirs = append(s.dirs, dir, dir.Opposite())
 	}
-	return f.RoundScheduleStep(dirs, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
-		var received uint64
-		for i := 0; i < bits; i++ {
-			if trace[2*i].Dist != 0 {
-				received |= 1 << i
-			}
+	return f.RoundScheduleStep(s.dirs, s.onTraceFn)
+}
+
+// broadcastSize is the state of one BroadcastSizeStep call, kept per agent
+// (broadcastStates).
+type broadcastSize struct {
+	bits      int
+	isLast    bool
+	ownLabel  int
+	k         func(int) (engine.Yield, engine.Cont)
+	dirs      []ring.Direction // the schedule
+	onTraceFn func([]engine.Observation) (engine.Yield, engine.Cont)
+}
+
+func (s *broadcastSize) onTrace(trace []engine.Observation) (engine.Yield, engine.Cont) {
+	if s.isLast {
+		return s.k(s.ownLabel)
+	}
+	var received uint64
+	for i := 0; i < s.bits; i++ {
+		if trace[2*i].Dist != 0 {
+			received |= 1 << i
 		}
-		if isLast {
-			return k(ownLabel)
-		}
-		return k(int(received))
-	})
+	}
+	return s.k(int(received))
 }

@@ -1,8 +1,10 @@
 // Package physics is an event-driven continuous simulator of the bouncing
 // agents.  It tracks every collision explicitly instead of using the closed
-// forms of Lemma 1 / Proposition 4, which makes it an independent substrate:
-// the analytic engine in internal/ring is cross-validated against it, and the
-// trajectory output is used by examples that visualise the dynamics.
+// forms of Lemma 1 / Proposition 4, which makes it an independent oracle:
+// internal/ring's FuzzRingMatchesPhysics checks the analytic engine's
+// single rounds and leaps (dist(), and coll() in the perceptive model)
+// against SimulateRound, and the trajectory output is used by examples that
+// visualise the dynamics.
 //
 // Positions and times are float64; the package is not used by the protocol
 // implementations (those run on the exact integer engine).

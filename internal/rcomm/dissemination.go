@@ -108,17 +108,21 @@ func (l *Link) AggregateMaxStep(isSource bool, value uint64, valueBits, distance
 	if 2*msgBits > 62 {
 		return engine.Abort(fmt.Errorf("%w: message of %d bits", ErrBadBits, msgBits))
 	}
-	s := &aggregateMax{l: l, k: k, msgBits: msgBits, distance: distance}
+	s := &l.agg
+	onWordsFn := s.onWordsFn
+	if onWordsFn == nil {
+		onWordsFn = s.onWords
+	}
+	*s = aggregateMax{l: l, k: k, msgBits: msgBits, distance: distance, onWordsFn: onWordsFn}
 	if isSource {
 		s.max, s.found = value, true
 	}
 	s.bestFromLeft = encMax(isSource, value)
 	s.bestFromRight = s.bestFromLeft
-	s.onWordsFn = s.onWords
 	return s.step(0)
 }
 
-// aggregateMax is the state of one AggregateMaxStep call.
+// aggregateMax is the state of one AggregateMaxStep call, kept in its link.
 type aggregateMax struct {
 	l                 *Link
 	k                 func(max uint64, found bool) (engine.Yield, engine.Cont)

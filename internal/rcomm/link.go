@@ -33,19 +33,40 @@ type Link struct {
 	exBits    int
 	kExchange func(fromLeft, fromRight uint64) (engine.Yield, engine.Cont)
 	onWordsFn func(left, right uint64) (engine.Yield, engine.Cont)
+
+	// The state of the link's own neighbour discovery (EstablishStep) and of
+	// its multi-step primitives, at most one call of each at a time, with
+	// the callbacks bound into them.
+	nd            neighborDiscovery
+	kLink         func(*Link) (engine.Yield, engine.Cont)
+	onNeighborsFn func(Neighbors) (engine.Yield, engine.Cont)
+	agg           aggregateMax
+	sparse        sparseRelay
 }
 
-// NewLink builds a Link for the given frame from its neighbour information.
-func NewLink(f *core.Frame, nb Neighbors) *Link {
-	return &Link{frame: f, nb: nb}
-}
+// links keeps every agent's established link.
+var links = engine.NewSlot[Link]()
 
 // EstablishStep runs neighbour discovery and hands k a ready-to-use Link
-// (Corollary 32's O(log N) preprocessing).
+// (Corollary 32's O(log N) preprocessing).  The link is the agent's kept
+// state (engine.Slot), allocated on its first run only: establishing a link
+// replaces the agent's previous one, so a link is valid until its agent
+// establishes the next.
 func EstablishStep(f *core.Frame, k func(*Link) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	return NeighborDiscoveryStep(f, func(nb Neighbors) (engine.Yield, engine.Cont) {
-		return k(NewLink(f, nb))
-	})
+	l := links.Of(f.Agent())
+	if l.onNeighborsFn == nil {
+		l.onNeighborsFn = l.onNeighbors
+	}
+	l.frame, l.kLink = f, k
+	return l.nd.start(f, l.onNeighborsFn)
+}
+
+// onNeighbors completes EstablishStep.
+func (l *Link) onNeighbors(nb Neighbors) (engine.Yield, engine.Cont) {
+	l.nb = nb
+	k := l.kLink
+	l.kLink = nil
+	return k(l)
 }
 
 // Frame returns the frame the link operates on.

@@ -59,13 +59,21 @@ type Neighbors struct {
 //
 // Cost: 4·⌈log2 N⌉ + 4 rounds.  Positions are restored afterwards.
 func NeighborDiscoveryStep(f *core.Frame, k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	return new(neighborDiscovery).start(f, k)
+}
+
+// start runs neighbour discovery with s as its state, binding its callback on
+// s's first run.
+func (s *neighborDiscovery) start(f *core.Frame, k func(Neighbors) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if !f.Agent().Model().RevealsCollision() {
 		return engine.Abort(ErrNeedPerceptive)
 	}
-	s := &neighborDiscovery{f: f, k: k, bits: comb.Bits(f.IDBound())}
-	s.side[0] = sideProbes{min: -1, allSameColl: -1}
-	s.side[1] = s.side[0]
-	s.onObsFn = s.onObs
+	onObsFn := s.onObsFn
+	if onObsFn == nil {
+		onObsFn = s.onObs
+	}
+	none := sideProbes{min: -1, allSameColl: -1}
+	*s = neighborDiscovery{f: f, k: k, bits: comb.Bits(f.IDBound()), side: [2]sideProbes{none, none}, onObsFn: onObsFn}
 	return s.next(0)
 }
 

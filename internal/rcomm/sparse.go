@@ -30,12 +30,17 @@ func (l *Link) DisseminateSparseStep(isSource bool, payload uint64, payloadBits,
 	if payloadBits < 1 || payloadBits > 60 {
 		return engine.Abort(fmt.Errorf("%w: %d payload bits", ErrBadBits, payloadBits))
 	}
-	s := &sparseRelay{l: l, k: k, isSource: isSource, payload: payload, payloadBits: payloadBits, distance: distance}
-	s.onBitsFn = s.onBits
+	s := &l.sparse
+	onBitsFn := s.onBitsFn
+	if onBitsFn == nil {
+		onBitsFn = s.onBits
+	}
+	*s = sparseRelay{l: l, k: k, isSource: isSource, payload: payload, payloadBits: payloadBits, distance: distance, onBitsFn: onBitsFn}
 	return s.relayStep(1)
 }
 
-// sparseRelay is the state of one DisseminateSparseStep call.  Each
+// sparseRelay is the state of one DisseminateSparseStep call, kept in its
+// link.  Each
 // direction's outgoing queue is implicit: a source sends its stream — a
 // presence bit (1), then the payload bits, LSB first, then silence — and
 // relays nothing, while a non-source starts silent and echoes, one step

@@ -37,13 +37,12 @@ type LeapOutcome struct {
 	// K is the number of rounds the stretch executed.
 	K int
 
-	offset0    int   // rotation offset at the start of the stretch
-	circ       int64 // circumference in ticks
-	slots      []int64
-	perceptive bool
-	dirs       []Direction // objective directions by ring index (copied)
-	span       []int       // ring positions to the nearest opposite mover along the agent's direction; 0 = never collides
-	spanScr    []int       // scratch for the second span pass
+	offset0 int   // rotation offset at the start of the stretch
+	circ    int64 // circumference in ticks
+	slots   []int64
+	coll    bool        // perceptive model with both moving directions: agents collide
+	dirs    []Direction // objective directions by ring index (copied when coll)
+	span    []int       // when coll: ring positions to the nearest opposite mover along the agent's direction
 }
 
 // ExecuteRounds executes k consecutive rounds in which the agent with ring
@@ -64,43 +63,28 @@ func (s *State) ExecuteRoundsInto(dirs []Direction, k int, out *LeapOutcome) err
 	if k < 1 {
 		return fmt.Errorf("%w: got %d", ErrBadRoundCount, k)
 	}
-	if err := s.validate(dirs); err != nil {
+	r, opposed, err := s.rotation(dirs)
+	if err != nil {
 		return err
 	}
 	n := len(s.slots)
-	r := RotationIndex(n, dirs)
 
 	out.Rotation = r
 	out.K = k
 	out.offset0 = s.offset
 	out.circ = s.circle.Circ()
 	out.slots = s.slots
-	out.perceptive = s.model.RevealsCollision()
-	if cap(out.dirs) < n {
-		out.dirs = make([]Direction, n)
-		out.span = make([]int, n)
-		out.spanScr = make([]int, n)
-	}
-	out.dirs = out.dirs[:n]
-	copy(out.dirs, dirs)
-	if out.perceptive {
-		out.span = out.span[:n]
-		out.spanScr = out.spanScr[:n]
-		// span[i] for a clockwise mover: ring positions ahead to the nearest
-		// anticlockwise mover; the cyclic agent order is fixed, so this is a
-		// property of the direction assignment alone.
-		spanToNearest(out.span, dirs, Anticlockwise, true)
-		spanToNearest(out.spanScr, dirs, Clockwise, false)
-		for i, d := range dirs {
-			switch d {
-			case Clockwise:
-				// keep out.span[i]
-			case Anticlockwise:
-				out.span[i] = out.spanScr[i]
-			default:
-				out.span[i] = 0
-			}
+	// Without an oppositely-moving pair nobody collides, in any model.
+	out.coll = opposed && s.model.RevealsCollision()
+	if out.coll {
+		if cap(out.dirs) < n {
+			out.dirs = make([]Direction, n)
+			out.span = make([]int, n)
 		}
+		out.dirs = out.dirs[:n]
+		copy(out.dirs, dirs)
+		out.span = out.span[:n]
+		spans(out.span, dirs)
 	}
 
 	s.offset = int((int64(s.offset) + int64(k%n)*int64(r)) % int64(n))
@@ -108,51 +92,55 @@ func (s *State) ExecuteRoundsInto(dirs []Direction, k int, out *LeapOutcome) err
 	return nil
 }
 
-// spanToNearest computes, for every ring index i, the number of ring
-// positions to the nearest agent (strictly away from i, walking clockwise
-// when cw is true) whose direction is want; 0 when no agent has it.  O(n).
-func spanToNearest(res []int, dirs []Direction, want Direction, cw bool) {
+// spans computes, for every ring index i, the number of ring positions from
+// agent i along its direction to the nearest agent moving the other way.
+// dirs holds at least one agent of each moving direction and no idle one.
+// The cyclic agent order is fixed, so this is a property of the direction
+// assignment alone.  O(n): one walk per direction, carrying the running
+// count, as in (*State).firstCollisions.
+func spans(res []int, dirs []Direction) {
 	n := len(dirs)
-	anchor := -1
+	anchorA, anchorC := 0, 0
 	for i, d := range dirs {
-		if d == want {
-			anchor = i
-			break
+		if d == Anticlockwise {
+			anchorA = i
+		} else {
+			anchorC = i
 		}
 	}
-	if anchor == -1 {
-		for i := range res {
-			res[i] = 0
+	// Clockwise movers count ahead, so walk backwards from an anticlockwise
+	// mover.
+	m := 0
+	next := anchorA
+	for k := 0; k < n; k++ {
+		i := next - 1
+		if i < 0 {
+			i += n
 		}
-		return
-	}
-	if cw {
-		// res[i] depends on the clockwise successor, so walk backwards.
-		next := anchor
-		for k := 1; k <= n; k++ {
-			i := next - 1
-			if i < 0 {
-				i += n
-			}
-			if dirs[next] == want {
-				res[i] = 1
-			} else {
-				res[i] = res[next] + 1
-			}
-			next = i
+		if dirs[next] == Anticlockwise {
+			m = 1
+		} else {
+			m++
 		}
-		return
+		if dirs[i] == Clockwise {
+			res[i] = m
+		}
+		next = i
 	}
-	prev := anchor
-	for k := 1; k <= n; k++ {
+	// Anticlockwise movers count behind: walk forwards from a clockwise one.
+	prev := anchorC
+	for k := 0; k < n; k++ {
 		i := prev + 1
 		if i == n {
 			i = 0
 		}
-		if dirs[prev] == want {
-			res[i] = 1
+		if dirs[prev] == Clockwise {
+			m = 1
 		} else {
-			res[i] = res[prev] + 1
+			m++
+		}
+		if dirs[i] == Anticlockwise {
+			res[i] = m
 		}
 		prev = i
 	}
@@ -178,31 +166,50 @@ func (o *LeapOutcome) arcCW(a, b int) int64 {
 // (0-based) of the stretch, identical to what the j-th sequential
 // ExecuteRound would have reported.  O(1).
 func (o *LeapOutcome) Observe(i, j int) Observation {
+	return o.observeAt(i, o.slotAt(i, j))
+}
+
+// Trace writes the observations of the agent with ring index i in the first
+// len(dst) rounds of the stretch into dst: Observe(i, j) for every j, with
+// the agent's slot advanced by the rotation index from round to round.
+func (o *LeapOutcome) Trace(i int, dst []Observation) {
 	n := len(o.slots)
-	a := o.slotAt(i, j)
+	a := o.slotAt(i, 0)
+	for j := range dst {
+		dst[j] = o.observeAt(i, a)
+		a += o.Rotation
+		if a >= n {
+			a -= n
+		}
+	}
+}
+
+// observeAt is the round observation of the agent with ring index i when it
+// starts the round in slot a.
+func (o *LeapOutcome) observeAt(i, a int) Observation {
+	n := len(o.slots)
 	b := a + o.Rotation
 	if b >= n {
 		b -= n
 	}
 	obs := Observation{DistCW: 2 * o.arcCW(a, b)}
-	if o.perceptive {
-		if m := o.span[i]; m > 0 {
-			obs.Collided = true
-			if o.dirs[i] == Clockwise {
-				t := a + m
-				if t >= n {
-					t -= n
-				}
-				// Half the aggregate gap, in half-ticks: the aggregate gap in
-				// ticks (as in firstCollisions).
-				obs.Coll = o.arcCW(a, t)
-			} else {
-				t := a - m
-				if t < 0 {
-					t += n
-				}
-				obs.Coll = o.arcCW(t, a)
+	if o.coll {
+		m := o.span[i]
+		obs.Collided = true
+		if o.dirs[i] == Clockwise {
+			t := a + m
+			if t >= n {
+				t -= n
 			}
+			// Half the aggregate gap, in half-ticks: the aggregate gap in
+			// ticks (as in firstCollisions).
+			obs.Coll = o.arcCW(a, t)
+		} else {
+			t := a - m
+			if t < 0 {
+				t += n
+			}
+			obs.Coll = o.arcCW(t, a)
 		}
 	}
 	return obs

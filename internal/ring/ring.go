@@ -19,7 +19,8 @@
 // The package is purely computational: it has no notion of agent identifiers,
 // chirality or protocols.  Package internal/engine builds the per-agent
 // distributed runtime on top of it, and package internal/physics provides an
-// independent event-driven simulator used to cross-validate this engine.
+// independent event-driven simulator that FuzzRingMatchesPhysics checks this
+// engine against.
 package ring
 
 import (
@@ -142,12 +143,10 @@ type State struct {
 	offset int     // cumulative rotation (in ring positions)
 	rounds int     // number of rounds executed
 
-	// Scratch buffers reused by ExecuteRoundInto so that executing a round
-	// performs no allocations.  They are lazily sized and never shared between
-	// states (Clone drops them).
+	// Scratch buffer reused by ExecuteRoundInto so that executing a round
+	// performs no allocations.  It is lazily sized and never shared between
+	// states (Clone drops it).
 	scratchDirBySlot []Direction
-	scratchCW        []int64
-	scratchCCW       []int64
 }
 
 // Observation is the per-agent outcome of one round, in the objective frame.
@@ -273,8 +272,6 @@ func (s *State) Clone() *State {
 	cp.slots = append([]int64(nil), s.slots...)
 	cp.gaps = append([]int64(nil), s.gaps...)
 	cp.scratchDirBySlot = nil
-	cp.scratchCW = nil
-	cp.scratchCCW = nil
 	return &cp
 }
 
@@ -296,23 +293,35 @@ func RotationIndex(n int, dirs []Direction) int {
 	return r
 }
 
-// validate checks the direction slice against the model.
-func (s *State) validate(dirs []Direction) error {
-	if len(dirs) != len(s.slots) {
-		return fmt.Errorf("%w: got %d, want %d", ErrWrongDirCount, len(dirs), len(s.slots))
+// rotation validates the direction slice against the model and returns the
+// rotation index (nC−nA) mod n together with whether both moving directions
+// occur, in one pass.  An invalid direction is reported by the first
+// offending ring index.
+func (s *State) rotation(dirs []Direction) (r int, opposed bool, err error) {
+	n := len(s.slots)
+	if len(dirs) != n {
+		return 0, false, fmt.Errorf("%w: got %d, want %d", ErrWrongDirCount, len(dirs), n)
 	}
+	nc, na := 0, 0
 	for i, d := range dirs {
 		switch d {
-		case Clockwise, Anticlockwise:
+		case Clockwise:
+			nc++
+		case Anticlockwise:
+			na++
 		case Idle:
 			if !s.model.AllowsIdle() {
-				return fmt.Errorf("%w: agent with ring index %d", ErrIdleNotAllowed, i)
+				return 0, false, fmt.Errorf("%w: agent with ring index %d", ErrIdleNotAllowed, i)
 			}
 		default:
-			return fmt.Errorf("%w: agent with ring index %d has direction %d", ErrInvalidDirection, i, int8(d))
+			return 0, false, fmt.Errorf("%w: agent with ring index %d has direction %d", ErrInvalidDirection, i, int8(d))
 		}
 	}
-	return nil
+	r = (nc - na) % n
+	if r < 0 {
+		r += n
+	}
+	return r, nc > 0 && na > 0, nil
 }
 
 // ExecuteRound executes one round in which the agent with ring index i starts
@@ -330,12 +339,11 @@ func (s *State) ExecuteRound(dirs []Direction) (*Outcome, error) {
 // out.Agents and the state's internal scratch buffers.  A caller that keeps
 // the same Outcome across rounds executes rounds without any allocation.
 func (s *State) ExecuteRoundInto(dirs []Direction, out *Outcome) error {
-	if err := s.validate(dirs); err != nil {
+	r, opposed, err := s.rotation(dirs)
+	if err != nil {
 		return err
 	}
 	n := len(s.slots)
-	r := RotationIndex(n, dirs)
-
 	out.Rotation = r
 	if cap(out.Agents) < n {
 		out.Agents = make([]Observation, n)
@@ -346,9 +354,24 @@ func (s *State) ExecuteRoundInto(dirs []Direction, out *Outcome) error {
 	// dist(): by Lemma 1 agent i moves from slot (i+offset) to slot
 	// (i+offset+r); its clockwise displacement is the arc between the two
 	// slot positions.  The assignment also clears any stale Coll/Collided
-	// from a previous round sharing the buffer.  Indices stay below 2n and
-	// position differences within (-C, C), so conditional corrections replace
-	// the modulo operations on this per-round path.
+	// from a previous round sharing the buffer, so a round without an
+	// oppositely-moving pair is complete after this pass.  Indices stay below
+	// 2n and position differences within (-C, C), so conditional corrections
+	// replace the modulo operations on this per-round path.
+	//
+	// coll(): only in the perceptive model (which forbids idle agents), and
+	// only when both directions occur; otherwise nobody collides.  The same
+	// pass records the direction of each slot's occupant for it, and one
+	// slot of each direction to start its walks from.
+	coll := opposed && s.model.RevealsCollision()
+	var dirBySlot []Direction
+	if coll {
+		if cap(s.scratchDirBySlot) < n {
+			s.scratchDirBySlot = make([]Direction, n)
+		}
+		dirBySlot = s.scratchDirBySlot[:n]
+	}
+	anchorA, anchorC := 0, 0
 	circ := s.circle.Circ()
 	for i := 0; i < n; i++ {
 		from := i + s.offset
@@ -364,11 +387,18 @@ func (s *State) ExecuteRoundInto(dirs []Direction, out *Outcome) error {
 			arc += circ
 		}
 		out.Agents[i] = Observation{DistCW: 2 * arc}
+		if coll {
+			d := dirs[i]
+			dirBySlot[from] = d
+			if d == Anticlockwise {
+				anchorA = from
+			} else {
+				anchorC = from
+			}
+		}
 	}
-
-	// coll(): only in the perceptive model (which forbids idle agents).
-	if s.model.RevealsCollision() {
-		s.firstCollisions(dirs, out)
+	if coll {
+		s.firstCollisions(dirBySlot, anchorA, anchorC, out)
 	}
 
 	s.offset = (s.offset + r) % n
@@ -376,109 +406,64 @@ func (s *State) ExecuteRoundInto(dirs []Direction, out *Outcome) error {
 	return nil
 }
 
-// firstCollisions fills Coll/Collided for every agent.  The model forbids
-// idle agents here, so Proposition 4 applies: an agent moving clockwise first
-// collides after half the aggregate clockwise gap to the nearest agent that
-// started the round moving anticlockwise (and symmetrically).  If every agent
-// moves in the same objective direction nobody ever collides.
-func (s *State) firstCollisions(dirs []Direction, out *Outcome) {
+// firstCollisions fills Coll/Collided for every agent from the directions of
+// the slots' occupants, at least one of each moving direction (anchorA is a
+// slot moving anticlockwise, anchorC one moving clockwise) and no idle one.
+// Proposition 4 applies: an agent moving clockwise first collides after half
+// the aggregate clockwise gap to the nearest agent that started the round
+// moving anticlockwise (and symmetrically).  Each direction is one walk
+// around the ring carrying the running aggregate gap, written straight into
+// the observations of the agents moving that way.  In half-ticks, half the
+// aggregate gap is exactly the aggregate gap in ticks.
+func (s *State) firstCollisions(dirBySlot []Direction, anchorA, anchorC int, out *Outcome) {
 	n := len(s.slots)
-	if cap(s.scratchDirBySlot) < n {
-		s.scratchDirBySlot = make([]Direction, n)
-		s.scratchCW = make([]int64, n)
-		s.scratchCCW = make([]int64, n)
-	}
-	// dirBySlot[t] is the direction of the occupant of slot t.
-	dirBySlot := s.scratchDirBySlot[:n]
-	for i := 0; i < n; i++ {
-		t := i + s.offset
-		if t >= n {
-			t -= n
-		}
-		dirBySlot[t] = dirs[i]
-	}
+	agents := out.Agents
+	// The occupant of slot t has ring index t−offset, i.e. t+back mod n.
+	back := n - s.offset
 
-	// cwToA[t]: aggregate clockwise gap (ticks) from slot t to the nearest
-	// slot strictly ahead whose occupant moves anticlockwise; -1 if none.
-	cwToA := s.scratchCW[:n]
-	distanceToDirection(cwToA, s.gaps, dirBySlot, Anticlockwise, true)
-	// ccwToC[t]: aggregate anticlockwise gap from slot t to the nearest slot
-	// strictly behind whose occupant moves clockwise; -1 if none.
-	ccwToC := s.scratchCCW[:n]
-	distanceToDirection(ccwToC, s.gaps, dirBySlot, Clockwise, false)
-
-	for i := 0; i < n; i++ {
-		slot := i + s.offset
-		if slot >= n {
-			slot -= n
+	// Clockwise movers: the aggregate gap from slot t to the nearest slot
+	// strictly ahead whose occupant moves anticlockwise depends on the
+	// clockwise successor's, so walk backwards from an anticlockwise slot.
+	var agg int64
+	next := anchorA
+	for k := 0; k < n; k++ {
+		t := next - 1
+		if t < 0 {
+			t += n
 		}
-		var agg int64 = -1
-		switch dirs[i] {
-		case Clockwise:
-			agg = cwToA[slot]
-		case Anticlockwise:
-			agg = ccwToC[slot]
+		if dirBySlot[next] == Anticlockwise {
+			agg = s.gaps[t]
+		} else {
+			agg += s.gaps[t]
 		}
-		if agg >= 0 {
-			out.Agents[i].Collided = true
-			// Collision after half the aggregate gap: in half-ticks that is
-			// exactly the aggregate gap in ticks.
-			out.Agents[i].Coll = agg
-		}
-	}
-}
-
-// distanceToDirection computes, for every slot t, the aggregate gap from t to
-// the nearest slot strictly ahead whose occupant moves in direction want,
-// walking clockwise when cw is true and anticlockwise otherwise, writing the
-// result into res (len(res) == len(gaps)).  Every entry is -1 when no slot
-// has the wanted direction.  Runs in O(n).
-func distanceToDirection(res, gaps []int64, dirBySlot []Direction, want Direction, cw bool) {
-	n := len(gaps)
-	// Find any slot with the wanted direction to anchor the scan.
-	anchor := -1
-	for t := 0; t < n; t++ {
-		if dirBySlot[t] == want {
-			anchor = t
-			break
-		}
-	}
-	if anchor == -1 {
-		for i := range res {
-			res[i] = -1
-		}
-		return
-	}
-	if cw {
-		// Process slots walking backwards from the anchor so that the value
-		// of each slot's clockwise successor is already known.
-		next := anchor
-		for k := 1; k <= n; k++ {
-			t := next - 1
-			if t < 0 {
-				t += n
+		if dirBySlot[t] == Clockwise {
+			i := t + back
+			if i >= n {
+				i -= n
 			}
-			if dirBySlot[next] == want {
-				res[t] = gaps[t]
-			} else {
-				res[t] = gaps[t] + res[next]
-			}
-			next = t
+			agents[i].Coll, agents[i].Collided = agg, true
 		}
-		return
+		next = t
 	}
-	// Anticlockwise walk: each slot's value depends on its anticlockwise
-	// predecessor, so process slots walking forwards from the anchor.
-	prev := anchor
-	for k := 1; k <= n; k++ {
+	// Anticlockwise movers, symmetrically: walk forwards from a clockwise
+	// slot.
+	prev := anchorC
+	for k := 0; k < n; k++ {
 		t := prev + 1
 		if t == n {
 			t = 0
 		}
-		if dirBySlot[prev] == want {
-			res[t] = gaps[prev]
+		if dirBySlot[prev] == Clockwise {
+			agg = s.gaps[prev]
 		} else {
-			res[t] = gaps[prev] + res[prev]
+			agg += s.gaps[prev]
+		}
+		if dirBySlot[t] == Anticlockwise {
+			i := t + back
+			if i >= n {
+				i -= n
+			}
+			agents[i].Coll, agents[i].Collided = agg, true
 		}
 		prev = t
 	}

@@ -3,11 +3,14 @@ package ringsym_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"ringsym"
 	"ringsym/internal/engine"
 	"ringsym/internal/geom"
+	"ringsym/internal/netgen"
 	"ringsym/internal/ring"
 )
 
@@ -292,5 +295,74 @@ func TestRunContextCancelMidProtocol(t *testing.T) {
 	}
 	if nw.Rounds() > 100 {
 		t.Fatalf("cancellation did not interrupt promptly: %d rounds", nw.Rounds())
+	}
+}
+
+// TestReusedNetworkMatchesFresh runs both paper tasks on one network that is
+// reset between scenarios, the way a campaign worker reuses its network, and
+// requires exactly a fresh network's results.  Each scenario is first cut
+// short by a round budget of half its rounds, so the protocols' per-agent
+// state that the agents keep across runs is left mid-protocol before the
+// full run: nothing of it may carry over.
+func TestReusedNetworkMatchesFresh(t *testing.T) {
+	var reused *ringsym.Network
+	for _, model := range []ringsym.Model{ringsym.Basic, ringsym.Lazy, ringsym.Perceptive} {
+		for _, n := range []int{8, 9, 12} {
+			for _, mixed := range []bool{false, true} {
+				gen, err := netgen.Generate(netgen.Options{N: n, Model: model, MixedChirality: mixed, ForceSplitChirality: mixed, Seed: int64(n)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := ringsym.Config{Model: gen.Model, Circumference: gen.Circ, Positions: gen.Positions, IDs: gen.IDs, IDBound: gen.IDBound, Chirality: gen.Chirality}
+				for _, task := range []struct {
+					name string
+					run  func(*ringsym.Network) (any, int, error)
+				}{
+					{"coordinate", func(nw *ringsym.Network) (any, int, error) {
+						res, err := nw.Coordinate(ringsym.CoordinationOptions{Seed: 7})
+						if err != nil {
+							return nil, 0, err
+						}
+						return res, res.Rounds, nil
+					}},
+					{"discover", func(nw *ringsym.Network) (any, int, error) {
+						res, err := nw.DiscoverLocations(ringsym.DiscoveryOptions{Seed: 7})
+						if err != nil {
+							return nil, 0, err
+						}
+						return res, res.Rounds, nil
+					}},
+				} {
+					name := fmt.Sprintf("%v/n=%d/mixed=%v/%s", model, n, mixed, task.name)
+					fresh, err := ringsym.NewNetwork(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, rounds, wantErr := task.run(fresh)
+					if reused == nil {
+						if reused, err = ringsym.NewNetwork(cfg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if rounds > 1 {
+						cut := cfg
+						cut.MaxRounds = rounds / 2
+						if err := reused.Reset(cut); err != nil {
+							t.Fatal(err)
+						}
+						if _, _, err := task.run(reused); !errors.Is(err, engine.ErrMaxRoundsExceed) {
+							t.Fatalf("%s: run cut at %d rounds: %v, want %v", name, cut.MaxRounds, err, engine.ErrMaxRoundsExceed)
+						}
+					}
+					if err := reused.Reset(cfg); err != nil {
+						t.Fatal(err)
+					}
+					got, _, gotErr := task.run(reused)
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: reused network gave %+v (%v), fresh %+v (%v)", name, got, gotErr, want, wantErr)
+					}
+				}
+			}
+		}
 	}
 }
