@@ -58,10 +58,9 @@
 // a quarantined range.
 //
 // Specs are decoded strictly: a typo'd axis name is an error, not a silent
-// fallback to the defaults.  The tasks axis accepts any task registered in
-// internal/task (see ringsim -tasks for the catalogue, or GET /v1/tasks on
-// ringd); it defaults to the tasks the paper states bounds for —
-// coordinate and discover.
+// fallback to the defaults.  The tasks axis accepts the two tasks of
+// internal/task, coordinate and discover (see ringsim -tasks, or
+// GET /v1/tasks on ringd); it defaults to both.
 package main
 
 import (
@@ -99,7 +98,7 @@ func main() {
 	}
 
 	spec := flag.String("spec", "", "JSON sweep-spec file (overrides the matrix flags)")
-	tasks := flag.String("tasks", "", "comma-separated registry tasks: "+strings.Join(task.Names(), ",")+" (default: the paper-bound tasks)")
+	tasks := flag.String("tasks", "", "comma-separated tasks: "+strings.Join(task.Names(), ",")+" (default both)")
 	models := flag.String("models", "", "comma-separated models: basic,lazy,perceptive (default all)")
 	parities := flag.String("parities", "", "comma-separated parities: odd,even (default both)")
 	chirality := flag.String("chirality", "", "comma-separated chirality regimes: mixed,common (default both)")

@@ -8,21 +8,20 @@
 //	ringsim -n 8 -model lazy -task coordinate
 //	ringsim -n 8 -task coordinate -json | jq .rounds
 //	ringsim -n 8 -task coordinate -store results.store   # reuse ringd's store
-//	ringsim -n 6 -task bounce        # collision census of one physics round
-//	ringsim -tasks                   # list the task registry and exit
+//	ringsim -tasks                   # list the two tasks and exit
 //
-// Every task registered in internal/task is runnable — ringsim dispatches
-// through the same registry as cmd/ringfarm and cmd/ringd, so a new task is
-// immediately available here with no CLI change.  With -json the run is
-// emitted as the machine-readable scenario record of the campaign harness
-// (one campaign.Record JSON object, the same shape as a records.jsonl line of
-// cmd/ringfarm), so single runs are scriptable exactly like sweeps.
+// Both tasks of internal/task (coordinate and discover) are runnable; ringsim
+// resolves them through the same task.Lookup as cmd/ringfarm and cmd/ringd.
+// With -json the run is emitted as the machine-readable scenario record of
+// the campaign harness (one campaign.Record JSON object, the same shape as a
+// records.jsonl line of cmd/ringfarm), so single runs are scriptable exactly
+// like sweeps.
 //
 // With -store <dir> the run consults (and fills) the persistent result store
 // of internal/store — the same directory a ringd -store daemon or a
-// ringfarm -store sweep uses — and every task, built-ins included, goes
-// through the campaign record path: a disk-served outcome carries the record
-// fields, not the interactive per-agent report, so both print the same shape.
+// ringfarm -store sweep uses — and either task goes through the campaign
+// record path: a disk-served outcome carries the record fields, not the
+// interactive per-agent report, so both print the same shape.
 package main
 
 import (
@@ -33,7 +32,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 
 	"ringsym"
@@ -51,7 +49,7 @@ func main() {
 	mixed := flag.Bool("mixed", true, "give agents independent random senses of direction")
 	seed := flag.Int64("seed", 1, "seed for the random configuration")
 	taskName := flag.String("task", "discover", "task to run: "+strings.Join(task.Names(), ", "))
-	listTasks := flag.Bool("tasks", false, "list the registered tasks and exit")
+	listTasks := flag.Bool("tasks", false, "list the tasks and exit")
 	jsonOut := flag.Bool("json", false, "emit the run as a machine-readable campaign record")
 	storeDir := flag.String("store", "", "read/write the outcome through the on-disk result store in this directory (shared with ringd/ringfarm -store)")
 	flag.Parse()
@@ -105,9 +103,9 @@ func main() {
 		return
 	}
 
-	// The paper's built-ins keep their rich interactive reports; every other
-	// registered task runs through the campaign record path and prints a
-	// generic summary, so new tasks need no ringsim change at all.
+	// Without -store both tasks print their rich interactive reports; with
+	// it, or for an unknown name (which fails listing the tasks), the run
+	// goes through the campaign record path and prints a record summary.
 	switch *taskName {
 	case "coordinate", "discover":
 		if st == nil {
@@ -156,8 +154,8 @@ func runJSON(ctx context.Context, taskName campaign.Task, n int, model string, m
 	}
 }
 
-// runGeneric runs any registry task through the campaign runner and prints a
-// human-readable summary of the record, including the task's extra fields.
+// runGeneric runs the task through the campaign runner and prints a
+// human-readable summary of the record.
 func runGeneric(ctx context.Context, taskName string, n int, model string, mixed bool, seed int64, opts campaign.Options) {
 	rec := campaign.RunScenarioContext(ctx, scenarioFor(campaign.Task(taskName), n, model, mixed, seed), opts)
 	switch rec.Status {
@@ -171,14 +169,6 @@ func runGeneric(ctx context.Context, taskName string, n int, model string, mixed
 	fmt.Printf("total rounds: %d (bound: %s)\n", rec.Rounds, rec.BoundStr)
 	if rec.LeaderID != 0 {
 		fmt.Printf("leader: agent with ID %d\n", rec.LeaderID)
-	}
-	keys := make([]string, 0, len(rec.Extra))
-	for k := range rec.Extra {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("%s: %s\n", k, rec.Extra[k])
 	}
 	if rec.Cache != "" && rec.Cache != "miss" {
 		fmt.Printf("outcome served from the %s cache tier (verified when first computed)\n", rec.Cache)

@@ -4,10 +4,8 @@
 // the rotation-index lemma by eye: after one round the set of occupied
 // positions is exactly the starting set, shifted by (nC − nA) mod n agents.
 //
-// The same dynamics are the registered task "bounce" (internal/task):
-// `ringsim -task bounce`, a ringfarm `-tasks bounce` sweep or a ringd
-// request all run the collision census through the registry, cache and
-// daemon like any protocol task.
+// It is a standalone program on the physics simulator, not a task: ringsim,
+// ringfarm and ringd run only the paper's two tasks.
 package main
 
 import (

@@ -5,10 +5,9 @@
 // equidistant deployment plan: who has to move where so that the swarm ends
 // up evenly spread, ready to patrol the boundary with optimal idle time.
 //
-// The same workload is the registered task "patrol" (internal/task):
-// `ringsim -task patrol`, a ringfarm `-tasks patrol` sweep or a ringd
-// request all run it through the registry, with the longest relocation
-// exported on every record as extra field "max_relocation".
+// It is a standalone program on the public facade, not a task: ringsim,
+// ringfarm and ringd run only the paper's two tasks, coordinate and
+// discover, and this example builds on the second.
 package main
 
 import (

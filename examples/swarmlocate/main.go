@@ -4,10 +4,8 @@
 // — roughly half of what the lazy-model sweep needs — and reports where the
 // round budget went.
 //
-// The same workload is the registered task "swarmlocate" (internal/task):
-// `ringsim -task swarmlocate -model perceptive`, a ringfarm `-tasks
-// swarmlocate` sweep or a ringd request all run it through the registry,
-// with the Lemma 6 lower bound exported on every record.
+// It is a standalone program on the public facade, not a task; `ringsim
+// -task discover -model perceptive` runs the same location discovery.
 package main
 
 import (

@@ -80,7 +80,6 @@ func (rec *Record) fill(out task.Outcome) {
 		rec.RoundsCoordination = sp.Coordination
 		rec.RoundsDiscovery = sp.Discovery
 	}
-	rec.Extra = out.Extra
 	rec.Status = StatusOK
 	rec.Verified = true
 }

@@ -27,12 +27,11 @@ import (
 	"ringsym/internal/task"
 )
 
-// Task selects which protocol pipeline a scenario runs.  Any name registered
-// in the internal/task registry is a valid value; the constants below name
-// the paper's built-ins for convenience.
+// Task selects which protocol pipeline a scenario runs: one of the names
+// task.Names lists, which the constants below spell out.
 type Task string
 
-// The built-in tasks of the paper (see internal/task for the full registry).
+// The paper's two tasks (see internal/task).
 const (
 	// TaskCoordinate runs the coordination pipeline of the paper (nontrivial
 	// move, direction agreement, leader election).
@@ -120,8 +119,7 @@ func (s Scenario) Key() string {
 // meaningful smoke sweep.  The struct is the JSON sweep-spec format of
 // cmd/ringfarm.
 type Matrix struct {
-	// Tasks to run; defaults to every registered task the paper states a
-	// bound for (coordinate and discover).
+	// Tasks to run; defaults to both (coordinate and discover).
 	Tasks []Task `json:"tasks,omitempty"`
 	// Models are movement-model names; defaults to basic, lazy, perceptive.
 	Models []string `json:"models,omitempty"`
@@ -153,10 +151,8 @@ type Matrix struct {
 
 func (m Matrix) filled() Matrix {
 	if len(m.Tasks) == 0 {
-		// All registered tasks with a paper bound, in sorted (deterministic)
-		// name order; today that is exactly {coordinate, discover}, so default
-		// sweeps stay byte-identical as the registry grows derived workloads.
-		for _, name := range task.PaperBoundNames() {
+		// Both tasks, in sorted (deterministic) name order.
+		for _, name := range task.Names() {
 			m.Tasks = append(m.Tasks, Task(name))
 		}
 	}

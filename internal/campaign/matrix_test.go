@@ -139,11 +139,11 @@ func TestParseShard(t *testing.T) {
 
 func TestDecodeMatrix(t *testing.T) {
 	m, err := DecodeMatrix(strings.NewReader(
-		`{"tasks": ["patrol"], "models": ["lazy"], "sizes": [9], "seeds": [1, 2]}`))
+		`{"tasks": ["discover"], "models": ["lazy"], "sizes": [9], "seeds": [1, 2]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m.Tasks, []Task{"patrol"}) || !reflect.DeepEqual(m.Sizes, []int{9}) {
+	if !reflect.DeepEqual(m.Tasks, []Task{"discover"}) || !reflect.DeepEqual(m.Sizes, []int{9}) {
 		t.Fatalf("decoded matrix %+v", m)
 	}
 

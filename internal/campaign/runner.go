@@ -71,10 +71,8 @@ type Record struct {
 	// scheduling; the per-orbit totals (one miss, the rest hits+dedups) are
 	// deterministic.
 	Cache string `json:"cache,omitempty"`
-	// Extra holds task-declared result fields (see task.Outcome.Extra): new
-	// tasks export task-specific data here without touching the exporter.
-	// The built-in tasks leave it nil, which keeps their records
-	// byte-identical to pre-registry builds.
+	// Extra is always nil; kept only because bench/replay.go reads it; goes
+	// with the next change to bench/.
 	Extra map[string]json.RawMessage `json:"extra,omitempty"`
 	// Wall is the measured wall-clock cost of the scenario.  Excluded from
 	// JSON so that exports stay deterministic.
@@ -473,7 +471,7 @@ func acquireNetwork(s *netSlot, cfg ringsym.Config) (*ringsym.Network, error) {
 }
 
 // runSpec executes the scenario's task on the given configuration through
-// the registry spec: the network is built behind the public facade (whose
+// the task's spec: the network is built behind the public facade (whose
 // pipelines verify protocol outcomes against the simulator's ground truth),
 // the spec runs, and the finished outcome is re-checked with the spec's own
 // Verify before it may enter the cache or a record.  The network comes from

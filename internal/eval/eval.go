@@ -175,9 +175,8 @@ func MeasureLocationDiscovery(ctx context.Context, s Setting, n, idBound int, se
 
 // Bound returns the paper's asymptotic bound (as a plain formula without the
 // hidden constant) and its human-readable form for a cell.  It reads the
-// task registry's bound tables (internal/task) — the same source every
-// registered task's per-record bound comes from, so the table columns cannot
-// drift from sweep records.
+// bound tables of internal/task — the same source every task's per-record
+// bound comes from, so the table columns cannot drift from sweep records.
 func Bound(s Setting, p task.Problem, n, idBound int) (float64, string) {
 	return task.Bound(s.Model, s.OddN, s.CommonSense, p, n, idBound)
 }

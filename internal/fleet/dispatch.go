@@ -15,8 +15,9 @@ import (
 	"ringsym/internal/obs"
 )
 
-// maxLineBytes bounds one record line on the wire; records with task Extra
-// payloads can outgrow bufio.Scanner's 64 KiB default.
+// maxLineBytes bounds one line a worker streams back.  A record line is a
+// few hundred bytes; the bound caps what a broken or hostile worker can make
+// the coordinator buffer before the line fails to scan and the lease fails.
 const maxLineBytes = 1 << 20
 
 // runLease drives one granted lease to its end and retires it.  It owns the

@@ -46,8 +46,7 @@ type listedPackage struct {
 //
 // Only non-test GoFiles are analyzed: the invariants ringvet encodes govern
 // production code, and test files are where violations are deliberately
-// staged (the analyzers' own fixtures, the registry's duplicate-Register
-// test, ...).
+// staged (the analyzers' own fixtures, for example).
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-e", "-deps", "-export",

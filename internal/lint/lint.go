@@ -17,7 +17,6 @@ import (
 	"ringsym/internal/lint/determinism"
 	"ringsym/internal/lint/fsmguard"
 	"ringsym/internal/lint/obsguard"
-	"ringsym/internal/lint/taskreg"
 )
 
 // All returns every registered analyzer, in stable order.
@@ -28,6 +27,5 @@ func All() []*analysis.Analyzer {
 		determinism.Analyzer,
 		fsmguard.Analyzer,
 		obsguard.Analyzer,
-		taskreg.Analyzer,
 	}
 }

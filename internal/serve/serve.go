@@ -24,7 +24,7 @@
 //	                   so a fleet coordinator (internal/fleet) can lease
 //	                   contiguous ranges of one sweep to many daemons and
 //	                   concatenate the streams back byte-identically
-//	GET  /v1/tasks     the task registry: every runnable task with its
+//	GET  /v1/tasks     the paper's two tasks, each with its
 //	                   description (JSON array, sorted by name)
 //	GET  /v1/events    the live structured-event stream (internal/obs) as
 //	                   NDJSON, with ?types= and ?level= client-side filters;
@@ -45,8 +45,8 @@
 // With Options.Pprof, the net/http/pprof handlers are additionally served
 // under /debug/pprof/.
 //
-// Any task registered in internal/task is servable; requests naming an
-// unregistered task fail with 400 and an error listing the registry.
+// Both tasks of internal/task are servable; requests naming any other task
+// fail with 400 and an error listing the two.
 package serve
 
 import (
@@ -283,22 +283,16 @@ type TaskInfo struct {
 	Name string `json:"name"`
 	// Description is the task's one-line human summary.
 	Description string `json:"description"`
-	// PaperBound reports that the paper states a bound for the task; these
-	// tasks form the default task axis of a /v1/campaign matrix.
-	PaperBound bool `json:"paper_bound"`
 }
 
-// handleTasks lists the task registry, sorted by name, so clients can
-// discover runnable workloads instead of hardcoding them.
+// handleTasks lists the tasks, sorted by name, so clients can discover
+// runnable workloads instead of hardcoding them.
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	names := task.Names()
-	out := make([]TaskInfo, 0, len(names))
-	for _, name := range names {
-		spec, err := task.Lookup(name)
-		if err != nil {
-			continue // racing an (unsupported) unregistration; skip
-		}
-		out = append(out, TaskInfo{Name: name, Description: spec.Description(), PaperBound: spec.PaperBound()})
+	out := make([]TaskInfo, len(names))
+	for i, name := range names {
+		spec, _ := task.Lookup(name) // every listed name resolves
+		out[i] = TaskInfo{Name: name, Description: spec.Description()}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)

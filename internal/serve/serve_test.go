@@ -106,6 +106,7 @@ func TestRunValidation(t *testing.T) {
 		"unknown field": `{"task":"coordinate","model":"basic","n":8,"bogus":1}`,
 		"trailing":      `{"task":"coordinate","model":"basic","n":8}{}`,
 		"bad task":      `{"task":"elect","model":"basic","n":8}`,
+		"removed task":  `{"task":"patrol","model":"lazy","n":9,"seed":2}`,
 		"bad model":     `{"task":"coordinate","model":"quantum","n":8}`,
 		"n too small":   `{"task":"coordinate","model":"basic","n":4}`,
 		"n too large":   `{"task":"coordinate","model":"basic","n":100000000}`,
@@ -122,7 +123,7 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if m := pool.Snapshot(); m.BadRequests != 10 || m.RunRequests != 0 || m.Records != 0 {
+	if m := pool.Snapshot(); m.BadRequests != 11 || m.RunRequests != 0 || m.Records != 0 {
 		t.Fatalf("metrics after bad requests: %+v", m)
 	}
 }
@@ -537,8 +538,8 @@ func ExampleServer() {
 	// Output: ok true miss
 }
 
-// TestTasksEndpoint: GET /v1/tasks lists the full registry, sorted, with the
-// paper-bound flag marking the default campaign task axis.
+// TestTasksEndpoint: GET /v1/tasks lists both tasks, sorted, each with a
+// description.
 func TestTasksEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 1})
 	resp, err := http.Get(ts.URL + "/v1/tasks")
@@ -555,7 +556,7 @@ func TestTasksEndpoint(t *testing.T) {
 	}
 	want := task.Names()
 	if len(infos) != len(want) {
-		t.Fatalf("%d tasks listed, registry has %d", len(infos), len(want))
+		t.Fatalf("%d tasks listed, want %d", len(infos), len(want))
 	}
 	for i, info := range infos {
 		if info.Name != want[i] {
@@ -563,9 +564,6 @@ func TestTasksEndpoint(t *testing.T) {
 		}
 		if info.Description == "" {
 			t.Errorf("%s: empty description", info.Name)
-		}
-		if wantPB := info.Name == "coordinate" || info.Name == "discover"; info.PaperBound != wantPB {
-			t.Errorf("%s: paper_bound = %v, want %v", info.Name, info.PaperBound, wantPB)
 		}
 	}
 
@@ -577,45 +575,13 @@ func TestTasksEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunRegistryTasks: the three derived workloads run through /v1/run like
-// any built-in, returning verified records with their task-declared extra
-// fields.
-func TestRunRegistryTasks(t *testing.T) {
-	_, ts := newTestServer(t, serve.Options{Workers: 2})
-	for _, tc := range []struct {
-		sc    campaign.Scenario
-		extra []string
-	}{
-		{campaign.Scenario{Task: "bounce", Model: "basic", N: 8, Seed: 1, MixedChirality: true}, []string{"collisions", "events", "rotation_index"}},
-		{campaign.Scenario{Task: "patrol", Model: "lazy", N: 9, Seed: 2, MixedChirality: true}, []string{"max_relocation"}},
-		{campaign.Scenario{Task: "swarmlocate", Model: "perceptive", N: 8, Seed: 3, MixedChirality: true}, []string{"lower_bound"}},
-	} {
-		rec := decodeRecord(t, postJSON(t, ts.URL+"/v1/run", tc.sc))
-		if rec.Status != campaign.StatusOK || !rec.Verified {
-			t.Errorf("%s: status %s verified=%v (%s)", tc.sc.Key(), rec.Status, rec.Verified, rec.Error)
-			continue
-		}
-		for _, field := range tc.extra {
-			if _, ok := rec.Extra[field]; !ok {
-				t.Errorf("%s: record lacks extra field %q (have %v)", tc.sc.Key(), field, rec.Extra)
-			}
-		}
-	}
-
-	// A workload outside its model gate is classified, not failed.
-	rec := decodeRecord(t, postJSON(t, ts.URL+"/v1/run",
-		campaign.Scenario{Task: "swarmlocate", Model: "basic", N: 8, Seed: 1}))
-	if rec.Status != campaign.StatusUnsolvable {
-		t.Errorf("swarmlocate on basic: status %s, want unsolvable", rec.Status)
-	}
-}
-
 // TestCampaignValidation: matrix bodies are decoded strictly too.
 func TestCampaignValidation(t *testing.T) {
 	pool, ts := newTestServer(t, serve.Options{Workers: 1})
 	for name, body := range map[string]string{
 		"unknown field": `{"task": ["coordinate"], "sizes": [8]}`,
 		"bad task":      `{"tasks": ["elect"], "sizes": [8]}`,
+		"removed task":  `{"tasks": ["bounce"], "sizes": [8]}`,
 		"trailing":      `{"sizes": [8]}{}`,
 		"id bound":      `{"sizes": [8], "id_bound_factor": 2305843009213693952}`,
 	} {
@@ -628,7 +594,7 @@ func TestCampaignValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if m := pool.Snapshot(); m.BadRequests != 4 || m.Records != 0 {
+	if m := pool.Snapshot(); m.BadRequests != 5 || m.Records != 0 {
 		t.Fatalf("metrics after bad requests: %+v", m)
 	}
 }

@@ -20,8 +20,6 @@ func (coordinateSpec) Description() string {
 	return "symmetry-breaking pipeline of the paper: nontrivial move, direction agreement, leader election"
 }
 
-func (coordinateSpec) PaperBound() bool { return true }
-
 func (coordinateSpec) Solvable(ring.Model, bool) bool { return true }
 
 func (coordinateSpec) Bound(model ring.Model, oddN, commonSense bool, n, idBound int) (float64, string) {

@@ -21,8 +21,6 @@ func (discoverSpec) Description() string {
 	return "full location discovery: every agent reconstructs the relative map of the whole ring"
 }
 
-func (discoverSpec) PaperBound() bool { return true }
-
 func (discoverSpec) Solvable(model ring.Model, oddN bool) bool {
 	return Solvable(model, oddN, LocationDiscovery)
 }
@@ -32,19 +30,9 @@ func (discoverSpec) Bound(model ring.Model, oddN, commonSense bool, n, idBound i
 }
 
 func (discoverSpec) Run(ctx context.Context, nw *ringsym.Network, p Params) (Outcome, error) {
-	_, out, err := runDiscovery(ctx, nw, p)
-	return out, err
-}
-
-// runDiscovery executes location discovery and converts its result into the
-// shared task outcome.  It is the single extraction point for every workload
-// built on discovery (discover, patrol, swarmlocate): the raw result is
-// returned alongside so derived tasks can compute their extra fields from
-// facade data the outcome does not carry.
-func runDiscovery(ctx context.Context, nw *ringsym.Network, p Params) (*ringsym.DiscoveryResult, Outcome, error) {
 	res, err := nw.DiscoverLocationsContext(ctx, ringsym.DiscoveryOptions{CommonSense: p.CommonSense, Seed: p.Seed})
 	if err != nil {
-		return nil, Outcome{}, err
+		return Outcome{}, err
 	}
 	out := Outcome{Rounds: res.Rounds, PerAgent: make([]Split, len(res.PerAgent))}
 	for i, a := range res.PerAgent {
@@ -53,7 +41,7 @@ func runDiscovery(ctx context.Context, nw *ringsym.Network, p Params) (*ringsym.
 			out.LeaderID = a.ID
 		}
 	}
-	return res, out, nil
+	return out, nil
 }
 
 func (discoverSpec) Verify(nw *ringsym.Network, p Params, out Outcome) error {

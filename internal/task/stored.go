@@ -2,7 +2,6 @@ package task
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -13,7 +12,6 @@ import (
 // every agent reports the same split (tasktest requires it):
 //
 //	[2,rounds,leader_id,agents,nontrivial,agreement,leader,coordination,discovery]
-//	[2,rounds,leader_id,agents,nontrivial,agreement,leader,coordination,discovery,{extra}]
 //
 // It stays JSON so encoding/json callers (the campaign tier, the
 // benchmark's replay) keep working through MarshalJSON and UnmarshalJSON.
@@ -27,7 +25,7 @@ const storedVersion = 2
 // corrupt or hostile record cannot make the decoder allocate without bound.
 const maxStoredAgents = 1 << 16
 
-// storedInts is the number of integers leading the stored form.
+// storedInts is the number of integers in the stored form.
 const storedInts = 9
 
 var (
@@ -61,20 +59,12 @@ func (out Outcome) MarshalJSON() ([]byte, error) {
 		}
 		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	if out.Extra != nil {
-		x, err := json.Marshal(out.Extra)
-		if err != nil {
-			return nil, err
-		}
-		b = append(append(b, ','), x...)
-	}
 	return append(b, ']'), nil
 }
 
 // UnmarshalJSON decodes the stored form.  It accepts exactly the bytes
 // MarshalJSON produces, so every accepted record re-encodes to itself:
-// integers in shortest form, no whitespace, and an extra object that
-// encoding/json would emit as it stands.
+// nine integers in shortest form and no whitespace.
 func (out *Outcome) UnmarshalJSON(b []byte) error {
 	if len(b) < 2 || b[0] != '[' || b[len(b)-1] != ']' {
 		return errStoredForm
@@ -109,21 +99,10 @@ func (out *Outcome) UnmarshalJSON(b []byte) error {
 	if agents == 0 && sp != (Split{}) {
 		return errStoredForm
 	}
-	var extra map[string]json.RawMessage
-	switch {
-	case p == len(b)-1:
-	case b[p] == ',' && b[p+1] == '{':
-		x := b[p+1 : len(b)-1]
-		if err := json.Unmarshal(x, &extra); err != nil {
-			return fmt.Errorf("task: stored outcome extra: %w", err)
-		}
-		if again, err := json.Marshal(extra); err != nil || !bytes.Equal(again, x) {
-			return errStoredForm
-		}
-	default:
+	if p != len(b)-1 {
 		return errStoredForm
 	}
-	*out = Outcome{Rounds: f[1], LeaderID: f[2], Extra: extra}
+	*out = Outcome{Rounds: f[1], LeaderID: f[2]}
 	if agents > 0 {
 		out.PerAgent = make([]Split, agents)
 		for i := range out.PerAgent {

@@ -26,9 +26,6 @@ func TestStoredOutcome(t *testing.T) {
 			`[2,41,7,8,3,12,26,0,0]`},
 		{Outcome{Rounds: 9, PerAgent: uniform(5, Split{Coordination: 4, Discovery: 5})},
 			`[2,9,0,5,0,0,0,4,5]`},
-		{Outcome{Rounds: 1, PerAgent: uniform(3, Split{}), Extra: map[string]json.RawMessage{
-			"events": json.RawMessage(`1`), "collisions": json.RawMessage(`[1,1,0]`)}},
-			`[2,1,0,3,0,0,0,0,0,{"collisions":[1,1,0],"events":1}]`},
 		{Outcome{Rounds: -1}, `[2,-1,0,0,0,0,0,0,0]`},
 	} {
 		b, err := json.Marshal(tc.out)
@@ -69,6 +66,8 @@ func TestStoredOutcomeRejects(t *testing.T) {
 		`[2,41,7,65537,3,12,26,0,0]`,
 		`[2,41,7,99999999999999999999,3,12,26,0,0]`,
 		`[2,41,7,0,3,0,0,0,0]`,
+		// The optional trailing {extra} object of older builds is gone.
+		`[2,1,0,3,0,0,0,0,0,{"events":1}]`,
 		`[2,1,0,3,0,0,0,0,0,null]`,
 		`[2,1,0,3,0,0,0,0,0,{"events":1,"collisions":[1,1,0]}]`,
 		`[2,1,0,3,0,0,0,0,0,{"events": 1}]`,

@@ -1,35 +1,26 @@
-// Package task is the protocol-task registry of the simulator: the single
-// seam through which every layer of the stack — the campaign runner, the
-// table harness in internal/eval, the serving daemon and the CLIs — selects,
-// runs, verifies and cache-translates a scenario's workload.
+// Package task holds the paper's two tasks and is the single seam through
+// which every layer of the stack — the campaign runner, the table harness in
+// internal/eval, the serving daemon and the CLIs — selects, runs, verifies
+// and cache-translates a scenario's workload.
 //
 // A task is described by a Spec: how to run it on a network, whether it is
 // solvable in a setting, what the paper's bound for it is, how to re-check a
 // finished outcome against the simulator's ground truth, and how to translate
 // an outcome computed on the canonical representative of a symmetry orbit
-// (internal/canon) back into the requesting frame.  Specs register themselves
-// under their name with Register; the built-ins of the paper (coordinate,
-// discover) and the derived workloads (bounce, patrol, swarmlocate) are
-// registered at init, so every importer sees the same catalogue.
-//
-// Adding a task is one file in this package (or any package that can import
-// it): implement Spec, call Register in an init function, and the task is
-// immediately sweepable by cmd/ringfarm (sharded, cached, aggregated),
-// servable by cmd/ringd (/v1/run, /v1/campaign, listed on /v1/tasks) and
-// runnable by cmd/ringsim — no switch statement anywhere needs to learn the
-// new name.  The conformance suite in tasktest runs every registered spec
-// through the same obligations: Solvable/Run agreement, Verify on ground
-// truth, the cache round-trip Run(s) == MapOutcome(Run(canon(s))), and
-// byte-stable record JSON.
+// (internal/canon) back into the requesting frame.  The catalogue is a fixed
+// table of the paper's two tasks, sorted by name: coordinate (nontrivial
+// move, direction agreement, leader election) and discover (location
+// discovery).  Lookup resolves a name and Names lists them.  The conformance
+// suite in tasktest runs both through the same obligations: Solvable/Run
+// agreement, Verify on ground truth, the cache round-trip
+// Run(s) == MapOutcome(Run(canon(s))), and byte-stable record JSON.
 package task
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"ringsym"
 	"ringsym/internal/canon"
@@ -55,23 +46,20 @@ type Params struct {
 	Seed int64
 }
 
-// Split is one agent's per-stage round split.  It is the superset of the
-// stage vocabularies of all registered tasks; a task fills the stages it has
-// and leaves the rest zero (zero stages are omitted from record JSON).
+// Split is one agent's per-stage round split: the stage vocabularies of the
+// two tasks side by side.  A task fills its own stages and leaves the other
+// task's zero (zero stages are omitted from record JSON).
 type Split struct {
 	// Coordination-pipeline stages (coordinate).
 	Nontrivial, Agreement, Leader int
-	// Location-discovery stages (discover and the workloads built on it).
+	// Location-discovery stages (discover).
 	Coordination, Discovery int
 }
 
 // Outcome is the frame-independent result of one verified task run.  Its
 // per-agent data is indexed by the ring indices of the frame the task ran in;
-// MapOutcome translates between frames.  Extra carries task-declared fields
-// that flow verbatim into the record JSON (and therefore must be produced
-// deterministically — marshal with encoding/json, never by hand).  JSON
-// coding goes through the compact stored form of stored.go, not a
-// field-by-field object.
+// MapOutcome translates between frames.  JSON coding goes through the
+// compact stored form of stored.go, not a field-by-field object.
 type Outcome struct {
 	// Rounds is the total round cost of the task.
 	Rounds int
@@ -80,9 +68,8 @@ type Outcome struct {
 	LeaderID int
 	// PerAgent holds the per-agent stage splits by ring index.
 	PerAgent []Split
-	// Extra holds task-specific result fields, exported on the record as
-	// "extra".  Tasks without extra fields leave it nil, which keeps their
-	// record JSON byte-identical to pre-registry builds.
+	// Extra is always nil; kept only because bench/replay.go reads it; goes
+	// with the next change to bench/.  The stored form does not carry it.
 	Extra map[string]json.RawMessage
 }
 
@@ -91,15 +78,11 @@ type Outcome struct {
 // deterministic: the outcome may depend only on the network configuration and
 // the Params.
 type Spec interface {
-	// Name is the registry key and the Scenario.Task value ("coordinate").
+	// Name is the lowercase Lookup key and the Scenario.Task value
+	// ("coordinate").
 	Name() string
 	// Description is the one-line human summary listed by GET /v1/tasks.
 	Description() string
-	// PaperBound reports that the paper states a bound for this exact task.
-	// Only such tasks enter the default Matrix task axis; derived workloads
-	// return false so default sweeps stay byte-identical across registry
-	// growth.
-	PaperBound() bool
 	// Solvable reports whether the task is solvable at all in the setting;
 	// unsolvable scenarios are recorded without running (Lemma 5 style).
 	Solvable(model ring.Model, oddN bool) bool
@@ -127,9 +110,8 @@ type Spec interface {
 // Reframe translates the frame-indexed parts of an outcome from the
 // canonical frame into the original frame described by m: the agent at
 // original ring index i takes the per-agent data of canonical index
-// m.CanonIndex(i).  Scalar fields and Extra are unchanged (shared).  It is
-// the whole MapOutcome implementation for tasks whose Extra fields are
-// frame-invariant.  An outcome holding exactly m.N identical splits is the
+// m.CanonIndex(i).  Scalar fields are unchanged.  It is the whole
+// MapOutcome implementation of both tasks.  An outcome holding exactly m.N identical splits is the
 // same in every frame and comes back unchanged; any other length is
 // permuted, so a split count that does not fit the ring fails loudly.
 func Reframe(out Outcome, m canon.Map) Outcome {
@@ -157,81 +139,27 @@ func uniform(per []Split, n int) bool {
 	return true
 }
 
-// mustJSON marshals a value that cannot fail (ints, slices of ints); it is
-// the deterministic encoder for Extra fields.
-func mustJSON(v any) json.RawMessage {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("task: marshal extra field: %v", err))
-	}
-	return b
-}
+// specs is the whole catalogue, sorted by name: the paper's two tasks.
+var specs = [...]Spec{coordinateSpec{}, discoverSpec{}}
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Spec{}
-)
-
-// Register adds a spec to the registry under its name.  It panics on an
-// empty name or a duplicate registration — both are programming errors that
-// must fail loudly at init, not at sweep time.
-func Register(spec Spec) {
-	name := spec.Name()
-	if name == "" || name != strings.ToLower(name) {
-		panic(fmt.Sprintf("task: invalid task name %q (must be non-empty lowercase)", name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("task: duplicate registration of %q", name))
-	}
-	registry[name] = spec
-}
-
-// Lookup returns the spec registered under name (case-insensitive).  The
-// error of an unknown name lists the registered tasks, so a typo in a sweep
-// spec or an HTTP request is self-explaining.
+// Lookup returns the spec named name (case-insensitive).  The error of an
+// unknown name lists the tasks, so a typo in a sweep spec or an HTTP request
+// is self-explaining.
 func Lookup(name string) (Spec, error) {
-	regMu.RLock()
-	spec, ok := registry[strings.ToLower(name)]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("task: unknown task %q (registered: %s)", name, strings.Join(Names(), ", "))
-	}
-	return spec, nil
-}
-
-// Names returns the registered task names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PaperBoundNames returns the sorted names of the tasks the paper states a
-// bound for — the default task axis of a campaign matrix.
-func PaperBoundNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name, spec := range registry {
-		if spec.PaperBound() {
-			out = append(out, name)
+	key := strings.ToLower(name)
+	for _, spec := range specs {
+		if spec.Name() == key {
+			return spec, nil
 		}
 	}
-	sort.Strings(out)
-	return out
+	return nil, fmt.Errorf("task: unknown task %q (tasks: %s)", name, strings.Join(Names(), ", "))
 }
 
-func init() {
-	Register(coordinateSpec{})
-	Register(discoverSpec{})
-	Register(bounceSpec{})
-	Register(patrolSpec{})
-	Register(swarmlocateSpec{})
+// Names returns the task names, sorted.
+func Names() []string {
+	out := make([]string, len(specs))
+	for i, spec := range specs {
+		out[i] = spec.Name()
+	}
+	return out
 }

@@ -1,7 +1,7 @@
-// Package tasktest is the conformance suite of the task registry: a harness
-// that runs any registered task.Spec through the obligations every task must
-// meet to travel safely through the campaign runner, the symmetry-canonical
-// cache and the serving daemon.
+// Package tasktest is the conformance suite of the tasks: a harness that runs
+// a task.Spec through the obligations every task must meet to travel safely
+// through the campaign runner, the symmetry-canonical cache and the serving
+// daemon.
 //
 // The obligations, per setting of a small model × parity × chirality grid:
 //
@@ -18,13 +18,11 @@
 //   - One stage split: every agent reports the same per-stage split, since
 //     a record takes its split from agent 0 of whatever frame it runs in.
 //   - Stored-form round trip: json.Unmarshal(json.Marshal(out)) equals every
-//     fresh outcome, Extra included, so the disk tier serves exactly what
-//     was computed.
+//     fresh outcome, so the disk tier serves exactly what was computed.
 //   - End-to-end symmetry: a rotated+reflected framing of a scenario served
 //     from the cache must produce a record identical to direct execution.
 //   - Byte-stable record JSON: running the same scenario twice must
-//     serialise to identical bytes (determinism of every Extra field
-//     included).
+//     serialise to identical bytes.
 package tasktest
 
 import (
@@ -61,8 +59,7 @@ func grid() []gridPoint {
 	return out
 }
 
-// Conformance runs the full obligation suite against the named registered
-// task.
+// Conformance runs the full obligation suite against the named task.
 func Conformance(t *testing.T, name string) {
 	t.Helper()
 	spec, err := task.Lookup(name)
@@ -70,7 +67,7 @@ func Conformance(t *testing.T, name string) {
 		t.Fatal(err)
 	}
 	if spec.Name() != name {
-		t.Fatalf("spec registered under %q reports Name() = %q", name, spec.Name())
+		t.Fatalf("spec looked up as %q reports Name() = %q", name, spec.Name())
 	}
 	solvableSettings := 0
 	for _, g := range grid() {
