@@ -45,10 +45,11 @@
 //
 // Fleet mode: when -workers is a comma-separated roster of ringd base URLs
 // instead of a pool size, the sweep is coordinated across those daemons by
-// internal/fleet — the index space is split into lease ranges, dead or
-// straggling workers are re-leased (visible as fleet.* events in -events and
-// as per-worker rows in -top), and the merged artefacts are byte-identical
-// to a local run of the same spec.  -lease overrides the lease size.  The
+// internal/fleet — idle workers are leased shrinking ranges of the index
+// space, the unstreamed remainder of a dead worker's lease is re-leased
+// (visible as fleet.* events in -events and as per-worker rows in -top), and
+// the merged artefacts are byte-identical to a local run of the same spec.
+// -lease caps the lease size.  The
 // roster is the whole fleet: its daemons talk only to the coordinator,
 // through leases, and each keeps its own -cache and -store.
 //
@@ -110,7 +111,7 @@ func main() {
 	idFactor := flag.Int("idfactor", 0, "identifier bound N as a multiple of n (default 4)")
 	shard := flag.String("shard", "", "run only shard i/m of the campaign (e.g. 0/4)")
 	workersFlag := flag.String("workers", "", "local worker-pool size (default GOMAXPROCS), or a comma-separated ringd roster host1:8080,host2:8080 to run the sweep on a fleet")
-	lease := flag.Int("lease", 0, "fleet mode: scenario indices per lease (default: auto, total/(4*workers))")
+	lease := flag.Int("lease", 0, "fleet mode: at most this many scenario indices per lease (default: no cap; leases shrink from unleased/(2*workers))")
 	cacheFlag := flag.String("cache", "off", "memoise outcomes under their canonical symmetry key: off, on, or a capacity in entries")
 	storeDir := flag.String("store", "", "back the cache with the on-disk result store in this directory (shared with ringd -store); requires -cache")
 	out := flag.String("out", "ringfarm-out", "output directory for records.jsonl, summary.csv, summary.md")
@@ -141,7 +142,7 @@ func main() {
 		usageError(fmt.Errorf("invalid -workers %d (must be >= 0; 0 means GOMAXPROCS)", workers))
 	}
 	if *lease < 0 {
-		usageError(fmt.Errorf("invalid -lease %d (must be >= 0; 0 means automatic sizing)", *lease))
+		usageError(fmt.Errorf("invalid -lease %d (must be >= 0; 0 means no cap)", *lease))
 	}
 	fleetMode := roster != nil
 	if !fleetMode && *lease > 0 {

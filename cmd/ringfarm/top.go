@@ -48,9 +48,10 @@ type topView struct {
 	finishWin *obs.Window
 
 	// Per-worker rows from fleet.* events (fleet sweeps only; empty and
-	// unrendered for local ones).  Lease ranges are [Lo, Hi), and a steal
-	// shrinks the victim's Hi before its lease.done is emitted, so summing
-	// Hi-Lo over done leases counts each worker's records exactly.
+	// unrendered for local ones).  Lease ranges are [Lo, Hi) and never
+	// change once granted, so summing Hi-Lo over done leases counts the
+	// records of each worker's completed leases; records streamed before a
+	// failed attempt are merged but not counted here.
 	workers     map[string]*workerRow
 	quarantined int
 
@@ -63,7 +64,6 @@ type workerRow struct {
 	records int
 	leases  int
 	fails   int
-	steals  int
 }
 
 func newTopView() *topView {
@@ -126,8 +126,6 @@ func (v *topView) observe(ev obs.Event) {
 		w.records += ev.Hi - ev.Lo
 	case obs.FleetLeaseFail:
 		v.worker(ev.Worker).fails++
-	case obs.FleetLeaseSteal:
-		v.worker(ev.Worker).steals++
 	case obs.FleetLeaseQuarantine:
 		v.quarantined += ev.Hi - ev.Lo
 	case obs.EngineLeap:
@@ -195,8 +193,8 @@ func (v *topView) render(w io.Writer, source string) {
 			if !wr.up {
 				state = "DOWN"
 			}
-			fmt.Fprintf(&b, "    %-28s %-4s  %6d records  %3d leases  %2d fails  %2d stolen-from\n",
-				a, state, wr.records, wr.leases, wr.fails, wr.steals)
+			fmt.Fprintf(&b, "    %-28s %-4s  %6d records  %3d leases  %2d fails\n",
+				a, state, wr.records, wr.leases, wr.fails)
 		}
 		if v.quarantined > 0 {
 			fmt.Fprintf(&b, "    QUARANTINED: %d scenario indices abandoned\n", v.quarantined)

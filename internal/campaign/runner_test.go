@@ -237,9 +237,10 @@ func TestShardUnionReproducesFullExport(t *testing.T) {
 // into contiguous ranges: each range run independently (in an arbitrary
 // execution order), then merged back in index order, reproduces the
 // unsharded JSONL byte-for-byte.  This is the invariant the fleet lease
-// merger (internal/fleet) rests on — lease boundaries move at runtime
-// (re-leasing, work-stealing splits), so byte-identity must hold for every
-// cut, not just the even ones.
+// merger (internal/fleet) rests on — lease boundaries are set at runtime
+// (lease sizes follow the unleased tail, and a failed lease is re-leased from
+// wherever its stream stopped), so byte-identity must hold for every cut, not
+// just the even ones.
 func TestArbitraryPartitionReproducesFullExport(t *testing.T) {
 	scs, err := Matrix{
 		Tasks:  []Task{TaskCoordinate, TaskDiscover},

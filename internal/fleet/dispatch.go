@@ -21,9 +21,8 @@ import (
 const maxLineBytes = 1 << 20
 
 // runLease drives one granted lease to its end and retires it.  It owns the
-// lease from grant to endLeaseLocked; the coordinator only touches l.hi (a
-// steal) and l.cancel/l.lastProgress (the stall watchdog) in between, all
-// under c.mu.
+// lease from grant to endLeaseLocked; in between the coordinator only touches
+// l.cancel and l.lastProgress (the stall watchdog), under c.mu.
 func (c *Coordinator) runLease(ctx context.Context, w *worker, l *lease) {
 	cause, dead := c.streamLease(ctx, w, l)
 	c.mu.Lock()
@@ -40,24 +39,17 @@ func (c *Coordinator) runLease(ctx context.Context, w *worker, l *lease) {
 }
 
 // streamLease POSTs the lease range to the worker and merges the record
-// stream back.  It returns cause == "" when the remaining range [next, hi)
-// was fully streamed (including the hi==next case after a steal took
-// everything) and a failure cause otherwise; dead reports whether the
-// failure was transport-level (connection or stream death, as opposed to an
-// HTTP error from a live daemon).  429 throttling loops internally with
-// jittered backoff rather than counting as failure.
+// stream back.  It returns cause == "" when the range [next, hi) was fully
+// streamed and a failure cause otherwise; dead reports whether the failure
+// was transport-level (connection or stream death, as opposed to an HTTP
+// error from a live daemon).  429 throttling loops internally with jittered
+// backoff rather than counting as failure; it answers before any record, so
+// every attempt asks for the same range.
 func (c *Coordinator) streamLease(ctx context.Context, w *worker, l *lease) (cause string, dead bool) {
+	url := fmt.Sprintf("%s/v1/campaign?lo=%d&hi=%d", w.addr, l.next, l.hi)
 	for {
-		c.mu.Lock()
-		lo, hi := l.next, l.hi
-		c.mu.Unlock()
-		if lo >= hi {
-			return "", false
-		}
-
 		// Arm the stall watchdog's cancel for this stream.
 		sctx, cancel := context.WithCancel(ctx)
-		url := fmt.Sprintf("%s/v1/campaign?lo=%d&hi=%d", w.addr, lo, hi)
 		req, err := http.NewRequestWithContext(sctx, http.MethodPost, url, bytes.NewReader(c.matrixBody))
 		if err != nil {
 			cancel()
@@ -90,7 +82,7 @@ func (c *Coordinator) streamLease(ctx context.Context, w *worker, l *lease) (cau
 			return fmt.Sprintf("worker returned %d: %s", resp.StatusCode, bytes.TrimSpace(body)), false
 		}
 
-		cause = c.consume(resp.Body, w, l, hi)
+		cause = c.consume(resp.Body, w, l)
 		resp.Body.Close()
 		cancel()
 		c.mu.Lock()
@@ -106,15 +98,12 @@ func (c *Coordinator) streamLease(ctx context.Context, w *worker, l *lease) (cau
 	}
 }
 
-// consume reads one response stream, requested up to hi, line by line,
-// merging each record.  The worker streams its range in index order (serve
-// uses OrderedWriter), so the lease watermark advances contiguously.  A
-// steal victim hands off the split range mid-stream: once a lease whose hi
-// a steal shrank below the requested hi has merged its last owed record,
-// reading stops without error, without waiting for the worker to compute
-// the thief's first record.  A lease that was not shrunk reads to EOF, so
-// its keep-alive connection is reused.
-func (c *Coordinator) consume(body io.Reader, w *worker, l *lease, hi int) string {
+// consume reads one response stream line by line, merging each record.  The
+// worker streams its range in index order (serve uses OrderedWriter), so the
+// lease watermark advances contiguously; any other index, one outside the
+// lease included, fails the stream.  A healthy stream is read to EOF, so its
+// keep-alive connection is reused.
+func (c *Coordinator) consume(body io.Reader, w *worker, l *lease) string {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 	for sc.Scan() {
@@ -129,8 +118,8 @@ func (c *Coordinator) consume(body io.Reader, w *worker, l *lease, hi int) strin
 		line := append([]byte(nil), raw...)
 		c.mu.Lock()
 		if l.next >= l.hi {
-			// Everything owed is merged; past it the stream is the thief's
-			// share or an overrun.  Abandon it.
+			// Everything owed is merged; the worker streams past its range.
+			// Abandon the overrun.
 			c.mu.Unlock()
 			return ""
 		}
@@ -142,14 +131,10 @@ func (c *Coordinator) consume(body io.Reader, w *worker, l *lease, hi int) strin
 		l.next = rec.Index + 1
 		l.lastProgress = obs.Now()
 		w.records++
-		handedOff := l.next >= l.hi && l.hi < hi
 		if c.merger.done() {
 			c.kickLoop() // the sweep is over even if this stream has not ended
 		}
 		c.mu.Unlock()
-		if handedOff {
-			return ""
-		}
 	}
 	if err := sc.Err(); err != nil {
 		return "stream: " + err.Error()

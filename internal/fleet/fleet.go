@@ -2,30 +2,33 @@
 // the step from "one big box" to horizontal scale.
 //
 // The coordinator expands the scenario matrix exactly once — with the same
-// deterministic campaign.Matrix.Expand every local sweep uses — and splits
-// the index space [0, total) into contiguous lease ranges.  Each lease is
-// dispatched to a worker as a POST /v1/campaign request carrying the matrix
-// spec plus the range (?lo=&hi=, see internal/serve); the worker streams its
-// records back as JSONL in index order, and a streaming merger reassembles
-// the per-lease streams so the final records.jsonl is byte-identical to a
-// single-machine run of the same spec.  That byte-identity is the package's
-// core invariant, and it rests on three facts: expansion is deterministic,
-// every record is a pure function of its scenario, and any partition of the
-// index space into ranges merged back in index order reproduces the
-// unsharded export (the generalization of the PR 1 shard-union property,
-// pinned by test at both the campaign and the merger layer).
+// deterministic campaign.Matrix.Expand every local sweep uses — and carves
+// the index space [0, total) into contiguous lease ranges as workers go
+// idle.  Each lease is dispatched to a worker as a POST /v1/campaign request
+// carrying the matrix spec plus the range (?lo=&hi=, see internal/serve); the
+// worker streams its records back as JSONL in index order, and a streaming
+// merger reassembles the per-lease streams so the final records.jsonl is
+// byte-identical to a single-machine run of the same spec.  That
+// byte-identity is the package's core invariant, and it rests on three
+// facts: expansion is deterministic, every record is a pure function of its
+// scenario, and any partition of the index space into ranges merged back in
+// index order reproduces the unsharded export (the generalization of the
+// shard-union property, pinned by test at both the campaign and the merger
+// layer).
+//
+// Leases are sized by guided self-scheduling: each new lease takes
+// ⌈unleased/(2·workers)⌉ indices (at least 2, at most Options.LeaseSize when
+// set) from the front of the never-leased tail, so early leases are long and
+// the last ones are short enough that the workers finish together.  A lease's
+// range never changes once granted, and every index is asked of a worker
+// once on a healthy fleet.
 //
 // Fault handling keeps a sweep moving instead of wedging it:
 //
 //   - A worker that dies mid-stream (connection drop, daemon kill) has the
 //     unstreamed remainder of its lease re-queued and granted to another
-//     worker; the records it already streamed stay merged, so nothing is
-//     recomputed and nothing is lost.
-//   - A straggling lease is split ("work stealing"): when workers sit idle
-//     and no leases are pending, the coordinator shrinks the straggler to
-//     [watermark, mid) and grants [mid, hi) to an idle worker.  The victim's
-//     reader simply stops consuming at the new boundary, so victim and thief
-//     never produce overlapping indices.
+//     worker ahead of new carving; the records it already streamed stay
+//     merged, so nothing is recomputed and nothing is lost.
 //   - A range that keeps failing is quarantined after three attempts and
 //     reported in Result.Quarantined (and as a fleet.lease.quarantine event)
 //     instead of blocking the merge; the sweep completes with a hole the
@@ -33,6 +36,8 @@
 //   - A worker answering 429 (serve admission control) is backed off with a
 //     jittered Retry-After delay; throttling is routine load-shedding, not a
 //     lease failure.
+//   - A stream that makes no progress for two minutes (a wedged but
+//     connected worker) is cancelled and its remainder re-queued.
 //
 // The fleet is a static roster (ringfarm -workers host:8080,host:8081) of
 // independent ringd daemons.  They talk to the coordinator only through
@@ -40,7 +45,7 @@
 // /healthz, so a restarted daemon rejoins the sweep on its own.
 //
 // Everything the coordinator does is visible on the structured-event spine
-// (internal/obs): fleet.worker.up/down, fleet.lease.grant/done/steal/fail/
+// (internal/obs): fleet.worker.up/down, fleet.lease.grant/done/fail/
 // quarantine, plus the standard campaign.start/checkpoint/finish and a
 // scenario.finish per merged record, so `ringfarm top` renders fleet sweeps
 // — including per-worker rows — exactly like local ones.
@@ -66,9 +71,8 @@ type Options struct {
 	// Workers is the roster: worker base URLs as returned by ParseWorkers.
 	// It must not be empty.
 	Workers []string
-	// LeaseSize is the number of scenario indices per initial lease; 0
-	// picks total/(4·workers) (at least 1) so every worker sees several
-	// leases and a straggler costs at most a lease, not the sweep.
+	// LeaseSize, when positive, caps the number of scenario indices per
+	// lease; 0 leaves the guided sizing uncapped (see the package doc).
 	LeaseSize int
 	// JitterSeed seeds the backoff jitter; 0 uses a fixed seed.  The seed
 	// only shapes retry timing, never artefact bytes.
@@ -104,16 +108,13 @@ const (
 	defaultMaxAttempts   = 3
 	defaultProbeInterval = 500 * time.Millisecond
 	defaultRetryBase     = 250 * time.Millisecond
-	// stealMin is the smallest remaining range worth splitting off a
-	// straggler.
-	stealMin = 4
 	// stallTimeout cancels a lease whose stream has made no progress for
 	// this long (a wedged-but-connected worker).
 	stallTimeout = 2 * time.Minute
-	// leasesPerWorker is the initial-split target: enough leases per worker
-	// that re-leasing a failure costs a fraction of the sweep, few enough
-	// that per-lease HTTP overhead stays negligible.
-	leasesPerWorker = 4
+	// minLease is the smallest lease carved while at least that many indices
+	// are unleased: below it the per-lease HTTP round trip outweighs the
+	// balance a shorter lease buys.
+	minLease = 2
 )
 
 // Range is a contiguous scenario-index range [Lo, Hi).
@@ -161,7 +162,8 @@ type Coordinator struct {
 
 	mu          sync.Mutex
 	roster      map[string]*worker
-	pending     []*lease // granted in order; index 0 is next
+	pending     []*lease // failed remainders, re-leased in order before new carving
+	cursor      int      // first index never leased
 	active      map[int]*lease
 	nextLeaseID int
 	quarantined []Range
@@ -219,37 +221,15 @@ func New(m campaign.Matrix, opts Options) (*Coordinator, error) {
 		rng:        rand.New(rand.NewSource(seed)),
 		kick:       make(chan struct{}, 1),
 	}
-	c.pending = c.initialLeases()
 	for _, addr := range opts.Workers {
 		c.addWorkerLocked(addr) // no lock needed yet: New is single-threaded
 	}
 	return c, nil
 }
 
-// initialLeases splits [0, total) into contiguous ranges of the configured
-// (or derived) lease size.
-func (c *Coordinator) initialLeases() []*lease {
-	size := c.opts.LeaseSize
-	if size <= 0 {
-		size = c.total / (leasesPerWorker * len(c.opts.Workers))
-		if size < 1 {
-			size = 1
-		}
-	}
-	var out []*lease
-	for lo := 0; lo < c.total; lo += size {
-		hi := lo + size
-		if hi > c.total {
-			hi = c.total
-		}
-		out = append(out, c.newLease(lo, hi, 0))
-	}
-	return out
-}
-
-// Run drives the sweep to completion: granting leases, re-leasing failures,
-// stealing from stragglers and merging streams, until every index is merged
-// or quarantined.  It returns the context's error when cancelled mid-sweep,
+// Run drives the sweep to completion: carving and granting leases,
+// re-leasing failures and merging streams, until every index is merged or
+// quarantined.  It returns the context's error when cancelled mid-sweep,
 // and the first error writing to Options.Records, which stops the sweep; a
 // completed run with failures reports them in Result.Quarantined instead of
 // an error, so a partial artefact is always accompanied by an exact account
@@ -288,9 +268,6 @@ func (c *Coordinator) Run(ctx context.Context) (res Result, err error) {
 	for {
 		c.mu.Lock()
 		c.grantLocked(runCtx, &wg)
-		if c.stealLocked() {
-			c.grantLocked(runCtx, &wg)
-		}
 		done, werr := c.merger.done(), c.merger.err
 		c.mu.Unlock()
 		if werr != nil {
@@ -321,21 +298,20 @@ func (c *Coordinator) kickLoop() {
 	}
 }
 
-// grantLocked hands pending leases to idle, live workers (sorted by address
-// so the assignment is reproducible for a fixed roster and timing).
+// grantLocked hands work to idle, live workers (sorted by address so the
+// assignment is reproducible for a fixed roster and timing): a pending failed
+// remainder first, else a lease carved from the unleased tail.
 func (c *Coordinator) grantLocked(ctx context.Context, wg *sync.WaitGroup) {
-	if len(c.pending) == 0 {
-		return
-	}
 	for _, w := range c.sortedWorkersLocked() {
-		if len(c.pending) == 0 {
-			return
-		}
 		if !w.up || w.busy > 0 {
 			continue
 		}
-		l := c.pending[0]
-		c.pending = c.pending[1:]
+		var l *lease
+		if len(c.pending) > 0 {
+			l, c.pending = c.pending[0], c.pending[1:]
+		} else if l = c.carveLocked(); l == nil {
+			return
+		}
 		l.worker = w.addr
 		l.lastProgress = obs.Now()
 		w.busy++
@@ -351,44 +327,25 @@ func (c *Coordinator) grantLocked(ctx context.Context, wg *sync.WaitGroup) {
 	}
 }
 
-// stealLocked splits the largest remaining range off a straggling active
-// lease when workers would otherwise idle: the victim's bound shrinks to the
-// midpoint of its remaining range and the split-off half joins the pending
-// queue.  Returns true when a steal happened (the caller grants again).
-func (c *Coordinator) stealLocked() bool {
-	if len(c.pending) > 0 {
-		return false
+// carveLocked takes the next lease from the front of the never-leased tail
+// [cursor, total), or returns nil when every index has been leased.  The
+// size is ⌈(total−cursor)/(2·workers)⌉, at least minLease and at most
+// Options.LeaseSize when that is set, clipped to what is left: sizes shrink
+// as the tail does, so the workers' last leases end close together.
+func (c *Coordinator) carveLocked() *lease {
+	left := c.total - c.cursor
+	if left == 0 {
+		return nil
 	}
-	idle := 0
-	for _, w := range c.roster {
-		if w.up && w.busy == 0 {
-			idle++
-		}
+	parts := 2 * len(c.roster)
+	size := max(minLease, (left+parts-1)/parts)
+	if c.opts.LeaseSize > 0 {
+		size = min(size, c.opts.LeaseSize)
 	}
-	if idle == 0 {
-		return false
-	}
-	var victim *lease
-	remaining := 0
-	for _, l := range c.active {
-		if r := l.hi - l.next; r > remaining {
-			victim, remaining = l, r
-		}
-	}
-	if victim == nil || remaining < stealMin {
-		return false
-	}
-	mid := victim.next + remaining/2
-	if mid <= victim.next || mid >= victim.hi {
-		return false
-	}
-	stolen := c.newLease(mid, victim.hi, victim.attempts)
-	victim.hi = mid
-	c.pending = append(c.pending, stolen)
-	if obs.On() {
-		obs.Emit(obs.Event{Type: obs.FleetLeaseSteal, Level: obs.LevelInfo, Worker: victim.worker, Lo: mid, Hi: stolen.hi})
-	}
-	return true
+	size = min(size, left)
+	l := c.newLease(c.cursor, c.cursor+size, 0)
+	c.cursor += size
+	return l
 }
 
 // housekeep runs the periodic liveness work: cancel stalled leases and

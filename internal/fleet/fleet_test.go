@@ -5,13 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,6 +31,12 @@ func testMatrix() campaign.Matrix {
 		Sizes:  []int{8},
 		Seeds:  []int64{1, 2},
 	}
+}
+
+// goldenMatrix is the 216-scenario grid that testdata/golden pins (ringfarm
+// -sizes 8,12,16 -seeds 1:3).
+func goldenMatrix() campaign.Matrix {
+	return campaign.Matrix{Sizes: []int{8, 12, 16}, Seeds: []int64{1, 2, 3}}
 }
 
 // localExport runs the matrix single-machine and returns the canonical JSONL
@@ -103,9 +110,123 @@ func TestFleetByteIdentity(t *testing.T) {
 	}
 }
 
+// TestCarveLeases pins carveLocked's sequence: contiguous leases that cover
+// [0, total) exactly once, sizes that never grow and stay at least minLease
+// but for a final remainder, and Options.LeaseSize as a cap on every lease.
+func TestCarveLeases(t *testing.T) {
+	carve := func(t *testing.T, m campaign.Matrix, workers, leaseSize int) []int {
+		t.Helper()
+		var roster []string
+		for i := range workers {
+			roster = append(roster, fmt.Sprintf("http://w%d:1", i))
+		}
+		c, err := New(m, Options{Workers: roster, LeaseSize: leaseSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		var sizes []int
+		end := 0
+		for l := c.carveLocked(); l != nil; l = c.carveLocked() {
+			if l.lo != end || l.next != l.lo || l.hi <= l.lo {
+				t.Fatalf("lease [%d, %d) next %d does not continue the carve at %d", l.lo, l.hi, l.next, end)
+			}
+			sizes = append(sizes, l.hi-l.lo)
+			end = l.hi
+		}
+		if end != c.total {
+			t.Fatalf("leases cover [0, %d) of [0, %d)", end, c.total)
+		}
+		floor := minLease
+		if leaseSize > 0 {
+			floor = min(floor, leaseSize)
+		}
+		for i, size := range sizes {
+			switch {
+			case i > 0 && size > sizes[i-1]:
+				t.Errorf("workers %d cap %d: lease %d grew to %d (sizes %v)", workers, leaseSize, i, size, sizes)
+			case size < floor && i != len(sizes)-1:
+				t.Errorf("workers %d cap %d: lease %d is %d wide before the last (sizes %v)", workers, leaseSize, i, size, sizes)
+			case leaseSize > 0 && size > leaseSize:
+				t.Errorf("workers %d cap %d: lease %d is %d wide (sizes %v)", workers, leaseSize, i, size, sizes)
+			}
+		}
+		return sizes
+	}
+
+	// The golden grid on two workers: each lease takes a quarter of the
+	// unleased tail, rounded up.
+	want := []int{54, 41, 31, 23, 17, 13, 10, 7, 5, 4, 3, 2, 2, 2, 2}
+	if got := carve(t, goldenMatrix(), 2, 0); !slices.Equal(got, want) {
+		t.Errorf("golden grid on two workers carved %v, want %v", got, want)
+	}
+	for _, m := range []campaign.Matrix{goldenMatrix(), testMatrix()} {
+		for _, workers := range []int{1, 2, 3, 7} {
+			for _, leaseSize := range []int{0, 1, 3, 64} {
+				sizes := carve(t, m, workers, leaseSize)
+				if leaseSize == 1 && slices.ContainsFunc(sizes, func(n int) bool { return n != 1 }) {
+					t.Errorf("cap 1 carved %v, want every lease 1 wide", sizes)
+				}
+			}
+		}
+	}
+}
+
+// askCounter forwards to a worker's handler and sums hi−lo over its
+// /v1/campaign requests: the scenario indices asked of the worker.
+type askCounter struct {
+	asked *atomic.Int64
+	h     http.Handler
+}
+
+func (a askCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/campaign" {
+		lo, _ := strconv.Atoi(r.URL.Query().Get("lo"))
+		hi, _ := strconv.Atoi(r.URL.Query().Get("hi"))
+		a.asked.Add(int64(hi - lo))
+	}
+	a.h.ServeHTTP(w, r)
+}
+
+// TestFleetLeasesEachIndexOnce runs the golden grid on two workers with one
+// pool worker each (ringbench's grid-fleet shape) and checks that every pass
+// asks the workers for each scenario index exactly once and merges the
+// single-machine export's bytes.
+func TestFleetLeasesEachIndexOnce(t *testing.T) {
+	m := goldenMatrix()
+	want := localExport(t, m)
+	var asked atomic.Int64
+	var addrs []string
+	for range 2 {
+		pool := serve.New(serve.Options{Workers: 1})
+		ts := httptest.NewServer(askCounter{asked: &asked, h: pool.Handler()})
+		t.Cleanup(func() {
+			ts.Close()
+			pool.Close()
+		})
+		addrs = append(addrs, ts.URL)
+	}
+	for pass := range 10 {
+		asked.Store(0)
+		var got bytes.Buffer
+		res, err := Run(context.Background(), m, Options{Workers: addrs, Records: &got})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := asked.Load(); n != int64(res.Total) {
+			t.Errorf("pass %d asked the workers for %d indices, want %d", pass, n, res.Total)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("pass %d: fleet export differs from the single-machine export", pass)
+		}
+	}
+}
+
 // TestRunLeavesNoConnection checks that a finished Run holds no keep-alive
-// to a worker, with the default client and with a caller's: whether one
-// survived used to hang on steal timing.
+// to a worker, with the default client and with a caller's: whether the last
+// stream ended cleanly or was cut when Run returned depends on timing, and
+// neither may leave a connection open.
 func TestRunLeavesNoConnection(t *testing.T) {
 	m := testMatrix()
 	for name, client := range map[string]*http.Client{"default": nil, "caller's": {Transport: &http.Transport{}}} {
@@ -205,10 +326,9 @@ func TestFleetSurvivesMidStreamDeath(t *testing.T) {
 	sub := obs.Default.Subscribe(obs.SubOptions{Buffer: 1 << 12})
 	defer sub.Close()
 
-	// The worker dies after the first line of a lease.  A steal leaves the
-	// victim at least stealMin/2 = 2 lines, so the cut always lands inside
-	// the range the coordinator still expects; dying after 2 lines let a
-	// steal that shrank the lease to exactly 2 hide the fault.
+	// The worker dies after the first line of a lease.  The first lease it
+	// is granted is carved at least minLease = 2 wide, so at least one cut
+	// lands inside the range the coordinator still expects.
 	flaky := &flakyWorker{t: t, maxLines: 1}
 	flaky.remaining.Store(2) // two leases die mid-stream, then behave
 	fw := httptest.NewServer(flaky)
@@ -251,6 +371,123 @@ func TestFleetSurvivesMidStreamDeath(t *testing.T) {
 		if types[want] == 0 {
 			t.Errorf("no %s event emitted (got %v)", want, types)
 		}
+	}
+}
+
+// strayWorker streams the first record of its first lease and then, in
+// place of the second, a record with an index outside the lease; after that
+// it serves real records.  It closes probed on its first /healthz, so a test
+// can tell when the coordinator re-probed it.
+type strayWorker struct {
+	lines     [][]byte
+	stray     func(hi int) int // the index streamed out of the lease [lo, hi)
+	strayed   atomic.Bool
+	probed    chan struct{}
+	probeOnce sync.Once
+}
+
+func (s *strayWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/healthz" {
+		s.probeOnce.Do(func() { close(s.probed) })
+		w.WriteHeader(http.StatusOK)
+		return
+	}
+	lo, _ := strconv.Atoi(r.URL.Query().Get("lo"))
+	hi, _ := strconv.Atoi(r.URL.Query().Get("hi"))
+	for i, line := range s.lines[lo:hi] {
+		if i == 1 && s.strayed.CompareAndSwap(false, true) {
+			fmt.Fprintf(w, "{\"index\":%d}\n", s.stray(hi))
+			return
+		}
+		w.Write(append(line, '\n'))
+		w.(http.Flusher).Flush()
+	}
+}
+
+// TestFleetSurvivesOutOfLeaseIndex runs a whole sweep next to a worker that
+// streams an index outside its lease, past the lease's end and past the
+// index space.  The lease fails, the worker goes down and is re-probed, the
+// unstreamed remainder is re-leased, and the export is the single-machine
+// one with nothing quarantined.  The good worker holds its first lease until
+// the stray one is probed, so the probe is part of every run.
+func TestFleetSurvivesOutOfLeaseIndex(t *testing.T) {
+	m := testMatrix()
+	want := localExport(t, m)
+	scs, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := exportLines(t, scs)
+	total := len(lines)
+
+	for name, stray := range map[string]func(hi int) int{
+		"past hi":    func(hi int) int { return hi },
+		"past total": func(int) int { return total },
+	} {
+		t.Run(name, func(t *testing.T) {
+			sw := &strayWorker{lines: lines, stray: stray, probed: make(chan struct{})}
+			bad := httptest.NewServer(sw)
+			defer bad.Close()
+			pool := serve.New(serve.Options{Workers: 2})
+			defer pool.Close()
+			good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				select {
+				case <-sw.probed:
+					pool.Handler().ServeHTTP(w, r)
+				case <-r.Context().Done():
+				}
+			}))
+			defer good.Close()
+
+			sub := obs.Default.Subscribe(obs.SubOptions{Buffer: 1 << 12, Types: []string{"fleet"}})
+			defer sub.Close()
+			var got bytes.Buffer
+			res, err := Run(context.Background(), m, Options{
+				Workers:       []string{bad.URL, good.URL},
+				Records:       &got,
+				probeInterval: 10 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Error("fleet export with a stray index differs from the single-machine export")
+			}
+			if res.Merged != res.Total || len(res.Quarantined) != 0 {
+				t.Errorf("merged %d of %d, quarantined %v", res.Merged, res.Total, res.Quarantined)
+			}
+
+			// The fail, the down, the revival and the re-lease, in that
+			// order for the fail and its re-lease and for down and up.
+			var fail *obs.Event
+			down, up, released := false, false, false
+			for {
+				ev, ok := sub.TryNext()
+				if !ok {
+					break
+				}
+				switch {
+				case ev.Type == obs.FleetLeaseFail && ev.Worker == bad.URL && fail == nil:
+					fail = &ev
+				case ev.Type == obs.FleetWorkerDown && ev.Worker == bad.URL:
+					down = true
+				case ev.Type == obs.FleetWorkerUp && ev.Worker == bad.URL && down:
+					up = true
+				case ev.Type == obs.FleetLeaseGrant && fail != nil && ev.Lo == fail.Lo && ev.Hi == fail.Hi:
+					released = true
+				}
+			}
+			switch {
+			case fail == nil:
+				t.Fatal("no fleet.lease.fail event from the stray worker")
+			case !strings.Contains(fail.Err, "out-of-order"):
+				t.Errorf("lease failed with %q, want an out-of-order stream", fail.Err)
+			case !down || !up:
+				t.Errorf("stray worker down %v, then up again %v", down, up)
+			case !released:
+				t.Errorf("the remainder [%d, %d) was never re-leased", fail.Lo, fail.Hi)
+			}
+		})
 	}
 }
 
@@ -373,76 +610,16 @@ func TestFleetHonours429Backoff(t *testing.T) {
 	}
 }
 
-func TestStealSplitsStraggler(t *testing.T) {
-	c, err := New(testMatrix(), Options{Workers: []string{"http://a:1", "http://b:1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pending = nil
-	straggler := c.newLease(0, 10, 0)
-	straggler.next = 2
-	straggler.worker = "http://a:1"
-	c.roster["http://a:1"].busy = 1
-	c.active[straggler.id] = straggler
-
-	if !c.stealLocked() {
-		t.Fatal("stealLocked refused with an idle worker and an 8-wide straggler")
-	}
-	if straggler.hi != 6 {
-		t.Errorf("victim hi = %d, want 6 (midpoint of [2, 10))", straggler.hi)
-	}
-	if len(c.pending) != 1 || c.pending[0].lo != 6 || c.pending[0].hi != 10 {
-		t.Fatalf("stolen lease = %+v, want [6, 10)", c.pending)
-	}
-	// Below stealMin nothing is worth splitting.
-	straggler.next = straggler.hi - 2
-	if c.stealLocked() {
-		t.Error("stealLocked split a range narrower than stealMin")
-	}
-}
-
-// TestConsumeStopsAtStolenBound pins the victim side of a steal: once a
-// lease that a steal shrank below the requested bound has merged its last
-// owed record, consume returns, although the worker has not ended the
-// stream and may take long to compute the thief's first record.
-func TestConsumeStopsAtStolenBound(t *testing.T) {
-	c, err := New(testMatrix(), Options{Workers: []string{"http://a:1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, stream := io.Pipe()
-	defer stream.Close()
-	go func() {
-		for i := 0; i < 3; i++ {
-			fmt.Fprintf(stream, "{\"index\":%d}\n", i)
-		}
-	}()
-	l := c.newLease(0, 6, 0)
-	l.hi = 3 // a steal took [3, 6) after the stream was requested up to 6
-	done := make(chan string, 1)
-	go func() { done <- c.consume(body, c.roster["http://a:1"], l, 6) }()
-	select {
-	case cause := <-done:
-		if cause != "" || l.next != 3 {
-			t.Errorf("consume = %q with next %d, want a clean hand-off at 3", cause, l.next)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("consume still reading past the victim's new bound")
-	}
-}
-
-// TestConsumeJumpPastBoundFails: a stream that skips indices of a lease no
-// steal shrank is a failure with a cause, not a clean hand-off, even when
-// the index it jumps to lies past the lease.
+// TestConsumeJumpPastBoundFails: a stream that skips indices of its lease is
+// a failure with a cause, even when the index it jumps to lies past the
+// lease.
 func TestConsumeJumpPastBoundFails(t *testing.T) {
 	c, err := New(testMatrix(), Options{Workers: []string{"http://a:1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := c.newLease(0, 4, 0)
-	cause := c.consume(strings.NewReader("{\"index\":0}\n{\"index\":9}\n"), c.roster["http://a:1"], l, 4)
+	cause := c.consume(strings.NewReader("{\"index\":0}\n{\"index\":9}\n"), c.roster["http://a:1"], l)
 	if cause == "" || l.next != 1 {
 		t.Fatalf("consume = %q with next %d, want a failure cause at next 1", cause, l.next)
 	}
@@ -579,13 +756,11 @@ func TestFleetRunTwice(t *testing.T) {
 	}
 }
 
-// stallWorker streams real records, but before index i of a request for
-// [lo, hi) — i == hi meaning after the last record — it asks stall, which
-// may block, and stops there when stall says so: it neither writes nor ends
-// the response until the request is cancelled or release is closed.
+// stallWorker streams real records but, after the last record of the
+// sweep, neither writes nor ends the response until the request is cancelled
+// or release is closed.
 type stallWorker struct {
 	lines   [][]byte
-	stall   func(lo, hi, i int) bool
 	release chan struct{}
 }
 
@@ -596,17 +771,14 @@ func (s *stallWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	lo, _ := strconv.Atoi(r.URL.Query().Get("lo"))
 	hi, _ := strconv.Atoi(r.URL.Query().Get("hi"))
-	for i := lo; i <= hi; i++ {
-		if s.stall(lo, hi, i) {
-			select {
-			case <-r.Context().Done():
-			case <-s.release:
-			}
-			return
-		}
-		if i < hi {
-			w.Write(append(s.lines[i], '\n'))
-			w.(http.Flusher).Flush()
+	for _, line := range s.lines[lo:hi] {
+		w.Write(append(line, '\n'))
+		w.(http.Flusher).Flush()
+	}
+	if hi == len(s.lines) {
+		select {
+		case <-r.Context().Done():
+		case <-s.release:
 		}
 	}
 }
@@ -624,15 +796,11 @@ func TestRunReturnsPastStalledStreams(t *testing.T) {
 	lines := exportLines(t, scs)
 	total := len(lines)
 
-	run := func(t *testing.T, workers, lease int, stall func(release <-chan struct{}) func(lo, hi, i int) bool) {
+	t.Run("after the last record", func(t *testing.T) {
 		release := make(chan struct{})
-		sw := &stallWorker{lines: lines, stall: stall(release), release: release}
-		var addrs []string
-		for range workers {
-			ts := httptest.NewServer(sw)
-			t.Cleanup(ts.Close)
-			addrs = append(addrs, ts.URL)
-		}
+		sw := &stallWorker{lines: lines, release: release}
+		ts := httptest.NewServer(sw)
+		t.Cleanup(ts.Close)
 		type outcome struct {
 			res Result
 			err error
@@ -640,7 +808,7 @@ func TestRunReturnsPastStalledStreams(t *testing.T) {
 		var got bytes.Buffer
 		done := make(chan outcome, 1)
 		go func() {
-			res, err := Run(context.Background(), m, Options{Workers: addrs, LeaseSize: lease, Records: &got})
+			res, err := Run(context.Background(), m, Options{Workers: []string{ts.URL}, Records: &got})
 			done <- outcome{res, err}
 		}()
 		var out outcome
@@ -666,37 +834,5 @@ func TestRunReturnsPastStalledStreams(t *testing.T) {
 				t.Errorf("worker %s counted %d failures; a stream cut after its last owed record is retired", ws.Addr, ws.Fails)
 			}
 		}
-	}
-
-	// The first of two workers holds [0, 6) and, after one record, waits
-	// until the other worker has run every other lease and stolen [mid, 6).
-	// It then streams up to mid and stalls there: record mid is the thief's,
-	// so nothing but a cancellation would ever end that stream.  Six indices
-	// leave the victim fewer than stealMin after the split, so no second
-	// steal moves its bound again.
-	t.Run("steal victim", func(t *testing.T) {
-		run(t, 2, 6, func(release <-chan struct{}) func(lo, hi, i int) bool {
-			stolen := make(chan int, 1)
-			mid := -1 // used by the victim's handler alone
-			return func(lo, hi, i int) bool {
-				switch {
-				case lo > 0 && lo < 6 && i == lo:
-					stolen <- lo // the thief asks from the victim's new bound
-				case lo == 0 && i == 1:
-					select {
-					case mid = <-stolen:
-					case <-release:
-					}
-				}
-				return lo == 0 && i == mid
-			}
-		})
-	})
-	// One worker holds one lease over the whole sweep and, after its last
-	// record, never ends the response.
-	t.Run("after the last record", func(t *testing.T) {
-		run(t, 1, total, func(<-chan struct{}) func(lo, hi, i int) bool {
-			return func(_, hi, i int) bool { return i == total }
-		})
 	})
 }

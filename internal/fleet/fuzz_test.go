@@ -26,7 +26,7 @@ func FuzzConsumeStream(f *testing.F) {
 			t.Fatal(err)
 		}
 		l := c.newLease(0, hi, 0)
-		cause := c.consume(bytes.NewReader(data), c.roster[addr], l, hi)
+		cause := c.consume(bytes.NewReader(data), c.roster[addr], l)
 		if l.next < l.lo || l.next > l.hi {
 			t.Fatalf("watermark %d outside the lease [%d, %d)", l.next, l.lo, l.hi)
 		}

@@ -8,10 +8,9 @@ import (
 
 // lease is one grantable unit of work: the scenario-index range [next, hi)
 // still owed, where next is the merge watermark advanced as the worker's
-// stream comes back.  lo is kept only for reporting; all scheduling operates
-// on the remaining range.  Mutable fields are guarded by the coordinator's
-// mutex — in particular hi, which a steal shrinks while the victim's stream
-// reader is concurrently checking it.
+// stream comes back.  lo and hi are fixed when the lease is created (a failed
+// remainder becomes a new lease); lo is kept only for reporting.  next,
+// cancel and lastProgress are guarded by the coordinator's mutex.
 type lease struct {
 	id       int
 	lo       int

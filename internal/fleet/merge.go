@@ -18,9 +18,11 @@ import (
 //
 // Out-of-order arrival is the normal case (leases complete independently),
 // so lines park in a pending map until the watermark catches up — the same
-// shape as campaign.OrderedWriter, one level up.  Duplicate indices (a steal
-// racing a victim's final records) are dropped on arrival: first write wins,
-// which is safe because records are pure functions of their scenario.
+// shape as campaign.OrderedWriter, one level up.  Every index is leased to
+// one worker at a time and re-leased only past its lease's watermark, so a
+// duplicate index means a broken stream; it is dropped on arrival all the
+// same (first write wins, safe because records are pure functions of their
+// scenario).
 // Quarantined ranges are marked absent so the watermark can pass over the
 // hole and the sweep can finish around it.
 type merger struct {

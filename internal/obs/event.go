@@ -78,7 +78,6 @@ const (
 	FleetWorkerDown      Type = "fleet.worker.down"      // Err holds the cause
 	FleetLeaseGrant      Type = "fleet.lease.grant"      // range handed to Worker
 	FleetLeaseDone       Type = "fleet.lease.done"       // range fully streamed back
-	FleetLeaseSteal      Type = "fleet.lease.steal"      // range split off Worker (the victim)
 	FleetLeaseFail       Type = "fleet.lease.fail"       // attempt failed; range will be re-leased
 	FleetLeaseQuarantine Type = "fleet.lease.quarantine" // range abandoned after repeated failures
 )
