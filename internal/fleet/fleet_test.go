@@ -457,8 +457,8 @@ func TestFleetSurvivesOutOfLeaseIndex(t *testing.T) {
 				t.Errorf("merged %d of %d, quarantined %v", res.Merged, res.Total, res.Quarantined)
 			}
 
-			// The fail, the down, the revival and the re-lease, in that
-			// order for the fail and its re-lease and for down and up.
+			// Events arrive in emission order: the re-lease must follow the
+			// fail, and the revival the down.
 			var fail *obs.Event
 			down, up, released := false, false, false
 			for {
