@@ -48,10 +48,10 @@ type topView struct {
 	finishWin *obs.Window
 
 	// Per-worker rows from fleet.* events (fleet sweeps only; empty and
-	// unrendered for local ones).  Lease ranges are [Lo, Hi) and never
-	// change once granted, so summing Hi-Lo over done leases counts the
-	// records of each worker's completed leases; records streamed before a
-	// failed attempt are merged but not counted here.
+	// unrendered for local ones).  A worker holds at most one lease at a
+	// time, granted as [Lo, Hi): a done lease adds Hi − Lo records, and a
+	// failed attempt adds the records merged before it, its fail event's
+	// Lo (the first index not streamed back) less the granted Lo.
 	workers     map[string]*workerRow
 	quarantined int
 
@@ -64,6 +64,7 @@ type workerRow struct {
 	records int
 	leases  int
 	fails   int
+	grantLo int // Lo of the worker's current (or last) lease
 }
 
 func newTopView() *topView {
@@ -120,12 +121,16 @@ func (v *topView) observe(ev obs.Event) {
 		v.worker(ev.Worker).up = true
 	case obs.FleetWorkerDown:
 		v.worker(ev.Worker).up = false
+	case obs.FleetLeaseGrant:
+		v.worker(ev.Worker).grantLo = ev.Lo
 	case obs.FleetLeaseDone:
 		w := v.worker(ev.Worker)
 		w.leases++
 		w.records += ev.Hi - ev.Lo
 	case obs.FleetLeaseFail:
-		v.worker(ev.Worker).fails++
+		w := v.worker(ev.Worker)
+		w.fails++
+		w.records += ev.Lo - w.grantLo
 	case obs.FleetLeaseQuarantine:
 		v.quarantined += ev.Hi - ev.Lo
 	case obs.EngineLeap:

@@ -54,7 +54,7 @@ func TestScenarioAllocBudget(t *testing.T) {
 			pick[key] = rec
 		}
 	}
-	slot := &netSlot{}
+	slot := &Slot{}
 	for key, want := range pick {
 		budget, ok := allocBudget[key]
 		if !ok {
@@ -63,7 +63,7 @@ func TestScenarioAllocBudget(t *testing.T) {
 		}
 		sc := want.Scenario
 		var rec Record
-		got := testing.AllocsPerRun(20, func() { rec = runScenario(context.Background(), sc, Options{}, slot) })
+		got := testing.AllocsPerRun(20, func() { rec = slot.Run(context.Background(), sc, Options{}) })
 		if rec.Status != want.Status || rec.Rounds != want.Rounds {
 			t.Errorf("%s (%s): %s in %d rounds on the worker slot, %s in %d in the sweep", key, sc.Key(), rec.Status, rec.Rounds, want.Status, want.Rounds)
 		}

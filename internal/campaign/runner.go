@@ -91,7 +91,7 @@ type Options struct {
 	Cache *Cache
 }
 
-// testHookScenario, when set, runs at the start of runScenario's lookup
+// testHookScenario, when set, runs at the start of Slot.Run's lookup
 // stage, inside the pipeline's recover; tests use it to inject panics.
 var testHookScenario func(Scenario)
 
@@ -154,9 +154,9 @@ func sweep(ctx context.Context, scenarios []Scenario, opts Options, emit func(po
 		go func() {
 			defer wg.Done()
 			// Each worker owns one network slot for its whole shift and
-			// passes it to every scenario it runs, so consecutive scenarios
-			// reset one network instead of building one each.
-			slot := &netSlot{}
+			// runs every scenario on it, so consecutive scenarios reset one
+			// network instead of building one each.
+			slot := &Slot{}
 			for ctx.Err() == nil {
 				pos := int(next.Add(1) - 1)
 				if pos >= len(scenarios) {
@@ -164,7 +164,7 @@ func sweep(ctx context.Context, scenarios []Scenario, opts Options, emit func(po
 				}
 				// Under ctx, cancellation interrupts an in-flight protocol
 				// within one round and records it as failed (context.Canceled).
-				rec := runScenario(ctx, scenarios[pos], opts, slot)
+				rec := slot.Run(ctx, scenarios[pos], opts)
 				if n := done.Add(1); obs.On() {
 					EmitCheckpoint(int(n), len(scenarios))
 				}
@@ -280,14 +280,22 @@ func RunAll(ctx context.Context, scenarios []Scenario, opts Options) ([]Record, 
 // rather than running until the engine's round bound.  Panics anywhere in
 // generation or protocol execution are recovered into a failed record.
 func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) Record {
-	return runScenario(ctx, sc, opts, nil)
+	return (*Slot)(nil).Run(ctx, sc, opts)
 }
 
-// runScenario is RunScenarioContext on a caller's network slot: an uncached
-// scenario runs on the slot's network (see acquireNetwork), and a nil slot
-// builds a fresh network.  A cached computation always builds a fresh one,
-// because it runs on a goroutine the cache owns, which can outlive the caller.
-func runScenario(ctx context.Context, sc Scenario, opts Options, slot *netSlot) Record {
+// Slot is a network-reuse slot: one facade network, reset in place for every
+// scenario run on the slot, so the ring state, agent objects and their grown
+// scratch buffers survive from one scenario to the next instead of being
+// rebuilt per scenario.  A slot is single-threaded: whoever holds it (a sweep
+// worker for its whole shift, a serve worker for one job) is the only caller
+// of its Run.  The zero value is an empty slot, ready for use.
+type Slot struct{ nw *ringsym.Network }
+
+// Run is RunScenarioContext on the slot: an uncached scenario runs on the
+// slot's network (see acquireNetwork), and a nil slot builds a fresh network.
+// A cached computation always builds a fresh one, because it runs on a
+// goroutine the cache owns, which can outlive the caller.
+func (slot *Slot) Run(ctx context.Context, sc Scenario, opts Options) Record {
 	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
 	start := time.Now()
 	if obs.On() {
@@ -442,18 +450,11 @@ func generateConfig(sc Scenario, model ring.Model) (engine.Config, error) {
 	return gen, nil
 }
 
-// netSlot is a worker-owned network-reuse slot: one facade network, reset in
-// place for every scenario the worker runs, so the ring state, agent objects
-// and their grown scratch buffers survive across a whole sweep instead of
-// being rebuilt per scenario.  A slot is single-threaded: only the worker
-// that owns it passes it to runScenario.
-type netSlot struct{ nw *ringsym.Network }
-
 // acquireNetwork returns a network for cfg: the slot's network, reset in
 // place, when the slot holds one; a fresh one otherwise (and after a failed
 // reset, whose contract leaves the network undefined), which a non-nil slot
 // keeps for the next scenario.
-func acquireNetwork(s *netSlot, cfg ringsym.Config) (*ringsym.Network, error) {
+func acquireNetwork(s *Slot, cfg ringsym.Config) (*ringsym.Network, error) {
 	if s != nil && s.nw != nil {
 		if err := s.nw.Reset(cfg); err == nil {
 			return s.nw, nil
@@ -476,7 +477,7 @@ func acquireNetwork(s *netSlot, cfg ringsym.Config) (*ringsym.Network, error) {
 // the spec runs, and the finished outcome is re-checked with the spec's own
 // Verify before it may enter the cache or a record.  The network comes from
 // slot (see acquireNetwork).
-func runSpec(ctx context.Context, spec task.Spec, gen engine.Config, sc Scenario, slot *netSlot) (task.Outcome, error) {
+func runSpec(ctx context.Context, spec task.Spec, gen engine.Config, sc Scenario, slot *Slot) (task.Outcome, error) {
 	nw, err := acquireNetwork(slot, ringsym.Config{
 		Model:         gen.Model,
 		Circumference: gen.Circ,

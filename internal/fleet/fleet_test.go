@@ -41,7 +41,7 @@ func goldenMatrix() campaign.Matrix {
 
 // localExport runs the matrix single-machine and returns the canonical JSONL
 // bytes every fleet configuration must reproduce.
-func localExport(t *testing.T, m campaign.Matrix) []byte {
+func localExport(t testing.TB, m campaign.Matrix) []byte {
 	t.Helper()
 	scs, err := m.Expand()
 	if err != nil {
@@ -66,7 +66,7 @@ func localExport(t *testing.T, m campaign.Matrix) []byte {
 
 // startWorker spins up a real serving pool behind httptest, exactly what a
 // ringd daemon serves.
-func startWorker(t *testing.T, opts serve.Options) *httptest.Server {
+func startWorker(t testing.TB, opts serve.Options) *httptest.Server {
 	t.Helper()
 	pool := serve.New(opts)
 	ts := httptest.NewServer(pool.Handler())
@@ -107,6 +107,32 @@ func TestFleetByteIdentity(t *testing.T) {
 	}
 	if streamed != int64(res.Total) {
 		t.Errorf("workers streamed %d records, want %d", streamed, res.Total)
+	}
+}
+
+// BenchmarkFleetGoldenGrid times one pass of the golden grid through Run on
+// two in-process one-worker ringd servers, cache off, and checks every
+// pass's merged count and bytes against the local export (which
+// TestGoldenSweep pins to golden/sweep/records.jsonl): the fleet counterpart
+// of campaign's BenchmarkGoldenGrid, so the difference is the fleet tax
+// (go test -run '^$' -bench FleetGoldenGrid -benchmem ./internal/fleet).
+func BenchmarkFleetGoldenGrid(b *testing.B) {
+	want := localExport(b, goldenMatrix())
+	roster := []string{startWorker(b, serve.Options{Workers: 1}).URL, startWorker(b, serve.Options{Workers: 1}).URL}
+	var got bytes.Buffer
+	b.ReportAllocs()
+	for b.Loop() {
+		got.Reset()
+		res, err := Run(context.Background(), goldenMatrix(), Options{Workers: roster, Records: &got})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Merged != 216 || res.Total != 216 {
+			b.Fatalf("merged %d of %d records, want 216", res.Merged, res.Total)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			b.Fatal("merged records differ from the local export of the golden grid")
+		}
 	}
 }
 

@@ -4,10 +4,12 @@
 //
 // All requests are batched onto the daemon's own bounded worker pool, so a
 // burst of clients queues instead of oversubscribing the machine.  Each
-// worker runs its scenarios through campaign.RunScenarioContext, the same
-// per-scenario pipeline an offline sweep runs; no Options field reaches a
-// record except through the cache annotation, so the daemon writes a sweep's
-// bytes for every scenario.  Every request shares the optional
+// worker runs its scenarios through campaign.Slot.Run, the same
+// per-scenario pipeline an offline sweep runs: a /v1/campaign request's
+// scenarios run on the request's own free list of reused networks, a
+// /v1/run scenario on a fresh one.  No Options field reaches a record
+// except through the cache annotation, so the daemon writes a sweep's bytes
+// for every scenario.  Every request shares the optional
 // symmetry-canonical memo cache (internal/memo keyed by internal/canon): two
 // clients asking for rotations of the same ring are served one computation.
 // Request contexts are threaded through to the engine, so a disconnected or
@@ -146,11 +148,15 @@ type Server struct {
 }
 
 // job is one scenario submitted to the pool.  The worker delivers the record
-// on out unless the request context is cancelled first.
+// on out unless the request context is cancelled first.  slots is the
+// submitting /v1/campaign request's free list of network slots (see run), so
+// a campaign resets one network per job it has running at a time instead of
+// building one per scenario; it is nil for /v1/run.
 type job struct {
-	ctx context.Context
-	sc  campaign.Scenario
-	out chan<- campaign.Record
+	ctx   context.Context
+	sc    campaign.Scenario
+	out   chan<- campaign.Record
+	slots chan *campaign.Slot
 }
 
 // New starts the worker pool and returns the server.
@@ -190,7 +196,7 @@ func (s *Server) worker() {
 		case <-s.quit:
 			return
 		case j := <-s.jobs:
-			rec := campaign.RunScenarioContext(j.ctx, j.sc, s.campaignOptions())
+			rec := s.run(j)
 			s.pending.Add(-1)
 			s.records.Add(1)
 			if rec.Status == campaign.StatusFailed {
@@ -213,6 +219,26 @@ func (s *Server) worker() {
 	}
 }
 
+// run executes one job on a slot taken from the job's free list, or on a
+// new slot when the list is empty, and returns the slot to the list.
+// Neither step blocks: the list holds at most one slot per pool worker, and
+// a worker holds at most one slot at a time.  A nil list (a /v1/run job)
+// takes both defaults, so its scenario runs on a fresh network.
+func (s *Server) run(j job) campaign.Record {
+	var slot *campaign.Slot
+	select {
+	case slot = <-j.slots:
+	default:
+		slot = &campaign.Slot{}
+	}
+	rec := slot.Run(j.ctx, j.sc, s.campaignOptions())
+	select {
+	case j.slots <- slot:
+	default:
+	}
+	return rec
+}
+
 func (s *Server) campaignOptions() campaign.Options {
 	return campaign.Options{Cache: s.opts.Cache}
 }
@@ -224,14 +250,14 @@ var errServerClosed = errors.New("serve: server is shutting down")
 // accepted it; the record arrives on out.  The pending count covers the
 // whole wait: a submission parked here is exactly the queueing admission
 // control exists to bound.
-func (s *Server) submit(ctx context.Context, sc campaign.Scenario, out chan<- campaign.Record) error {
+func (s *Server) submit(j job) error {
 	s.pending.Add(1)
 	select {
-	case s.jobs <- job{ctx: ctx, sc: sc, out: out}:
+	case s.jobs <- j:
 		return nil
-	case <-ctx.Done():
+	case <-j.ctx.Done():
 		s.pending.Add(-1)
-		return ctx.Err()
+		return j.ctx.Err()
 	case <-s.quit:
 		s.pending.Add(-1)
 		return errServerClosed
@@ -407,7 +433,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	out := make(chan campaign.Record, 1)
-	if err := s.submit(ctx, sc, out); err != nil {
+	if err := s.submit(job{ctx: ctx, sc: sc, out: out}); err != nil {
 		if errors.Is(err, errServerClosed) {
 			s.httpError(w, r, http.StatusServiceUnavailable, err)
 		}
@@ -478,9 +504,13 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		feed = campaign.DecorrelateOrbits(scenarios)
 	}
 	out := make(chan campaign.Record, s.opts.Workers)
+	// The request's free list of network slots (see job): at most one per
+	// pool worker, and garbage once the request ends, so no network outlives
+	// the lease that used it.
+	slots := make(chan *campaign.Slot, s.opts.Workers)
 	go func() {
 		for _, sc := range feed {
-			if s.submit(ctx, sc, out) != nil {
+			if s.submit(job{ctx: ctx, sc: sc, out: out, slots: slots}) != nil {
 				return
 			}
 		}
