@@ -16,6 +16,11 @@ import (
 // (ringfarm -sizes 8,12,16 -seeds 1:3).
 var goldenGrid = Matrix{Sizes: []int{8, 12, 16}, Seeds: []int64{1, 2, 3}}
 
+// goldenGridCommonSense is the 108-scenario common-sense sweep of
+// testdata/golden (ringfarm -sizes 8,12,16 -seeds 1:3 -commonsense true):
+// every Table II cell, odd n of all three models included.
+var goldenGridCommonSense = Matrix{Sizes: []int{8, 12, 16}, Seeds: []int64{1, 2, 3}, CommonSense: []bool{true}}
+
 // goldenDigest returns the checksum testdata/golden/SHA256SUMS pins for name.
 func goldenDigest(t *testing.T, name string) string {
 	t.Helper()
@@ -37,10 +42,10 @@ func goldenDigest(t *testing.T, name string) string {
 	return ""
 }
 
-// exportGrid runs the golden grid in process and returns its records.jsonl.
-func exportGrid(t *testing.T, opts Options) []byte {
+// exportGrid runs a golden grid in process and returns its records.jsonl.
+func exportGrid(t *testing.T, grid Matrix, opts Options) []byte {
 	t.Helper()
-	scs, err := goldenGrid.Expand()
+	scs, err := grid.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,22 +70,32 @@ func exportGrid(t *testing.T, opts Options) []byte {
 // sweep may add.
 var cacheAnnotation = regexp.MustCompile(`,"cache":"[a-z]*"`)
 
-// TestGoldenSweep pins the 216-scenario sweep to the checked-in digest of
-// golden/sweep/records.jsonl, so go test catches a semantic drift without
-// the CLI round trip, and checks that the cached sweep equals it once the
-// cache annotations are stripped.
+// TestGoldenSweep pins the 216-scenario sweep and the common-sense sweep to
+// the checked-in digests of their records.jsonl, so go test catches a
+// semantic drift without the CLI round trip, and checks that each cached
+// sweep equals its uncached one once the cache annotations are stripped.
 func TestGoldenSweep(t *testing.T) {
-	plain := exportGrid(t, Options{})
-	sum := sha256.Sum256(plain)
-	if got, want := hex.EncodeToString(sum[:]), goldenDigest(t, "golden/sweep/records.jsonl"); got != want {
-		t.Fatalf("records.jsonl digest %s, want %s: the sweep's observable output drifted (see testdata/golden/README.md)", got, want)
-	}
-	cached := exportGrid(t, Options{Cache: NewCache(0)})
-	if !bytes.Equal(cacheAnnotation.ReplaceAll(cached, nil), plain) {
-		t.Fatal("cached sweep differs from the uncached one beyond its cache annotations")
-	}
-	if !cacheAnnotation.Match(cached) {
-		t.Fatal("cached sweep carries no cache annotations")
+	for _, g := range []struct {
+		dir  string
+		grid Matrix
+	}{
+		{"golden/sweep", goldenGrid},
+		{"golden/sweep-cs", goldenGridCommonSense},
+	} {
+		t.Run(g.dir, func(t *testing.T) {
+			plain := exportGrid(t, g.grid, Options{})
+			sum := sha256.Sum256(plain)
+			if got, want := hex.EncodeToString(sum[:]), goldenDigest(t, g.dir+"/records.jsonl"); got != want {
+				t.Fatalf("records.jsonl digest %s, want %s: the sweep's observable output drifted (see testdata/golden/README.md)", got, want)
+			}
+			cached := exportGrid(t, g.grid, Options{Cache: NewCache(0)})
+			if !bytes.Equal(cacheAnnotation.ReplaceAll(cached, nil), plain) {
+				t.Fatal("cached sweep differs from the uncached one beyond its cache annotations")
+			}
+			if !cacheAnnotation.Match(cached) {
+				t.Fatal("cached sweep carries no cache annotations")
+			}
+		})
 	}
 }
 
