@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"ringsym"
 	"ringsym/internal/campaign"
 	"ringsym/internal/core"
 	"ringsym/internal/engine"
@@ -14,7 +15,6 @@ import (
 	"ringsym/internal/netgen"
 	"ringsym/internal/rcomm"
 	"ringsym/internal/ring"
-	"ringsym/internal/task"
 )
 
 // The benchmarks below regenerate the paper's evaluation artefacts: one
@@ -27,7 +27,7 @@ import (
 
 var benchSizes = []int{16, 32, 64, 128}
 
-func benchSetting(b *testing.B, s eval.Setting) {
+func benchSetting(b *testing.B, s *ringsym.Cell) {
 	for _, rawN := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", rawN), func(b *testing.B) {
 			var nm, da, le, ld int
@@ -60,30 +60,30 @@ func benchSetting(b *testing.B, s eval.Setting) {
 
 // BenchmarkTable1OddN regenerates Table I, row "odd n".
 func BenchmarkTable1OddN(b *testing.B) {
-	benchSetting(b, eval.Setting{Name: "odd n", Model: ring.Basic, OddN: true})
+	benchSetting(b, ringsym.CellOf(ring.Basic, true, false))
 }
 
 // BenchmarkTable1BasicEven regenerates Table I, row "basic model, even n".
 func BenchmarkTable1BasicEven(b *testing.B) {
-	benchSetting(b, eval.Setting{Name: "basic model, even n", Model: ring.Basic})
+	benchSetting(b, ringsym.CellOf(ring.Basic, false, false))
 }
 
 // BenchmarkTable1LazyEven regenerates Table I, row "lazy model, even n".
 func BenchmarkTable1LazyEven(b *testing.B) {
-	benchSetting(b, eval.Setting{Name: "lazy model, even n", Model: ring.Lazy})
+	benchSetting(b, ringsym.CellOf(ring.Lazy, false, false))
 }
 
 // BenchmarkTable1PerceptiveEven regenerates Table I, row "perceptive model,
 // even n".
 func BenchmarkTable1PerceptiveEven(b *testing.B) {
-	benchSetting(b, eval.Setting{Name: "perceptive model, even n", Model: ring.Perceptive})
+	benchSetting(b, ringsym.CellOf(ring.Perceptive, false, false))
 }
 
 // BenchmarkTable2 regenerates Table II (common sense of direction), one
 // sub-benchmark per row.
 func BenchmarkTable2(b *testing.B) {
-	for _, s := range eval.Table2Settings() {
-		b.Run(s.Name, func(b *testing.B) {
+	for _, s := range ringsym.Table(true) {
+		b.Run(s.Label, func(b *testing.B) {
 			benchSetting(b, s)
 		})
 	}
@@ -95,7 +95,7 @@ func BenchmarkFigure1Reductions(b *testing.B) {
 	var rs []eval.Reduction
 	for i := 0; i < b.N; i++ {
 		var err error
-		rs, err = eval.MeasureReductions(context.Background(), eval.Setting{Model: ring.Lazy}, 32, 128, int64(i))
+		rs, err = eval.MeasureReductions(context.Background(), ringsym.CellOf(ring.Lazy, false, false), 32, 128, int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkFigure2Reductions(b *testing.B) {
 	var rs []eval.Reduction
 	for i := 0; i < b.N; i++ {
 		var err error
-		rs, err = eval.MeasureReductions(context.Background(), eval.Setting{Model: ring.Basic}, 32, 128, int64(i))
+		rs, err = eval.MeasureReductions(context.Background(), ringsym.CellOf(ring.Basic, false, false), 32, 128, int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,13 +121,13 @@ func BenchmarkFigure2Reductions(b *testing.B) {
 	}
 }
 
-func shortProblem(p task.Problem) string {
+func shortProblem(p ringsym.Problem) string {
 	switch p {
-	case task.LeaderElection:
+	case ringsym.LeaderElection:
 		return "LE"
-	case task.NontrivialMove:
+	case ringsym.NontrivialMove:
 		return "NM"
-	case task.DirectionAgreement:
+	case ringsym.DirectionAgreement:
 		return "DA"
 	default:
 		return "LD"
@@ -182,7 +182,7 @@ func BenchmarkLowerBounds(b *testing.B) {
 		{"perceptive", ring.Perceptive, 64},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			s := eval.Setting{Model: tc.model}
+			s := ringsym.CellOf(tc.model, false, false)
 			var total int
 			for i := 0; i < b.N; i++ {
 				t, _, _, _, err := eval.MeasureLocationDiscovery(b.Context(), s, tc.n, 4*tc.n, int64(i))

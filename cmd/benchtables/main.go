@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ringsym"
 	"ringsym/internal/eval"
 	"ringsym/internal/ring"
 )
@@ -51,12 +52,12 @@ func main() {
 	ctx := context.Background()
 
 	if *tables {
-		rows1, err := eval.TableRowsContext(ctx, eval.Table1Settings(), cfg)
+		rows1, err := eval.TableRowsContext(ctx, ringsym.Table(false), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(eval.Format("Table I - deterministic solutions in the general setting", rows1))
-		rows2, err := eval.TableRowsContext(ctx, eval.Table2Settings(), cfg)
+		rows2, err := eval.TableRowsContext(ctx, ringsym.Table(true), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -69,12 +70,12 @@ func main() {
 	}
 	if *figures {
 		n := ns[len(ns)/2]
-		fig1, err := eval.MeasureReductions(ctx, eval.Setting{Model: ring.Lazy}, n, *idFactor*n, *seed)
+		fig1, err := eval.MeasureReductions(ctx, ringsym.CellOf(ring.Lazy, false, false), n, *idFactor*n, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(eval.FormatReductions("Figure 1 - reductions among coordination problems (odd n / lazy / perceptive)", fig1))
-		fig2, err := eval.MeasureReductions(ctx, eval.Setting{Model: ring.Basic}, n, *idFactor*n, *seed)
+		fig2, err := eval.MeasureReductions(ctx, ringsym.CellOf(ring.Basic, false, false), n, *idFactor*n, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func writeJSON(path string, rows1, rows2 []eval.Measurement) error {
 		for _, m := range rows {
 			entries = append(entries, tableEntry{
 				Table:       table,
-				Setting:     m.Setting.Name,
+				Setting:     m.Setting.Label,
 				Model:       m.Setting.Model.String(),
 				OddN:        m.Setting.OddN,
 				CommonSense: m.Setting.CommonSense,

@@ -5,16 +5,6 @@ import (
 	"ringsym/internal/ring"
 )
 
-// Options configures the high-level coordination pipeline.
-type Options struct {
-	// CommonSense promises that all agents already share a sense of
-	// direction (the Table II setting); the caller is responsible for the
-	// promise being true of the underlying network.
-	CommonSense bool
-	// Seed drives the pseudo-random schedules used for even n.
-	Seed int64
-}
-
 // Coordination is the outcome of solving the three coordination problems.
 type Coordination struct {
 	// Frame is the agent's frame after direction agreement; all agents'
@@ -32,42 +22,26 @@ type Coordination struct {
 	RoundsLeader     int
 }
 
-// CoordinateMachine solves nontrivial move, direction agreement and leader
-// election (Theorem 7) for the basic and lazy models, and for the perceptive
-// model via the basic-model algorithms (the faster perceptive pipeline lives
-// in internal/perceptive).  The route depends on the setting:
-//
-//   - common sense of direction promised: leader election by binary search
-//     with emptiness testing (Lemma 13), then a nontrivial move from the
-//     leader (Lemma 10);
-//   - odd n: nontrivial move from the identifier bits (Corollary 18), then
-//     Algorithm 1 and Algorithm 2;
-//   - even (or unknown) n: the pseudo-random schedule substituting for
-//     Theorem 27, then Algorithm 1 and Algorithm 2.
-//
-// The pipeline is built as a resumable machine for engine.Run.
-//
-// The machine, its frame and the Coordination it returns are the agent's
-// kept state (engine.MachineSlot, PipelineFrame): they are valid until the
-// agent's next run.
-func CoordinateMachine(a *engine.Agent, opts Options) *engine.Proto[*Coordination] {
-	return coordinateMachines.New(a, opts)
+// CoordinateFunc is the shape of a coordination pipeline: run on a's
+// PipelineFrame, with seed for its pseudo-random schedules, it hands k the
+// agent's Coordination, valid until the agent's next run.
+type CoordinateFunc func(a *engine.Agent, seed int64, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)
+
+// CoordinateOddStep solves nontrivial move, direction agreement and leader
+// election (Theorem 7) for odd n: a nontrivial move from the identifier
+// bits (Corollary 18), then Algorithm 1 and Algorithm 2.  It is a
+// CoordinateFunc; seed is unused.
+func CoordinateOddStep(a *engine.Agent, _ int64, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	f := PipelineFrame(a)
+	return NontrivialMoveOddStep(f, AgreeAndElect(f, k))
 }
 
-var coordinateMachines = engine.NewMachineSlot(CoordinateStep)
-
-// CoordinateStep is CoordinateMachine's pipeline as a CPS step: k receives
-// the agent's Coordination.  It runs on the agent's PipelineFrame.
-func CoordinateStep(a *engine.Agent, opts Options, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+// CoordinateEvenStep is Theorem 7's pipeline for even n (or n of unknown
+// parity): the pseudo-random schedule substituting for Theorem 27, then
+// Algorithm 1 and Algorithm 2.  It is a CoordinateFunc.
+func CoordinateEvenStep(a *engine.Agent, seed int64, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f := PipelineFrame(a)
-	if opts.CommonSense {
-		return coordinateCommonSenseStep(f, k)
-	}
-	onNM := AgreeAndElect(f, k)
-	if a.NParity() != engine.ParityOdd {
-		return NontrivialMoveEvenStep(f, opts.Seed, onNM)
-	}
-	return NontrivialMoveOddStep(f, onNM)
+	return NontrivialMoveEvenStep(f, seed, AgreeAndElect(f, k))
 }
 
 // AgreeAndElect returns the continuation that completes Theorem 7's pipeline
@@ -125,10 +99,12 @@ func (s *agreeElect) onLeader(isLeader bool) (engine.Yield, engine.Cont) {
 	return s.k(&s.c)
 }
 
-// coordinateCommonSenseStep is the Table II pipeline: the frames already
-// agree, so the leader is elected by binary search (Lemma 13) and a
-// nontrivial move follows from the leader (Lemma 10).
-func coordinateCommonSenseStep(f *Frame, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+// CoordinateCommonSenseStep is the Table II pipeline, for agents promised a
+// common sense of direction: the frames already agree, so the leader is
+// elected by binary search (Lemma 13) and a nontrivial move follows from the
+// leader (Lemma 10).  It is a CoordinateFunc; seed is unused.
+func CoordinateCommonSenseStep(a *engine.Agent, _ int64, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	f := PipelineFrame(a)
 	start := f.RoundsUsed()
 	return LeaderElectCommonSenseStep(f, func(isLeader bool) (engine.Yield, engine.Cont) {
 		afterLeader := f.RoundsUsed()

@@ -517,25 +517,25 @@ func TestBroadcastBits(t *testing.T) {
 	}
 }
 
-// TestCoordinateAllSettings runs the full coordination pipeline across
+// TestCoordinateAllSettings runs the three coordination pipelines across
 // models, parities and orientation mixes and checks the three outcomes.
 func TestCoordinateAllSettings(t *testing.T) {
 	type setting struct {
-		name        string
-		model       ring.Model
-		n           int
-		mixed       bool
-		commonSense bool
+		name     string
+		model    ring.Model
+		n        int
+		mixed    bool
+		pipeline CoordinateFunc
 	}
 	settings := []setting{
-		{"basic odd mixed", ring.Basic, 9, true, false},
-		{"basic even mixed", ring.Basic, 8, true, false},
-		{"lazy even mixed", ring.Lazy, 10, true, false},
-		{"perceptive odd mixed", ring.Perceptive, 7, true, false},
-		{"perceptive even mixed", ring.Perceptive, 8, true, false},
-		{"basic even common sense", ring.Basic, 8, false, true},
-		{"lazy odd common sense", ring.Lazy, 9, false, true},
-		{"perceptive even common sense", ring.Perceptive, 8, false, true},
+		{"basic odd mixed", ring.Basic, 9, true, CoordinateOddStep},
+		{"basic even mixed", ring.Basic, 8, true, CoordinateEvenStep},
+		{"lazy even mixed", ring.Lazy, 10, true, CoordinateEvenStep},
+		{"perceptive odd mixed", ring.Perceptive, 7, true, CoordinateOddStep},
+		{"perceptive even mixed", ring.Perceptive, 8, true, CoordinateEvenStep},
+		{"basic even common sense", ring.Basic, 8, false, CoordinateCommonSenseStep},
+		{"lazy odd common sense", ring.Lazy, 9, false, CoordinateCommonSenseStep},
+		{"perceptive even common sense", ring.Perceptive, 8, false, CoordinateCommonSenseStep},
 	}
 	for _, s := range settings {
 		t.Run(s.name, func(t *testing.T) {
@@ -549,7 +549,7 @@ func TestCoordinateAllSettings(t *testing.T) {
 				flipped bool
 			}
 			res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-				return CoordinateStep(a, Options{CommonSense: s.commonSense, Seed: 41}, func(c *Coordination) (engine.Yield, engine.Cont) {
+				return s.pipeline(a, 41, func(c *Coordination) (engine.Yield, engine.Cont) {
 					return k(out{c.IsLeader, c.NontrivialDir, c.Frame.Flipped()})
 				})
 			})
@@ -585,8 +585,8 @@ func TestCoordinateAllSettings(t *testing.T) {
 // for the odd-n pipeline.
 func TestCoordinateRoundAccounting(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 9, IDBound: 64, Seed: 2, Model: ring.Basic, MixedChirality: true, ForceSplitChirality: true})
-	res, err := engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[*Coordination] {
-		return CoordinateMachine(a, Options{Seed: 3})
+	res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return CoordinateOddStep(a, 3, k)
 	})
 	if err != nil {
 		t.Fatal(err)

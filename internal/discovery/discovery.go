@@ -3,15 +3,16 @@
 // and the lower bounds of Lemma 6.
 //
 // Location discovery asks every agent to determine the initial position of
-// every other agent relative to its own initial position.  The package
-// dispatches on the model and the parity of n:
+// every other agent relative to its own initial position.  The package holds
+// two pipelines; the cell table of the ringsym facade decides which one
+// (and which coordination pipeline under it) runs in a setting:
 //
-//   - lazy model (any n) and basic/perceptive model with odd n: solve the
-//     coordination problems, then sweep the ring with a constant rotation
-//     index (Lemma 16), n + o(n) rounds;
-//   - perceptive model with even n: the Section V pipeline
-//     (internal/perceptive), n/2 + o(n) rounds;
-//   - basic model with even n: impossible (Lemma 5).
+//   - SweepStep: solve the coordination problems, then sweep the ring with
+//     a constant rotation index (Lemma 16), n + o(n) rounds;
+//   - PerceptiveStep: the Section V pipeline of Theorem 42
+//     (internal/perceptive), n/2 + o(n) rounds in the perceptive model;
+//
+// and ErrNotSolvable for the basic model with even n (Lemma 5).
 package discovery
 
 import (
@@ -32,15 +33,6 @@ var (
 	ErrProtocol = errors.New("discovery: protocol invariant violated")
 )
 
-// Options configures location discovery.
-type Options struct {
-	// CommonSense promises that all agents already share a sense of
-	// direction (Table II setting); coordination then uses Lemma 13.
-	CommonSense bool
-	// Seed drives the pseudo-random schedules.
-	Seed int64
-}
-
 // Result is the outcome of location discovery for one agent.
 type Result struct {
 	// IsLeader reports whether this agent ended up as the leader.
@@ -57,50 +49,19 @@ type Result struct {
 	RoundsDiscovery    int
 }
 
-// LocationDiscoveryMachine solves location discovery in the given agent's
-// model, choosing the appropriate algorithm (see the package comment), as a
-// resumable machine for engine.Run.  The machine is the agent's kept state
-// (engine.MachineSlot), valid until the agent's next run.
-func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*Result] {
-	return machines.New(a, opts)
-}
-
-var machines = engine.NewMachineSlot(LocationDiscoveryStep)
-
-// LocationDiscoveryStep is LocationDiscoveryMachine's pipeline as a CPS
-// step: k receives the agent's result.
-func LocationDiscoveryStep(a *engine.Agent, opts Options, k func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	even := a.NParity() == engine.ParityEven
-	switch a.Model() {
-	case ring.Basic:
-		if even {
-			return engine.Abort(ErrNotSolvable)
-		}
-		return sweepDiscoveryStep(a, opts, 2, k)
-	case ring.Lazy:
-		return sweepDiscoveryStep(a, opts, 1, k)
-	case ring.Perceptive:
-		if even {
-			return perceptiveDiscoveryStep(a, opts, k)
-		}
-		return sweepDiscoveryStep(a, opts, 2, k)
-	default:
-		return engine.Abort(fmt.Errorf("%w: unknown model %v", ErrProtocol, a.Model()))
-	}
-}
-
-// perceptiveDiscoveryStep adapts the Section V pipeline to the package's
-// Result.
-func perceptiveDiscoveryStep(a *engine.Agent, opts Options, k func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+// PerceptiveStep is Theorem 42's pipeline (perceptive.LocationDiscoveryStep)
+// adapted to the package's Result: seed drives NMoveS, and k receives the
+// agent's result.
+func PerceptiveStep(a *engine.Agent, seed int64, k func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	s := sweeps.Of(a)
 	if s.onPerceptiveFn == nil {
 		s.onPerceptiveFn = s.onPerceptive
 	}
 	s.k = k
-	return perceptive.LocationDiscoveryStep(a, perceptive.Options{Seed: opts.Seed}, s.onPerceptiveFn)
+	return perceptive.LocationDiscoveryStep(a, seed, s.onPerceptiveFn)
 }
 
-// onPerceptive completes perceptiveDiscoveryStep.
+// onPerceptive completes PerceptiveStep.
 func (s *sweep) onPerceptive(r *perceptive.DiscoveryResult) (engine.Yield, engine.Cont) {
 	return s.k(&Result{
 		IsLeader:           r.IsLeader,
@@ -111,21 +72,22 @@ func (s *sweep) onPerceptive(r *perceptive.DiscoveryResult) (engine.Yield, engin
 	})
 }
 
-// sweepDiscoveryStep implements Lemma 16: after the coordination problems are
-// solved, the agents repeat a round with constant rotation index `step` (1 in
-// the lazy model: only the leader moves; 2 in the basic model with odd n: the
-// leader moves clockwise and everybody else anticlockwise).  Each round every
-// agent advances by `step` ring positions and measures the arc it traversed;
-// after exactly n rounds it is back at its pre-sweep slot, has visited every
-// slot (gcd(step, n) = 1) and therefore knows every initial position as well
-// as n itself.
-func sweepDiscoveryStep(a *engine.Agent, opts Options, step int, k func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+// SweepStep implements Lemma 16: once the coordinate pipeline (run with
+// seed) has solved the coordination problems, the agents repeat a round
+// with constant rotation index `step` (1 in the lazy model: only the leader
+// moves; 2 in the basic model with odd n: the leader moves clockwise and
+// everybody else anticlockwise).  Each round every agent advances by `step`
+// ring positions and measures the arc it traversed; after exactly n rounds
+// it is back at its pre-sweep slot, has visited every slot
+// (gcd(step, n) = 1) and therefore knows every initial position as well as
+// n itself.  k receives the agent's result.
+func SweepStep(a *engine.Agent, coordinate core.CoordinateFunc, seed int64, step int, k func(*Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	s := sweeps.Of(a)
 	if s.startFn == nil {
 		s.startFn, s.onTraceFn = s.start, s.onTrace
 	}
 	s.k, s.step = k, step
-	return core.CoordinateStep(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed}, s.startFn)
+	return coordinate(a, seed, s.startFn)
 }
 
 // maxVisitedPrealloc caps the sweep's up-front allocation when the
@@ -136,8 +98,7 @@ const maxVisitedPrealloc = 1024
 // visited list's capacity carry over to the agent's next run.
 var sweeps = engine.NewSlot[sweep]()
 
-// sweep is the state of one sweepDiscoveryStep call; perceptiveDiscoveryStep
-// uses only its k.
+// sweep is the state of one SweepStep call; PerceptiveStep uses only its k.
 type sweep struct {
 	k           func(*Result) (engine.Yield, engine.Cont)
 	step        int

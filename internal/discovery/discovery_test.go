@@ -1,4 +1,4 @@
-package discovery
+package discovery_test
 
 import (
 	"context"
@@ -7,7 +7,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ringsym"
+	"ringsym/internal/core"
+	"ringsym/internal/discovery"
 	"ringsym/internal/engine"
+	"ringsym/internal/engine/enginetest"
 	"ringsym/internal/netgen"
 	"ringsym/internal/ring"
 )
@@ -28,7 +32,7 @@ func newNetwork(t *testing.T, opt netgen.Options) *engine.Network {
 // checkPositions verifies a location-discovery result against the network's
 // ground truth, accepting either global orientation of the agreed frame but
 // requiring consistency.
-func checkPositions(t *testing.T, nw *engine.Network, outputs []*Result) {
+func checkPositions(t *testing.T, nw *engine.Network, outputs []*discovery.Result) {
 	t.Helper()
 	pos := nw.InitialPositions()
 	circ := nw.Circ()
@@ -64,11 +68,29 @@ func checkPositions(t *testing.T, nw *engine.Network, outputs []*Result) {
 	}
 }
 
-func runDiscovery(t *testing.T, nw *engine.Network, opts Options) []*Result {
+// pipeline is a location-discovery pipeline bound to its seed.
+type pipeline = func(a *engine.Agent, k func(*discovery.Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)
+
+// sweep is Lemma 16's sweep with the rotation index step, after the
+// coordinate pipeline.
+func sweep(coordinate core.CoordinateFunc, seed int64, step int) pipeline {
+	return func(a *engine.Agent, k func(*discovery.Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		return discovery.SweepStep(a, coordinate, seed, step, k)
+	}
+}
+
+// theorem7 is the coordinate pipeline for n agents without a common sense of
+// direction: Corollary 18's for odd n, Theorem 27's schedule for even n.
+func theorem7(n int) core.CoordinateFunc {
+	if n%2 == 1 {
+		return core.CoordinateOddStep
+	}
+	return core.CoordinateEvenStep
+}
+
+func runDiscovery(t *testing.T, nw *engine.Network, p pipeline) []*discovery.Result {
 	t.Helper()
-	res, err := engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[*Result] {
-		return LocationDiscoveryMachine(a, opts)
-	})
+	res, err := enginetest.RunSteps(context.Background(), nw, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +106,11 @@ func TestLocationDiscoveryLazy(t *testing.T) {
 				opt.ForceSplitChirality = true
 			}
 			nw := newNetwork(t, opt)
-			outputs := runDiscovery(t, nw, Options{CommonSense: common, Seed: 11})
+			coordinate := theorem7(n)
+			if common {
+				coordinate = core.CoordinateCommonSenseStep
+			}
+			outputs := runDiscovery(t, nw, sweep(coordinate, 11, 1))
 			checkPositions(t, nw, outputs)
 			// Lemma 16: the sweep itself takes exactly n rounds.
 			for i, r := range outputs {
@@ -102,7 +128,7 @@ func TestLocationDiscoveryBasicOdd(t *testing.T) {
 			N: n, IDBound: 64, Seed: int64(n), Model: ring.Basic,
 			MixedChirality: true, ForceSplitChirality: true,
 		})
-		outputs := runDiscovery(t, nw, Options{Seed: 3})
+		outputs := runDiscovery(t, nw, sweep(core.CoordinateOddStep, 3, 2))
 		checkPositions(t, nw, outputs)
 		for i, r := range outputs {
 			if r.RoundsDiscovery != n {
@@ -118,7 +144,9 @@ func TestLocationDiscoveryPerceptive(t *testing.T) {
 			N: n, IDBound: 64, Seed: int64(n), Model: ring.Perceptive,
 			MixedChirality: true, ForceSplitChirality: true,
 		})
-		outputs := runDiscovery(t, nw, Options{Seed: 3})
+		outputs := runDiscovery(t, nw, func(a *engine.Agent, k func(*discovery.Result) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+			return discovery.PerceptiveStep(a, 3, k)
+		})
 		checkPositions(t, nw, outputs)
 		// Theorem 42: the discovery stage costs n/2 rounds plus a constant
 		// overhead (three pivots and one completeness probe pair).
@@ -130,24 +158,33 @@ func TestLocationDiscoveryPerceptive(t *testing.T) {
 	}
 	// Odd n in the perceptive model falls back to the sweep.
 	nw := newNetwork(t, netgen.Options{N: 9, IDBound: 64, Seed: 5, Model: ring.Perceptive, MixedChirality: true, ForceSplitChirality: true})
-	checkPositions(t, nw, runDiscovery(t, nw, Options{Seed: 3}))
+	checkPositions(t, nw, runDiscovery(t, nw, sweep(core.CoordinateOddStep, 3, 2)))
 }
 
+// TestLocationDiscoveryBasicEvenImpossible checks that the cell of the basic
+// model with even n, with or without a common sense of direction, runs no
+// discovery pipeline and fails with discovery.ErrNotSolvable (Lemma 5).
 func TestLocationDiscoveryBasicEvenImpossible(t *testing.T) {
 	nw := newNetwork(t, netgen.Options{N: 8, IDBound: 64, Seed: 2, Model: ring.Basic})
-	_, err := engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[*Result] {
-		return LocationDiscoveryMachine(a, Options{})
-	})
-	if !errors.Is(err, ErrNotSolvable) {
-		t.Fatalf("got %v, want ErrNotSolvable", err)
+	for _, cs := range []bool{false, true} {
+		c := ringsym.CellOf(ring.Basic, false, cs)
+		if c.Discover.Stages != nil {
+			t.Errorf("common sense %v: basic even cell discovers by %v", cs, c.Discover.Stages)
+		}
+		_, err := engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[*discovery.Result] {
+			return c.DiscoverMachine(a, 0)
+		})
+		if !errors.Is(err, discovery.ErrNotSolvable) {
+			t.Fatalf("common sense %v: got %v, want discovery.ErrNotSolvable", cs, err)
+		}
 	}
 }
 
 func TestLowerBoundRounds(t *testing.T) {
-	if LowerBoundRounds(ring.Basic, 10) != 9 || LowerBoundRounds(ring.Lazy, 10) != 9 {
+	if discovery.LowerBoundRounds(ring.Basic, 10) != 9 || discovery.LowerBoundRounds(ring.Lazy, 10) != 9 {
 		t.Error("basic/lazy lower bound should be n-1")
 	}
-	if LowerBoundRounds(ring.Perceptive, 10) != 5 {
+	if discovery.LowerBoundRounds(ring.Perceptive, 10) != 5 {
 		t.Error("perceptive lower bound should be n/2")
 	}
 }
@@ -155,19 +192,19 @@ func TestLowerBoundRounds(t *testing.T) {
 func TestTwinConfigurationValidation(t *testing.T) {
 	circ := int64(1000)
 	positions := []int64{0, 100, 300, 600}
-	if _, err := TwinConfiguration(circ, []int64{0, 100, 300}, 5); err == nil {
+	if _, err := discovery.TwinConfiguration(circ, []int64{0, 100, 300}, 5); err == nil {
 		t.Error("odd n accepted")
 	}
-	if _, err := TwinConfiguration(circ, []int64{100, 0, 300, 600}, 5); err == nil {
+	if _, err := discovery.TwinConfiguration(circ, []int64{100, 0, 300, 600}, 5); err == nil {
 		t.Error("unsorted positions accepted")
 	}
-	if _, err := TwinConfiguration(circ, positions, 0); err == nil {
+	if _, err := discovery.TwinConfiguration(circ, positions, 0); err == nil {
 		t.Error("delta 0 accepted")
 	}
-	if _, err := TwinConfiguration(circ, positions, 100000); err == nil {
+	if _, err := discovery.TwinConfiguration(circ, positions, 100000); err == nil {
 		t.Error("oversized delta accepted")
 	}
-	twin, err := TwinConfiguration(circ, positions, 10)
+	twin, err := discovery.TwinConfiguration(circ, positions, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +228,7 @@ func TestLemma5TwinWorldsIndistinguishable(t *testing.T) {
 		circ := int64(1 << 16)
 		cfg := netgen.MustGenerate(netgen.Options{N: n, Circ: circ, Seed: seed, Model: ring.Basic})
 		positions := cfg.Positions
-		twin, err := TwinConfiguration(circ, positions, 1)
+		twin, err := discovery.TwinConfiguration(circ, positions, 1)
 		if err != nil {
 			return false
 		}
@@ -217,7 +254,7 @@ func TestLemma5TwinWorldsIndistinguishable(t *testing.T) {
 			}
 			schedule[t] = dirs
 		}
-		eq, err := ObservationallyEquivalent(circ, positions, twin, schedule)
+		eq, err := discovery.ObservationallyEquivalent(circ, positions, twin, schedule)
 		return err == nil && eq
 	}, &quick.Config{MaxCount: 40, Rand: rng})
 	if err != nil {
@@ -232,7 +269,7 @@ func TestLemma5PerceptiveDistinguishes(t *testing.T) {
 	circ := int64(1 << 12)
 	cfg := netgen.MustGenerate(netgen.Options{N: 8, Circ: circ, Seed: 4, Model: ring.Perceptive})
 	positions := cfg.Positions
-	twin, err := TwinConfiguration(circ, positions, 2)
+	twin, err := discovery.TwinConfiguration(circ, positions, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +308,7 @@ func TestLemma5PerceptiveDistinguishes(t *testing.T) {
 	}
 }
 
-// TestSweepGuardDenseRing pins the runaway-guard bound of sweepDiscovery at
+// TestSweepGuardDenseRing pins the runaway-guard bound of SweepStep at
 // its boundary: with one agent on every tick the sweep's visited list reaches
 // exactly the circumference in ticks, which the guard must allow (the old
 // bound compared a round count against half-ticks, twice as loose as
@@ -291,7 +328,7 @@ func TestSweepGuardDenseRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outputs := runDiscovery(t, nw, Options{Seed: 3})
+	outputs := runDiscovery(t, nw, sweep(core.CoordinateEvenStep, 3, 1))
 	checkPositions(t, nw, outputs)
 	for i, r := range outputs {
 		if r.N != n {
@@ -307,11 +344,12 @@ func TestSweepRoundsExact(t *testing.T) {
 	for _, tc := range []struct {
 		model ring.Model
 		n     int
+		step  int
 	}{
-		{ring.Lazy, 12}, {ring.Lazy, 9}, {ring.Basic, 9}, {ring.Perceptive, 9},
+		{ring.Lazy, 12, 1}, {ring.Lazy, 9, 1}, {ring.Basic, 9, 2}, {ring.Perceptive, 9, 2},
 	} {
 		nw := newNetwork(t, netgen.Options{N: tc.n, IDBound: 64, Seed: 5, Model: tc.model, MixedChirality: true, ForceSplitChirality: true})
-		outputs := runDiscovery(t, nw, Options{Seed: 5})
+		outputs := runDiscovery(t, nw, sweep(theorem7(tc.n), 5, tc.step))
 		for i, r := range outputs {
 			if r.RoundsDiscovery != tc.n {
 				t.Fatalf("%v n=%d agent %d: sweep consumed %d rounds, want exactly %d",

@@ -6,11 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"ringsym"
 	"ringsym/internal/core"
 	"ringsym/internal/discovery"
 	"ringsym/internal/engine"
 	"ringsym/internal/netgen"
-	"ringsym/internal/perceptive"
 	"ringsym/internal/ring"
 )
 
@@ -71,27 +71,30 @@ func projectCoordination(c *core.Coordination) coordination {
 
 func projectDiscovery(r *discovery.Result) discovery.Result { return *r }
 
-// TestRuntimeDifferentialCoordinate covers the coordination pipeline the
-// ringsym facade dispatches — the Section V machine on perceptive networks,
-// Theorem 7's otherwise — for every model × parity × chirality shape.
+// TestRuntimeDifferentialCoordinate covers the coordination pipeline of
+// every cell of the ringsym facade, for every model × parity × chirality
+// shape, and with a common sense of direction on common chirality.
 func TestRuntimeDifferentialCoordinate(t *testing.T) {
 	for _, model := range []ring.Model{ring.Basic, ring.Lazy, ring.Perceptive} {
 		for _, n := range []int{7, 8, 11, 12} {
 			for _, mixed := range []bool{false, true} {
 				for seed := int64(1); seed <= 3; seed++ {
 					opt := netgen.Options{N: n, Model: model, MixedChirality: mixed, ForceSplitChirality: mixed, Seed: seed}
-					build := func(a *engine.Agent) *engine.Proto[*core.Coordination] {
-						if model == ring.Perceptive {
-							return perceptive.CoordinateMachine(a, perceptive.Options{Seed: seed})
+					for _, cs := range []bool{false, true} {
+						if cs && mixed {
+							continue // a common sense needs common chirality
 						}
-						return core.CoordinateMachine(a, core.Options{Seed: seed})
-					}
-					leap, split, errL, errS := differential(t, opt, build, projectCoordination)
-					if fmt.Sprint(errL) != fmt.Sprint(errS) {
-						t.Fatalf("%+v: errors leap=%v split=%v", opt, errL, errS)
-					}
-					if !reflect.DeepEqual(leap, split) {
-						t.Fatalf("%+v: outputs differ\nleap:  %+v\nsplit: %+v", opt, leap, split)
+						c := ringsym.CellOf(model, n%2 == 1, cs)
+						build := func(a *engine.Agent) *engine.Proto[*core.Coordination] {
+							return c.CoordinateMachine(a, seed)
+						}
+						leap, split, errL, errS := differential(t, opt, build, projectCoordination)
+						if fmt.Sprint(errL) != fmt.Sprint(errS) {
+							t.Fatalf("%+v common sense %v: errors leap=%v split=%v", opt, cs, errL, errS)
+						}
+						if !reflect.DeepEqual(leap, split) {
+							t.Fatalf("%+v common sense %v: outputs differ\nleap:  %+v\nsplit: %+v", opt, cs, leap, split)
+						}
 					}
 				}
 			}
@@ -99,9 +102,9 @@ func TestRuntimeDifferentialCoordinate(t *testing.T) {
 	}
 }
 
-// TestRuntimeDifferentialDiscover does the same for the location-discovery
-// dispatch, covering the lazy sweep, the odd-n basic/perceptive sweep and the
-// even-n perceptive Section V pipeline.
+// TestRuntimeDifferentialDiscover does the same for the cells'
+// location-discovery pipelines, covering the lazy sweep, the odd-n
+// basic/perceptive sweep and the even-n perceptive Section V pipeline.
 func TestRuntimeDifferentialDiscover(t *testing.T) {
 	for _, tc := range []struct {
 		model ring.Model
@@ -117,8 +120,9 @@ func TestRuntimeDifferentialDiscover(t *testing.T) {
 	} {
 		for seed := int64(1); seed <= 2; seed++ {
 			opt := netgen.Options{N: tc.n, Model: tc.model, MixedChirality: tc.mixed, ForceSplitChirality: tc.mixed, Seed: seed}
+			c := ringsym.CellOf(tc.model, tc.n%2 == 1, false)
 			build := func(a *engine.Agent) *engine.Proto[*discovery.Result] {
-				return discovery.LocationDiscoveryMachine(a, discovery.Options{Seed: seed})
+				return c.DiscoverMachine(a, seed)
 			}
 			leap, split, errL, errS := differential(t, opt, build, projectDiscovery)
 			if errL != nil || errS != nil {
@@ -145,8 +149,9 @@ func TestDiscoveryLeapMatchesLegacy(t *testing.T) {
 		{"perceptive-even-mixed", netgen.Options{N: 8, IDBound: 64, Seed: 9, Model: ring.Perceptive, MixedChirality: true, ForceSplitChirality: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			c := ringsym.CellOf(tc.opt.Model, tc.opt.N%2 == 1, false)
 			build := func(a *engine.Agent) *engine.Proto[*discovery.Result] {
-				return discovery.LocationDiscoveryMachine(a, discovery.Options{Seed: 11})
+				return c.DiscoverMachine(a, 11)
 			}
 			leap, split, errL, errS := differential(t, tc.opt, build, projectDiscovery)
 			if errL != nil || errS != nil {

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"ringsym"
 	"ringsym/internal/campaign"
 	"ringsym/internal/ring"
-	"ringsym/internal/task"
 )
 
 func TestAdjustParity(t *testing.T) {
@@ -20,28 +20,28 @@ func TestAdjustParity(t *testing.T) {
 }
 
 func TestBoundFormulas(t *testing.T) {
-	odd := Setting{Name: "odd n", Model: ring.Basic, OddN: true}
-	if v, s := Bound(odd, task.DirectionAgreement, 9, 36); v != 1 || s != "O(1)" {
+	odd := ringsym.CellOf(ring.Basic, true, false)
+	if v, s := odd.Bound(ringsym.DirectionAgreement, 9, 36); v != 1 || s != "O(1)" {
 		t.Errorf("odd DA bound = %v %q", v, s)
 	}
-	basicEven := Setting{Name: "basic even", Model: ring.Basic}
-	if _, s := Bound(basicEven, task.LocationDiscovery, 8, 32); s != "not solvable" {
+	basicEven := ringsym.CellOf(ring.Basic, false, false)
+	if _, s := basicEven.Bound(ringsym.LocationDiscovery, 8, 32); s != "not solvable" {
 		t.Errorf("basic even LD bound = %q", s)
 	}
-	lazyEven := Setting{Name: "lazy even", Model: ring.Lazy}
-	if v, _ := Bound(lazyEven, task.LocationDiscovery, 8, 32); v <= 8 {
+	lazyEven := ringsym.CellOf(ring.Lazy, false, false)
+	if v, _ := lazyEven.Bound(ringsym.LocationDiscovery, 8, 32); v <= 8 {
 		t.Errorf("lazy even LD bound = %v, want > n", v)
 	}
-	perc := Setting{Name: "perceptive even", Model: ring.Perceptive}
-	if _, s := Bound(perc, task.LeaderElection, 16, 64); !strings.Contains(s, "sqrt") {
+	perc := ringsym.CellOf(ring.Perceptive, false, false)
+	if _, s := perc.Bound(ringsym.LeaderElection, 16, 64); !strings.Contains(s, "sqrt") {
 		t.Errorf("perceptive LE bound = %q", s)
 	}
-	common := Setting{Name: "basic even", Model: ring.Basic, CommonSense: true}
-	if _, s := Bound(common, task.LeaderElection, 8, 32); s != "O(log^2 N)" {
+	common := ringsym.CellOf(ring.Basic, false, true)
+	if _, s := common.Bound(ringsym.LeaderElection, 8, 32); s != "O(log^2 N)" {
 		t.Errorf("common basic even LE bound = %q", s)
 	}
-	commonPerc := Setting{Name: "perceptive even", Model: ring.Perceptive, CommonSense: true}
-	if _, s := Bound(commonPerc, task.LocationDiscovery, 8, 32); !strings.Contains(s, "n/2") {
+	commonPerc := ringsym.CellOf(ring.Perceptive, false, true)
+	if _, s := commonPerc.Bound(ringsym.LocationDiscovery, 8, 32); !strings.Contains(s, "n/2") {
 		t.Errorf("common perceptive LD bound = %q", s)
 	}
 }
@@ -51,7 +51,7 @@ func TestBoundFormulas(t *testing.T) {
 // about n in the lazy model and about n/2 (plus overhead) in the perceptive
 // model, and the basic model with even n cannot solve location discovery.
 func TestTable1SmallSweep(t *testing.T) {
-	rows, err := TableRowsContext(t.Context(), Table1Settings(), SweepConfig{Sizes: []int{8, 16}, IDBoundFactor: 4, Seed: 5})
+	rows, err := TableRowsContext(t.Context(), ringsym.Table(false), SweepConfig{Sizes: []int{8, 16}, IDBoundFactor: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,17 +60,17 @@ func TestTable1SmallSweep(t *testing.T) {
 	}
 	for _, m := range rows {
 		switch {
-		case m.Setting.Name == "basic model, even n" && m.Problem == task.LocationDiscovery:
+		case m.Setting.Label == "basic model, even n" && m.Problem == ringsym.LocationDiscovery:
 			if m.Solvable {
 				t.Error("basic even location discovery should be unsolvable")
 			}
-		case m.Problem == task.LocationDiscovery:
+		case m.Problem == ringsym.LocationDiscovery:
 			if !m.Solvable || m.Rounds < m.N/2 {
-				t.Errorf("%s n=%d: LD rounds %d implausibly small", m.Setting.Name, m.N, m.Rounds)
+				t.Errorf("%s n=%d: LD rounds %d implausibly small", m.Setting.Label, m.N, m.Rounds)
 			}
 		default:
 			if m.Rounds <= 0 {
-				t.Errorf("%s %s n=%d: nonpositive rounds", m.Setting.Name, m.Problem, m.N)
+				t.Errorf("%s %s n=%d: nonpositive rounds", m.Setting.Label, m.Problem, m.N)
 			}
 		}
 	}
@@ -81,7 +81,7 @@ func TestTable1SmallSweep(t *testing.T) {
 }
 
 func TestTable2SmallSweep(t *testing.T) {
-	rows, err := TableRowsContext(t.Context(), Table2Settings(), SweepConfig{Sizes: []int{8}, IDBoundFactor: 4, Seed: 7})
+	rows, err := TableRowsContext(t.Context(), ringsym.Table(true), SweepConfig{Sizes: []int{8}, IDBoundFactor: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,19 +90,19 @@ func TestTable2SmallSweep(t *testing.T) {
 		t.Fatalf("got %d measurements, want 12", len(rows))
 	}
 	for _, m := range rows {
-		if m.Problem == task.DirectionAgreement {
+		if m.Problem == ringsym.DirectionAgreement {
 			t.Error("Table II should not include direction agreement")
 		}
 		// With a common sense of direction every coordination problem is
 		// polylogarithmic: far below n rounds for these sizes.
-		if m.Problem == task.LeaderElection && m.Rounds > 200 {
-			t.Errorf("%s: leader election took %d rounds", m.Setting.Name, m.Rounds)
+		if m.Problem == ringsym.LeaderElection && m.Rounds > 200 {
+			t.Errorf("%s: leader election took %d rounds", m.Setting.Label, m.Rounds)
 		}
 	}
 }
 
 func TestMeasureReductions(t *testing.T) {
-	rs, err := MeasureReductions(context.Background(), Setting{Model: ring.Lazy}, 8, 32, 3)
+	rs, err := MeasureReductions(context.Background(), ringsym.CellOf(ring.Lazy, false, false), 8, 32, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ringsym"
 	"ringsym/internal/campaign"
 	"ringsym/internal/comb"
 	"ringsym/internal/core"
@@ -12,13 +13,12 @@ import (
 	"ringsym/internal/perceptive"
 	"ringsym/internal/rcomm"
 	"ringsym/internal/ring"
-	"ringsym/internal/task"
 )
 
 // Reduction identifies one arrow of Figures 1 and 2: the cost of solving the
 // target problem given that the source problem is already solved.
 type Reduction struct {
-	From, To task.Problem
+	From, To ringsym.Problem
 	// Rounds is the measured cost of the reduction alone.
 	Rounds int
 	// Bound and BoundStr give the paper's bound for the arrow.
@@ -29,15 +29,18 @@ type Reduction struct {
 // MeasureReductions measures every arrow of the reduction graph (Figure 1 for
 // odd n / lazy / perceptive, Figure 2 for the basic model with even n) on a
 // single configuration of the given size.
-func MeasureReductions(ctx context.Context, s Setting, n, idBound int, seed int64) ([]Reduction, error) {
+func MeasureReductions(ctx context.Context, s *ringsym.Cell, n, idBound int, seed int64) ([]Reduction, error) {
 	n = campaign.AdjustParity(n, s.OddN)
 	logN := comb.Log2(float64(idBound))
+	// Given direction agreement, leader election costs what Table II states.
+	common := ringsym.CellOf(s.Model, s.OddN, true)
+	daToLeader, daToLeaderStr := common.Bound(ringsym.LeaderElection, n, idBound)
 
 	// A measure runs the reduction on frame f and hands k the rounds it
 	// spent; nmDir and isLeader are the solved source problem.
 	type measure func(f *core.Frame, nmDir ring.Direction, isLeader bool, k func(rounds int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)
 	type probe struct {
-		from, to task.Problem
+		from, to ringsym.Problem
 		bound    float64
 		boundStr string
 		measure  measure
@@ -49,31 +52,31 @@ func MeasureReductions(ctx context.Context, s Setting, n, idBound int, seed int6
 		return func() (engine.Yield, engine.Cont) { return k(f.RoundsUsed() - start) }
 	}
 	probes := []probe{
-		{task.NontrivialMove, task.DirectionAgreement, 1, "O(1)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{ringsym.NontrivialMove, ringsym.DirectionAgreement, 1, "O(1)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.DirectionAgreementStep(f, nmDir, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
 		}},
-		{task.NontrivialMove, task.LeaderElection, logN, "O(log N)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{ringsym.NontrivialMove, ringsym.LeaderElection, logN, "O(log N)", func(f *core.Frame, nmDir ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.DirectionAgreementStep(f, nmDir, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
 				return core.LeaderElectWithNMStep(f, nmDir, func(bool) (engine.Yield, engine.Cont) { return end() })
 			})
 		}},
-		{task.LeaderElection, task.NontrivialMove, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{ringsym.LeaderElection, ringsym.NontrivialMove, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.NontrivialMoveFromLeaderStep(f, isLeader, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
 		}},
-		{task.LeaderElection, task.DirectionAgreement, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{ringsym.LeaderElection, ringsym.DirectionAgreement, 1, "O(1)", func(f *core.Frame, _ ring.Direction, isLeader bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.NontrivialMoveFromLeaderStep(f, isLeader, func(dir ring.Direction) (engine.Yield, engine.Cont) {
 				return core.DirectionAgreementStep(f, dir, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
 			})
 		}},
-		{task.DirectionAgreement, task.LeaderElection, daToLeaderBound(s, n, idBound), daToLeaderBoundStr(s), func(f *core.Frame, _ ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{ringsym.DirectionAgreement, ringsym.LeaderElection, daToLeader, daToLeaderStr, func(f *core.Frame, _ ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.LeaderElectCommonSenseStep(f, func(bool) (engine.Yield, engine.Cont) { return end() })
 		}},
-		{task.DirectionAgreement, task.NontrivialMove, daToLeaderBound(s, n, idBound) + 1, daToLeaderBoundStr(s) + " + O(1)", func(f *core.Frame, _ ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+		{ringsym.DirectionAgreement, ringsym.NontrivialMove, daToLeader + 1, daToLeaderStr + " + O(1)", func(f *core.Frame, _ ring.Direction, _ bool, k func(int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 			end := since(f, k)
 			return core.LeaderElectCommonSenseStep(f, func(isLeader bool) (engine.Yield, engine.Cont) {
 				return core.NontrivialMoveFromLeaderStep(f, isLeader, func(ring.Direction) (engine.Yield, engine.Cont) { return end() })
@@ -86,7 +89,7 @@ func MeasureReductions(ctx context.Context, s Setting, n, idBound int, seed int6
 		// Preconditions (a solved nontrivial move / an elected leader /
 		// a common sense of direction) are established on a fresh network
 		// before the reduction is measured.
-		nw, err := network(Setting{Model: s.Model, OddN: s.OddN, CommonSense: true}, n, idBound, seed)
+		nw, err := network(common, n, idBound, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +104,7 @@ func MeasureReductions(ctx context.Context, s Setting, n, idBound int, seed int6
 				f := core.NewFrame(a)
 				isLeader := a.ID() == maxID
 				k := func(rounds int) (engine.Yield, engine.Cont) { return done(rounds, nil) }
-				if p.from == task.NontrivialMove {
+				if p.from == ringsym.NontrivialMove {
 					return core.NontrivialMoveFromLeaderStep(f, isLeader, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
 						return p.measure(f, nmDir, isLeader, k)
 					})
@@ -116,21 +119,6 @@ func MeasureReductions(ctx context.Context, s Setting, n, idBound int, seed int6
 		out = append(out, Reduction{From: p.from, To: p.to, Rounds: res.Outputs[0], Bound: p.bound, BoundStr: p.boundStr})
 	}
 	return out, nil
-}
-
-func daToLeaderBound(s Setting, n, idBound int) float64 {
-	logN := comb.Log2(float64(idBound))
-	if s.Model == ring.Basic && !s.OddN {
-		return logN * logN
-	}
-	return logN
-}
-
-func daToLeaderBoundStr(s Setting) string {
-	if s.Model == ring.Basic && !s.OddN {
-		return "O(log^2 N)"
-	}
-	return "O(log N)"
 }
 
 // FormatReductions renders the reduction measurements.
@@ -160,17 +148,18 @@ func MeasureRingDist(ctx context.Context, sizes []int, idBoundFactor int, seed i
 	if idBoundFactor <= 0 {
 		idBoundFactor = 4
 	}
+	perceptiveEven := ringsym.CellOf(ring.Perceptive, false, false)
 	var out []RingDistSample
 	for _, rawN := range sizes {
 		n := campaign.AdjustParity(rawN, false)
 		idBound := idBoundFactor * n
-		nw, err := network(Setting{Model: ring.Perceptive}, n, idBound, seed)
+		nw, err := network(perceptiveEven, n, idBound, seed)
 		if err != nil {
 			return nil, err
 		}
 		res, err := engine.Run(ctx, nw, func(a *engine.Agent) *engine.Proto[int] {
 			return engine.NewProto(func(done func(int, error) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-				return perceptive.CoordinateStep(a, perceptive.Options{Seed: seed}, func(c *core.Coordination) (engine.Yield, engine.Cont) {
+				return perceptive.CoordinateStep(a, seed, func(c *core.Coordination) (engine.Yield, engine.Cont) {
 					start := c.Frame.RoundsUsed()
 					return rcomm.EstablishStep(c.Frame, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
 						return perceptive.RingDistStep(link, c.IsLeader, func(int, bool) (engine.Yield, engine.Cont) {
@@ -183,7 +172,7 @@ func MeasureRingDist(ctx context.Context, sizes []int, idBoundFactor int, seed i
 		if err != nil {
 			return nil, fmt.Errorf("eval: ringdist n=%d: %w", n, err)
 		}
-		bound, _ := Bound(Setting{Model: ring.Perceptive}, task.NontrivialMove, n, idBound)
+		bound, _ := perceptiveEven.Bound(ringsym.NontrivialMove, n, idBound)
 		out = append(out, RingDistSample{N: n, IDBound: idBound, Rounds: res.Outputs[0], Bound: bound})
 	}
 	return out, nil

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ringsym"
 	"ringsym/internal/ring"
 )
 
@@ -40,12 +41,12 @@ func goldenDigest(t *testing.T, name string) string {
 func TestGoldenTables(t *testing.T) {
 	cfg := SweepConfig{Sizes: []int{16, 32}, IDBoundFactor: 4, Seed: 1}
 	var b strings.Builder
-	rows1, err := TableRowsContext(context.Background(), Table1Settings(), cfg)
+	rows1, err := TableRowsContext(context.Background(), ringsym.Table(false), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(Format("Table I - deterministic solutions in the general setting", rows1) + "\n")
-	rows2, err := TableRowsContext(context.Background(), Table2Settings(), cfg)
+	rows2, err := TableRowsContext(context.Background(), ringsym.Table(true), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +66,12 @@ func TestGoldenFigures(t *testing.T) {
 	sizes := []int{16, 32}
 	n := sizes[len(sizes)/2]
 	var b strings.Builder
-	fig1, err := MeasureReductions(context.Background(), Setting{Model: ring.Lazy}, n, idFactor*n, seed)
+	fig1, err := MeasureReductions(context.Background(), ringsym.CellOf(ring.Lazy, false, false), n, idFactor*n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(FormatReductions("Figure 1 - reductions among coordination problems (odd n / lazy / perceptive)", fig1) + "\n")
-	fig2, err := MeasureReductions(context.Background(), Setting{Model: ring.Basic}, n, idFactor*n, seed)
+	fig2, err := MeasureReductions(context.Background(), ringsym.CellOf(ring.Basic, false, false), n, idFactor*n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

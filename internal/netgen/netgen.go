@@ -43,8 +43,6 @@ type Options struct {
 	MaxRounds int
 	// AllowSmall permits n <= 4.
 	AllowSmall bool
-	// HideParity withholds the parity of n from the agents.
-	HideParity bool
 }
 
 func (o *Options) fillDefaults() error {
@@ -187,7 +185,6 @@ func generate(opt Options) engine.Config {
 		Chirality:  chir,
 		MaxRounds:  opt.MaxRounds,
 		AllowSmall: opt.AllowSmall,
-		HideParity: opt.HideParity,
 	}
 }
 

@@ -135,26 +135,13 @@ func (s *nmoveS) try(i int) (engine.Yield, engine.Cont) {
 	return s.f.ClassifyRotationStep(s.dir, true, s.onClassFn)
 }
 
-// Options configures the perceptive coordination and discovery pipelines.
-type Options struct {
-	// Seed drives the pseudo-random selective families.
-	Seed int64
-}
-
-// CoordinateMachine solves nontrivial move, direction agreement and leader
+// CoordinateStep solves nontrivial move, direction agreement and leader
 // election in the perceptive model in O(√n·log N) rounds (Table I, last row),
-// by composing NMoveSStep with Algorithm 1 and Algorithm 2, as a resumable
-// machine for engine.Run.  Like core.CoordinateMachine's, the machine and its
-// result are the agent's kept state, valid until the agent's next run.
-func CoordinateMachine(a *engine.Agent, opts Options) *engine.Proto[*core.Coordination] {
-	return coordinateMachines.New(a, opts)
-}
-
-var coordinateMachines = engine.NewMachineSlot(CoordinateStep)
-
-// CoordinateStep is CoordinateMachine's pipeline as a CPS step: k receives
-// the agent's Coordination.  It runs on the agent's core.PipelineFrame.
-func CoordinateStep(a *engine.Agent, opts Options, k func(*core.Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+// by composing NMoveSStep with Algorithm 1 and Algorithm 2.  It is a
+// core.CoordinateFunc: seed drives NMoveS's pseudo-random selective
+// families, k receives the agent's Coordination, and it runs on the agent's
+// core.PipelineFrame.
+func CoordinateStep(a *engine.Agent, seed int64, k func(*core.Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f := core.PipelineFrame(a)
-	return NMoveSStep(f, opts.Seed, core.AgreeAndElect(f, k))
+	return NMoveSStep(f, seed, core.AgreeAndElect(f, k))
 }

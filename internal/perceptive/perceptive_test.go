@@ -98,7 +98,7 @@ func TestCoordinate(t *testing.T) {
 			flipped bool
 		}
 		res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return CoordinateStep(a, Options{Seed: 5}, func(c *core.Coordination) (engine.Yield, engine.Cont) {
+			return CoordinateStep(a, 5, func(c *core.Coordination) (engine.Yield, engine.Cont) {
 				return k(out{c.IsLeader, c.Frame.Flipped()})
 			})
 		})
@@ -139,7 +139,7 @@ func TestRingDistLabels(t *testing.T) {
 			flipped bool
 		}
 		res, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(out) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-			return CoordinateStep(a, Options{Seed: 9}, func(c *core.Coordination) (engine.Yield, engine.Cont) {
+			return CoordinateStep(a, 9, func(c *core.Coordination) (engine.Yield, engine.Cont) {
 				return rcomm.EstablishStep(c.Frame, func(link *rcomm.Link) (engine.Yield, engine.Cont) {
 					return RingDistStep(link, c.IsLeader, func(label int, isLast bool) (engine.Yield, engine.Cont) {
 						return BroadcastSizeStep(c.Frame, isLast, label, func(size int) (engine.Yield, engine.Cont) {
@@ -188,8 +188,8 @@ func TestLocationDiscovery(t *testing.T) {
 			nw := newNetwork(t, netgen.Options{
 				N: n, IDBound: 128, Seed: seed*31 + int64(n), MixedChirality: true, ForceSplitChirality: true,
 			})
-			run, err := engine.Run(context.Background(), nw, func(a *engine.Agent) *engine.Proto[*DiscoveryResult] {
-				return LocationDiscoveryMachine(a, Options{Seed: 3})
+			run, err := enginetest.RunSteps(context.Background(), nw, func(a *engine.Agent, k func(*DiscoveryResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+				return LocationDiscoveryStep(a, 3, k)
 			})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)

@@ -31,29 +31,20 @@ type DiscoveryResult struct {
 	RoundsDistances    int
 }
 
-// LocationDiscoveryMachine implements Theorem 42: location discovery in the
+// LocationDiscoveryStep implements Theorem 42: location discovery in the
 // perceptive model in n/2 + O(√n·log²N) rounds for even n (the paper's
 // setting; odd n is handled by the lazy-model style sweep in
-// internal/discovery), as a resumable machine for engine.Run.  The pipeline
-// is: NMoveS → direction agreement → leader election → neighbour
-// re-discovery in the agreed frame → RingDist → size broadcast → Distances →
-// per-agent solution of the arc equations.  The machine is the agent's kept
-// state (engine.MachineSlot), valid until the agent's next run.
-func LocationDiscoveryMachine(a *engine.Agent, opts Options) *engine.Proto[*DiscoveryResult] {
-	return discoveryMachines.New(a, opts)
-}
-
-var discoveryMachines = engine.NewMachineSlot(LocationDiscoveryStep)
-
-// LocationDiscoveryStep is LocationDiscoveryMachine's pipeline as a CPS
-// step: k receives the agent's result.
-func LocationDiscoveryStep(a *engine.Agent, opts Options, k func(*DiscoveryResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+// internal/discovery), as a CPS step: seed drives NMoveS, and k receives the
+// agent's result.  The pipeline is: NMoveS → direction agreement → leader
+// election → neighbour re-discovery in the agreed frame → RingDist → size
+// broadcast → Distances → per-agent solution of the arc equations.
+func LocationDiscoveryStep(a *engine.Agent, seed int64, k func(*DiscoveryResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	s := discoveryStates.Of(a)
 	if s.onCoordFn == nil {
 		s.onCoordFn, s.onLinkFn, s.onLabelFn, s.onSizeFn, s.onGapsFn = s.onCoord, s.onLink, s.onLabel, s.onSize, s.onGaps
 	}
 	s.k = k
-	return CoordinateStep(a, opts, s.onCoordFn)
+	return CoordinateStep(a, seed, s.onCoordFn)
 }
 
 // locationDiscovery is the state of one LocationDiscoveryStep call, kept per

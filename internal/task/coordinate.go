@@ -24,7 +24,7 @@ func (coordinateSpec) Solvable(ring.Model, bool) bool { return true }
 
 func (coordinateSpec) Bound(model ring.Model, oddN, commonSense bool, n, idBound int) (float64, string) {
 	// Leader election is the from-scratch total of the pipeline.
-	return Bound(model, oddN, commonSense, LeaderElection, n, idBound)
+	return ringsym.CellOf(model, oddN, commonSense).Bound(ringsym.LeaderElection, n, idBound)
 }
 
 func (coordinateSpec) Run(ctx context.Context, nw *ringsym.Network, p Params) (Outcome, error) {

@@ -10,8 +10,8 @@ import (
 )
 
 // discoverSpec runs full location discovery (which includes coordination)
-// with the best algorithm for the model and parity (Lemma 16 or Theorem 42).
-// The facade verifies every agent's reconstructed map against the simulator's
+// with the pipeline of the setting's cell (Lemma 16 or Theorem 42).  The
+// facade verifies every agent's reconstructed map against the simulator's
 // ground truth.
 type discoverSpec struct{}
 
@@ -21,12 +21,14 @@ func (discoverSpec) Description() string {
 	return "full location discovery: every agent reconstructs the relative map of the whole ring"
 }
 
+// Solvable reads the cell without a common sense of direction: Lemma 5
+// holds with or without one, and the cells agree.
 func (discoverSpec) Solvable(model ring.Model, oddN bool) bool {
-	return Solvable(model, oddN, LocationDiscovery)
+	return ringsym.CellOf(model, oddN, false).Discover.Stages != nil
 }
 
 func (discoverSpec) Bound(model ring.Model, oddN, commonSense bool, n, idBound int) (float64, string) {
-	return Bound(model, oddN, commonSense, LocationDiscovery, n, idBound)
+	return ringsym.CellOf(model, oddN, commonSense).Bound(ringsym.LocationDiscovery, n, idBound)
 }
 
 func (discoverSpec) Run(ctx context.Context, nw *ringsym.Network, p Params) (Outcome, error) {

@@ -3,7 +3,8 @@
 // through the campaign runner, the symmetry-canonical cache and the serving
 // daemon.
 //
-// The obligations, per setting of a small model × parity × chirality grid:
+// The obligations, per setting of a small model × parity × chirality ×
+// common-sense grid:
 //
 //   - Solvable/Run agreement: a setting the spec declares solvable must run
 //     to a verified ok record; an unsolvable setting must be classified
@@ -40,20 +41,24 @@ import (
 )
 
 // grid is the conformance sweep: all three models, both parities, both
-// chirality regimes.  Sizes are small so the full suite stays fast.
+// chirality regimes, and a common sense of direction (the Table II setting),
+// which like campaign.Matrix it pairs with common chirality only.  Sizes are
+// small so the full suite stays fast.
 type gridPoint struct {
-	model string
-	n     int
-	mixed bool
+	model       string
+	n           int
+	mixed       bool
+	commonSense bool
 }
 
 func grid() []gridPoint {
 	var out []gridPoint
 	for _, model := range []string{"basic", "lazy", "perceptive"} {
 		for _, n := range []int{8, 9} {
-			for _, mixed := range []bool{false, true} {
-				out = append(out, gridPoint{model: model, n: n, mixed: mixed})
-			}
+			out = append(out,
+				gridPoint{model: model, n: n},
+				gridPoint{model: model, n: n, mixed: true},
+				gridPoint{model: model, n: n, commonSense: true})
 		}
 	}
 	return out
@@ -77,6 +82,7 @@ func Conformance(t *testing.T, name string) {
 			N:              g.n,
 			IDBound:        4 * g.n,
 			MixedChirality: g.mixed,
+			CommonSense:    g.commonSense,
 			Seed:           1,
 		}
 		model, err := campaign.ParseModel(g.model)

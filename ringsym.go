@@ -16,10 +16,11 @@
 //   - Network wraps a simulated ring of agents (exact integer geometry; the
 //     engine steps every agent's protocol as a resumable state machine on
 //     one scheduler goroutine);
-//   - Coordinate runs the symmetry-breaking pipeline of the paper
-//     (nontrivial move → direction agreement → leader election);
-//   - DiscoverLocations runs location discovery with the best algorithm for
-//     the model and parity (Lemma 16 or Theorem 42);
+//   - Coordinate solves the paper's three coordination problems
+//     (nontrivial move, direction agreement, leader election);
+//   - DiscoverLocations solves location discovery;
+//   - the cells (CellOf, Table) are Tables I and II as data: per setting,
+//     the pipeline each of the two runs and the paper's bounds;
 //   - Engine exposes the underlying network, on which engine.Run executes
 //     custom protocols.
 //
@@ -38,7 +39,6 @@ import (
 	"ringsym/internal/discovery"
 	"ringsym/internal/engine"
 	"ringsym/internal/netgen"
-	"ringsym/internal/perceptive"
 	"ringsym/internal/ring"
 )
 
@@ -223,9 +223,11 @@ type CoordinationResult struct {
 
 // Coordinate solves the three coordination problems of the paper (nontrivial
 // move, direction agreement, leader election) on every agent and verifies
-// that exactly one leader was elected.  A perceptive network without
-// CommonSense runs the O(√n·log N) Section V algorithms; every other setting
-// runs the basic-model ones.
+// that exactly one leader was elected.  It runs the Coordinate pipeline of
+// the network's cell (CellOf): with CommonSense, Lemma 13 and Lemma 10;
+// without, a nontrivial move (Corollary 18 for odd n, Theorem 27's schedule
+// for even n, NMoveS in the perceptive model), then Algorithm 1 and
+// Algorithm 2.
 func (n *Network) Coordinate(opts CoordinationOptions) (*CoordinationResult, error) {
 	return n.CoordinateContext(context.Background(), opts)
 }
@@ -233,12 +235,9 @@ func (n *Network) Coordinate(opts CoordinationOptions) (*CoordinationResult, err
 // CoordinateContext is Coordinate with cancellation: a cancelled ctx aborts
 // the pipeline within one round.
 func (n *Network) CoordinateContext(ctx context.Context, opts CoordinationOptions) (*CoordinationResult, error) {
-	usePerceptive := n.Model() == Perceptive && !opts.CommonSense
+	c := CellOf(n.Model(), n.N()%2 == 1, opts.CommonSense)
 	run, err := engine.Run(ctx, n.nw, func(a *Agent) *engine.Proto[*core.Coordination] {
-		if usePerceptive {
-			return perceptive.CoordinateMachine(a, perceptive.Options{Seed: opts.Seed})
-		}
-		return core.CoordinateMachine(a, core.Options{CommonSense: opts.CommonSense, Seed: opts.Seed})
+		return c.CoordinateMachine(a, opts.Seed)
 	})
 	if err != nil {
 		return nil, err
@@ -298,9 +297,11 @@ type DiscoveryResult struct {
 	StartPositions []int64
 }
 
-// DiscoverLocations solves location discovery with the appropriate algorithm
-// for the network's model and parity (Lemma 16 or Theorem 42) and verifies
-// every agent's answer against the simulator's ground truth.
+// DiscoverLocations solves location discovery with the Discover pipeline of
+// the network's cell (CellOf): Lemma 16's sweep after coordination, or
+// Theorem 42 in the perceptive model with even n.  It verifies every
+// agent's answer against the simulator's ground truth.  In the basic model
+// with even n it fails with discovery.ErrNotSolvable (Lemma 5).
 func (n *Network) DiscoverLocations(opts DiscoveryOptions) (*DiscoveryResult, error) {
 	return n.DiscoverLocationsContext(context.Background(), opts)
 }
@@ -309,9 +310,9 @@ func (n *Network) DiscoverLocations(opts DiscoveryOptions) (*DiscoveryResult, er
 // cancelled ctx aborts the protocol within one round.
 func (n *Network) DiscoverLocationsContext(ctx context.Context, opts DiscoveryOptions) (*DiscoveryResult, error) {
 	start := n.nw.CurrentPositions()
-	dopts := discovery.Options{CommonSense: opts.CommonSense, Seed: opts.Seed}
+	c := CellOf(n.Model(), n.N()%2 == 1, opts.CommonSense)
 	run, err := engine.Run(ctx, n.nw, func(a *Agent) *engine.Proto[*discovery.Result] {
-		return discovery.LocationDiscoveryMachine(a, dopts)
+		return c.DiscoverMachine(a, opts.Seed)
 	})
 	if err != nil {
 		return nil, err
