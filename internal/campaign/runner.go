@@ -291,59 +291,75 @@ func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) Record {
 // of its Run.  The zero value is an empty slot, ready for use.
 type Slot struct{ nw *ringsym.Network }
 
-// Run is RunScenarioContext on the slot: an uncached scenario runs on the
-// slot's network (see acquireNetwork), and a nil slot builds a fresh network.
-// A cached computation always builds a fresh one, because it runs on a
-// goroutine the cache owns, which can outlive the caller.
+// Run is RunScenarioContext on the slot: it prepares the scenario and runs
+// the prepared scenario on the slot (see RunPrepared).
 func (slot *Slot) Run(ctx context.Context, sc Scenario, opts Options) Record {
+	return slot.RunPrepared(ctx, Prepare(sc, opts))
+}
+
+// RunPrepared finishes a prepared scenario by running its task: an uncached
+// scenario runs on the slot's network (see acquireNetwork), and a nil slot
+// builds a fresh network.  A cached computation runs through the cache's
+// singleflight, on this goroutine when it leads, and always on a fresh
+// network: the benchmark's traced replay times cached computes on fresh
+// networks, and they move onto the slot together with it (ROADMAP item 1).
+// Record.Wall counts the preparation too, wherever it ran.
+func (slot *Slot) RunPrepared(ctx context.Context, p Prepared) Record {
 	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
 	start := time.Now()
+	sc := p.rec.Scenario
 	if obs.On() {
 		obs.Emit(obs.Event{
 			Type: obs.ScenarioStart, Level: obs.LevelDebug,
 			Task: string(sc.Task), Model: sc.Model, N: sc.N, Seed: sc.Seed, Index: sc.Index,
 		})
 	}
-	rec := runStages(sc, opts, func(spec task.Spec, cfg engine.Config, key string) (task.Outcome, memo.Kind, error) {
+	rec := p.finish(func() (task.Outcome, memo.Kind, error) {
 		if testHookScenario != nil {
 			testHookScenario(sc)
 		}
-		if opts.Cache == nil {
-			out, err := runSpec(ctx, spec, cfg, sc, slot)
+		if p.cache == nil {
+			out, err := runSpec(ctx, p.spec, p.cfg, sc, slot)
 			return out, memo.Miss, err
 		}
-		return opts.Cache.c.Do(ctx, key, func(cctx context.Context) (task.Outcome, error) {
-			return runSpec(cctx, spec, cfg, sc, nil)
+		return p.cache.c.Do(ctx, p.key, func(cctx context.Context) (task.Outcome, error) {
+			return runSpec(cctx, p.spec, p.cfg, sc, nil)
 		})
 	})
 	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
-	rec.Wall = time.Since(start)
+	rec.Wall = p.wall + time.Since(start)
 	if obs.On() {
 		EmitScenarioDone(rec)
 	}
 	return rec
 }
 
-// ProbeCache answers a scenario purely from the memo cache: it returns the
-// record (annotated as a hit) when the outcome of the scenario's canonical
-// representative is already in memory, and ok=false otherwise — when the
-// cache is nil, the scenario is unsolvable or invalid (those never reach the
-// lookup stage), the outcome simply is not there yet, or a stage failed
-// (a malformed tier-promoted outcome that panics in MapOutcome included).
-// It drives the same stages as RunScenarioContext and stops after the memory
-// lookup: nothing executes and no singleflight computation is joined, so a
-// serving layer can answer hits on the request goroutine without occupying a
-// pool worker.  Every false falls through to RunScenarioContext, which
-// prepares the scenario again and reports any error.  The repeat is not
-// free: in the traced serve-mixed runs of BENCH_store.json (seeds 41–42) a
-// missing probe costs 24–30 µs (serve.probe_miss_us) against 156–166 µs of
-// protocol run (task.run_us), so a miss pays about 15–18% extra for it.
+// ProbeCache answers a scenario purely from the memo cache: it prepares the
+// scenario and probes it (see Prepared.Probe).  With a nil cache it reports
+// false at once.
 func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 	if opts.Cache == nil {
 		return Record{}, false
 	}
-	rec := runStages(sc, opts, func(_ task.Spec, _ engine.Config, key string) (task.Outcome, memo.Kind, error) {
-		out, ok := opts.Cache.c.Get(key)
+	return Prepare(sc, opts).Probe()
+}
+
+// Probe finishes a prepared scenario from memory alone: it returns the
+// record (annotated as a hit) when the outcome of the scenario's canonical
+// representative is already in the memo cache, and ok=false otherwise —
+// when the scenario was prepared without a cache, is unsolvable or invalid,
+// the outcome simply is not there yet, or a stage failed (a malformed
+// tier-promoted outcome that panics in MapOutcome included).  Nothing
+// executes and no singleflight computation is joined, so a serving layer
+// can answer hits on the request goroutine without occupying a pool worker,
+// and hand the same prepared value to RunPrepared on a miss: the miss pays
+// for its preparation once.
+func (p Prepared) Probe() (Record, bool) {
+	if p.cache == nil {
+		return Record{}, false
+	}
+	rec := p.finish(func() (task.Outcome, memo.Kind, error) {
+		out, ok := p.cache.c.Get(p.key)
 		if !ok {
 			return out, memo.Miss, errNotCached
 		}
@@ -352,7 +368,7 @@ func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 	if rec.Status != StatusOK {
 		return Record{}, false
 	}
-	// A probe hit never reaches RunScenarioContext, so its completion event is
+	// A probe hit never reaches RunPrepared, so its completion event is
 	// emitted here: cache-served scenarios stay visible on the event spine.
 	if obs.On() {
 		EmitScenarioDone(rec)
@@ -360,74 +376,120 @@ func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 	return rec, true
 }
 
-// errNotCached is a probe's lookup miss; ProbeCache turns it into ok=false.
+// errNotCached is a probe's lookup miss; Probe turns it into ok=false.
 var errNotCached = errors.New("campaign: outcome not cached")
 
-// runStages drives one scenario through the stages every entry point
-// shares: resolve (model, spec, bound, solvability) → generate →
-// canonicalize → key → lookup → map → fill.  The stages and their order live
-// here alone, so the key a probe reads cannot drift from the key a run
-// stores under.  Entry points differ only in the lookup stage, which returns
-// the outcome of cfg and how the memo cache served it: RunScenarioContext
-// runs the task (through Cache.Do when cached) and ProbeCache reads memory.
-// With a cache, cfg is the canonical representative of the scenario's orbit
-// and key its cache key; without one, cfg is the scenario's own framing and
-// key is empty.  Every failure, a recovered panic included, leaves through
-// one exit as a failed record that keeps the bound once it is resolved.
-func runStages(sc Scenario, opts Options, lookup func(spec task.Spec, cfg engine.Config, key string) (task.Outcome, memo.Kind, error)) (rec Record) {
-	rec = Record{Scenario: sc}
+// Prepared is a scenario taken through the first half of the pipeline
+// every entry point shares: resolve (model, spec, bound, solvability) →
+// generate → canonicalize → key.  Its finish (Probe, or RunPrepared) runs
+// the second half: lookup → map → fill.  The stages and their order live in
+// Prepare and finish alone, so the key a probe reads cannot drift from the
+// key a run stores under, and the two finishes differ only in the lookup
+// stage.  With a cache, cfg is the canonical representative of the
+// scenario's orbit and key its cache key; without one, cfg is the
+// scenario's own framing and key is empty.  In either half every failure, a
+// recovered panic included, leaves through one exit as a failed record that
+// keeps the bound once it is resolved.  A Prepared is a value: it may be
+// copied and handed to another goroutine, and its finish reads it without
+// writing it.  The zero value is not a scenario; build one with Prepare.
+type Prepared struct {
+	// rec is the record so far: the scenario and its bound, and, when
+	// preparation already decided the record (unsolvable or failed), its
+	// final status.
+	rec   Record
+	spec  task.Spec
+	cfg   engine.Config
+	m     canon.Map
+	key   string
+	cache *Cache
+	wall  time.Duration // the preparation's own wall time
+}
+
+// Prepare runs the first half of a scenario's pipeline under opts.Cache
+// (see Prepared).
+func Prepare(sc Scenario, opts Options) (p Prepared) {
+	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
+	start := time.Now()
+	p.rec = Record{Scenario: sc}
 	var err error
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 		if err != nil {
-			rec = Record{Scenario: sc, Status: StatusFailed, Error: err.Error(), Bound: rec.Bound, BoundStr: rec.BoundStr}
+			p.rec = p.rec.failed(err)
 		}
+		//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
+		p.wall = time.Since(start)
 	}()
 	model, err := ParseModel(sc.Model)
 	if err != nil {
-		return rec
+		return p
 	}
-	spec, err := task.Lookup(string(sc.Task))
-	if err != nil {
-		return rec
+	if p.spec, err = task.Lookup(string(sc.Task)); err != nil {
+		return p
 	}
 	oddN := sc.N%2 == 1
-	rec.Bound, rec.BoundStr = spec.Bound(model, oddN, sc.CommonSense, sc.N, sc.IDBound)
-	if !spec.Solvable(model, oddN) {
-		rec.Status = StatusUnsolvable
-		return rec
+	p.rec.Bound, p.rec.BoundStr = p.spec.Bound(model, oddN, sc.CommonSense, sc.N, sc.IDBound)
+	if !p.spec.Solvable(model, oddN) {
+		p.rec.Status = StatusUnsolvable
+		return p
 	}
-	cfg, err := generateConfig(sc, model)
-	if err != nil {
-		return rec
+	if p.cfg, err = generateConfig(sc, model); err != nil {
+		return p
 	}
 	// Cached path: look up the canonical representative of the
 	// configuration's orbit, so every orbit member shares one stored
-	// outcome, and translate it back into this scenario's frame through the
-	// task's MapOutcome.  Uncached, the outcome is already in sc's frame.
-	var m canon.Map
-	var key string
+	// outcome; finish translates it back into this scenario's frame through
+	// the task's MapOutcome.  Uncached, the outcome is already in sc's
+	// frame.
 	if opts.Cache != nil {
-		if cfg, m, err = canon.Canonicalize(cfg); err != nil {
-			return rec
+		if p.cfg, p.m, err = canon.Canonicalize(p.cfg); err != nil {
+			return p
 		}
-		key = cacheKey(canon.Fingerprint(cfg), sc)
+		p.key = cacheKey(canon.Fingerprint(p.cfg), sc)
+		p.cache = opts.Cache
 	}
-	out, kind, err := lookup(spec, cfg, key)
+	return p
+}
+
+// finish runs the second half of the pipeline: lookup returns the outcome
+// of p.cfg and how the memo cache served it, and finish maps it into the
+// scenario's frame and fills the record.  A record preparation already
+// decided is returned as it is.
+func (p *Prepared) finish(lookup func() (task.Outcome, memo.Kind, error)) (rec Record) {
+	if p.rec.Status != "" {
+		return p.rec
+	}
+	var err error
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+		if err != nil {
+			rec = p.rec.failed(err)
+		}
+	}()
+	out, kind, err := lookup()
 	if err != nil {
 		return rec
 	}
-	if opts.Cache != nil {
-		out = spec.MapOutcome(out, m)
+	rec = p.rec
+	if p.cache != nil {
+		out = p.spec.MapOutcome(out, p.m)
 		rec.Cache = kind.String()
 	}
 	rec.fill(out)
 	return rec
 }
 
-// generateConfig is the pipeline's generate stage (see runStages): it
+// failed is the failed record of rec's scenario: the cause, and the bound
+// once it was resolved.
+func (rec Record) failed(err error) Record {
+	return Record{Scenario: rec.Scenario, Status: StatusFailed, Error: err.Error(), Bound: rec.Bound, BoundStr: rec.BoundStr}
+}
+
+// generateConfig is the pipeline's generate stage (see Prepared): it
 // builds the scenario's (possibly phase-rotated/reflected) network
 // configuration.  The circumference and the round bound are netgen's and the
 // engine's defaults: no scenario field selects them, so a record stays a

@@ -102,20 +102,53 @@ func (s *agreeElect) onLeader(isLeader bool) (engine.Yield, engine.Cont) {
 // CoordinateCommonSenseStep is the Table II pipeline, for agents promised a
 // common sense of direction: the frames already agree, so the leader is
 // elected by binary search (Lemma 13) and a nontrivial move follows from the
-// leader (Lemma 10).  It is a CoordinateFunc; seed is unused.
+// leader (Lemma 10).  It is a CoordinateFunc; seed is unused.  The state,
+// the Coordination included, lives in the agent's pipeline frame, as
+// AgreeAndElect's does.
 func CoordinateCommonSenseStep(a *engine.Agent, _ int64, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	f := PipelineFrame(a)
-	start := f.RoundsUsed()
-	return LeaderElectCommonSenseStep(f, func(isLeader bool) (engine.Yield, engine.Cont) {
-		afterLeader := f.RoundsUsed()
-		return NontrivialMoveFromLeaderStep(f, isLeader, func(nmDir ring.Direction) (engine.Yield, engine.Cont) {
-			return k(&Coordination{
-				Frame:            f,
-				IsLeader:         isLeader,
-				NontrivialDir:    nmDir,
-				RoundsLeader:     afterLeader - start,
-				RoundsNontrivial: f.RoundsUsed() - afterLeader,
-			})
-		})
-	})
+	s := f.commonSenseState()
+	if s.onLeaderFn == nil {
+		s.onLeaderFn, s.onDirFn = s.onLeader, s.onDir
+	}
+	s.c = Coordination{Frame: f}
+	s.k, s.start = k, f.RoundsUsed()
+	return LeaderElectCommonSenseStep(f, s.onLeaderFn)
+}
+
+// commonSense is the state of the Table II pipeline: the stage boundary and
+// the result, and the states of its two stages, which the stages' own entry
+// points use too.
+type commonSense struct {
+	elect              csElect
+	nm                 nmLeader
+	c                  Coordination
+	k                  func(*Coordination) (engine.Yield, engine.Cont)
+	start, afterLeader int // RoundsUsed at the stage boundaries
+	onLeaderFn         func(bool) (engine.Yield, engine.Cont)
+	onDirFn            func(ring.Direction) (engine.Yield, engine.Cont)
+}
+
+// commonSenseState returns the frame's commonSense, allocating it on first
+// use.
+func (f *Frame) commonSenseState() *commonSense {
+	if f.cs == nil {
+		f.cs = new(commonSense)
+	}
+	return f.cs
+}
+
+func (s *commonSense) onLeader(isLeader bool) (engine.Yield, engine.Cont) {
+	f := s.c.Frame
+	s.c.IsLeader = isLeader
+	s.afterLeader = f.RoundsUsed()
+	return NontrivialMoveFromLeaderStep(f, isLeader, s.onDirFn)
+}
+
+func (s *commonSense) onDir(nmDir ring.Direction) (engine.Yield, engine.Cont) {
+	f := s.c.Frame
+	s.c.NontrivialDir = nmDir
+	s.c.RoundsLeader = s.afterLeader - s.start
+	s.c.RoundsNontrivial = f.RoundsUsed() - s.afterLeader
+	return s.k(&s.c)
 }

@@ -64,13 +64,14 @@ type Frame struct {
 	resumeFn engine.Cont
 
 	// The state of the pipeline stages run on the frame, at most one call of
-	// each at a time (coordinate.go, nontrivial.go); the nontrivial-move
-	// states are allocated on first use, as only one of them runs.  A
-	// pipeline frame keeps it all across runs together with the callbacks
-	// bound into it.
+	// each at a time (coordinate.go, nontrivial.go, leader.go); the
+	// nontrivial-move states and the Table II pipeline's are allocated on
+	// first use, as only one of them runs.  A pipeline frame keeps it all
+	// across runs together with the callbacks bound into it.
 	ae     agreeElect
 	odd    *nmOdd
 	search *nmSearch
+	cs     *commonSense
 }
 
 // NewFrame wraps the agent with an unflipped frame (the agent's own private

@@ -78,27 +78,29 @@ func (s *leaderElect) onObs(obs engine.Observation) (engine.Yield, engine.Cont) 
 // parity.  The value k receives — whether B contains the identifier of at
 // least one agent — is identical at every agent.
 func EmptinessTestStep(f *Frame, inB bool, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	model := f.agent.Model()
+	return new(emptinessTest).start(f, inB, k)
+}
 
-	memberDir := func(member bool) ring.Direction {
-		if member {
-			return ring.Clockwise
-		}
-		if model == ring.Lazy {
-			return ring.Idle
-		}
-		return ring.Anticlockwise
+// emptinessTest is the state of one EmptinessTestStep call: its callbacks
+// are bound once per state and its basic-model schedule is reused, so a
+// state kept across tests (csElect's) allocates nothing per test.
+type emptinessTest struct {
+	f         *Frame
+	k         func(bool) (engine.Yield, engine.Cont)
+	inB       bool
+	dirs      []ring.Direction // the basic-model schedule
+	onObsFn   func(engine.Observation) (engine.Yield, engine.Cont)
+	onTraceFn func([]engine.Observation) (engine.Yield, engine.Cont)
+}
+
+// start runs the test with s as its state.
+func (s *emptinessTest) start(f *Frame, inB bool, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	if s.onObsFn == nil {
+		s.onObsFn, s.onTraceFn = s.onObs, s.onTrace
 	}
-
-	needBitRounds := model == ring.Basic && f.agent.NParity() != engine.ParityOdd
-	if !needBitRounds {
-		return f.RoundStep(memberDir(inB), func(obs engine.Observation) (engine.Yield, engine.Cont) {
-			nonEmpty := inB
-			if obs.Dist != 0 || (model.RevealsCollision() && obs.Collided) {
-				nonEmpty = true
-			}
-			return k(nonEmpty)
-		})
+	s.f, s.inB, s.k = f, inB, k
+	if f.agent.Model() != ring.Basic || f.agent.NParity() == engine.ParityOdd {
+		return f.RoundStep(s.memberDir(inB), s.onObsFn)
 	}
 	// Basic model with even n: |B ∩ A| = n/2 can hide behind rotation index
 	// zero.  Testing the bit-slices B ∩ {x : bit_i(x) = 0} recovers it: if
@@ -107,20 +109,44 @@ func EmptinessTestStep(f *Frame, inB bool, k func(bool) (engine.Yield, engine.Co
 	// whole schedule — membership round plus one round per identifier bit —
 	// depends only on the agent's own membership and identifier, so it is
 	// submitted as a single leap batch.
-	dirs := make([]ring.Direction, 1+f.idBits())
-	dirs[0] = memberDir(inB)
-	for i := 1; i <= f.idBits(); i++ {
-		dirs[i] = memberDir(inB && IDBit(f.ID(), i) == 0)
+	bits := f.idBits()
+	if cap(s.dirs) < 1+bits {
+		s.dirs = make([]ring.Direction, 1+bits)
 	}
-	return f.RoundScheduleStep(dirs, func(trace []engine.Observation) (engine.Yield, engine.Cont) {
-		nonEmpty := inB
-		for _, obs := range trace {
-			if obs.Dist != 0 {
-				nonEmpty = true
-			}
+	dirs := s.dirs[:1+bits]
+	dirs[0] = s.memberDir(inB)
+	for i := 1; i <= bits; i++ {
+		dirs[i] = s.memberDir(inB && IDBit(f.ID(), i) == 0)
+	}
+	return f.RoundScheduleStep(dirs, s.onTraceFn)
+}
+
+// memberDir is the direction of a member of the tested set (clockwise) or of
+// a non-member (idle in the lazy model, anticlockwise otherwise).
+func (s *emptinessTest) memberDir(member bool) ring.Direction {
+	switch {
+	case member:
+		return ring.Clockwise
+	case s.f.agent.Model() == ring.Lazy:
+		return ring.Idle
+	default:
+		return ring.Anticlockwise
+	}
+}
+
+func (s *emptinessTest) onObs(obs engine.Observation) (engine.Yield, engine.Cont) {
+	nonEmpty := s.inB || obs.Dist != 0 || (s.f.agent.Model().RevealsCollision() && obs.Collided)
+	return s.k(nonEmpty)
+}
+
+func (s *emptinessTest) onTrace(trace []engine.Observation) (engine.Yield, engine.Cont) {
+	nonEmpty := s.inB
+	for _, obs := range trace {
+		if obs.Dist != 0 {
+			nonEmpty = true
 		}
-		return k(nonEmpty)
-	})
+	}
+	return s.k(nonEmpty)
 }
 
 // LeaderElectCommonSenseStep implements Lemma 13: with a common sense of
@@ -128,23 +154,53 @@ func EmptinessTestStep(f *Frame, inB bool, k func(bool) (engine.Yield, engine.Co
 // over [1, N], using EmptinessTestStep on the upper half of the remaining
 // range.  Cost: ⌈log2 N⌉ emptiness tests, i.e. O(log N) rounds in the lazy,
 // perceptive and odd-n basic settings and O(log² N) rounds in the basic model
-// with even n.
+// with even n.  The search's state lives in f, so a frame runs one such
+// election at a time.
 func LeaderElectCommonSenseStep(f *Frame, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	var probe func(lo, hi int) (engine.Yield, engine.Cont)
-	probe = func(lo, hi int) (engine.Yield, engine.Cont) {
-		if lo >= hi {
-			return k(f.ID() == lo)
-		}
-		mid := lo + (hi-lo+1)/2
-		inB := f.ID() >= mid && f.ID() <= hi
-		return EmptinessTestStep(f, inB, func(nonEmpty bool) (engine.Yield, engine.Cont) {
-			if nonEmpty {
-				return probe(mid, hi)
-			}
-			return probe(lo, mid-1)
-		})
+	return f.commonSenseState().elect.start(f, k)
+}
+
+// csElect is the state of one LeaderElectCommonSenseStep call: the binary
+// search over [lo, hi] advances it in place instead of allocating a closure
+// per emptiness test.
+type csElect struct {
+	test     emptinessTest
+	f        *Frame
+	k        func(bool) (engine.Yield, engine.Cont)
+	lo, hi   int
+	mid      int // the lower end of the tested upper half [mid, hi]
+	onTestFn func(bool) (engine.Yield, engine.Cont)
+}
+
+// start runs the election with s as its state, binding its callback on s's
+// first election.
+func (s *csElect) start(f *Frame, k func(bool) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
+	if s.onTestFn == nil {
+		s.onTestFn = s.onTest
 	}
-	return probe(1, f.IDBound())
+	s.f, s.k = f, k
+	return s.probe(1, f.IDBound())
+}
+
+// probe tests the upper half of [lo, hi], or finishes once one identifier
+// remains.
+func (s *csElect) probe(lo, hi int) (engine.Yield, engine.Cont) {
+	id := s.f.ID()
+	if lo >= hi {
+		return s.k(id == lo)
+	}
+	s.lo, s.hi = lo, hi
+	s.mid = lo + (hi-lo+1)/2
+	return s.test.start(s.f, id >= s.mid && id <= hi, s.onTestFn)
+}
+
+// onTest keeps the upper half when it holds an identifier, the lower one
+// otherwise.
+func (s *csElect) onTest(nonEmpty bool) (engine.Yield, engine.Cont) {
+	if nonEmpty {
+		return s.probe(s.mid, s.hi)
+	}
+	return s.probe(s.lo, s.mid-1)
 }
 
 // BroadcastBitsStep lets a single distinguished agent publish a message of the

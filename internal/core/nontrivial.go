@@ -62,23 +62,41 @@ func (s *nmOdd) onObs(obs engine.Observation) (engine.Yield, engine.Cont) {
 // rounds once a unique leader exists (Lemma 10).  The two candidate
 // assignments differ only in the leader's direction, so their rotation indices
 // differ by 2 and cannot both lie in {0, n/2} when n > 4.  Cost: at most 4
-// rounds.
+// rounds.  The state lives in f, so a frame runs one such step at a time.
 func NontrivialMoveFromLeaderStep(f *Frame, isLeader bool, k func(ring.Direction) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
-	return f.ClassifyRotationStep(ring.Clockwise, false, func(cls RotationClass) (engine.Yield, engine.Cont) {
-		if cls.Nontrivial() {
-			return k(ring.Clockwise)
-		}
-		dir := ring.Clockwise
-		if isLeader {
-			dir = ring.Anticlockwise
-		}
-		return f.ClassifyRotationStep(dir, false, func(cls RotationClass) (engine.Yield, engine.Cont) {
-			if cls.Nontrivial() {
-				return k(dir)
-			}
-			return engine.Abort(fmt.Errorf("%w: leader-based candidates both trivial (is the leader unique and n > 4?)", ErrNoNontrivialMove))
-		})
-	})
+	s := &f.commonSenseState().nm
+	if s.onClassFn == nil {
+		s.onClassFn = s.onClass
+	}
+	s.f, s.k, s.isLeader, s.second = f, k, isLeader, false
+	s.dir = ring.Clockwise
+	return f.ClassifyRotationStep(s.dir, false, s.onClassFn)
+}
+
+// nmLeader is the state of one NontrivialMoveFromLeaderStep call, kept in
+// its frame: the all-clockwise candidate, then the one in which the leader
+// turns.
+type nmLeader struct {
+	f         *Frame
+	k         func(ring.Direction) (engine.Yield, engine.Cont)
+	isLeader  bool
+	second    bool           // the second candidate is being classified
+	dir       ring.Direction // this agent's direction in the candidate
+	onClassFn func(RotationClass) (engine.Yield, engine.Cont)
+}
+
+func (s *nmLeader) onClass(cls RotationClass) (engine.Yield, engine.Cont) {
+	if cls.Nontrivial() {
+		return s.k(s.dir)
+	}
+	if s.second {
+		return engine.Abort(fmt.Errorf("%w: leader-based candidates both trivial (is the leader unique and n > 4?)", ErrNoNontrivialMove))
+	}
+	s.second = true
+	if s.isLeader {
+		s.dir = ring.Anticlockwise
+	}
+	return s.f.ClassifyRotationStep(s.dir, false, s.onClassFn)
 }
 
 // NontrivialMoveSearchStep executes the direction schedule defined by the set

@@ -14,10 +14,16 @@
 //     clients are still waiting for, and a result nobody wants any more stops
 //     burning CPU within one engine round.
 //
+// The first caller for a key, the singleflight leader, runs the computation
+// on its own goroutine: a miss costs no extra goroutine and no fresh stack,
+// and a pool of N callers runs at most N computations.  A leader whose
+// context is cancelled while others still wait keeps computing for them and
+// returns its context's error once the computation ends.
+//
 // Errors are never cached: a failed computation (including a cancelled one)
 // is retried by the next Do for the key.  A computation that panics is
-// contained — the panic is delivered to every joined caller as an error, not
-// re-raised on the cache's internal goroutine.
+// contained — the panic is delivered to every joined caller, the leader
+// included, as an error, not re-raised.
 //
 // A Cache can carry a second level below the memory LRU (SetTier): on a
 // memory miss the singleflight leader consults the tier — typically the
@@ -208,8 +214,10 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // a context that is cancelled when every caller that joined this computation
 // has been cancelled; its successful result is cached (evicting LRU entries
 // past the capacity), its error is returned to every joined caller and not
-// cached.  When ctx is cancelled while waiting, Do returns ctx.Err() without
-// waiting for fn.
+// cached.  The leader runs fn on the calling goroutine; a caller that joined
+// it returns ctx.Err() as soon as ctx is cancelled, without waiting for fn.
+// A cancelled leader returns ctx.Err() once fn returns, or fn's result when
+// fn finished first.
 func (c *Cache[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, error)) (V, Kind, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -235,105 +243,129 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 	cl := &call[V]{done: make(chan struct{}), waiters: 1, cancel: cancel}
 	c.inflight[key] = cl
 	c.mu.Unlock()
-	tier := c.getTier()
 
-	go func() {
-		var v V
-		var err error
-		kind := Miss
-		// The tier lookup and the computation run on this cache-owned
-		// goroutine, outside any recover the caller installed on its own
-		// stack; contain panics here so one bad computation becomes an
-		// error for the joined waiters instead of killing the process (and
-		// leaving done never closed).
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("memo: computation panicked: %v", r)
-				}
-			}()
-			if tier != nil {
-				if tv, _, ok := tier.Load(cctx, key); ok {
-					v, kind = tv, DiskHit
-					return
-				}
-			}
-			v, err = fn(cctx)
-		}()
-		// Counting happens at resolution time, by how the call actually
-		// resolved: a tier promotion is a disk hit, never a miss —
-		// misses count executed computations (successful or not), so the
-		// miss counter remains the exact "work we could not avoid" gauge.
-		switch {
-		case err == nil && kind == DiskHit:
-			c.diskHits.Add(1)
-			totDiskHits.Add(1)
-		default:
-			c.misses.Add(1)
-			totMisses.Note(obs.CacheMiss)
-		}
-		// Write a freshly computed value through to the tier before
-		// publishing it, outside the lock (the tier does disk I/O).
-		// Tier-served values are not re-offered: the tier already has
-		// them.
-		if err == nil && kind == Miss && tier != nil {
-			tier.Store(key, v)
-		}
+	// The leader computes on the caller's goroutine and withdraws its
+	// interest the way a joined waiter does when ctx ends first; left,
+	// guarded by c.mu, records that it did.  A ctx that is already done
+	// withdraws at once: AfterFunc would withdraw on a goroutine of its own,
+	// racing fn.
+	left := false
+	leave := func() {
 		c.mu.Lock()
-		cl.finished = true
-		cl.val, cl.err, cl.kind = v, err, kind
-		// An abandoned call was already deregistered by its last waiter and
-		// may have been replaced by a fresh one; only remove our own entry.
-		if c.inflight[key] == cl {
-			delete(c.inflight, key)
-		}
-		if err == nil {
-			c.insertLocked(key, v)
-		}
+		left = c.leaveLocked(key, cl)
 		c.mu.Unlock()
-		cancel()
-		close(cl.done)
-	}()
+	}
+	stop := func() bool { return false }
+	if ctx.Done() != nil {
+		if ctx.Err() != nil {
+			leave()
+		} else {
+			stop = context.AfterFunc(ctx, leave)
+		}
+	}
+	v, kind, err := c.lead(cctx, key, fn)
+	c.mu.Lock()
+	cl.finished = true
+	cl.val, cl.err, cl.kind = v, err, kind
+	// An abandoned call was already deregistered by its last waiter and may
+	// have been replaced by a fresh one; only remove our own entry.
+	if c.inflight[key] == cl {
+		delete(c.inflight, key)
+	}
+	if err == nil {
+		c.insertLocked(key, v)
+	}
+	withdrew := left
+	c.mu.Unlock()
+	stop()
+	cancel()
+	close(cl.done)
+	if withdrew {
+		// The leader left before the computation finished: it answers like
+		// a waiter that bailed, with ctx's error and the zero Kind.
+		var zero V
+		return zero, Miss, ctx.Err()
+	}
+	return v, kind, err
+}
 
-	v, err := c.wait(ctx, key, cl)
-	// The resolved kind is published only at done; a waiter that bailed on
-	// ctx cancellation reports Miss (the zero value it returns with).
-	kind := Miss
-	select {
-	case <-cl.done:
-		kind = cl.kind
-	default:
+// lead resolves a leader's call: the tier first, then fn, both under the
+// computation's context cctx.  A panic in either becomes the call's error,
+// so joined waiters are released and see it too.  The counters are updated
+// by how the call resolved, and a freshly computed value is written through
+// to the tier before it is published.
+func (c *Cache[V]) lead(cctx context.Context, key string, fn func(context.Context) (V, error)) (v V, kind Kind, err error) {
+	tier := c.getTier()
+	kind = Miss
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("memo: computation panicked: %v", r)
+			}
+		}()
+		if tier != nil {
+			if tv, _, ok := tier.Load(cctx, key); ok {
+				v, kind = tv, DiskHit
+				return
+			}
+		}
+		v, err = fn(cctx)
+	}()
+	// A tier promotion is a disk hit, never a miss: misses count executed
+	// computations (successful or not), so the miss counter remains the
+	// exact "work we could not avoid" gauge.
+	if err == nil && kind == DiskHit {
+		c.diskHits.Add(1)
+		totDiskHits.Add(1)
+	} else {
+		c.misses.Add(1)
+		totMisses.Note(obs.CacheMiss)
+	}
+	// Tier-served values are not re-offered: the tier already has them.
+	// The write-through runs outside the lock (the tier does disk I/O).
+	if err == nil && kind == Miss && tier != nil {
+		tier.Store(key, v)
 	}
 	return v, kind, err
 }
 
 // wait blocks until the call completes or ctx is cancelled.  A cancelled
-// waiter deregisters its interest; the last deregistration cancels the
-// computation itself and removes it from the in-flight table, so a later Do
-// for the key starts a fresh computation instead of joining a dying one.
+// waiter deregisters its interest (see leaveLocked) and returns ctx.Err();
+// when the computation beat the cancellation, the result is delivered.
 func (c *Cache[V]) wait(ctx context.Context, key string, cl *call[V]) (V, error) {
 	select {
 	case <-cl.done:
 		return cl.val, cl.err
 	case <-ctx.Done():
 		c.mu.Lock()
-		if !cl.finished {
-			cl.waiters--
-			if cl.waiters == 0 {
-				cl.cancel()
-				if c.inflight[key] == cl {
-					delete(c.inflight, key)
-				}
-			}
-			c.mu.Unlock()
+		left := c.leaveLocked(key, cl)
+		c.mu.Unlock()
+		if left {
 			var zero V
 			return zero, ctx.Err()
 		}
-		c.mu.Unlock()
-		// The computation beat the cancellation; deliver the result.
 		<-cl.done
 		return cl.val, cl.err
 	}
+}
+
+// leaveLocked withdraws one caller's interest in cl (c.mu must be held) and
+// reports whether it did: a finished call has nothing to withdraw from.  The
+// last withdrawal cancels the computation and removes it from the in-flight
+// table, so a later Do for the key starts a fresh computation instead of
+// joining a dying one.
+func (c *Cache[V]) leaveLocked(key string, cl *call[V]) bool {
+	if cl.finished {
+		return false
+	}
+	cl.waiters--
+	if cl.waiters == 0 {
+		cl.cancel()
+		if c.inflight[key] == cl {
+			delete(c.inflight, key)
+		}
+	}
+	return true
 }
 
 // insertLocked adds key→val (c.mu must be held) and evicts the least

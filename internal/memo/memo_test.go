@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -365,5 +366,108 @@ func TestGet(t *testing.T) {
 	c.Do(context.Background(), "k", func(context.Context) (int, error) { return 3, nil })
 	if v, ok := c.Get("k"); !ok || v != 3 {
 		t.Fatalf("Get = %d, %v", v, ok)
+	}
+}
+
+// TestLeaderComputesInline: the leader runs fn on the calling goroutine, so
+// fn's stack holds the caller's frames.
+func TestLeaderComputesInline(t *testing.T) {
+	c := memo.New[int](10)
+	var stack string
+	_, kind, err := c.Do(context.Background(), "k", func(context.Context) (int, error) {
+		buf := make([]byte, 64<<10)
+		stack = string(buf[:runtime.Stack(buf, false)])
+		return 1, nil
+	})
+	if err != nil || kind != memo.Miss {
+		t.Fatalf("Do: %v %v", kind, err)
+	}
+	if !strings.Contains(stack, "memo_test.TestLeaderComputesInline(") {
+		t.Fatalf("fn did not run on the caller's goroutine:\n%s", stack)
+	}
+}
+
+// TestCancelledLeaderKeepsComputing: a leader whose context is cancelled
+// while a joiner still waits keeps computing for the joiner, which gets the
+// value; the leader returns context.Canceled, and only once fn has returned.
+func TestCancelledLeaderKeepsComputing(t *testing.T) {
+	c := memo.New[int](10)
+	inFn := make(chan struct{})
+	release := make(chan struct{})
+	var fnReturned atomic.Bool
+	ctx, cancel := context.WithCancel(context.Background())
+	type answer struct {
+		v    int
+		kind memo.Kind
+		err  error
+	}
+	leader := make(chan answer, 1)
+	go func() {
+		v, kind, err := c.Do(ctx, "k", func(cctx context.Context) (int, error) {
+			close(inFn)
+			select {
+			case <-release:
+			case <-cctx.Done():
+				return 0, cctx.Err()
+			}
+			fnReturned.Store(true)
+			return 6, nil
+		})
+		leader <- answer{v, kind, err}
+	}()
+	<-inFn
+	joiner := make(chan answer, 1)
+	go func() {
+		v, kind, err := c.Do(context.Background(), "k", func(context.Context) (int, error) {
+			return 0, errors.New("the joiner must not compute")
+		})
+		joiner <- answer{v, kind, err}
+	}()
+	for c.Stats().Dedups == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case a := <-leader:
+		t.Fatalf("cancelled leader returned %+v before fn finished", a)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if a := <-joiner; a.err != nil || a.v != 6 || a.kind != memo.Dedup {
+		t.Fatalf("joiner got %+v, want 6 as a dedup", a)
+	}
+	a := <-leader
+	if !errors.Is(a.err, context.Canceled) || a.v != 0 {
+		t.Fatalf("leader got %+v, want context.Canceled", a)
+	}
+	if !fnReturned.Load() {
+		t.Fatal("leader returned before fn")
+	}
+	if v, ok := c.Get("k"); !ok || v != 6 {
+		t.Fatalf("the joiner's value was not cached: %d, %v", v, ok)
+	}
+}
+
+// TestPreCancelledLeader: a leader whose context is already cancelled hands
+// fn a cancelled context on entry, with no watcher goroutine to wait for.
+func TestPreCancelledLeader(t *testing.T) {
+	c := memo.New[int](10)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 100; i++ {
+		var entryErr error
+		_, _, err := c.Do(ctx, fmt.Sprint(i), func(cctx context.Context) (int, error) {
+			entryErr = cctx.Err()
+			return 0, entryErr
+		})
+		if !errors.Is(entryErr, context.Canceled) {
+			t.Fatalf("try %d: fn's context on entry: %v, want cancelled", i, entryErr)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("try %d: Do: %v", i, err)
+		}
+	}
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("cancelled computations were cached: %+v", st)
 	}
 }

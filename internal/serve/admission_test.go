@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"ringsym/internal/campaign"
 )
@@ -115,5 +116,43 @@ func TestMaxPendingDisabledByDefault(t *testing.T) {
 	defer s.pending.Add(-(1 << 20))
 	if resp := post(t, ts.URL+"/v1/run", runBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("MaxPending=0 still throttles: %s", resp.Status)
+	}
+}
+
+// TestRunWaitsForPoolToken: a /v1/run miss computes on its handler's
+// goroutine only while it holds one of the pool's Workers tokens, and
+// counts as pending while it waits for one.
+func TestRunWaitsForPoolToken(t *testing.T) {
+	s, ts := newSaturableServer(t, Options{Workers: 1})
+	s.tokens <- struct{}{} // the pool's only token is busy
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(runBody))
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	for s.Snapshot().Pending != 1 {
+		select {
+		case code := <-status:
+			t.Fatalf("/v1/run answered %d without a pool token", code)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	select {
+	case code := <-status:
+		t.Fatalf("/v1/run answered %d without a pool token", code)
+	case <-time.After(20 * time.Millisecond):
+	}
+	<-s.tokens
+	if code := <-status; code != http.StatusOK {
+		t.Fatalf("/v1/run after the token freed: status %d", code)
+	}
+	if m := s.Snapshot(); m.Pending != 0 || m.Records != 1 {
+		t.Fatalf("after the run: pending %d, records %d", m.Pending, m.Records)
 	}
 }

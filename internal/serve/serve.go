@@ -2,19 +2,21 @@
 // daemon (cmd/ringd) that executes ring-network scenarios on demand instead
 // of batch sweeps.
 //
-// All requests are batched onto the daemon's own bounded worker pool, so a
-// burst of clients queues instead of oversubscribing the machine.  Each
-// worker runs its scenarios through campaign.Slot.Run, the same
-// per-scenario pipeline an offline sweep runs: a /v1/campaign request's
-// scenarios run on the request's own free list of reused networks, a
-// /v1/run scenario on a fresh one.  No Options field reaches a record
-// except through the cache annotation, so the daemon writes a sweep's bytes
-// for every scenario.  Every request shares the optional
-// symmetry-canonical memo cache (internal/memo keyed by internal/canon): two
-// clients asking for rotations of the same ring are served one computation.
-// Request contexts are threaded through to the engine, so a disconnected or
-// cancelled client stops burning CPU within one simulated round (unless
-// another in-flight client is waiting on the same canonical computation).
+// All requests share the daemon's own bounded pool of Workers computes, so
+// a burst of clients queues instead of oversubscribing the machine.  A
+// /v1/campaign request's scenarios run on the pool's worker goroutines,
+// through campaign.Slot.Run, the same per-scenario pipeline an offline
+// sweep runs, on the request's own free list of reused networks.  A /v1/run
+// scenario, prepared once by its handler for the cache probe, runs on the
+// handler's goroutine under one of the pool's tokens, on a fresh network.
+// No Options field reaches a record except through the cache annotation,
+// so the daemon writes a sweep's bytes for every scenario.  Every request
+// shares the optional symmetry-canonical memo cache (internal/memo keyed by
+// internal/canon): two clients asking for rotations of the same ring are
+// served one computation.  Request contexts are threaded through to the
+// engine, so a disconnected or cancelled client stops burning CPU within
+// one simulated round (unless another in-flight client is waiting on the
+// same canonical computation).
 //
 // Endpoints:
 //
@@ -76,8 +78,9 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Workers is the size of the shared scenario worker pool; defaults to
-	// GOMAXPROCS.
+	// Workers is the size of the shared scenario pool, the number of
+	// scenarios computing at once on its worker goroutines and in /v1/run
+	// handlers; defaults to GOMAXPROCS.
 	Workers int
 	// Cache, when non-nil, memoises outcomes across requests under their
 	// canonical symmetry key.
@@ -145,13 +148,17 @@ type Server struct {
 	// submissions currently parked in submit: the value admission control
 	// compares against Options.MaxPending.
 	pending atomic.Int64
+	// tokens holds one token per scenario computing, on a pool worker or in
+	// a /v1/run handler (see compute): its capacity, Options.Workers, bounds
+	// the computes in flight.
+	tokens chan struct{}
 }
 
-// job is one scenario submitted to the pool.  The worker delivers the record
-// on out unless the request context is cancelled first.  slots is the
-// submitting /v1/campaign request's free list of network slots (see run), so
-// a campaign resets one network per job it has running at a time instead of
-// building one per scenario; it is nil for /v1/run.
+// job is one /v1/campaign scenario submitted to the pool.  The worker
+// delivers the record on out unless the request context is cancelled first.
+// slots is the submitting request's free list of network slots (see run),
+// so a campaign resets one network per job it has running at a time instead
+// of building one per scenario.
 type job struct {
 	ctx   context.Context
 	sc    campaign.Scenario
@@ -168,10 +175,11 @@ func New(opts Options) *Server {
 		opts.MaxN = defaultMaxN
 	}
 	s := &Server{
-		opts:  opts,
-		jobs:  make(chan job),
-		quit:  make(chan struct{}),
-		start: time.Now(),
+		opts:   opts,
+		jobs:   make(chan job),
+		quit:   make(chan struct{}),
+		start:  time.Now(),
+		tokens: make(chan struct{}, opts.Workers),
 	}
 	s.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
@@ -183,7 +191,8 @@ func New(opts Options) *Server {
 // Close stops the worker pool after in-flight scenarios finish their current
 // request.  Submissions after (or racing with) Close fail with 503; Close is
 // idempotent-unsafe and must be called exactly once, after the HTTP server
-// stopped accepting requests.
+// stopped accepting requests.  A /v1/run scenario computes on its handler's
+// goroutine, which the HTTP server's shutdown waits for.
 func (s *Server) Close() {
 	close(s.quit)
 	s.wg.Wait()
@@ -196,21 +205,10 @@ func (s *Server) worker() {
 		case <-s.quit:
 			return
 		case j := <-s.jobs:
+			s.tokens <- struct{}{}
 			rec := s.run(j)
-			s.pending.Add(-1)
-			s.records.Add(1)
-			if rec.Status == campaign.StatusFailed {
-				// A run aborted because its client went away is routine
-				// serving churn, not a protocol failure; alerting on the
-				// failed counter must not fire for disconnects.  The error
-				// text is consulted too: a genuine failure that merely
-				// races a disconnect must still count as failed.
-				if err := j.ctx.Err(); err != nil && strings.Contains(rec.Error, err.Error()) {
-					s.cancelled.Add(1)
-				} else {
-					s.failed.Add(1)
-				}
-			}
+			<-s.tokens
+			s.finished(j.ctx, rec)
 			select {
 			case j.out <- rec:
 			case <-j.ctx.Done():
@@ -219,11 +217,29 @@ func (s *Server) worker() {
 	}
 }
 
+// finished counts a computed scenario: it leaves the pending count and joins
+// the records, and a failed one the failures or the cancellations.
+func (s *Server) finished(ctx context.Context, rec campaign.Record) {
+	s.pending.Add(-1)
+	s.records.Add(1)
+	if rec.Status == campaign.StatusFailed {
+		// A run aborted because its client went away is routine serving
+		// churn, not a protocol failure; alerting on the failed counter must
+		// not fire for disconnects.  The error text is consulted too: a
+		// genuine failure that merely races a disconnect must still count
+		// as failed.
+		if err := ctx.Err(); err != nil && strings.Contains(rec.Error, err.Error()) {
+			s.cancelled.Add(1)
+		} else {
+			s.failed.Add(1)
+		}
+	}
+}
+
 // run executes one job on a slot taken from the job's free list, or on a
 // new slot when the list is empty, and returns the slot to the list.
 // Neither step blocks: the list holds at most one slot per pool worker, and
-// a worker holds at most one slot at a time.  A nil list (a /v1/run job)
-// takes both defaults, so its scenario runs on a fresh network.
+// a worker holds at most one slot at a time.
 func (s *Server) run(j job) campaign.Record {
 	var slot *campaign.Slot
 	select {
@@ -246,10 +262,10 @@ func (s *Server) campaignOptions() campaign.Options {
 // errServerClosed reports a submission racing with shutdown.
 var errServerClosed = errors.New("serve: server is shutting down")
 
-// submit hands a scenario to the pool and returns immediately once a worker
-// accepted it; the record arrives on out.  The pending count covers the
-// whole wait: a submission parked here is exactly the queueing admission
-// control exists to bound.
+// submit hands a /v1/campaign scenario to the pool and returns immediately
+// once a worker accepted it; the record arrives on out.  The pending count
+// covers the whole wait: a submission parked here is exactly the queueing
+// admission control exists to bound.
 func (s *Server) submit(j job) error {
 	s.pending.Add(1)
 	select {
@@ -262,6 +278,35 @@ func (s *Server) submit(j job) error {
 		s.pending.Add(-1)
 		return errServerClosed
 	}
+}
+
+// compute runs a /v1/run scenario, prepared by its handler, on the
+// handler's own goroutine once it holds one of the pool's tokens, and on a
+// fresh network: a miss pays no handoff to a pool worker and back.  Like a
+// submission, it counts as pending while it waits and runs, and it fails
+// with errServerClosed after Close.
+func (s *Server) compute(ctx context.Context, prep campaign.Prepared) (campaign.Record, error) {
+	s.pending.Add(1)
+	// A closed pool refuses the scenario even when a token is free.
+	select {
+	case <-s.quit:
+		s.pending.Add(-1)
+		return campaign.Record{}, errServerClosed
+	default:
+	}
+	select {
+	case s.tokens <- struct{}{}:
+	case <-ctx.Done():
+		s.pending.Add(-1)
+		return campaign.Record{}, ctx.Err()
+	case <-s.quit:
+		s.pending.Add(-1)
+		return campaign.Record{}, errServerClosed
+	}
+	rec := (*campaign.Slot)(nil).RunPrepared(ctx, prep)
+	<-s.tokens
+	s.finished(ctx, rec)
+	return rec, nil
 }
 
 // saturated reports whether admission control should shed the request.
@@ -417,11 +462,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// generation plus canonicalization — is O(n) expected (the lexicographic
 	// candidate scan resolves at the first gap for the distinct random gaps
 	// netgen produces; the O(n^2) worst case needs equal gaps, which no
-	// Scenario can request), i.e. well under a millisecond at MaxN.
-	if rec, ok := campaign.ProbeCache(sc, s.campaignOptions()); ok {
+	// Scenario can request), i.e. well under a millisecond at MaxN.  A miss
+	// runs the prepared scenario, so it is prepared once.
+	prep := campaign.Prepare(sc, s.campaignOptions())
+	if rec, ok := prep.Probe(); ok {
 		s.records.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(deadlineWriter(w)).Encode(rec)
+		s.writeRecord(w, r, rec)
 		return
 	}
 	// Admission control sits after the probe on purpose: a cache hit costs
@@ -431,22 +477,35 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.throttle(w, r)
 		return
 	}
-	ctx := r.Context()
-	out := make(chan campaign.Record, 1)
-	if err := s.submit(job{ctx: ctx, sc: sc, out: out}); err != nil {
+	// The client's context reaches the engine, so a disconnect aborts the
+	// run within one round.
+	rec, err := s.compute(r.Context(), prep)
+	if err != nil {
 		if errors.Is(err, errServerClosed) {
 			s.httpError(w, r, http.StatusServiceUnavailable, err)
 		}
 		return // client gone; nothing to write
 	}
-	select {
-	case rec := <-out:
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(deadlineWriter(w)).Encode(rec)
-	case <-ctx.Done():
-		// The client disconnected; the worker's engine run aborts within one
-		// round through the same context.
+	s.writeRecord(w, r, rec)
+}
+
+// writeRecord answers a /v1/run request with its record: the bytes a
+// json.Encoder would write, json.Marshal plus a newline, in one Write with
+// an explicit Content-Length and no flush, so net/http sends the whole
+// response in one write when the handler returns.  A record is small, so
+// the Write lands in the connection's buffers instead of blocking on a
+// client that stopped reading, and needs none of deadlineWriter's deadline.
+func (s *Server) writeRecord(w http.ResponseWriter, r *http.Request, rec campaign.Record) {
+	b, err := json.Marshal(rec)
+	if err != nil {
+		s.httpError(w, r, http.StatusInternalServerError, err)
+		return
 	}
+	b = append(b, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.Write(b)
 }
 
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
@@ -563,12 +622,14 @@ func sliceRange(r *http.Request, scenarios []campaign.Scenario) ([]campaign.Scen
 	return scenarios[lo:hi], nil
 }
 
-// deadlineWriter wraps a response so every write (one record, on the
-// streaming endpoints) carries a fresh write deadline and an immediate
-// flush: records reach a reading client as they complete, and a client that
-// stops reading turns into a write error within writeTimeout instead of
-// blocking the handler — and, through the full delivery channel, the shared
-// worker pool — forever.
+// deadlineWriter wraps a streaming response (/v1/campaign, /v1/events) so
+// every write (one record or event) carries a fresh write deadline and an
+// immediate flush: records reach a reading client as they complete, and a
+// client that stops reading turns into a write error within writeTimeout
+// instead of blocking the handler — and, through the full delivery channel,
+// the shared worker pool — forever.  /v1/run answers one small record and
+// goes through writeRecord instead: a flush there would only cost a second
+// write for the chunked framing's terminator.
 func deadlineWriter(w http.ResponseWriter) io.Writer {
 	return &flushWriter{w: w, rc: http.NewResponseController(w)}
 }

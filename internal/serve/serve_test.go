@@ -99,6 +99,43 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
+// TestRunAnswersInOneWrite: a /v1/run answer, miss or hit, is one
+// Content-Length response, not a chunked stream, and its body is the
+// record's json.Marshal plus a newline, byte for byte.
+func TestRunAnswersInOneWrite(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 1, Cache: campaign.NewCache(0)})
+	miss := campaign.Scenario{Task: campaign.TaskDiscover, Model: "lazy", N: 9, IDBound: 36, Seed: 4}
+	hit := miss
+	hit.Phase, hit.Reflect = 5, true
+	for _, c := range []struct {
+		sc    campaign.Scenario
+		cache string
+	}{{miss, "miss"}, {hit, "hit"}} {
+		resp := postJSON(t, ts.URL+"/v1/run", c.sc)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.cache, resp.StatusCode, body)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s: Transfer-Encoding %q, Content-Length %d for a %d-byte body; want no transfer coding and the body's length",
+				c.cache, resp.TransferEncoding, resp.ContentLength, len(body))
+		}
+		want := campaign.RunScenarioContext(t.Context(), c.sc, campaign.Options{})
+		want.Cache = c.cache
+		wantBody, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantBody = append(wantBody, '\n'); !bytes.Equal(body, wantBody) {
+			t.Errorf("%s: body\n%s\nwant\n%s", c.cache, body, wantBody)
+		}
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	pool, ts := newTestServer(t, serve.Options{Workers: 1})
 	for name, body := range map[string]string{
