@@ -1,8 +1,8 @@
 // Command ringd is the scenario-serving daemon: a long-lived HTTP server
-// that executes ring-network scenarios on demand, batching all requests onto
-// one bounded worker pool and (by default) deduplicating symmetric scenarios
-// through the canonical memo cache — rotations, reflections and frame
-// translations of one ring are a single computation.
+// that executes ring-network scenarios on demand, at most -workers of them
+// at once across all requests, and (by default) deduplicates symmetric
+// scenarios through the canonical memo cache — rotations, reflections and
+// frame translations of one ring are a single computation.
 //
 // Usage:
 //
@@ -47,7 +47,8 @@
 // coordinators honour the 429 with jittered backoff.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the listener stops,
-// in-flight requests get a drain window, and the worker pool exits cleanly.
+// in-flight requests get a drain window, and then the daemon refuses any
+// scenario not yet computing.
 package main
 
 import (
@@ -74,7 +75,7 @@ func main() {
 	log.SetPrefix("ringd: ")
 
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "scenario worker-pool size (default GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "scenarios computing at once across all requests (default GOMAXPROCS)")
 	cacheFlag := flag.String("cache", "on", "memo cache: on, off, or a capacity in entries (each entry is O(n) memory)")
 	maxN := flag.Int("maxn", 0, "largest network size a request may ask for (default 4096)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
@@ -139,7 +140,6 @@ func main() {
 		MaxN:       *maxN,
 		Pprof:      *pprofFlag,
 		MaxPending: *maxPending,
-		Store:      st,
 	})
 	// No WriteTimeout here: it would cap the total duration of a streaming
 	// /v1/campaign response; internal/serve bounds each record write with
@@ -169,10 +169,10 @@ func main() {
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			// Shutdown leaves active connections (and their request
-			// contexts) alive, which would park pool.Close in wg.Wait for
-			// as long as the slowest in-flight scenario keeps running;
-			// force-close so the contexts cancel and the engine aborts
-			// within one round.
+			// contexts) alive, and their scenarios keep computing;
+			// force-close so the contexts cancel and each engine aborts
+			// within one round.  A compute still finishing after the store
+			// closes below has its write-through refused (store.ErrClosed).
 			log.Printf("drain window expired (%v); closing active connections", err)
 			srv.Close()
 		}

@@ -13,33 +13,33 @@ import (
 // answer.  Keys are task/model/parity, with "/cs" for the common-sense
 // sweep of golden/sweep-cs; the scenario is the one of its golden grid with
 // that combination that runs the most rounds.  The counts are the maxima
-// of five -race runs.  The race build's sync.Pool drops Puts, so some runs
-// allocate a fresh scheduler arena; the normal build reads 1–3 fewer.
+// of 40 normal-build runs, 20 each under GOMAXPROCS 1 and 2; every run read
+// the same counts.
 var allocBudget = map[string]float64{
-	"coordinate/basic/even":         11,
-	"coordinate/basic/odd":          10,
-	"coordinate/lazy/even":          11,
-	"coordinate/lazy/odd":           10,
-	"coordinate/perceptive/even":    11,
-	"coordinate/perceptive/odd":     11,
+	"coordinate/basic/even":         9,
+	"coordinate/basic/odd":          8,
+	"coordinate/lazy/even":          9,
+	"coordinate/lazy/odd":           8,
+	"coordinate/perceptive/even":    9,
+	"coordinate/perceptive/odd":     8,
 	"discover/basic/even":           0,
-	"discover/basic/odd":            46,
-	"discover/lazy/even":            44,
-	"discover/lazy/odd":             45,
-	"discover/perceptive/even":      92,
-	"discover/perceptive/odd":       46,
-	"coordinate/basic/even/cs":      10,
-	"coordinate/basic/odd/cs":       11,
-	"coordinate/lazy/even/cs":       11,
-	"coordinate/lazy/odd/cs":        11,
-	"coordinate/perceptive/even/cs": 11,
-	"coordinate/perceptive/odd/cs":  11,
+	"discover/basic/odd":            43,
+	"discover/lazy/even":            42,
+	"discover/lazy/odd":             43,
+	"discover/perceptive/even":      90,
+	"discover/perceptive/odd":       43,
+	"coordinate/basic/even/cs":      8,
+	"coordinate/basic/odd/cs":       8,
+	"coordinate/lazy/even/cs":       8,
+	"coordinate/lazy/odd/cs":        8,
+	"coordinate/perceptive/even/cs": 8,
+	"coordinate/perceptive/odd/cs":  8,
 	"discover/basic/even/cs":        0,
-	"discover/basic/odd/cs":         45,
-	"discover/lazy/even/cs":         43,
-	"discover/lazy/odd/cs":          45,
-	"discover/perceptive/even/cs":   53,
-	"discover/perceptive/odd/cs":    45,
+	"discover/basic/odd/cs":         43,
+	"discover/lazy/even/cs":         41,
+	"discover/lazy/odd/cs":          43,
+	"discover/perceptive/even/cs":   49,
+	"discover/perceptive/odd/cs":    43,
 }
 
 // allocSlack is the growth over the budget the test tolerates.
@@ -48,7 +48,9 @@ const allocSlack = 1.10
 // TestScenarioAllocBudget runs one grid scenario per task × model × parity
 // the way a campaign worker does — on the worker's network slot — and fails when its allocations exceed the
 // budget by more than allocSlack: a protocol loop that builds a closure per
-// round again shows up here as a count proportional to its rounds.
+// round again shows up here as a count proportional to its rounds.  A -race
+// build checks every scenario's status and rounds but not its allocations:
+// its sync.Pool drops Puts, so some runs allocate a fresh scheduler arena.
 func TestScenarioAllocBudget(t *testing.T) {
 	// The most expensive scenario of each combination: the longest round
 	// sequences are where per-round allocation would show.
@@ -83,7 +85,7 @@ func TestScenarioAllocBudget(t *testing.T) {
 			t.Errorf("%s (%s): %s in %d rounds on the worker slot, %s in %d in the sweep", key, sc.Key(), rec.Status, rec.Rounds, want.Status, want.Rounds)
 		}
 		t.Logf("%s (%s, %d rounds): %.0f allocs, budget %.0f", key, sc.Key(), rec.Rounds, got, budget)
-		if got > budget*allocSlack {
+		if !raceEnabled && got > budget*allocSlack {
 			t.Errorf("%s (%s): %.0f allocations per scenario, budget %.0f (+%.0f%%)", key, sc.Key(), got, budget, (allocSlack-1)*100)
 		}
 	}

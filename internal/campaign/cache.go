@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"ringsym/internal/memo"
+	"ringsym/internal/store"
 	"ringsym/internal/task"
 )
 
@@ -21,7 +22,8 @@ import (
 // A Cache is safe for concurrent use and may be shared across sweeps and, in
 // the serving daemon, across requests.
 type Cache struct {
-	c *memo.Cache[task.Outcome]
+	c  *memo.Cache[task.Outcome]
+	st *store.Store // the tier AttachTier attached, or nil
 }
 
 // NewCache returns a cache bounded to roughly capacity outcomes (<= 0 selects

@@ -287,8 +287,9 @@ func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) Record {
 // scenario run on the slot, so the ring state, agent objects and their grown
 // scratch buffers survive from one scenario to the next instead of being
 // rebuilt per scenario.  A slot is single-threaded: whoever holds it (a sweep
-// worker for its whole shift, a serve worker for one job) is the only caller
-// of its Run.  The zero value is an empty slot, ready for use.
+// worker for its whole shift, a goroutine of a ringd /v1/campaign request
+// for the whole request) is the only caller of its Run.  The zero value is
+// an empty slot, ready for use.
 type Slot struct{ nw *ringsym.Network }
 
 // Run is RunScenarioContext on the slot: it prepares the scenario and runs
@@ -351,7 +352,7 @@ func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 // the outcome simply is not there yet, or a stage failed (a malformed
 // tier-promoted outcome that panics in MapOutcome included).  Nothing
 // executes and no singleflight computation is joined, so a serving layer
-// can answer hits on the request goroutine without occupying a pool worker,
+// can answer hits on the request goroutine without taking a compute token,
 // and hand the same prepared value to RunPrepared on a miss: the miss pays
 // for its preparation once.
 func (p Prepared) Probe() (Record, bool) {

@@ -54,13 +54,19 @@ func decodeOutcome(b []byte) (task.Outcome, bool) {
 
 // AttachTier threads the persistent store under the in-memory cache as its
 // second tier: the miss path becomes memory → disk → compute.  Call before
-// serving; a nil store detaches the tier.  The second parameter is ignored;
-// it is kept only because the benchmark module passes nil there, and goes
-// in the next benchmark change.
+// serving; a nil store detaches the tier.  The cache remembers the store
+// (see Store), so whoever reports the cache reports the store that serves
+// it.  The second parameter is ignored; it is kept only because the
+// benchmark module passes nil there, and goes in the next benchmark change.
 func (c *Cache) AttachTier(st *store.Store, _ any) {
+	c.st = st
 	if st == nil {
 		c.c.SetTier(nil)
 		return
 	}
 	c.c.SetTier(outcomeTier{st: st})
 }
+
+// Store returns the persistent store attached under the cache as its second
+// tier, or nil.
+func (c *Cache) Store() *store.Store { return c.st }

@@ -1,11 +1,12 @@
 package serve
 
 // Internal tests for admission control: the pending gauge is driven
-// directly, so saturation is tested deterministically instead of racing a
-// worker pool into a full state.
+// directly, so saturation is tested deterministically instead of racing
+// computes into a full state.
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -154,5 +155,56 @@ func TestRunWaitsForPoolToken(t *testing.T) {
 	}
 	if m := s.Snapshot(); m.Pending != 0 || m.Records != 1 {
 		t.Fatalf("after the run: pending %d, records %d", m.Pending, m.Records)
+	}
+}
+
+// TestCampaignWaitsForPoolToken is the /v1/campaign twin of
+// TestRunWaitsForPoolToken: with every token taken, a campaign request
+// writes no record, and its scenario counts as pending until a token frees.
+func TestCampaignWaitsForPoolToken(t *testing.T) {
+	s, ts := newSaturableServer(t, Options{Workers: 1})
+	s.tokens <- struct{}{} // the pool's only token is busy
+	type answer struct {
+		code int
+		body string
+	}
+	done := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/campaign", "application/json", strings.NewReader(
+			`{"tasks":["coordinate"],"models":["basic"],"parities":["even"],"chirality":["mixed"],"sizes":[8],"seeds":[1]}`))
+		if err != nil {
+			t.Error(err)
+			done <- answer{}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Error(err)
+		}
+		done <- answer{resp.StatusCode, string(body)}
+	}()
+	for s.Snapshot().Pending != 1 {
+		select {
+		case a := <-done:
+			t.Fatalf("/v1/campaign answered %d without a pool token: %q", a.code, a.body)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	select {
+	case a := <-done:
+		t.Fatalf("/v1/campaign answered %d without a pool token: %q", a.code, a.body)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if m := s.Snapshot(); m.Records != 0 {
+		t.Fatalf("%d records without a pool token", m.Records)
+	}
+	<-s.tokens
+	a := <-done
+	if a.code != http.StatusOK || strings.Count(a.body, "\n") != 1 || !strings.Contains(a.body, `"status":"ok"`) {
+		t.Fatalf("/v1/campaign after the token freed: status %d, body %q", a.code, a.body)
+	}
+	if m := s.Snapshot(); m.Pending != 0 || m.Records != 1 {
+		t.Fatalf("after the campaign: pending %d, records %d", m.Pending, m.Records)
 	}
 }

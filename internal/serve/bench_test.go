@@ -14,8 +14,8 @@ import (
 
 // BenchmarkRunMiss times sequential /v1/run misses on a cached daemon: every
 // request is a fresh orbit (a seed no earlier request used), so each one is
-// prepared, probed, computed on a pool worker and answered, the path a
-// daemon's first requests take.  Every answer must equal the record of an
+// prepared, probed, computed on its handler's goroutine and answered, the
+// path a daemon's first requests take.  Every answer must equal the record of an
 // uncached run, annotated as a miss, byte for byte; the references are
 // computed before the timer starts.
 func BenchmarkRunMiss(b *testing.B) {

@@ -194,7 +194,7 @@ func TestEventsBackpressure(t *testing.T) {
 	}
 
 	// All 64 runs must complete promptly despite the wedged subscriber; a
-	// blocking bus would deadlock the worker pool here.
+	// blocking bus would deadlock the computes here.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {

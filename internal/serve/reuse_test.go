@@ -65,12 +65,12 @@ func checkGolden(t *testing.T, body []byte) {
 	}
 }
 
-// TestCampaignGoldenOnSharedSlots runs the golden grid through a three-worker
-// pool.  The jobs of one campaign share the request's free list of network
-// slots, so three scenarios run at once on slots that each went through
-// earlier scenarios of other sizes, models and tasks.  A slot handed to two
-// running jobs (a race under -race, and corrupt records without it) or state
-// leaking from one scenario into the next would change the bytes.
+// TestCampaignGoldenOnSharedSlots runs the golden grid on a three-worker
+// daemon.  The request runs its scenarios on three goroutines, each on one
+// network slot that goes through scenarios of other sizes, models and
+// tasks.  A slot shared by two running scenarios (a race under -race, and
+// corrupt records without it) or state leaking from one scenario into the
+// next would change the bytes.
 func TestCampaignGoldenOnSharedSlots(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 3})
 	checkGolden(t, postGolden(t, ts.URL))

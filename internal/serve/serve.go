@@ -2,21 +2,23 @@
 // daemon (cmd/ringd) that executes ring-network scenarios on demand instead
 // of batch sweeps.
 //
-// All requests share the daemon's own bounded pool of Workers computes, so
-// a burst of clients queues instead of oversubscribing the machine.  A
-// /v1/campaign request's scenarios run on the pool's worker goroutines,
-// through campaign.Slot.Run, the same per-scenario pipeline an offline
-// sweep runs, on the request's own free list of reused networks.  A /v1/run
-// scenario, prepared once by its handler for the cache probe, runs on the
-// handler's goroutine under one of the pool's tokens, on a fresh network.
-// No Options field reaches a record except through the cache annotation,
-// so the daemon writes a sweep's bytes for every scenario.  Every request
-// shares the optional symmetry-canonical memo cache (internal/memo keyed by
-// internal/canon): two clients asking for rotations of the same ring are
-// served one computation.  Request contexts are threaded through to the
-// engine, so a disconnected or cancelled client stops burning CPU within
-// one simulated round (unless another in-flight client is waiting on the
-// same canonical computation).
+// All requests share the daemon's bound of Workers computes, a channel of
+// Workers tokens, so a burst of clients queues instead of oversubscribing
+// the machine.  Every scenario computes on its request's own goroutines,
+// through Server.compute, only while it holds a token.  A /v1/run scenario,
+// prepared once by its handler for the cache probe, runs on the handler's
+// goroutine on a fresh network.  A /v1/campaign request runs its scenarios
+// on up to Workers goroutines of its own, as an offline sweep does
+// (campaign.Slot.RunPrepared, the same per-scenario pipeline), each
+// goroutine on one reused network for the whole request.  The daemon keeps
+// no goroutines of its own.  No Options field reaches a record except
+// through the cache annotation, so the daemon writes a sweep's bytes for
+// every scenario.  Every request shares the optional symmetry-canonical
+// memo cache (internal/memo keyed by internal/canon): two clients asking
+// for rotations of the same ring are served one computation.  Request
+// contexts are threaded through to the engine, so a disconnected or
+// cancelled client stops burning CPU within one simulated round (unless
+// another in-flight client is waiting on the same canonical computation).
 //
 // Endpoints:
 //
@@ -33,17 +35,17 @@
 //	GET  /v1/events    the live structured-event stream (internal/obs) as
 //	                   NDJSON, with ?types= and ?level= client-side filters;
 //	                   each subscriber gets a bounded queue that drops (and
-//	                   counts) rather than ever back-pressuring the workers
+//	                   counts) rather than ever back-pressuring a compute
 //	GET  /healthz      liveness: {"status":"ok"}
 //	GET  /metrics      throughput and cache counters (JSON)
 //	GET  /metrics/prometheus  the same counters plus every obs-registered
 //	                   metric, in Prometheus text exposition format
 //
 // With Options.MaxPending, the daemon sheds load instead of queueing
-// unboundedly: when the count of scenarios queued or running on the pool
+// unboundedly: when the count of scenarios waiting for a token or computing
 // reaches the cap, /v1/run and /v1/campaign answer 429 with a Retry-After
-// header (counted in /metrics as throttled) rather than parking another
-// handler on the pool.  Clients — the fleet coordinator among them — are
+// header (counted in /metrics as throttled) rather than queueing another
+// request for a token.  Clients — the fleet coordinator among them — are
 // expected to back off and retry.
 //
 // With Options.Pprof, the net/http/pprof handlers are additionally served
@@ -78,19 +80,15 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Workers is the size of the shared scenario pool, the number of
-	// scenarios computing at once on its worker goroutines and in /v1/run
-	// handlers; defaults to GOMAXPROCS.
+	// Workers is the number of scenarios computing at once across all
+	// requests, and the most goroutines one /v1/campaign request runs its
+	// scenarios on; defaults to GOMAXPROCS.
 	Workers int
 	// Cache, when non-nil, memoises outcomes across requests under their
 	// canonical symmetry key.
 	Cache *campaign.Cache
-	// Store, when non-nil, is the persistent result store reported in the
-	// metrics.  Attaching it under Cache as a tier is the caller's job
-	// (campaign.Cache.AttachTier); the serve layer only reports it.
-	Store *store.Store
 	// MaxN caps the network size of any requested scenario; defaults to
-	// 4096.  Unbounded n would let a single request pin a worker for
+	// 4096.  Unbounded n would let a single request pin a token for
 	// minutes and allocate O(n) engine state — a denial of service, not a
 	// legitimate workload.
 	MaxN int
@@ -98,13 +96,15 @@ type Options struct {
 	// /debug/pprof/.  Off by default: profiling endpoints on a production
 	// daemon are opt-in.
 	Pprof bool
-	// MaxPending, when positive, is the admission-control cap on scenarios
-	// queued or running on the worker pool: a /v1/run or /v1/campaign
-	// request arriving while the count is at the cap is rejected with 429
-	// and a Retry-After header instead of parking its handler in the
-	// submission queue.  Cache-hit probes are exempt — they never occupy a
-	// worker.  0 disables admission control (the pre-fleet behaviour:
-	// handlers queue without bound).
+	// MaxPending, when positive, is the admission-control cap on pending
+	// scenarios, those in compute waiting for a token or running: a /v1/run
+	// or /v1/campaign request arriving while the count is at the cap is
+	// rejected with 429 and a Retry-After header instead of queueing for a
+	// token.  A /v1/run miss is pending from its probe until its record.  A
+	// /v1/campaign scenario is pending from its claim (and preparation) until
+	// its record, so an admitted request adds at most Workers to the count.
+	// Cache-hit probes are exempt: they never take a token.  0 disables
+	// admission control (requests queue without bound).
 	MaxPending int
 }
 
@@ -120,21 +120,20 @@ const (
 	// writeTimeout bounds each response write (per record on streaming
 	// endpoints, so long campaigns are fine as long as the client keeps
 	// reading).  Without it, a client that stops reading its stream would
-	// block its handler in Write forever and, through the full delivery
-	// channel, wedge every shared worker.
+	// block its request's goroutines in Write forever, each holding its
+	// network.
 	writeTimeout = 30 * time.Second
 )
 
 // maxBodyBytes bounds request bodies; matrix specs and scenarios are tiny.
 const maxBodyBytes = 1 << 20
 
-// Server executes scenarios for HTTP clients on a shared worker pool.
-// Construct with New, serve via Handler, stop with Close.
+// Server executes scenarios for HTTP clients under a shared bound of
+// Options.Workers computes.  Construct with New, serve via Handler, stop with
+// Close.
 type Server struct {
 	opts  Options
-	jobs  chan job
 	quit  chan struct{}
-	wg    sync.WaitGroup
 	start time.Time
 
 	runRequests      atomic.Uint64
@@ -144,29 +143,16 @@ type Server struct {
 	records          atomic.Uint64
 	failed           atomic.Uint64
 	cancelled        atomic.Uint64
-	// pending counts scenarios queued or running on the pool, including
-	// submissions currently parked in submit: the value admission control
-	// compares against Options.MaxPending.
+	// pending counts scenarios in compute, waiting for a token or running:
+	// the value admission control compares against Options.MaxPending.
 	pending atomic.Int64
-	// tokens holds one token per scenario computing, on a pool worker or in
-	// a /v1/run handler (see compute): its capacity, Options.Workers, bounds
-	// the computes in flight.
+	// tokens holds one token per scenario computing (see compute): its
+	// capacity, Options.Workers, bounds the computes in flight.
 	tokens chan struct{}
 }
 
-// job is one /v1/campaign scenario submitted to the pool.  The worker
-// delivers the record on out unless the request context is cancelled first.
-// slots is the submitting request's free list of network slots (see run),
-// so a campaign resets one network per job it has running at a time instead
-// of building one per scenario.
-type job struct {
-	ctx   context.Context
-	sc    campaign.Scenario
-	out   chan<- campaign.Record
-	slots chan *campaign.Slot
-}
-
-// New starts the worker pool and returns the server.
+// New returns a server.  It starts no goroutines: every compute runs on the
+// goroutine of the request that asked for it.
 func New(opts Options) *Server {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -174,53 +160,27 @@ func New(opts Options) *Server {
 	if opts.MaxN <= 0 {
 		opts.MaxN = defaultMaxN
 	}
-	s := &Server{
+	return &Server{
 		opts:   opts,
-		jobs:   make(chan job),
 		quit:   make(chan struct{}),
 		start:  time.Now(),
 		tokens: make(chan struct{}, opts.Workers),
 	}
-	s.wg.Add(opts.Workers)
-	for i := 0; i < opts.Workers; i++ {
-		go s.worker()
-	}
-	return s
 }
 
-// Close stops the worker pool after in-flight scenarios finish their current
-// request.  Submissions after (or racing with) Close fail with 503; Close is
-// idempotent-unsafe and must be called exactly once, after the HTTP server
-// stopped accepting requests.  A /v1/run scenario computes on its handler's
-// goroutine, which the HTTP server's shutdown waits for.
+// Close refuses further computes: a scenario waiting for a token, or
+// reaching compute after Close, fails with errServerClosed, so a /v1/run
+// request gets 503 and a /v1/campaign stream ends, truncated, once its
+// running scenarios finish.  Close must be called exactly once, after the
+// HTTP server stopped accepting requests; the HTTP server's shutdown is what
+// waits for the handlers, and with them for every compute.
 func (s *Server) Close() {
 	close(s.quit)
-	s.wg.Wait()
 }
 
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case j := <-s.jobs:
-			s.tokens <- struct{}{}
-			rec := s.run(j)
-			<-s.tokens
-			s.finished(j.ctx, rec)
-			select {
-			case j.out <- rec:
-			case <-j.ctx.Done():
-			}
-		}
-	}
-}
-
-// finished counts a computed scenario: it leaves the pending count and joins
-// the records, and a failed one the failures or the cancellations.
+// finished counts a computed scenario: it joins the records, and a failed
+// one the failures or the cancellations.
 func (s *Server) finished(ctx context.Context, rec campaign.Record) {
-	s.pending.Add(-1)
 	s.records.Add(1)
 	if rec.Status == campaign.StatusFailed {
 		// A run aborted because its client went away is routine serving
@@ -236,74 +196,37 @@ func (s *Server) finished(ctx context.Context, rec campaign.Record) {
 	}
 }
 
-// run executes one job on a slot taken from the job's free list, or on a
-// new slot when the list is empty, and returns the slot to the list.
-// Neither step blocks: the list holds at most one slot per pool worker, and
-// a worker holds at most one slot at a time.
-func (s *Server) run(j job) campaign.Record {
-	var slot *campaign.Slot
-	select {
-	case slot = <-j.slots:
-	default:
-		slot = &campaign.Slot{}
-	}
-	rec := slot.Run(j.ctx, j.sc, s.campaignOptions())
-	select {
-	case j.slots <- slot:
-	default:
-	}
-	return rec
-}
-
 func (s *Server) campaignOptions() campaign.Options {
 	return campaign.Options{Cache: s.opts.Cache}
 }
 
-// errServerClosed reports a submission racing with shutdown.
+// errServerClosed reports a compute racing with shutdown.
 var errServerClosed = errors.New("serve: server is shutting down")
 
-// submit hands a /v1/campaign scenario to the pool and returns immediately
-// once a worker accepted it; the record arrives on out.  The pending count
-// covers the whole wait: a submission parked here is exactly the queueing
-// admission control exists to bound.
-func (s *Server) submit(j job) error {
+// compute is the one place serve computes a scenario: it runs the prepared
+// scenario on the caller's goroutine once it holds one of the pool's tokens,
+// on slot's network, or on a fresh one when slot is nil (a /v1/run miss).
+// The scenario counts as pending while it waits and runs, so a waiting
+// compute is exactly the queueing admission control exists to bound.  It
+// fails with the context's error when ctx ends first, and with
+// errServerClosed after Close.
+func (s *Server) compute(ctx context.Context, prep campaign.Prepared, slot *campaign.Slot) (campaign.Record, error) {
 	s.pending.Add(1)
-	select {
-	case s.jobs <- j:
-		return nil
-	case <-j.ctx.Done():
-		s.pending.Add(-1)
-		return j.ctx.Err()
-	case <-s.quit:
-		s.pending.Add(-1)
-		return errServerClosed
-	}
-}
-
-// compute runs a /v1/run scenario, prepared by its handler, on the
-// handler's own goroutine once it holds one of the pool's tokens, and on a
-// fresh network: a miss pays no handoff to a pool worker and back.  Like a
-// submission, it counts as pending while it waits and runs, and it fails
-// with errServerClosed after Close.
-func (s *Server) compute(ctx context.Context, prep campaign.Prepared) (campaign.Record, error) {
-	s.pending.Add(1)
+	defer s.pending.Add(-1)
 	// A closed pool refuses the scenario even when a token is free.
 	select {
 	case <-s.quit:
-		s.pending.Add(-1)
 		return campaign.Record{}, errServerClosed
 	default:
 	}
 	select {
 	case s.tokens <- struct{}{}:
 	case <-ctx.Done():
-		s.pending.Add(-1)
 		return campaign.Record{}, ctx.Err()
 	case <-s.quit:
-		s.pending.Add(-1)
 		return campaign.Record{}, errServerClosed
 	}
-	rec := (*campaign.Slot)(nil).RunPrepared(ctx, prep)
+	rec := slot.RunPrepared(ctx, prep)
 	<-s.tokens
 	s.finished(ctx, rec)
 	return rec, nil
@@ -320,12 +243,12 @@ func (s *Server) saturated() bool {
 func (s *Server) throttle(w http.ResponseWriter, r *http.Request) {
 	s.throttled.Add(1)
 	if obs.On() {
-		obs.Emit(obs.Event{Type: obs.ServeReject, Level: obs.LevelWarn, Endpoint: r.URL.Path, Err: "worker pool saturated"})
+		obs.Emit(obs.Event{Type: obs.ServeReject, Level: obs.LevelWarn, Endpoint: r.URL.Path, Err: "scenario pool saturated"})
 	}
 	w.Header().Set("Retry-After", "1")
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusTooManyRequests)
-	json.NewEncoder(w).Encode(map[string]string{"error": "worker pool saturated; retry after backoff"})
+	json.NewEncoder(w).Encode(map[string]string{"error": "scenario pool saturated; retry after backoff"})
 }
 
 // Handler returns the HTTP handler exposing the daemon's endpoints.
@@ -371,7 +294,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 
 // httpError writes a JSON error body with the given status.  Only 4xx
 // responses count as bad requests (and emit serve.reject): a 503 from a
-// submission racing graceful shutdown is server-side churn, not malformed
+// compute racing graceful shutdown is server-side churn, not malformed
 // client input.
 func (s *Server) httpError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	if status >= 400 && status < 500 {
@@ -456,9 +379,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.noteRequest(&s.runRequests, r)
-	// Cache hits are answered on this request goroutine: joining the pool
-	// for a no-work lookup would let a burst of identical requests park
-	// workers that unrelated clients need.  The probe's own cost —
+	// Cache hits are answered without a token: waiting for one for a
+	// no-work lookup would let a burst of identical requests hold tokens
+	// that unrelated clients need.  The probe's own cost —
 	// generation plus canonicalization — is O(n) expected (the lexicographic
 	// candidate scan resolves at the first gap for the distinct random gaps
 	// netgen produces; the O(n^2) worst case needs equal gaps, which no
@@ -471,7 +394,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Admission control sits after the probe on purpose: a cache hit costs
-	// no worker, so a saturated pool can keep answering the already-computed
+	// no token, so a saturated daemon can keep answering the already-computed
 	// universe while shedding fresh work.
 	if s.saturated() {
 		s.throttle(w, r)
@@ -479,7 +402,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// The client's context reaches the engine, so a disconnect aborts the
 	// run within one round.
-	rec, err := s.compute(r.Context(), prep)
+	rec, err := s.compute(r.Context(), prep, nil)
 	if err != nil {
 		if errors.Is(err, errServerClosed) {
 			s.httpError(w, r, http.StatusServiceUnavailable, err)
@@ -551,50 +474,67 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	s.noteRequest(&s.campaignRequests, r)
 	ctx := r.Context()
 
-	// Feed the pool from a separate goroutine so records stream back (in
-	// scenario-index order, via OrderedWriter) while later scenarios are
-	// still queueing.  On a cached daemon the feed is decorrelated so a
-	// symmetric matrix's adjacent framings don't pile the shared workers —
-	// which every client depends on — onto one singleflight computation;
-	// the reorder horizon is bounded, so OrderedWriter buffers at most a
-	// window of out-of-order records per request.
+	// The request runs its scenarios on up to Workers goroutines of its own,
+	// as a sweep does: each claims the next scenario of the feed from a
+	// shared cursor and computes it under one of the pool's tokens, on the
+	// one network slot it keeps for the whole request, so a lease resets one
+	// network per scenario it has running at a time and its networks are
+	// garbage once the request ends.  Records stream back in scenario-index
+	// order through the OrderedWriter while later scenarios still wait.  On
+	// a cached daemon the feed is decorrelated so a symmetric matrix's
+	// adjacent framings don't pile the request's goroutines onto one
+	// singleflight computation; the reorder horizon is bounded, so the
+	// OrderedWriter buffers at most a window of out-of-order records.
 	feed := scenarios
 	if s.opts.Cache != nil {
 		feed = campaign.DecorrelateOrbits(scenarios)
 	}
-	out := make(chan campaign.Record, s.opts.Workers)
-	// The request's free list of network slots (see job): at most one per
-	// pool worker, and garbage once the request ends, so no network outlives
-	// the lease that used it.
-	slots := make(chan *campaign.Slot, s.opts.Workers)
-	go func() {
-		for _, sc := range feed {
-			if s.submit(job{ctx: ctx, sc: sc, out: out, slots: slots}) != nil {
-				return
-			}
-		}
-	}()
-
+	opts := s.campaignOptions()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	writer := campaign.NewOrderedWriter(deadlineWriter(w), scenarios)
-	for received := 0; received < len(scenarios); received++ {
-		select {
-		case rec := <-out:
-			if err := writer.Add(rec); err != nil {
-				return // client gone mid-stream; ctx cancellation unwinds the rest
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		// stop is the first error that cuts the stream: a failed write,
+		// or a compute refused by Close or the client's cancellation.
+		stop error
+	)
+	workers := min(s.opts.Workers, len(feed))
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			slot := &campaign.Slot{}
+			for ctx.Err() == nil {
+				pos := int(next.Add(1) - 1)
+				if pos >= len(feed) {
+					return
+				}
+				rec, err := s.compute(ctx, campaign.Prepare(feed[pos], opts), slot)
+				mu.Lock()
+				if stop == nil {
+					stop = err
+				}
+				// A record the client's cancellation cut short is not written.
+				if stop == nil && ctx.Err() == nil {
+					stop = writer.Add(rec)
+				}
+				cut := stop != nil
+				mu.Unlock()
+				if cut {
+					return
+				}
 			}
-		case <-ctx.Done():
-			return
-		case <-s.quit:
-			// Pool shutdown racing the stream: the feeder has stopped
-			// submitting, so the remaining records will never arrive;
-			// terminate the (truncated) response instead of stalling it.
-			return
-		}
+		}()
 	}
-	// All records received, so Flush has nothing pending; it only guards
-	// against programming errors (a record outside the scenario list).
-	writer.Flush()
+	wg.Wait()
+	// A cut stream ends truncated.  After a complete one Flush has nothing
+	// pending; it only guards against programming errors (a record outside
+	// the scenario list).
+	if stop == nil && ctx.Err() == nil {
+		writer.Flush()
+	}
 }
 
 // sliceRange applies the optional ?lo=&hi= scenario-index range of a
@@ -626,8 +566,7 @@ func sliceRange(r *http.Request, scenarios []campaign.Scenario) ([]campaign.Scen
 // every write (one record or event) carries a fresh write deadline and an
 // immediate flush: records reach a reading client as they complete, and a
 // client that stops reading turns into a write error within writeTimeout
-// instead of blocking the handler — and, through the full delivery channel,
-// the shared worker pool — forever.  /v1/run answers one small record and
+// instead of blocking the handler and its goroutines forever.  /v1/run answers one small record and
 // goes through writeRecord instead: a flush there would only cost a second
 // write for the chunked framing's terminator.
 func deadlineWriter(w http.ResponseWriter) io.Writer {
@@ -667,11 +606,12 @@ type Metrics struct {
 	CampaignRequests uint64  `json:"campaign_requests"`
 	BadRequests      uint64  `json:"bad_requests"`
 	// Throttled counts requests shed by admission control (429 + Retry-After
-	// while the pool's pending count was at Options.MaxPending).  Always 0
+	// while the pending count was at Options.MaxPending).  Always 0
 	// when admission control is disabled.
 	Throttled uint64 `json:"throttled"`
-	// Pending is the instantaneous count of scenarios queued or running on
-	// the pool — the value admission control compares against MaxPending.
+	// Pending is the instantaneous count of scenarios waiting for a token
+	// or computing — the value admission control compares against
+	// MaxPending.
 	Pending int64 `json:"pending"`
 	// Records counts scenarios executed (or served from the cache) across
 	// all endpoints.  Failed is the subset that genuinely failed (protocol
@@ -706,7 +646,7 @@ type Metrics struct {
 // server's state — there is no global lock to take, by design.  What the
 // snapshot does guarantee is single-pass consistency: every counter is
 // captured exactly once, in an order that preserves the subset invariants
-// under concurrent progress (a worker adds to records before failed or
+// under concurrent progress (a compute adds to records before failed or
 // cancelled, so failed and cancelled are loaded first and
 // Failed + Cancelled <= Records always holds), and every derived value
 // (RecordsPerSecond, the engine's mean rounds per crossing, cache ratios a
@@ -735,10 +675,10 @@ func (s *Server) Snapshot() Metrics {
 	if s.opts.Cache != nil {
 		st := s.opts.Cache.Stats()
 		m.Cache = &st
-	}
-	if s.opts.Store != nil {
-		st := s.opts.Store.Stats()
-		m.Store = &st
+		if tier := s.opts.Cache.Store(); tier != nil {
+			sst := tier.Stats()
+			m.Store = &sst
+		}
 	}
 	return m
 }
@@ -756,13 +696,13 @@ func (s *Server) handleMetricsPrometheus(w http.ResponseWriter, r *http.Request)
 	m := s.Snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	reg := obs.NewRegistry()
-	reg.Gauge("ringsym_serve_uptime_seconds", "Seconds since the worker pool started.", func() float64 { return m.UptimeSeconds })
-	reg.Gauge("ringsym_serve_workers", "Size of the shared scenario worker pool.", func() float64 { return float64(m.Workers) })
+	reg.Gauge("ringsym_serve_uptime_seconds", "Seconds since the server started.", func() float64 { return m.UptimeSeconds })
+	reg.Gauge("ringsym_serve_workers", "Bound on the scenarios computing at once.", func() float64 { return float64(m.Workers) })
 	reg.CounterFunc("ringsym_serve_run_requests_total", "Accepted POST /v1/run requests.", func() float64 { return float64(m.RunRequests) })
 	reg.CounterFunc("ringsym_serve_campaign_requests_total", "Accepted POST /v1/campaign requests.", func() float64 { return float64(m.CampaignRequests) })
 	reg.CounterFunc("ringsym_serve_bad_requests_total", "Rejected (4xx) requests.", func() float64 { return float64(m.BadRequests) })
 	reg.CounterFunc("ringsym_serve_throttled_total", "Requests shed by admission control (429).", func() float64 { return float64(m.Throttled) })
-	reg.Gauge("ringsym_serve_pending", "Scenarios queued or running on the pool.", func() float64 { return float64(m.Pending) })
+	reg.Gauge("ringsym_serve_pending", "Scenarios waiting for a token or computing.", func() float64 { return float64(m.Pending) })
 	reg.CounterFunc("ringsym_serve_records_total", "Scenarios executed or served from the cache.", func() float64 { return float64(m.Records) })
 	reg.CounterFunc("ringsym_serve_failed_total", "Scenarios that genuinely failed.", func() float64 { return float64(m.Failed) })
 	reg.CounterFunc("ringsym_serve_cancelled_total", "Scenarios aborted by client disconnects.", func() float64 { return float64(m.Cancelled) })
@@ -786,7 +726,7 @@ func (s *Server) handleMetricsPrometheus(w http.ResponseWriter, r *http.Request)
 // subscription's queue is bounded (eventBuffer): a subscriber that
 // reads slower than the daemon emits loses events — visible in the metrics
 // snapshot's drop counter — and a subscriber that stops reading entirely is
-// disconnected by the per-write deadline.  Workers never wait on either.
+// disconnected by the per-write deadline.  Computes never wait on either.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sopts := obs.SubOptions{Buffer: eventBuffer}
 	if tp := r.URL.Query().Get("types"); tp != "" {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -518,6 +519,79 @@ func TestShutdownMidCampaignStream(t *testing.T) {
 	}
 }
 
+// TestCampaignLeavesNoGoroutines: a /v1/campaign request's goroutines end
+// with the request, whether it completes, its client cancels it, or Close
+// cuts it.
+func TestCampaignLeavesNoGoroutines(t *testing.T) {
+	pool := serve.New(serve.Options{Workers: 2})
+	ts := httptest.NewServer(pool.Handler())
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	seeds := make([]int64, 500)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	long, err := json.Marshal(campaign.Matrix{
+		Tasks: []campaign.Task{campaign.TaskCoordinate}, Models: []string{"basic"},
+		Parities: []string{"even"}, Sizes: []int{8}, Seeds: seeds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// post starts a campaign and returns its stream after the first record.
+	post := func(ctx context.Context, body []byte) (*http.Response, *bufio.Scanner) {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/campaign", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := bufio.NewScanner(resp.Body)
+		if !scan.Scan() {
+			t.Fatalf("no first record: %v", scan.Err())
+		}
+		return resp, scan
+	}
+
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, baseline %d", what, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	short, err := json.Marshal(campaign.Matrix{Sizes: []int{8}, Seeds: []int64{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, scan := post(t.Context(), short)
+	for scan.Scan() {
+	}
+	resp.Body.Close()
+	settled("completed campaign")
+
+	ctx, cancel := context.WithCancel(t.Context())
+	resp, _ = post(ctx, long)
+	cancel()
+	resp.Body.Close()
+	settled("client-cancelled campaign")
+
+	resp, scan = post(t.Context(), long)
+	pool.Close()
+	for scan.Scan() {
+	}
+	resp.Body.Close()
+	settled("campaign cut by Close")
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 2, Cache: campaign.NewCache(0)})
 	resp := postJSON(t, ts.URL+"/v1/run", campaign.Scenario{Task: campaign.TaskCoordinate, Model: "basic", N: 8, Seed: 1})
@@ -684,7 +758,7 @@ func TestStoreMetrics(t *testing.T) {
 	defer st.Close()
 	cache := campaign.NewCache(0)
 	cache.AttachTier(st, nil)
-	pool, ts := newTestServer(t, serve.Options{Cache: cache, Store: st})
+	pool, ts := newTestServer(t, serve.Options{Cache: cache})
 
 	resp := postJSON(t, ts.URL+"/v1/run", campaign.Scenario{Task: campaign.TaskCoordinate, Model: "basic", N: 8, Seed: 1})
 	if rec := decodeRecord(t, resp); rec.Status != campaign.StatusOK {
