@@ -173,6 +173,53 @@ func TestStoreTierMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestCachedSweepDropsStoreFailures holds outcomeTier.Store's contract that
+// failures are dropped: the store is closed after AttachTier, so every Get
+// misses and every Put fails, and the cached sweep still computes, fails no
+// scenario and returns the uncached sweep's records, the cache annotation
+// aside.
+func TestCachedSweepDropsStoreFailures(t *testing.T) {
+	scenarios, err := symmetricMatrix().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := RunAll(context.Background(), scenarios, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache(0)
+	cache.AttachTier(st, nil)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("probe", []byte("x")); err != store.ErrClosed {
+		t.Fatalf("Put on the closed store = %v, want store.ErrClosed", err)
+	}
+	recs, err := RunAll(context.Background(), scenarios, Options{Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := cache.Stats()
+	if stats.Misses == 0 || stats.DiskHits != 0 {
+		t.Fatalf("sweep over a failing store: %+v, want computes and no disk hits", stats)
+	}
+	if puts := st.Stats().Puts; puts != 0 {
+		t.Fatalf("closed store counted %d puts", puts)
+	}
+	for _, rec := range recs {
+		if rec.Status == StatusFailed {
+			t.Errorf("%s: failed over a failing store: %s", rec.Key(), rec.Error)
+		}
+	}
+	if !reflect.DeepEqual(stripVolatile(recs), stripVolatile(plain)) {
+		t.Error("records over a failing store differ from uncached records modulo annotation")
+	}
+}
+
 // v1Outcome is task.Outcome without its methods: encoding/json writes it in
 // the object form that stores before the versioned stored form hold.
 type v1Outcome task.Outcome

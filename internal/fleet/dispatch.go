@@ -4,14 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"ringsym/internal/campaign"
 	"ringsym/internal/obs"
 )
 
@@ -111,8 +109,8 @@ func (c *Coordinator) consume(body io.Reader, w *worker, l *lease) string {
 		if len(bytes.TrimSpace(raw)) == 0 {
 			continue
 		}
-		var rec campaign.Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		rec, err := decodeRecord(raw)
+		if err != nil {
 			return "undecodable record line: " + err.Error()
 		}
 		line := append([]byte(nil), raw...)

@@ -17,11 +17,13 @@
 // layer).
 //
 // Leases are sized by guided self-scheduling: each new lease takes
-// ⌈unleased/(2·workers)⌉ indices (at least 2, at most Options.LeaseSize when
-// set) from the front of the never-leased tail, so early leases are long and
-// the last ones are short enough that the workers finish together.  A lease's
-// range never changes once granted, and every index is asked of a worker
-// once on a healthy fleet.
+// ⌈unleased/workers⌉ indices from the front of the never-leased tail, capped
+// at the first lease's ⌈total/(2·workers)⌉ (at least 2, at most
+// Options.LeaseSize when set), so early leases are long and few — each lease
+// boundary idles its worker for a round trip — and the last ones are short
+// enough that the workers finish together.  A lease's range never changes
+// once granted, and every index is asked of a worker once on a healthy
+// fleet.
 //
 // Fault handling keeps a sweep moving instead of wedging it:
 //
@@ -112,8 +114,8 @@ const (
 	// this long (a wedged-but-connected worker).
 	stallTimeout = 2 * time.Minute
 	// minLease is the smallest lease carved while at least that many indices
-	// are unleased: below it the per-lease HTTP round trip outweighs the
-	// balance a shorter lease buys.
+	// are unleased: a one-index lease pays a whole round trip for one
+	// scenario.
 	minLease = 2
 )
 
@@ -329,16 +331,18 @@ func (c *Coordinator) grantLocked(ctx context.Context, wg *sync.WaitGroup) {
 
 // carveLocked takes the next lease from the front of the never-leased tail
 // [cursor, total), or returns nil when every index has been leased.  The
-// size is ⌈(total−cursor)/(2·workers)⌉, at least minLease and at most
-// Options.LeaseSize when that is set, clipped to what is left: sizes shrink
-// as the tail does, so the workers' last leases end close together.
+// size is ⌈(total−cursor)/workers⌉ capped at the first lease's
+// ⌈total/(2·workers)⌉, at least minLease and at most Options.LeaseSize when
+// that is set, clipped to what is left: leases stay at the cap until half
+// the indices are leased, then shrink with the tail, so the workers' last
+// leases end close together.
 func (c *Coordinator) carveLocked() *lease {
 	left := c.total - c.cursor
 	if left == 0 {
 		return nil
 	}
-	parts := 2 * len(c.roster)
-	size := max(minLease, (left+parts-1)/parts)
+	workers := len(c.roster)
+	size := max(minLease, min(ceilDiv(left, workers), ceilDiv(c.total, 2*workers)))
 	if c.opts.LeaseSize > 0 {
 		size = min(size, c.opts.LeaseSize)
 	}
@@ -347,6 +351,8 @@ func (c *Coordinator) carveLocked() *lease {
 	c.cursor += size
 	return l
 }
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // housekeep runs the periodic liveness work: cancel stalled leases and
 // re-probe down workers.

@@ -138,7 +138,9 @@ func BenchmarkFleetGoldenGrid(b *testing.B) {
 
 // TestCarveLeases pins carveLocked's sequence: contiguous leases that cover
 // [0, total) exactly once, sizes that never grow and stay at least minLease
-// but for a final remainder, and Options.LeaseSize as a cap on every lease.
+// but for a final remainder, no lease wider than the first one, at most
+// max(minLease, ⌈total/(2·workers)⌉), and Options.LeaseSize as a cap on
+// every lease.
 func TestCarveLeases(t *testing.T) {
 	carve := func(t *testing.T, m campaign.Matrix, workers, leaseSize int) []int {
 		t.Helper()
@@ -164,12 +166,14 @@ func TestCarveLeases(t *testing.T) {
 		if end != c.total {
 			t.Fatalf("leases cover [0, %d) of [0, %d)", end, c.total)
 		}
-		floor := minLease
+		floor, widest := minLease, max(minLease, (c.total+2*workers-1)/(2*workers))
 		if leaseSize > 0 {
-			floor = min(floor, leaseSize)
+			floor, widest = min(floor, leaseSize), min(widest, leaseSize)
 		}
 		for i, size := range sizes {
 			switch {
+			case size > widest:
+				t.Errorf("workers %d cap %d: lease %d is %d wide, above %d (sizes %v)", workers, leaseSize, i, size, widest, sizes)
 			case i > 0 && size > sizes[i-1]:
 				t.Errorf("workers %d cap %d: lease %d grew to %d (sizes %v)", workers, leaseSize, i, size, sizes)
 			case size < floor && i != len(sizes)-1:
@@ -181,9 +185,10 @@ func TestCarveLeases(t *testing.T) {
 		return sizes
 	}
 
-	// The golden grid on two workers: each lease takes a quarter of the
-	// unleased tail, rounded up.
-	want := []int{54, 41, 31, 23, 17, 13, 10, 7, 5, 4, 3, 2, 2, 2, 2}
+	// The golden grid on two workers: each lease takes half of the unleased
+	// tail, rounded up, but no more than the first lease's quarter of the
+	// grid.
+	want := []int{54, 54, 54, 27, 14, 7, 3, 2, 1}
 	if got := carve(t, goldenMatrix(), 2, 0); !slices.Equal(got, want) {
 		t.Errorf("golden grid on two workers carved %v, want %v", got, want)
 	}
@@ -199,11 +204,12 @@ func TestCarveLeases(t *testing.T) {
 	}
 }
 
-// askCounter forwards to a worker's handler and sums hi−lo over its
-// /v1/campaign requests: the scenario indices asked of the worker.
+// askCounter forwards to a worker's handler and counts its /v1/campaign
+// requests and their hi−lo sum: the leases and scenario indices asked of
+// the worker.
 type askCounter struct {
-	asked *atomic.Int64
-	h     http.Handler
+	asked, requests *atomic.Int64
+	h               http.Handler
 }
 
 func (a askCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -211,22 +217,24 @@ func (a askCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		lo, _ := strconv.Atoi(r.URL.Query().Get("lo"))
 		hi, _ := strconv.Atoi(r.URL.Query().Get("hi"))
 		a.asked.Add(int64(hi - lo))
+		a.requests.Add(1)
 	}
 	a.h.ServeHTTP(w, r)
 }
 
 // TestFleetLeasesEachIndexOnce runs the golden grid on two workers with one
 // pool worker each (ringbench's grid-fleet shape) and checks that every pass
-// asks the workers for each scenario index exactly once and merges the
-// single-machine export's bytes.
+// asks the workers for each scenario index exactly once, in the 9 requests
+// of TestCarveLeases's sequence, and merges the single-machine export's
+// bytes.
 func TestFleetLeasesEachIndexOnce(t *testing.T) {
 	m := goldenMatrix()
 	want := localExport(t, m)
-	var asked atomic.Int64
+	var asked, requests atomic.Int64
 	var addrs []string
 	for range 2 {
 		pool := serve.New(serve.Options{Workers: 1})
-		ts := httptest.NewServer(askCounter{asked: &asked, h: pool.Handler()})
+		ts := httptest.NewServer(askCounter{asked: &asked, requests: &requests, h: pool.Handler()})
 		t.Cleanup(func() {
 			ts.Close()
 			pool.Close()
@@ -235,6 +243,7 @@ func TestFleetLeasesEachIndexOnce(t *testing.T) {
 	}
 	for pass := range 10 {
 		asked.Store(0)
+		requests.Store(0)
 		var got bytes.Buffer
 		res, err := Run(context.Background(), m, Options{Workers: addrs, Records: &got})
 		if err != nil {
@@ -242,6 +251,9 @@ func TestFleetLeasesEachIndexOnce(t *testing.T) {
 		}
 		if n := asked.Load(); n != int64(res.Total) {
 			t.Errorf("pass %d asked the workers for %d indices, want %d", pass, n, res.Total)
+		}
+		if n := requests.Load(); n != 9 {
+			t.Errorf("pass %d sent %d /v1/campaign requests, want 9", pass, n)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("pass %d: fleet export differs from the single-machine export", pass)
