@@ -140,12 +140,10 @@ func runCoordinate(t *testing.T, nw *ringsym.Network, coordinate core.Coordinate
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &ringsym.CoordinationResult{Rounds: run.Rounds}
+	first := run.Outputs[0]
+	res := &ringsym.CoordinationResult{Rounds: run.Rounds,
+		RoundsNontrivial: first.RoundsNontrivial, RoundsAgreement: first.RoundsAgreement, RoundsLeader: first.RoundsLeader}
 	for i, c := range run.Outputs {
-		res.PerAgent = append(res.PerAgent, ringsym.AgentCoordination{
-			ID: nw.IDOf(i), IsLeader: c.IsLeader,
-			RoundsNontrivial: c.RoundsNontrivial, RoundsAgreement: c.RoundsAgreement, RoundsLeader: c.RoundsLeader,
-		})
 		if c.IsLeader {
 			res.LeaderID = nw.IDOf(i)
 		}
@@ -164,11 +162,12 @@ func runDiscover(t *testing.T, nw *ringsym.Network, discover discoverFunc, seed 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &ringsym.DiscoveryResult{Rounds: run.Rounds, StartPositions: start}
+	first := run.Outputs[0]
+	res := &ringsym.DiscoveryResult{Rounds: run.Rounds, StartPositions: start,
+		RoundsCoordination: first.RoundsCoordination, RoundsDiscovery: first.RoundsDiscovery}
 	for i, r := range run.Outputs {
 		res.PerAgent = append(res.PerAgent, ringsym.AgentDiscovery{
 			ID: nw.IDOf(i), IsLeader: r.IsLeader, N: r.N, Positions: r.Positions,
-			RoundsCoordination: r.RoundsCoordination, RoundsDiscovery: r.RoundsDiscovery,
 		})
 	}
 	return res

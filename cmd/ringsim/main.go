@@ -196,9 +196,8 @@ func runCoordinate(n int, model ringsym.Model, mixed bool, seed int64) {
 	fmt.Printf("model=%v n=%d mixed-orientation=%v\n", model, n, mixed)
 	fmt.Printf("leader: agent with ID %d\n", res.LeaderID)
 	fmt.Printf("total rounds: %d\n", res.Rounds)
-	a := res.PerAgent[0]
 	fmt.Printf("round breakdown: nontrivial move %d, direction agreement %d, leader election %d\n",
-		a.RoundsNontrivial, a.RoundsAgreement, a.RoundsLeader)
+		res.RoundsNontrivial, res.RoundsAgreement, res.RoundsLeader)
 }
 
 func runDiscover(n int, model ringsym.Model, mixed bool, seed int64) {
@@ -210,13 +209,13 @@ func runDiscover(n int, model ringsym.Model, mixed bool, seed int64) {
 	fmt.Printf("model=%v n=%d mixed-orientation=%v\n", model, n, mixed)
 	fmt.Printf("total rounds: %d (Lemma 6 lower bound: %d)\n",
 		res.Rounds, ringsym.LocationDiscoveryLowerBound(model, n))
+	fmt.Printf("round breakdown: coordination %d, discovery %d\n", res.RoundsCoordination, res.RoundsDiscovery)
 	for i, a := range res.PerAgent {
 		marker := " "
 		if a.IsLeader {
 			marker = "*"
 		}
-		fmt.Printf("%s agent %2d (ID %3d): n=%d, coordination %4d rounds, discovery %4d rounds, map %v\n",
-			marker, i, a.ID, a.N, a.RoundsCoordination, a.RoundsDiscovery, shorten(a.Positions))
+		fmt.Printf("%s agent %2d (ID %3d): n=%d, map %v\n", marker, i, a.ID, a.N, shorten(a.Positions))
 	}
 	fmt.Println("every agent's map verified against the simulator's ground truth")
 }

@@ -44,9 +44,9 @@ func main() {
 		}
 	}
 	fmt.Printf("elected leader: ID %d\n", leader.ID)
-	fmt.Printf("round budget of one agent:\n")
-	fmt.Printf("  symmetry breaking + ring distances (o(n) term): %d rounds\n", leader.RoundsCoordination)
-	fmt.Printf("  Distances schedule (the n/2 term):              %d rounds\n", leader.RoundsDiscovery)
+	fmt.Printf("round budget of the run:\n")
+	fmt.Printf("  symmetry breaking + ring distances (o(n) term): %d rounds\n", res.RoundsCoordination)
+	fmt.Printf("  Distances schedule (the n/2 term):              %d rounds\n", res.RoundsDiscovery)
 	fmt.Printf("  Lemma 6 lower bound for any perceptive solution: %d rounds\n",
 		ringsym.LocationDiscoveryLowerBound(ringsym.Perceptive, n))
 	fmt.Printf("  lazy-model sweep would need:                     %d rounds for this term\n\n", n)

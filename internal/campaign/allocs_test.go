@@ -16,24 +16,24 @@ import (
 // of 40 normal-build runs, 20 each under GOMAXPROCS 1 and 2; every run read
 // the same counts.
 var allocBudget = map[string]float64{
-	"coordinate/basic/even":         9,
-	"coordinate/basic/odd":          8,
-	"coordinate/lazy/even":          9,
-	"coordinate/lazy/odd":           8,
-	"coordinate/perceptive/even":    9,
-	"coordinate/perceptive/odd":     8,
+	"coordinate/basic/even":         8,
+	"coordinate/basic/odd":          7,
+	"coordinate/lazy/even":          8,
+	"coordinate/lazy/odd":           7,
+	"coordinate/perceptive/even":    8,
+	"coordinate/perceptive/odd":     7,
 	"discover/basic/even":           0,
 	"discover/basic/odd":            43,
 	"discover/lazy/even":            42,
 	"discover/lazy/odd":             43,
 	"discover/perceptive/even":      90,
 	"discover/perceptive/odd":       43,
-	"coordinate/basic/even/cs":      8,
-	"coordinate/basic/odd/cs":       8,
-	"coordinate/lazy/even/cs":       8,
-	"coordinate/lazy/odd/cs":        8,
-	"coordinate/perceptive/even/cs": 8,
-	"coordinate/perceptive/odd/cs":  8,
+	"coordinate/basic/even/cs":      7,
+	"coordinate/basic/odd/cs":       7,
+	"coordinate/lazy/even/cs":       7,
+	"coordinate/lazy/odd/cs":        7,
+	"coordinate/perceptive/even/cs": 7,
+	"coordinate/perceptive/odd/cs":  7,
 	"discover/basic/even/cs":        0,
 	"discover/basic/odd/cs":         43,
 	"discover/lazy/even/cs":         41,

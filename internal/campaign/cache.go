@@ -27,10 +27,8 @@ type Cache struct {
 }
 
 // NewCache returns a cache bounded to roughly capacity outcomes (<= 0 selects
-// the memo default).  The bound counts entries, not bytes: one cached outcome
-// holds the per-agent stage splits of its whole ring, so resident memory is
-// O(capacity × n) — size the capacity against the largest n served (e.g.
-// ringd's -maxn), not against available memory alone.
+// the memo default).  One cached outcome is a few integers and one stage
+// split whatever the ring size, so resident memory is O(capacity).
 func NewCache(capacity int) *Cache {
 	return &Cache{c: memo.New[task.Outcome](capacity)}
 }
@@ -68,20 +66,18 @@ func cacheKey(fingerprint string, sc Scenario) string {
 
 // fill populates the outcome fields of a record from a task outcome whose
 // frame matches the scenario's (the cached path translates through the
-// spec's MapOutcome first): agent 0 of the requesting frame supplies the
-// per-stage splits, and zero-valued stages vanish from the JSON, so each
+// spec's MapOutcome first): the outcome's one stage split supplies the
+// per-stage rounds, and zero-valued stages vanish from the JSON, so each
 // task's records expose exactly its own stage vocabulary.
 func (rec *Record) fill(out task.Outcome) {
 	rec.Rounds = out.Rounds
 	rec.LeaderID = out.LeaderID
-	if len(out.PerAgent) > 0 {
-		sp := out.PerAgent[0]
-		rec.RoundsNontrivial = sp.Nontrivial
-		rec.RoundsAgreement = sp.Agreement
-		rec.RoundsLeader = sp.Leader
-		rec.RoundsCoordination = sp.Coordination
-		rec.RoundsDiscovery = sp.Discovery
-	}
+	sp := out.PerAgent[0]
+	rec.RoundsNontrivial = sp.Nontrivial
+	rec.RoundsAgreement = sp.Agreement
+	rec.RoundsLeader = sp.Leader
+	rec.RoundsCoordination = sp.Coordination
+	rec.RoundsDiscovery = sp.Discovery
 	rec.Status = StatusOK
 	rec.Verified = true
 }

@@ -6,10 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"ringsym/internal/canon"
-	"ringsym/internal/store"
-	"ringsym/internal/task"
 )
 
 // symmetricMatrix is a sweep in which every setting appears in 6 symmetric
@@ -354,56 +350,5 @@ func TestProbeCache(t *testing.T) {
 	sc.Phase, sc.Reflect = 0, false
 	if _, ok := ProbeCache(sc, opts); !ok {
 		t.Fatal("probe missed a symmetric framing of a cached outcome")
-	}
-}
-
-// TestProbeCacheMalformedTierOutcome: a disk record can pass the store's CRC
-// check and still hold an outcome that does not fit the ring — here a
-// PerAgent shorter than n.  A disk hit promotes it into memory, and mapping
-// it into a rotated, reflected frame panics.  The pipeline's recover must
-// contain that on both paths: the run records a failed scenario, and the
-// probe reports a miss instead of panicking on a serving goroutine.
-func TestProbeCacheMalformedTierOutcome(t *testing.T) {
-	sc := Scenario{Task: TaskCoordinate, Model: "basic", N: 9, IDBound: 36, Seed: 1, Phase: 3, Reflect: true}
-	model, err := ParseModel(sc.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := generateConfig(sc, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg, _, err := canon.Canonicalize(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	malformed, err := json.Marshal(task.Outcome{Rounds: 10, PerAgent: make([]task.Split, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(cacheKey(canon.Fingerprint(ccfg), sc), malformed); err != nil {
-		t.Fatal(err)
-	}
-	cache := NewCache(0)
-	cache.AttachTier(st, nil)
-	opts := Options{Cache: cache}
-
-	rec := RunScenarioContext(t.Context(), sc, opts)
-	if rec.Status != StatusFailed || !strings.HasPrefix(rec.Error, "panic: ") {
-		t.Fatalf("run on a malformed outcome: status %s (%s)", rec.Status, rec.Error)
-	}
-	if rec.Bound == 0 || rec.BoundStr == "" {
-		t.Errorf("failed record lost its bound: %+v", rec)
-	}
-	if st := cache.Stats(); st.DiskHits != 1 || st.Entries != 1 {
-		t.Fatalf("malformed outcome not promoted to memory: %+v", st)
-	}
-	if got, ok := ProbeCache(sc, opts); ok {
-		t.Fatalf("probe answered a malformed outcome: %+v", got)
 	}
 }

@@ -349,8 +349,7 @@ func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 // record (annotated as a hit) when the outcome of the scenario's canonical
 // representative is already in the memo cache, and ok=false otherwise —
 // when the scenario was prepared without a cache, is unsolvable or invalid,
-// the outcome simply is not there yet, or a stage failed (a malformed
-// tier-promoted outcome that panics in MapOutcome included).  Nothing
+// the outcome simply is not there yet, or a stage failed.  Nothing
 // executes and no singleflight computation is joined, so a serving layer
 // can answer hits on the request goroutine without taking a compute token,
 // and hand the same prepared value to RunPrepared on a miss: the miss pays

@@ -112,6 +112,9 @@ func TestWorkerPanicIsolated(t *testing.T) {
 			if rec.Status != StatusFailed || !strings.Contains(rec.Error, "scenario exploded") {
 				t.Errorf("panicking scenario recorded as %s (%s)", rec.Status, rec.Error)
 			}
+			if rec.Bound == 0 || rec.BoundStr == "" {
+				t.Errorf("failed record lost its bound: %+v", rec)
+			}
 		} else if rec.Status != StatusOK {
 			t.Errorf("%s: healthy scenario recorded as %s", rec.Key(), rec.Status)
 		}

@@ -11,14 +11,13 @@ import (
 
 // outcomeTier adapts the byte-oriented persistent store to memo's typed
 // Tier.  Outcomes cross the boundary in their stored form (task.Outcome's
-// MarshalJSON): a version-led JSON array of one stage split and the agent
-// count, so a record served from disk is byte-identical to a recomputed one
-// after re-encoding.  The tier codes it through encoding/json, not the
-// methods directly, because the benchmark's replay decodes the same store
-// with json.Unmarshal and must stay in step with it.  Bytes of any other
-// version (an older build's object form included) fail to decode and are a
-// miss; the recompute's Put then supersedes them.  An outcome whose agents
-// report different splits has no stored form and is not persisted.
+// MarshalJSON): a version-led JSON array of the scalars and the run's one
+// stage split, so a record served from disk is byte-identical to a
+// recomputed one after re-encoding.  The tier codes it through
+// encoding/json, not the methods directly, because the benchmark's replay
+// decodes the same store with json.Unmarshal and must stay in step with it.
+// Bytes of any other version (an older build's object form included) fail
+// to decode and are a miss; the recompute's Put then supersedes them.
 type outcomeTier struct{ st *store.Store }
 
 // Load is memo's miss path below memory: the local disk.  Undecodable bytes

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -225,9 +226,10 @@ func TestCachedSweepDropsStoreFailures(t *testing.T) {
 type v1Outcome task.Outcome
 
 // TestStoreMigratesV1Records: a store record in the object form of earlier
-// builds is a miss, never a failed scenario.  The recompute's Put
-// supersedes it, and a reopened store then serves the scenario from disk
-// with the same record and the same stored bytes.
+// builds, or in the version-2 array that carried the agent count, is a
+// miss, never a failed scenario.  The recompute's Put supersedes it, and a
+// reopened store then serves the scenario from disk with the same record
+// and the same stored bytes.
 func TestStoreMigratesV1Records(t *testing.T) {
 	sc := Scenario{Task: TaskCoordinate, Model: "basic", N: 9, IDBound: 36, Seed: 1, Phase: 2, Reflect: true}
 	model, err := ParseModel(sc.Model)
@@ -270,47 +272,55 @@ func TestStoreMigratesV1Records(t *testing.T) {
 		return b, stored
 	}
 
-	// The v1 bytes of the canonical outcome, from a cold fill.
+	// The current bytes of the canonical outcome, from a cold fill, and the
+	// same outcome in the two earlier forms.
 	fill, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fill.Close()
-	_, v2 := run(fill, "miss")
+	_, v3 := run(fill, "miss")
 	var out task.Outcome
-	if err := json.Unmarshal(v2, &out); err != nil {
+	if err := json.Unmarshal(v3, &out); err != nil {
 		t.Fatal(err)
 	}
 	v1, err := json.Marshal(v1Outcome(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(v1, []byte(`{"Rounds":`)) || !bytes.HasPrefix(v2, []byte(`[2,`)) {
-		t.Fatalf("fixtures: v1 %s, v2 %s", v1, v2)
+	sp := out.PerAgent[0]
+	v2 := fmt.Appendf(nil, "[2,%d,%d,%d,%d,%d,%d,%d,%d]", out.Rounds, out.LeaderID, sc.N,
+		sp.Nontrivial, sp.Agreement, sp.Leader, sp.Coordination, sp.Discovery)
+	if !bytes.HasPrefix(v1, []byte(`{"Rounds":`)) || !bytes.HasPrefix(v3, []byte(`[3,`)) {
+		t.Fatalf("fixtures: v1 %s, v3 %s", v1, v3)
 	}
 
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(key, v1); err != nil {
-		t.Fatal(err)
-	}
-	missRec, missBytes := run(st, "miss")
-	if !bytes.Equal(missBytes, v2) || st.Stats().Puts != 2 {
-		t.Fatalf("recompute did not supersede the v1 record: stored %s, %d puts", missBytes, st.Stats().Puts)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	diskRec, diskBytes := run(st, "disk")
-	if !bytes.Equal(diskRec, missRec) || !bytes.Equal(diskBytes, v2) {
-		t.Fatalf("disk hit after reopen: record %s stored %s, want %s and %s", diskRec, diskBytes, missRec, v2)
+	for _, foreign := range [][]byte{v1, v2} {
+		dir := t.TempDir()
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(key, foreign); err != nil {
+			t.Fatal(err)
+		}
+		missRec, missBytes := run(st, "miss")
+		if !bytes.Equal(missBytes, v3) || st.Stats().Puts != 2 {
+			t.Fatalf("recompute did not supersede %s: stored %s, %d puts", foreign, missBytes, st.Stats().Puts)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err = store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diskRec, diskBytes := run(st, "disk")
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(diskRec, missRec) || !bytes.Equal(diskBytes, v3) {
+			t.Fatalf("disk hit after reopen: record %s stored %s, want %s and %s", diskRec, diskBytes, missRec, v3)
+		}
 	}
 }

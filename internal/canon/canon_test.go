@@ -228,18 +228,16 @@ func TestKeySensitivity(t *testing.T) {
 }
 
 // outcomeOf runs the task pipeline on cfg through the public facade and
-// returns the frame-independent invariants plus the per-agent outcomes by
-// ring index.
+// returns the frame-independent invariants plus, for discover, the
+// per-agent outcomes by ring index.
 type agentOutcome struct {
 	ID       int
 	IsLeader bool
-	Splits   [5]int
-	// Positions is the discovery map in the agent's agreed frame (nil for
-	// coordinate runs).
+	// Positions is the discovery map in the agent's agreed frame.
 	Positions []int64
 }
 
-func outcomeOf(t *testing.T, cfg engine.Config, task string, commonSense bool, seed int64) (rounds, leaderID int, agents []agentOutcome) {
+func outcomeOf(t *testing.T, cfg engine.Config, task string, commonSense bool, seed int64) (rounds, leaderID int, split [5]int, agents []agentOutcome) {
 	t.Helper()
 	nw, err := ringsym.NewNetwork(ringsym.Config{
 		Model: cfg.Model, Circumference: cfg.Circ, Positions: cfg.Positions,
@@ -254,11 +252,7 @@ func outcomeOf(t *testing.T, cfg engine.Config, task string, commonSense bool, s
 		if err != nil {
 			t.Fatal(err)
 		}
-		agents = make([]agentOutcome, len(res.PerAgent))
-		for i, a := range res.PerAgent {
-			agents[i] = agentOutcome{ID: a.ID, IsLeader: a.IsLeader, Splits: [5]int{a.RoundsNontrivial, a.RoundsAgreement, a.RoundsLeader, 0, 0}}
-		}
-		return res.Rounds, res.LeaderID, agents
+		return res.Rounds, res.LeaderID, [5]int{res.RoundsNontrivial, res.RoundsAgreement, res.RoundsLeader, 0, 0}, nil
 	case "discover":
 		res, err := nw.DiscoverLocations(ringsym.DiscoveryOptions{CommonSense: commonSense, Seed: seed})
 		if err != nil {
@@ -266,21 +260,21 @@ func outcomeOf(t *testing.T, cfg engine.Config, task string, commonSense bool, s
 		}
 		agents = make([]agentOutcome, len(res.PerAgent))
 		for i, a := range res.PerAgent {
-			agents[i] = agentOutcome{ID: a.ID, IsLeader: a.IsLeader, Splits: [5]int{0, 0, 0, a.RoundsCoordination, a.RoundsDiscovery}, Positions: a.Positions}
+			agents[i] = agentOutcome{ID: a.ID, IsLeader: a.IsLeader, Positions: a.Positions}
 			if a.IsLeader {
 				leaderID = a.ID
 			}
 		}
-		return res.Rounds, leaderID, agents
+		return res.Rounds, leaderID, [5]int{0, 0, 0, res.RoundsCoordination, res.RoundsDiscovery}, agents
 	}
 	t.Fatalf("unknown task %s", task)
-	return 0, 0, nil
+	return 0, 0, [5]int{}, nil
 }
 
 // TestEngineOrbitInvariance is the proof obligation of the package: for every
 // movement model, both chirality regimes and both task pipelines, the outcome
 // of a run on any orbit member — total rounds, elected leader, verification,
-// per-agent stage splits and discovery maps — equals the outcome on the
+// the stage split and the discovery maps — equals the outcome on the
 // canonical representative, modulo the index Map.  The facade verifies every
 // run against the simulator's ground truth, so passing outcomes are also
 // correct outcomes.
@@ -320,7 +314,7 @@ func TestEngineOrbitInvariance(t *testing.T) {
 				N: s.n, Seed: seed, Model: s.model,
 				MixedChirality: s.mixed, ForceSplitChirality: s.mixed,
 			})
-			rounds, leader, agents := outcomeOf(t, cfg, s.task, s.cs, seed)
+			rounds, leader, split, agents := outcomeOf(t, cfg, s.task, s.cs, seed)
 
 			ccfg, m, err := canon.Canonicalize(cfg)
 			if err != nil {
@@ -339,17 +333,20 @@ func TestEngineOrbitInvariance(t *testing.T) {
 			}{mcfg, canon.Map{N: s.n, Rotation: rot, Reflected: refl}})
 
 			for _, mem := range members {
-				gotRounds, gotLeader, gotAgents := outcomeOf(t, mem.cfg, s.task, s.cs, seed)
+				gotRounds, gotLeader, gotSplit, gotAgents := outcomeOf(t, mem.cfg, s.task, s.cs, seed)
 				if gotRounds != rounds {
 					t.Errorf("rounds = %d, want %d (map %+v)", gotRounds, rounds, mem.m)
 				}
 				if gotLeader != leader {
 					t.Errorf("leader = %d, want %d (map %+v)", gotLeader, leader, mem.m)
 				}
-				for i := 0; i < s.n; i++ {
+				if gotSplit != split {
+					t.Errorf("stage split = %v, want %v (map %+v)", gotSplit, split, mem.m)
+				}
+				for i := range agents {
 					want := agents[i]
 					got := gotAgents[mem.m.CanonIndex(i)]
-					if got.ID != want.ID || got.IsLeader != want.IsLeader || got.Splits != want.Splits {
+					if got.ID != want.ID || got.IsLeader != want.IsLeader {
 						t.Errorf("agent %d: got %+v, want %+v (map %+v)", i, got, want, mem.m)
 					}
 					if !reflect.DeepEqual(got.Positions, want.Positions) {

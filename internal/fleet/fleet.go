@@ -251,11 +251,12 @@ func (c *Coordinator) Run(ctx context.Context) (res Result, err error) {
 
 	// Every worker request derives from runCtx.  Returning from Run —
 	// completion or cancellation — cuts every in-flight stream (one that
-	// owes nothing more is retired, not failed), then waits for the stream
-	// goroutines, so the caller owns the Records sink again and res, taken
-	// last, counts every retired lease.  No keep-alive to a worker outlives
-	// Run: whether a last stream ended cleanly or was cut depends on
-	// timing, and what a finished run holds on to should not.
+	// owes nothing more is retired, not failed) and probe, then waits for
+	// their goroutines, so the caller owns the Records sink again, no probe
+	// revives a worker after Run returns, and res, taken last, counts every
+	// retired lease.  No keep-alive to a worker outlives Run: whether a
+	// last stream ended cleanly or was cut depends on timing, and what a
+	// finished run holds on to should not.
 	runCtx, cancelAll := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	defer func() {
@@ -283,7 +284,7 @@ func (c *Coordinator) Run(ctx context.Context) (res Result, err error) {
 			return Result{}, ctx.Err()
 		case <-c.kick:
 		case <-ticker.C:
-			c.housekeep(runCtx)
+			c.housekeep(runCtx, &wg)
 		}
 	}
 	if obs.On() {
@@ -355,8 +356,8 @@ func (c *Coordinator) carveLocked() *lease {
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // housekeep runs the periodic liveness work: cancel stalled leases and
-// re-probe down workers.
-func (c *Coordinator) housekeep(ctx context.Context) {
+// re-probe down workers.  The probes join wg, so none outlives Run.
+func (c *Coordinator) housekeep(ctx context.Context, wg *sync.WaitGroup) {
 	now := obs.Now()
 	var probes []*worker
 	c.mu.Lock()
@@ -374,7 +375,11 @@ func (c *Coordinator) housekeep(ctx context.Context) {
 	}
 	c.mu.Unlock()
 	for _, w := range probes {
-		go c.probe(ctx, w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.probe(ctx, w)
+		}()
 	}
 }
 

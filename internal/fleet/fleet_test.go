@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -414,19 +413,15 @@ func TestFleetSurvivesMidStreamDeath(t *testing.T) {
 
 // strayWorker streams the first record of its first lease and then, in
 // place of the second, a record with an index outside the lease; after that
-// it serves real records.  It closes probed on its first /healthz, so a test
-// can tell when the coordinator re-probed it.
+// it serves real records.
 type strayWorker struct {
-	lines     [][]byte
-	stray     func(hi int) int // the index streamed out of the lease [lo, hi)
-	strayed   atomic.Bool
-	probed    chan struct{}
-	probeOnce sync.Once
+	lines   [][]byte
+	stray   func(hi int) int // the index streamed out of the lease [lo, hi)
+	strayed atomic.Bool
 }
 
 func (s *strayWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == "/healthz" {
-		s.probeOnce.Do(func() { close(s.probed) })
 		w.WriteHeader(http.StatusOK)
 		return
 	}
@@ -447,7 +442,9 @@ func (s *strayWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // index space.  The lease fails, the worker goes down and is re-probed, the
 // unstreamed remainder is re-leased, and the export is the single-machine
 // one with nothing quarantined.  The good worker holds its first lease until
-// the stray one is probed, so the probe is part of every run.
+// the coordinator has revived the stray one, so the revival is part of every
+// run: gating on the stray worker's /healthz alone would let the sweep finish
+// before the coordinator handles the probe's reply.
 func TestFleetSurvivesOutOfLeaseIndex(t *testing.T) {
 	m := testMatrix()
 	want := localExport(t, m)
@@ -463,14 +460,14 @@ func TestFleetSurvivesOutOfLeaseIndex(t *testing.T) {
 		"past total": func(int) int { return total },
 	} {
 		t.Run(name, func(t *testing.T) {
-			sw := &strayWorker{lines: lines, stray: stray, probed: make(chan struct{})}
-			bad := httptest.NewServer(sw)
+			bad := httptest.NewServer(&strayWorker{lines: lines, stray: stray})
 			defer bad.Close()
 			pool := serve.New(serve.Options{Workers: 2})
 			defer pool.Close()
+			revived := make(chan struct{})
 			good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				select {
-				case <-sw.probed:
+				case <-revived:
 					pool.Handler().ServeHTTP(w, r)
 				case <-r.Context().Done():
 				}
@@ -479,6 +476,33 @@ func TestFleetSurvivesOutOfLeaseIndex(t *testing.T) {
 
 			sub := obs.Default.Subscribe(obs.SubOptions{Buffer: 1 << 12, Types: []string{"fleet"}})
 			defer sub.Close()
+			// A second subscription opens the gate on the stray worker's
+			// first up event after a down.
+			watch := obs.Default.Subscribe(obs.SubOptions{Types: []string{"fleet.worker"}})
+			defer watch.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				down := false
+				for {
+					ev, err := watch.Next(ctx)
+					if err != nil {
+						return
+					}
+					if ev.Worker != bad.URL {
+						continue
+					}
+					switch ev.Type {
+					case obs.FleetWorkerDown:
+						down = true
+					case obs.FleetWorkerUp:
+						if down {
+							close(revived)
+							return
+						}
+					}
+				}
+			}()
 			var got bytes.Buffer
 			res, err := Run(context.Background(), m, Options{
 				Workers:       []string{bad.URL, good.URL},

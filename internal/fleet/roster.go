@@ -63,8 +63,8 @@ func (c *Coordinator) sortedWorkersLocked() []*worker {
 }
 
 // probe checks a down worker's /healthz and revives it on success.  Runs off
-// the housekeeping tick in its own goroutine; w.probing serialises probes
-// per worker.
+// the housekeeping tick in its own goroutine, which Run waits for;
+// w.probing serialises probes per worker.
 func (c *Coordinator) probe(ctx context.Context, w *worker) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.addr+"/healthz", nil)
 	alive := false

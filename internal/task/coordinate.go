@@ -32,16 +32,13 @@ func (coordinateSpec) Run(ctx context.Context, nw *ringsym.Network, p Params) (O
 	if err != nil {
 		return Outcome{}, err
 	}
-	out := Outcome{Rounds: res.Rounds, LeaderID: res.LeaderID, PerAgent: make([]Split, len(res.PerAgent))}
-	for i, a := range res.PerAgent {
-		out.PerAgent[i] = Split{Nontrivial: a.RoundsNontrivial, Agreement: a.RoundsAgreement, Leader: a.RoundsLeader}
-	}
-	return out, nil
+	return Outcome{Rounds: res.Rounds, LeaderID: res.LeaderID,
+		PerAgent: []Split{{Nontrivial: res.RoundsNontrivial, Agreement: res.RoundsAgreement, Leader: res.RoundsLeader}}}, nil
 }
 
 func (coordinateSpec) Verify(nw *ringsym.Network, p Params, out Outcome) error {
-	if len(out.PerAgent) != nw.N() {
-		return fmt.Errorf("coordinate: %d per-agent splits for %d agents", len(out.PerAgent), nw.N())
+	if len(out.PerAgent) != 1 {
+		return fmt.Errorf("coordinate: %d stage splits, want one", len(out.PerAgent))
 	}
 	if nw.Engine().IndexOfID(out.LeaderID) < 0 {
 		return fmt.Errorf("coordinate: leader ID %d does not exist in the network", out.LeaderID)
@@ -52,4 +49,4 @@ func (coordinateSpec) Verify(nw *ringsym.Network, p Params, out Outcome) error {
 	return nil
 }
 
-func (coordinateSpec) MapOutcome(out Outcome, m canon.Map) Outcome { return Reframe(out, m) }
+func (coordinateSpec) MapOutcome(out Outcome, _ canon.Map) Outcome { return out }

@@ -36,9 +36,8 @@ func (discoverSpec) Run(ctx context.Context, nw *ringsym.Network, p Params) (Out
 	if err != nil {
 		return Outcome{}, err
 	}
-	out := Outcome{Rounds: res.Rounds, PerAgent: make([]Split, len(res.PerAgent))}
-	for i, a := range res.PerAgent {
-		out.PerAgent[i] = Split{Coordination: a.RoundsCoordination, Discovery: a.RoundsDiscovery}
+	out := Outcome{Rounds: res.Rounds, PerAgent: []Split{{Coordination: res.RoundsCoordination, Discovery: res.RoundsDiscovery}}}
+	for _, a := range res.PerAgent {
 		if a.IsLeader {
 			out.LeaderID = a.ID
 		}
@@ -47,8 +46,8 @@ func (discoverSpec) Run(ctx context.Context, nw *ringsym.Network, p Params) (Out
 }
 
 func (discoverSpec) Verify(nw *ringsym.Network, p Params, out Outcome) error {
-	if len(out.PerAgent) != nw.N() {
-		return fmt.Errorf("discover: %d per-agent splits for %d agents", len(out.PerAgent), nw.N())
+	if len(out.PerAgent) != 1 {
+		return fmt.Errorf("discover: %d stage splits, want one", len(out.PerAgent))
 	}
 	if nw.Engine().IndexOfID(out.LeaderID) < 0 {
 		return fmt.Errorf("discover: leader ID %d does not exist in the network", out.LeaderID)
@@ -59,4 +58,4 @@ func (discoverSpec) Verify(nw *ringsym.Network, p Params, out Outcome) error {
 	return nil
 }
 
-func (discoverSpec) MapOutcome(out Outcome, m canon.Map) Outcome { return Reframe(out, m) }
+func (discoverSpec) MapOutcome(out Outcome, _ canon.Map) Outcome { return out }

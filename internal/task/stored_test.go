@@ -11,22 +11,15 @@ import (
 // TestStoredOutcome pins the stored form byte for byte, its round trip
 // through encoding/json, and the outcomes it refuses to encode.
 func TestStoredOutcome(t *testing.T) {
-	uniform := func(n int, sp Split) []Split {
-		per := make([]Split, n)
-		for i := range per {
-			per[i] = sp
-		}
-		return per
-	}
 	for _, tc := range []struct {
 		out  Outcome
 		want string
 	}{
-		{Outcome{Rounds: 41, LeaderID: 7, PerAgent: uniform(8, Split{Nontrivial: 3, Agreement: 12, Leader: 26})},
-			`[2,41,7,8,3,12,26,0,0]`},
-		{Outcome{Rounds: 9, PerAgent: uniform(5, Split{Coordination: 4, Discovery: 5})},
-			`[2,9,0,5,0,0,0,4,5]`},
-		{Outcome{Rounds: -1}, `[2,-1,0,0,0,0,0,0,0]`},
+		{Outcome{Rounds: 41, LeaderID: 7, PerAgent: []Split{{Nontrivial: 3, Agreement: 12, Leader: 26}}},
+			`[3,41,7,3,12,26,0,0]`},
+		{Outcome{Rounds: 9, LeaderID: 2, PerAgent: []Split{{Coordination: 4, Discovery: 5}}},
+			`[3,9,2,0,0,0,4,5]`},
+		{Outcome{Rounds: -1, PerAgent: []Split{{}}}, `[3,-1,0,0,0,0,0,0]`},
 	} {
 		b, err := json.Marshal(tc.out)
 		if err != nil || string(b) != tc.want {
@@ -39,12 +32,11 @@ func TestStoredOutcome(t *testing.T) {
 		}
 	}
 
-	mixed := Outcome{Rounds: 3, PerAgent: []Split{{Leader: 1}, {Leader: 2}}}
-	if b, err := json.Marshal(mixed); err == nil {
-		t.Errorf("outcome with mixed splits encoded as %s", b)
-	}
-	if b, err := json.Marshal(Outcome{PerAgent: make([]Split, maxStoredAgents+1)}); err == nil {
-		t.Errorf("outcome above the agent cap encoded (%d bytes)", len(b))
+	// Only an outcome with exactly one stage split has a stored form.
+	for _, per := range [][]Split{nil, {{Leader: 1}, {Leader: 1}}, {{Leader: 1}, {Leader: 2}}} {
+		if b, err := json.Marshal(Outcome{Rounds: 3, PerAgent: per}); err == nil {
+			t.Errorf("outcome with %d splits encoded as %s", len(per), b)
+		}
 	}
 }
 
@@ -53,26 +45,25 @@ func TestStoredOutcome(t *testing.T) {
 func TestStoredOutcomeRejects(t *testing.T) {
 	for _, in := range []string{
 		`{"Rounds":41,"LeaderID":7,"PerAgent":[{"Nontrivial":3,"Agreement":12,"Leader":26,"Coordination":0,"Discovery":0}],"Extra":null}`,
-		`[1,41,7,8,3,12,26,0,0]`,
-		`[3,41,7,8,3,12,26,0,0]`,
-		`[2,41,7,8,3,12,26,0]`,
-		`[2,41,7,8,3,12,26,0,0,0]`,
-		`[2,41,7,8,3,12,26,0,0]x`,
-		`[2, 41,7,8,3,12,26,0,0]`,
-		`[2,041,7,8,3,12,26,0,0]`,
-		`[2,-0,7,8,3,12,26,0,0]`,
-		`[2,+41,7,8,3,12,26,0,0]`,
-		`[2,41,7,-1,0,0,0,0,0]`,
-		`[2,41,7,65537,3,12,26,0,0]`,
-		`[2,41,7,99999999999999999999,3,12,26,0,0]`,
-		`[2,41,7,0,3,0,0,0,0]`,
+		// Version 2 carried the agent count before the split.
+		`[2,41,7,8,3,12,26,0,0]`,
+		`[2,41,7,3,12,26,0,0]`,
+		`[1,41,7,3,12,26,0,0]`,
+		`[4,41,7,3,12,26,0,0]`,
+		`[3,41,7,3,12,26,0]`,
+		`[3,41,7,3,12,26,0,0,0]`,
+		`[3,41,7,3,12,26,0,0]x`,
+		`[3, 41,7,3,12,26,0,0]`,
+		`[3,041,7,3,12,26,0,0]`,
+		`[3,-0,7,3,12,26,0,0]`,
+		`[3,+41,7,3,12,26,0,0]`,
+		`[3,41,7,99999999999999999999,12,26,0,0]`,
+		`[3,41,7,3,12,26,0,0`,
+		`[]`,
 		// The optional trailing {extra} object of older builds is gone.
-		`[2,1,0,3,0,0,0,0,0,{"events":1}]`,
-		`[2,1,0,3,0,0,0,0,0,null]`,
+		`[3,1,0,0,0,0,0,0,{"events":1}]`,
+		`[3,1,0,0,0,0,0,0,null]`,
 		`[2,1,0,3,0,0,0,0,0,{"events":1,"collisions":[1,1,0]}]`,
-		`[2,1,0,3,0,0,0,0,0,{"events": 1}]`,
-		`[2,1,0,3,0,0,0,0,0,{"events":1,"events":2}]`,
-		`[2,1,0,3,0,0,0,0,0,{"events":1},{}]`,
 	} {
 		var out Outcome
 		if err := out.UnmarshalJSON([]byte(in)); err == nil {
@@ -87,23 +78,17 @@ func TestStoredOutcomeRejects(t *testing.T) {
 }
 
 // FuzzStoredOutcome feeds arbitrary bytes to the stored-form decoder, the
-// path every disk record takes.  No input may panic or make
-// the decoder allocate past the agent cap, and every accepted input must be
-// exactly what encoding the decoded outcome writes back, with one split
-// repeated across the agents.
+// path every disk record takes.  No input may panic, every accepted input
+// decodes to exactly one stage split, and it must be exactly what encoding
+// the decoded outcome writes back.
 func FuzzStoredOutcome(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out Outcome
 		if err := out.UnmarshalJSON(data); err != nil {
 			return
 		}
-		if cap(out.PerAgent) > maxStoredAgents {
-			t.Fatalf("decoded %d agents, above the cap of %d", cap(out.PerAgent), maxStoredAgents)
-		}
-		for i, sp := range out.PerAgent {
-			if sp != out.PerAgent[0] {
-				t.Fatalf("agent %d split %+v differs from agent 0's %+v", i, sp, out.PerAgent[0])
-			}
+		if len(out.PerAgent) != 1 {
+			t.Fatalf("accepted %q with %d stage splits", data, len(out.PerAgent))
 		}
 		again, err := json.Marshal(out)
 		if err != nil {

@@ -46,8 +46,8 @@ type Params struct {
 	Seed int64
 }
 
-// Split is one agent's per-stage round split: the stage vocabularies of the
-// two tasks side by side.  A task fills its own stages and leaves the other
+// Split is a run's per-stage round split: the stage vocabularies of the two
+// tasks side by side.  A task fills its own stages and leaves the other
 // task's zero (zero stages are omitted from record JSON).
 type Split struct {
 	// Coordination-pipeline stages (coordinate).
@@ -56,17 +56,20 @@ type Split struct {
 	Coordination, Discovery int
 }
 
-// Outcome is the frame-independent result of one verified task run.  Its
-// per-agent data is indexed by the ring indices of the frame the task ran in;
-// MapOutcome translates between frames.  JSON coding goes through the
-// compact stored form of stored.go, not a field-by-field object.
+// Outcome is the frame-independent result of one verified task run: every
+// field reads the same in every frame of the network's symmetry orbit.  JSON
+// coding goes through the compact stored form of stored.go, not a
+// field-by-field object.
 type Outcome struct {
 	// Rounds is the total round cost of the task.
 	Rounds int
 	// LeaderID is the identifier of the elected leader; 0 when the task
 	// elects none.
 	LeaderID int
-	// PerAgent holds the per-agent stage splits by ring index.
+	// PerAgent holds the run's one stage split: agents act in synchronised
+	// rounds, so every agent ends every stage in the same round (the facade
+	// checks it).  It is a slice only because bench/replay.go reads
+	// PerAgent[0]; it becomes a value with the next change to bench/.
 	PerAgent []Split
 	// Extra is always nil; kept only because bench/replay.go reads it; goes
 	// with the next change to bench/.  The stored form does not carry it.
@@ -102,41 +105,10 @@ type Spec interface {
 	// MapOutcome translates an outcome computed in the canonical frame of a
 	// symmetry orbit back into the frame described by m (the Map returned by
 	// canon.Canonicalize for the requesting configuration).  It must treat
-	// out as immutable — the value is shared with the memo cache — and
-	// return fresh slices/maps wherever the translation changes them.
+	// out as immutable — the value is shared with the memo cache.  Every
+	// field of an Outcome is frame-independent, so both tasks return out
+	// unchanged; the method stays because bench/ calls it.
 	MapOutcome(out Outcome, m canon.Map) Outcome
-}
-
-// Reframe translates the frame-indexed parts of an outcome from the
-// canonical frame into the original frame described by m: the agent at
-// original ring index i takes the per-agent data of canonical index
-// m.CanonIndex(i).  Scalar fields are unchanged.  It is the whole
-// MapOutcome implementation of both tasks.  An outcome holding exactly m.N identical splits is the
-// same in every frame and comes back unchanged; any other length is
-// permuted, so a split count that does not fit the ring fails loudly.
-func Reframe(out Outcome, m canon.Map) Outcome {
-	if m.Rotation == 0 && !m.Reflected || uniform(out.PerAgent, m.N) {
-		return out
-	}
-	per := make([]Split, len(out.PerAgent))
-	for i := range per {
-		per[i] = out.PerAgent[m.CanonIndex(i)]
-	}
-	out.PerAgent = per
-	return out
-}
-
-// uniform reports whether per holds exactly n copies of one split.
-func uniform(per []Split, n int) bool {
-	if len(per) != n {
-		return false
-	}
-	for _, sp := range per {
-		if sp != per[0] {
-			return false
-		}
-	}
-	return true
 }
 
 // specs is the whole catalogue, sorted by name: the paper's two tasks.

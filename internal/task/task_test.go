@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"ringsym/internal/canon"
 	"ringsym/internal/ring"
 )
 
@@ -82,32 +81,5 @@ func TestLookup(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("unknown-task error does not list %q: %v", name, err)
 		}
-	}
-}
-
-func TestReframe(t *testing.T) {
-	out := Outcome{Rounds: 7, PerAgent: []Split{{Leader: 1}, {Leader: 2}, {Leader: 3}, {Leader: 4}}}
-	id := Reframe(out, canon.Map{N: 4})
-	// Identity frames share the slice: the cached outcome must never be
-	// copied on the hot path.
-	if &id.PerAgent[0] != &out.PerAgent[0] {
-		t.Error("identity Reframe copied the per-agent slice")
-	}
-	m := canon.Map{N: 4, Rotation: 1}
-	rot := Reframe(out, m)
-	if &rot.PerAgent[0] == &out.PerAgent[0] {
-		t.Error("rotating Reframe aliased the shared per-agent slice")
-	}
-	for i := range rot.PerAgent {
-		if rot.PerAgent[i] != out.PerAgent[m.CanonIndex(i)] {
-			t.Errorf("agent %d: got split %+v, want canonical index %d's %+v",
-				i, rot.PerAgent[i], m.CanonIndex(i), out.PerAgent[m.CanonIndex(i)])
-		}
-	}
-	// n identical splits read the same in every frame, as a decoded stored
-	// outcome always does: they are shared, not copied.
-	same := Outcome{Rounds: 7, PerAgent: []Split{{Leader: 5}, {Leader: 5}, {Leader: 5}, {Leader: 5}}}
-	if got := Reframe(same, canon.Map{N: 4, Rotation: 3, Reflected: true}); &got.PerAgent[0] != &same.PerAgent[0] {
-		t.Error("Reframe copied an outcome of identical splits")
 	}
 }

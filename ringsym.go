@@ -202,28 +202,24 @@ type CoordinationOptions struct {
 	Seed int64
 }
 
-// AgentCoordination is one agent's coordination outcome.
-type AgentCoordination struct {
-	ID               int
-	IsLeader         bool
-	RoundsNontrivial int
-	RoundsAgreement  int
-	RoundsLeader     int
-}
-
 // CoordinationResult aggregates a coordination run.
 type CoordinationResult struct {
 	// Rounds is the total number of rounds used.
 	Rounds int
 	// LeaderID is the identifier of the elected leader.
 	LeaderID int
-	// PerAgent holds the per-agent outcomes by ring index.
-	PerAgent []AgentCoordination
+	// RoundsNontrivial, RoundsAgreement and RoundsLeader split Rounds by
+	// stage.  Agents act in synchronised rounds, so every agent ends every
+	// stage in the same round and the split belongs to the run.
+	RoundsNontrivial int
+	RoundsAgreement  int
+	RoundsLeader     int
 }
 
 // Coordinate solves the three coordination problems of the paper (nontrivial
 // move, direction agreement, leader election) on every agent and verifies
-// that exactly one leader was elected.  It runs the Coordinate pipeline of
+// that exactly one leader was elected and that every agent reports the same
+// stage split.  It runs the Coordinate pipeline of
 // the network's cell (CellOf): with CommonSense, Lemma 13 and Lemma 10;
 // without, a nontrivial move (Corollary 18 for odd n, Theorem 27's schedule
 // for even n, NMoveS in the perceptive model), then Algorithm 1 and
@@ -242,15 +238,13 @@ func (n *Network) CoordinateContext(ctx context.Context, opts CoordinationOption
 	if err != nil {
 		return nil, err
 	}
-	res := &CoordinationResult{Rounds: run.Rounds, PerAgent: make([]AgentCoordination, len(run.Outputs))}
+	first := run.Outputs[0]
+	res := &CoordinationResult{Rounds: run.Rounds, RoundsNontrivial: first.RoundsNontrivial,
+		RoundsAgreement: first.RoundsAgreement, RoundsLeader: first.RoundsLeader}
 	leaders := 0
 	for i, c := range run.Outputs {
-		res.PerAgent[i] = AgentCoordination{
-			ID:               n.nw.IDOf(i),
-			IsLeader:         c.IsLeader,
-			RoundsNontrivial: c.RoundsNontrivial,
-			RoundsAgreement:  c.RoundsAgreement,
-			RoundsLeader:     c.RoundsLeader,
+		if c.RoundsNontrivial != first.RoundsNontrivial || c.RoundsAgreement != first.RoundsAgreement || c.RoundsLeader != first.RoundsLeader {
+			return nil, fmt.Errorf("%w: agent %d's stage split differs from agent 0's", ErrVerification, i)
 		}
 		if c.IsLeader {
 			leaders++
@@ -281,15 +275,16 @@ type AgentDiscovery struct {
 	// clockwise direction) from the agent's initial position to the initial
 	// position of the agent at ring distance t from it.
 	Positions []int64
-	// RoundsCoordination and RoundsDiscovery split the cost.
-	RoundsCoordination int
-	RoundsDiscovery    int
 }
 
 // DiscoveryResult aggregates a location-discovery run.
 type DiscoveryResult struct {
-	Rounds   int
-	PerAgent []AgentDiscovery
+	Rounds int
+	// RoundsCoordination and RoundsDiscovery split Rounds by stage, as
+	// CoordinationResult's stage fields do.
+	RoundsCoordination int
+	RoundsDiscovery    int
+	PerAgent           []AgentDiscovery
 	// StartPositions are the agents' positions (ticks, by ring index) at the
 	// moment the discovery protocol started; the reported maps are relative
 	// to these.  They coincide with the initial positions unless other
@@ -300,7 +295,8 @@ type DiscoveryResult struct {
 // DiscoverLocations solves location discovery with the Discover pipeline of
 // the network's cell (CellOf): Lemma 16's sweep after coordination, or
 // Theorem 42 in the perceptive model with even n.  It verifies every
-// agent's answer against the simulator's ground truth.  In the basic model
+// agent's answer against the simulator's ground truth, and that every agent
+// reports the same stage split.  In the basic model
 // with even n it fails with discovery.ErrNotSolvable (Lemma 5).
 func (n *Network) DiscoverLocations(opts DiscoveryOptions) (*DiscoveryResult, error) {
 	return n.DiscoverLocationsContext(context.Background(), opts)
@@ -317,15 +313,18 @@ func (n *Network) DiscoverLocationsContext(ctx context.Context, opts DiscoveryOp
 	if err != nil {
 		return nil, err
 	}
-	res := &DiscoveryResult{Rounds: run.Rounds, PerAgent: make([]AgentDiscovery, len(run.Outputs)), StartPositions: start}
+	first := run.Outputs[0]
+	res := &DiscoveryResult{Rounds: run.Rounds, RoundsCoordination: first.RoundsCoordination,
+		RoundsDiscovery: first.RoundsDiscovery, PerAgent: make([]AgentDiscovery, len(run.Outputs)), StartPositions: start}
 	for i, r := range run.Outputs {
+		if r.RoundsCoordination != first.RoundsCoordination || r.RoundsDiscovery != first.RoundsDiscovery {
+			return nil, fmt.Errorf("%w: agent %d's stage split differs from agent 0's", ErrVerification, i)
+		}
 		res.PerAgent[i] = AgentDiscovery{
-			ID:                 n.nw.IDOf(i),
-			IsLeader:           r.IsLeader,
-			N:                  r.N,
-			Positions:          r.Positions,
-			RoundsCoordination: r.RoundsCoordination,
-			RoundsDiscovery:    r.RoundsDiscovery,
+			ID:        n.nw.IDOf(i),
+			IsLeader:  r.IsLeader,
+			N:         r.N,
+			Positions: r.Positions,
 		}
 	}
 	if err := n.VerifyDiscovery(res); err != nil {

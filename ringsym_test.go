@@ -115,20 +115,17 @@ func TestRandomNetworkAndCoordinate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("model=%v n=%d: %v", model, n, err)
 			}
-			if res.LeaderID == 0 || res.Rounds <= 0 || len(res.PerAgent) != n {
+			if res.LeaderID == 0 || res.Rounds <= 0 || res.RoundsLeader <= 0 {
 				t.Fatalf("model=%v n=%d: malformed result %+v", model, n, res)
 			}
 			leaders := 0
-			for _, a := range res.PerAgent {
-				if a.IsLeader {
+			for i := 0; i < n; i++ {
+				if nw.IDOf(i) == res.LeaderID {
 					leaders++
-					if a.ID != res.LeaderID {
-						t.Error("LeaderID mismatch")
-					}
 				}
 			}
 			if leaders != 1 {
-				t.Fatalf("model=%v n=%d: %d leaders", model, n, leaders)
+				t.Fatalf("model=%v n=%d: leader ID %d held by %d agents", model, n, res.LeaderID, leaders)
 			}
 		}
 	}
