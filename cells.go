@@ -93,9 +93,10 @@ func (c *Cell) Bound(p Problem, n, idBound int) (float64, string) {
 }
 
 // CoordinateMachine returns agent a's machine for the cell's Coordinate
-// pipeline, for engine.Run; seed drives the pseudo-random schedules.  The
-// machine and its result are the agent's kept state (engine.MachineSlot),
-// valid until the agent's next run.
+// pipeline, for engine.RunConsume; seed drives the pseudo-random schedules.
+// The machine and its result are the agent's kept state
+// (engine.MachineSlot), valid until the run hands its arena back: read the
+// result in RunConsume's consume step.
 func (c *Cell) CoordinateMachine(a *Agent, seed int64) *engine.Proto[*core.Coordination] {
 	return coordinations.New(a, seeded[*core.Coordination]{c.Coordinate.step, seed})
 }

@@ -284,12 +284,13 @@ func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) Record {
 }
 
 // Slot is a network-reuse slot: one facade network, reset in place for every
-// scenario run on the slot, so the ring state, agent objects and their grown
-// scratch buffers survive from one scenario to the next instead of being
-// rebuilt per scenario.  A slot is single-threaded: whoever holds it (a sweep
-// worker for its whole shift, a goroutine of a ringd /v1/campaign request
-// for the whole request) is the only caller of its Run.  The zero value is
-// an empty slot, ready for use.
+// scenario run on the slot, so the ring state and agent objects survive from
+// one scenario to the next instead of being rebuilt per scenario.  (The
+// agents' scratch buffers and protocol state live in the run arenas, which
+// fresh networks share too.)  A slot is single-threaded: whoever holds it (a
+// sweep worker for its whole shift, a goroutine of a ringd /v1/campaign
+// request for the whole request) is the only caller of its Run.  The zero
+// value is an empty slot, ready for use.
 type Slot struct{ nw *ringsym.Network }
 
 // Run is RunScenarioContext on the slot: it prepares the scenario and runs
@@ -301,10 +302,10 @@ func (slot *Slot) Run(ctx context.Context, sc Scenario, opts Options) Record {
 // RunPrepared finishes a prepared scenario by running its task: an uncached
 // scenario runs on the slot's network (see acquireNetwork), and a nil slot
 // builds a fresh network.  A cached computation runs through the cache's
-// singleflight, on this goroutine when it leads, and always on a fresh
-// network: the benchmark's traced replay times cached computes on fresh
-// networks, and they move onto the slot together with it (ROADMAP item 1).
-// Record.Wall counts the preparation too, wherever it ran.
+// singleflight, on this goroutine when it leads, on a fresh network: the
+// protocol state comes warm from the run arenas either way (engine.Run), so
+// the slot would save only the network object.  Record.Wall counts the
+// preparation too, wherever it ran.
 func (slot *Slot) RunPrepared(ctx context.Context, p Prepared) Record {
 	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
 	start := time.Now()

@@ -38,6 +38,9 @@ var never = make(chan struct{})
 // same slot: each must give exactly the record a fresh network gives.  The
 // scenarios are the golden grid's longest per task × model × parity, in a
 // fixed order, so the slot also changes size, model and task between runs.
+// Fresh networks take their protocol state from the same run arenas as the
+// slot's, so they are no independent oracle for it; engine's
+// TestArenaReuseMatchesNeverUsedArenas compares against never-used arenas.
 func TestSlotRunAfterCancelledRun(t *testing.T) {
 	scs, err := goldenGrid.Expand()
 	if err != nil {

@@ -24,7 +24,7 @@ type Coordination struct {
 
 // CoordinateFunc is the shape of a coordination pipeline: run on a's
 // PipelineFrame, with seed for its pseudo-random schedules, it hands k the
-// agent's Coordination, valid until the agent's next run.
+// agent's Coordination, the agent's kept state, valid until the run ends.
 type CoordinateFunc func(a *engine.Agent, seed int64, k func(*Coordination) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont)
 
 // CoordinateOddStep solves nontrivial move, direction agreement and leader

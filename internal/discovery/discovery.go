@@ -63,13 +63,14 @@ func PerceptiveStep(a *engine.Agent, seed int64, k func(*Result) (engine.Yield, 
 
 // onPerceptive completes PerceptiveStep.
 func (s *sweep) onPerceptive(r *perceptive.DiscoveryResult) (engine.Yield, engine.Cont) {
-	return s.k(&Result{
+	s.res = Result{
 		IsLeader:           r.IsLeader,
 		N:                  r.N,
 		Positions:          r.Positions,
 		RoundsCoordination: r.RoundsCoordination + r.RoundsRingDist,
 		RoundsDiscovery:    r.RoundsDistances,
-	})
+	}
+	return s.k(&s.res)
 }
 
 // SweepStep implements Lemma 16: once the coordinate pipeline (run with
@@ -94,8 +95,9 @@ func SweepStep(a *engine.Agent, coordinate core.CoordinateFunc, seed int64, step
 // identifier bound is far above n.
 const maxVisitedPrealloc = 1024
 
-// sweeps keeps every agent's discovery state, so that its callbacks and its
-// visited list's capacity carry over to the agent's next run.
+// sweeps keeps every agent's discovery state, so that its callbacks, its
+// visited list's capacity and its result carry over to the next run.  The
+// result a step hands k is that state: valid until the run ends.
 var sweeps = engine.NewSlot[sweep]()
 
 // sweep is the state of one SweepStep call; PerceptiveStep uses only its k.
@@ -110,6 +112,8 @@ type sweep struct {
 	begin       int64   // the frame displacement before the sweep
 	batch       int     // the size of the batch in flight
 	visited     []int64 // displacements of the slots visited, in sweep order
+	positions   []int64 // the result's positions
+	res         Result  // the result handed to k
 	startFn     func(*core.Coordination) (engine.Yield, engine.Cont)
 	onTraceFn   func([]engine.Observation) (engine.Yield, engine.Cont)
 
@@ -197,18 +201,22 @@ func (s *sweep) onTrace(trace []engine.Observation) (engine.Yield, engine.Cont) 
 	if s.step == 2 {
 		inv = (n + 1) / 2 // inverse of 2 modulo odd n
 	}
-	positions := make([]int64, n)
+	if cap(s.positions) < n {
+		s.positions = make([]int64, n)
+	}
+	positions := s.positions[:n]
 	for t := 0; t < n; t++ {
 		j := (selfStep + t*inv) % n
 		positions[t] = ((visited[j]-visited[selfStep])%full + full) % full
 	}
-	return s.k(&Result{
+	s.res = Result{
 		IsLeader:           s.coord.IsLeader,
 		N:                  n,
 		Positions:          positions,
 		RoundsCoordination: s.coordRounds,
 		RoundsDiscovery:    f.RoundsUsed() - s.coordRounds,
-	})
+	}
+	return s.k(&s.res)
 }
 
 // LowerBoundRounds returns the worst-case lower bound of Lemma 6 on the

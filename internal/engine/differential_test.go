@@ -36,13 +36,17 @@ func differential[T, P any](t *testing.T, opt netgen.Options, build func(a *engi
 		if nets[i], err = engine.New(cfg); err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Run(context.Background(), nets[i], b)
-		errs[i] = err
-		if err == nil {
-			for _, o := range res.Outputs {
-				outs[i] = append(outs[i], project(o))
+		// The outputs point into the run's kept state: project them while
+		// the run holds its arena.
+		outs[i], errs[i] = engine.RunConsume(context.Background(), nets[i], b, func(res *engine.Result[T], err error) ([]P, error) {
+			var out []P
+			if err == nil {
+				for _, o := range res.Outputs {
+					out = append(out, project(o))
+				}
 			}
-		}
+			return out, err
+		})
 	}
 	if nets[0].Rounds() != nets[1].Rounds() {
 		t.Fatalf("%+v: rounds leap=%d split=%d", opt, nets[0].Rounds(), nets[1].Rounds())

@@ -17,8 +17,9 @@
 // next yield, executes the crossing inline through the leap executor
 // (exec.go) and resumes the machines with their observations, with no
 // goroutine per agent and no synchronisation in the round loop.  Each run
-// borrows its scratch arena from one internal pool, so callers hold no
-// scheduler state and pass none through a context.
+// borrows its arena — scratch columns and the agents' kept protocol state —
+// from one internal free list, so callers hold no scheduler state and pass
+// none through a context.
 package engine
 
 import (
@@ -115,7 +116,9 @@ type Observation struct {
 // Network owns the objective ring state and coordinates rounds.  A Network
 // supports at most one run at a time: a concurrent Run on the same Network
 // fails with ErrRunInProgress instead of corrupting the shared state.
-// Sequential runs reuse the same agent handles and their scratch buffers.
+// Sequential runs reuse the same agent handles; the agents' scratch buffers
+// and kept protocol state come from the run's arena (sched.go), so a fresh
+// network computes from warm state too.
 // The zero Network has no configuration until Reset gives it one.
 type Network struct {
 	cfg     Config
@@ -147,19 +150,12 @@ type Agent struct {
 	rounds     int
 	disp       int64
 
-	// Scratch buffers reused across batched submissions: objBuf receives the
-	// executor-written objective observations, dirBuf holds the objective
-	// translation of a schedule.  Both stay stable while the agent's batch is
-	// pending, which is the only time the executor reads them.  resBuf holds
-	// the own-frame translation of the trace a machine is resumed with
-	// (fsm.go); it is valid until the machine's next yield.
-	objBuf []ring.Observation
-	dirBuf []ring.Direction
-	resBuf []Observation
-
-	// kept holds the protocol packages' per-agent state by Slot index
-	// (keep.go); like the buffers above it survives runs and Reset.
-	kept []any
+	// col is the state the agent keeps from run to run: its scratch buffers
+	// and the protocol packages' kept state (sched.go's column).  Like slot
+	// it belongs to the run's arena, which hands column idx to the agent when
+	// the run starts and takes it back when the run ends; it is nil between
+	// runs.
+	col *column
 
 	// slot is the agent's single pending-batch slot: the Yield* builders
 	// (fsm.go) write the next submission there and return a handle to it, so
@@ -181,12 +177,12 @@ func New(cfg Config) (*Network, error) {
 }
 
 // Reset validates cfg and (re)initialises the network in place, reusing the
-// ring state, agent objects (with their grown scratch buffers) and ID index
-// of the previous configuration, if any; New is Reset on a zero Network, so
-// the two share one validation.  On error the network may be left partially
-// updated and must be discarded; Reset is for scenario sweeps over trusted
-// generators, where rebuilding a complete network object per scenario is pure
-// allocation overhead.  Reset must not be called while a run is in flight.
+// ring state, agent objects and ID index of the previous configuration, if
+// any; New is Reset on a zero Network, so the two share one validation.  On
+// error the network may be left partially updated and must be discarded;
+// Reset is for scenario sweeps over trusted generators, where rebuilding a
+// complete network object per scenario is pure allocation overhead.  Reset
+// must not be called while a run is in flight.
 func (nw *Network) Reset(cfg Config) error {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -430,10 +426,11 @@ func (a *Agent) objDisp(own int64) int64 {
 
 // obsScratch returns the agent-owned objective observation buffer, sized k.
 func (a *Agent) obsScratch(k int) []ring.Observation {
-	if cap(a.objBuf) < k {
-		a.objBuf = make([]ring.Observation, k)
+	c := a.col
+	if cap(c.objBuf) < k {
+		c.objBuf = make([]ring.Observation, k)
 	}
-	return a.objBuf[:k]
+	return c.objBuf[:k]
 }
 
 // absorb translates one objective observation into the agent's frame and
@@ -463,8 +460,8 @@ func (a *Agent) finishTrace(executed int, dst []Observation) []Observation {
 		dst = make([]Observation, executed)
 	}
 	dst = dst[:executed]
-	for j := 0; j < executed; j++ {
-		dst[j] = a.absorb(a.objBuf[j])
+	for j, rep := range a.col.objBuf[:executed] {
+		dst[j] = a.absorb(rep)
 	}
 	return dst
 }

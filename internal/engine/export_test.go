@@ -81,3 +81,11 @@ func SplitBatches[T any](build func(a *Agent) *Proto[T]) func(a *Agent) *Proto[T
 		})
 	}
 }
+
+// UseFreshArenas makes every run take a never-used arena until the returned
+// function restores the free list: the independent oracle of the reuse
+// tests.  The caller must not run protocols concurrently with the switch.
+func UseFreshArenas() (restore func()) {
+	testFreshArenas = true
+	return func() { testFreshArenas = false }
+}

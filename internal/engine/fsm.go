@@ -227,16 +227,17 @@ func (a *Agent) YieldRoundUntil(dir ring.Direction, target int64, k int) Yield {
 // constant-direction stretches of the schedule, and resumes it with the
 // per-round trace.  Schedules of different agents need not agree — the
 // executor splits the leap wherever batch lengths or directions require.  The
-// schedule is translated into an agent-owned scratch buffer, so the caller's
+// schedule is translated into the agent's scratch buffer, so the caller's
 // slice is never retained.
 func (a *Agent) YieldSchedule(dirs []ring.Direction) Yield {
 	if len(dirs) == 0 {
 		return Yield{abort: fmt.Errorf("engine: %w: empty schedule", ring.ErrBadRoundCount)}
 	}
-	if cap(a.dirBuf) < len(dirs) {
-		a.dirBuf = make([]ring.Direction, len(dirs))
+	c := a.col
+	if cap(c.dirBuf) < len(dirs) {
+		c.dirBuf = make([]ring.Direction, len(dirs))
 	}
-	sched := a.dirBuf[:len(dirs)]
+	sched := c.dirBuf[:len(dirs)]
 	for i, d := range dirs {
 		if err := a.checkDir(d); err != nil {
 			return Yield{abort: err}
@@ -263,6 +264,7 @@ func (a *Agent) settle(bt *batch, executed int, agg int64) Resume {
 		a.disp = (a.disp + own) % a.fullCircle
 		return Resume{Sum: own}
 	}
-	a.resBuf = a.finishTrace(executed, a.resBuf)
-	return Resume{Obs: a.resBuf}
+	c := a.col
+	c.resBuf = a.finishTrace(executed, c.resBuf)
+	return Resume{Obs: c.resBuf}
 }

@@ -143,9 +143,9 @@ func TestDirectDispatchMatchesLegacy(t *testing.T) {
 
 // TestPooledArenaCarriesNothing pins release: one network is driven through
 // three failing runs — cancelled mid-protocol, a panicking machine, an
-// exceeded round budget — and after each one the arenas in the pool hold no
-// machine, step error, pending batch or network, and the network, Reset,
-// runs exactly like a fresh one.  Two goroutines run it at once, each with
+// exceeded round budget — and after each one the arenas on the free list
+// hold no machine, step error, pending batch or network, and the network,
+// Reset, runs exactly like a fresh one.  Two goroutines run it at once, each with
 // its own network, so arenas move between goroutines under -race.
 func TestPooledArenaCarriesNothing(t *testing.T) {
 	failures := []struct {
@@ -235,11 +235,11 @@ func TestPooledArenaCarriesNothing(t *testing.T) {
 	wg.Wait()
 }
 
-// pooledArenaLeftovers borrows an arena from the pool, describes anything a
-// finished run left in it, and returns it.
+// pooledArenaLeftovers borrows an arena from the free list, describes
+// anything a finished run left in it, and returns it.
 func pooledArenaLeftovers() string {
-	b := arenaPool.Get().(*arena)
-	defer arenaPool.Put(b)
+	b := getArena()
+	defer putArena(b)
 	if b.x.nw != nil {
 		return "the arena still references a network"
 	}

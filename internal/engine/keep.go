@@ -2,38 +2,44 @@ package engine
 
 import "sync/atomic"
 
-// Slot names one piece of per-agent protocol state that an Agent keeps across
-// runs and Network.Reset, the way it keeps its own observation and schedule
-// buffers: Of returns the same *T for the same agent every time.  A protocol
-// package that takes its per-run state from a slot — and binds the method
-// values its continuations need once, into that state — allocates it once per
-// agent of a reused network instead of once per run.
+// Slot names one piece of per-agent protocol state that a run keeps for each
+// ring index, the way it keeps the agent's observation and schedule buffers:
+// Of returns the same value for a ring index within a run.  The state lives
+// in the run's arena (sched.go), not on the network, so it carries over from
+// run to run — on a reused network or a fresh one — and a protocol package
+// that takes its per-run state from a slot, and binds the method values its
+// continuations need once into that state, allocates it once per arena
+// column instead of once per run.
 //
-// The caller re-initialises what it reuses when a run starts.  Only the run in
-// progress on the agent's network touches the value, so it needs no
-// synchronisation; anything a run hands out of it (a machine's result) is
-// valid until the agent's next run.  Create slots in package variables.
+// The caller re-initialises what it reuses when a run starts: the value may
+// last have served another agent of another network.  Only the run in
+// progress touches it, so it needs no synchronisation; anything a run hands
+// out of it (a machine's result) is valid until Run hands the arena back, so
+// read such outputs in RunConsume's consume step.  Create slots in package
+// variables, and call Of only during a run (from a build function or a
+// machine step).
 type Slot[T any] struct{ i int }
 
-// slots counts the slots created so far; slot i is index i of Agent.kept.
+// slots counts the slots created so far; slot i is index i of column.kept.
 var slots atomic.Int32
 
 // NewSlot creates a slot.
 func NewSlot[T any]() Slot[T] { return Slot[T]{i: int(slots.Add(1)) - 1} }
 
-// Of returns a's value for the slot, zero on the agent's first use of it.
+// Of returns a's value for the slot, zero on the column's first use of it.
 func (s Slot[T]) Of(a *Agent) *T {
-	if s.i >= len(a.kept) {
-		// At least double, so that an agent's table grows a few times in its
-		// life at most, but cover only the slots that exist: a fresh
-		// network's agents pay for the slots their protocols use.
-		n := min(max(s.i+1, 2*len(a.kept)), int(slots.Load()))
-		a.kept = append(a.kept, make([]any, n-len(a.kept))...)
+	c := a.col
+	if s.i >= len(c.kept) {
+		// At least double, so that a column's table grows a few times in its
+		// life at most, but cover only the slots that exist: a fresh column
+		// pays for the slots its protocols use.
+		n := min(max(s.i+1, 2*len(c.kept)), int(slots.Load()))
+		c.kept = append(c.kept, make([]any, n-len(c.kept))...)
 	}
-	v, _ := a.kept[s.i].(*T)
+	v, _ := c.kept[s.i].(*T)
 	if v == nil {
 		v = new(T)
-		a.kept[s.i] = v
+		c.kept[s.i] = v
 	}
 	return v
 }
@@ -42,8 +48,9 @@ func (s Slot[T]) Of(a *Agent) *T {
 // agent with options O, ending the machine with the value it hands its
 // continuation — from per-agent kept state: the Proto, the closures binding
 // the agent and options to step, and the callbacks are allocated on the
-// agent's first run only.  The machine New returns is the same object on
-// every run of the agent, so it must not be used once the agent runs again.
+// arena column's first run only.  The machine New returns is the same object
+// on every run that borrows the column, so it and its result must not be
+// used once Run has handed the arena back.
 type MachineSlot[T, O any] struct {
 	slot Slot[keptMachine[T, O]]
 	step func(a *Agent, opts O, k func(T) (Yield, Cont)) (Yield, Cont)

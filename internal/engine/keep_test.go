@@ -24,55 +24,69 @@ var (
 	})
 )
 
-// TestKeptStateSurvivesRunsAndReset checks the Slot contract: Of returns the
-// same value for one agent across runs and Network.Reset, and distinct
-// values for distinct agents; a MachineSlot hands an agent the same machine
-// every run, re-armed, whose result is that run's.
+// TestKeptStateSurvivesRunsAndReset checks the Slot contract: within a run
+// Of returns the same value for an agent every time and distinct values for
+// distinct agents; across sequential runs the value stays with the arena's
+// column, through Network.Reset and onto a fresh network, and a MachineSlot
+// hands the column's agent the same machine every run, re-armed, whose
+// result is that run's.  On never-used arenas (testFreshArenas) every run
+// starts from zero state.
 func TestKeptStateSurvivesRunsAndReset(t *testing.T) {
-	nw, err := New(testConfig(ring.Basic, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var protos []*Proto[int]
-	for r := 1; r <= 3; r++ {
-		if r == 3 {
-			if err := nw.Reset(testConfig(ring.Lazy, nil)); err != nil {
+	for _, fresh := range []bool{false, true} {
+		testFreshArenas = fresh
+		var nw *Network
+		var protos []*Proto[int]
+		for r := 1; r <= 4; r++ {
+			var err error
+			switch r {
+			case 1, 4: // run 4 is on a fresh network
+				nw, err = New(testConfig(ring.Basic, nil))
+			case 3:
+				err = nw.Reset(testConfig(ring.Lazy, nil))
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		var built []*Proto[int]
-		res, err := run(nw, func(a *Agent) *Proto[int] {
-			p := keepMachines.New(a, r-1)
-			built = append(built, p)
-			return p
-		})
-		if err != nil {
-			t.Fatalf("run %d: %v", r, err)
-		}
-		if res.Rounds != r-1 {
-			t.Errorf("run %d: %d rounds, want %d", r, res.Rounds, r-1)
-		}
-		for i, out := range res.Outputs {
-			if want := nw.IDOf(i)*100 + r; out != want {
-				t.Errorf("run %d, agent %d: result %d, want %d", r, i, out, want)
+			var built []*Proto[int]
+			owner := map[*keepCounter]int{}
+			res, err := run(nw, func(a *Agent) *Proto[int] {
+				c := keepCounters.Of(a)
+				if c != keepCounters.Of(a) {
+					t.Errorf("run %d, agent %d: Of returned two values in one run", r, len(built))
+				}
+				if j, dup := owner[c]; dup {
+					t.Errorf("run %d: agents %d and %d share kept state", r, j, len(built))
+				}
+				owner[c] = len(built)
+				p := keepMachines.New(a, r-1)
+				built = append(built, p)
+				return p
+			})
+			if err != nil {
+				t.Fatalf("fresh arenas %v, run %d: %v", fresh, r, err)
 			}
-		}
-		if protos == nil {
-			protos = built
-			continue
-		}
-		for i, p := range built {
-			if p != protos[i] {
-				t.Errorf("run %d, agent %d: a new machine, want the kept one", r, i)
+			if res.Rounds != r-1 {
+				t.Errorf("fresh arenas %v, run %d: %d rounds, want %d", fresh, r, res.Rounds, r-1)
+			}
+			runs := r
+			if fresh {
+				runs = 1
+			}
+			for i, out := range res.Outputs {
+				if want := nw.IDOf(i)*100 + runs; out != want {
+					t.Errorf("fresh arenas %v, run %d, agent %d: result %d, want %d", fresh, r, i, out, want)
+				}
+			}
+			if protos == nil || fresh {
+				protos = built
+				continue
+			}
+			for i, p := range built {
+				if p != protos[i] {
+					t.Errorf("run %d, agent %d: a new machine, want the kept one", r, i)
+				}
 			}
 		}
 	}
-	seen := map[*keepCounter]bool{}
-	for _, a := range nw.agents {
-		c := keepCounters.Of(a)
-		if seen[c] {
-			t.Fatal("two agents share kept state")
-		}
-		seen[c] = true
-	}
+	testFreshArenas = false
 }

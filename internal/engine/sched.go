@@ -7,34 +7,107 @@
 // synchronisation-free by construction (ringvet's fsmguard analyzer holds
 // protocol code to the same standard).
 //
-// Each run borrows its arena (machine, step-error and pending-slot columns
-// indexed by ring index, plus the leap executor's buffers) from one
-// process-wide pool and returns it cleared, so a sweep of small-n scenarios
-// reuses warm arrays without any caller holding scheduler state.
+// Each run borrows its arena from one process-wide free list and returns it
+// cleared of the run's machines and network.  The arena holds every column a
+// run touches, indexed by ring index: the machine, step-error and
+// pending-slot columns, the leap executor's buffers, and the state an agent
+// keeps from run to run (its scratch buffers and the protocol packages' kept
+// state, keep.go), which prepare hands to the agents and release takes back.
+// So a sweep of small-n scenarios reuses warm state without any caller
+// holding scheduler state, and a fresh network computes as cheaply as a
+// reused one.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+
+	"ringsym/internal/ring"
 )
 
 // arena is the scheduler's structure-of-arrays scratch: every per-agent
 // column a run touches, resized (capacity-reusing) per run.  An arena belongs
-// to one run at a time: Run takes it from arenaPool and puts it back once
-// release has dropped everything the run left in it.
+// to one run at a time: Run takes it from the free list and puts it back once
+// release has dropped the run's machines and network.
 type arena struct {
 	x        leapExec  // pending slots + crossing executor
 	machines []Machine // live machines by ring index; nil once terminated
 	stepErr  []error   // terminal step failures (panics, malformed yields)
+	cols     []column  // the agents' kept state by ring index
 }
 
-// arenaPool lends every Run its arena.
-var arenaPool = sync.Pool{New: func() any { return new(arena) }}
+// column is what agent i of a run keeps from run to run, lent by the arena
+// for the run (Agent.col).  objBuf receives the executor-written objective
+// observations and dirBuf holds the objective translation of a schedule;
+// both stay stable while the agent's batch is pending, which is the only time
+// the executor reads them.  resBuf holds the own-frame translation of the
+// trace a machine is resumed with (fsm.go); it is valid until the machine's
+// next yield.  kept holds the protocol packages' state by Slot index
+// (keep.go).
+type column struct {
+	objBuf []ring.Observation
+	dirBuf []ring.Direction
+	resBuf []Observation
+	kept   []any
+}
 
-// prepare (re)sizes the arena for a run on nw, reusing capacity, and points
-// every agent's pending slot at its entry of the executor's pending column.
+// The free list of arenas.  It keeps at most 2×GOMAXPROCS arenas, enough
+// for every scheduler goroutine that can run at once plus one waiting each,
+// and none with more than maxArenaCols columns: kept state grows with n per
+// column, so an arena that once ran n = 2048 holds about n² words.  A mutex
+// list, not a sync.Pool: the race build's sync.Pool drops one Put in four,
+// and it empties on every other GC, so a sweep would rebuild its warm state
+// from nothing again and again.  An idle arena's kept state may still point
+// at the last network it ran (a frame names its agent) until its next run;
+// the two bounds cap what that keeps alive.
+var arenas struct {
+	mu   sync.Mutex
+	free []*arena
+}
+
+// maxArenaCols is the most columns an arena on the free list may hold.
+const maxArenaCols = 256
+
+// testFreshArenas makes every run take a never-used arena and drop it
+// afterwards: the independent oracle of the reuse tests.
+var testFreshArenas bool
+
+// getArena takes the most recently returned arena, or a new one.
+func getArena() *arena {
+	if testFreshArenas {
+		return new(arena)
+	}
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	k := len(arenas.free)
+	if k == 0 {
+		return new(arena)
+	}
+	b := arenas.free[k-1]
+	arenas.free[k-1] = nil
+	arenas.free = arenas.free[:k-1]
+	return b
+}
+
+// putArena returns a released arena to the free list, unless the list is
+// full or the arena too wide to keep.
+func putArena(b *arena) {
+	if testFreshArenas || cap(b.cols) > maxArenaCols {
+		return
+	}
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	if len(arenas.free) < 2*runtime.GOMAXPROCS(0) {
+		arenas.free = append(arenas.free, b)
+	}
+}
+
+// prepare (re)sizes the arena for a run on nw, reusing capacity, and lends
+// every agent its pending slot in the executor's pending column and its kept
+// state.  Columns beyond n keep their state for a later, larger run.
 func (b *arena) prepare(nw *Network) {
 	b.x.init(nw)
 	n := nw.N()
@@ -42,18 +115,26 @@ func (b *arena) prepare(nw *Network) {
 		b.machines = make([]Machine, n)
 		b.stepErr = make([]error, n)
 	}
+	if cap(b.cols) < n {
+		cols := make([]column, n)
+		copy(cols, b.cols[:cap(b.cols)])
+		b.cols = cols
+	}
 	b.machines = b.machines[:n]
 	b.stepErr = b.stepErr[:n]
-	for i := 0; i < n; i++ {
+	b.cols = b.cols[:n]
+	for i, a := range nw.agents {
 		b.machines[i] = nil
 		b.stepErr[i] = nil
-		nw.agents[i].slot = &b.x.pend[i].batch
+		a.slot = &b.x.pend[i].batch
+		a.col = &b.cols[i]
 	}
 }
 
-// release drops the references a finished run left in the arena so a pooled
-// arena does not retain protocol state or the network across runs, and hands
-// the agents back their own pending slots.
+// release drops the references a finished run left in the arena's machine
+// and pending columns, takes the agents' pending slots and kept state back,
+// and returns the arena to the free list.  The kept state stays: the next
+// run re-initialises what it reuses (keep.go).
 func (b *arena) release() {
 	for i := range b.machines {
 		b.machines[i] = nil
@@ -62,8 +143,10 @@ func (b *arena) release() {
 	}
 	for _, a := range b.x.nw.agents {
 		a.slot = nil
+		a.col = nil
 	}
 	b.x.nw = nil
+	putArena(b)
 }
 
 // stepMachine advances machine i with in: a yield is recorded in the arena and
@@ -196,24 +279,35 @@ func (b *arena) run(ctx context.Context, nw *Network) error {
 // (indexed by ring index) and the number of rounds consumed; the run-level
 // failure (max rounds, broken network, cancellation) and the per-agent
 // protocol errors are joined into a single error.  Cancellation is honoured
-// between crossings; a context already done refuses to start the run.
+// between crossings; a context already done refuses to start the run.  Run
+// hands the run's arena back before it returns, so outputs that point into
+// the agents' kept state (Slot, MachineSlot) must be read with RunConsume
+// instead.
 func Run[T any](ctx context.Context, nw *Network, build func(a *Agent) *Proto[T]) (*Result[T], error) {
+	return RunConsume(ctx, nw, build, func(res *Result[T], err error) (*Result[T], error) { return res, err })
+}
+
+// RunConsume is Run with a consume step: once every machine has terminated,
+// consume receives the run's result and joined error while the run still
+// holds its arena, so it may read outputs that point into the agents' kept
+// state, which are valid until the arena goes back.  RunConsume returns what
+// consume returns; a run that does not start returns the zero R and its
+// error without calling consume.
+func RunConsume[T, R any](ctx context.Context, nw *Network, build func(a *Agent) *Proto[T], consume func(*Result[T], error) (R, error)) (R, error) {
+	var zero R
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine: run not started: %w", err)
+		return zero, fmt.Errorf("engine: run not started: %w", err)
 	}
 	if err := nw.beginRun(); err != nil {
-		return nil, err
+		return zero, err
 	}
 	defer nw.endRun()
 
 	n := nw.N()
 	startRounds := nw.state.Rounds()
-	b := arenaPool.Get().(*arena)
+	b := getArena()
 	b.prepare(nw)
-	defer func() {
-		b.release()
-		arenaPool.Put(b)
-	}()
+	defer b.release()
 
 	protos := make([]*Proto[T], n)
 	for i := 0; i < n; i++ {
@@ -239,5 +333,5 @@ func Run[T any](ctx context.Context, nw *Network, build func(a *Agent) *Proto[T]
 		}
 	}
 	res := &Result[T]{Rounds: nw.state.Rounds() - startRounds, Outputs: outputs}
-	return res, errors.Join(failed...)
+	return consume(res, errors.Join(failed...))
 }

@@ -35,7 +35,8 @@ type DiscoveryResult struct {
 // perceptive model in n/2 + O(√n·log²N) rounds for even n (the paper's
 // setting; odd n is handled by the lazy-model style sweep in
 // internal/discovery), as a CPS step: seed drives NMoveS, and k receives the
-// agent's result.  The pipeline is: NMoveS → direction agreement → leader
+// agent's result, which is the agent's kept state and valid until the run
+// ends.  The pipeline is: NMoveS → direction agreement → leader
 // election → neighbour re-discovery in the agreed frame → RingDist → size
 // broadcast → Distances → per-agent solution of the arc equations.
 func LocationDiscoveryStep(a *engine.Agent, seed int64, k func(*DiscoveryResult) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
@@ -62,6 +63,9 @@ type locationDiscovery struct {
 	onLabelFn func(label int, isLast bool) (engine.Yield, engine.Cont)
 	onSizeFn  func(n int) (engine.Yield, engine.Cont)
 	onGapsFn  func(gaps []int64, offset int) (engine.Yield, engine.Cont)
+
+	prefix, positions []int64         // relativePositions' buffers
+	res               DiscoveryResult // the result handed to k
 }
 
 func (s *locationDiscovery) onCoord(coord *core.Coordination) (engine.Yield, engine.Cont) {
@@ -91,11 +95,11 @@ func (s *locationDiscovery) onSize(n int) (engine.Yield, engine.Cont) {
 }
 
 func (s *locationDiscovery) onGaps(gaps []int64, offset int) (engine.Yield, engine.Cont) {
-	positions, err := relativePositions(s.f, s.label, s.n, gaps, offset)
+	positions, err := s.relativePositions(gaps, offset)
 	if err != nil {
 		return engine.Abort(err)
 	}
-	return s.k(&DiscoveryResult{
+	s.res = DiscoveryResult{
 		IsLeader:           s.coord.IsLeader,
 		Label:              s.label,
 		N:                  s.n,
@@ -104,7 +108,8 @@ func (s *locationDiscovery) onGaps(gaps []int64, offset int) (engine.Yield, engi
 		RoundsCoordination: s.afterCoord,
 		RoundsRingDist:     s.afterRingDist - s.afterCoord,
 		RoundsDistances:    s.f.RoundsUsed() - s.afterRingDist,
-	})
+	}
+	return s.k(&s.res)
 }
 
 // relativePositions converts the leader-relative gap vector into positions
@@ -112,10 +117,16 @@ func (s *locationDiscovery) onGaps(gaps []int64, offset int) (engine.Yield, engi
 // from its initial to its current position (the running sum of its dist()
 // observations), its current leader-relative slot (label − 1 + offset), and
 // the full slot geometry, so it can identify the slot it started from and
-// read off everybody's initial position.
-func relativePositions(f *core.Frame, label, n int, gaps []int64, offset int) ([]int64, error) {
+// read off everybody's initial position.  The positions are the state's
+// buffer, like the result they go into.
+func (s *locationDiscovery) relativePositions(gaps []int64, offset int) ([]int64, error) {
+	f, label, n := s.f, s.label, s.n
 	full := f.FullCircle()
-	prefix := make([]int64, n)
+	if cap(s.prefix) < n {
+		s.prefix, s.positions = make([]int64, n), make([]int64, n)
+	}
+	prefix, positions := s.prefix[:n], s.positions[:n]
+	prefix[0] = 0
 	for j := 1; j < n; j++ {
 		prefix[j] = prefix[j-1] + gaps[j-1]
 	}
@@ -131,7 +142,6 @@ func relativePositions(f *core.Frame, label, n int, gaps []int64, offset int) ([
 	if initIdx < 0 {
 		return nil, fmt.Errorf("%w: initial position does not coincide with a discovered slot", ErrProtocol)
 	}
-	positions := make([]int64, n)
 	for t := 0; t < n; t++ {
 		positions[t] = ((prefix[(initIdx+t)%n]-prefix[initIdx])%full + full) % full
 	}

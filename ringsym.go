@@ -152,7 +152,7 @@ func RandomNetwork(cfg RandomConfig) (*Network, error) {
 }
 
 // Reset validates cfg and re-initialises the network in place, reusing the
-// previous network's ring state, agent objects and scratch buffers; NewNetwork
+// previous network's ring state, agent objects and ring scratch; NewNetwork
 // shares its validation.  On error the network may be left partially updated
 // and must be discarded.  Scenario sweeps (the campaign runner) use it to
 // retire one configuration per run without rebuilding the network object.
@@ -232,9 +232,15 @@ func (n *Network) Coordinate(opts CoordinationOptions) (*CoordinationResult, err
 // the pipeline within one round.
 func (n *Network) CoordinateContext(ctx context.Context, opts CoordinationOptions) (*CoordinationResult, error) {
 	c := CellOf(n.Model(), n.N()%2 == 1, opts.CommonSense)
-	run, err := engine.Run(ctx, n.nw, func(a *Agent) *engine.Proto[*core.Coordination] {
+	return engine.RunConsume(ctx, n.nw, func(a *Agent) *engine.Proto[*core.Coordination] {
 		return c.CoordinateMachine(a, opts.Seed)
-	})
+	}, n.coordination)
+}
+
+// coordination aggregates and verifies a coordination run.  The outputs
+// are the agents' kept state, so it runs as the run's consume step, before
+// the run's arena goes back.
+func (n *Network) coordination(run *engine.Result[*core.Coordination], err error) (*CoordinationResult, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -307,25 +313,41 @@ func (n *Network) DiscoverLocations(opts DiscoveryOptions) (*DiscoveryResult, er
 func (n *Network) DiscoverLocationsContext(ctx context.Context, opts DiscoveryOptions) (*DiscoveryResult, error) {
 	start := n.nw.CurrentPositions()
 	c := CellOf(n.Model(), n.N()%2 == 1, opts.CommonSense)
-	run, err := engine.Run(ctx, n.nw, func(a *Agent) *engine.Proto[*discovery.Result] {
+	return engine.RunConsume(ctx, n.nw, func(a *Agent) *engine.Proto[*discovery.Result] {
 		return c.DiscoverMachine(a, opts.Seed)
+	}, func(run *engine.Result[*discovery.Result], err error) (*DiscoveryResult, error) {
+		if err != nil {
+			return nil, err
+		}
+		return n.discovery(run, start)
 	})
-	if err != nil {
-		return nil, err
-	}
+}
+
+// discovery aggregates and verifies a location-discovery run whose agents
+// started at start.  The outputs may point into the agents' kept state, so
+// it runs as the run's consume step, and it copies every agent's positions
+// into one slab the result owns.
+func (n *Network) discovery(run *engine.Result[*discovery.Result], start []int64) (*DiscoveryResult, error) {
 	first := run.Outputs[0]
 	res := &DiscoveryResult{Rounds: run.Rounds, RoundsCoordination: first.RoundsCoordination,
 		RoundsDiscovery: first.RoundsDiscovery, PerAgent: make([]AgentDiscovery, len(run.Outputs)), StartPositions: start}
+	words := 0
+	for _, r := range run.Outputs {
+		words += len(r.Positions)
+	}
+	slab := make([]int64, words)
 	for i, r := range run.Outputs {
 		if r.RoundsCoordination != first.RoundsCoordination || r.RoundsDiscovery != first.RoundsDiscovery {
 			return nil, fmt.Errorf("%w: agent %d's stage split differs from agent 0's", ErrVerification, i)
 		}
+		k := copy(slab, r.Positions)
 		res.PerAgent[i] = AgentDiscovery{
 			ID:        n.nw.IDOf(i),
 			IsLeader:  r.IsLeader,
 			N:         r.N,
-			Positions: r.Positions,
+			Positions: slab[:k:k],
 		}
+		slab = slab[k:]
 	}
 	if err := n.VerifyDiscovery(res); err != nil {
 		return nil, err

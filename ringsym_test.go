@@ -299,8 +299,10 @@ func TestRunContextCancelMidProtocol(t *testing.T) {
 // reset between scenarios, the way a campaign worker reuses its network, and
 // requires exactly a fresh network's results.  Each scenario is first cut
 // short by a round budget of half its rounds, so the protocols' per-agent
-// state that the agents keep across runs is left mid-protocol before the
-// full run: nothing of it may carry over.
+// state that the run arenas keep across runs is left mid-protocol before the
+// full run: nothing of it may carry over.  The fresh networks borrow the
+// same arenas, so this is no independent oracle for the kept state; engine's
+// TestArenaReuseMatchesNeverUsedArenas is.
 func TestReusedNetworkMatchesFresh(t *testing.T) {
 	var reused *ringsym.Network
 	for _, model := range []ringsym.Model{ringsym.Basic, ringsym.Lazy, ringsym.Perceptive} {
