@@ -35,6 +35,8 @@ type Solver struct {
 	size   []int
 	// merged counts union operations that actually joined two components.
 	merged int
+	// gaps is the buffer Gaps writes into.
+	gaps []int64
 }
 
 // New creates a solver for n gaps on a circle of the given total length
@@ -54,10 +56,10 @@ func (s *Solver) Reset(n int, full int64) error {
 		return fmt.Errorf("%w: n=%d full=%d", ErrBadArc, n, full)
 	}
 	if cap(s.parent) < n {
-		s.parent, s.offset, s.size = make([]int, n), make([]int64, n), make([]int, n)
+		s.parent, s.offset, s.size, s.gaps = make([]int, n), make([]int64, n), make([]int, n), make([]int64, n)
 	}
 	s.n, s.full, s.merged = n, full, 0
-	s.parent, s.offset, s.size = s.parent[:n], s.offset[:n], s.size[:n]
+	s.parent, s.offset, s.size, s.gaps = s.parent[:n], s.offset[:n], s.size[:n], s.gaps[:n]
 	for i := range s.parent {
 		s.parent[i], s.offset[i], s.size[i] = i, 0, 1
 	}
@@ -149,13 +151,14 @@ func (s *Solver) Prefix(j int) (int64, bool) {
 }
 
 // Gaps returns the solved gap values g_0..g_{n-1}; it fails when the system
-// is not fully determined.
+// is not fully determined.  The slice is the solver's buffer, valid until
+// the next Reset or Gaps call.
 func (s *Solver) Gaps() ([]int64, error) {
 	if !s.Solved() {
 		return nil, ErrUnsolved
 	}
 	// gaps[j] = P_{j+1} − P_j, with P_n = full.
-	gaps := make([]int64, s.n)
+	gaps := s.gaps
 	for j := 0; j < s.n; j++ {
 		p, ok := s.Prefix(j)
 		if !ok {

@@ -91,7 +91,7 @@ type Options struct {
 	Cache *Cache
 }
 
-// testHookScenario, when set, runs at the start of Slot.Run's lookup
+// testHookScenario, when set, runs at the start of Prepared.Run's lookup
 // stage, inside the pipeline's recover; tests use it to inject panics.
 var testHookScenario func(Scenario)
 
@@ -153,10 +153,6 @@ func sweep(ctx context.Context, scenarios []Scenario, opts Options, emit func(po
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Each worker owns one network slot for its whole shift and
-			// runs every scenario on it, so consecutive scenarios reset one
-			// network instead of building one each.
-			slot := &Slot{}
 			for ctx.Err() == nil {
 				pos := int(next.Add(1) - 1)
 				if pos >= len(scenarios) {
@@ -164,7 +160,7 @@ func sweep(ctx context.Context, scenarios []Scenario, opts Options, emit func(po
 				}
 				// Under ctx, cancellation interrupts an in-flight protocol
 				// within one round and records it as failed (context.Canceled).
-				rec := slot.Run(ctx, scenarios[pos], opts)
+				rec := RunScenarioContext(ctx, scenarios[pos], opts)
 				if n := done.Add(1); obs.On() {
 					EmitCheckpoint(int(n), len(scenarios))
 				}
@@ -278,35 +274,19 @@ func RunAll(ctx context.Context, scenarios []Scenario, opts Options) ([]Record, 
 // in-flight protocol is aborted within one round and the scenario is recorded
 // as failed with an error wrapping context.Canceled (or the context's cause),
 // rather than running until the engine's round bound.  Panics anywhere in
-// generation or protocol execution are recovered into a failed record.
+// generation or protocol execution are recovered into a failed record.  It
+// prepares the scenario and runs it (see Prepared.Run).
 func RunScenarioContext(ctx context.Context, sc Scenario, opts Options) Record {
-	return (*Slot)(nil).Run(ctx, sc, opts)
+	return Prepare(sc, opts).Run(ctx)
 }
 
-// Slot is a network-reuse slot: one facade network, reset in place for every
-// scenario run on the slot, so the ring state and agent objects survive from
-// one scenario to the next instead of being rebuilt per scenario.  (The
-// agents' scratch buffers and protocol state live in the run arenas, which
-// fresh networks share too.)  A slot is single-threaded: whoever holds it (a
-// sweep worker for its whole shift, a goroutine of a ringd /v1/campaign
-// request for the whole request) is the only caller of its Run.  The zero
-// value is an empty slot, ready for use.
-type Slot struct{ nw *ringsym.Network }
-
-// Run is RunScenarioContext on the slot: it prepares the scenario and runs
-// the prepared scenario on the slot (see RunPrepared).
-func (slot *Slot) Run(ctx context.Context, sc Scenario, opts Options) Record {
-	return slot.RunPrepared(ctx, Prepare(sc, opts))
-}
-
-// RunPrepared finishes a prepared scenario by running its task: an uncached
-// scenario runs on the slot's network (see acquireNetwork), and a nil slot
-// builds a fresh network.  A cached computation runs through the cache's
-// singleflight, on this goroutine when it leads, on a fresh network: the
-// protocol state comes warm from the run arenas either way (engine.Run), so
-// the slot would save only the network object.  Record.Wall counts the
-// preparation too, wherever it ran.
-func (slot *Slot) RunPrepared(ctx context.Context, p Prepared) Record {
+// Run finishes a prepared scenario by running its task on a fresh network,
+// as the paper's model runs every execution on fresh agents: uncached, on
+// this goroutine; cached, through the cache's singleflight, on this
+// goroutine when it leads.  The agents' protocol state comes warm from the
+// run arenas (engine.Run), so a fresh network costs only its few objects.
+// Record.Wall counts the preparation too, wherever it ran.
+func (p Prepared) Run(ctx context.Context) Record {
 	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
 	start := time.Now()
 	sc := p.rec.Scenario
@@ -321,11 +301,11 @@ func (slot *Slot) RunPrepared(ctx context.Context, p Prepared) Record {
 			testHookScenario(sc)
 		}
 		if p.cache == nil {
-			out, err := runSpec(ctx, p.spec, p.cfg, sc, slot)
+			out, err := runSpec(ctx, p.spec, p.cfg, sc)
 			return out, memo.Miss, err
 		}
 		return p.cache.c.Do(ctx, p.key, func(cctx context.Context) (task.Outcome, error) {
-			return runSpec(cctx, p.spec, p.cfg, sc, nil)
+			return runSpec(cctx, p.spec, p.cfg, sc)
 		})
 	})
 	//ringvet:allow determinism wall time feeds Record.Wall, which the export layer strips (see runner_test "wall time leaked")
@@ -353,8 +333,8 @@ func ProbeCache(sc Scenario, opts Options) (Record, bool) {
 // the outcome simply is not there yet, or a stage failed.  Nothing
 // executes and no singleflight computation is joined, so a serving layer
 // can answer hits on the request goroutine without taking a compute token,
-// and hand the same prepared value to RunPrepared on a miss: the miss pays
-// for its preparation once.
+// and Run the same prepared value on a miss: the miss pays for its
+// preparation once.
 func (p Prepared) Probe() (Record, bool) {
 	if p.cache == nil {
 		return Record{}, false
@@ -369,7 +349,7 @@ func (p Prepared) Probe() (Record, bool) {
 	if rec.Status != StatusOK {
 		return Record{}, false
 	}
-	// A probe hit never reaches RunPrepared, so its completion event is
+	// A probe hit never reaches Run, so its completion event is
 	// emitted here: cache-served scenarios stay visible on the event spine.
 	if obs.On() {
 		EmitScenarioDone(rec)
@@ -382,7 +362,7 @@ var errNotCached = errors.New("campaign: outcome not cached")
 
 // Prepared is a scenario taken through the first half of the pipeline
 // every entry point shares: resolve (model, spec, bound, solvability) →
-// generate → canonicalize → key.  Its finish (Probe, or RunPrepared) runs
+// generate → canonicalize → key.  Its finish (Probe, or Run) runs
 // the second half: lookup → map → fill.  The stages and their order live in
 // Prepare and finish alone, so the key a probe reads cannot drift from the
 // key a run stores under, and the two finishes differ only in the lookup
@@ -513,35 +493,13 @@ func generateConfig(sc Scenario, model ring.Model) (engine.Config, error) {
 	return gen, nil
 }
 
-// acquireNetwork returns a network for cfg: the slot's network, reset in
-// place, when the slot holds one; a fresh one otherwise (and after a failed
-// reset, whose contract leaves the network undefined), which a non-nil slot
-// keeps for the next scenario.
-func acquireNetwork(s *Slot, cfg ringsym.Config) (*ringsym.Network, error) {
-	if s != nil && s.nw != nil {
-		if err := s.nw.Reset(cfg); err == nil {
-			return s.nw, nil
-		}
-		s.nw = nil
-	}
-	nw, err := ringsym.NewNetwork(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if s != nil {
-		s.nw = nw
-	}
-	return nw, nil
-}
-
 // runSpec executes the scenario's task on the given configuration through
 // the task's spec: the network is built behind the public facade (whose
 // pipelines verify protocol outcomes against the simulator's ground truth),
 // the spec runs, and the finished outcome is re-checked with the spec's own
-// Verify before it may enter the cache or a record.  The network comes from
-// slot (see acquireNetwork).
-func runSpec(ctx context.Context, spec task.Spec, gen engine.Config, sc Scenario, slot *Slot) (task.Outcome, error) {
-	nw, err := acquireNetwork(slot, ringsym.Config{
+// Verify before it may enter the cache or a record.
+func runSpec(ctx context.Context, spec task.Spec, gen engine.Config, sc Scenario) (task.Outcome, error) {
+	nw, err := ringsym.NewNetwork(ringsym.Config{
 		Model:         gen.Model,
 		Circumference: gen.Circ,
 		Positions:     gen.Positions,

@@ -84,9 +84,9 @@ func NewFrame(a *engine.Agent) *Frame {
 var pipelineFrames = engine.NewSlot[Frame]()
 
 // PipelineFrame returns a's frame for a coordination pipeline, unflipped: the
-// same Frame on every run of the agent, kept in an engine.Slot with its
-// stage state and bound callbacks, so the pipelines of a reused network
-// allocate none of that after the agent's first run.  A run uses at most one
+// same Frame on every run of the agent's arena column, kept in an
+// engine.Slot with its stage state and bound callbacks, so the pipelines
+// allocate none of that after the column's first run.  A run uses at most one
 // pipeline frame per agent; code that needs frames of its own builds them
 // with NewFrame.
 func PipelineFrame(a *engine.Agent) *Frame {

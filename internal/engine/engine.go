@@ -23,8 +23,10 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ringsym/internal/ring"
@@ -116,15 +118,16 @@ type Observation struct {
 // Network owns the objective ring state and coordinates rounds.  A Network
 // supports at most one run at a time: a concurrent Run on the same Network
 // fails with ErrRunInProgress instead of corrupting the shared state.
-// Sequential runs reuse the same agent handles; the agents' scratch buffers
-// and kept protocol state come from the run's arena (sched.go), so a fresh
-// network computes from warm state too.
-// The zero Network has no configuration until Reset gives it one.
+// Its agent handles are one slab, so building a network costs the same few
+// objects at every n; the agents' scratch buffers and kept protocol state
+// come from the run's arena (sched.go), so a fresh network computes from
+// warm state.  The zero Network has no configuration until Reset gives it
+// one.
 type Network struct {
-	cfg     Config
-	state   *ring.State
-	agents  []*Agent
-	idToIdx map[int]int
+	cfg    Config
+	state  *ring.State
+	agents []Agent // one slab, so a network costs the same objects at every n
+	byID   []int   // ring indices sorted by ID
 
 	// crossings counts the crossings (leap batches) executed on this network,
 	// cumulative across runs like the round count.  Only the goroutine running
@@ -177,11 +180,9 @@ func New(cfg Config) (*Network, error) {
 }
 
 // Reset validates cfg and (re)initialises the network in place, reusing the
-// ring state, agent objects and ID index of the previous configuration, if
-// any; New is Reset on a zero Network, so the two share one validation.  On
-// error the network may be left partially updated and must be discarded;
-// Reset is for scenario sweeps over trusted generators, where rebuilding a
-// complete network object per scenario is pure allocation overhead.  Reset
+// ring state, agent slab and ID index of the previous configuration, if any;
+// New is Reset on a zero Network, so the two share one validation.  On error
+// the network may be left partially updated and must be discarded.  Reset
 // must not be called while a run is in flight.
 func (nw *Network) Reset(cfg Config) error {
 	nw.mu.Lock()
@@ -207,18 +208,21 @@ func (nw *Network) Reset(cfg Config) error {
 	if cfg.IDBound < n {
 		return fmt.Errorf("%w: IDBound %d < n %d", ErrBadIDs, cfg.IDBound, n)
 	}
-	if nw.idToIdx == nil {
-		nw.idToIdx = make(map[int]int, n)
+	if cap(nw.byID) < n {
+		nw.byID = make([]int, n)
 	}
-	clear(nw.idToIdx)
+	nw.byID = nw.byID[:n]
 	for i, id := range cfg.IDs {
 		if id < 1 || id > cfg.IDBound {
 			return fmt.Errorf("%w: ID %d out of range", ErrBadIDs, id)
 		}
-		if _, dup := nw.idToIdx[id]; dup {
+		nw.byID[i] = i
+	}
+	slices.SortFunc(nw.byID, func(i, j int) int { return cmp.Compare(cfg.IDs[i], cfg.IDs[j]) })
+	for k := 1; k < n; k++ {
+		if id := cfg.IDs[nw.byID[k]]; id == cfg.IDs[nw.byID[k-1]] {
 			return fmt.Errorf("%w: duplicate ID %d", ErrBadIDs, id)
 		}
-		nw.idToIdx[id] = i
 	}
 	if cfg.Chirality != nil && len(cfg.Chirality) != n {
 		return ErrBadChirality
@@ -230,25 +234,20 @@ func (nw *Network) Reset(cfg Config) error {
 	nw.crossings = 0
 	nw.broken = nil
 	if cap(nw.agents) < n {
-		old := nw.agents
-		nw.agents = make([]*Agent, n)
-		copy(nw.agents, old[:cap(old)])
+		nw.agents = make([]Agent, n)
 	}
 	nw.agents = nw.agents[:n]
-	for i := 0; i < n; i++ {
-		a := nw.agents[i]
-		if a == nil {
-			a = &Agent{nw: nw, idx: i}
-			nw.agents[i] = a
+	for i := range nw.agents {
+		nw.agents[i] = Agent{
+			nw:         nw,
+			idx:        i,
+			id:         cfg.IDs[i],
+			idBound:    cfg.IDBound,
+			parity:     nw.parity(),
+			model:      cfg.Model,
+			chirality:  nw.ChiralityOf(i),
+			fullCircle: nw.state.FullCircle(),
 		}
-		a.id = cfg.IDs[i]
-		a.idBound = cfg.IDBound
-		a.parity = nw.parity()
-		a.model = cfg.Model
-		a.chirality = nw.ChiralityOf(i)
-		a.fullCircle = nw.state.FullCircle()
-		a.rounds = 0
-		a.disp = 0
 	}
 	return nil
 }
@@ -276,10 +275,11 @@ func (nw *Network) IDOf(i int) int { return nw.cfg.IDs[i] }
 
 // IndexOfID returns the ring index of the agent with the given ID, or -1.
 func (nw *Network) IndexOfID(id int) int {
-	if idx, ok := nw.idToIdx[id]; ok {
-		return idx
+	k, ok := slices.BinarySearchFunc(nw.byID, id, func(i, id int) int { return cmp.Compare(nw.cfg.IDs[i], id) })
+	if !ok {
+		return -1
 	}
-	return -1
+	return nw.byID[k]
 }
 
 // ChiralityOf reports whether agent i's own clockwise equals the global one.
@@ -345,9 +345,9 @@ func (nw *Network) beginRun() error {
 		return fmt.Errorf("%w: %w", ErrNetworkBroken, nw.broken)
 	}
 	nw.running = true
-	for _, a := range nw.agents {
-		a.rounds = 0
-		a.disp = 0
+	for i := range nw.agents {
+		nw.agents[i].rounds = 0
+		nw.agents[i].disp = 0
 	}
 	return nil
 }

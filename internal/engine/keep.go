@@ -6,7 +6,7 @@ import "sync/atomic"
 // ring index, the way it keeps the agent's observation and schedule buffers:
 // Of returns the same value for a ring index within a run.  The state lives
 // in the run's arena (sched.go), not on the network, so it carries over from
-// run to run — on a reused network or a fresh one — and a protocol package
+// run to run, whatever network the run is on, and a protocol package
 // that takes its per-run state from a slot, and binds the method values its
 // continuations need once into that state, allocates it once per arena
 // column instead of once per run.

@@ -46,10 +46,10 @@ var never = make(chan struct{})
 
 // TestArenaReuseMatchesNeverUsedArenas is the reuse oracle of the run
 // arenas' kept state: every scenario of both golden sweeps runs on a fresh
-// network, the way a cached compute or a /v1/run miss does, first on a
-// never-used arena (the oracle, independent of anything earlier runs left
-// behind), then in shuffled order through the shared free list, so that the
-// kept columns pass between networks of mixed n, models and tasks.  Every
+// network, as every entry point runs it, first on a never-used arena (the
+// oracle, independent of anything earlier runs left behind), then in
+// shuffled order through the shared free list, so that the kept columns
+// pass between networks of mixed n, models and tasks.  Every
 // record must equal its oracle record, once as is and once after runs
 // cancelled at about 16 points of the scenario, which leave their kept state
 // half-way through a pipeline.

@@ -205,3 +205,29 @@ func FuzzNetworkResetMatchesNew(f *testing.F) {
 		}
 	})
 }
+
+// TestNewAllocsIndependentOfN pins that building a network costs the same
+// number of allocations at every size: the agent handles are one slab, and
+// the ring state, its slices and the ID index are one object each.
+func TestNewAllocsIndependentOfN(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{8, 64, 256} {
+		cfg := Config{Model: ring.Perceptive, Circ: int64(4 * n), IDBound: n}
+		for i := 0; i < n; i++ {
+			cfg.Positions = append(cfg.Positions, int64(4*i))
+			cfg.IDs = append(cfg.IDs, i+1)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("n = %d: %.0f allocations", n, got)
+		counts = append(counts, got)
+	}
+	for _, c := range counts[1:] {
+		if c != counts[0] {
+			t.Fatalf("engine.New allocations at n = 8, 64, 256: %v, want one count", counts)
+		}
+	}
+}

@@ -123,11 +123,11 @@ func (b *arena) prepare(nw *Network) {
 	b.machines = b.machines[:n]
 	b.stepErr = b.stepErr[:n]
 	b.cols = b.cols[:n]
-	for i, a := range nw.agents {
+	for i := range nw.agents {
 		b.machines[i] = nil
 		b.stepErr[i] = nil
-		a.slot = &b.x.pend[i].batch
-		a.col = &b.cols[i]
+		nw.agents[i].slot = &b.x.pend[i].batch
+		nw.agents[i].col = &b.cols[i]
 	}
 }
 
@@ -141,9 +141,9 @@ func (b *arena) release() {
 		b.stepErr[i] = nil
 		b.x.pend[i] = pending{}
 	}
-	for _, a := range b.x.nw.agents {
-		a.slot = nil
-		a.col = nil
+	for i := range b.x.nw.agents {
+		b.x.nw.agents[i].slot = nil
+		b.x.nw.agents[i].col = nil
 	}
 	b.x.nw = nil
 	putArena(b)
@@ -311,7 +311,7 @@ func RunConsume[T, R any](ctx context.Context, nw *Network, build func(a *Agent)
 
 	protos := make([]*Proto[T], n)
 	for i := 0; i < n; i++ {
-		protos[i] = build(nw.agents[i])
+		protos[i] = build(&nw.agents[i])
 		b.machines[i] = protos[i]
 	}
 

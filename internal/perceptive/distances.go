@@ -91,8 +91,8 @@ func spanToOpposite(dirOf func(label int) ring.Direction, myLabel, n int, myDir 
 // reference configuration the labels refer to.
 //
 // k receives the leader-relative gap vector (g_j is the arc from the agent with
-// label j+1 to the agent with label j+2) and the agent's final ring offset
-// from the reference configuration.
+// label j+1 to the agent with label j+2), a buffer of the agent's kept state,
+// and the agent's final ring offset from the reference configuration.
 func DistancesStep(f *core.Frame, label, n int, k func(gaps []int64, finalOffset int) (engine.Yield, engine.Cont)) (engine.Yield, engine.Cont) {
 	if label < 1 || label > n || n < 5 {
 		return engine.Abort(fmt.Errorf("%w: label %d of %d", ErrProtocol, label, n))

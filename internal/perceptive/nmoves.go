@@ -51,8 +51,8 @@ func NMoveSStep(f *core.Frame, seed int64, k func(ring.Direction) (engine.Yield,
 }
 
 // The agents keep the state of the package's multi-round steps, one slot per
-// step, so a reused network allocates it, and binds its callbacks, on the
-// agent's first run only.  A run executes at most one call of each step per
+// step, so it is allocated, and its callbacks bound, on the first run of the
+// agent's arena column only.  A run executes at most one call of each step per
 // agent at a time.
 var (
 	nmoveStates     = engine.NewSlot[nmoveS]()

@@ -19,7 +19,8 @@ type DiscoveryResult struct {
 	// N is the discovered number of agents.
 	N int
 	// Gaps is the leader-relative gap vector: Gaps[j] is the arc (half-ticks)
-	// from the agent with label j+1 to the agent with label j+2.
+	// from the agent with label j+1 to the agent with label j+2.  Like
+	// Positions it is a buffer of the agent's kept state.
 	Gaps []int64
 	// Positions[t] is the arc, measured in the agreed clockwise direction,
 	// from this agent's initial position to the initial position of the agent

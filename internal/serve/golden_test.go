@@ -65,26 +65,25 @@ func checkGolden(t *testing.T, body []byte) {
 	}
 }
 
-// TestCampaignGoldenOnSharedSlots runs the golden grid on a three-worker
-// daemon.  The request runs its scenarios on three goroutines, each on one
-// network slot that goes through scenarios of other sizes, models and
-// tasks.  A slot shared by two running scenarios (a race under -race, and
-// corrupt records without it) or state leaking from one scenario into the
-// next would change the bytes.
-func TestCampaignGoldenOnSharedSlots(t *testing.T) {
+// TestCampaignGoldenConcurrent runs the golden grid on a three-worker
+// daemon.  The request runs its scenarios on three goroutines at once, each
+// on a fresh network whose agents borrow their protocol state from the
+// shared run arenas.  Two running scenarios sharing state (a race under
+// -race, and corrupt records without it) or state leaking from one scenario
+// into the next would change the bytes.
+func TestCampaignGoldenConcurrent(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 3})
 	checkGolden(t, postGolden(t, ts.URL))
 }
 
 // campaignAllocBudget bounds the heap allocations of one /v1/campaign
 // request over the golden grid on a one-worker pool, client included.  With
-// every scenario on the request's one reused network it measured 7.2k (8.5k
-// under -race); building a fresh network per scenario costs 69k (73k).
+// every scenario on a fresh network it measured 4.3k (4.9k under -race).
 const campaignAllocBudget = 12000
 
-// TestCampaignAllocBudget fails when a campaign's scenarios stop sharing
-// networks: the per-scenario network build is most of what a cold scenario
-// allocates.
+// TestCampaignAllocBudget fails when a campaign's scenarios get costlier to
+// run: a network whose cost grows with n again, or protocol state that stops
+// coming warm from the run arenas, shows up here first.
 func TestCampaignAllocBudget(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 1})
 	var body []byte

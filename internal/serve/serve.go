@@ -5,20 +5,20 @@
 // All requests share the daemon's bound of Workers computes, a channel of
 // Workers tokens, so a burst of clients queues instead of oversubscribing
 // the machine.  Every scenario computes on its request's own goroutines,
-// through Server.compute, only while it holds a token.  A /v1/run scenario,
-// prepared once by its handler for the cache probe, runs on the handler's
-// goroutine on a fresh network.  A /v1/campaign request runs its scenarios
-// on up to Workers goroutines of its own, as an offline sweep does
-// (campaign.Slot.RunPrepared, the same per-scenario pipeline), each
-// goroutine on one reused network for the whole request.  The daemon keeps
-// no goroutines of its own.  No Options field reaches a record except
-// through the cache annotation, so the daemon writes a sweep's bytes for
-// every scenario.  Every request shares the optional symmetry-canonical
-// memo cache (internal/memo keyed by internal/canon): two clients asking
-// for rotations of the same ring are served one computation.  Request
-// contexts are threaded through to the engine, so a disconnected or
-// cancelled client stops burning CPU within one simulated round (unless
-// another in-flight client is waiting on the same canonical computation).
+// through Server.compute, only while it holds a token, on a fresh network
+// (campaign.Prepared.Run, the per-scenario pipeline an offline sweep runs).
+// A /v1/run scenario, prepared once by its handler for the cache probe,
+// runs on the handler's goroutine.  A /v1/campaign request runs its
+// scenarios on up to Workers goroutines of its own, as an offline sweep
+// does.  The daemon keeps no goroutines of its own.  No Options field
+// reaches a record except through the cache annotation, so the daemon
+// writes a sweep's bytes for every scenario.  Every request shares the
+// optional symmetry-canonical memo cache (internal/memo keyed by
+// internal/canon): two clients asking for rotations of the same ring are
+// served one computation.  Request contexts are threaded through to the
+// engine, so a disconnected or cancelled client stops burning CPU within
+// one simulated round (unless another in-flight client is waiting on the
+// same canonical computation).
 //
 // Endpoints:
 //
@@ -204,13 +204,12 @@ func (s *Server) campaignOptions() campaign.Options {
 var errServerClosed = errors.New("serve: server is shutting down")
 
 // compute is the one place serve computes a scenario: it runs the prepared
-// scenario on the caller's goroutine once it holds one of the pool's tokens,
-// on slot's network, or on a fresh one when slot is nil (a /v1/run miss).
+// scenario on the caller's goroutine once it holds one of the pool's tokens.
 // The scenario counts as pending while it waits and runs, so a waiting
 // compute is exactly the queueing admission control exists to bound.  It
 // fails with the context's error when ctx ends first, and with
 // errServerClosed after Close.
-func (s *Server) compute(ctx context.Context, prep campaign.Prepared, slot *campaign.Slot) (campaign.Record, error) {
+func (s *Server) compute(ctx context.Context, prep campaign.Prepared) (campaign.Record, error) {
 	s.pending.Add(1)
 	defer s.pending.Add(-1)
 	// A closed pool refuses the scenario even when a token is free.
@@ -226,7 +225,7 @@ func (s *Server) compute(ctx context.Context, prep campaign.Prepared, slot *camp
 	case <-s.quit:
 		return campaign.Record{}, errServerClosed
 	}
-	rec := slot.RunPrepared(ctx, prep)
+	rec := prep.Run(ctx)
 	<-s.tokens
 	s.finished(ctx, rec)
 	return rec, nil
@@ -402,7 +401,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// The client's context reaches the engine, so a disconnect aborts the
 	// run within one round.
-	rec, err := s.compute(r.Context(), prep, nil)
+	rec, err := s.compute(r.Context(), prep)
 	if err != nil {
 		if errors.Is(err, errServerClosed) {
 			s.httpError(w, r, http.StatusServiceUnavailable, err)
@@ -476,15 +475,13 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 
 	// The request runs its scenarios on up to Workers goroutines of its own,
 	// as a sweep does: each claims the next scenario of the feed from a
-	// shared cursor and computes it under one of the pool's tokens, on the
-	// one network slot it keeps for the whole request, so a lease resets one
-	// network per scenario it has running at a time and its networks are
-	// garbage once the request ends.  Records stream back in scenario-index
-	// order through the OrderedWriter while later scenarios still wait.  On
-	// a cached daemon the feed is decorrelated so a symmetric matrix's
-	// adjacent framings don't pile the request's goroutines onto one
-	// singleflight computation; the reorder horizon is bounded, so the
-	// OrderedWriter buffers at most a window of out-of-order records.
+	// shared cursor and computes it under one of the pool's tokens.  Records
+	// stream back in scenario-index order through the OrderedWriter while
+	// later scenarios still wait.  On a cached daemon the feed is
+	// decorrelated so a symmetric matrix's adjacent framings don't pile the
+	// request's goroutines onto one singleflight computation; the reorder
+	// horizon is bounded, so the OrderedWriter buffers at most a window of
+	// out-of-order records.
 	feed := scenarios
 	if s.opts.Cache != nil {
 		feed = campaign.DecorrelateOrbits(scenarios)
@@ -505,13 +502,12 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	for range workers {
 		go func() {
 			defer wg.Done()
-			slot := &campaign.Slot{}
 			for ctx.Err() == nil {
 				pos := int(next.Add(1) - 1)
 				if pos >= len(feed) {
 					return
 				}
-				rec, err := s.compute(ctx, campaign.Prepare(feed[pos], opts), slot)
+				rec, err := s.compute(ctx, campaign.Prepare(feed[pos], opts))
 				mu.Lock()
 				if stop == nil {
 					stop = err

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"ringsym/internal/campaign"
+	"ringsym/internal/obs"
 	"ringsym/internal/serve"
 	"ringsym/internal/store"
 	"ringsym/internal/task"
@@ -406,12 +407,15 @@ func TestCampaignTooLarge(t *testing.T) {
 
 // TestCancellationMidRequest: a client that disconnects mid-run frees its
 // worker within one engine round instead of running the scenario to the end.
-// The n=2048 discovery below takes seconds to complete; after cancelling at
-// 100ms the worker must surface the aborted (failed, uncached) record almost
+// The n=2048 discovery below takes seconds to complete; cancelled once its
+// run has started (its scenario.start, emitted after it took its token), the
+// worker must surface the aborted (failed, uncached) record almost
 // immediately.
 func TestCancellationMidRequest(t *testing.T) {
 	cache := campaign.NewCache(0)
 	pool, ts := newTestServer(t, serve.Options{Workers: 1, Cache: cache})
+	sub := obs.Default.Subscribe(obs.SubOptions{Types: []string{string(obs.ScenarioStart)}})
+	defer sub.Close()
 
 	sc := campaign.Scenario{Task: campaign.TaskDiscover, Model: "perceptive", N: 2048, Seed: 1, MixedChirality: true}
 	raw, err := json.Marshal(sc)
@@ -431,7 +435,17 @@ func TestCancellationMidRequest(t *testing.T) {
 		}
 		done <- err
 	}()
-	time.Sleep(100 * time.Millisecond)
+	waitCtx, stopWaiting := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stopWaiting()
+	for {
+		ev, err := sub.Next(waitCtx)
+		if err != nil {
+			t.Fatalf("no scenario.start for the n = %d run: %v", sc.N, err)
+		}
+		if ev.N == sc.N {
+			break
+		}
+	}
 	cancel()
 	if err := <-done; err == nil {
 		t.Fatal("cancelled request returned a response")

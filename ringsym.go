@@ -152,10 +152,11 @@ func RandomNetwork(cfg RandomConfig) (*Network, error) {
 }
 
 // Reset validates cfg and re-initialises the network in place, reusing the
-// previous network's ring state, agent objects and ring scratch; NewNetwork
+// previous network's ring state, agent slab and ring scratch; NewNetwork
 // shares its validation.  On error the network may be left partially updated
-// and must be discarded.  Scenario sweeps (the campaign runner) use it to
-// retire one configuration per run without rebuilding the network object.
+// and must be discarded.  A fresh network costs the same few objects at
+// every size, so Reset saves little; the campaign runner builds one per
+// scenario.
 func (n *Network) Reset(cfg Config) error {
 	return n.nw.Reset(engine.Config{
 		Model:     cfg.Model,

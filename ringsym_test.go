@@ -296,7 +296,7 @@ func TestRunContextCancelMidProtocol(t *testing.T) {
 }
 
 // TestReusedNetworkMatchesFresh runs both paper tasks on one network that is
-// reset between scenarios, the way a campaign worker reuses its network, and
+// reset between scenarios (Network.Reset, the one in-place path), and
 // requires exactly a fresh network's results.  Each scenario is first cut
 // short by a round budget of half its rounds, so the protocols' per-agent
 // state that the run arenas keep across runs is left mid-protocol before the
